@@ -1,1 +1,1 @@
-//! Benchmark-only crate; see benches/.
+//! Benchmark-only crate; the report and its gates live in `src/bin/bench.rs`.

@@ -54,8 +54,7 @@
 //! controller loop) feeds diagnostics with no extra plumbing.
 
 use crate::telemetry::{ControlTrace, EventSink, LoopMode, PromText, Ring};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Classification of the control loop for one period.
@@ -1086,25 +1085,31 @@ impl SharedDiagnostics {
         Self(Arc::new(Mutex::new(ControllerHealth::new(cfg))))
     }
 
+    /// The estimators are plain numbers, valid after any interrupted
+    /// update.
+    fn lock(&self) -> MutexGuard<'_, ControllerHealth> {
+        crate::lock_unpoisoned(&self.0)
+    }
+
     /// Consumes one period's trace; returns the transition, if any.
     pub fn observe(&self, trace: &ControlTrace) -> Option<(HealthState, HealthState)> {
-        self.0.lock().observe(trace)
+        self.lock().observe(trace)
     }
 
     /// The current classification.
     pub fn state(&self) -> HealthState {
-        self.0.lock().state()
+        self.lock().state()
     }
 
     /// A point-in-time copy of the verdict and every estimator.
     pub fn snapshot(&self) -> DiagnosticsSnapshot {
-        self.0.lock().snapshot()
+        self.lock().snapshot()
     }
 }
 
 impl EventSink for SharedDiagnostics {
     fn record(&mut self, trace: &ControlTrace) {
-        let _ = self.0.lock().observe(trace);
+        let _ = self.observe(trace);
     }
 }
 

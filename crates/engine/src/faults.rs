@@ -6,7 +6,7 @@
 //! DSMS actually sees, at the one seam every runner shares — the
 //! [`ControlHook`] boundary — so the same fault plan drives both the
 //! virtual-time [`Simulator`](crate::sim::Simulator) and the threaded
-//! [`rt`](crate::rt) runner:
+//! [`shard`](crate::shard) engine:
 //!
 //! * **sensor faults** — dropout (no `c(k)`/`y` sample, `q(k)` frozen)
 //!   and stale `q(k)` samples (the monitor keeps reporting an old queue

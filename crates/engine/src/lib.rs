@@ -21,8 +21,9 @@
 //!   in-network load shedding from random queue locations).
 //!
 //! Two runners are provided: the deterministic virtual-time
-//! [`sim::Simulator`] used by all experiments, and a real-time threaded
-//! runner in [`rt`] demonstrating the same loop against the wall clock.
+//! [`sim::Simulator`] used by all experiments, and the real-time sharded
+//! engine in [`shard`] running the same loop against the wall clock (a
+//! single-worker pipeline is `shards: 1`).
 //! Both, plus the fault harness, emit one structured [`telemetry`]
 //! record per control period through the same [`hook::ControlHook`]
 //! seam.
@@ -45,7 +46,6 @@ pub mod obs;
 pub mod operator;
 pub mod ring;
 pub mod rng;
-pub mod rt;
 pub mod shard;
 pub mod sim;
 pub mod spans;
@@ -77,3 +77,12 @@ pub use telemetry::{
 pub use time::{micros, millis, millis_f64, secs, secs_f64, SimDuration, SimTime};
 pub use tuple::{RootId, Tuple};
 pub use worker::{CostModel, WorkerConfig, WorkerStats};
+
+/// Locks `m`, clearing poison instead of propagating it. Only for state
+/// every update leaves valid at every step (counters, preallocated
+/// rings): there, a thread that panicked while holding the lock — a
+/// faulty hook, a scrape handler — must not wedge the control loop or
+/// the endpoints for the rest of the run.
+pub(crate) fn lock_unpoisoned<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -21,26 +21,27 @@
 //! | `GET /metrics` | Prometheus text (engine counters + diagnostics families), always 200 |
 //! | `GET /health` | [`DiagnosticsSnapshot`] JSON; **503 while `Diverging`**, 200 otherwise |
 //! | `GET /ready` | `{"ready":…}`; 503 until the first control period has been observed |
-//! | `GET /trace?last=N` | JSON array of the newest `N` ring records (default 64) |
+//! | `GET /trace?last=N` | JSON array of the newest `N` ring records (default 64); `&format=csv` for CSV |
+//! | `GET /profile` | per-stage latency shares and percentiles as JSON |
 //!
 //! Anything else is 404; non-GET methods are 405. The server never
 //! panics the process: per-connection handling runs under
-//! `catch_unwind`.
+//! `catch_unwind`. The endpoint table itself is [`route_get`], a pure
+//! function the network front door's listener calls too, so both ports
+//! answer identically.
 //!
-//! The engines ([`RtEngine`](crate::rt::RtEngine),
-//! [`ShardedEngine`](crate::shard::ShardedEngine)) wire all of this up
-//! behind an opt-in [`ObsOptions`] — see their `spawn_observed`
-//! constructors.
+//! [`ShardedEngine`](crate::shard::ShardedEngine) wires all of this up
+//! behind an opt-in [`ObsOptions`] — see its `spawn_observed`
+//! constructor.
 
 use crate::diagnostics::{DiagnosticsConfig, DiagnosticsSnapshot, SharedDiagnostics};
 use crate::flight::{FlightConfig, FlightRecorder};
 use crate::telemetry::{ControlTrace, EventSink, SharedRecorder, SpanKind};
-use parking_lot::Mutex;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -72,8 +73,8 @@ impl Default for HttpConfig {
     }
 }
 
-/// Opt-in observability configuration for the engines' `spawn_observed`
-/// constructors.
+/// Opt-in observability configuration for the engine's `spawn_observed`
+/// constructor.
 #[derive(Debug, Clone)]
 pub struct ObsOptions {
     /// HTTP endpoint; `None` runs diagnostics + flight recording without
@@ -210,7 +211,7 @@ impl ObsPlane {
     pub fn flight_bundles_written(&self) -> u64 {
         self.flight
             .as_ref()
-            .map(|f| f.lock().bundles_written())
+            .map(|f| crate::lock_unpoisoned(f).bundles_written())
             .unwrap_or(0)
     }
 
@@ -270,7 +271,9 @@ impl ObsPlane {
                     let snap = self.diagnostics.snapshot();
                     let traces = self.recorder.snapshot();
                     let profile = self.spans.snapshot();
-                    flight.lock().record_transition_profiled(
+                    // The recorder's state is a few independent counters,
+                    // valid even if an earlier bundle write panicked.
+                    crate::lock_unpoisoned(flight).record_transition_profiled(
                         trace.k,
                         to,
                         &snap,
@@ -384,83 +387,23 @@ fn accept_loop(
 fn handle_connection(mut stream: TcpStream, cfg: &HttpConfig, plane: &ObsPlane, metrics: &MetricsFn) {
     let _ = stream.set_read_timeout(Some(cfg.io_timeout));
     let _ = stream.set_write_timeout(Some(cfg.io_timeout));
-    let head = match read_request_head(&mut stream, cfg.max_request_bytes) {
-        Ok(h) => h,
-        Err(status) => {
-            respond(&mut stream, status, "text/plain", status_text(status));
-            return;
-        }
-    };
-    let mut parts = head.split_whitespace();
-    let (method, target) = match (parts.next(), parts.next()) {
-        (Some(m), Some(t)) => (m, t),
-        _ => {
-            respond(&mut stream, 400, "text/plain", "bad request");
-            return;
-        }
-    };
-    if method != "GET" {
-        respond(&mut stream, 405, "text/plain", "method not allowed");
-        return;
-    }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
-    };
-    match path {
-        "/metrics" => {
-            let body = metrics();
-            respond(
-                &mut stream,
-                200,
-                "text/plain; version=0.0.4; charset=utf-8",
-                &body,
-            );
-        }
-        "/health" => {
-            let snap = plane.health();
-            respond(&mut stream, snap.http_status(), "application/json", &snap.to_json());
-        }
-        "/ready" => {
-            let periods = plane.periods_observed();
-            let ready = periods > 0;
-            let status = if ready { 200 } else { 503 };
-            let body = format!("{{\"ready\":{ready},\"periods\":{periods}}}");
-            respond(&mut stream, status, "application/json", &body);
-        }
-        "/trace" => {
-            // Hostile `last` values (overflowing digits, negatives, junk)
-            // fall back to the default; anything larger than the ring is
-            // clamped by the saturating skip below.
-            let last = query_param(query, "last")
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(64);
-            let traces = plane.recorder().snapshot();
-            let skip = traces.len().saturating_sub(last);
-            if query_param(query, "format") == Some("csv") {
-                let body = crate::telemetry::export_csv(&traces[skip..]);
-                respond(&mut stream, 200, "text/csv; charset=utf-8", &body);
-                return;
-            }
-            let body = {
-                let mut out = String::from("[");
-                for (i, t) in traces[skip..].iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&t.to_jsonl());
+    let (status, content_type, body) = match read_request_head(&mut stream, cfg.max_request_bytes) {
+        Ok(line) => {
+            let mut parts = line.split_whitespace();
+            match (parts.next(), parts.next()) {
+                (Some("GET"), Some(target)) => {
+                    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+                    route_get(Some(plane), metrics.as_ref(), path, query)
                 }
-                out.push(']');
-                out
-            };
-            respond(&mut stream, 200, "application/json", &body);
+                (Some(_), Some(_)) => error_response(405),
+                _ => error_response(400),
+            }
         }
-        "/profile" => {
-            let body = plane.spans().snapshot().to_json();
-            respond(&mut stream, 200, "application/json", &body);
-        }
-        _ => respond(&mut stream, 404, "text/plain", "not found"),
-    }
+        Err(status) => error_response(status),
+    };
+    let _ = stream.write_all(http_head(status, content_type, body.len()).as_bytes());
+    let _ = stream.write_all(body.as_bytes());
+    let _ = stream.flush();
 }
 
 /// Reads the request head (through the blank line), returning the
@@ -490,7 +433,62 @@ fn read_request_head(stream: &mut TcpStream, max_bytes: usize) -> Result<String,
     }
 }
 
-fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
+/// `(status, content_type, body)` of one HTTP response.
+pub type HttpResponse = (u16, &'static str, String);
+
+/// Answers one `GET` for the observability endpoints — the single router
+/// behind both [`ObsServer`] and the network front door's listener.
+/// `metrics` renders the `/metrics` body; `plane` backs `/health`,
+/// `/ready`, `/trace[?last=N][&format=csv]` and `/profile`, which are
+/// 404 when no plane is attached. Pure: no I/O, so callers own the
+/// socket (blocking here, nonblocking in the net plane).
+pub fn route_get(
+    plane: Option<&ObsPlane>,
+    metrics: &dyn Fn() -> String,
+    path: &str,
+    query: &str,
+) -> HttpResponse {
+    const JSON: &str = "application/json";
+    if path == "/metrics" {
+        return (200, "text/plain; version=0.0.4; charset=utf-8", metrics());
+    }
+    let Some(plane) = plane else {
+        return error_response(404);
+    };
+    match path {
+        "/health" => {
+            let snap = plane.health();
+            (snap.http_status(), JSON, snap.to_json())
+        }
+        "/ready" => {
+            let periods = plane.periods_observed();
+            let ready = periods > 0;
+            let body = format!("{{\"ready\":{ready},\"periods\":{periods}}}");
+            (if ready { 200 } else { 503 }, JSON, body)
+        }
+        "/trace" => {
+            // Hostile `last` values (overflowing digits, negatives, junk)
+            // fall back to the default; anything larger than the ring is
+            // clamped by the saturating skip below.
+            let last = query_param(query, "last")
+                .and_then(|v| v.parse::<usize>().ok())
+                .unwrap_or(64);
+            let traces = plane.recorder().snapshot();
+            let newest = &traces[traces.len().saturating_sub(last)..];
+            if query_param(query, "format") == Some("csv") {
+                return (200, "text/csv; charset=utf-8", crate::telemetry::export_csv(newest));
+            }
+            let items: Vec<String> = newest.iter().map(|t| t.to_jsonl()).collect();
+            (200, JSON, format!("[{}]", items.join(",")))
+        }
+        "/profile" => (200, JSON, plane.spans().snapshot().to_json()),
+        _ => error_response(404),
+    }
+}
+
+/// Extracts `key=value` from a query string (no percent decoding — the
+/// accepted parameters are plain integers and keywords).
+pub fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
     query
         .split('&')
         .filter_map(|kv| kv.split_once('='))
@@ -498,38 +496,33 @@ fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
         .map(|(_, v)| v)
 }
 
-fn status_text(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        400 => "bad request",
-        404 => "not found",
-        405 => "method not allowed",
-        408 => "request timeout",
-        431 => "request head too large",
-        503 => "service unavailable",
-        _ => "error",
-    }
+/// The plain-text response for an error status: its reason phrase.
+pub fn error_response(status: u16) -> HttpResponse {
+    (status, "text/plain", reason_phrase(status).to_string())
 }
 
-fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) {
-    let reason = match status {
+fn reason_phrase(status: u16) -> &'static str {
+    match status {
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
         408 => "Request Timeout",
+        413 => "Payload Too Large",
         431 => "Request Header Fields Too Large",
         503 => "Service Unavailable",
         _ => "Error",
-    };
-    let head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
-    let _ = stream.flush();
+    }
+}
+
+/// The response head (status line + headers + blank line) for a body of
+/// `len` bytes; every response closes its connection.
+pub fn http_head(status: u16, content_type: &str, len: usize) -> String {
+    format!(
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n\
+         Content-Length: {len}\r\nConnection: close\r\n\r\n",
+        reason_phrase(status)
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -755,6 +748,18 @@ mod tests {
         assert_eq!(body.matches("\"k\":").count(), 5, "{body}");
 
         server.stop();
+    }
+
+    #[test]
+    fn router_without_a_plane_serves_metrics_only() {
+        let metrics = || "m 1\n".to_string();
+        assert_eq!(route_get(None, &metrics, "/metrics", "").2, "m 1\n");
+        for path in ["/health", "/ready", "/trace", "/profile", "/nope"] {
+            assert_eq!(route_get(None, &metrics, path, "").0, 404, "{path}");
+        }
+        let head = http_head(404, "text/plain", 9);
+        assert!(head.starts_with("HTTP/1.1 404 Not Found\r\n"), "{head}");
+        assert!(head.ends_with("Content-Length: 9\r\nConnection: close\r\n\r\n"), "{head}");
     }
 
     #[test]

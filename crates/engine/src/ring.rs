@@ -1,9 +1,8 @@
 //! Bounded lock-free ingress ring for the shard data plane.
 //!
-//! The per-shard mailbox used to be a crossbeam-style channel whose
-//! vendored stand-in takes a mutex per `send`. Under the batched ingress
-//! path (PR 8) the mailbox is the hottest shared structure in the engine,
-//! so it is replaced with a purpose-built bounded ring:
+//! Under the batched ingress path the per-shard mailbox is the hottest
+//! shared structure in the engine, so it is a purpose-built bounded ring
+//! rather than a general channel:
 //!
 //! * **Power-of-two slot array with index masking.** Head and tail are
 //!   monotonically increasing `u64` sequence numbers; a slot index is
@@ -40,8 +39,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Pads a value out to its own 64-byte cache line so the producer and
-/// consumer indices never false-share. (The vendored crossbeam stand-in
-/// does not provide `CachePadded`, so the engine carries its own.)
+/// consumer indices never false-share.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 pub struct CachePadded<T>(pub T);

@@ -1,14 +1,26 @@
-//! A sharded real-time data plane under one global controller.
+//! The real-time (wall-clock) data plane: `N` worker shards under one
+//! global controller.
 //!
-//! This generalizes the single-worker [`RtEngine`](crate::rt::RtEngine)
-//! to `N` worker shards. Each shard owns a bounded lock-free ingress
-//! ring ([`SpscRing`]), a supervised worker (panic-catch-and-restart,
-//! shared with `rt` via [`worker`](crate::worker)), a local
-//! measured-cost EWMA (its cost model), and local drop counters. A
-//! shared [`ShardedEngine::offer`] front door dispatches tuples
-//! round-robin or by key hash, reusing the hybrid entry-shedder seam
-//! ([`AtomicShedder`]) so admission control is one decision regardless
-//! of shard count.
+//! The paper's evaluation runs on the real Borealis engine; the virtual
+//! time [`Simulator`](crate::sim::Simulator) replaces it for
+//! reproducibility. This module shows the same control loop driving a
+//! *real* threaded pipeline, and it is the only wall-clock engine: a
+//! single-worker pipeline is `shards: 1`, not a separate type. Each
+//! shard owns a bounded lock-free ingress ring ([`SpscRing`]), a
+//! supervised worker (panic-catch-and-restart, see
+//! [`worker`](crate::worker)), a local measured-cost EWMA (its cost
+//! model), and local drop counters. A shared [`ShardedEngine::offer`]
+//! front door dispatches tuples round-robin or by key hash through one
+//! hybrid entry shedder ([`AtomicShedder`]), so admission control is one
+//! decision regardless of shard count.
+//!
+//! The pipeline is hardened against the faults a real deployment sees:
+//! arrivals beyond a ring's capacity are rejected into their own
+//! `rejected_capacity` bucket (backpressure instead of unbounded memory
+//! growth); a panicking worker is caught and restarted in place, losing
+//! only the tuple it was processing; and the controller thread counts
+//! **deadline misses** — period boundaries serviced more than half a
+//! period late, e.g. because the hook itself overran.
 //!
 //! **Batch-first ingress.** [`ShardedEngine::offer_batch`] (and its
 //! keyed sibling [`ShardedEngine::offer_batch_keyed`]) admit up to 1024
@@ -127,10 +139,8 @@ impl ShardConfig {
     /// The entry-shedder seed used before seeds became configurable.
     pub const DEFAULT_SEED: u64 = 0xA076_1D64_78BD_642F;
 
-    /// A fast demo configuration mirroring [`RtConfig::demo`]
-    /// (2 ms tuples, 100 ms period, 200 ms target) at `shards` shards.
-    ///
-    /// [`RtConfig::demo`]: crate::rt::RtConfig::demo
+    /// A fast demo configuration (2 ms tuples, 100 ms period, 200 ms
+    /// target) at `shards` shards.
     pub fn demo(shards: usize) -> Self {
         Self {
             shards,
@@ -165,9 +175,8 @@ struct Shard {
     handle: Option<JoinHandle<()>>,
 }
 
-/// The cloneable per-shard counters the Prometheus renderer reads —
-/// shared between [`ShardedEngine::prometheus_text`] and the
-/// observed-mode HTTP `/metrics` closure.
+/// The cloneable per-shard counters the Prometheus renderer reads, so
+/// the `/metrics` closure can outlive a borrow of the engine.
 #[derive(Clone)]
 struct ShardView {
     stats: Arc<WorkerStats>,
@@ -326,6 +335,12 @@ pub struct ShardReport {
     pub periods: u64,
     /// Mean delay across all completed tuples, ms.
     pub mean_delay_ms: f64,
+    /// Largest delay any shard observed, ms.
+    pub max_delay_ms: f64,
+    /// Completed tuples whose delay exceeded the target.
+    pub delayed_tuples: u64,
+    /// Σ (delay − target)⁺ over completed tuples, ms.
+    pub accumulated_violation_ms: f64,
     /// Per-shard breakdown, indexed by shard id.
     pub per_shard: Vec<ShardStat>,
 }
@@ -868,17 +883,9 @@ impl ShardedEngine {
 
     /// A live snapshot in the Prometheus text exposition format:
     /// `streamshed_*` global counters plus `streamshed_shard_*` families
-    /// labelled `{shard="i"}`.
+    /// labelled `{shard="i"}` — exactly what `/metrics` serves.
     pub fn prometheus_text(&self) -> String {
-        let views: Vec<ShardView> = self.shards.iter().map(|s| s.view()).collect();
-        let mut p = PromText::new("streamshed");
-        render_prometheus(&self.global, &views, &mut p);
-        if let Some(obs) = &self.obs {
-            obs.plane.health().render_prom(&mut p);
-            obs.plane.render_adapt_prom(&mut p);
-            obs.plane.spans().snapshot().render_prom(&mut p);
-        }
-        p.finish()
+        self.metrics_fn()()
     }
 }
 
@@ -901,23 +908,22 @@ fn metrics_fn(engine: &ShardedEngine, plane: Option<ObsPlane>) -> MetricsFn {
 }
 
 /// Renders the global counters plus the `{shard="i"}`-labelled families
-/// into `p` — shared by [`ShardedEngine::prometheus_text`] and the
-/// observed-mode `/metrics` closure (which captures cloned counter
-/// handles instead of the engine).
+/// into `p`.
 fn render_prometheus(g: &Global, shards: &[ShardView], p: &mut PromText) {
     let per = |f: &dyn Fn(&ShardView) -> f64| -> Vec<f64> { shards.iter().map(f).collect() };
-    let completed: u64 = shards
+    let sum = |f: fn(&WorkerStats) -> &AtomicU64| -> u64 {
+        shards.iter().map(|s| f(&s.stats).load(Ordering::Relaxed)).sum()
+    };
+    let completed = sum(|w| &w.completed);
+    let delay_sum = sum(|w| &w.delay_sum_us);
+    let queue_len = sum(|w| &w.queue_len);
+    let delayed = sum(|w| &w.delayed);
+    let violation_us = sum(|w| &w.violation_sum_us);
+    let delay_max_us = shards
         .iter()
-        .map(|s| s.stats.completed.load(Ordering::Relaxed))
-        .sum();
-    let delay_sum: u64 = shards
-        .iter()
-        .map(|s| s.stats.delay_sum_us.load(Ordering::Relaxed))
-        .sum();
-    let queue_len: u64 = shards
-        .iter()
-        .map(|s| s.stats.queue_len.load(Ordering::Relaxed))
-        .sum();
+        .map(|s| s.stats.delay_max_us.load(Ordering::Relaxed))
+        .max()
+        .unwrap_or(0);
     p.counter(
             "offered_total",
             "Tuples offered at the front door",
@@ -945,6 +951,16 @@ fn render_prometheus(g: &Global, shards: &[ShardView], p: &mut PromText) {
             g.deadline_misses.load(Ordering::Relaxed) as f64,
         )
         .counter(
+            "delayed_total",
+            "Completed tuples whose delay exceeded the target",
+            delayed as f64,
+        )
+        .counter(
+            "violation_us_total",
+            "Accumulated delay violation over completed tuples, microseconds",
+            violation_us as f64,
+        )
+        .counter(
             "control_periods_total",
             "Control-hook invocations",
             g.periods.load(Ordering::Relaxed) as f64,
@@ -969,6 +985,11 @@ fn render_prometheus(g: &Global, shards: &[ShardView], p: &mut PromText) {
             } else {
                 0.0
             },
+        )
+        .gauge(
+            "delay_max_ms",
+            "Maximum observed delay, milliseconds",
+            delay_max_us as f64 / 1e3,
         )
         .counter_vec(
             "shard_dispatched_total",
@@ -1010,8 +1031,8 @@ fn render_prometheus(g: &Global, shards: &[ShardView], p: &mut PromText) {
 
 impl ShardedEngine {
     /// Stops the controller, closes the front door, joins every worker
-    /// (draining their queues), and returns the final report.
-    pub fn shutdown(mut self) -> ShardReport {
+    /// (draining their queues) and stops the HTTP server. Idempotent.
+    fn stop_and_join(&mut self) {
         self.global.stop.store(true, Ordering::Relaxed);
         self.close();
         if let Some(c) = self.controller.take() {
@@ -1025,17 +1046,28 @@ impl ShardedEngine {
         if let Some(mut o) = self.obs.take() {
             o.stop();
         }
+    }
+
+    /// Stops the engine (controller, front door, workers — queues are
+    /// drained) and returns the final report.
+    pub fn shutdown(mut self) -> ShardReport {
+        self.stop_and_join();
         let mut per_shard = Vec::with_capacity(self.cfg.shards);
         let mut delay_sum = 0u64;
+        let mut delay_max = 0u64;
+        let mut delayed = 0u64;
+        let mut violation_sum = 0u64;
         let mut completed = 0u64;
         let mut dropped_shed = 0u64;
         let mut panics = 0u64;
         for shard in &self.shards {
             let st = &shard.stats;
             let c = st.completed.load(Ordering::Relaxed);
-            let d = st.delay_sum_us.load(Ordering::Relaxed);
             completed += c;
-            delay_sum += d;
+            delay_sum += st.delay_sum_us.load(Ordering::Relaxed);
+            delay_max = delay_max.max(st.delay_max_us.load(Ordering::Relaxed));
+            delayed += st.delayed.load(Ordering::Relaxed);
+            violation_sum += st.violation_sum_us.load(Ordering::Relaxed);
             dropped_shed += st.dropped_shed.load(Ordering::Relaxed);
             panics += st.worker_panics.load(Ordering::Relaxed);
             per_shard.push(ShardStat {
@@ -1063,6 +1095,9 @@ impl ShardedEngine {
             } else {
                 0.0
             },
+            max_delay_ms: delay_max as f64 / 1e3,
+            delayed_tuples: delayed,
+            accumulated_violation_ms: violation_sum as f64 / 1e3,
             per_shard,
         }
     }
@@ -1070,19 +1105,7 @@ impl ShardedEngine {
 
 impl Drop for ShardedEngine {
     fn drop(&mut self) {
-        self.global.stop.store(true, Ordering::Relaxed);
-        self.close();
-        if let Some(c) = self.controller.take() {
-            let _ = c.join();
-        }
-        for shard in &mut self.shards {
-            if let Some(h) = shard.handle.take() {
-                let _ = h.join();
-            }
-        }
-        if let Some(mut o) = self.obs.take() {
-            o.stop();
-        }
+        self.stop_and_join();
     }
 }
 
@@ -1364,6 +1387,10 @@ mod tests {
             1,
             "one preamble per family"
         );
+        assert!(text.contains("streamshed_offered_total 10"), "{text}");
+        assert!(text.contains("# TYPE streamshed_delayed_total counter"), "{text}");
+        assert!(text.contains("# TYPE streamshed_violation_us_total counter"), "{text}");
+        assert!(text.contains("# TYPE streamshed_delay_max_ms gauge"), "{text}");
         drop(engine);
     }
 
@@ -1393,9 +1420,15 @@ mod tests {
         assert_eq!(status, 200);
         assert!(body.contains("\"periods\":"), "{body}");
 
+        let (status, _) = http_get(addr, "/ready", t).unwrap();
+        assert_eq!(status, 200, "periods have elapsed");
+
         let (status, body) = http_get(addr, "/trace?last=4", t).unwrap();
         assert_eq!(status, 200);
         assert!(body.contains("\"shards\":2"), "per-shard queues in traces: {body}");
+
+        // The in-process snapshot carries the diagnostics families too.
+        assert!(engine.prometheus_text().contains("streamshed_diag_state"));
 
         let report = engine.shutdown();
         assert!(report.counters_balance(), "{report:?}");
@@ -1404,26 +1437,114 @@ mod tests {
 
     #[test]
     fn recorder_captures_per_shard_queues() {
-        let rec = SharedRecorder::with_capacity(256);
+        for shards in [1usize, 3] {
+            let rec = SharedRecorder::with_capacity(256);
+            let cfg = ShardConfig {
+                period: Duration::from_millis(10),
+                ..quick_cfg(shards)
+            };
+            let engine = ShardedEngine::spawn_recorded(cfg, NoShedding, Some(rec.clone()));
+            for _ in 0..60 {
+                engine.offer();
+                std::thread::sleep(Duration::from_micros(300));
+            }
+            std::thread::sleep(Duration::from_millis(50));
+            let report = engine.shutdown();
+            assert!(report.periods >= 3);
+            let traces = rec.snapshot();
+            assert!(!traces.is_empty());
+            assert!(traces.iter().all(|t| t.shards as usize == shards));
+            // The controller saw every offer at most once.
+            assert!(traces.iter().map(|t| t.offered).sum::<u64>() <= 60);
+            // The recorded global signal is the sum of the recorded shards.
+            for t in &traces {
+                let sum: u64 = t.shard_queues.iter().sum();
+                assert_eq!(sum, t.outstanding, "q(k) = sum of shard queues");
+            }
+        }
+    }
+
+    #[test]
+    fn small_alpha_shedding_uses_skip_branch() {
+        // α = 0.01 sits below BERNOULLI_ALPHA_MIN, so this exercises the
+        // shared skip counter under the same public surface.
+        let cfg = ShardConfig {
+            cost: Duration::from_micros(10),
+            period: Duration::from_millis(10),
+            queue_capacity: 65_536,
+            ..quick_cfg(1)
+        };
+        let hook = |_s: &PeriodSnapshot| Decision::entry(0.01);
+        let engine = ShardedEngine::spawn(cfg, hook);
+        std::thread::sleep(Duration::from_millis(25));
+        for _ in 0..200_000 {
+            engine.offer();
+        }
+        let report = engine.shutdown();
+        // `dropped_entry` counts only the entry-shed drops (capacity
+        // rejections live in their own bucket).
+        let ratio = report.dropped_entry as f64 / report.offered as f64;
+        assert!(ratio > 0.003 && ratio < 0.03, "ratio {ratio}");
+        assert!(report.counters_balance(), "{report:?}");
+    }
+
+    #[test]
+    fn slow_hook_counts_deadline_misses() {
         let cfg = ShardConfig {
             period: Duration::from_millis(10),
-            ..quick_cfg(3)
+            ..quick_cfg(1)
         };
-        let engine = ShardedEngine::spawn_recorded(cfg, NoShedding, Some(rec.clone()));
-        for _ in 0..60 {
-            engine.offer();
-            std::thread::sleep(Duration::from_micros(300));
-        }
-        std::thread::sleep(Duration::from_millis(50));
+        // A hook that overruns the control period itself.
+        let hook = |_s: &PeriodSnapshot| {
+            std::thread::sleep(Duration::from_millis(25));
+            Decision::NONE
+        };
+        let engine = ShardedEngine::spawn(cfg, hook);
+        std::thread::sleep(Duration::from_millis(150));
         let report = engine.shutdown();
-        assert!(report.periods >= 3);
-        let traces = rec.snapshot();
-        assert!(!traces.is_empty());
-        assert!(traces.iter().all(|t| t.shards == 3));
-        // The recorded global signal is the sum of the recorded shards.
-        for t in &traces {
-            let sum: u64 = t.shard_queues.iter().sum();
-            assert_eq!(sum, t.outstanding, "q(k) = sum of shard queues");
+        assert!(report.deadline_misses >= 1, "{}", report.deadline_misses);
+    }
+
+    #[test]
+    fn actuator_fault_is_survived() {
+        use crate::faults::{FaultKind, FaultPlan, FaultWindow, FaultyHook};
+        let cfg = ShardConfig {
+            cost: Duration::from_micros(500),
+            period: Duration::from_millis(10),
+            ..quick_cfg(1)
+        };
+        // Command full shedding but let the actuator fault halve it.
+        let plan = FaultPlan::new(5)
+            .with(FaultWindow::new(FaultKind::ActuatorPartial { applied: 0.5 }, 0, u64::MAX));
+        let hook = FaultyHook::new(|_s: &PeriodSnapshot| Decision::entry(1.0), plan);
+        let engine = ShardedEngine::spawn(cfg, hook);
+        std::thread::sleep(Duration::from_millis(25));
+        for _ in 0..400 {
+            engine.offer();
+            std::thread::sleep(Duration::from_micros(100));
         }
+        let report = engine.shutdown();
+        // α = 0.5 applied instead of 1.0: roughly half dropped, and the
+        // process survived to report it.
+        let ratio = report.dropped_entry as f64 / report.offered as f64;
+        assert!(ratio > 0.25 && ratio < 0.75, "ratio {ratio}");
+    }
+
+    #[test]
+    fn report_carries_delay_violations() {
+        // A target below the service time: every completion is late.
+        let cfg = ShardConfig {
+            cost: Duration::from_millis(2),
+            target_delay: Duration::from_millis(1),
+            ..quick_cfg(1)
+        };
+        let engine = ShardedEngine::spawn(cfg, NoShedding);
+        engine.offer_batch(20);
+        std::thread::sleep(Duration::from_millis(100));
+        let report = engine.shutdown();
+        assert_eq!(report.completed, 20);
+        assert_eq!(report.delayed_tuples, report.completed);
+        assert!(report.accumulated_violation_ms > 0.0, "{report:?}");
+        assert!(report.max_delay_ms >= report.mean_delay_ms, "{report:?}");
     }
 }

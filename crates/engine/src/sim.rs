@@ -1654,7 +1654,7 @@ mod tests {
     fn semantic_shedding_keeps_high_value_tuples() {
         use crate::operator::OperatorLogic;
         // Record surviving values via a custom sink operator.
-        struct Recorder(std::sync::Arc<parking_lot::Mutex<Vec<f64>>>);
+        struct Recorder(std::sync::Arc<std::sync::Mutex<Vec<f64>>>);
         impl OperatorLogic for Recorder {
             fn kind(&self) -> &'static str {
                 "recorder"
@@ -1666,12 +1666,12 @@ mod tests {
                 _now: SimTime,
                 _out: &mut OutputBuffer,
             ) {
-                self.0.lock().push(tuple.value);
+                self.0.lock().unwrap().push(tuple.value);
             }
         }
 
         let run = |policy: ShedPolicy| {
-            let values = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let values = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
             let mut b = NetworkBuilder::new();
             let m = b.add("m", millis(5), Map::identity());
             let r = b.add("rec", micros(1), Recorder(values.clone()));
@@ -1691,7 +1691,7 @@ mod tests {
                 }
             };
             let _ = sim.run(&arrivals, &mut hook, secs(20));
-            let v = values.lock();
+            let v = values.lock().unwrap();
             v.iter().sum::<f64>() / v.len() as f64
         };
         let random_mean = run(ShedPolicy::NewestFirst);

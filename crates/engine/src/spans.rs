@@ -6,7 +6,7 @@
 //! thread a **cache-padded, lock-free recorder** ([`SpanHandle`]) over a
 //! fixed stage enum ([`Stage`]), all registered in a [`SpanRegistry`]
 //! the obs plane drains into a [`ProfileSnapshot`] (merged
-//! [`Histo`](crate::histo::Histo)s, per-stage shares, percentile
+//! [`Histo`]s, per-stage shares, percentile
 //! tables, Prometheus histogram families, and the `/profile` endpoint).
 //!
 //! ## Sampling

@@ -15,7 +15,7 @@
 //!    are overwritten and counted, never reallocated.
 //! 2. **One schema for every runner.** The [`TracingHook`] wraps any
 //!    [`ControlHook`], so the virtual-time
-//!    simulator, the threaded [`rt`](crate::rt) runner, and the fault
+//!    simulator, the threaded [`shard`](crate::shard) engine, and the fault
 //!    harness ([`FaultyHook`](crate::faults::FaultyHook)) all emit
 //!    identical records. Controller internals (`ŷ(k)`, `e(k)`, `u(k)`,
 //!    supervisor mode, fault flags) flow through the [`InstrumentedHook`]
@@ -23,7 +23,7 @@
 //! 3. **Offline-friendly export.** Traces serialise to JSONL
 //!    ([`export_jsonl`]) and CSV ([`export_csv`]); live counters render
 //!    to the Prometheus text exposition format via [`PromText`] (used by
-//!    [`RtEngine::prometheus_text`](crate::rt::RtEngine::prometheus_text)).
+//!    [`ShardedEngine::prometheus_text`](crate::shard::ShardedEngine::prometheus_text)).
 //!
 //! A recorded trace reconstructs the run's aggregates:
 //! [`reconstructed_mean_delay_ms`] recovers the report's mean delay from
@@ -31,9 +31,8 @@
 //! two agree to within 1%).
 
 use crate::hook::{ControlHook, Decision, NoShedding, PeriodSnapshot};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -659,8 +658,8 @@ impl EventSink for NullSink {
 ///
 /// The backing storage is fully allocated at construction, so pushing is
 /// a slot write with no allocation — the property every hot-path log in
-/// the engine needs ([`RingRecorder`] builds on it for control traces;
-/// the rt runner uses it for its period-snapshot log). When full, the
+/// the engine needs ([`RingRecorder`] builds on it for control traces).
+/// When full, the
 /// oldest record is overwritten and [`Ring::overwritten`] incremented,
 /// so a long run keeps its most recent `capacity` records.
 #[derive(Debug, Clone)]
@@ -788,13 +787,19 @@ impl EventSink for RingRecorder {
 }
 
 /// A cloneable, thread-safe handle to a [`RingRecorder`] — the sink to
-/// use when the recorder must outlive the hook (the rt runner moves its
-/// hook into the controller thread) or be shared between the hook and
-/// the engine (shedder spans from the simulator).
+/// use when the recorder must outlive the hook (the real-time engine
+/// moves its hook into the controller thread) or be shared between the
+/// hook and the engine (shedder spans from the simulator).
 #[derive(Debug, Clone)]
 pub struct SharedRecorder(Arc<Mutex<RingRecorder>>);
 
 impl SharedRecorder {
+    /// No recorder method can panic part-way through an update, so the
+    /// ring behind a poisoned lock is still valid.
+    fn lock(&self) -> MutexGuard<'_, RingRecorder> {
+        crate::lock_unpoisoned(&self.0)
+    }
+
     /// Creates a shared recorder with the given ring capacity.
     pub fn with_capacity(capacity: usize) -> Self {
         Self(Arc::new(Mutex::new(RingRecorder::with_capacity(capacity))))
@@ -802,37 +807,37 @@ impl SharedRecorder {
 
     /// Snapshot of the retained records, oldest first.
     pub fn snapshot(&self) -> Vec<ControlTrace> {
-        self.0.lock().to_vec()
+        self.lock().to_vec()
     }
 
     /// Span statistics for one hot-path section.
     pub fn span_stats(&self, kind: SpanKind) -> SpanStats {
-        self.0.lock().span_stats(kind)
+        self.lock().span_stats(kind)
     }
 
     /// Number of records lost to ring wrap-around.
     pub fn overwritten(&self) -> u64 {
-        self.0.lock().overwritten()
+        self.lock().overwritten()
     }
 
     /// Records recorded so far.
     pub fn len(&self) -> usize {
-        self.0.lock().len()
+        self.lock().len()
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.0.lock().is_empty()
+        self.lock().is_empty()
     }
 }
 
 impl EventSink for SharedRecorder {
     fn record(&mut self, trace: &ControlTrace) {
-        self.0.lock().record(trace);
+        self.lock().record(trace);
     }
 
     fn record_span(&mut self, kind: SpanKind, nanos: u64) {
-        self.0.lock().record_span(kind, nanos);
+        self.lock().record_span(kind, nanos);
     }
 }
 
@@ -1272,6 +1277,23 @@ mod tests {
         assert_eq!(rec.len(), 5);
         assert_eq!(rec.span_stats(SpanKind::Hook).count, 5);
         assert!(!rec.is_empty());
+    }
+
+    #[test]
+    fn shared_recorder_survives_a_panicked_lock_holder() {
+        let rec = SharedRecorder::with_capacity(16);
+        let mut sink = rec.clone();
+        sink.record(&ControlTrace::capture(&snap(0), &Decision::NONE, None, 0));
+        let held = rec.clone();
+        let _ = std::thread::spawn(move || {
+            let _guard = held.lock();
+            panic!("poison the recorder");
+        })
+        .join();
+        // The next period still records, and the old record is intact.
+        sink.record(&ControlTrace::capture(&snap(1), &Decision::NONE, None, 0));
+        assert_eq!(rec.len(), 2);
+        assert_eq!(rec.snapshot()[0].k, 0);
     }
 
     #[test]

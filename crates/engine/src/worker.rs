@@ -1,8 +1,7 @@
-//! Shared worker/supervisor machinery for the real-time data planes.
+//! The worker/supervisor machinery of the real-time data plane.
 //!
-//! Extracted from [`rt`](crate::rt) so the single-worker [`RtEngine`]
-//! and the sharded engine in [`shard`](crate::shard) run the *same*
-//! worker implementation: a batch drain loop over the shard's ingress
+//! Every shard of the engine in [`shard`](crate::shard) runs this
+//! worker: a batch drain loop over the shard's ingress
 //! ring ([`SpscRing`]) with in-queue shed budget, per-tuple delay
 //! accounting against a target, a measured per-tuple cost EWMA (the
 //! per-shard cost model), and panic-catch-and-restart supervision that
@@ -13,8 +12,6 @@
 //! the worker iteration: the batch cursor advances before each tuple is
 //! processed, so a panic mid-batch poisons exactly one tuple and the
 //! restarted loop resumes with the remainder of the batch intact.
-//!
-//! [`RtEngine`]: crate::rt::RtEngine
 
 use crate::ring::SpscRing;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -1,4 +1,4 @@
-//! Multi-thread stress tests for the real-time data planes.
+//! Multi-thread stress tests for the real-time data plane.
 //!
 //! The point is the *accounting invariant*: under every interleaving of
 //! concurrent `offer()` calls, worker panic-restarts, hybrid entry
@@ -16,7 +16,6 @@
 use std::time::Duration;
 
 use streamshed_engine::hook::{Decision, PeriodSnapshot};
-use streamshed_engine::rt::{RtConfig, RtEngine};
 use streamshed_engine::shard::{Dispatch, ShardConfig, ShardedEngine};
 use streamshed_engine::worker::CostModel;
 
@@ -179,20 +178,14 @@ fn sharded_shutdown_races_offers_from_scope_exit() {
 }
 
 #[test]
-fn rt_engine_concurrent_offers_balance_with_panic() {
-    // The single-worker engine under the same regime: concurrent offers,
-    // an injected panic-restart, hybrid shedding churn.
+fn single_shard_concurrent_offers_balance_with_one_panic() {
+    // One worker under the same regime: concurrent offers, an injected
+    // panic-restart, hybrid shedding churn — and no close race.
     for _ in 0..4 {
-        let cfg = RtConfig {
-            cost: Duration::from_micros(20),
-            period: Duration::from_millis(5),
-            target_delay: Duration::from_millis(50),
-            headroom: 1.0,
-            queue_capacity: 2048,
-            panic_on_tuple: Some(50),
-            sample_every: streamshed_engine::spans::DEFAULT_SAMPLE_EVERY,
-        };
-        let engine = RtEngine::spawn(cfg, churn_hook());
+        let mut cfg = stress_cfg(1);
+        cfg.queue_capacity = 2048;
+        cfg.panic_on_tuple = Some(50);
+        let engine = ShardedEngine::spawn(cfg, churn_hook());
         std::thread::scope(|s| {
             for _ in 0..OFFER_THREADS {
                 let engine = &engine;
@@ -206,22 +199,10 @@ fn rt_engine_concurrent_offers_balance_with_panic() {
                 });
             }
         });
-        // Let the queue drain so the conservation equation closes.
-        while engine.queue_len() > 0 {
-            std::thread::sleep(Duration::from_millis(5));
-        }
         let report = engine.shutdown();
         assert_eq!(report.offered, (OFFER_THREADS * OFFERS_PER_THREAD) as u64);
         assert_eq!(report.worker_panics, 1, "exactly the injected panic");
-        let admitted = report.offered
-            - report.dropped_entry
-            - report.rejected_at_capacity
-            - report.rejected_closed;
-        assert_eq!(
-            admitted,
-            report.completed + report.dropped_shed + report.worker_panics,
-            "rt conservation: {report:?}"
-        );
         assert_eq!(report.rejected_closed, 0, "no close race in this test");
+        assert_sharded_balance(&report);
     }
 }

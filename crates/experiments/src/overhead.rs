@@ -2,8 +2,9 @@
 //! involves several floating point calculations at each control period
 //! ... about 20 microseconds" (on a 2003-era Pentium 4).
 //!
-//! Criterion benchmarks in `streamshed-bench` measure this precisely;
-//! this module provides a quick wall-clock measurement for the
+//! The `perfbench` ladder measures this precisely
+//! (`core.ctrl_ns_per_period`, `core.hook_ns_per_period`, medians over
+//! slices); this module provides a quick wall-clock measurement for the
 //! `reproduce` binary.
 
 use crate::FigureResult;

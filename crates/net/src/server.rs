@@ -50,15 +50,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use streamshed_engine::obs::{MetricsFn, ObsPlane};
-use streamshed_engine::rt::RtEngine;
+use streamshed_engine::obs::{self, HttpResponse, MetricsFn, ObsPlane};
 use streamshed_engine::shard::{BatchResult, ShardedEngine};
 use streamshed_engine::spans::{SpanHandle, Stage};
 use streamshed_engine::telemetry::PromText;
 
-/// An engine front door the server can feed. Object-safe so the server
-/// works over the sharded and single-worker engines without a type
-/// parameter infecting every handle.
+/// An engine front door the server can feed. Object-safe so a caller
+/// can substitute an instrumented or fake door for the engine without a
+/// type parameter infecting every handle.
 pub trait FrontDoor: Send + Sync + 'static {
     /// Admits `n` anonymous tuples (one batched shed pass).
     fn offer_batch(&self, n: usize) -> BatchResult;
@@ -74,19 +73,6 @@ pub trait FrontDoor: Send + Sync + 'static {
 impl FrontDoor for ShardedEngine {
     fn offer_batch(&self, n: usize) -> BatchResult {
         ShardedEngine::offer_batch(self, n)
-    }
-    fn offer_batch_keyed_lazy(
-        &self,
-        n: usize,
-        key_at: &mut dyn FnMut(usize) -> u64,
-    ) -> BatchResult {
-        self.offer_batch_keyed_with(n, key_at)
-    }
-}
-
-impl FrontDoor for RtEngine {
-    fn offer_batch(&self, n: usize) -> BatchResult {
-        RtEngine::offer_batch(self, n)
     }
     fn offer_batch_keyed_lazy(
         &self,
@@ -746,16 +732,15 @@ impl Worker {
         false
     }
 
-    /// Computes `(status, content_type, body)` for one HTTP request.
-    fn route_http(&self, method: &str, target: &str, body: &str) -> (u16, &'static str, String) {
-        let (path, query) = match target.split_once('?') {
-            Some((p, q)) => (p, q),
-            None => (target, ""),
-        };
+    /// Answers one HTTP request: `POST /ingest` is the net plane's own;
+    /// every `GET` goes through the engine's shared router, with the
+    /// `streamshed_net_*` families appended to `/metrics`.
+    fn route_http(&self, method: &str, target: &str, body: &str) -> HttpResponse {
+        let (path, query) = target.split_once('?').unwrap_or((target, ""));
         match (method, path) {
             ("POST", "/ingest") => {
                 // Tuple count from ?count=N or a bare integer body.
-                let count = query_param(query, "count")
+                let count = obs::query_param(query, "count")
                     .and_then(|v| v.parse::<u64>().ok())
                     .or_else(|| body.trim().parse::<u64>().ok())
                     .unwrap_or(0);
@@ -775,72 +760,23 @@ impl Worker {
                 );
                 (200, "application/json", json)
             }
-            ("GET", "/metrics") => {
-                let mut text = match &self.obs {
-                    Some(obs) => (obs.metrics)(),
-                    None => String::new(),
+            ("GET", _) => {
+                let metrics = || {
+                    let mut text = self.obs.as_ref().map_or_else(String::new, |o| (o.metrics)());
+                    text.push_str(&self.stats.render_prom(&self.addr.to_string()));
+                    text
                 };
-                text.push_str(&self.stats.render_prom(&self.addr.to_string()));
-                (200, "text/plain; version=0.0.4", text)
+                let plane = self.obs.as_ref().and_then(|o| o.plane.as_ref());
+                obs::route_get(plane, &metrics, path, query)
             }
-            ("GET", "/health") => match self.obs.as_ref().and_then(|o| o.plane.as_ref()) {
-                Some(plane) => {
-                    let snap = plane.health();
-                    (snap.http_status(), "application/json", snap.to_json())
-                }
-                None => (404, "application/json", "{\"error\":\"no obs plane\"}".into()),
-            },
-            ("GET", "/ready") => match self.obs.as_ref().and_then(|o| o.plane.as_ref()) {
-                Some(plane) => {
-                    let ready = plane.periods_observed() > 0;
-                    let status = if ready { 200 } else { 503 };
-                    (status, "application/json", format!("{{\"ready\":{ready}}}"))
-                }
-                None => (404, "application/json", "{\"error\":\"no obs plane\"}".into()),
-            },
-            ("GET", "/trace") => match self.obs.as_ref().and_then(|o| o.plane.as_ref()) {
-                Some(plane) => {
-                    // Hostile or absent `last` values fall back to 64;
-                    // oversized ones clamp to the ring's length.
-                    let last = query_param(query, "last")
-                        .and_then(|v| v.parse::<usize>().ok())
-                        .unwrap_or(64);
-                    let traces = plane.recorder().snapshot();
-                    let skip = traces.len().saturating_sub(last);
-                    if query_param(query, "format") == Some("csv") {
-                        let body = streamshed_engine::telemetry::export_csv(&traces[skip..]);
-                        return (200, "text/csv; charset=utf-8", body);
-                    }
-                    let items: Vec<String> =
-                        traces[skip..].iter().map(|t| t.to_jsonl()).collect();
-                    (200, "application/json", format!("[{}]", items.join(",")))
-                }
-                None => (404, "application/json", "{\"error\":\"no obs plane\"}".into()),
-            },
-            ("GET", "/profile") => match self.obs.as_ref().and_then(|o| o.plane.as_ref()) {
-                Some(plane) => (200, "application/json", plane.spans().snapshot().to_json()),
-                None => (404, "application/json", "{\"error\":\"no obs plane\"}".into()),
-            },
-            _ => (404, "application/json", "{\"error\":\"not found\"}".into()),
+            _ => obs::error_response(405),
         }
     }
 
     fn respond(&mut self, i: usize, status: u16, content_type: &str, body: &str) {
-        let reason = match status {
-            200 => "OK",
-            404 => "Not Found",
-            413 => "Payload Too Large",
-            503 => "Service Unavailable",
-            _ => "",
-        };
-        let head = format!(
-            "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n",
-            body.len()
-        );
         let conn = &mut self.conns[i];
-        conn.wbuf.extend(head.as_bytes().iter().copied());
-        conn.wbuf.extend(body.as_bytes().iter().copied());
+        conn.wbuf.extend(obs::http_head(status, content_type, body.len()).bytes());
+        conn.wbuf.extend(body.bytes());
     }
 
     /// Flushes as much of `wbuf` as the socket takes; returns `true`
@@ -894,14 +830,6 @@ fn header_value<'a>(head: &'a str, name: &str) -> Option<&'a str> {
     })
 }
 
-/// Extracts `name=value` from a query string (no percent decoding —
-/// the accepted parameters are plain integers).
-fn query_param<'a>(query: &'a str, name: &str) -> Option<&'a str> {
-    query
-        .split('&')
-        .find_map(|kv| kv.split_once('=').filter(|(k, _)| *k == name).map(|(_, v)| v))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -943,7 +871,5 @@ mod tests {
         let head = "POST /ingest HTTP/1.1\r\nContent-Length: 5\r\nHost: x";
         assert_eq!(header_value(head, "content-length"), Some("5"));
         assert_eq!(header_value(head, "missing"), None);
-        assert_eq!(query_param("count=10&x=1", "count"), Some("10"));
-        assert_eq!(query_param("count=10", "x"), None);
     }
 }

@@ -13,18 +13,16 @@
 use std::time::Duration;
 use streamshed::control::strategy::{CtrlStrategy, SheddingStrategy};
 use streamshed::control::LoopConfig;
-use streamshed::engine::rt::{RtConfig, RtEngine};
+use streamshed::engine::shard::{ShardConfig, ShardedEngine};
 
 fn main() {
     // 500 µs per packet summary, 50 ms control period, 100 ms deadline.
-    let cfg = RtConfig {
+    let cfg = ShardConfig {
         cost: Duration::from_micros(500),
         period: Duration::from_millis(50),
         target_delay: Duration::from_millis(100),
-        headroom: 0.97,
         queue_capacity: 8192,
-        panic_on_tuple: None,
-        sample_every: streamshed_engine::spans::DEFAULT_SAMPLE_EVERY,
+        ..ShardConfig::demo(1)
     };
     // Loop config in the controller's units: everything in ms.
     let loop_cfg = LoopConfig::paper_default()
@@ -34,7 +32,7 @@ fn main() {
     let strategy = CtrlStrategy::from_config(&loop_cfg);
     println!("strategy: {}", strategy.name());
 
-    let engine = RtEngine::spawn(cfg, strategy);
+    let engine = ShardedEngine::spawn(cfg, strategy);
     println!("phase 1: normal traffic (1000 pkt/s ≈ 52% load) for 1.5 s");
     feed(&engine, 1000.0, 1.5);
     println!("  queue after phase 1: {}", engine.queue_len());
@@ -56,7 +54,7 @@ fn main() {
     println!("  max delay          : {:.1} ms", report.max_delay_ms);
     println!("  deadline misses    : {}", report.delayed_tuples);
     println!("  loss ratio         : {:.1} %", report.loss_ratio() * 100.0);
-    println!("  control periods    : {}", report.snapshots.len());
+    println!("  control periods    : {}", report.periods);
 
     assert!(
         report.mean_delay_ms < 400.0,
@@ -65,7 +63,7 @@ fn main() {
 }
 
 /// Feeds tuples at `rate` packets/s for `secs` seconds.
-fn feed(engine: &RtEngine, rate: f64, secs: f64) {
+fn feed(engine: &ShardedEngine, rate: f64, secs: f64) {
     let gap = Duration::from_secs_f64(1.0 / rate);
     let deadline = std::time::Instant::now() + Duration::from_secs_f64(secs);
     while std::time::Instant::now() < deadline {

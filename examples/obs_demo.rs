@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use streamshed::control::loop_::LoopConfig;
 use streamshed::control::strategy::CtrlStrategy;
 use streamshed::engine::obs::ObsOptions;
-use streamshed::engine::rt::{RtConfig, RtEngine};
+use streamshed::engine::shard::{ShardConfig, ShardedEngine};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -30,7 +30,7 @@ fn main() {
     let seconds: u64 = args.next().map_or(5, |a| a.parse().expect("seconds must be an integer"));
 
     // 2 ms tuples, 100 ms control period, 200 ms delay target.
-    let cfg = RtConfig::demo();
+    let cfg = ShardConfig::demo(1);
     let loop_cfg = LoopConfig::paper_default()
         .with_target_delay_ms(cfg.target_delay.as_secs_f64() * 1e3)
         .with_period_ms(cfg.period.as_secs_f64() * 1e3)
@@ -41,7 +41,7 @@ fn main() {
     let options = ObsOptions::for_target(cfg.target_delay)
         .with_http_addr(format!("127.0.0.1:{port}"))
         .with_flight_dir(std::env::temp_dir().join("streamshed_obs_demo_flight"));
-    let engine = match RtEngine::spawn_observed(cfg, strategy, &options) {
+    let engine = match ShardedEngine::spawn_observed(cfg, strategy, &options) {
         Ok(e) => e,
         Err(e) => {
             eprintln!("failed to start the observability plane on port {port}: {e}");

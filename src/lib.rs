@@ -7,7 +7,7 @@
 //! The crate is an umbrella over the workspace members:
 //!
 //! * [`engine`] — a Borealis-like stream query engine with a virtual-time
-//!   simulator and a real-time threaded runner.
+//!   simulator and a real-time sharded engine.
 //! * [`workload`] — arrival-rate and processing-cost trace generators
 //!   (step, sinusoid, Pareto, self-similar web-like).
 //! * [`control`] — the paper's contribution: the DSMS delay model, the
