@@ -22,6 +22,13 @@
 //! distributed identically to iid per-tuple coin flips (the gaps between
 //! drops in a Bernoulli process are exactly geometric), but costs one RNG
 //! draw and one logarithm per *drop* instead of one draw per *arrival*.
+//!
+//! The wall-clock engine's front door does not share an [`EngineRng`]
+//! (a `&mut` generator cannot be shared by concurrent offerers):
+//! [`AtomicShedder`] carries its own counter-based generator — a Weyl
+//! counter through the splitmix64 finalizer (`mix64`) — chosen so that
+//! a batch of draws has no serial dependency and the batch and scalar
+//! paths replay one stream.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -176,27 +183,81 @@ impl EntryShedder {
 /// statistically harmless.)
 const SKIP_RESAMPLE: u64 = u64::MAX;
 
-/// Lock-free hybrid entry shedder for the real-time engines, shared by
+/// Weyl increment of [`AtomicShedder`]'s counter: 2⁶⁴/φ, odd, so the
+/// counter visits every `u64` before repeating.
+const WEYL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// 2⁵³ — the number of distinct values a draw's top 53 bits take.
+const TWO_53: f64 = (1u64 << 53) as f64;
+
+/// Survivor indices [`AtomicShedder::shed_batch_each`] buffers on the
+/// stack per inner pass (the buffer is zeroed per call, so it is sized
+/// to the common frame, not to `OFFER_BATCH_MAX`).
+const SHED_CHUNK: usize = 256;
+
+/// splitmix64 finalizer: a full-avalanche bit mix. It is the output
+/// stage of [`AtomicShedder`]'s counter-based generator and the
+/// front door's wrap-safe round-robin spreader.
+#[inline]
+pub(crate) fn mix64(mut x: u64) -> u64 {
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// The uniform `[0, 1)` float drawn at counter value `x`: the top 53
+/// bits of the mix, scaled.
+#[inline]
+fn draw_unit(x: u64) -> f64 {
+    (mix64(x) >> 11) as f64 / TWO_53
+}
+
+/// Integer form of the Bernoulli compare: for α ∈ (0, 1),
+/// `mix64(x) < bernoulli_threshold(α)` ⇔ `draw_unit(x) < α`. Scaling by
+/// 2⁵³ is exact; the ceiling keeps a fractional `α·2⁵³` (possible below
+/// α = ½) on the same side of every integer draw; and the threshold is
+/// shifted up by the 11 bits `draw_unit` discards instead of shifting
+/// every draw down (`d >> 11 < t` ⇔ `d < t << 11`).
+#[inline]
+fn bernoulli_threshold(alpha: f64) -> u64 {
+    ((alpha * TWO_53).ceil() as u64) << 11
+}
+
+/// Lock-free hybrid entry shedder for the real-time engine, shared by
 /// concurrent `offer()` callers.
 ///
-/// For α ≥ [`BERNOULLI_ALPHA_MIN`] each arrival flips a coin from a racy
-/// xorshift64* state; below it, arrivals decrement a shared geometric
+/// Randomness is **counter-based** (splitmix64): the state is a Weyl
+/// counter and draw `i` after counter value `x` is
+/// `mix64(x + i·WEYL)` — a function of the counter alone, not of draw
+/// `i − 1`. Consecutive draws of a batch pass are therefore linked only
+/// by a one-cycle add (the CPU pipelines the mixes of a whole batch);
+/// the pass loads the counter once and stores `x + n·WEYL` back once.
+/// The scalar path walks the same counter one step at a time, so both
+/// make the identical decision sequence from identical state.
+///
+/// For α ≥ [`BERNOULLI_ALPHA_MIN`] each arrival compares one draw with
+/// an integer threshold; below it, arrivals decrement a shared geometric
 /// skip counter and only a drop (or an α change, via
-/// [`AtomicShedder::reset_skip`]) pays for an RNG draw + `ln`. Both
-/// states use relaxed load/store — concurrent offerers can double-consume
-/// a skip or reuse a coin state, which perturbs the realised drop rate
-/// far less than scheduling jitter already does.
+/// [`AtomicShedder::reset_skip`]) pays for a draw + `ln`. Both states
+/// use relaxed load/store — concurrent offerers can double-consume a
+/// skip or reuse a stretch of the counter, which perturbs the realised
+/// drop rate far less than scheduling jitter already does.
 #[derive(Debug)]
 pub struct AtomicShedder {
-    coin_state: AtomicU64,
+    counter: AtomicU64,
     skip_left: AtomicU64,
 }
 
 impl AtomicShedder {
-    /// Creates shedder state from a nonzero-ified seed.
+    /// Creates shedder state from a seed. The seed is mixed before it
+    /// becomes the counter's origin, so nearby seeds (or seeds a multiple
+    /// of the Weyl increment apart) start at unrelated points of the
+    /// counter's cycle instead of replaying each other's stream shifted.
     pub fn new(seed: u64) -> Self {
         Self {
-            coin_state: AtomicU64::new(seed | 0x9E3779B97F4A7C15),
+            counter: AtomicU64::new(mix64(seed)),
             skip_left: AtomicU64::new(SKIP_RESAMPLE),
         }
     }
@@ -219,16 +280,16 @@ impl AtomicShedder {
             return true;
         }
         if alpha >= BERNOULLI_ALPHA_MIN {
-            return self.coin_flip() < alpha;
+            return mix64(self.step()) < bernoulli_threshold(alpha);
         }
         let s = self.skip_left.load(Ordering::Relaxed);
         let current = if s == SKIP_RESAMPLE {
-            sample_skip(alpha, self.coin_flip())
+            sample_skip(alpha, draw_unit(self.step()))
         } else {
             s
         };
         if current == 0 {
-            let next = sample_skip(alpha, self.coin_flip());
+            let next = sample_skip(alpha, draw_unit(self.step()));
             self.skip_left.store(next, Ordering::Relaxed);
             true
         } else {
@@ -237,20 +298,19 @@ impl AtomicShedder {
         }
     }
 
-    /// xorshift64*; uniform enough for statistical shedding.
+    /// Advances the counter one Weyl step and returns its new value.
     #[inline]
-    fn coin_flip(&self) -> f64 {
-        let mut x = self.coin_state.load(Ordering::Relaxed);
-        x = xorshift64(x);
-        self.coin_state.store(x, Ordering::Relaxed);
-        unit_from_state(x)
+    fn step(&self) -> u64 {
+        let x = self.counter.load(Ordering::Relaxed).wrapping_add(WEYL);
+        self.counter.store(x, Ordering::Relaxed);
+        x
     }
 
     /// Decides the fate of a batch of `n` arrivals under drop
     /// probability `alpha` in **one pass**, returning the number to
-    /// drop. The coin/skip state is loaded into registers once, advanced
-    /// locally, and stored back once — one load/store pair per batch
-    /// instead of per arrival. On the geometric branch the loop runs
+    /// drop. The counter is loaded once and stored back once; on the
+    /// Bernoulli branch the `n` draws are mutually independent and the
+    /// threshold is computed once. On the geometric branch the loop runs
     /// once per *drop* (the sampled skip counter is carried across the
     /// whole batch), so an α = 0.01 batch of 1024 costs ~10 draws.
     ///
@@ -259,18 +319,19 @@ impl AtomicShedder {
     /// only the count matters. Keyed batches use
     /// [`shed_batch_each`](Self::shed_batch_each).
     pub fn shed_batch(&self, alpha: f64, n: u64) -> u64 {
-        self.shed_batch_inner(alpha, n, |_| {})
+        self.shed_batch_each(alpha, n, |_| {})
     }
 
     /// Batch decision that also reports each *admitted* position (for
     /// keyed batches, where the survivor set determines per-shard
     /// grouping). Calls `keep(i)` for every admitted index `i < n`, in
     /// order; returns the number dropped.
-    pub fn shed_batch_each(&self, alpha: f64, n: u64, keep: impl FnMut(usize)) -> u64 {
-        self.shed_batch_inner(alpha, n, keep)
-    }
-
-    fn shed_batch_inner(&self, alpha: f64, n: u64, mut keep: impl FnMut(usize)) -> u64 {
+    ///
+    /// The Bernoulli pass is branch-free: every index is written to a
+    /// stack buffer and the write cursor advances by the decision bit,
+    /// so `keep` then runs over the survivor list alone instead of
+    /// behind an unpredictable per-arrival branch.
+    pub fn shed_batch_each(&self, alpha: f64, n: u64, mut keep: impl FnMut(usize)) -> u64 {
         if n == 0 {
             return 0;
         }
@@ -283,69 +344,60 @@ impl AtomicShedder {
         if alpha >= 1.0 {
             return n;
         }
-        if alpha >= BERNOULLI_ALPHA_MIN {
-            // Bernoulli branch on a register-local xorshift state.
-            let mut x = self.coin_state.load(Ordering::Relaxed);
-            let mut drops = 0;
-            for i in 0..n {
-                x = xorshift64(x);
-                if unit_from_state(x) < alpha {
-                    drops += 1;
-                } else {
-                    keep(i as usize);
+        let mut x = self.counter.load(Ordering::Relaxed);
+        let drops = if alpha >= BERNOULLI_ALPHA_MIN {
+            let threshold = bernoulli_threshold(alpha);
+            let mut survivors = [0u16; SHED_CHUNK];
+            let mut kept_total = 0u64;
+            let mut base = 0u64;
+            while base < n {
+                let len = (n - base).min(SHED_CHUNK as u64) as usize;
+                let mut kept = 0usize;
+                for j in 0..len {
+                    x = x.wrapping_add(WEYL);
+                    // `kept ≤ j < SHED_CHUNK`, so the `%` never wraps: it
+                    // only shows the compiler the index is in bounds.
+                    survivors[kept % SHED_CHUNK] = j as u16;
+                    kept += usize::from(mix64(x) >= threshold);
                 }
+                for &j in &survivors[..kept] {
+                    keep(base as usize + j as usize);
+                }
+                kept_total += kept as u64;
+                base += len as u64;
             }
-            self.coin_state.store(x, Ordering::Relaxed);
-            return drops;
-        }
-        // Geometric branch: carry the shared skip counter across the
-        // batch — one draw + one `ln` per drop, not per arrival.
-        let mut x = self.coin_state.load(Ordering::Relaxed);
-        let s = self.skip_left.load(Ordering::Relaxed);
-        let mut left = if s == SKIP_RESAMPLE {
-            x = xorshift64(x);
-            sample_skip(alpha, unit_from_state(x))
+            n - kept_total
         } else {
-            s
-        };
-        let mut drops = 0;
-        let mut i = 0u64;
-        while i < n {
-            if left == 0 {
-                drops += 1;
-                x = xorshift64(x);
-                left = sample_skip(alpha, unit_from_state(x));
-            } else {
-                let admit = left.min(n - i);
-                for k in 0..admit {
-                    keep((i + k) as usize);
+            // Geometric branch: carry the shared skip counter across the
+            // batch — one draw + one `ln` per drop, not per arrival.
+            let mut next_skip = || {
+                x = x.wrapping_add(WEYL);
+                sample_skip(alpha, draw_unit(x))
+            };
+            let s = self.skip_left.load(Ordering::Relaxed);
+            let mut left = if s == SKIP_RESAMPLE { next_skip() } else { s };
+            let mut drops = 0;
+            let mut i = 0u64;
+            while i < n {
+                if left == 0 {
+                    drops += 1;
+                    left = next_skip();
+                    i += 1;
+                } else {
+                    let admit = left.min(n - i);
+                    for k in 0..admit {
+                        keep((i + k) as usize);
+                    }
+                    left -= admit;
+                    i += admit;
                 }
-                left -= admit;
-                i += admit;
-                continue;
             }
-            i += 1;
-        }
-        self.skip_left.store(left, Ordering::Relaxed);
-        self.coin_state.store(x, Ordering::Relaxed);
+            self.skip_left.store(left, Ordering::Relaxed);
+            drops
+        };
+        self.counter.store(x, Ordering::Relaxed);
         drops
     }
-}
-
-/// One xorshift64* state transition (output stage applied separately by
-/// [`unit_from_state`]).
-#[inline]
-fn xorshift64(mut x: u64) -> u64 {
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    x
-}
-
-/// Maps a xorshift64* state to a uniform f64 in `[0, 1)`.
-#[inline]
-fn unit_from_state(x: u64) -> f64 {
-    (x.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]
@@ -455,41 +507,188 @@ mod tests {
         }
     }
 
+    /// The drop decisions (`true` = drop) of `n` arrivals taken through
+    /// the batch path in consecutive batches of the given sizes.
+    fn batch_decisions(s: &AtomicShedder, alpha: f64, n: usize, sizes: &[usize]) -> Vec<bool> {
+        let mut dropped = vec![true; n];
+        let (mut done, mut drops) = (0usize, 0u64);
+        for &size in sizes.iter().cycle() {
+            if done == n {
+                break;
+            }
+            let size = size.min(n - done);
+            drops += s.shed_batch_each(alpha, size as u64, |i| dropped[done + i] = false);
+            done += size;
+        }
+        assert_eq!(drops as usize, dropped.iter().filter(|&&d| d).count());
+        dropped
+    }
+
     #[test]
     fn shed_batch_matches_scalar_decisions_exactly() {
         // From identical state, one batch pass must reproduce the exact
-        // admit/drop sequence of n scalar calls — the batch path is an
-        // amortisation, not a different random process.
-        for &alpha in &[0.005, 0.01, 0.05, 0.3, 0.9] {
+        // admit/drop sequence of n scalar calls, position by position —
+        // the batch path is an amortisation, not a different random
+        // process. Covers the geometric and the Bernoulli branch.
+        for &alpha in &[0.005, 0.01, BERNOULLI_ALPHA_MIN, 0.05, 0.3, 0.9] {
             let scalar = AtomicShedder::new(7);
             let batch = AtomicShedder::new(7);
-            let n = 10_000u64;
-            let scalar_drops = (0..n).filter(|_| scalar.should_drop(alpha)).count() as u64;
-            let mut kept = Vec::new();
-            let batch_drops = batch.shed_batch_each(alpha, n, |i| kept.push(i));
-            assert_eq!(batch_drops, scalar_drops, "alpha {alpha}");
-            assert_eq!(kept.len() as u64, n - batch_drops);
+            let n = 10_000;
+            let expected: Vec<bool> = (0..n).map(|_| scalar.should_drop(alpha)).collect();
+            assert_eq!(batch_decisions(&batch, alpha, n, &[n]), expected, "alpha {alpha}");
+            // Both walked the counter equally far: they stay in step.
+            assert_eq!(batch.should_drop(alpha), scalar.should_drop(alpha));
         }
     }
 
     #[test]
-    fn shed_batch_carries_skip_state_across_batches() {
-        // Splitting a stream into arbitrary batch sizes must not change
-        // the realised drop count vs one big batch.
-        let whole = AtomicShedder::new(11);
-        let split = AtomicShedder::new(11);
-        let drops_whole = whole.shed_batch(0.01, 100_000);
-        let mut drops_split = 0;
-        let sizes = [1u64, 16, 256, 1024, 3, 977];
-        let mut done = 0u64;
-        let mut i = 0;
-        while done < 100_000 {
-            let sz = sizes[i % sizes.len()].min(100_000 - done);
-            drops_split += split.shed_batch(0.01, sz);
-            done += sz;
-            i += 1;
+    fn shed_batch_carries_state_across_batches() {
+        // Splitting a stream into arbitrary batch sizes — including ones
+        // that straddle the survivor buffer and the door's 1024-tuple
+        // chunk — must not change a single decision vs one big batch, on
+        // either branch.
+        let sizes = [
+            1,
+            16,
+            SHED_CHUNK,
+            1024,
+            3,
+            977,
+            SHED_CHUNK - 1,
+            SHED_CHUNK + 1,
+            1023,
+            1025,
+            4 * SHED_CHUNK + 7,
+        ];
+        for &alpha in &[0.01, 0.02, 0.5, 0.9] {
+            let whole = AtomicShedder::new(11);
+            let split = AtomicShedder::new(11);
+            let n = 100_000;
+            assert_eq!(
+                batch_decisions(&whole, alpha, n, &[n]),
+                batch_decisions(&split, alpha, n, &sizes),
+                "alpha {alpha}"
+            );
+            assert_eq!(whole.shed_batch(alpha, 5_000), split.shed_batch(alpha, 5_000));
         }
-        assert_eq!(drops_whole, drops_split);
+    }
+
+    /// Upper critical value of χ² with `df` degrees of freedom at tail
+    /// probability 10⁻⁴ (Wilson–Hilferty; z = 3.719).
+    fn chi2_crit_1e4(df: f64) -> f64 {
+        let a = 2.0 / (9.0 * df);
+        df * (1.0 - a + 3.719 * a.sqrt()).powi(3)
+    }
+
+    #[test]
+    fn counter_generator_passes_rate_runs_and_autocorrelation() {
+        // A counter-based generator is only as good as its mix: a weak
+        // one shows up as a biased rate, non-geometric gaps between
+        // keeps, or serial correlation of the decision bit.
+        let n = 1_000_000usize;
+        for &alpha in &[0.02, 0.1, 0.5, 0.9, 0.98] {
+            let drops = batch_decisions(&AtomicShedder::new(2024), alpha, n, &[1024]);
+
+            // Rate within 5σ.
+            let rate = drops.iter().filter(|&&d| d).count() as f64 / n as f64;
+            let sigma = (alpha * (1.0 - alpha) / n as f64).sqrt();
+            assert!((rate - alpha).abs() < 5.0 * sigma, "alpha {alpha}: rate {rate}");
+
+            // Drops between consecutive keeps are geometric:
+            // P(D = d) = α^d (1 − α). Bins with expectation < 5 fold
+            // into the tail.
+            let mut runs: Vec<u64> = Vec::new();
+            let mut run = 0usize;
+            for &d in &drops {
+                if d {
+                    run += 1;
+                } else {
+                    if runs.len() <= run {
+                        runs.resize(run + 1, 0);
+                    }
+                    runs[run] += 1;
+                    run = 0;
+                }
+            }
+            let keeps: u64 = runs.iter().sum();
+            let mut chi2 = 0.0;
+            let mut bins = 0usize;
+            let mut p_left = 1.0;
+            for (d, &seen) in runs.iter().enumerate() {
+                let p = alpha.powi(d as i32) * (1.0 - alpha);
+                if keeps as f64 * p < 5.0 {
+                    break;
+                }
+                chi2 += (seen as f64 - keeps as f64 * p).powi(2) / (keeps as f64 * p);
+                p_left -= p;
+                bins += 1;
+            }
+            let tail_seen: u64 = runs[bins..].iter().sum();
+            let tail_expected = keeps as f64 * p_left;
+            chi2 += (tail_seen as f64 - tail_expected).powi(2) / tail_expected;
+            assert!(
+                chi2 < chi2_crit_1e4(bins as f64),
+                "alpha {alpha}: chi2 {chi2} over {bins} bins + tail"
+            );
+
+            // Lag-1..8 autocorrelation of the decision bit (σ ≈ 10⁻³).
+            let centred: Vec<f64> = drops.iter().map(|&d| f64::from(u8::from(d)) - rate).collect();
+            let var: f64 = centred.iter().map(|c| c * c).sum();
+            for lag in 1..=8 {
+                let cov: f64 = centred.iter().zip(&centred[lag..]).map(|(a, b)| a * b).sum();
+                assert!((cov / var).abs() < 0.01, "alpha {alpha} lag {lag}: {}", cov / var);
+            }
+        }
+    }
+
+    #[test]
+    fn integer_threshold_agrees_with_the_float_compare() {
+        // m < threshold(α) must decide exactly as (m >> 11) / 2⁵³ < α
+        // did, for mix outputs on both sides of the boundary.
+        for &alpha in &[BERNOULLI_ALPHA_MIN, 0.1, 1.0 / 3.0, 0.5, 0.9, 1.0 - 2f64.powi(-53)] {
+            let t = bernoulli_threshold(alpha);
+            for m in [0, 1, t - (1 << 11), t - 1, t, t + ((1 << 11) - 1), u64::MAX] {
+                let unit = (m >> 11) as f64 / TWO_53;
+                assert_eq!(m < t, unit < alpha, "alpha {alpha} mix output {m:#x}");
+            }
+        }
+        // α = BERNOULLI_ALPHA_MIN is a Bernoulli decision at that rate;
+        // α = 1 − 2⁻⁵³ spares only the single largest draw.
+        let s = AtomicShedder::new(5);
+        let rate = s.shed_batch(BERNOULLI_ALPHA_MIN, 1_000_000) as f64 / 1e6;
+        assert!((rate - BERNOULLI_ALPHA_MIN).abs() < 0.001, "{rate}");
+        assert_eq!(s.shed_batch(1.0 - 2f64.powi(-53), 100_000), 100_000);
+        // Out-of-range α never reaches the threshold: negative sheds
+        // nothing, > 1 sheds everything, and NaN (which fails every
+        // range test) falls through to a zero-length skip on both paths.
+        assert_eq!(s.shed_batch(-0.5, 1_000), 0);
+        assert!(!s.should_drop(-0.5));
+        assert_eq!(s.shed_batch(1.5, 1_000), 1_000);
+        assert!(s.should_drop(1.5));
+        assert_eq!(s.shed_batch(f64::NAN, 1_000), 1_000);
+        assert!(s.should_drop(f64::NAN));
+    }
+
+    #[test]
+    fn different_seeds_give_independent_streams() {
+        // All shedders share one Weyl increment, so raw seeds a multiple
+        // of it apart would replay each other's stream shifted. Two
+        // independent Bernoulli(α) streams agree with probability
+        // α² + (1 − α)².
+        let n = 400_000usize;
+        for &(a, b) in &[(1u64, 2u64), (7, 7u64.wrapping_add(WEYL)), (0, WEYL.wrapping_mul(3))] {
+            for &alpha in &[0.1, 0.5, 0.9] {
+                let da = batch_decisions(&AtomicShedder::new(a), alpha, n, &[1024]);
+                let db = batch_decisions(&AtomicShedder::new(b), alpha, n, &[1024]);
+                let agree = da.iter().zip(&db).filter(|(x, y)| x == y).count() as f64 / n as f64;
+                let p = alpha * alpha + (1.0 - alpha) * (1.0 - alpha);
+                let sigma = (p * (1.0 - p) / n as f64).sqrt();
+                assert!(
+                    (agree - p).abs() < 5.0 * sigma,
+                    "seeds {a:#x}/{b:#x} alpha {alpha}: agreement {agree} vs {p}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -20,14 +20,16 @@
 //! growth); a panicking worker is caught and restarted in place, losing
 //! only the tuple it was processing; and the controller thread counts
 //! **deadline misses** — period boundaries serviced more than half a
-//! period late, e.g. because the hook itself overran.
+//! period late, e.g. because the hook itself overran. The controller
+//! sleeps to an absolute grid `start + k·T` (`PeriodGrid`), so hook
+//! time and wake latency do not accumulate into drift.
 //!
 //! **Batch-first ingress.** [`ShardedEngine::offer_batch`] (and its
 //! keyed sibling [`ShardedEngine::offer_batch_keyed`]) admit up to 1024
-//! tuples per internal chunk with one entry-shedder pass (the hybrid
-//! Bernoulli/geometric state is loaded into registers once per chunk and
-//! the geometric skip counter is carried across it), one timestamp, one
-//! routing resolution, and one ring reservation per target shard. The
+//! tuples per internal chunk with one entry-shedder pass (the shedder's
+//! counter is loaded once per chunk, its draws are mutually independent,
+//! and the geometric skip counter is carried across it), one timestamp,
+//! one routing resolution, and one ring reservation per target shard. The
 //! per-tuple `offer()` path remains and shares the same counters, so
 //! mixing the two is safe.
 //!
@@ -47,9 +49,18 @@
 //! assert, under concurrent offers, worker panics, and shutdown:
 //!
 //! ```text
-//! offered == dropped_entry + rejected_capacity + rejected_closed + Σᵢ dispatchedᵢ
-//! Σᵢ dispatchedᵢ == completed + dropped_shed + worker_panics   (drained)
+//! offered == dropped_entry + rejected_capacity + rejected_closed + Σᵢ pushedᵢ
+//! Σᵢ pushedᵢ == completed + dropped_shed + worker_panics   (drained)
 //! ```
+//!
+//! **Who writes what.** The front door writes the global buckets and
+//! one per-shard counter, [`WorkerStats::pushed`] (reported as
+//! `dispatched`); the worker writes everything else in [`WorkerStats`].
+//! The two sides sit on different cache lines, so an offer does not
+//! invalidate the line a worker retires into. A shard's queue length is
+//! not stored anywhere: it is derived, `qᵢ = pushedᵢ − processedᵢ`
+//! ([`WorkerStats::queue_len`]), which is what the controller, `/metrics`
+//! and [`ShardedEngine::queue_len`] read.
 //!
 //! The four front-door buckets are disjoint: `dropped_entry` counts
 //! *only* entry-shedder (α) drops, `rejected_capacity` counts arrivals
@@ -62,7 +73,7 @@
 use crate::hook::PeriodSnapshot;
 use crate::obs::{MetricsFn, ObsHandle, ObsOptions, ObsPlane, ObsServer};
 use crate::ring::{Push, SpscRing};
-use crate::rng::AtomicShedder;
+use crate::rng::{mix64, AtomicShedder};
 use crate::telemetry::{ControlTrace, EventSink, InstrumentedHook, PromText, SharedRecorder};
 use crate::time::{SimDuration, SimTime};
 use crate::worker::{spawn_supervised, CostModel, WorkerConfig, WorkerStats};
@@ -159,37 +170,18 @@ impl ShardConfig {
     }
 }
 
-/// One shard: its worker stats, its lock-free ingress ring, its dispatch
-/// counter, and its supervisor handle.
+/// One shard: its worker stats, its lock-free ingress ring, and its
+/// supervisor handle.
 struct Shard {
+    /// `Arc` so the controller thread and the `/metrics` closure can
+    /// read the counters without borrowing the engine.
     stats: Arc<WorkerStats>,
     /// Bounded lock-free mailbox. Its close flag makes close-vs-offer
     /// race-free: after [`SpscRing::close`] returns, no offer can sneak
     /// a tuple into a queue nobody will drain (in-flight pushes are
     /// drained by the worker), so the balance invariant is exact.
     ring: Arc<SpscRing>,
-    /// Tuples successfully pushed to this shard's ring. `Arc` so the
-    /// observed-mode `/metrics` closure can read it without borrowing
-    /// the engine.
-    dispatched: Arc<AtomicU64>,
     handle: Option<JoinHandle<()>>,
-}
-
-/// The cloneable per-shard counters the Prometheus renderer reads, so
-/// the `/metrics` closure can outlive a borrow of the engine.
-#[derive(Clone)]
-struct ShardView {
-    stats: Arc<WorkerStats>,
-    dispatched: Arc<AtomicU64>,
-}
-
-impl Shard {
-    fn view(&self) -> ShardView {
-        ShardView {
-            stats: Arc::clone(&self.stats),
-            dispatched: Arc::clone(&self.dispatched),
-        }
-    }
 }
 
 /// Front-door and controller counters shared across threads.
@@ -239,14 +231,56 @@ fn key_to_shard(key: u64, shards: usize) -> usize {
     (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % shards
 }
 
-/// splitmix64 finalizer: a full-avalanche bit mix.
+/// Per-shard admit counts of one batched offer are scratch the door
+/// needs on every call; up to this many shards they live on the stack.
+const STACK_SHARDS: usize = 32;
+
+/// Runs `f` over a zeroed per-shard count scratch of `shards` entries —
+/// a stack array in the common case, heap only above [`STACK_SHARDS`].
 #[inline]
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+fn with_shard_counts<R>(shards: usize, f: impl FnOnce(&mut [u64]) -> R) -> R {
+    let mut stack = [0u64; STACK_SHARDS];
+    match stack.get_mut(..shards) {
+        Some(counts) => f(counts),
+        None => f(&mut vec![0u64; shards]),
+    }
+}
+
+/// The controller's sampling grid: period `k` is due at `start + k·T`
+/// regardless of how long earlier periods' work or wake-ups took (the
+/// control design assumes a fixed sampling period; sleeping `T` per
+/// iteration would stretch it by the hook time and the wake latency,
+/// cumulatively).
+struct PeriodGrid {
+    period: Duration,
+    due: Instant,
+}
+
+impl PeriodGrid {
+    fn new(start: Instant, period: Duration) -> Self {
+        Self {
+            period,
+            due: start + period,
+        }
+    }
+
+    /// How long to sleep from `now` until the next boundary is due.
+    fn until_due(&self, now: Instant) -> Duration {
+        self.due.saturating_duration_since(now)
+    }
+
+    /// Accounts for the boundary serviced at `woke` and schedules the
+    /// next one; `true` means a deadline miss (more than `T/2` late). A
+    /// miss re-anchors the grid at `woke`, so an overrun is paid once
+    /// instead of being chased by a burst of zero-length periods.
+    fn tick(&mut self, woke: Instant) -> bool {
+        let missed = woke.saturating_duration_since(self.due) > self.period / 2;
+        if missed {
+            self.due = woke;
+        }
+        self.due += self.period;
+        missed
+    }
 }
 
 /// Round-robin routing of arrival sequence `seq` onto a shard. A power
@@ -496,7 +530,6 @@ impl ShardedEngine {
                 Shard {
                     stats,
                     ring,
-                    dispatched: Arc::new(AtomicU64::new(0)),
                     handle: Some(handle),
                 }
             })
@@ -510,20 +543,20 @@ impl ShardedEngine {
             let mut sink = sink;
             std::thread::spawn(move || {
                 let start = Instant::now();
+                let mut grid = PeriodGrid::new(start, cfg.period);
                 let mut k = 0u64;
                 let mut last = Totals::default();
                 let mut queues = vec![0u64; cfg.shards];
                 while !global.stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(cfg.period);
-                    let due = cfg.period.mul_f64((k + 1) as f64);
-                    if start.elapsed().saturating_sub(due) > cfg.period / 2 {
+                    std::thread::sleep(grid.until_due(Instant::now()));
+                    if grid.tick(Instant::now()) {
                         global.deadline_misses.fetch_add(1, Ordering::Relaxed);
                     }
 
                     // Monitor: the global virtual-queue signal is the sum
                     // of per-shard queue lengths, q(k) = Σ qᵢ(k).
-                    for (i, st) in stats.iter().enumerate() {
-                        queues[i] = st.queue_len.load(Ordering::Relaxed);
+                    for (q, st) in queues.iter_mut().zip(&stats) {
+                        *q = st.queue_len();
                     }
                     let q_total: u64 = queues.iter().sum();
                     let now = Totals::read(&global, &stats);
@@ -677,8 +710,7 @@ impl ShardedEngine {
         }
         match shard.ring.push(stamp) {
             Push::Pushed(1) => {
-                shard.stats.queue_len.fetch_add(1, Ordering::Relaxed);
-                shard.dispatched.fetch_add(1, Ordering::Relaxed);
+                shard.stats.pushed.fetch_add(1, Ordering::Relaxed);
                 true
             }
             Push::Pushed(_) => {
@@ -701,55 +733,56 @@ impl ShardedEngine {
     /// the batch pass replays the exact per-arrival decision sequence
     /// the scalar path would have made from the same shedder state.
     pub fn offer_batch(&self, n: usize) -> BatchResult {
-        let mut res = BatchResult::default();
-        let mut remaining = n;
-        let mut counts = vec![0u64; self.cfg.shards];
-        while remaining > 0 {
-            let chunk = remaining.min(OFFER_BATCH_MAX);
-            remaining -= chunk;
-            self.global.offered.fetch_add(chunk as u64, Ordering::Relaxed);
-            res.offered += chunk as u64;
-            let alpha = self.global.alpha();
-            let drops = self.global.shedder.shed_batch(alpha, chunk as u64);
-            if drops > 0 {
-                self.global.dropped_entry.fetch_add(drops, Ordering::Relaxed);
-                res.dropped_entry += drops;
-            }
-            let admit = chunk as u64 - drops;
-            if admit == 0 {
-                continue;
-            }
-            // One routing resolution for the whole chunk: survivors take
-            // consecutive arrival sequence numbers.
-            let seq0 = self.global.rr_next.fetch_add(admit, Ordering::Relaxed);
-            counts.iter_mut().for_each(|c| *c = 0);
-            let shards = self.cfg.shards;
-            match self.cfg.dispatch {
-                Dispatch::RoundRobin if (shards as u64).is_power_of_two() => {
-                    // Closed-form strict rotation: shard (seq0 + k) & mask
-                    // for k in 0..admit.
-                    let base = admit / shards as u64;
-                    let extra = admit % shards as u64;
-                    let start = rr_to_shard(seq0, shards) as u64;
-                    for (i, c) in counts.iter_mut().enumerate() {
-                        let offset = (i as u64 + shards as u64 - start) % shards as u64;
-                        *c = base + u64::from(offset < extra);
+        let shards = self.cfg.shards;
+        with_shard_counts(shards, |counts| {
+            let mut res = BatchResult::default();
+            let mut remaining = n;
+            while remaining > 0 {
+                let chunk = remaining.min(OFFER_BATCH_MAX);
+                remaining -= chunk;
+                self.global.offered.fetch_add(chunk as u64, Ordering::Relaxed);
+                res.offered += chunk as u64;
+                let alpha = self.global.alpha();
+                let drops = self.global.shedder.shed_batch(alpha, chunk as u64);
+                if drops > 0 {
+                    self.global.dropped_entry.fetch_add(drops, Ordering::Relaxed);
+                    res.dropped_entry += drops;
+                }
+                let admit = chunk as u64 - drops;
+                if admit == 0 {
+                    continue;
+                }
+                // One routing resolution for the whole chunk: survivors
+                // take consecutive arrival sequence numbers.
+                let seq0 = self.global.rr_next.fetch_add(admit, Ordering::Relaxed);
+                counts.fill(0);
+                match self.cfg.dispatch {
+                    Dispatch::RoundRobin if (shards as u64).is_power_of_two() => {
+                        // Closed-form strict rotation: shard
+                        // (seq0 + k) & mask for k in 0..admit.
+                        let base = admit / shards as u64;
+                        let extra = admit % shards as u64;
+                        let start = rr_to_shard(seq0, shards) as u64;
+                        for (i, c) in counts.iter_mut().enumerate() {
+                            let offset = (i as u64 + shards as u64 - start) % shards as u64;
+                            *c = base + u64::from(offset < extra);
+                        }
+                    }
+                    Dispatch::RoundRobin => {
+                        for k in 0..admit {
+                            counts[rr_to_shard(seq0.wrapping_add(k), shards)] += 1;
+                        }
+                    }
+                    Dispatch::KeyHash => {
+                        for k in 0..admit {
+                            counts[key_to_shard(seq0.wrapping_add(k), shards)] += 1;
+                        }
                     }
                 }
-                Dispatch::RoundRobin => {
-                    for k in 0..admit {
-                        counts[rr_to_shard(seq0.wrapping_add(k), shards)] += 1;
-                    }
-                }
-                Dispatch::KeyHash => {
-                    for k in 0..admit {
-                        counts[key_to_shard(seq0.wrapping_add(k), shards)] += 1;
-                    }
-                }
+                self.push_counts(counts, &mut res);
             }
-            self.push_counts(&counts, &mut res);
-        }
-        res
+            res
+        })
     }
 
     /// Offers one keyed tuple per element of `keys` in one batched
@@ -775,27 +808,28 @@ impl ShardedEngine {
     where
         F: FnMut(usize) -> u64,
     {
-        let mut res = BatchResult::default();
-        let mut counts = vec![0u64; self.cfg.shards];
-        let mut base = 0usize;
-        while base < n {
-            let len = (n - base).min(OFFER_BATCH_MAX);
-            self.global.offered.fetch_add(len as u64, Ordering::Relaxed);
-            res.offered += len as u64;
-            let alpha = self.global.alpha();
-            counts.iter_mut().for_each(|c| *c = 0);
-            let shards = self.cfg.shards;
-            let drops = self.global.shedder.shed_batch_each(alpha, len as u64, |i| {
-                counts[key_to_shard(key_at(base + i), shards)] += 1;
-            });
-            if drops > 0 {
-                self.global.dropped_entry.fetch_add(drops, Ordering::Relaxed);
-                res.dropped_entry += drops;
+        let shards = self.cfg.shards;
+        with_shard_counts(shards, |counts| {
+            let mut res = BatchResult::default();
+            let mut base = 0usize;
+            while base < n {
+                let len = (n - base).min(OFFER_BATCH_MAX);
+                self.global.offered.fetch_add(len as u64, Ordering::Relaxed);
+                res.offered += len as u64;
+                let alpha = self.global.alpha();
+                counts.fill(0);
+                let drops = self.global.shedder.shed_batch_each(alpha, len as u64, |i| {
+                    counts[key_to_shard(key_at(base + i), shards)] += 1;
+                });
+                if drops > 0 {
+                    self.global.dropped_entry.fetch_add(drops, Ordering::Relaxed);
+                    res.dropped_entry += drops;
+                }
+                self.push_counts(counts, &mut res);
+                base += len;
             }
-            self.push_counts(&counts, &mut res);
-            base += len;
-        }
-        res
+            res
+        })
     }
 
     /// Pushes `counts[i]` stamps to shard `i` in one reservation each,
@@ -836,8 +870,7 @@ impl ShardedEngine {
                 }
             }
             if got > 0 {
-                shard.stats.queue_len.fetch_add(got, Ordering::Relaxed);
-                shard.dispatched.fetch_add(got, Ordering::Relaxed);
+                shard.stats.pushed.fetch_add(got, Ordering::Relaxed);
                 res.dispatched += got;
             }
             if closed {
@@ -857,12 +890,10 @@ impl ShardedEngine {
         self.cfg.shards
     }
 
-    /// The global virtual-queue signal: Σᵢ qᵢ.
+    /// The global virtual-queue signal: Σᵢ qᵢ, each shard's
+    /// `pushed − processed` ([`WorkerStats::queue_len`]).
     pub fn queue_len(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.stats.queue_len.load(Ordering::Relaxed))
-            .sum()
+        self.shards.iter().map(|s| s.stats.queue_len()).sum()
     }
 
     /// The engine's configuration.
@@ -894,10 +925,11 @@ impl ShardedEngine {
 /// [`ShardedEngine::spawn_observed`] and [`ShardedEngine::metrics_fn`].
 fn metrics_fn(engine: &ShardedEngine, plane: Option<ObsPlane>) -> MetricsFn {
     let global = Arc::clone(&engine.global);
-    let views: Vec<ShardView> = engine.shards.iter().map(|s| s.view()).collect();
+    let stats: Vec<Arc<WorkerStats>> =
+        engine.shards.iter().map(|s| Arc::clone(&s.stats)).collect();
     Arc::new(move || {
         let mut p = PromText::new("streamshed");
-        render_prometheus(&global, &views, &mut p);
+        render_prometheus(&global, &stats, &mut p);
         if let Some(plane) = &plane {
             plane.health().render_prom(&mut p);
             plane.render_adapt_prom(&mut p);
@@ -909,19 +941,21 @@ fn metrics_fn(engine: &ShardedEngine, plane: Option<ObsPlane>) -> MetricsFn {
 
 /// Renders the global counters plus the `{shard="i"}`-labelled families
 /// into `p`.
-fn render_prometheus(g: &Global, shards: &[ShardView], p: &mut PromText) {
-    let per = |f: &dyn Fn(&ShardView) -> f64| -> Vec<f64> { shards.iter().map(f).collect() };
+fn render_prometheus(g: &Global, shards: &[Arc<WorkerStats>], p: &mut PromText) {
+    let per = |f: &dyn Fn(&WorkerStats) -> f64| -> Vec<f64> {
+        shards.iter().map(|s| f(s)).collect()
+    };
     let sum = |f: fn(&WorkerStats) -> &AtomicU64| -> u64 {
-        shards.iter().map(|s| f(&s.stats).load(Ordering::Relaxed)).sum()
+        shards.iter().map(|s| f(s).load(Ordering::Relaxed)).sum()
     };
     let completed = sum(|w| &w.completed);
     let delay_sum = sum(|w| &w.delay_sum_us);
-    let queue_len = sum(|w| &w.queue_len);
+    let queue_len: u64 = shards.iter().map(|s| s.queue_len()).sum();
     let delayed = sum(|w| &w.delayed);
     let violation_us = sum(|w| &w.violation_sum_us);
     let delay_max_us = shards
         .iter()
-        .map(|s| s.stats.delay_max_us.load(Ordering::Relaxed))
+        .map(|s| s.delay_max_us.load(Ordering::Relaxed))
         .max()
         .unwrap_or(0);
     p.counter(
@@ -995,37 +1029,37 @@ fn render_prometheus(g: &Global, shards: &[ShardView], p: &mut PromText) {
             "shard_dispatched_total",
             "Tuples dispatched to each shard",
             "shard",
-            &per(&|s| s.dispatched.load(Ordering::Relaxed) as f64),
+            &per(&|s| s.pushed.load(Ordering::Relaxed) as f64),
         )
         .counter_vec(
             "shard_completed_total",
             "Tuples each shard fully processed",
             "shard",
-            &per(&|s| s.stats.completed.load(Ordering::Relaxed) as f64),
+            &per(&|s| s.completed.load(Ordering::Relaxed) as f64),
         )
         .counter_vec(
             "shard_dropped_shed_total",
             "Tuples each shard dropped by in-queue shedding",
             "shard",
-            &per(&|s| s.stats.dropped_shed.load(Ordering::Relaxed) as f64),
+            &per(&|s| s.dropped_shed.load(Ordering::Relaxed) as f64),
         )
         .counter_vec(
             "shard_worker_panics_total",
             "Worker panics caught per shard",
             "shard",
-            &per(&|s| s.stats.worker_panics.load(Ordering::Relaxed) as f64),
+            &per(&|s| s.worker_panics.load(Ordering::Relaxed) as f64),
         )
         .gauge_vec(
             "shard_queue_len",
             "Tuples queued per shard",
             "shard",
-            &per(&|s| s.stats.queue_len.load(Ordering::Relaxed) as f64),
+            &per(&|s| s.queue_len() as f64),
         )
         .gauge_vec(
             "shard_cost_ewma_us",
             "Measured per-tuple cost EWMA per shard, microseconds (NaN until measured)",
             "shard",
-            &per(&|s| s.stats.cost_ewma_us()),
+            &per(&|s| s.cost_ewma_us()),
         );
 }
 
@@ -1071,7 +1105,7 @@ impl ShardedEngine {
             dropped_shed += st.dropped_shed.load(Ordering::Relaxed);
             panics += st.worker_panics.load(Ordering::Relaxed);
             per_shard.push(ShardStat {
-                dispatched: shard.dispatched.load(Ordering::Relaxed),
+                dispatched: st.pushed.load(Ordering::Relaxed),
                 completed: c,
                 dropped_shed: st.dropped_shed.load(Ordering::Relaxed),
                 worker_panics: st.worker_panics.load(Ordering::Relaxed),
@@ -1503,6 +1537,62 @@ mod tests {
         std::thread::sleep(Duration::from_millis(150));
         let report = engine.shutdown();
         assert!(report.deadline_misses >= 1, "{}", report.deadline_misses);
+    }
+
+    #[test]
+    fn period_grid_does_not_drift_and_pays_an_overrun_once() {
+        let t = Duration::from_millis(10);
+        let start = Instant::now();
+        let mut grid = PeriodGrid::new(start, t);
+        // Every wake is 3 ms late and the period's work takes 4 ms more:
+        // boundaries stay on start + k·T, nothing accumulates, no misses.
+        for k in 1..=100u32 {
+            let woke = start + t * k + Duration::from_millis(3);
+            assert!(!grid.tick(woke), "period {k}");
+            let after_work = woke + Duration::from_millis(4);
+            assert_eq!(grid.until_due(after_work), Duration::from_millis(3));
+        }
+        // One 25 ms overrun: exactly one miss, the grid re-anchors at the
+        // wake, and the next boundary is a full period later (no
+        // zero-length catch-up periods).
+        let late = start + t * 101 + Duration::from_millis(25);
+        assert_eq!(grid.until_due(late), Duration::ZERO);
+        assert!(grid.tick(late));
+        assert_eq!(grid.until_due(late), t);
+        assert!(!grid.tick(late + t));
+    }
+
+    #[test]
+    fn fast_hook_holds_the_sampling_period() {
+        let period = Duration::from_millis(20);
+        let cfg = ShardConfig {
+            period,
+            ..quick_cfg(1)
+        };
+        let engine = ShardedEngine::spawn(cfg, NoShedding);
+        let t0 = Instant::now();
+        std::thread::sleep(period * 40 + period / 2);
+        let report = engine.shutdown();
+        // The controller services at most one more boundary while it is
+        // being stopped.
+        let nominal = (t0.elapsed().as_secs_f64() / period.as_secs_f64()) as i64;
+        assert_eq!(report.deadline_misses, 0, "{report:?}");
+        assert!((report.periods as i64 - nominal).abs() <= 1, "{} vs {nominal}", report.periods);
+    }
+
+    #[test]
+    fn batch_doors_take_more_shards_than_the_stack_scratch() {
+        let mut cfg = quick_cfg(STACK_SHARDS + 3);
+        cfg.cost = Duration::ZERO;
+        let engine = ShardedEngine::spawn(cfg, NoShedding);
+        let keys: Vec<u64> = (0..500u64).collect();
+        let mut total = engine.offer_batch(500);
+        total.merge(&engine.offer_batch_keyed(&keys));
+        assert_eq!(total.dispatched, 1000);
+        let report = engine.shutdown();
+        assert_eq!(report.completed, 1000);
+        assert_eq!(report.per_shard.len(), STACK_SHARDS + 3);
+        assert!(report.counters_balance(), "{report:?}");
     }
 
     #[test]

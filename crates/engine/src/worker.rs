@@ -13,7 +13,7 @@
 //! processed, so a panic mid-batch poisons exactly one tuple and the
 //! restarted loop resumes with the remainder of the batch intact.
 
-use crate::ring::SpscRing;
+use crate::ring::{CachePadded, SpscRing};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -99,23 +99,39 @@ const COST_EWMA_LAMBDA: f64 = 0.2;
 /// door that feeds it, and the controller that reads it.
 ///
 /// All fields are relaxed atomics: they are statistics, not
-/// synchronization. The invariant the stress tests assert is that every
-/// tuple successfully pushed to the worker's ring ends up in exactly one
-/// of `completed`, `dropped_shed`, or is the single tuple lost to one of
-/// `worker_panics`.
+/// synchronization. Each counter has **one writer**, which is what lets
+/// the hot ones be plain load + store pairs instead of locked
+/// read-modify-writes:
+///
+/// * the front door writes [`pushed`](Self::pushed), alone on its cache
+///   line, so an offer never invalidates the line the worker retires
+///   into;
+/// * the worker thread writes `processed`, `completed`, `dropped_shed`,
+///   the delay ledger and the cost EWMA (its supervisor, on the same
+///   thread, writes `worker_panics`);
+/// * `shed_budget` is the exception — the controller adds to it and the
+///   worker consumes it, so it keeps its atomic RMWs.
+///
+/// The invariant the stress tests assert is that every tuple counted in
+/// `pushed` ends up in exactly one of `completed`, `dropped_shed`, or is
+/// the single tuple lost to one of `worker_panics`; at every instant on
+/// the worker thread `processed == completed + dropped_shed +
+/// worker_panics` (+ 1 while a tuple is being worked).
 #[derive(Debug)]
 pub struct WorkerStats {
-    /// Tuples currently queued (incremented by the sender on a
-    /// successful push, decremented by the worker as it takes each tuple
-    /// up for processing).
-    pub queue_len: AtomicU64,
-    /// Tuples the worker started processing (including panicked ones).
+    /// Tuples successfully pushed to this worker's ring (written by the
+    /// front door after the ring push lands). Queue length is derived
+    /// from it: see [`queue_len`](Self::queue_len).
+    pub pushed: CachePadded<AtomicU64>,
+    /// Tuples the worker took up for processing (including shed and
+    /// panicked ones); advanced *before* the tuple is worked.
     pub processed: AtomicU64,
     /// Tuples fully processed.
     pub completed: AtomicU64,
     /// Tuples dropped by consuming in-queue shed budget.
     pub dropped_shed: AtomicU64,
-    /// In-queue shed budget outstanding, tuples.
+    /// In-queue shed budget outstanding, tuples (controller adds, worker
+    /// consumes).
     pub shed_budget: AtomicU64,
     /// Panics caught and recovered from (one tuple lost each).
     pub worker_panics: AtomicU64,
@@ -139,11 +155,20 @@ impl Default for WorkerStats {
     }
 }
 
+/// Adds `by` to a counter only the calling thread writes: a relaxed
+/// load + store, not a locked RMW. Returns the new value.
+#[inline]
+fn bump(counter: &AtomicU64, by: u64) -> u64 {
+    let next = counter.load(Ordering::Relaxed).wrapping_add(by);
+    counter.store(next, Ordering::Relaxed);
+    next
+}
+
 impl WorkerStats {
     /// Fresh, all-zero counters (cost EWMA starts at `NaN`).
     pub fn new() -> Self {
         Self {
-            queue_len: AtomicU64::new(0),
+            pushed: CachePadded(AtomicU64::new(0)),
             processed: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             dropped_shed: AtomicU64::new(0),
@@ -155,6 +180,17 @@ impl WorkerStats {
             violation_sum_us: AtomicU64::new(0),
             cost_ewma_bits: AtomicU64::new(f64::NAN.to_bits()),
         }
+    }
+
+    /// Tuples queued for this worker: `pushed − processed`, i.e. in the
+    /// ring or popped and not yet taken up. `processed` is read first
+    /// and the difference saturates: the front door counts a push only
+    /// after the ring published it, so the worker can momentarily be
+    /// ahead of `pushed`, and that must read as an empty queue rather
+    /// than wrap.
+    pub fn queue_len(&self) -> u64 {
+        let processed = self.processed.load(Ordering::Relaxed);
+        self.pushed.load(Ordering::Relaxed).saturating_sub(processed)
     }
 
     /// The measured per-tuple work cost EWMA, µs (`NaN` before the first
@@ -206,16 +242,18 @@ impl WorkerStats {
         false
     }
 
-    /// Delay/violation accounting for one completed tuple.
+    /// Delay/violation accounting for one completed tuple. Worker thread
+    /// only (single-writer counters).
     #[inline]
     fn record_completion(&self, delay_us: u64, target_us: u64) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.delay_sum_us.fetch_add(delay_us, Ordering::Relaxed);
-        self.delay_max_us.fetch_max(delay_us, Ordering::Relaxed);
+        bump(&self.completed, 1);
+        bump(&self.delay_sum_us, delay_us);
+        if delay_us > self.delay_max_us.load(Ordering::Relaxed) {
+            self.delay_max_us.store(delay_us, Ordering::Relaxed);
+        }
         if delay_us > target_us {
-            self.delayed.fetch_add(1, Ordering::Relaxed);
-            self.violation_sum_us
-                .fetch_add(delay_us - target_us, Ordering::Relaxed);
+            bump(&self.delayed, 1);
+            bump(&self.violation_sum_us, delay_us - target_us);
         }
     }
 }
@@ -259,14 +297,13 @@ pub fn worker_loop(
             // Advance the cursor *before* processing: a panic below
             // loses exactly this tuple.
             pending.next += 1;
-            stats.queue_len.fetch_sub(1, Ordering::Relaxed);
-            let nth = stats.processed.fetch_add(1, Ordering::Relaxed) + 1;
+            let nth = bump(&stats.processed, 1);
             if cfg.panic_on_tuple == Some(nth) {
                 panic!("injected worker fault at tuple {nth}");
             }
             // In-queue shedding: consume budget instead of work.
             if stats.try_consume_shed_budget() {
-                stats.dropped_shed.fetch_add(1, Ordering::Relaxed);
+                bump(&stats.dropped_shed, 1);
                 continue;
             }
             if zero_cost {
@@ -362,7 +399,7 @@ mod tests {
 
     fn feed(ring: &SpscRing, stats: &WorkerStats, n: usize) {
         assert_eq!(ring.push_repeat(ring.stamp_now(), n), Push::Pushed(n));
-        stats.queue_len.fetch_add(n as u64, Ordering::Relaxed);
+        stats.pushed.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     #[test]
@@ -374,7 +411,7 @@ mod tests {
         ring.close();
         handle.join().unwrap();
         assert_eq!(stats.completed.load(Ordering::Relaxed), 10);
-        assert_eq!(stats.queue_len.load(Ordering::Relaxed), 0);
+        assert_eq!(stats.queue_len(), 0);
         assert!(stats.cost_ewma_us().is_finite());
         assert!(stats.cost_ewma_us() > 50.0, "{}", stats.cost_ewma_us());
     }
@@ -391,7 +428,7 @@ mod tests {
         // 7 plain tuples + 1 sampled (bit 63 on the stamp).
         assert_eq!(ring.push_repeat(ring.stamp_now(), 7), Push::Pushed(7));
         assert_eq!(ring.push(ring.stamp_now() | SAMPLE_BIT), Push::Pushed(1));
-        stats.queue_len.fetch_add(8, Ordering::Relaxed);
+        stats.pushed.fetch_add(8, Ordering::Relaxed);
         ring.close();
         handle.join().unwrap();
         assert_eq!(stats.completed.load(Ordering::Relaxed), 8);
@@ -422,11 +459,13 @@ mod tests {
 
     #[test]
     fn panic_mid_batch_preserves_rest_of_popped_batch() {
-        // All 8 tuples are pushed in one batch (and popped in one batch);
-        // the panic on tuple 3 must not lose the batch remainder.
+        // All 10 tuples are pushed in one batch (and popped in one batch):
+        // two consume shed budget, and the panic on tuple 3 must not lose
+        // the batch remainder.
         let stats = Arc::new(WorkerStats::new());
+        stats.shed_budget.store(2, Ordering::Relaxed);
         let ring = Arc::new(SpscRing::new(64));
-        feed(&ring, &stats, 8);
+        feed(&ring, &stats, 10);
         ring.close();
         let mut c = cfg();
         c.panic_on_tuple = Some(3);
@@ -434,7 +473,31 @@ mod tests {
         handle.join().unwrap();
         assert_eq!(stats.worker_panics.load(Ordering::Relaxed), 1);
         assert_eq!(stats.completed.load(Ordering::Relaxed), 7);
-        assert_eq!(stats.queue_len.load(Ordering::Relaxed), 0);
+        assert_eq!(stats.queue_len(), 0);
+        // The single-writer ledger lost nothing across the unwind:
+        // completed + dropped_shed + worker_panics == processed.
+        assert_eq!(stats.dropped_shed.load(Ordering::Relaxed), 2);
+        assert_eq!(stats.processed.load(Ordering::Relaxed), 7 + 2 + 1);
+    }
+
+    #[test]
+    fn queue_len_saturates_when_worker_runs_ahead_of_pushed() {
+        // The front door counts a push only after the ring published it,
+        // so a descheduled offerer lets the worker retire tuples `pushed`
+        // does not yet include. Replayed deterministically: the worker
+        // drains 8 tuples while `pushed` still reads 0.
+        let stats = Arc::new(WorkerStats::new());
+        let ring = Arc::new(SpscRing::new(64));
+        assert_eq!(ring.push_repeat(ring.stamp_now(), 8), Push::Pushed(8));
+        ring.close();
+        spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), cfg())
+            .join()
+            .unwrap();
+        assert_eq!(stats.processed.load(Ordering::Relaxed), 8);
+        assert_eq!(stats.queue_len(), 0, "must read empty, never wrap");
+        // The late front-door bump then settles the books.
+        stats.pushed.fetch_add(8, Ordering::Relaxed);
+        assert_eq!(stats.queue_len(), 0);
     }
 
     #[test]
@@ -477,7 +540,7 @@ mod tests {
         let stamp = ring.stamp_now();
         std::thread::sleep(Duration::from_millis(5));
         assert_eq!(ring.push_repeat(stamp, 10), Push::Pushed(10));
-        stats.queue_len.fetch_add(10, Ordering::Relaxed);
+        stats.pushed.fetch_add(10, Ordering::Relaxed);
         ring.close();
         let handle = spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), c);
         handle.join().unwrap();

@@ -11,13 +11,16 @@
 //! dispatched == completed + dropped_shed + worker_panics
 //! ```
 //!
-//! Nothing here asserts timing — only conservation.
+//! Nothing here asserts timing — only conservation, and that the derived
+//! queue length (`pushed − processed`) stays a queue length while offers
+//! race the workers.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use streamshed_engine::hook::{Decision, PeriodSnapshot};
 use streamshed_engine::shard::{Dispatch, ShardConfig, ShardedEngine};
-use streamshed_engine::worker::CostModel;
+use streamshed_engine::worker::{CostModel, WORKER_POP_BATCH};
 
 const OFFER_THREADS: usize = 4;
 const OFFERS_PER_THREAD: usize = 400;
@@ -57,6 +60,21 @@ fn churn_hook() -> impl FnMut(&PeriodSnapshot) -> Decision {
         } else {
             Decision::entry(alpha)
         }
+    }
+}
+
+/// Samples `queue_len()` until `done`: every queued tuple is in a ring or
+/// in a worker's popped batch, so the signal the controller reads can
+/// never exceed those capacities — in particular it must not wrap to
+/// ≈ 2⁶⁴ when a worker retires a tuple before the front door has counted
+/// its push.
+fn watch_queue_len(engine: &ShardedEngine, done: &AtomicBool) {
+    let cfg = engine.config();
+    let bound = (cfg.shards * (cfg.queue_capacity + WORKER_POP_BATCH)) as u64;
+    while !done.load(Ordering::Relaxed) {
+        let q = engine.queue_len();
+        assert!(q <= bound, "queue_len {q} exceeds ring + popped capacity {bound}");
+        std::thread::yield_now();
     }
 }
 
@@ -134,15 +152,22 @@ fn sharded_heavy_shedding_still_balances() {
     cfg.queue_capacity = 16;
     cfg.cost = Duration::from_micros(200);
     let engine = ShardedEngine::spawn(cfg, |_s: &PeriodSnapshot| Decision::entry(0.2));
+    let done = AtomicBool::new(false);
     std::thread::scope(|s| {
-        for _ in 0..OFFER_THREADS {
-            let engine = &engine;
-            s.spawn(move || {
-                for _ in 0..OFFERS_PER_THREAD {
-                    engine.offer();
-                }
-            });
+        s.spawn(|| watch_queue_len(&engine, &done));
+        let offerers: Vec<_> = (0..OFFER_THREADS)
+            .map(|_| {
+                s.spawn(|| {
+                    for _ in 0..OFFERS_PER_THREAD {
+                        engine.offer();
+                    }
+                })
+            })
+            .collect();
+        for h in offerers {
+            h.join().unwrap();
         }
+        done.store(true, Ordering::Relaxed);
     });
     let report = engine.shutdown();
     assert_eq!(report.offered, (OFFER_THREADS * OFFERS_PER_THREAD) as u64);
