@@ -16,6 +16,16 @@
 //!   followed by per-slot sequence stamps; the consumer scans the ready
 //!   prefix, issues one [`fence`]`(Acquire)`, copies the payloads out and
 //!   retires them with a single release store of `head`.
+//! * **Batch-or-timeout hand-off.** A consumer that finds the ring empty
+//!   publishes the batch size it is waiting for (`want`: its pop buffer,
+//!   clamped to capacity) and parks for at most `PARK` (200 µs). A producer
+//!   rings the doorbell only when its push brings the backlog up to
+//!   `want`, so a parked worker costs its producers one load per push
+//!   and at most one `unpark` per park; a backlog below one batch is
+//!   delivered by the timeout. Parking is `thread::park_timeout` on the
+//!   consumer's own [`Thread`] handle — no lock on either side. See
+//!   [`SpscRing::pop_wait`] for the bound and the memory-ordering
+//!   pairing.
 //! * **Close flag with exact drain semantics.** [`SpscRing::close`] is
 //!   idempotent; pushes that begin after it observe [`Push::Closed`]
 //!   deterministically, while pushes already in flight (tracked by an
@@ -35,7 +45,8 @@
 //! offer threads.
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::OnceLock;
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// Pads a value out to its own 64-byte cache line so the producer and
@@ -62,14 +73,14 @@ pub enum Push {
     Closed,
 }
 
-/// How long a waiting consumer parks on the doorbell before re-checking
-/// the ring. A missed wakeup therefore costs at most this much latency,
-/// which keeps the producer→consumer handshake simple (no exactly-once
-/// wakeup protocol is needed for correctness).
+/// How long a waiting consumer parks before re-checking the ring. This
+/// is the "timeout" of the batch-or-timeout hand-off: a backlog smaller
+/// than the consumer's batch is never announced by a producer and waits
+/// at most this long (plus the kernel's timer slack, ≈ 50 µs) to be
+/// popped. It is also the cost bound of any missed doorbell, which keeps
+/// the producer→consumer handshake simple (no exactly-once wakeup
+/// protocol is needed for correctness).
 const PARK: Duration = Duration::from_micros(200);
-
-/// Spin/yield rounds before a consumer parks on the doorbell.
-const SPIN_ROUNDS: u32 = 64;
 
 /// Bounded lock-free ring: many reserving producers, one consumer.
 #[derive(Debug)]
@@ -100,12 +111,14 @@ pub struct SpscRing {
     /// closing drain waits for this to reach zero so no payload is
     /// stranded by a racing push.
     in_flight: AtomicU64,
-    /// Consumer-is-parked hint; producers ring the doorbell only when set.
-    sleeping: AtomicBool,
-    /// Doorbell for a parked consumer.
-    doorbell: Mutex<()>,
-    /// Condition variable paired with `doorbell`.
-    wake: Condvar,
+    /// Backlog a waiting consumer asked to be woken at; 0 while it is
+    /// not waiting. Stored by the consumer around its park, cleared by
+    /// the one producer that rings (see [`pop_wait`](Self::pop_wait)).
+    want: AtomicU64,
+    /// The consumer's thread handle, registered on its first wait.
+    consumer: OnceLock<Thread>,
+    /// Doorbells rung by producers (statistic; `close()` is not counted).
+    doorbells: AtomicU64,
     /// Time origin for payload stamps.
     epoch: Instant,
 }
@@ -133,9 +146,9 @@ impl SpscRing {
             tail: CachePadded(AtomicU64::new(0)),
             closed: AtomicBool::new(false),
             in_flight: AtomicU64::new(0),
-            sleeping: AtomicBool::new(false),
-            doorbell: Mutex::new(()),
-            wake: Condvar::new(),
+            want: AtomicU64::new(0),
+            consumer: OnceLock::new(),
+            doorbells: AtomicU64::new(0),
             epoch,
         }
     }
@@ -172,15 +185,24 @@ impl SpscRing {
         self.closed.load(Ordering::SeqCst)
     }
 
+    /// How many times a producer has rung the doorbell (woken a waiting
+    /// consumer because a full batch was ready). Wake-ups by
+    /// [`close`](Self::close) are not counted.
+    pub fn doorbells(&self) -> u64 {
+        self.doorbells.load(Ordering::Relaxed)
+    }
+
     /// Closes the ring. Idempotent; pushes that start after this returns
     /// deterministically see [`Push::Closed`]. The consumer drains any
     /// payloads (including racing in-flight pushes) before
     /// [`pop_wait`](Self::pop_wait) reports exhaustion.
     pub fn close(&self) {
         self.closed.store(true, Ordering::SeqCst);
-        // Wake a parked consumer so it can run the closing drain.
-        let _g = self.doorbell.lock().unwrap();
-        self.wake.notify_all();
+        // Wake a waiting consumer whatever its backlog, so it can run
+        // the closing drain.
+        if let Some(consumer) = self.consumer.get() {
+            consumer.unpark();
+        }
     }
 
     /// Pushes one payload. Equivalent to `push_repeat(value, 1)`.
@@ -199,6 +221,12 @@ impl SpscRing {
 
     /// Pushes `n` payloads produced by `f(i)` for `i` in `0..pushed`.
     /// Same contract as [`push_repeat`](Self::push_repeat).
+    ///
+    /// The push rings the doorbell only if a consumer is waiting, this
+    /// push brought the backlog up to the batch it asked for, and this
+    /// producer is the one that cleared the request: one `unpark` per
+    /// park however many producers race, none below a full batch. A
+    /// smaller backlog reaches the consumer when its park times out.
     pub fn push_with(&self, n: usize, mut f: impl FnMut(usize) -> u64) -> Push {
         if n == 0 {
             return if self.is_closed() {
@@ -216,7 +244,9 @@ impl SpscRing {
             self.in_flight.fetch_sub(1, Ordering::SeqCst);
             return Push::Closed;
         }
-        // Reserve up to `n` slots with one CAS on `tail`.
+        // Reserve up to `n` slots with one CAS on `tail`. SeqCst on
+        // success: the reservation is this side's store in the doorbell
+        // handshake (see `pop_wait`).
         let (start, got) = loop {
             let t = self.tail.load(Ordering::Relaxed);
             let h = self.head.load(Ordering::Acquire);
@@ -227,7 +257,7 @@ impl SpscRing {
             }
             if self
                 .tail
-                .compare_exchange_weak(t, t + take, Ordering::Relaxed, Ordering::Relaxed)
+                .compare_exchange_weak(t, t + take, Ordering::SeqCst, Ordering::Relaxed)
                 .is_ok()
             {
                 break (t, take);
@@ -249,11 +279,34 @@ impl SpscRing {
             self.seq[(s & self.mask) as usize].store(s + 1, Ordering::Relaxed);
         }
         self.in_flight.fetch_sub(1, Ordering::SeqCst);
-        if self.sleeping.load(Ordering::SeqCst) {
-            let _g = self.doorbell.lock().unwrap();
-            self.wake.notify_all();
-        }
+        self.ring_if_batch_ready(start + got);
         Push::Pushed(got as usize)
+    }
+
+    /// The backlog a consumer popping into `out_len` slots waits for:
+    /// its buffer, clamped to capacity — a ring smaller than the buffer
+    /// must still ring when it is full.
+    fn batch_want(&self, out_len: usize) -> u64 {
+        (out_len as u64).clamp(1, self.cap)
+    }
+
+    /// The producer half of the doorbell; `tail_after` is the end of the
+    /// caller's own reservation.
+    #[inline]
+    fn ring_if_batch_ready(&self, tail_after: u64) {
+        let want = self.want.load(Ordering::SeqCst);
+        if want == 0 {
+            return;
+        }
+        // Saturating: with several producers, one pre-empted between
+        // publishing and this check can find `head` past its own slots.
+        let backlog = tail_after.saturating_sub(self.head.load(Ordering::Acquire));
+        if backlog >= want && self.want.swap(0, Ordering::SeqCst) != 0 {
+            self.doorbells.fetch_add(1, Ordering::Relaxed);
+            if let Some(consumer) = self.consumer.get() {
+                consumer.unpark();
+            }
+        }
     }
 
     /// Non-blocking batch pop into `out`. Returns the number of payloads
@@ -289,11 +342,34 @@ impl SpscRing {
         n as usize
     }
 
-    /// Blocking batch pop: spins briefly, then parks on the doorbell.
-    /// Returns `0` **only** when the ring is closed and fully drained
-    /// (no racing push can be stranded); otherwise returns ≥ 1.
+    /// Blocking batch pop, batch-or-timeout: returns as soon as anything
+    /// is ready, otherwise waits until a full batch (`out.len()`, clamped
+    /// to capacity) has been pushed or `PARK` (200 µs) has elapsed,
+    /// whichever is first, and pops what is there. Returns `0` **only**
+    /// when the ring is closed and fully drained (no racing push can be
+    /// stranded); otherwise returns ≥ 1.
+    ///
+    /// A payload pushed to an *empty* ring therefore waits at most `PARK`
+    /// plus timer slack plus one wake-up (≈ 0.3 ms) before it is popped,
+    /// and at most `min(want − 1, λ·PARK)` payloads sit in the ring
+    /// behind a parked consumer. Under backlog the consumer never gets
+    /// here.
+    ///
+    /// The doorbell is a Dekker pairing, SeqCst on both sides: the
+    /// consumer stores `want` then loads `tail`; a producer advances
+    /// `tail` (the reservation CAS) then loads `want`. Whichever side
+    /// comes second in the total order sees the other's store, so either
+    /// the consumer sees the full batch and does not park, or the
+    /// producer that completed it sees `want` and rings. What slips
+    /// through (a close racing the registration of the consumer's
+    /// handle, a bell spent on a stale `want`) costs one `PARK`, never a
+    /// payload.
+    ///
+    /// Single consumer only, and always the same thread: its handle is
+    /// registered once (a supervisor that restarts a panicked worker
+    /// loop does so on the worker's own thread).
     pub fn pop_wait(&self, out: &mut [u64]) -> usize {
-        let mut spins = 0u32;
+        let want = self.batch_want(out.len());
         loop {
             let n = self.pop_n(out);
             if n > 0 {
@@ -307,27 +383,25 @@ impl SpscRing {
                 }
                 return self.pop_n(out);
             }
-            spins += 1;
-            if spins <= SPIN_ROUNDS {
-                std::hint::spin_loop();
-                if spins.is_multiple_of(16) {
-                    std::thread::yield_now();
-                }
-                continue;
+            let me = self.consumer.get_or_init(std::thread::current);
+            debug_assert_eq!(
+                me.id(),
+                std::thread::current().id(),
+                "the ring's consumer must stay on one thread"
+            );
+            self.want.store(want, Ordering::SeqCst);
+            // `tail` counts reserved-but-unpublished slots: behind a
+            // producer pre-empted mid-push this loops on `pop_n` until
+            // its next time slice instead of parking — preferable to
+            // waiting out `PARK` with a full batch queued.
+            let backlog = self
+                .tail
+                .load(Ordering::SeqCst)
+                .saturating_sub(self.head.load(Ordering::Relaxed));
+            if backlog < want && !self.closed.load(Ordering::SeqCst) {
+                std::thread::park_timeout(PARK);
             }
-            // Park. The PARK timeout bounds the cost of any lost-wakeup
-            // race; correctness never depends on the doorbell.
-            self.sleeping.store(true, Ordering::SeqCst);
-            if !self.is_empty() || self.closed.load(Ordering::SeqCst) {
-                self.sleeping.store(false, Ordering::SeqCst);
-                continue;
-            }
-            let g = self.doorbell.lock().unwrap();
-            if self.is_empty() && !self.closed.load(Ordering::SeqCst) {
-                let _ = self.wake.wait_timeout(g, PARK).unwrap();
-            }
-            self.sleeping.store(false, Ordering::SeqCst);
-            spins = 0;
+            self.want.store(0, Ordering::SeqCst);
         }
     }
 }
@@ -403,6 +477,186 @@ mod tests {
         let (n, v) = t.join().unwrap();
         assert_eq!((n, v), (1, 42));
         ring.close();
+    }
+
+    /// Stands in for a consumer parked in `pop_wait`, without a clock:
+    /// the calling thread registers itself and publishes `want`.
+    fn park_here(ring: &SpscRing, want: u64) {
+        ring.consumer.get_or_init(std::thread::current);
+        ring.want.store(want, Ordering::SeqCst);
+    }
+
+    /// Consumes this thread's unpark token; `false` if none was pending
+    /// (the 10 s park is the failure path, not a measurement).
+    fn took_unpark_token() -> bool {
+        let t0 = Instant::now();
+        std::thread::park_timeout(Duration::from_secs(10));
+        t0.elapsed() < Duration::from_secs(5)
+    }
+
+    #[test]
+    fn doorbell_rings_once_at_a_full_batch_and_not_below() {
+        let ring = SpscRing::new(1024);
+        park_here(&ring, 256);
+        for i in 0..255 {
+            assert_eq!(ring.push(i), Push::Pushed(1));
+        }
+        assert_eq!(
+            ring.doorbells(),
+            0,
+            "a sub-batch backlog is the timeout's job"
+        );
+        assert_eq!(ring.want.load(Ordering::SeqCst), 256);
+        assert_eq!(ring.push(255), Push::Pushed(1));
+        assert_eq!(ring.doorbells(), 1);
+        assert!(took_unpark_token());
+        // The request is spent: further pushes find no one waiting.
+        assert_eq!(ring.push_repeat(0, 300), Push::Pushed(300));
+        assert_eq!(ring.doorbells(), 1);
+    }
+
+    #[test]
+    fn racing_producers_ring_exactly_once_per_park() {
+        let ring = Arc::new(SpscRing::new(1024));
+        let mut out = [0u64; 512];
+        for round in 1..=50u64 {
+            assert_eq!(ring.push_repeat(round, 255), Push::Pushed(255));
+            park_here(&ring, 256);
+            // Each of the four completes the batch from its own point of
+            // view; only the one whose swap cleared `want` may ring.
+            let start = Arc::new(std::sync::Barrier::new(4));
+            let producers: Vec<_> = (0..4)
+                .map(|_| {
+                    let (ring, start) = (Arc::clone(&ring), Arc::clone(&start));
+                    std::thread::spawn(move || {
+                        start.wait();
+                        assert_eq!(ring.push(0), Push::Pushed(1));
+                    })
+                })
+                .collect();
+            for p in producers {
+                p.join().unwrap();
+            }
+            assert_eq!(ring.doorbells(), round, "round {round}");
+            assert!(took_unpark_token());
+            assert_eq!(ring.pop_n(&mut out), 259);
+        }
+    }
+
+    #[test]
+    fn want_clamps_to_capacity_so_a_full_small_ring_rings() {
+        let ring = SpscRing::new(4);
+        assert_eq!(ring.batch_want(256), 4);
+        assert_eq!(
+            ring.batch_want(0),
+            1,
+            "an empty buffer must not read as 'not waiting'"
+        );
+        assert_eq!(SpscRing::new(1024).batch_want(256), 256);
+        park_here(&ring, ring.batch_want(256));
+        assert_eq!(ring.push_repeat(7, 3), Push::Pushed(3));
+        assert_eq!(ring.doorbells(), 0);
+        assert_eq!(ring.push_repeat(7, 9), Push::Pushed(1));
+        assert_eq!(ring.doorbells(), 1);
+    }
+
+    #[test]
+    fn close_wakes_a_sub_batch_backlog_without_counting_a_bell() {
+        let ring = SpscRing::new(1024);
+        park_here(&ring, 256);
+        assert_eq!(ring.push_repeat(9, 10), Push::Pushed(10));
+        ring.close();
+        assert!(took_unpark_token());
+        assert_eq!(ring.doorbells(), 0);
+        let mut out = [0u64; 256];
+        assert_eq!(ring.pop_wait(&mut out), 10);
+        assert_eq!(ring.pop_wait(&mut out), 0);
+        assert_eq!(ring.pop_wait(&mut out), 0);
+    }
+
+    #[test]
+    fn stalled_producer_behind_head_neither_rings_nor_panics() {
+        // A producer pre-empted between publishing slots 0..4 and its
+        // doorbell check: by the time it looks, the consumer has popped
+        // past them (head 10) and parked again.
+        let ring = SpscRing::new(64);
+        assert_eq!(ring.push_repeat(1, 10), Push::Pushed(10));
+        let mut out = [0u64; 16];
+        assert_eq!(ring.pop_n(&mut out), 10);
+        park_here(&ring, 1);
+        ring.ring_if_batch_ready(4);
+        assert_eq!(ring.doorbells(), 0);
+        assert_eq!(ring.want.load(Ordering::SeqCst), 1, "the request stands");
+    }
+
+    /// A consumer thread popping into `BUF` slots until the ring closes;
+    /// returns every pop's wait (pop time − the popped stamp), ns.
+    fn spawn_timing_consumer<const BUF: usize>(
+        ring: &Arc<SpscRing>,
+    ) -> std::thread::JoinHandle<Vec<u64>> {
+        let ring = Arc::clone(ring);
+        std::thread::spawn(move || {
+            let mut waits = Vec::new();
+            let mut out = [0u64; BUF];
+            loop {
+                let n = ring.pop_wait(&mut out);
+                if n == 0 {
+                    return waits;
+                }
+                let now = ring.stamp_now();
+                waits.extend(out[..n].iter().map(|stamp| now.saturating_sub(*stamp)));
+            }
+        })
+    }
+
+    /// Spins until the consumer has published a `want` (it is between
+    /// that store and its park, or parked).
+    fn await_waiting_consumer(ring: &SpscRing) {
+        while ring.want.load(Ordering::SeqCst) == 0 {
+            std::hint::spin_loop();
+        }
+    }
+
+    #[test]
+    fn sub_batch_backlog_arrives_by_timeout_without_a_bell() {
+        let ring = Arc::new(SpscRing::new(1024));
+        let consumer = spawn_timing_consumer::<256>(&ring);
+        await_waiting_consumer(&ring);
+        assert_eq!(ring.push_repeat(ring.stamp_now(), 255), Push::Pushed(255));
+        while !ring.is_empty() {
+            std::hint::spin_loop();
+        }
+        assert_eq!(ring.doorbells(), 0);
+        ring.close();
+        let waits = consumer.join().unwrap();
+        assert_eq!(waits.len(), 255);
+        let bound = 20 * PARK.as_nanos() as u64;
+        let worst = waits.iter().copied().max().unwrap();
+        assert!(worst <= bound, "worst wait {worst} ns > 20 × PARK");
+    }
+
+    #[test]
+    fn pushes_aimed_at_the_park_window_do_not_lose_the_wake_up() {
+        // A one-slot consumer makes every push a full batch, and every
+        // push is fired the moment `want` appears — i.e. into the window
+        // between the consumer's `want` store and its park, where a
+        // broken handshake would leave the tuple to the timeout.
+        const PUSHES: usize = 10_000;
+        let ring = Arc::new(SpscRing::new(64));
+        let consumer = spawn_timing_consumer::<1>(&ring);
+        for _ in 0..PUSHES {
+            await_waiting_consumer(&ring);
+            assert_eq!(ring.push(ring.stamp_now()), Push::Pushed(1));
+        }
+        ring.close();
+        let waits = consumer.join().unwrap();
+        assert_eq!(waits.len(), PUSHES);
+        let bound = 2 * PARK.as_nanos() as u64 + 1_000_000;
+        let slow = waits.iter().filter(|w| **w > bound).count();
+        assert!(
+            slow * 100 <= PUSHES,
+            "{slow} of {PUSHES} pops waited > 2 × PARK + 1 ms"
+        );
     }
 
     #[test]

@@ -1574,9 +1574,11 @@ mod tests {
         std::thread::sleep(period * 40 + period / 2);
         let report = engine.shutdown();
         // The controller services at most one more boundary while it is
-        // being stopped.
+        // being stopped. What wall-clock time can promise is no *drift*;
+        // "no miss at all" is the synthetic-`Instant` grid test above — a
+        // loaded 2-vCPU host wakes this thread > T/2 late now and then.
         let nominal = (t0.elapsed().as_secs_f64() / period.as_secs_f64()) as i64;
-        assert_eq!(report.deadline_misses, 0, "{report:?}");
+        assert!(report.deadline_misses <= 2, "{report:?}");
         assert!((report.periods as i64 - nominal).abs() <= 1, "{} vs {nominal}", report.periods);
     }
 

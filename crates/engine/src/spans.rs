@@ -101,14 +101,18 @@ impl Stage {
 #[repr(align(64))]
 struct Slot {
     label: String,
+    /// Whether `sojourn` holds per-frame turnarounds (a listener thread)
+    /// rather than per-tuple sojourns (a shard worker, the sim).
+    frames: bool,
     stages: [AtomicHisto; Stage::COUNT],
     sojourn: AtomicHisto,
 }
 
 impl Slot {
-    fn new(label: &str) -> Self {
+    fn new(label: &str, frames: bool) -> Self {
         Self {
             label: label.to_string(),
+            frames,
             stages: std::array::from_fn(|_| AtomicHisto::new()),
             sojourn: AtomicHisto::new(),
         }
@@ -168,17 +172,32 @@ impl SpanRegistry {
         Self::default()
     }
 
-    /// Registers a new recorder slot under `label` (e.g. the shard id,
-    /// or `"net0"` for a listener thread) and returns its handle. The
-    /// slot lives for the registry's lifetime; a respawned worker
-    /// reuses its cloned handle rather than registering again.
+    /// Registers a new per-tuple recorder slot under `label` (e.g. the
+    /// shard id) and returns its handle. The slot lives for the
+    /// registry's lifetime; a respawned worker reuses its cloned handle
+    /// rather than registering again.
     pub fn handle(&self, label: &str) -> SpanHandle {
-        let slot = Arc::new(Slot::new(label));
+        self.register(label, false)
+    }
+
+    /// Registers a recorder slot whose "sojourn" is a per-*frame*
+    /// turnaround (e.g. `"net0"` for a listener thread). It is reported
+    /// under its label like any other slot but kept out of the snapshot's
+    /// top-level tuple sojourn, which a flood of µs-scale frame samples
+    /// would otherwise drown.
+    pub fn frame_handle(&self, label: &str) -> SpanHandle {
+        self.register(label, true)
+    }
+
+    fn register(&self, label: &str, frames: bool) -> SpanHandle {
+        let slot = Arc::new(Slot::new(label, frames));
         self.slots.lock().expect("span registry poisoned").push(Arc::clone(&slot));
         SpanHandle { slot }
     }
 
-    /// Merges every slot into a queryable [`ProfileSnapshot`].
+    /// Merges every slot into a queryable [`ProfileSnapshot`]. Stage
+    /// histograms merge across all slots; the top-level sojourn merges
+    /// per-tuple slots only.
     pub fn snapshot(&self) -> ProfileSnapshot {
         let slots = self.slots.lock().expect("span registry poisoned");
         let mut stages: [Histo; Stage::COUNT] = std::array::from_fn(|_| Histo::new());
@@ -191,7 +210,9 @@ impl SpanRegistry {
             for (agg, s) in stages.iter_mut().zip(slot_stages.iter()) {
                 agg.merge(s);
             }
-            sojourn.merge(&slot_sojourn);
+            if !slot.frames {
+                sojourn.merge(&slot_sojourn);
+            }
             match labels.iter_mut().find(|l| l.label == slot.label) {
                 Some(l) => {
                     for (agg, s) in l.stages.iter_mut().zip(slot_stages.iter()) {
@@ -239,7 +260,9 @@ pub struct LabelProfile {
 pub struct ProfileSnapshot {
     /// Stage histograms merged across all slots. Values are ns.
     pub stages: [Histo; Stage::COUNT],
-    /// Sampled end-to-end sojourn merged across all slots (ns).
+    /// Sampled end-to-end *tuple* sojourn merged across the per-tuple
+    /// slots (ns); frame slots ([`SpanRegistry::frame_handle`]) appear
+    /// under [`labels`](Self::labels) only.
     pub sojourn: Histo,
     /// Per-label breakdown (one entry per distinct slot label).
     pub labels: Vec<LabelProfile>,
@@ -461,6 +484,38 @@ mod tests {
         assert_eq!(snap.labels.len(), 2);
         let shard0 = snap.labels.iter().find(|l| l.label == "0").unwrap();
         assert_eq!(shard0.stages[Stage::Execute.index()].count(), 2);
+    }
+
+    #[test]
+    fn top_level_sojourn_ignores_frame_turnarounds() {
+        // A shard queued at the 250 ms target next to a listener whose
+        // per-frame turnarounds are µs-scale and 100× as numerous: the
+        // headline sojourn must read the tuples' delay, not "0.0 ms".
+        let reg = SpanRegistry::new();
+        let shard = reg.handle("0");
+        let net = reg.frame_handle("net0");
+        for _ in 0..50 {
+            shard.record_sojourn(250_000_000);
+        }
+        for _ in 0..5_000 {
+            net.record_sojourn(5_000);
+        }
+        let snap = reg.snapshot();
+        assert_eq!(snap.sojourn.count(), 50);
+        let p50_ms = snap.sojourn.quantile(0.5) as f64 / 1e6;
+        assert!((p50_ms - 250.0).abs() < 250.0 / 32.0, "p50 {p50_ms} ms");
+        // The listener's samples stay readable under its own label.
+        let net0 = snap.labels.iter().find(|l| l.label == "net0").unwrap();
+        assert_eq!(net0.sojourn.count(), 5_000);
+        let mut p = PromText::new("streamshed");
+        snap.render_prom(&mut p);
+        let text = p.finish();
+        let line = text
+            .lines()
+            .find(|l| l.starts_with("streamshed_profile_sojourn_seconds{quantile=\"0.5\"}"))
+            .expect("sojourn gauge");
+        let v: f64 = line.rsplit(' ').next().unwrap().parse().unwrap();
+        assert!((v - 0.25).abs() < 0.01, "{line}");
     }
 
     #[test]

@@ -481,6 +481,45 @@ mod tests {
     }
 
     #[test]
+    fn restarted_worker_is_still_rung_by_a_full_batch() {
+        // The panic supervisor restarts `worker_loop` on the worker's own
+        // thread, so the ring's registered consumer handle stays valid:
+        // a full batch pushed at the parked, restarted worker must ring
+        // it (and the same-thread debug assertion must not fire, which
+        // would show up as further panics).
+        let stats = Arc::new(WorkerStats::new());
+        let ring = Arc::new(SpscRing::new(4 * WORKER_POP_BATCH));
+        let mut c = cfg();
+        c.cost = Duration::ZERO;
+        c.panic_on_tuple = Some(3);
+        let handle = spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), c);
+        let drained = |stats: &WorkerStats| {
+            while stats.queue_len() != 0 {
+                std::thread::yield_now();
+            }
+        };
+        feed(&ring, &stats, 8);
+        drained(&stats);
+        assert_eq!(stats.worker_panics.load(Ordering::Relaxed), 1);
+        // A batch that lands in the instant the worker is between two
+        // parks finds no one waiting; the next one cannot miss it too.
+        let mut fed = 8;
+        for _ in 0..100 {
+            feed(&ring, &stats, WORKER_POP_BATCH);
+            fed += WORKER_POP_BATCH as u64;
+            drained(&stats);
+            if ring.doorbells() > 0 {
+                break;
+            }
+        }
+        assert!(ring.doorbells() > 0, "no doorbell in 100 full batches");
+        ring.close();
+        handle.join().unwrap();
+        assert_eq!(stats.worker_panics.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.completed.load(Ordering::Relaxed), fed - 1);
+    }
+
+    #[test]
     fn queue_len_saturates_when_worker_runs_ahead_of_pushed() {
         // The front door counts a push only after the ring published it,
         // so a descheduled offerer lets the worker retire tuples `pushed`

@@ -7,7 +7,8 @@
 //! accepted element is popped exactly once. The stress test races a
 //! producer against a consumer (plus a mid-flight `close()`) and asserts
 //! exact conservation: accepted == popped, with no duplicates and no
-//! reordering.
+//! reordering. A second stress aims sixteen producers at a consumer that
+//! waits for a single slot, so every push is a doorbell candidate.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -179,4 +180,62 @@ fn two_thread_stress_conserves_under_racing_close() {
         assert!(ring.is_closed());
         assert!(matches!(ring.push(1), Push::Closed), "post-close push rejected");
     }
+}
+
+/// Closes the ring when the last producer is done — also when one
+/// unwinds, so a producer-side panic fails the test instead of leaving
+/// the consumer waiting for tuples that will never come.
+struct CloseWhenLast {
+    ring: Arc<SpscRing>,
+    running: Arc<AtomicU64>,
+}
+
+impl Drop for CloseWhenLast {
+    fn drop(&mut self) {
+        if self.running.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.ring.close();
+        }
+    }
+}
+
+/// Sixteen single-tuple producers into a consumer that pops one slot at a
+/// time: its batch is 1, so every push may ring the doorbell and a
+/// producer pre-empted between publishing and its doorbell check
+/// routinely finds `head` past its own slot (a debug build panics there
+/// if the backlog subtraction does not saturate). Per-producer FIFO and
+/// exact conservation must hold.
+#[test]
+fn sixteen_producers_into_one_slot_consumer_conserve_and_keep_fifo() {
+    const PRODUCERS: u64 = 16;
+    const PER_PRODUCER: u64 = 20_000;
+    let ring = Arc::new(SpscRing::new(8));
+    let running = Arc::new(AtomicU64::new(PRODUCERS));
+    let producers: Vec<_> = (0..PRODUCERS)
+        .map(|p| {
+            let producer = CloseWhenLast {
+                ring: Arc::clone(&ring),
+                running: Arc::clone(&running),
+            };
+            std::thread::spawn(move || {
+                for i in 0..PER_PRODUCER {
+                    while producer.ring.push(p << 32 | i) != Push::Pushed(1) {
+                        std::thread::yield_now();
+                    }
+                }
+            })
+        })
+        .collect();
+
+    let mut next = [0u64; PRODUCERS as usize];
+    let mut out = [0u64; 1];
+    while ring.pop_wait(&mut out) == 1 {
+        let (p, i) = ((out[0] >> 32) as usize, out[0] & 0xffff_ffff);
+        assert_eq!(i, next[p], "producer {p}: FIFO with no gaps");
+        next[p] += 1;
+    }
+    for p in producers {
+        p.join().expect("producer panicked");
+    }
+    // Every push popped exactly once.
+    assert_eq!(next, [PER_PRODUCER; PRODUCERS as usize]);
 }

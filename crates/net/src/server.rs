@@ -329,7 +329,7 @@ impl NetServer {
             let spans = obs
                 .as_ref()
                 .and_then(|o| o.plane.as_ref())
-                .map(|p| p.spans().handle(&format!("net{i}")));
+                .map(|p| p.spans().frame_handle(&format!("net{i}")));
             let handle = std::thread::Builder::new()
                 .name(format!("streamshed-net-{i}"))
                 .spawn(move || {
