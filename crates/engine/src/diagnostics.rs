@@ -1155,7 +1155,10 @@ mod tests {
         // A dip below target every 12th period keeps the violation
         // streak under the grace budget, so only burn evidence can
         // reach `Diverging` — and it must wait for a full slow window.
-        let y_at = |k: u64| if k % 12 == 0 { 0.5 } else { 3.0 * TARGET };
+        let y_at = |k: u64| match k % 12 {
+            0 => 0.5,
+            _ => 3.0 * TARGET,
+        };
         for k in 0..40 {
             h.observe(&trace(k, y_at(k), 0.5));
         }

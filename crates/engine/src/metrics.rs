@@ -524,8 +524,7 @@ mod tests {
             assert_eq!(DelayHistogram::bucket_for(d), linear(d), "delay {d}");
             d *= 1.017;
         }
-        for k in 0..HIST_BUCKETS {
-            let u = uppers[k];
+        for &u in uppers {
             for d in [u * (1.0 - 1e-12), u, u * (1.0 + 1e-12)] {
                 assert_eq!(DelayHistogram::bucket_for(d), linear(d), "boundary {d}");
             }

@@ -27,8 +27,8 @@
 //! (a `&mut` generator cannot be shared by concurrent offerers):
 //! [`AtomicShedder`] carries its own counter-based generator — a Weyl
 //! counter through the splitmix64 finalizer (`mix64`) — chosen so that
-//! a batch of draws has no serial dependency and the batch and scalar
-//! paths replay one stream.
+//! a batch of draws has no serial dependency. It flips one coin per
+//! arrival at every α; skip sampling stays with the simulator.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -122,8 +122,8 @@ pub fn sample_skip(alpha: f64, u: f64) -> u64 {
 /// Commanded drop probabilities at or above this threshold use a plain
 /// Bernoulli coin flip per arrival; below it, geometric skip sampling.
 ///
-/// The crossover is empirical (see `shedder.per_alpha` in the bench
-/// report): skip sampling amortises one RNG draw + one `ln` per *drop*,
+/// The crossover is empirical (PR 3's per-α sweep, see CHANGES.md):
+/// skip sampling amortises one RNG draw + one `ln` per *drop*,
 /// so it wins decisively in the small-α regime (≈2.4× at α = 0.01) but
 /// loses once drops are frequent enough that the geometric gaps are
 /// short (0.86× at α = 0.05, 0.49× at α = 0.1) — the `ln` then costs
@@ -177,12 +177,6 @@ impl EntryShedder {
     }
 }
 
-/// Sentinel for [`AtomicShedder`]'s skip counter: the next decision must
-/// resample. (A genuine skip of `u64::MAX` decays into an extra
-/// resample, which the geometric distribution's memorylessness makes
-/// statistically harmless.)
-const SKIP_RESAMPLE: u64 = u64::MAX;
-
 /// Weyl increment of [`AtomicShedder`]'s counter: 2⁶⁴/φ, odd, so the
 /// counter visits every `u64` before repeating.
 const WEYL: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -207,47 +201,64 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The uniform `[0, 1)` float drawn at counter value `x`: the top 53
-/// bits of the mix, scaled.
-#[inline]
-fn draw_unit(x: u64) -> f64 {
-    (mix64(x) >> 11) as f64 / TWO_53
-}
-
-/// Integer form of the Bernoulli compare: for α ∈ (0, 1),
-/// `mix64(x) < bernoulli_threshold(α)` ⇔ `draw_unit(x) < α`. Scaling by
-/// 2⁵³ is exact; the ceiling keeps a fractional `α·2⁵³` (possible below
-/// α = ½) on the same side of every integer draw; and the threshold is
-/// shifted up by the 11 bits `draw_unit` discards instead of shifting
-/// every draw down (`d >> 11 < t` ⇔ `d < t << 11`).
+/// Integer form of the Bernoulli compare: for α ∈ (0, 1) and a draw `d`,
+/// `d < bernoulli_threshold(α)` ⇔ `(d >> 11) as f64 / 2⁵³ < α` (the
+/// draw's top 53 bits as a uniform `[0, 1)` float). Scaling by 2⁵³ is
+/// exact; the ceiling keeps a fractional `α·2⁵³` (possible below α = ½)
+/// on the same side of every integer draw; and the threshold is shifted
+/// up by the 11 bits the float form discards instead of shifting every
+/// draw down (`d >> 11 < t` ⇔ `d < t << 11`).
 #[inline]
 fn bernoulli_threshold(alpha: f64) -> u64 {
     ((alpha * TWO_53).ceil() as u64) << 11
 }
 
-/// Lock-free hybrid entry shedder for the real-time engine, shared by
-/// concurrent `offer()` callers.
+/// The decision kernel: walks the counter `len ≤ SHED_CHUNK` Weyl steps
+/// on from `x` and returns the advanced counter plus how many of the
+/// draws were at or above `threshold`; those survivors' indices are the
+/// first entries of `survivors`. Branch-free: every index is written
+/// and the write cursor advances by the decision bit.
+///
+/// Not generic and never inlined, so every caller runs one compiled
+/// copy: inlined, the loop's register allocation depends on what the
+/// caller's `keep` closure captures (two extra moves per draw in the
+/// keyed door).
+#[inline(never)]
+fn survivors_of(
+    mut x: u64,
+    threshold: u64,
+    len: usize,
+    survivors: &mut [u16; SHED_CHUNK],
+) -> (u64, usize) {
+    let mut kept = 0usize;
+    for j in 0..len {
+        x = x.wrapping_add(WEYL);
+        // `kept ≤ j < SHED_CHUNK`, so the `%` never wraps: it only
+        // shows the compiler the index is in bounds.
+        survivors[kept % SHED_CHUNK] = j as u16;
+        kept += usize::from(mix64(x) >= threshold);
+    }
+    (x, kept)
+}
+
+/// Lock-free entry shedder for the real-time engine, shared by
+/// concurrent offerers: one Bernoulli(α) coin per arrival.
 ///
 /// Randomness is **counter-based** (splitmix64): the state is a Weyl
 /// counter and draw `i` after counter value `x` is
 /// `mix64(x + i·WEYL)` — a function of the counter alone, not of draw
 /// `i − 1`. Consecutive draws of a batch pass are therefore linked only
 /// by a one-cycle add (the CPU pipelines the mixes of a whole batch);
-/// the pass loads the counter once and stores `x + n·WEYL` back once.
-/// The scalar path walks the same counter one step at a time, so both
-/// make the identical decision sequence from identical state.
+/// the pass loads the counter once and stores `x + n·WEYL` back once,
+/// so splitting a stream into batches of any sizes makes the identical
+/// decision sequence.
 ///
-/// For α ≥ [`BERNOULLI_ALPHA_MIN`] each arrival compares one draw with
-/// an integer threshold; below it, arrivals decrement a shared geometric
-/// skip counter and only a drop (or an α change, via
-/// [`AtomicShedder::reset_skip`]) pays for a draw + `ln`. Both states
-/// use relaxed load/store — concurrent offerers can double-consume a
-/// skip or reuse a stretch of the counter, which perturbs the realised
-/// drop rate far less than scheduling jitter already does.
+/// The counter uses relaxed load/store — concurrent offerers can reuse
+/// a stretch of it, which perturbs the realised drop rate far less than
+/// scheduling jitter already does.
 #[derive(Debug)]
 pub struct AtomicShedder {
     counter: AtomicU64,
-    skip_left: AtomicU64,
 }
 
 impl AtomicShedder {
@@ -258,61 +269,14 @@ impl AtomicShedder {
     pub fn new(seed: u64) -> Self {
         Self {
             counter: AtomicU64::new(mix64(seed)),
-            skip_left: AtomicU64::new(SKIP_RESAMPLE),
         }
-    }
-
-    /// Invalidates the sampled skip. Call whenever the commanded α
-    /// changes: a sampled gap is only valid under the α it was drawn
-    /// for.
-    pub fn reset_skip(&self) {
-        self.skip_left.store(SKIP_RESAMPLE, Ordering::Relaxed);
-    }
-
-    /// Decides the fate of one arrival under drop probability `alpha`:
-    /// `true` means drop it.
-    #[inline]
-    pub fn should_drop(&self, alpha: f64) -> bool {
-        if alpha <= 0.0 {
-            return false;
-        }
-        if alpha >= 1.0 {
-            return true;
-        }
-        if alpha >= BERNOULLI_ALPHA_MIN {
-            return mix64(self.step()) < bernoulli_threshold(alpha);
-        }
-        let s = self.skip_left.load(Ordering::Relaxed);
-        let current = if s == SKIP_RESAMPLE {
-            sample_skip(alpha, draw_unit(self.step()))
-        } else {
-            s
-        };
-        if current == 0 {
-            let next = sample_skip(alpha, draw_unit(self.step()));
-            self.skip_left.store(next, Ordering::Relaxed);
-            true
-        } else {
-            self.skip_left.store(current - 1, Ordering::Relaxed);
-            false
-        }
-    }
-
-    /// Advances the counter one Weyl step and returns its new value.
-    #[inline]
-    fn step(&self) -> u64 {
-        let x = self.counter.load(Ordering::Relaxed).wrapping_add(WEYL);
-        self.counter.store(x, Ordering::Relaxed);
-        x
     }
 
     /// Decides the fate of a batch of `n` arrivals under drop
     /// probability `alpha` in **one pass**, returning the number to
-    /// drop. The counter is loaded once and stored back once; on the
-    /// Bernoulli branch the `n` draws are mutually independent and the
-    /// threshold is computed once. On the geometric branch the loop runs
-    /// once per *drop* (the sampled skip counter is carried across the
-    /// whole batch), so an α = 0.01 batch of 1024 costs ~10 draws.
+    /// drop. The counter is loaded once and stored back once, the `n`
+    /// draws are mutually independent and the threshold is computed
+    /// once.
     ///
     /// Positions of the drops within the batch are not reported: at the
     /// front door a batch is a run of identical anonymous tuples, so
@@ -327,76 +291,36 @@ impl AtomicShedder {
     /// grouping). Calls `keep(i)` for every admitted index `i < n`, in
     /// order; returns the number dropped.
     ///
-    /// The Bernoulli pass is branch-free: every index is written to a
-    /// stack buffer and the write cursor advances by the decision bit,
-    /// so `keep` then runs over the survivor list alone instead of
+    /// `keep` runs over each chunk's survivor list alone instead of
     /// behind an unpredictable per-arrival branch.
     pub fn shed_batch_each(&self, alpha: f64, n: u64, mut keep: impl FnMut(usize)) -> u64 {
-        if n == 0 {
-            return 0;
-        }
         if alpha <= 0.0 {
             for i in 0..n {
                 keep(i as usize);
             }
             return 0;
         }
-        if alpha >= 1.0 {
+        // NaN fails closed: a corrupt command sheds rather than floods.
+        if alpha >= 1.0 || alpha.is_nan() {
             return n;
         }
+        let threshold = bernoulli_threshold(alpha);
         let mut x = self.counter.load(Ordering::Relaxed);
-        let drops = if alpha >= BERNOULLI_ALPHA_MIN {
-            let threshold = bernoulli_threshold(alpha);
-            let mut survivors = [0u16; SHED_CHUNK];
-            let mut kept_total = 0u64;
-            let mut base = 0u64;
-            while base < n {
-                let len = (n - base).min(SHED_CHUNK as u64) as usize;
-                let mut kept = 0usize;
-                for j in 0..len {
-                    x = x.wrapping_add(WEYL);
-                    // `kept ≤ j < SHED_CHUNK`, so the `%` never wraps: it
-                    // only shows the compiler the index is in bounds.
-                    survivors[kept % SHED_CHUNK] = j as u16;
-                    kept += usize::from(mix64(x) >= threshold);
-                }
-                for &j in &survivors[..kept] {
-                    keep(base as usize + j as usize);
-                }
-                kept_total += kept as u64;
-                base += len as u64;
+        let mut survivors = [0u16; SHED_CHUNK];
+        let mut kept_total = 0u64;
+        let mut base = 0u64;
+        while base < n {
+            let len = (n - base).min(SHED_CHUNK as u64) as usize;
+            let kept;
+            (x, kept) = survivors_of(x, threshold, len, &mut survivors);
+            for &j in &survivors[..kept] {
+                keep(base as usize + j as usize);
             }
-            n - kept_total
-        } else {
-            // Geometric branch: carry the shared skip counter across the
-            // batch — one draw + one `ln` per drop, not per arrival.
-            let mut next_skip = || {
-                x = x.wrapping_add(WEYL);
-                sample_skip(alpha, draw_unit(x))
-            };
-            let s = self.skip_left.load(Ordering::Relaxed);
-            let mut left = if s == SKIP_RESAMPLE { next_skip() } else { s };
-            let mut drops = 0;
-            let mut i = 0u64;
-            while i < n {
-                if left == 0 {
-                    drops += 1;
-                    left = next_skip();
-                    i += 1;
-                } else {
-                    let admit = left.min(n - i);
-                    for k in 0..admit {
-                        keep((i + k) as usize);
-                    }
-                    left -= admit;
-                    i += admit;
-                }
-            }
-            self.skip_left.store(left, Ordering::Relaxed);
-            drops
-        };
+            kept_total += kept as u64;
+            base += len as u64;
+        }
         self.counter.store(x, Ordering::Relaxed);
-        drops
+        n - kept_total
     }
 }
 
@@ -494,14 +418,13 @@ mod tests {
     }
 
     #[test]
-    fn atomic_shedder_rate_matches_alpha_on_both_branches() {
-        for &alpha in &[0.0, 0.005, 0.01, 0.05, 0.5, 1.0] {
-            let shedder = AtomicShedder::new(99);
-            let n = 200_000;
-            let drops = (0..n).filter(|_| shedder.should_drop(alpha)).count();
-            let rate = drops as f64 / n as f64;
+    fn atomic_shedder_rate_matches_alpha() {
+        // One kernel for every α: rare-drop rates get no looser a bound.
+        for &alpha in &[0.0, 0.001, 0.005, 0.01, 0.02, 0.05, 0.5, 0.9, 1.0] {
+            let n = 1_000_000;
+            let rate = AtomicShedder::new(99).shed_batch(alpha, n) as f64 / n as f64;
             assert!(
-                (rate - alpha).abs() < 0.01,
+                (rate - alpha).abs() < 0.001,
                 "alpha {alpha}: observed {rate}"
             );
         }
@@ -525,28 +448,10 @@ mod tests {
     }
 
     #[test]
-    fn shed_batch_matches_scalar_decisions_exactly() {
-        // From identical state, one batch pass must reproduce the exact
-        // admit/drop sequence of n scalar calls, position by position —
-        // the batch path is an amortisation, not a different random
-        // process. Covers the geometric and the Bernoulli branch.
-        for &alpha in &[0.005, 0.01, BERNOULLI_ALPHA_MIN, 0.05, 0.3, 0.9] {
-            let scalar = AtomicShedder::new(7);
-            let batch = AtomicShedder::new(7);
-            let n = 10_000;
-            let expected: Vec<bool> = (0..n).map(|_| scalar.should_drop(alpha)).collect();
-            assert_eq!(batch_decisions(&batch, alpha, n, &[n]), expected, "alpha {alpha}");
-            // Both walked the counter equally far: they stay in step.
-            assert_eq!(batch.should_drop(alpha), scalar.should_drop(alpha));
-        }
-    }
-
-    #[test]
     fn shed_batch_carries_state_across_batches() {
         // Splitting a stream into arbitrary batch sizes — including ones
         // that straddle the survivor buffer and the door's 1024-tuple
-        // chunk — must not change a single decision vs one big batch, on
-        // either branch.
+        // chunk — must not change a single decision vs one big batch.
         let sizes = [
             1,
             16,
@@ -560,7 +465,7 @@ mod tests {
             1025,
             4 * SHED_CHUNK + 7,
         ];
-        for &alpha in &[0.01, 0.02, 0.5, 0.9] {
+        for &alpha in &[0.001, 0.01, 0.02, 0.5, 0.9] {
             let whole = AtomicShedder::new(11);
             let split = AtomicShedder::new(11);
             let n = 100_000;
@@ -586,7 +491,7 @@ mod tests {
         // one shows up as a biased rate, non-geometric gaps between
         // keeps, or serial correlation of the decision bit.
         let n = 1_000_000usize;
-        for &alpha in &[0.02, 0.1, 0.5, 0.9, 0.98] {
+        for &alpha in &[0.005, 0.02, 0.1, 0.5, 0.9, 0.98] {
             let drops = batch_decisions(&AtomicShedder::new(2024), alpha, n, &[1024]);
 
             // Rate within 5σ.
@@ -644,29 +549,24 @@ mod tests {
     #[test]
     fn integer_threshold_agrees_with_the_float_compare() {
         // m < threshold(α) must decide exactly as (m >> 11) / 2⁵³ < α
-        // did, for mix outputs on both sides of the boundary.
-        for &alpha in &[BERNOULLI_ALPHA_MIN, 0.1, 1.0 / 3.0, 0.5, 0.9, 1.0 - 2f64.powi(-53)] {
+        // did, for mix outputs on both sides of the boundary — also at
+        // the small α where `α·2⁵³` has a fractional part to round.
+        let almost_one = 1.0 - 2f64.powi(-53);
+        for &alpha in &[0.001, 0.005, 0.01, 0.02, 0.1, 1.0 / 3.0, 0.5, 0.9, almost_one] {
             let t = bernoulli_threshold(alpha);
             for m in [0, 1, t - (1 << 11), t - 1, t, t + ((1 << 11) - 1), u64::MAX] {
                 let unit = (m >> 11) as f64 / TWO_53;
                 assert_eq!(m < t, unit < alpha, "alpha {alpha} mix output {m:#x}");
             }
         }
-        // α = BERNOULLI_ALPHA_MIN is a Bernoulli decision at that rate;
         // α = 1 − 2⁻⁵³ spares only the single largest draw.
         let s = AtomicShedder::new(5);
-        let rate = s.shed_batch(BERNOULLI_ALPHA_MIN, 1_000_000) as f64 / 1e6;
-        assert!((rate - BERNOULLI_ALPHA_MIN).abs() < 0.001, "{rate}");
-        assert_eq!(s.shed_batch(1.0 - 2f64.powi(-53), 100_000), 100_000);
+        assert_eq!(s.shed_batch(almost_one, 100_000), 100_000);
         // Out-of-range α never reaches the threshold: negative sheds
-        // nothing, > 1 sheds everything, and NaN (which fails every
-        // range test) falls through to a zero-length skip on both paths.
+        // nothing, > 1 and NaN shed everything.
         assert_eq!(s.shed_batch(-0.5, 1_000), 0);
-        assert!(!s.should_drop(-0.5));
         assert_eq!(s.shed_batch(1.5, 1_000), 1_000);
-        assert!(s.should_drop(1.5));
         assert_eq!(s.shed_batch(f64::NAN, 1_000), 1_000);
-        assert!(s.should_drop(f64::NAN));
     }
 
     #[test]
@@ -700,21 +600,5 @@ mod tests {
         let mut kept = Vec::new();
         s.shed_batch_each(0.0, 4, |i| kept.push(i));
         assert_eq!(kept, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn atomic_shedder_reset_skip_is_safe_mid_stream() {
-        let shedder = AtomicShedder::new(3);
-        let mut drops = 0;
-        for i in 0..100_000 {
-            if i % 1000 == 0 {
-                shedder.reset_skip();
-            }
-            if shedder.should_drop(0.01) {
-                drops += 1;
-            }
-        }
-        let rate = drops as f64 / 100_000.0;
-        assert!((rate - 0.01).abs() < 0.005, "observed {rate}");
     }
 }

@@ -11,7 +11,7 @@
 //! [`worker`](crate::worker)), a local measured-cost EWMA (its cost
 //! model), and local drop counters. A shared [`ShardedEngine::offer`]
 //! front door dispatches tuples round-robin or by key hash through one
-//! hybrid entry shedder ([`AtomicShedder`]), so admission control is one
+//! entry shedder ([`AtomicShedder`]), so admission control is one
 //! decision regardless of shard count.
 //!
 //! The pipeline is hardened against the faults a real deployment sees:
@@ -27,11 +27,10 @@
 //! **Batch-first ingress.** [`ShardedEngine::offer_batch`] (and its
 //! keyed sibling [`ShardedEngine::offer_batch_keyed`]) admit up to 1024
 //! tuples per internal chunk with one entry-shedder pass (the shedder's
-//! counter is loaded once per chunk, its draws are mutually independent,
-//! and the geometric skip counter is carried across it), one timestamp,
-//! one routing resolution, and one ring reservation per target shard. The
-//! per-tuple `offer()` path remains and shares the same counters, so
-//! mixing the two is safe.
+//! counter is loaded once per chunk and its draws are mutually
+//! independent), one timestamp, one routing resolution, and one ring
+//! reservation per target shard. The per-tuple [`ShardedEngine::offer`]
+//! is a batch of one through the same door.
 //!
 //! **One controller suffices.** Per the paper's §4.2, the plant
 //! `G(z) = cT/(H(z−1))` models the *aggregate* system: the path
@@ -625,11 +624,8 @@ impl ShardedEngine {
                     global.periods.fetch_add(1, Ordering::Relaxed);
 
                     // Actuate: one α broadcast to the shared front door…
-                    let new_bits = decision.entry_drop_prob.clamp(0.0, 1.0).to_bits();
-                    let old_bits = global.alpha_bits.swap(new_bits, Ordering::Relaxed);
-                    if old_bits != new_bits {
-                        global.shedder.reset_skip();
-                    }
+                    let alpha = decision.entry_drop_prob.clamp(0.0, 1.0);
+                    global.alpha_bits.store(alpha.to_bits(), Ordering::Relaxed);
                     // …and the in-queue shed load divided among shards in
                     // proportion to their queues, each share converted to
                     // tuples through that shard's own measured cost.
@@ -678,60 +674,25 @@ impl ShardedEngine {
         }
     }
 
-    /// Offers one tuple through the configured [`Dispatch`] policy.
-    /// Returns `false` if the entry shedder dropped it, the target
-    /// shard's queue was full, or the engine is closed.
+    /// Offers one tuple through the configured [`Dispatch`] policy: a
+    /// batch of one. Returns `false` if the entry shedder dropped it,
+    /// the target shard's queue was full, or the engine is closed.
     pub fn offer(&self) -> bool {
-        let seq = self.global.rr_next.fetch_add(1, Ordering::Relaxed);
-        let idx = match self.cfg.dispatch {
-            Dispatch::RoundRobin => rr_to_shard(seq, self.cfg.shards),
-            Dispatch::KeyHash => key_to_shard(seq, self.cfg.shards),
-        };
-        self.offer_to(idx)
+        self.offer_batch(1).dispatched == 1
     }
 
     /// Offers one tuple routed by `key` (equal keys always reach the
     /// same shard), regardless of the configured dispatch policy.
     pub fn offer_keyed(&self, key: u64) -> bool {
-        self.offer_to(key_to_shard(key, self.cfg.shards))
-    }
-
-    fn offer_to(&self, idx: usize) -> bool {
-        self.global.offered.fetch_add(1, Ordering::Relaxed);
-        let alpha = self.global.alpha();
-        if alpha > 0.0 && self.global.shedder.should_drop(alpha) {
-            self.global.dropped_entry.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        let shard = &self.shards[idx];
-        let mut stamp = shard.ring.stamp_now();
-        if crate::spans::sample_crossings(&self.global.sample_acc, self.cfg.sample_every, 1) > 0 {
-            stamp |= crate::spans::SAMPLE_BIT;
-        }
-        match shard.ring.push(stamp) {
-            Push::Pushed(1) => {
-                shard.stats.pushed.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Push::Pushed(_) => {
-                self.global.rejected_capacity.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-            Push::Closed => {
-                self.global.rejected_closed.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-        }
+        self.offer_batch_keyed_with(1, |_| key).dispatched == 1
     }
 
     /// Offers `n` anonymous tuples in one batched admission. Internally
     /// chunked at [`OFFER_BATCH_MAX`]; each chunk costs one entry-shedder
-    /// pass (the hybrid state is register-local for the whole chunk and
-    /// the geometric skip counter carries across it), one timestamp, and
-    /// one ring reservation per target shard. Statistically the α
-    /// semantics are identical to `n` calls of [`offer`](Self::offer):
-    /// the batch pass replays the exact per-arrival decision sequence
-    /// the scalar path would have made from the same shedder state.
+    /// pass (the counter is register-local for the whole chunk), one
+    /// timestamp, and one ring reservation per target shard. The α
+    /// decisions are identical to `n` calls of [`offer`](Self::offer)
+    /// from the same shedder state.
     pub fn offer_batch(&self, n: usize) -> BatchResult {
         let shards = self.cfg.shards;
         with_shard_counts(shards, |counts| {
@@ -1499,9 +1460,8 @@ mod tests {
     }
 
     #[test]
-    fn small_alpha_shedding_uses_skip_branch() {
-        // α = 0.01 sits below BERNOULLI_ALPHA_MIN, so this exercises the
-        // shared skip counter under the same public surface.
+    fn small_alpha_sheds_at_its_rate_through_offer() {
+        // α = 0.01: rare drops, one coin per scalar offer.
         let cfg = ShardConfig {
             cost: Duration::from_micros(10),
             period: Duration::from_millis(10),
@@ -1519,6 +1479,41 @@ mod tests {
         // rejections live in their own bucket).
         let ratio = report.dropped_entry as f64 / report.offered as f64;
         assert!(ratio > 0.003 && ratio < 0.03, "ratio {ratio}");
+        assert!(report.counters_balance(), "{report:?}");
+    }
+
+    #[test]
+    fn scalar_doors_reject_into_the_batch_doors_buckets() {
+        let cfg = ShardConfig {
+            cost: Duration::from_millis(100),
+            queue_capacity: 2,
+            ..quick_cfg(1)
+        };
+        let engine = ShardedEngine::spawn(cfg, NoShedding);
+        // Fill the ring behind a busy worker: more dispatched than the
+        // ring holds means the worker has popped and is now sleeping
+        // through a tuple, and a refused batch means the ring refilled.
+        let mut fill = BatchResult::default();
+        loop {
+            let res = engine.offer_batch(2);
+            fill.merge(&res);
+            if fill.dispatched > 2 && res.dispatched == 0 {
+                break;
+            }
+        }
+        assert!(!engine.offer());
+        assert!(!engine.offer_keyed(7));
+        assert_eq!(engine.offer_batch(1).rejected_capacity, 1);
+        assert_eq!(engine.offer_batch_keyed(&[7]).rejected_capacity, 1);
+        engine.close();
+        assert!(!engine.offer());
+        assert!(!engine.offer_keyed(7));
+        assert_eq!(engine.offer_batch(1).rejected_closed, 1);
+        assert_eq!(engine.offer_batch_keyed(&[7]).rejected_closed, 1);
+        let report = engine.shutdown();
+        assert_eq!(report.offered, fill.offered + 8);
+        assert_eq!(report.rejected_at_capacity, fill.rejected_capacity + 4);
+        assert_eq!(report.rejected_closed, 4);
         assert!(report.counters_balance(), "{report:?}");
     }
 

@@ -147,7 +147,7 @@ fn two_thread_stress_conserves_under_racing_close() {
                         ring.close();
                         return;
                     }
-                    if next % 1024 == 0 {
+                    if next & 1023 == 0 {
                         std::thread::yield_now();
                     }
                 }

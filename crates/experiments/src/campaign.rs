@@ -1232,10 +1232,9 @@ mod tests {
             // Unbind the delay series: push the tail at or past the
             // bound (including the NaN pathology — NaN must fail, not
             // slip through a `<` comparison).
-            stats.tail_delay_s = if s % 7 == 0 {
-                f64::NAN
-            } else {
-                TAIL_BOUND_S + (s % 1000) as f64 / 10.0
+            stats.tail_delay_s = match s % 7 {
+                0 => f64::NAN,
+                _ => TAIL_BOUND_S + (s % 1000) as f64 / 10.0,
             };
             let verdict = check_bounded_delay(&[balanced_stats(false), stats], TAIL_BOUND_S);
             assert!(!verdict.passed, "unbounded tail survived: {verdict:?}");

@@ -31,8 +31,8 @@ fn serial() -> MutexGuard<'static, ()> {
 /// Whether the host can honestly run a multi-threaded wall-clock
 /// engine to a timing bound. Below this the worker threads time-slice
 /// one core and the delay trajectory measures the host scheduler, not
-/// the controller — the same reason `bench --check` reports its
-/// 4-shard scaling gate as skipped on small hosts. Returns `false`
+/// the controller — the same reason the engine's 4-shard scaling gate
+/// prints `unmeasured` on small hosts. Returns `false`
 /// (and prints why) on such hosts so the test body is skipped.
 fn host_can_time(test: &str, need: usize) -> bool {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
