@@ -266,12 +266,21 @@ fn main() {
         (fig, start.elapsed())
     });
 
+    let mut gates_failed = false;
     for (name, (fig, elapsed)) in wanted.iter().zip(figs) {
         println!("{}", fig.render());
         println!("  [{name} regenerated in {elapsed:.1?}]\n");
         if let Err(e) = fig.write_into(&out_dir) {
             eprintln!("failed to write {name} into {}: {e}", out_dir.display());
         }
+        // A summary row named `*_gate_ok` is a hard gate: 0 fails the run.
+        for (key, _) in fig.summary.iter().filter(|(k, v)| k.ends_with("_gate_ok") && *v == 0.0) {
+            eprintln!("{name}: gate {key} FAILED");
+            gates_failed = true;
+        }
     }
     println!("results written to {}", out_dir.display());
+    if gates_failed {
+        std::process::exit(1);
+    }
 }

@@ -20,7 +20,9 @@
 //! 4. **Connection capacity** — a separate idle fleet holds thousands
 //!    of concurrent connections (sized to the process fd budget; the
 //!    cross-process 10k+ demonstration lives in the CI `net-smoke`
-//!    lane and README).
+//!    lane and README), and two active connections served beside it
+//!    cost the listener at most 3× the CPU per frame they cost alone —
+//!    the one hard gate of the scenario (`reproduce net` exits 1).
 //!
 //! Wall-clock and therefore not byte-deterministic; excluded from
 //! `reproduce all` like `sharded` and `monitor`.
@@ -209,10 +211,49 @@ pub fn run_overload(seed: u64) -> NetRun {
     }
 }
 
+/// On-CPU time so far, ns, of this process's live listener threads
+/// (`streamshed-net-N`; the kernel truncates names to 15 bytes). Read
+/// from `/proc/self/task/*/schedstat` rather than `stat`: two seconds of
+/// a listener that is mostly asleep is a handful of `stat`'s 10 ms
+/// ticks. 0 where `/proc` has no such file.
+fn listener_cpu_ns() -> u64 {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return 0;
+    };
+    tasks
+        .flatten()
+        .filter(|t| {
+            std::fs::read_to_string(t.path().join("comm"))
+                .is_ok_and(|c| c.starts_with("streamshed-net"))
+        })
+        .filter_map(|t| {
+            let stat = std::fs::read_to_string(t.path().join("schedstat")).ok()?;
+            stat.split_whitespace().next()?.parse::<u64>().ok()
+        })
+        .sum()
+}
+
+/// Listener cost of the active pair may grow at most this much when an
+/// idle fleet is held beside it (a `poll(2)` loop over 2 000: 29×).
+const IDLE_FLEET_MAX_RATIO: f64 = 3.0;
+
+/// Outcome of the connection-hold phase.
+struct HoldRun {
+    /// Idle connections concurrently established.
+    held: usize,
+    /// ... out of this many asked for (fd-budget-clamped).
+    held_target: usize,
+    /// Listener CPU per frame of two active connections, µs: with no
+    /// other connection open, and beside the held idle fleet.
+    us_per_frame: [f64; 2],
+}
+
 /// Holds an idle fleet of `target` connections (clamped to the process
-/// fd budget) against a fresh listener and returns how many were
-/// concurrently established.
-pub fn run_hold(seed: u64, target: usize) -> (usize, usize) {
+/// fd budget) against a fresh listener, and drives two active keyed
+/// connections for 2 s first without and then beside it: the listener's
+/// work per wake must follow the sockets that are ready, not the
+/// sockets that are open.
+fn run_hold(seed: u64, target: usize) -> HoldRun {
     // Client and server sockets share this process's fd table: 2 fds
     // per connection plus slack for the engine and listener.
     let budget = (sys::nofile_limit().unwrap_or(1024) as usize).saturating_sub(256) / 2;
@@ -233,25 +274,59 @@ pub fn run_hold(seed: u64, target: usize) -> (usize, usize) {
         None,
     )
     .expect("hold listener binds");
-    let report = loadgen::run(&LoadgenConfig {
-        addr: server.addr(),
-        connections: held_target,
-        rate: 0.0, // hold only: connect, stay silent, disconnect at the end
-        secs: 2.0,
-        seed,
-        ..LoadgenConfig::default()
-    })
-    .expect("hold fleet runs");
+    let stats = server.stats();
+    let frames = || stats.frames_received.load(std::sync::atomic::Ordering::Relaxed);
+    let drive_active = || {
+        let (cpu0, frames0) = (listener_cpu_ns(), frames());
+        loadgen::run(&LoadgenConfig {
+            addr: server.addr(),
+            connections: 2,
+            rate: 2e6,
+            batch: 256,
+            secs: 2.0,
+            seed,
+            keyed: true,
+            ..LoadgenConfig::default()
+        })
+        .expect("active pair runs");
+        (listener_cpu_ns() - cpu0) as f64 / 1e3 / (frames() - frames0) as f64
+    };
+    let alone = drive_active();
+    let (beside, report) = std::thread::scope(|s| {
+        let hold = s.spawn(|| {
+            loadgen::run(&LoadgenConfig {
+                addr: server.addr(),
+                connections: held_target,
+                rate: 0.0, // hold only: connect, stay silent, disconnect at the end
+                secs: 5.0,
+                seed,
+                ..LoadgenConfig::default()
+            })
+            .expect("hold fleet runs")
+        });
+        let open = || stats.connections_open.load(std::sync::atomic::Ordering::Relaxed) as usize;
+        while open() < held_target && !hold.is_finished() {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        (drive_active(), hold.join().expect("hold fleet thread"))
+    });
     server.shutdown();
     drop(engine);
-    (report.connections_established, held_target)
+    HoldRun {
+        held: report.connections_established,
+        held_target,
+        us_per_frame: [alone, beside],
+    }
 }
 
 /// Regenerates the network-plane scenario. The CLI `--seed` seeds the
 /// entry shedder and every per-connection arrival schedule.
 pub fn run(seed: u64) -> FigureResult {
     let overload = run_overload(seed);
-    let (held, held_target) = run_hold(seed, 2000);
+    let HoldRun { held, held_target, us_per_frame: [alone_us, beside_us] } = run_hold(seed, 2000);
+    let fleet_ratio = beside_us / alone_us;
+    // NaN (no `/proc`, no frames) is unmeasured, and that is not a pass.
+    let fleet_gate = fleet_ratio <= IDLE_FLEET_MAX_RATIO;
 
     let series = vec![Series::new(
         format!("{FLEET}-conn fleet @ {OVERLOAD}x overload"),
@@ -272,6 +347,13 @@ pub fn run(seed: u64) -> FigureResult {
         ("shed_ratio_cv".to_string(), overload.shed_ratio_cv),
         ("connections_held".to_string(), held as f64),
         ("connections_held_target".to_string(), held_target as f64),
+        ("listener_us_per_frame_alone".to_string(), alone_us),
+        ("listener_us_per_frame_beside_idle_fleet".to_string(), beside_us),
+        ("idle_fleet_max_ratio".to_string(), IDLE_FLEET_MAX_RATIO),
+        (
+            "idle_fleet_gate_ok".to_string(),
+            if fleet_gate { 1.0 } else { 0.0 },
+        ),
         (
             "server_turnaround_p99_ms".to_string(),
             overload.server_turnaround_p99_ms,
@@ -310,6 +392,12 @@ pub fn run(seed: u64) -> FigureResult {
             "idle fleet held {held}/{held_target} concurrent connections in-process \
              (fd-budget-clamped; the 10k+ cross-process demonstration is the CI \
              net-smoke lane / README quickstart)"
+        ),
+        format!(
+            "O(ready) listener: two active keyed connections cost {alone_us:.2} us/frame of \
+             listener CPU alone and {beside_us:.2} us/frame beside the {held} idle ones \
+             ({fleet_ratio:.1}x) — {} the {IDLE_FLEET_MAX_RATIO:.0}x gate",
+            if fleet_gate { "within" } else { "OUTSIDE" },
         ),
         format!(
             "latency truth cross-check: server p99 frame turnaround {:.2} ms \

@@ -91,6 +91,10 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
+    if args.cost_us == 0 {
+        // The controller's cost prior: the plant model divides by it.
+        return Err("--cost-us must be at least 1".into());
+    }
     Ok(args)
 }
 

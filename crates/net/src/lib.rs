@@ -6,16 +6,18 @@
 //! * [`wire`] — the compact length-prefixed binary protocol: tuple
 //!   batches with optional keys, one backpressure reply per frame
 //!   carrying the four-bucket admission ledger across the wire.
-//! * [`server`] — thread-per-core `poll(2)` listeners ([`NetServer`]):
-//!   binary ingest and HTTP/1.1 (POST `/ingest` + passthrough to the
-//!   obs-plane endpoints) on one port, per-connection bounded buffers,
-//!   explicit backpressure, idle timeouts, graceful drain.
+//! * [`server`] — thread-per-core listeners ([`NetServer`]) over a
+//!   registered readiness set (`epoll(7)` on Linux; a wake costs what is
+//!   ready, not what is open): binary ingest and HTTP/1.1 (POST
+//!   `/ingest` + passthrough to the obs-plane endpoints) on one port,
+//!   per-connection bounded buffers, explicit backpressure, idle
+//!   timeouts, graceful drain.
 //! * [`loadgen`] — a seeded open/closed-loop client fleet
 //!   ([`loadgen::run`]) reporting connections held, tuples/sec, and
 //!   shedding fairness, with the cross-boundary conservation law
 //!   checked from per-frame replies.
-//! * [`sys`] — the crate's single audited unsafe module: `poll(2)`,
-//!   SIGTERM flags, `getrlimit`.
+//! * [`sys`] — the crate's single audited unsafe module: the readiness
+//!   set, `poll(2)`, SIGTERM flags, `getrlimit`.
 //!
 //! The design invariant inherited from the paper's control argument
 //! (and the trustworthy-overload line of work): admission decisions are

@@ -2,11 +2,30 @@
 //! engine's batched admission path.
 //!
 //! Each worker thread owns a nonblocking clone of one shared listener
-//! and runs a `poll(2)` event loop over its accepted connections. A
-//! connection speaks either the binary protocol ([`crate::wire`]) or
-//! HTTP/1.1 — sniffed from its first byte, which no HTTP method shares
-//! with the frame magic — so one port serves ingest *and* the
+//! and a level-triggered [`ReadySet`] (`epoll(7)` on Linux) in which the
+//! listener and every connection the worker accepted are registered
+//! once. A connection speaks either the binary protocol ([`crate::wire`])
+//! or HTTP/1.1 — sniffed from its first byte, which no HTTP method
+//! shares with the frame magic — so one port serves ingest *and* the
 //! observability endpoints.
+//!
+//! ## A wake costs what is ready, and allocates nothing
+//!
+//! Connections live in a slab whose index is their readiness token. One
+//! wait returns the ready tokens; only those are serviced, so thousands
+//! of idle connections held beside two busy ones cost the busy ones
+//! nothing. A connection's interest (`IN` unless closing or above
+//! `max_write_buf`, `OUT` only while bytes are unsent) reaches the
+//! kernel only when it changes, and one clock read per wake stamps
+//! activity. The drain flag and the idle sweep ride the set's 100 ms
+//! tick (a registered periodic timer), so a wait carries no timeout to
+//! arm and cancel and no wake pays for the sweep.
+//! Bytes are handled where they land: a read that starts on a frame
+//! boundary is decoded straight from the worker's scratch buffer and
+//! only an incomplete tail is copied into the connection's carry buffer;
+//! replies are encoded into one flat per-connection buffer that the
+//! flush writes from. The binary path creates no `Vec` or `String` per
+//! read or per frame.
 //!
 //! ## The admission path is the whole point
 //!
@@ -21,17 +40,18 @@
 //! ## Backpressure state machine (per connection)
 //!
 //! ```text
-//!           reply fits            wbuf > max_write_buf
+//!           reply fits           unsent > max_write_buf
 //!   OPEN ───────────────▶ OPEN ─────────────────────▶ PAUSED
-//!    ▲   frame decoded,           (stop reading;        │
-//!    │   engine ledger            peer's TCP window     │ wbuf flushed
-//!    │   echoed per frame          eventually fills)    ▼
+//!    ▲   frame decoded,           (stop reading and     │
+//!    │   engine ledger            decoding; peer's TCP  │ flush brings
+//!    │   echoed per frame         window fills)         ▼ unsent under
 //!    └───────────────────────────────────────────── OPEN
+//!        frames held back in the carry buffer are decoded first
 //!
 //!   OPEN/PAUSED ── wire error ──▶ CLOSING (error reply, flush, close)
 //!   OPEN/PAUSED ── idle_timeout ─▶ CLOSED
-//!   drain: listener closed; every conn flushes its replies and closes;
-//!   workers join when conns are gone or drain_timeout ends.
+//!   drain: listener unregistered; every conn flushes its replies and
+//!   closes; workers join when conns are gone or drain_timeout ends.
 //! ```
 //!
 //! Capacity refusals are *explicit*, mirroring the in-process four-bucket
@@ -40,9 +60,8 @@
 //! rejected-closed, and a fleet above `max_conns` sees connections
 //! closed at accept, not silent SYN drops.
 
-use crate::sys::{self, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
+use crate::sys::{ReadyEvent, ReadySet, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use crate::wire::{self, Reply, WireError};
-use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -320,7 +339,11 @@ impl NetServer {
         };
         let mut workers = Vec::with_capacity(workers_n);
         for i in 0..workers_n {
+            // Every worker accepts from its own clone of the one shared
+            // listener, registered in its own readiness set.
             let listener = listener.try_clone()?;
+            let mut ready = ReadySet::new(TICK)?;
+            ready.add(listener.as_raw_fd(), LISTENER, POLLIN)?;
             let cfg = cfg.clone();
             let door = Arc::clone(&door);
             let obs = obs.clone();
@@ -345,8 +368,9 @@ impl NetServer {
                         stats,
                         drain,
                         addr,
+                        ready,
                         conns: Vec::new(),
-                        pollfds: Vec::new(),
+                        free: Vec::new(),
                         spans,
                     }
                     .run();
@@ -404,13 +428,41 @@ enum Proto {
 
 struct Conn {
     stream: TcpStream,
+    /// Carry buffer: bytes received but not yet consumed. Empty in the
+    /// common case — a read that starts on a frame boundary is decoded
+    /// from the worker's scratch buffer and only an incomplete tail (or
+    /// frames held back by back-pressure) is copied here.
     rbuf: Vec<u8>,
-    wbuf: VecDeque<u8>,
+    /// Replies, encoded in place; `wbuf[wpos..]` is still unsent.
+    wbuf: Vec<u8>,
+    wpos: usize,
     last_activity: Instant,
     proto: Proto,
-    /// Flush `wbuf` then close (set on wire errors and HTTP completion).
+    /// Flush `wbuf` then close (set on wire errors, peer EOF and HTTP
+    /// completion).
     closing: bool,
+    /// The interest currently registered with the worker's `ReadySet`.
+    interest: i16,
 }
+
+impl Conn {
+    fn unsent(&self) -> usize {
+        self.wbuf.len() - self.wpos
+    }
+}
+
+/// The live connection in slab slot `i` (the caller knows it is
+/// occupied). A free function so the borrow covers the slab alone.
+fn live(conns: &mut [Option<Conn>], i: usize) -> &mut Conn {
+    conns[i].as_mut().expect("occupied slab slot")
+}
+
+/// Token of the shared listener in every worker's `ReadySet`;
+/// connections use their slab index.
+const LISTENER: usize = usize::MAX - 1;
+/// The `ReadySet` tick: how long a worker sleeps at most, hence how
+/// soon it notices the drain flag, and the idle sweep's period.
+const TICK: Duration = Duration::from_millis(100);
 
 struct Worker {
     listener: TcpListener,
@@ -420,8 +472,11 @@ struct Worker {
     stats: Arc<NetStats>,
     drain: Arc<AtomicBool>,
     addr: SocketAddr,
-    conns: Vec<Conn>,
-    pollfds: Vec<PollFd>,
+    ready: ReadySet,
+    /// Connection slab: the index is the connection's `ReadySet` token.
+    conns: Vec<Option<Conn>>,
+    /// Vacant slab indices.
+    free: Vec<usize>,
     /// Latency-truth-plane slot for this listener thread (`netN`), fed
     /// from the engine's span registry when the engine runs observed:
     /// per-stage wire timings plus the per-frame read→reply-enqueued
@@ -433,77 +488,63 @@ struct Worker {
 impl Worker {
     fn run(&mut self) {
         let mut scratch = vec![0u8; 64 * 1024];
+        let mut events = Vec::new();
         let mut drain_deadline: Option<Instant> = None;
+        let mut next_sweep = Instant::now() + TICK;
         loop {
-            let draining = self.drain.load(Ordering::Relaxed);
-            if draining {
-                if drain_deadline.is_none() {
-                    drain_deadline = Some(Instant::now() + self.cfg.drain_timeout);
-                }
+            if self.drain.load(Ordering::Relaxed) {
+                let deadline = *drain_deadline.get_or_insert_with(|| {
+                    // Stop accepting; the descriptor itself closes with
+                    // the worker.
+                    let _ = self.ready.remove(self.listener.as_raw_fd());
+                    Instant::now() + self.cfg.drain_timeout
+                });
                 // Drop everything already flushed; give the rest more
-                // poll rounds until the deadline.
-                let before = self.conns.len();
-                self.conns.retain(|c| !c.wbuf.is_empty());
-                self.stats.close_conns((before - self.conns.len()) as u64);
-                let expired = drain_deadline.is_some_and(|d| Instant::now() >= d);
-                if self.conns.is_empty() || expired {
-                    self.stats.close_conns(self.conns.len() as u64);
+                // rounds until the deadline.
+                let expired = Instant::now() >= deadline;
+                for i in 0..self.conns.len() {
+                    if self.conns[i].as_ref().is_some_and(|c| expired || c.unsent() == 0) {
+                        self.close(i);
+                    }
+                }
+                if self.free.len() == self.conns.len() {
                     return;
                 }
             }
 
-            self.pollfds.clear();
-            if !draining {
-                self.pollfds.push(PollFd {
-                    fd: self.listener.as_raw_fd(),
-                    events: POLLIN,
-                    revents: 0,
-                });
+            // A tick, or a negative return (EINTR), leaves `events`
+            // empty: the wake goes straight back to the drain check.
+            self.ready.wait(&mut events);
+            // The one clock read of the wake: it stamps every serviced
+            // connection's activity and times the sweep.
+            let now = Instant::now();
+            self.dispatch(&events, now, &mut scratch);
+            if now >= next_sweep {
+                self.sweep_idle(now);
+                next_sweep = now + TICK;
             }
-            for c in &self.conns {
-                let mut events = 0i16;
-                // Backpressure: above the high-water mark the socket is
-                // not read; the peer's sends eventually block on TCP.
-                if !c.closing && c.wbuf.len() <= self.cfg.max_write_buf {
-                    events |= POLLIN;
-                }
-                if !c.wbuf.is_empty() {
-                    events |= POLLOUT;
-                }
-                self.pollfds.push(PollFd {
-                    fd: c.stream.as_raw_fd(),
-                    events,
-                    revents: 0,
-                });
-            }
-            sys::poll(&mut self.pollfds, 100);
-
-            let mut at = 0usize;
-            if !draining {
-                if self.pollfds[0].revents & POLLIN != 0 {
-                    self.accept_burst();
-                }
-                at = 1;
-            }
-            // Walk connections against their poll entries (same order;
-            // one removal per round keeps the correspondence honest —
-            // swap_remove would hand the swapped-in connection a dead
-            // socket's revents).
-            let mut i = 0usize;
-            while i < self.conns.len() {
-                let revents = self.pollfds.get(at + i).map_or(0, |p| p.revents);
-                if self.service(i, revents, &mut scratch) {
-                    self.conns.remove(i);
-                    self.stats.close_conns(1);
-                    break;
-                }
-                i += 1;
-            }
-            self.sweep_idle();
         }
     }
 
-    fn accept_burst(&mut self) {
+    /// Services one wait's batch of events. The listener goes last: a
+    /// slot freed by a close is only reused once no event of the batch
+    /// can still name it, so a stale `ERR|HUP` never reaches a fresh
+    /// connection.
+    fn dispatch(&mut self, events: &[ReadyEvent], now: Instant, scratch: &mut [u8]) {
+        let mut accept = false;
+        for ev in events {
+            if ev.token == LISTENER {
+                accept = true;
+            } else if self.service(ev.token, ev.events, now, scratch) {
+                self.close(ev.token);
+            }
+        }
+        if accept {
+            self.accept_burst(now);
+        }
+    }
+
+    fn accept_burst(&mut self, now: Instant) {
         loop {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
@@ -519,16 +560,28 @@ impl Worker {
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
+                    let token = self.free.pop().unwrap_or(self.conns.len());
+                    if self.ready.add(stream.as_raw_fd(), token, POLLIN).is_err() {
+                        self.free.push(token);
+                        continue;
+                    }
                     self.stats.connections_accepted.fetch_add(1, Ordering::Relaxed);
                     self.stats.connections_open.fetch_add(1, Ordering::Relaxed);
-                    self.conns.push(Conn {
+                    let conn = Conn {
                         stream,
                         rbuf: Vec::new(),
-                        wbuf: VecDeque::new(),
-                        last_activity: Instant::now(),
+                        wbuf: Vec::new(),
+                        wpos: 0,
+                        last_activity: now,
                         proto: Proto::Unknown,
                         closing: false,
-                    });
+                        interest: POLLIN,
+                    };
+                    if token == self.conns.len() {
+                        self.conns.push(Some(conn));
+                    } else {
+                        self.conns[token] = Some(conn);
+                    }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -537,21 +590,33 @@ impl Worker {
         }
     }
 
-    /// Services one connection; returns `true` when it should be
-    /// removed.
-    fn service(&mut self, i: usize, revents: i16, scratch: &mut [u8]) -> bool {
+    /// Unregisters and drops connection `i`, returning its slot.
+    fn close(&mut self, i: usize) {
+        if let Some(conn) = self.conns[i].take() {
+            let _ = self.ready.remove(conn.stream.as_raw_fd());
+            self.free.push(i);
+            self.stats.close_conns(1);
+        }
+    }
+
+    /// Services one ready connection; returns `true` when it should be
+    /// closed. An event for a vacant slot is ignored.
+    fn service(&mut self, i: usize, revents: i16, now: Instant, scratch: &mut [u8]) -> bool {
+        if !matches!(self.conns.get(i), Some(Some(_))) {
+            return false;
+        }
         if revents & (POLLERR | POLLNVAL) != 0 {
             return true;
         }
         // Readable (or hangup with possibly-buffered final bytes).
-        if revents & (POLLIN | POLLHUP) != 0 && !self.conns[i].closing {
+        if revents & (POLLIN | POLLHUP) != 0 && !live(&mut self.conns, i).closing {
             loop {
                 let read_t0 = self.spans.as_ref().map(|_| Instant::now());
-                let n = match self.conns[i].stream.read(scratch) {
+                let n = match live(&mut self.conns, i).stream.read(scratch) {
                     Ok(0) => {
                         // Peer EOF: flush whatever replies remain, then
                         // close.
-                        self.conns[i].closing = true;
+                        live(&mut self.conns, i).closing = true;
                         break;
                     }
                     Ok(n) => n,
@@ -563,77 +628,134 @@ impl Worker {
                     h.record(Stage::NetRead, t0.elapsed().as_nanos() as u64);
                 }
                 self.stats.bytes_read.fetch_add(n as u64, Ordering::Relaxed);
-                self.conns[i].last_activity = Instant::now();
-                self.conns[i].rbuf.extend_from_slice(&scratch[..n]);
-                if self.process(i) {
+                live(&mut self.conns, i).last_activity = now;
+                if self.receive(i, &scratch[..n]) {
                     return true;
                 }
                 // Stop reading once backpressured; the rest stays in
                 // the kernel buffer.
-                if self.conns[i].wbuf.len() > self.cfg.max_write_buf || n < scratch.len() {
+                if live(&mut self.conns, i).unsent() > self.cfg.max_write_buf || n < scratch.len() {
                     break;
                 }
             }
         }
-        if self.flush(i) {
+        // Flush, and whenever that brings the unsent bytes back under
+        // the high-water mark, take up the frames back-pressure left in
+        // the carry buffer — until one of the two stops making progress.
+        // Nobody else would look at them before new bytes arrive.
+        loop {
+            if self.flush(i, now) {
+                return true;
+            }
+            let conn = live(&mut self.conns, i);
+            let held_back = matches!(conn.proto, Proto::Binary)
+                && !conn.closing
+                && !conn.rbuf.is_empty()
+                && conn.unsent() <= self.cfg.max_write_buf;
+            if !held_back || !self.process_carried(i) {
+                break;
+            }
+        }
+        let max_write_buf = self.cfg.max_write_buf;
+        let conn = live(&mut self.conns, i);
+        if conn.closing && conn.unsent() == 0 {
             return true;
         }
-        self.conns[i].closing && self.conns[i].wbuf.is_empty()
+        // Interest follows the state machine and reaches the kernel only
+        // when it changes. Backpressure: above the high-water mark the
+        // socket is not read; the peer's sends eventually block on TCP.
+        let mut interest = 0i16;
+        if !conn.closing && conn.unsent() <= max_write_buf {
+            interest |= POLLIN;
+        }
+        if conn.unsent() > 0 {
+            interest |= POLLOUT;
+        }
+        if interest != conn.interest {
+            conn.interest = interest;
+            let fd = conn.stream.as_raw_fd();
+            if self.ready.modify(fd, i, interest).is_err() {
+                return true;
+            }
+        }
+        false
     }
 
-    /// Decodes and admits everything buffered on connection `i`;
-    /// returns `true` to drop the connection immediately.
-    fn process(&mut self, i: usize) -> bool {
-        if matches!(self.conns[i].proto, Proto::Unknown) {
-            let Some(&first) = self.conns[i].rbuf.first() else {
-                return false;
-            };
-            self.conns[i].proto = if first == wire::MAGIC0 {
+    /// Takes `bytes` just read off connection `i`; returns `true` to
+    /// drop the connection immediately. Binary bytes that start on a
+    /// frame boundary are decoded where they lie and only the unconsumed
+    /// tail is carried over; otherwise they join the carry buffer first.
+    fn receive(&mut self, i: usize, bytes: &[u8]) -> bool {
+        let conn = live(&mut self.conns, i);
+        if matches!(conn.proto, Proto::Unknown) {
+            conn.proto = if bytes[0] == wire::MAGIC0 {
                 Proto::Binary
             } else {
                 Proto::Http
             };
         }
-        match self.conns[i].proto {
-            Proto::Binary => self.process_binary(i),
-            Proto::Http => self.process_http(i),
-            Proto::Unknown => false,
+        match conn.proto {
+            Proto::Binary if conn.rbuf.is_empty() => {
+                let used = self.process_binary(i, bytes);
+                live(&mut self.conns, i).rbuf.extend_from_slice(&bytes[used..]);
+                false
+            }
+            Proto::Binary => {
+                conn.rbuf.extend_from_slice(bytes);
+                self.process_carried(i);
+                false
+            }
+            Proto::Http => {
+                conn.rbuf.extend_from_slice(bytes);
+                self.process_http(i)
+            }
+            Proto::Unknown => unreachable!("sniffed above"),
         }
     }
 
-    fn process_binary(&mut self, i: usize) -> bool {
-        // Move the buffer out so frame decoding borrows a local slice
-        // while the engine door and stats (fields of self) stay free.
-        let rbuf = std::mem::take(&mut self.conns[i].rbuf);
-        let mut replies: Vec<u8> = Vec::new();
+    /// Decodes and admits the frames in connection `i`'s carry buffer;
+    /// returns whether any were consumed.
+    fn process_carried(&mut self, i: usize) -> bool {
+        // Move the buffer out so the decoder borrows a local slice while
+        // the connection's write buffer is appended to.
+        let mut rbuf = std::mem::take(&mut live(&mut self.conns, i).rbuf);
+        let used = self.process_binary(i, &rbuf);
+        rbuf.drain(..used);
+        live(&mut self.conns, i).rbuf = rbuf;
+        used > 0
+    }
+
+    /// Decodes and admits whole frames from the front of `bytes`,
+    /// encoding one reply per frame straight into connection `i`'s write
+    /// buffer, until the bytes run out, the unsent replies pass the
+    /// high-water mark, or a framing error condemns the connection.
+    /// Returns how many bytes were consumed.
+    fn process_binary(&mut self, i: usize, bytes: &[u8]) -> usize {
+        let Self { cfg, door, stats, spans, conns, .. } = self;
+        let conn = live(conns, i);
         let mut consumed = 0usize;
-        let mut closing = false;
-        loop {
-            if self.conns[i].wbuf.len() + replies.len() > self.cfg.max_write_buf {
-                break; // backpressure: leave the rest buffered
-            }
+        while conn.unsent() <= cfg.max_write_buf {
             // Per-frame wire staging: decode → admission → reply encode,
             // plus the frame's read→reply-enqueued turnaround closed as
             // the net slot's sojourn. Timestamps only exist when a span
             // slot is attached, so the unobserved hot path stays free of
             // clock reads.
-            let frame_t0 = self.spans.as_ref().map(|_| Instant::now());
-            match wire::decode_frame(&rbuf[consumed..], self.cfg.max_frame_tuples) {
+            let frame_t0 = spans.as_ref().map(|_| Instant::now());
+            match wire::decode_frame(&bytes[consumed..], cfg.max_frame_tuples) {
                 Ok(None) => break,
                 Ok(Some((frame, used))) => {
                     let decode_done = frame_t0.map(|_| Instant::now());
                     // The admission call: shed decisions happen in here,
                     // *before* any key is read from the buffer.
                     let res = if frame.keyed {
-                        self.door
-                            .offer_batch_keyed_lazy(frame.count as usize, &mut |k| frame.key(k))
+                        door.offer_batch_keyed_lazy(frame.count as usize, &mut |k| frame.key(k))
                     } else {
-                        self.door.offer_batch(frame.count as usize)
+                        door.offer_batch(frame.count as usize)
                     };
                     let admit_done = frame_t0.map(|_| Instant::now());
                     consumed += used;
                     wire::encode_reply_into(
-                        &mut replies,
+                        &mut conn.wbuf,
                         &Reply {
                             status: Reply::STATUS_OK,
                             accepted: res.dispatched as u32,
@@ -644,22 +766,23 @@ impl Worker {
                         },
                     );
                     if let (Some(h), Some(t0), Some(t1), Some(t2)) =
-                        (self.spans.as_ref(), frame_t0, decode_done, admit_done)
+                        (spans.as_ref(), frame_t0, decode_done, admit_done)
                     {
+                        let t3 = Instant::now();
                         let ns = |d: Duration| d.as_nanos() as u64;
                         h.record(Stage::Decode, ns(t1.duration_since(t0)));
                         h.record(Stage::Admission, ns(t2.duration_since(t1)));
-                        h.record(Stage::Reply, ns(t2.elapsed()));
-                        h.record_sojourn(ns(t0.elapsed()));
+                        h.record(Stage::Reply, ns(t3.duration_since(t2)));
+                        h.record_sojourn(ns(t3.duration_since(t0)));
                     }
-                    self.stats.frames_received.fetch_add(1, Ordering::Relaxed);
-                    self.stats.replies_sent.fetch_add(1, Ordering::Relaxed);
-                    self.stats.add_result(&res);
+                    stats.frames_received.fetch_add(1, Ordering::Relaxed);
+                    stats.replies_sent.fetch_add(1, Ordering::Relaxed);
+                    stats.add_result(&res);
                 }
                 Err(err) => {
                     // Echo the seq when the header got far enough to
                     // carry one, so the client can attribute the error.
-                    let rest = &rbuf[consumed..];
+                    let rest = &bytes[consumed..];
                     let seq = if rest.len() >= 16 {
                         u64::from_le_bytes(rest[8..16].try_into().expect("8 bytes"))
                     } else {
@@ -670,41 +793,32 @@ impl Worker {
                         _ => Reply::STATUS_BAD_FRAME,
                     };
                     wire::encode_reply_into(
-                        &mut replies,
+                        &mut conn.wbuf,
                         &Reply {
                             status,
                             seq,
                             ..Reply::default()
                         },
                     );
-                    self.stats.frames_bad.fetch_add(1, Ordering::Relaxed);
-                    self.stats.replies_sent.fetch_add(1, Ordering::Relaxed);
-                    closing = true; // desync: no resync attempted
-                    break;
+                    stats.frames_bad.fetch_add(1, Ordering::Relaxed);
+                    stats.replies_sent.fetch_add(1, Ordering::Relaxed);
+                    // Desync: no resync attempted, the rest is dropped.
+                    conn.closing = true;
+                    return bytes.len();
                 }
             }
         }
-        let conn = &mut self.conns[i];
-        conn.wbuf.extend(replies);
-        conn.rbuf = rbuf;
-        if consumed > 0 {
-            conn.rbuf.drain(..consumed);
-        }
-        if closing {
-            conn.closing = true;
-            conn.rbuf.clear();
-        }
-        false
+        consumed
     }
 
     fn process_http(&mut self, i: usize) -> bool {
         const MAX_HEAD: usize = 8 * 1024;
         const MAX_BODY: usize = 64 * 1024;
-        let conn = &self.conns[i];
-        let Some(head_end) = find_crlf2(&conn.rbuf) else {
-            return conn.rbuf.len() > MAX_HEAD; // drop header floods
+        let rbuf = &self.conns[i].as_ref().expect("occupied slab slot").rbuf;
+        let Some(head_end) = find_crlf2(rbuf) else {
+            return rbuf.len() > MAX_HEAD; // drop header floods
         };
-        let head = String::from_utf8_lossy(&conn.rbuf[..head_end]).into_owned();
+        let head = String::from_utf8_lossy(&rbuf[..head_end]).into_owned();
         let content_length = header_value(&head, "content-length")
             .and_then(|v| v.parse::<usize>().ok())
             .unwrap_or(0);
@@ -712,23 +826,25 @@ impl Worker {
             (413, "application/json", "{\"error\":\"body too large\"}".to_string())
         } else {
             let total = head_end + 4 + content_length;
-            if self.conns[i].rbuf.len() < total {
+            if rbuf.len() < total {
                 return false; // await the body
             }
-            let body =
-                String::from_utf8_lossy(&self.conns[i].rbuf[head_end + 4..total]).into_owned();
-            self.conns[i].rbuf.drain(..total);
+            let body = String::from_utf8_lossy(&rbuf[head_end + 4..total]).into_owned();
+            live(&mut self.conns, i).rbuf.drain(..total);
             self.stats.http_requests.fetch_add(1, Ordering::Relaxed);
             let mut line = head.lines().next().unwrap_or("").split_whitespace();
             let method = line.next().unwrap_or("").to_string();
             let target = line.next().unwrap_or("/").to_string();
             self.route_http(&method, &target, &body)
         };
-        self.respond(i, status, ctype, &body);
         // One request per connection: close after the reply (the fleet
         // path is the binary protocol; HTTP is for humans and
         // scrapers).
-        self.conns[i].closing = true;
+        let conn = live(&mut self.conns, i);
+        conn.wbuf
+            .extend_from_slice(obs::http_head(status, ctype, body.len()).as_bytes());
+        conn.wbuf.extend_from_slice(body.as_bytes());
+        conn.closing = true;
         false
     }
 
@@ -773,46 +889,46 @@ impl Worker {
         }
     }
 
-    fn respond(&mut self, i: usize, status: u16, content_type: &str, body: &str) {
-        let conn = &mut self.conns[i];
-        conn.wbuf.extend(obs::http_head(status, content_type, body.len()).bytes());
-        conn.wbuf.extend(body.bytes());
-    }
-
-    /// Flushes as much of `wbuf` as the socket takes; returns `true`
-    /// when the connection died writing.
-    fn flush(&mut self, i: usize) -> bool {
-        let conn = &mut self.conns[i];
-        while !conn.wbuf.is_empty() {
-            let (front, _) = conn.wbuf.as_slices();
-            match conn.stream.write(front) {
+    /// Writes as much of the unsent replies as the socket takes; returns
+    /// `true` when the connection died writing.
+    fn flush(&mut self, i: usize, now: Instant) -> bool {
+        let Self { stats, conns, .. } = self;
+        let conn = live(conns, i);
+        while conn.unsent() > 0 {
+            match conn.stream.write(&conn.wbuf[conn.wpos..]) {
                 Ok(0) => return true,
                 Ok(n) => {
-                    conn.wbuf.drain(..n);
-                    self.stats.bytes_written.fetch_add(n as u64, Ordering::Relaxed);
-                    conn.last_activity = Instant::now();
+                    conn.wpos += n;
+                    stats.bytes_written.fetch_add(n as u64, Ordering::Relaxed);
+                    conn.last_activity = now;
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => return true,
             }
         }
+        if conn.unsent() == 0 {
+            conn.wbuf.clear();
+            conn.wpos = 0;
+        } else if conn.wpos >= conn.unsent() {
+            // Sent prefix at least as long as the unsent rest: dropping
+            // it now moves each byte at most once per byte written.
+            conn.wbuf.drain(..conn.wpos);
+            conn.wpos = 0;
+        }
         false
     }
 
-    fn sweep_idle(&mut self) {
-        let timeout = self.cfg.idle_timeout;
-        let now = Instant::now();
-        let before = self.conns.len();
-        let stats = Arc::clone(&self.stats);
-        self.conns.retain(|c| {
-            let keep = now.duration_since(c.last_activity) < timeout;
-            if !keep {
-                stats.connections_idle_closed.fetch_add(1, Ordering::Relaxed);
+    fn sweep_idle(&mut self, now: Instant) {
+        for i in 0..self.conns.len() {
+            let idle = self.conns[i]
+                .as_ref()
+                .is_some_and(|c| now.duration_since(c.last_activity) >= self.cfg.idle_timeout);
+            if idle {
+                self.stats.connections_idle_closed.fetch_add(1, Ordering::Relaxed);
+                self.close(i);
             }
-            keep
-        });
-        stats.close_conns((before - self.conns.len()) as u64);
+        }
     }
 }
 
@@ -863,6 +979,103 @@ mod tests {
         let types = text.lines().filter(|l| l.starts_with("# TYPE")).count();
         assert_eq!(helps, types);
         assert!(stats.tuples_balance());
+    }
+
+    struct AcceptAll;
+
+    impl FrontDoor for AcceptAll {
+        fn offer_batch(&self, n: usize) -> BatchResult {
+            BatchResult {
+                offered: n as u64,
+                dispatched: n as u64,
+                ..BatchResult::default()
+            }
+        }
+        fn offer_batch_keyed_lazy(
+            &self,
+            n: usize,
+            _key_at: &mut dyn FnMut(usize) -> u64,
+        ) -> BatchResult {
+            self.offer_batch(n)
+        }
+    }
+
+    /// A worker on a fresh loopback listener, driven by hand: the test
+    /// calls `ready.wait` + `dispatch` where `run` would loop.
+    fn hand_driven_worker() -> Worker {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut ready = ReadySet::new(Duration::from_millis(10)).unwrap();
+        ready.add(listener.as_raw_fd(), LISTENER, POLLIN).unwrap();
+        Worker {
+            listener,
+            cfg: NetConfig::default(),
+            door: Arc::new(AcceptAll),
+            obs: None,
+            stats: Arc::new(NetStats::default()),
+            drain: Arc::new(AtomicBool::new(false)),
+            addr,
+            ready,
+            conns: Vec::new(),
+            free: Vec::new(),
+            spans: None,
+        }
+    }
+
+    /// Waits until `tokens` are all ready at once (level-triggered, so
+    /// readiness accumulates) and returns that batch.
+    fn wait_for(w: &mut Worker, tokens: &[usize]) -> Vec<ReadyEvent> {
+        let mut events = Vec::new();
+        for _ in 0..500 {
+            w.ready.wait(&mut events);
+            if tokens.iter().all(|t| events.iter().any(|e| e.token == *t)) {
+                return events;
+            }
+        }
+        panic!("tokens {tokens:?} never ready together, last batch {events:?}");
+    }
+
+    /// A connection closes and another is accepted into its slab slot in
+    /// one wake. Whatever else the batch holds for the freed token must
+    /// not reach the newcomer: the listener is serviced last and events
+    /// for a vacant slot are ignored.
+    #[test]
+    fn stale_event_for_a_freed_slot_spares_the_connection_accepted_into_it() {
+        let mut w = hand_driven_worker();
+        let mut scratch = vec![0u8; 4096];
+        let a = TcpStream::connect(w.addr).unwrap();
+        let batch = wait_for(&mut w, &[LISTENER]);
+        w.dispatch(&batch, Instant::now(), &mut scratch);
+        assert!(w.conns[0].is_some(), "A sits in slot 0");
+
+        // A hangs up and B connects before the worker wakes.
+        drop(a);
+        let mut b = TcpStream::connect(w.addr).unwrap();
+        let real = wait_for(&mut w, &[0, LISTENER]);
+        let hangup = *real.iter().find(|e| e.token == 0).unwrap();
+        // The worst order a batch could come in, plus a second event for
+        // the freed token, as a kernel that queued one would deliver it.
+        let batch = [
+            ReadyEvent { token: LISTENER, events: POLLIN },
+            hangup,
+            ReadyEvent { token: 0, events: POLLERR | POLLHUP },
+        ];
+        w.dispatch(&batch, Instant::now(), &mut scratch);
+        assert_eq!(w.stats.connections_closed.load(Ordering::Relaxed), 1, "A closed");
+        assert_eq!(w.stats.connections_open.load(Ordering::Relaxed), 1, "B lives");
+        assert!(w.conns[0].is_some() && w.conns.len() == 1, "B reuses slot 0");
+
+        // And B is served.
+        let mut frame = Vec::new();
+        wire::encode_frame_into(&mut frame, 77, 5, None);
+        b.write_all(&frame).unwrap();
+        let batch = wait_for(&mut w, &[0]);
+        w.dispatch(&batch, Instant::now(), &mut scratch);
+        let mut reply = [0u8; wire::REPLY_LEN];
+        b.read_exact(&mut reply).unwrap();
+        let (reply, _) = wire::decode_reply(&reply).unwrap().unwrap();
+        assert_eq!((reply.seq, reply.accepted), (77, 5));
     }
 
     #[test]

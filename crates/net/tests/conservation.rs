@@ -292,3 +292,231 @@ fn shutdown_drains_inflight_frames() {
     }
     drop(engine);
 }
+
+/// Frames that back-pressure left in the carry buffer are taken up again
+/// as soon as the flush makes room — not when the client next sends. A
+/// client that writes one burst and then only reads gets every reply.
+#[test]
+fn frames_held_back_by_backpressure_are_answered_without_new_bytes() {
+    const FRAMES: u64 = 2000;
+    let engine = shedding_engine(0.0);
+    let server = NetServer::start(
+        NetConfig {
+            max_write_buf: 4096,
+            ..quiet_net_cfg()
+        },
+        engine.clone(),
+        None,
+    )
+    .unwrap();
+
+    let mut sock = TcpStream::connect(server.addr()).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut burst = Vec::new();
+    for seq in 0..FRAMES {
+        wire::encode_frame_into(&mut burst, seq, 3, None);
+    }
+    sock.write_all(&burst).unwrap();
+
+    // 147 replies pass the 4 KiB mark; the other 1 853 frames must not
+    // wait for bytes this client will never send.
+    let mut replies = vec![0u8; FRAMES as usize * wire::REPLY_LEN];
+    sock.read_exact(&mut replies)
+        .expect("a reply to every frame while the client only reads");
+    for (seq, chunk) in (0..FRAMES).zip(replies.chunks(wire::REPLY_LEN)) {
+        let (reply, _) = wire::decode_reply(chunk).unwrap().unwrap();
+        assert_eq!((reply.status, reply.seq, reply.total()), (Reply::STATUS_OK, seq, 3));
+    }
+    assert_eq!(server.stats().tuples_offered.load(Ordering::Relaxed), FRAMES * 3);
+
+    server.shutdown();
+    drop(engine);
+}
+
+/// Adds one reply's four buckets (accepted, shed, rejected at capacity,
+/// rejected closed) to a fleet-side ledger.
+fn add_buckets(fleet: &mut [u64; 4], reply: &Reply) {
+    for (sum, part) in fleet.iter_mut().zip([
+        reply.accepted,
+        reply.shed,
+        reply.rejected_capacity,
+        reply.rejected_closed,
+    ]) {
+        *sum += u64::from(part);
+    }
+}
+
+/// Shuts server and engine down and holds a reply-derived fleet ledger
+/// against the listener's and the engine's, bucket for bucket.
+fn assert_three_ledgers_agree(fleet: [u64; 4], server: NetServer, engine: Arc<ShardedEngine>) {
+    let stats = server.stats();
+    let l = |v: &std::sync::atomic::AtomicU64| v.load(Ordering::Relaxed);
+    let listener = [
+        l(&stats.tuples_accepted),
+        l(&stats.tuples_shed),
+        l(&stats.tuples_rejected_capacity),
+        l(&stats.tuples_rejected_closed),
+    ];
+    assert_eq!(fleet, listener);
+    assert!(stats.tuples_balance());
+    assert!(fleet[1] > 0, "the engine's alpha must shed");
+    assert_eq!(l(&stats.frames_bad), 0);
+    server.shutdown();
+    let report = Arc::try_unwrap(engine)
+        .unwrap_or_else(|_| panic!("engine still referenced"))
+        .shutdown();
+    assert!(report.counters_balance());
+    assert_eq!(report.offered, fleet.iter().sum::<u64>());
+    assert_eq!(
+        [report.dropped_entry, report.rejected_at_capacity, report.rejected_closed],
+        fleet[1..]
+    );
+}
+
+/// Spins until the listener has read `bytes` in total: the sync point
+/// that makes "the server saw exactly this much" a fact, not a sleep.
+fn await_bytes_read(stats: &streamshed_net::server::NetStats, bytes: u64) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while stats.bytes_read.load(Ordering::Relaxed) < bytes {
+        assert!(std::time::Instant::now() < deadline, "listener stopped reading");
+        std::thread::yield_now();
+    }
+}
+
+/// Decode-in-place and the carry buffer are the same decoder: a keyed
+/// 256-tuple frame, a header-only frame and half of a third, delivered
+/// in two reads split at *every* byte offset, earn the replies of the
+/// unsplit delivery, and fleet, listener and engine ledgers agree.
+#[test]
+fn every_split_offset_decodes_like_the_unsplit_delivery() {
+    let engine = shedding_engine(0.3);
+    let server = NetServer::start(quiet_net_cfg(), engine.clone(), None).unwrap();
+    let stats = server.stats();
+
+    let keys: Vec<u64> = (0..256u64).map(|k| k.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+    let mut bytes = Vec::new();
+    wire::encode_frame_into(&mut bytes, 1, 256, Some(&keys));
+    wire::encode_frame_into(&mut bytes, 2, 16, None);
+    let whole = bytes.len();
+    wire::encode_frame_into(&mut bytes, 3, 4, Some(&keys[..4]));
+    bytes.truncate(whole + 24); // header + one key of the third: never completed
+
+    let (mut fleet, mut read_so_far) = ([0u64; 4], 0u64);
+    // Offset 0 is the unsplit delivery the others are held against.
+    for cut in 0..bytes.len() {
+        let mut sock = TcpStream::connect(server.addr()).unwrap();
+        sock.set_nodelay(true).unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        sock.write_all(&bytes[..cut]).unwrap();
+        await_bytes_read(&stats, read_so_far + cut as u64);
+        sock.write_all(&bytes[cut..]).unwrap();
+        let mut replies = [0u8; 2 * wire::REPLY_LEN];
+        sock.read_exact(&mut replies)
+            .unwrap_or_else(|e| panic!("split at {cut}: {e}"));
+        for (chunk, (seq, count)) in replies.chunks(wire::REPLY_LEN).zip([(1, 256), (2, 16)]) {
+            let (reply, _) = wire::decode_reply(chunk).unwrap().unwrap();
+            assert_eq!(
+                (reply.status, reply.seq, reply.total()),
+                (Reply::STATUS_OK, seq, count),
+                "split at {cut}"
+            );
+            add_buckets(&mut fleet, &reply);
+        }
+        read_so_far += bytes.len() as u64;
+        await_bytes_read(&stats, read_so_far);
+    }
+
+    assert_eq!(fleet.iter().sum::<u64>(), bytes.len() as u64 * (256 + 16));
+    assert_three_ledgers_agree(fleet, server, engine);
+}
+
+/// The stalled reader (write-buffer high-water): a client that sends
+/// without reading makes the listener stop reading its socket; when the
+/// client drains, reading resumes, every frame is answered in order, and
+/// the three ledgers agree exactly.
+#[test]
+fn stalled_reader_pauses_reads_at_high_water_then_drains_exactly() {
+    use std::io::ErrorKind::WouldBlock;
+    use std::time::Instant;
+    const TUPLES: u32 = 7;
+    const STILL: Duration = Duration::from_millis(300);
+    let engine = shedding_engine(0.3);
+    let server = NetServer::start(quiet_net_cfg(), engine.clone(), None).unwrap();
+    let stats = server.stats();
+    let bytes_read = || stats.bytes_read.load(Ordering::Relaxed);
+
+    let mut sock = TcpStream::connect(server.addr()).unwrap();
+    sock.set_nonblocking(true).unwrap();
+    let (mut pending, mut off) = (Vec::new(), 0usize);
+    let (mut frames, mut sent) = (0u64, 0u64);
+    let started = Instant::now();
+    let mut last_growth = (bytes_read(), Instant::now());
+    // Send without reading until the listener stops reading.
+    loop {
+        if off == pending.len() {
+            (pending, off) = (Vec::new(), 0);
+            for _ in 0..4096 {
+                wire::encode_frame_into(&mut pending, frames, TUPLES, None);
+                frames += 1;
+            }
+        }
+        match sock.write(&pending[off..]) {
+            Ok(n) => (off, sent) = (off + n, sent + n as u64),
+            Err(e) if e.kind() == WouldBlock => std::thread::sleep(Duration::from_millis(1)),
+            Err(e) => panic!("send: {e}"),
+        }
+        let seen = bytes_read();
+        if seen != last_growth.0 {
+            last_growth = (seen, Instant::now());
+        } else if sent > seen && last_growth.1.elapsed() >= STILL {
+            break;
+        }
+        assert!(started.elapsed() < Duration::from_secs(30), "the listener never paused");
+    }
+    let paused_at = bytes_read();
+    assert!(sent > paused_at, "bytes are waiting and the listener is not reading them");
+
+    // Finish the frame in flight, drop the unsent rest of the chunk.
+    let frame_end = off.div_ceil(wire::DATA_HEADER) * wire::DATA_HEADER;
+    frames -= ((pending.len() - frame_end) / wire::DATA_HEADER) as u64;
+    pending.truncate(frame_end);
+
+    // Drain: read replies (and push the last partial frame out).
+    let mut fleet = [0u64; 4];
+    let (mut rbuf, mut answered) = (Vec::new(), 0u64);
+    let mut chunk = vec![0u8; 64 * 1024];
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while answered < frames {
+        assert!(Instant::now() < deadline, "{answered} of {frames} frames answered");
+        if off < pending.len() {
+            match sock.write(&pending[off..]) {
+                Ok(n) => off += n,
+                Err(e) if e.kind() == WouldBlock => {}
+                Err(e) => panic!("send: {e}"),
+            }
+        }
+        match sock.read(&mut chunk) {
+            Ok(0) => panic!("server closed after {answered} of {frames} replies"),
+            Ok(n) => rbuf.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == WouldBlock => std::thread::sleep(Duration::from_millis(1)),
+            Err(e) => panic!("recv: {e}"),
+        }
+        let mut used = 0;
+        while let Some((reply, n)) = wire::decode_reply(&rbuf[used..]).unwrap() {
+            used += n;
+            assert_eq!(
+                (reply.status, reply.seq, reply.total()),
+                (Reply::STATUS_OK, answered, u64::from(TUPLES))
+            );
+            answered += 1;
+            add_buckets(&mut fleet, &reply);
+        }
+        rbuf.drain(..used);
+    }
+    assert!(bytes_read() > paused_at, "reading resumed");
+    assert_eq!(bytes_read(), frames * wire::DATA_HEADER as u64);
+
+    assert_eq!(fleet.iter().sum::<u64>(), frames * u64::from(TUPLES));
+    drop(sock);
+    assert_three_ledgers_agree(fleet, server, engine);
+}
