@@ -8,8 +8,8 @@
 //! single-worker pipeline is `shards: 1`, not a separate type. Each
 //! shard owns a bounded lock-free ingress ring ([`SpscRing`]), a
 //! supervised worker (panic-catch-and-restart, see
-//! [`worker`](crate::worker)), a local measured-cost EWMA (its cost
-//! model), and local drop counters. A shared [`ShardedEngine::offer`]
+//! [`worker`](crate::worker)), a busy-time counter (the raw material
+//! of its cost model), and local drop counters. A shared [`ShardedEngine::offer`]
 //! front door dispatches tuples round-robin or by key hash through one
 //! entry shedder ([`AtomicShedder`]), so admission control is one
 //! decision regardless of shard count.
@@ -40,9 +40,21 @@
 //! of per-shard queue lengths — runs the unchanged pole-placement loop,
 //! and broadcasts a single output: one entry drop probability `α(k)`
 //! applied at the shared front door, plus an in-queue shed load divided
-//! among shards in proportion to their queue lengths (each shard
-//! converts its share to tuples through its own measured cost). This is
-//! the paper's per-node shedder with a global coordinator.
+//! among shards in proportion to their queue lengths (each shard's
+//! share is converted to tuples through that shard's own measured cost).
+//! This is the paper's per-node shedder with a global coordinator.
+//!
+//! **The cost model.** `c(k)` is measured, not configured, and it is the
+//! quantity the simulator reports in virtual time: per control period,
+//! worker busy time over tuples retired, `c(k) = H·ΣΔbusyᵢ/ΣΔcompletedᵢ`
+//! (the controller's private `CostMeter`; [`worker`](crate::worker) says what
+//! `busy` covers). The sum over shards weights each by its completions;
+//! a period that retired nothing reports `measured_cost_us: None` and
+//! holds the last value, and so does one that retired too little to
+//! say anything about the operator — its busy time and retirements
+//! carry into the next sample instead; the nominal `cfg.cost` stands in
+//! before the first one. The engine does not smooth it — the control
+//! strategy's cost tracker does, once.
 //!
 //! Counter balance is an invariant, not an aspiration — the stress tests
 //! assert, under concurrent offers, worker panics, and shutdown:
@@ -54,7 +66,8 @@
 //!
 //! **Who writes what.** The front door writes the global buckets and
 //! one per-shard counter, [`WorkerStats::pushed`] (reported as
-//! `dispatched`); the worker writes everything else in [`WorkerStats`].
+//! `dispatched`); the controller writes the per-shard cost slot; the
+//! worker writes everything else in [`WorkerStats`].
 //! The two sides sit on different cache lines, so an offer does not
 //! invalidate the line a worker retires into. A shard's queue length is
 //! not stored anywhere: it is derived, `qᵢ = pushedᵢ − processedᵢ`
@@ -339,8 +352,10 @@ pub struct ShardStat {
     pub worker_panics: u64,
     /// Mean delay of this shard's completions, ms.
     pub mean_delay_ms: f64,
-    /// The shard's measured per-tuple cost EWMA, µs (`NaN` if it never
-    /// completed a tuple).
+    /// The shard's measured per-tuple cost, µs: `H·Δbusy/Δcompleted` of
+    /// the last control period in which it retired a tuple (`NaN` if no
+    /// period boundary ever saw a completion). Not an EWMA since the
+    /// controller derives it; the name is kept for its readers.
     pub cost_ewma_us: f64,
 }
 
@@ -545,6 +560,8 @@ impl ShardedEngine {
                 let mut grid = PeriodGrid::new(start, cfg.period);
                 let mut k = 0u64;
                 let mut last = Totals::default();
+                let mut cost =
+                    CostMeter::new(cfg.shards, cfg.headroom, cfg.cost.as_micros() as f64);
                 let mut queues = vec![0u64; cfg.shards];
                 while !global.stop.load(Ordering::Relaxed) {
                     std::thread::sleep(grid.until_due(Instant::now()));
@@ -562,25 +579,19 @@ impl ShardedEngine {
                     let delta = now.minus(&last);
                     last = now;
 
-                    // Aggregate cost model: completed-weighted mean of
-                    // the per-shard EWMAs (falls back to the nominal
-                    // cost until any shard has a measurement).
-                    let mut cost_w = 0.0f64;
-                    let mut cost_n = 0.0f64;
-                    for st in stats.iter() {
-                        let c = st.cost_ewma_us();
-                        if c.is_finite() {
-                            let w = (st.completed.load(Ordering::Relaxed) as f64).max(1.0);
-                            cost_w += c * w;
-                            cost_n += w;
-                        }
+                    // Cost model: c(k) = H·ΣΔbusy/ΣΔcompleted (held while
+                    // too little was retired to form a sample, nominal
+                    // before the first one). The same reading of each
+                    // shard's counters is the period's `completed`.
+                    let period_cost = cost.observe(stats.iter().map(|st| {
+                        (
+                            st.busy_ns.load(Ordering::Relaxed),
+                            st.completed.load(Ordering::Relaxed),
+                        )
+                    }));
+                    for (st, &c) in stats.iter().zip(&cost.shard_us) {
+                        st.cost_ewma_bits.store(c.to_bits(), Ordering::Relaxed);
                     }
-                    let measured = cost_n > 0.0;
-                    let cost_us = if measured {
-                        cost_w / cost_n
-                    } else {
-                        cfg.cost.as_micros() as f64
-                    };
                     // The *plant* constant the controller must see is the
                     // aggregate per-tuple cost: N shards drain the global
                     // queue concurrently, so one queued tuple holds the
@@ -588,9 +599,9 @@ impl ShardedEngine {
                     // plant structure only changes the constant c). The
                     // undivided local cost is still what a shard's shed
                     // budget must use below.
-                    let plant_cost_us = cost_us / cfg.shards as f64;
+                    let plant_cost_us = cost.cost_us / cfg.shards as f64;
 
-                    let completed = delta.completed;
+                    let completed = period_cost.completed;
                     // The controller's view of front-door loss stays
                     // inclusive: α drops and capacity rejections both
                     // reduce admitted load, so `dropped_entry` here is
@@ -611,10 +622,10 @@ impl ShardedEngine {
                         outstanding: q_total,
                         queued_tuples: q_total,
                         queued_load_us: q_total as f64 * plant_cost_us,
-                        measured_cost_us: measured.then_some(plant_cost_us),
+                        measured_cost_us: period_cost.measured.then_some(plant_cost_us),
                         mean_delay_ms: (completed > 0)
                             .then(|| delta.delay_sum_us as f64 / completed as f64 / 1e3),
-                        cpu_busy_us: (completed as f64 * cost_us) as u64,
+                        cpu_busy_us: period_cost.busy_us,
                     };
 
                     let t0 = Instant::now();
@@ -636,13 +647,9 @@ impl ShardedEngine {
                             }
                             let share =
                                 decision.shed_load_us * queues[i] as f64 / q_total as f64;
-                            let local_cost = {
-                                let c = st.cost_ewma_us();
-                                if c.is_finite() && c > 0.0 {
-                                    c
-                                } else {
-                                    cfg.cost.as_micros() as f64
-                                }
+                            let local_cost = match cost.shard_us[i] {
+                                c if c.is_finite() => c,
+                                _ => cfg.cost.as_micros() as f64,
                             };
                             let tuples = (share / local_cost).ceil() as u64;
                             if tuples > 0 {
@@ -1112,7 +1119,6 @@ struct Totals {
     rejected_capacity: u64,
     rejected_closed: u64,
     dropped_shed: u64,
-    completed: u64,
     delay_sum_us: u64,
 }
 
@@ -1127,7 +1133,6 @@ impl Totals {
         };
         for s in stats {
             t.dropped_shed += s.dropped_shed.load(Ordering::Relaxed);
-            t.completed += s.completed.load(Ordering::Relaxed);
             t.delay_sum_us += s.delay_sum_us.load(Ordering::Relaxed);
         }
         t
@@ -1140,8 +1145,91 @@ impl Totals {
             rejected_capacity: self.rejected_capacity - o.rejected_capacity,
             rejected_closed: self.rejected_closed - o.rejected_closed,
             dropped_shed: self.dropped_shed - o.dropped_shed,
-            completed: self.completed - o.completed,
             delay_sum_us: self.delay_sum_us - o.delay_sum_us,
+        }
+    }
+}
+
+/// Fewest retirements a cost sample is formed from. A ratio over fewer
+/// says more about the one interval a host stall or the period boundary
+/// happened to land in than about the operator (a freeze that leaves a
+/// period two completions reads 25× the cost of a 2 ms tuple), and the
+/// strategy's tracker weighs every sample alike. A sparser stretch is
+/// not dropped: its busy time and retirements carry into the next
+/// period, so a genuinely slower operator is seen after this many
+/// tuples.
+const MIN_SAMPLE_TUPLES: u64 = 16;
+
+/// What one control period measured.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PeriodCost {
+    /// Whether `c(k)` is a fresh sample (some shard formed one).
+    measured: bool,
+    /// Tuples retired in the period, all shards.
+    completed: u64,
+    /// `H·ΣΔbusy`, µs: the work share of the period's busy time.
+    busy_us: u64,
+}
+
+/// The controller's cost model, the same quantity the simulator reports
+/// in virtual time: `c(k) = H·ΣΔbusy/ΣΔcompleted`, worker busy time over
+/// tuples retired with the `1/H` inflation of the service time undone.
+/// Each shard forms its own `H·Δbusyᵢ/Δcompletedᵢ` (what its shed budget
+/// is converted with) over the stretch since its previous sample — one
+/// period, or more while it retires fewer than [`MIN_SAMPLE_TUPLES`] —
+/// and `c(k)` pools the stretches that ended this period, which weights
+/// shards by completions. With no such stretch the values are held.
+/// Unsmoothed: the control strategy's cost tracker does the smoothing.
+struct CostMeter {
+    headroom: f64,
+    /// `(Σ busy_ns, Σ completed)` over shards at the last boundary.
+    last: (u64, u64),
+    /// Each shard's cumulative `(busy_ns, completed)` at its last sample.
+    sampled: Vec<(u64, u64)>,
+    /// Latest aggregate `c(k)`, µs; the nominal cost until measured.
+    cost_us: f64,
+    /// Latest per-shard cost, µs; `NaN` until that shard is measured.
+    shard_us: Vec<f64>,
+}
+
+impl CostMeter {
+    fn new(shards: usize, headroom: f64, nominal_us: f64) -> Self {
+        Self {
+            headroom,
+            last: (0, 0),
+            sampled: vec![(0, 0); shards],
+            cost_us: nominal_us,
+            shard_us: vec![f64::NAN; shards],
+        }
+    }
+
+    /// Folds in the shards' cumulative `(busy_ns, completed)` counters,
+    /// read at a period boundary.
+    fn observe(&mut self, readings: impl Iterator<Item = (u64, u64)>) -> PeriodCost {
+        let cost_us = |busy_ns: u64, n: u64| self.headroom * busy_ns as f64 / n as f64 / 1e3;
+        let (mut total, mut fresh) = ((0u64, 0u64), (0u64, 0u64));
+        for ((sampled, shard_us), now) in
+            self.sampled.iter_mut().zip(&mut self.shard_us).zip(readings)
+        {
+            total = (total.0 + now.0, total.1 + now.1);
+            let (busy_ns, n) = (now.0 - sampled.0, now.1 - sampled.1);
+            // Zero-cost workers measure no busy time: never a sample.
+            if n >= MIN_SAMPLE_TUPLES && busy_ns > 0 {
+                *shard_us = cost_us(busy_ns, n);
+                *sampled = now;
+                fresh = (fresh.0 + busy_ns, fresh.1 + n);
+            }
+        }
+        let measured = fresh.1 > 0;
+        if measured {
+            self.cost_us = cost_us(fresh.0, fresh.1);
+        }
+        let (d_busy_ns, completed) = (total.0 - self.last.0, total.1 - self.last.1);
+        self.last = total;
+        PeriodCost {
+            measured,
+            completed,
+            busy_us: (self.headroom * d_busy_ns as f64 / 1e3) as u64,
         }
     }
 }
@@ -1532,6 +1620,82 @@ mod tests {
         std::thread::sleep(Duration::from_millis(150));
         let report = engine.shutdown();
         assert!(report.deadline_misses >= 1, "{}", report.deadline_misses);
+    }
+
+    #[test]
+    fn period_cost_is_busy_time_over_tuples_retired() {
+        // One shard, H = 0.97, 50 ms periods. Saturated at a 10 µs
+        // nominal cost it retires 4 850 tuples a period: c(k) = 10 µs.
+        let mut m = CostMeter::new(1, 0.97, 7.0);
+        assert_eq!(m.cost_us, 7.0, "nominal before the first completion");
+        let p = m.observe([(50_000_000, 4_850)].into_iter());
+        assert_eq!(p, PeriodCost { measured: true, completed: 4_850, busy_us: 48_500 });
+        assert!((m.cost_us - 10.0).abs() < 1e-9, "{}", m.cost_us);
+        // Nothing retired: no sample, the value is held.
+        let p = m.observe([(50_000_000, 4_850)].into_iter());
+        assert_eq!(p, PeriodCost { measured: false, completed: 0, busy_us: 0 });
+        assert!((m.cost_us - 10.0).abs() < 1e-9);
+        assert!((m.shard_us[0] - 10.0).abs() < 1e-9);
+        // The host takes the CPU away for 5 ms of a saturated period:
+        // a tenth fewer tuples in the same busy time, so c(k) rises by
+        // that tenth (1/0.9), not by the 500× a per-tuple sample of the
+        // stalled tuple would read.
+        let p = m.observe([(100_000_000, 4_850 + 4_365)].into_iter());
+        assert!(p.measured);
+        let rise = m.cost_us / 10.0 - 1.0;
+        assert!((0.10..0.12).contains(&rise), "{rise}");
+    }
+
+    #[test]
+    fn period_cost_weights_shards_by_completions() {
+        // 3 000 tuples at 10 µs beside 1 000 at 20 µs (H = 1).
+        let mut m = CostMeter::new(2, 1.0, 5.0);
+        let p = m.observe([(30_000_000, 3_000), (20_000_000, 1_000)].into_iter());
+        assert!(p.measured);
+        assert_eq!(p.completed, 4_000);
+        assert_eq!(m.shard_us, [10.0, 20.0]);
+        assert!((m.cost_us - 12.5).abs() < 1e-9, "{}", m.cost_us);
+        // A shard that retired nothing keeps its own value and its
+        // weight is zero.
+        let p = m.observe([(60_000_000, 6_000), (20_000_000, 1_000)].into_iter());
+        assert!(p.measured);
+        assert_eq!(m.shard_us, [10.0, 20.0]);
+        assert!((m.cost_us - 10.0).abs() < 1e-9);
+        // Zero-cost workers measure no busy time: never a sample.
+        let mut z = CostMeter::new(1, 1.0, 0.0);
+        let p = z.observe([(0, 1_000)].into_iter());
+        assert_eq!(p, PeriodCost { measured: false, completed: 1_000, busy_us: 0 });
+        assert!(z.shard_us[0].is_nan());
+    }
+
+    #[test]
+    fn a_sparse_period_carries_into_the_next_sample() {
+        // A 2 ms tuple (H = 1), 50 ms periods: 25 a period.
+        let mut m = CostMeter::new(1, 1.0, 2_000.0);
+        assert!(m.observe([(50_000_000, 25)].into_iter()).measured);
+        assert_eq!(m.cost_us, 2_000.0);
+        // The host freezes the VM: the next boundary sees 2 completions
+        // in 98 ms of busy time. That is no sample — 49 ms a tuple — but
+        // the period's own ledger still reports what happened in it.
+        let p = m.observe([(148_000_000, 27)].into_iter());
+        assert_eq!(p, PeriodCost { measured: false, completed: 2, busy_us: 98_000 });
+        assert_eq!(m.cost_us, 2_000.0);
+        assert_eq!(m.shard_us, [2_000.0]);
+        // The stall is not forgotten either: it is averaged over the
+        // stretch that does reach a sample, (98 + 50) ms over 27 tuples.
+        let p = m.observe([(198_000_000, 52)].into_iter());
+        assert_eq!(p, PeriodCost { measured: true, completed: 25, busy_us: 50_000 });
+        assert!((m.cost_us - 148_000.0 / 27.0).abs() < 1e-9, "{}", m.cost_us);
+        // A genuinely slow operator (20 ms a tuple, 2.5 a period) is
+        // seen once MIN_SAMPLE_TUPLES of it have been retired.
+        let mut m = CostMeter::new(1, 1.0, 2_000.0);
+        let mut samples = 0;
+        for k in 1..=16u64 {
+            let p = m.observe([(k * 50_000_000, k * 5 / 2)].into_iter());
+            samples += p.measured as u32;
+        }
+        assert_eq!(samples, 2, "17 tuples by period 7, 18 more by period 14");
+        assert!((m.cost_us / 20_000.0 - 1.0).abs() < 0.07, "{}", m.cost_us);
     }
 
     #[test]

@@ -3,9 +3,21 @@
 //! Every shard of the engine in [`shard`](crate::shard) runs this
 //! worker: a batch drain loop over the shard's ingress
 //! ring ([`SpscRing`]) with in-queue shed budget, per-tuple delay
-//! accounting against a target, a measured per-tuple cost EWMA (the
-//! per-shard cost model), and panic-catch-and-restart supervision that
-//! loses only the tuple being processed.
+//! accounting against a target, a busy-time counter (the raw material
+//! of the per-shard cost model), and panic-catch-and-restart
+//! supervision that loses only the tuple being processed.
+//!
+//! **What `busy` is.** The worker does not estimate a per-tuple cost;
+//! it adds each completion's distance from the previous completion to
+//! [`WorkerStats::busy_ns`], and the controller divides the period's
+//! `Δbusy` by its `Δcompleted` ([`shard`](crate::shard)). The chain of
+//! completions restarts at one fresh clock reading after every ring pop
+//! and after a supervisor restart, so `busy` *excludes* the time spent
+//! parked on an empty ring, the pop itself and a panic's unwind, and
+//! *includes* everything that delays a queued tuple while the worker
+//! has work: the service span, the stamp/ledger/span bookkeeping
+//! between two tuples, shed-budget consumption (charged to the next
+//! completion) and any time the host takes the CPU away.
 //!
 //! The worker pops up to [`WORKER_POP_BATCH`] stamps per ring operation
 //! into a [`PendingBatch`] that is owned by the *supervisor* loop, not
@@ -91,10 +103,6 @@ impl PendingBatch {
     }
 }
 
-/// EWMA smoothing for the measured per-tuple cost (single writer — the
-/// worker thread — so a relaxed load/store pair suffices).
-const COST_EWMA_LAMBDA: f64 = 0.2;
-
 /// Per-worker counters, shared between the worker thread, the front
 /// door that feeds it, and the controller that reads it.
 ///
@@ -107,8 +115,10 @@ const COST_EWMA_LAMBDA: f64 = 0.2;
 ///   line, so an offer never invalidates the line the worker retires
 ///   into;
 /// * the worker thread writes `processed`, `completed`, `dropped_shed`,
-///   the delay ledger and the cost EWMA (its supervisor, on the same
+///   the delay ledger and `busy_ns` (its supervisor, on the same
 ///   thread, writes `worker_panics`);
+/// * the controller thread writes the per-shard cost slot,
+///   `cost_ewma_bits`;
 /// * `shed_budget` is the exception — the controller adds to it and the
 ///   worker consumes it, so it keeps its atomic RMWs.
 ///
@@ -143,10 +153,17 @@ pub struct WorkerStats {
     pub delayed: AtomicU64,
     /// Σ (delay − target)⁺ over completed tuples, µs.
     pub violation_sum_us: AtomicU64,
-    /// Measured per-tuple *work* cost EWMA, µs, as f64 bits
-    /// (`NaN` until the first tuple completes). This is the worker's
-    /// local cost model; the global controller aggregates these.
+    /// This shard's measured per-tuple *work* cost, µs, as f64 bits:
+    /// `H·Δbusy/Δcompleted` of the latest control period in which the
+    /// shard retired a tuple (`NaN` before the first such period).
+    /// Written by the controller, which derives it; the worker never
+    /// touches it. The name predates that definition and is kept for
+    /// its readers.
     pub cost_ewma_bits: AtomicU64,
+    /// Σ completion-to-completion intervals, ns: the time this worker
+    /// spent with work in hand (see the module docs for what that
+    /// excludes). Zero-cost workers do not measure it.
+    pub busy_ns: AtomicU64,
 }
 
 impl Default for WorkerStats {
@@ -165,7 +182,7 @@ fn bump(counter: &AtomicU64, by: u64) -> u64 {
 }
 
 impl WorkerStats {
-    /// Fresh, all-zero counters (cost EWMA starts at `NaN`).
+    /// Fresh, all-zero counters (the cost slot starts at `NaN`).
     pub fn new() -> Self {
         Self {
             pushed: CachePadded(AtomicU64::new(0)),
@@ -179,6 +196,7 @@ impl WorkerStats {
             delayed: AtomicU64::new(0),
             violation_sum_us: AtomicU64::new(0),
             cost_ewma_bits: AtomicU64::new(f64::NAN.to_bits()),
+            busy_ns: AtomicU64::new(0),
         }
     }
 
@@ -193,7 +211,8 @@ impl WorkerStats {
         self.pushed.load(Ordering::Relaxed).saturating_sub(processed)
     }
 
-    /// The measured per-tuple work cost EWMA, µs (`NaN` before the first
+    /// The shard's measured per-tuple work cost as the controller last
+    /// published it, µs (`NaN` before the first control period with a
     /// completion).
     pub fn cost_ewma_us(&self) -> f64 {
         f64::from_bits(self.cost_ewma_bits.load(Ordering::Relaxed))
@@ -210,18 +229,6 @@ impl WorkerStats {
         } else {
             self.delay_sum_us.load(Ordering::Relaxed) as f64 / completed as f64 / 1e3
         }
-    }
-
-    /// Folds one measured work-cost sample (µs) into the EWMA. Single
-    /// writer: only the worker thread calls this.
-    fn update_cost_ewma(&self, sample_us: f64) {
-        let prev = self.cost_ewma_us();
-        let next = if prev.is_finite() {
-            prev + COST_EWMA_LAMBDA * (sample_us - prev)
-        } else {
-            sample_us
-        };
-        self.cost_ewma_bits.store(next.to_bits(), Ordering::Relaxed);
     }
 
     /// Atomically consumes one unit of shed budget; `true` if a unit was
@@ -269,12 +276,32 @@ pub fn worker_loop(
     pending: &mut PendingBatch,
 ) {
     let service = cfg.cost.mul_f64(1.0 / cfg.headroom);
+    // Two compiled copies of one loop. Left to the optimiser, whether
+    // the zero-cost retire loop comes out on its own or interleaved with
+    // the timed path (its index spilled, its flag re-tested per tuple)
+    // depends on what the timed path looks like, and the throughput
+    // workloads that run the zero-cost loop notice the difference.
+    if service.is_zero() {
+        drain::<true>(stats, ring, cfg, pending, service)
+    } else {
+        drain::<false>(stats, ring, cfg, pending, service)
+    }
+}
+
+/// The body of [`worker_loop`], compiled once per `ZERO_COST`.
+fn drain<const ZERO_COST: bool>(
+    stats: &WorkerStats,
+    ring: &SpscRing,
+    cfg: &WorkerConfig,
+    pending: &mut PendingBatch,
+    service: Duration,
+) {
     let target_us = cfg.target_delay.as_micros() as u64;
     // Zero-cost workers (throughput microbenches) take one clock reading
-    // per popped batch rather than two per tuple; with a real service
-    // time the per-tuple readings are needed for the cost EWMA anyway
-    // and delay must be measured at each tuple's own completion.
-    let zero_cost = service.is_zero();
+    // per popped batch and none per tuple; with a real service time
+    // delay must be measured at each tuple's own completion, and the
+    // service loop is reading the clock there anyway.
+    let zero_cost = ZERO_COST;
     let epoch = ring.epoch();
     loop {
         if pending.next >= pending.len {
@@ -287,6 +314,11 @@ pub fn worker_loop(
         }
         let batch_now_ns =
             if zero_cost { Instant::now().duration_since(epoch).as_nanos() as u64 } else { 0 };
+        // Busy time chains completion to completion. The chain restarts
+        // here — after a pop, or on re-entry after a caught panic — so
+        // neither parked time nor an unwind is ever counted as busy.
+        let mut prev_done_ns =
+            if zero_cost { 0 } else { Instant::now().duration_since(epoch).as_nanos() as u64 };
         while pending.next < pending.len {
             let raw = pending.buf[pending.next];
             // Strip the sojourn-sampling mark before any delay
@@ -319,21 +351,27 @@ pub fn worker_loop(
                 }
                 continue;
             }
+            // `t0` is a fresh reading, not `prev_done`: the bookkeeping
+            // between two tuples is overhead on top of the service time,
+            // not a part of it. `done` is the reading that ended the
+            // service, so retirement costs no further clock read.
             let t0 = Instant::now();
-            match cfg.cost_model {
-                CostModel::Sleep => std::thread::sleep(service),
-                CostModel::Spin => {
-                    while t0.elapsed() < service {
-                        std::hint::spin_loop();
-                    }
+            let done = match cfg.cost_model {
+                CostModel::Sleep => {
+                    std::thread::sleep(service);
+                    Instant::now()
                 }
-            }
-            let done = Instant::now();
-            // The measured sample is the *work* share of the service
-            // span (undo the 1/H inflation), which is what shed-budget
-            // conversions and the controller's c(k) estimator consume.
-            stats.update_cost_ewma(done.duration_since(t0).as_secs_f64() * cfg.headroom * 1e6);
+                CostModel::Spin => loop {
+                    let now = Instant::now();
+                    if now.duration_since(t0) >= service {
+                        break now;
+                    }
+                    std::hint::spin_loop();
+                },
+            };
             let done_ns = done.duration_since(epoch).as_nanos() as u64;
+            bump(&stats.busy_ns, done_ns.saturating_sub(prev_done_ns));
+            prev_done_ns = done_ns;
             let delay_us = done_ns.saturating_sub(stamp) / 1_000;
             stats.record_completion(delay_us, target_us);
             if sampled {
@@ -412,8 +450,66 @@ mod tests {
         handle.join().unwrap();
         assert_eq!(stats.completed.load(Ordering::Relaxed), 10);
         assert_eq!(stats.queue_len(), 0);
-        assert!(stats.cost_ewma_us().is_finite());
-        assert!(stats.cost_ewma_us() > 50.0, "{}", stats.cost_ewma_us());
+        // The worker only accumulates busy time; the cost slot belongs
+        // to the controller, and there is none here.
+        assert!(stats.busy_ns.load(Ordering::Relaxed) >= 10 * 100_000);
+        assert!(stats.cost_ewma_us().is_nan());
+    }
+
+    #[test]
+    fn worker_stats_fit_three_cache_lines() {
+        // `pushed` alone on its line, the worker's counters behind it:
+        // the zero-cost workloads are sensitive to this layout.
+        assert_eq!(std::mem::size_of::<WorkerStats>(), 192);
+    }
+
+    #[test]
+    fn parked_time_is_not_busy() {
+        let stats = Arc::new(WorkerStats::new());
+        let ring = Arc::new(SpscRing::new(64));
+        let t0 = Instant::now();
+        let handle = spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), cfg());
+        feed(&ring, &stats, 10);
+        while stats.completed.load(Ordering::Relaxed) < 10 {
+            std::thread::yield_now();
+        }
+        // The worker now sits on an empty ring for 50 ms.
+        std::thread::sleep(Duration::from_millis(50));
+        feed(&ring, &stats, 10);
+        ring.close();
+        handle.join().unwrap();
+        let wall_ns = t0.elapsed().as_nanos() as u64;
+        assert_eq!(stats.completed.load(Ordering::Relaxed), 20);
+        // 20 sleeps of 100 µs are busy, however long the host makes
+        // them; the 50 ms in between are not (5 ms of slack for the
+        // worker's last pop before it parked).
+        let busy_ns = stats.busy_ns.load(Ordering::Relaxed);
+        assert!(busy_ns >= 20 * 100_000, "{busy_ns}");
+        assert!(busy_ns + 45_000_000 <= wall_ns, "{busy_ns} of {wall_ns}");
+    }
+
+    #[test]
+    fn busy_covers_the_whole_saturated_drain() {
+        let stats = Arc::new(WorkerStats::new());
+        let ring = Arc::new(SpscRing::new(2048));
+        feed(&ring, &stats, 2_000);
+        ring.close();
+        let mut c = cfg();
+        c.cost_model = CostModel::Spin;
+        c.cost = Duration::from_micros(50);
+        let t0 = Instant::now();
+        spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), c)
+            .join()
+            .unwrap();
+        let wall_ns = t0.elapsed().as_nanos() as u64;
+        assert_eq!(stats.completed.load(Ordering::Relaxed), 2_000);
+        // A worker that never waits is busy from its first pop to its
+        // last retirement — bookkeeping between tuples and time the host
+        // took the CPU away included, since both delay the queue.
+        let busy_ns = stats.busy_ns.load(Ordering::Relaxed);
+        assert!(busy_ns <= wall_ns, "{busy_ns} > {wall_ns}");
+        assert!(busy_ns >= wall_ns / 100 * 95, "{busy_ns} of {wall_ns}");
+        assert!(busy_ns >= 2_000 * 50_000, "{busy_ns}");
     }
 
     #[test]
@@ -469,11 +565,20 @@ mod tests {
         ring.close();
         let mut c = cfg();
         c.panic_on_tuple = Some(3);
+        let t0 = Instant::now();
         let handle = spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), c);
         handle.join().unwrap();
+        let wall_ns = t0.elapsed().as_nanos() as u64;
         assert_eq!(stats.worker_panics.load(Ordering::Relaxed), 1);
         assert_eq!(stats.completed.load(Ordering::Relaxed), 7);
         assert_eq!(stats.queue_len(), 0);
+        // All seven completions come after the restart (tuples 1 and 2
+        // were shed, 3 panicked): busy time kept growing there, and the
+        // unwind was counted at most once — in fact not at all, the
+        // chain restarts on re-entry.
+        let busy_ns = stats.busy_ns.load(Ordering::Relaxed);
+        assert!(busy_ns >= 7 * 100_000, "{busy_ns}");
+        assert!(busy_ns <= wall_ns, "{busy_ns} > {wall_ns}");
         // The single-writer ledger lost nothing across the unwind:
         // completed + dropped_shed + worker_panics == processed.
         assert_eq!(stats.dropped_shed.load(Ordering::Relaxed), 2);

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use streamshed_control::loop_::LoopConfig;
 use streamshed_control::strategy::CtrlStrategy;
 use streamshed_engine::shard::{Dispatch, ShardConfig, ShardedEngine};
-use streamshed_engine::telemetry::SharedRecorder;
+use streamshed_engine::telemetry::{ControlTrace, SharedRecorder};
 use streamshed_engine::worker::CostModel;
 
 /// Nominal per-tuple service cost.
@@ -52,6 +52,23 @@ pub struct ShardRun {
     pub completed: u64,
     /// Whether the front-door/shard counters balance exactly.
     pub balanced: bool,
+}
+
+/// Completed-weighted mean of the per-period mean delays recorded from
+/// `from_s` on, ms (`NaN` if no period there retired a tuple).
+pub fn steady_delay_ms(traces: &[ControlTrace], from_s: f64) -> f64 {
+    let (mut sum, mut n) = (0.0f64, 0u64);
+    for t in traces {
+        if t.time_s >= from_s && t.completed > 0 && t.mean_delay_ms.is_finite() {
+            sum += t.mean_delay_ms * t.completed as f64;
+            n += t.completed;
+        }
+    }
+    if n > 0 {
+        sum / n as f64
+    } else {
+        f64::NAN
+    }
 }
 
 /// Runs the CTRL strategy on a sharded engine and measures convergence.
@@ -107,18 +124,10 @@ pub fn run_once(shards: usize, seed: u64) -> ShardRun {
         .filter(|t| t.mean_delay_ms.is_finite())
         .map(|t| (t.time_s, t.mean_delay_ms))
         .collect();
-    // Steady state: completed-weighted mean over the second half.
-    let half = RUN.as_secs_f64() / 2.0;
-    let (mut sum, mut n) = (0.0f64, 0u64);
-    for t in &traces {
-        if t.time_s >= half && t.completed > 0 && t.mean_delay_ms.is_finite() {
-            sum += t.mean_delay_ms * t.completed as f64;
-            n += t.completed;
-        }
-    }
     ShardRun {
         shards,
-        steady_delay_ms: if n > 0 { sum / n as f64 } else { f64::NAN },
+        // Steady state: the second half of the run.
+        steady_delay_ms: steady_delay_ms(&traces, RUN.as_secs_f64() / 2.0),
         loss_ratio: report.loss_ratio(),
         trajectory,
         offered: report.offered,

@@ -1,6 +1,7 @@
 //! Acceptance tests for the *wall-clock* experiment surfaces: the live
-//! observability plane (`exp::monitor`) and the sharded convergence run
-//! (`exp::sharded`).
+//! observability plane (`exp::monitor`), the sharded convergence run
+//! (`exp::sharded`), and the delay contract itself (a saturated shard
+//! under CTRL must settle *on* its target, not near it).
 //!
 //! These phases run real threads against the wall clock, so the
 //! classifier genuinely measures scheduler behaviour — which also makes
@@ -132,4 +133,93 @@ fn one_and_four_shards_converge_to_the_same_target() {
             r.loss_ratio
         );
     }
+}
+
+/// The delay contract, gated: one pinned spinning shard at 3× overload
+/// under CTRL settles its measured delay within 1.5 % of the 250 ms
+/// target. That only holds if the engine's `c(k)` is the full per-tuple
+/// cost of a saturated worker — busy time over tuples retired — because
+/// the controller steers `ŷ = (q+1)·c/H`, and every per cent `c` reads
+/// low is a per cent of delay above target. Release-only and `#[ignore]`d:
+/// a debug worker's overhead and a loaded tier-1 run would both measure
+/// the host, so CI runs it by name (`--release … -- --include-ignored`).
+///
+/// 4 s of 3× overload through `offer_batch` into one pinned shard
+/// spinning 10 µs a tuple at `H = 0.97`, CTRL at 250 ms / 50 ms; the
+/// statistic is the completed-weighted mean delay after the first second.
+#[cfg(not(debug_assertions))]
+#[test]
+#[ignore = "wall-clock contract gate; run with --release -- --include-ignored"]
+fn saturated_shard_settles_on_its_delay_target() {
+    use std::time::Instant;
+    use streamshed_control::loop_::LoopConfig;
+    use streamshed_control::strategy::CtrlStrategy;
+    use streamshed_engine::shard::{Dispatch, ShardConfig, ShardedEngine};
+    use streamshed_engine::telemetry::SharedRecorder;
+    use streamshed_engine::worker::CostModel;
+    use streamshed_experiments::sharded::steady_delay_ms;
+
+    const NAME: &str = "saturated_shard_settles_on_its_delay_target";
+    const COST_US: u64 = 10;
+    const HEADROOM: f64 = 0.97;
+    const PERIOD_MS: u64 = 50;
+    const RUN_S: f64 = 4.0;
+    const SETTLE_S: f64 = 1.0;
+
+    let _guard = serial();
+    if !host_can_time(NAME, 2) {
+        return;
+    }
+    let cfg = ShardConfig {
+        shards: 1,
+        cost: Duration::from_micros(COST_US),
+        period: Duration::from_millis(PERIOD_MS),
+        target_delay: Duration::from_millis(TARGET_MS as u64),
+        headroom: HEADROOM,
+        queue_capacity: 131_072,
+        panic_on_tuple: None,
+        cost_model: CostModel::Spin,
+        dispatch: Dispatch::RoundRobin,
+        seed: 7,
+        pin_cores: true,
+        sample_every: 0,
+    };
+    let loop_cfg = LoopConfig::paper_default()
+        .with_target_delay_ms(TARGET_MS)
+        .with_period_ms(PERIOD_MS as f64)
+        .with_headroom(HEADROOM)
+        .with_prior_cost_us(COST_US as f64);
+    let recorder = SharedRecorder::with_capacity(256);
+    let engine = ShardedEngine::spawn_recorded(
+        cfg,
+        CtrlStrategy::from_config(&loop_cfg),
+        Some(recorder.clone()),
+    );
+
+    // Open-loop feeder on an absolute 1 ms grid at 3× the shard's
+    // capacity of H/cost tuples a second; a late tick is caught up, as
+    // a real source would.
+    let per_tick = (3.0 * HEADROOM * 1e6 / COST_US as f64 / 1e3).round() as usize;
+    let tick = Duration::from_millis(1);
+    let start = Instant::now();
+    let mut next = start;
+    while start.elapsed().as_secs_f64() < RUN_S {
+        std::thread::sleep(next.saturating_duration_since(Instant::now()));
+        engine.offer_batch(per_tick);
+        next += tick;
+    }
+    let report = engine.shutdown();
+    assert!(report.counters_balance(), "{report:?}");
+
+    let steady_ms = steady_delay_ms(&recorder.snapshot(), SETTLE_S);
+    let off = (steady_ms - TARGET_MS) / TARGET_MS;
+    println!(
+        "{NAME}: {steady_ms:.2} ms ({:+.2} %), {} deadline misses",
+        off * 100.0,
+        report.deadline_misses
+    );
+    assert!(
+        off.abs() <= 0.015,
+        "steady delay {steady_ms:.2} ms vs target {TARGET_MS} ms: {report:?}"
+    );
 }

@@ -51,6 +51,17 @@ pub trait ArrivalTrace {
     /// `[0, duration_s)`.
     fn arrival_times(&self, duration_s: f64) -> Vec<f64>;
 
+    /// Calls `f` with each arrival instant of `[0, duration_s)` in
+    /// order: the sequence [`arrival_times`](Self::arrival_times)
+    /// returns, for a consumer that does not need it all in memory at
+    /// once. The default body materializes it; a generator that can
+    /// stream overrides this instead.
+    fn for_each_arrival(&self, duration_s: f64, f: &mut dyn FnMut(f64)) {
+        for t in self.arrival_times(duration_s) {
+            f(t);
+        }
+    }
+
     /// The long-run mean arrival rate this trace targets, tuples/second.
     fn mean_rate(&self) -> f64;
 }

@@ -22,10 +22,12 @@ impl PoissonTrace {
     }
 }
 
-impl ArrivalTrace for PoissonTrace {
-    fn arrival_times(&self, duration_s: f64) -> Vec<f64> {
+impl PoissonTrace {
+    /// The generator: calls `f` with each arrival instant of
+    /// `[0, duration_s)` in order. Generic so that collecting into a
+    /// `Vec` inlines the push instead of paying a call per arrival.
+    fn generate(&self, duration_s: f64, mut f: impl FnMut(f64)) {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut out = Vec::with_capacity((self.rate * duration_s * 1.1) as usize);
         let mut t = 0.0f64;
         loop {
             // Exponential inter-arrival via inverse CDF.
@@ -34,9 +36,20 @@ impl ArrivalTrace for PoissonTrace {
             if t >= duration_s {
                 break;
             }
-            out.push(t);
+            f(t);
         }
+    }
+}
+
+impl ArrivalTrace for PoissonTrace {
+    fn arrival_times(&self, duration_s: f64) -> Vec<f64> {
+        let mut out = Vec::with_capacity((self.rate * duration_s * 1.1) as usize);
+        self.generate(duration_s, |t| out.push(t));
         out
+    }
+
+    fn for_each_arrival(&self, duration_s: f64, f: &mut dyn FnMut(f64)) {
+        self.generate(duration_s, f);
     }
 
     fn mean_rate(&self) -> f64 {

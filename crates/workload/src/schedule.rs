@@ -28,14 +28,25 @@ pub struct FrameAt {
 /// `batch` tuples each (see the module docs for the grouping rule).
 pub fn frame_schedule(trace: &dyn ArrivalTrace, duration_s: f64, batch: usize) -> Vec<FrameAt> {
     assert!(batch >= 1, "batch must be >= 1");
-    let times = trace.arrival_times(duration_s);
-    let mut frames = Vec::with_capacity(times.len() / batch + 1);
-    for group in times.chunks(batch) {
-        let last = *group.last().expect("chunks yields non-empty groups");
-        frames.push(FrameAt {
-            at_us: (last.max(0.0) * 1e6) as u64,
-            tuples: group.len() as u32,
-        });
+    // Grouped as the arrivals are generated: a minutes-long fleet
+    // schedule never holds its per-tuple instants, only its frames.
+    let expected = trace.mean_rate() * duration_s / batch as f64;
+    let mut frames = Vec::with_capacity(if expected.is_finite() { expected as usize + 1 } else { 0 });
+    let frame = |last: f64, tuples: usize| FrameAt {
+        at_us: (last.max(0.0) * 1e6) as u64,
+        tuples: tuples as u32,
+    };
+    let (mut last, mut tuples) = (0.0f64, 0usize);
+    trace.for_each_arrival(duration_s, &mut |t| {
+        last = t;
+        tuples += 1;
+        if tuples == batch {
+            frames.push(frame(last, tuples));
+            tuples = 0;
+        }
+    });
+    if tuples > 0 {
+        frames.push(frame(last, tuples));
     }
     frames
 }
@@ -70,7 +81,43 @@ pub fn schedule_tuples(frames: &[FrameAt]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PoissonTrace, WebLikeTrace};
+    use crate::{ParetoTrace, PoissonTrace, WebLikeTrace};
+
+    /// The materializing formulation `frame_schedule` replaced, kept as
+    /// the oracle: all instants first, then `chunks(batch)`.
+    fn chunked(trace: &dyn ArrivalTrace, duration_s: f64, batch: usize) -> Vec<FrameAt> {
+        trace
+            .arrival_times(duration_s)
+            .chunks(batch)
+            .map(|group| FrameAt {
+                at_us: (group.last().unwrap().max(0.0) * 1e6) as u64,
+                tuples: group.len() as u32,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn streamed_grouping_matches_the_materialized_one() {
+        let traces: [(&str, Box<dyn ArrivalTrace>); 3] = [
+            ("poisson", Box::new(PoissonTrace::new(5_000.0, 7))),
+            ("web", Box::new(WebLikeTrace::paper_default(11))),
+            ("pareto", Box::new(ParetoTrace::builder().mean_rate(400.0).bias(0.5).seed(9).build())),
+        ];
+        for (name, trace) in &traces {
+            for batch in [1usize, 7, 64] {
+                let got = frame_schedule(trace.as_ref(), 20.0, batch);
+                assert_eq!(got, chunked(trace.as_ref(), 20.0, batch), "{name} / {batch}");
+                assert!(!got.is_empty(), "{name}");
+            }
+            // A batch that does not divide the count leaves a short
+            // last frame, and it is kept.
+            let n = trace.arrival_times(20.0).len();
+            let batch = (2..).find(|b| n % b != 0).unwrap();
+            let got = frame_schedule(trace.as_ref(), 20.0, batch);
+            assert_eq!(got.last().unwrap().tuples as usize, n % batch, "{name}");
+            assert_eq!(got, chunked(trace.as_ref(), 20.0, batch), "{name}");
+        }
+    }
 
     #[test]
     fn frames_conserve_and_order() {
