@@ -1,50 +1,54 @@
 //! Bounded lock-free ingress ring for the shard data plane.
 //!
-//! Under the batched ingress path the per-shard mailbox is the hottest
-//! shared structure in the engine, so it is a purpose-built bounded ring
-//! rather than a general channel:
+//! The per-shard mailbox is the hottest shared structure in the engine
+//! and most of its memory, so it is a purpose-built ring, not a general
+//! channel. Its whole protocol lives in three kinds of word:
 //!
-//! * **Power-of-two slot array with index masking.** Head and tail are
-//!   monotonically increasing `u64` sequence numbers; a slot index is
-//!   `seq & mask`. Wraparound needs no branch and cannot skew slot reuse.
-//! * **Cache-line-padded indices.** The producer-side `tail` and the
-//!   consumer-side `head` live on their own 64-byte lines
-//!   ([`CachePadded`]) so batch pushes and pops do not false-share.
-//! * **Batch push / batch pop with one release/acquire pair per batch.**
-//!   A producer reserves `n` slots with a single CAS on `tail`, writes
-//!   the payloads, then publishes them with one [`fence`]`(Release)`
-//!   followed by per-slot sequence stamps; the consumer scans the ready
-//!   prefix, issues one [`fence`]`(Acquire)`, copies the payloads out and
-//!   retires them with a single release store of `head`.
-//! * **Batch-or-timeout hand-off.** A consumer that finds the ring empty
-//!   publishes the batch size it is waiting for (`want`: its pop buffer,
-//!   clamped to capacity) and parks for at most `PARK` (200 µs). A producer
-//!   rings the doorbell only when its push brings the backlog up to
-//!   `want`, so a parked worker costs its producers one load per push
-//!   and at most one `unpark` per park; a backlog below one batch is
-//!   delivered by the timeout. Parking is `thread::park_timeout` on the
-//!   consumer's own [`Thread`] handle — no lock on either side. See
-//!   [`SpscRing::pop_wait`] for the bound and the memory-ordering
-//!   pairing.
-//! * **Close flag with exact drain semantics.** [`SpscRing::close`] is
-//!   idempotent; pushes that begin after it observe [`Push::Closed`]
-//!   deterministically, while pushes already in flight (tracked by an
-//!   `in_flight` gate) are allowed to land and are drained by the
-//!   consumer before [`SpscRing::pop_wait`] reports exhaustion. This is
-//!   what preserves the engine's `rejected_closed` counter semantics and
-//!   the shard-stress conservation invariants.
+//! * **A slot is one `u64`: payload and readiness together.** Head and
+//!   tail are monotonically increasing sequence numbers; sequence `s`
+//!   lives in slot `s & mask` on lap `s >> log2(slots)`, and bit 62 of
+//!   the word ([`LAP_BIT`]) is a *lap-parity tag*: `s` is ready iff the
+//!   bit equals `(lap + 1) & 1`. A zero-initialised array so reads "not
+//!   ready" on lap 0, and one bit is enough because the one consumer
+//!   retires slots in order and `s` is reserved only once `s − slots` is
+//!   retired: a slot holds lap L−1 or lap L, never L−2. The other 63 bits
+//!   are the payload (62 value bits, [`SAMPLE_BIT`](crate::spans::SAMPLE_BIT)
+//!   in bit 63), returned as pushed; `0` is legal — only the tag tells it
+//!   from an empty slot. There is no second array and no publish pass.
+//! * **`tail` is the reservation counter and the door.** A producer
+//!   reserves `n` slots with one SeqCst CAS; [`SpscRing::close`] is
+//!   `tail.fetch_or(CLOSED_BIT)` (bit 63). A producer that loads a closed
+//!   `tail` returns [`Push::Closed`], one that raced the close loses its
+//!   CAS and reloads: reservation and close are linearised on one word,
+//!   the reservations below the frozen tail are exactly the pushes that
+//!   land, and the closing drain pops until `head` meets it. Every other
+//!   reader of `tail` masks the bit.
+//! * **`head` and `want` are the consumer's.** `head` is release-stored
+//!   after a batch is copied out and acquire-loaded by producers sizing
+//!   a reservation (what makes slot reuse safe). `want` is the
+//!   batch-or-timeout hand-off: an idle consumer publishes the backlog
+//!   it waits for and parks ≤ `PARK` on its own [`Thread`] handle, and
+//!   only the push that completes that backlog unparks it — a parked
+//!   worker costs a push one load. See [`SpscRing::pop_wait`].
 //!
-//! Payloads are `u64` *stamps*: nanoseconds since the ring's
-//! [`epoch`](SpscRing::epoch). All rings of one engine share an epoch so
-//! a batch can take a single timestamp at the front door and fan it out
-//! to every shard without re-reading the clock.
+//! **Ordering.** A slot word validates itself, so the payload needs no
+//! release/acquire pass of its own. One [`fence`]`(Release)` before a
+//! batch's stores and one [`fence`]`(Acquire)` after the consumer's scan
+//! are kept all the same: they make a push *happen before* its pop, as a
+//! hand-off should, and cost nothing on TSO. A producer writes its
+//! reservation **last slot first**, so on TSO the consumer's prefix scan
+//! finds a batch whole or not at all instead of chasing the producer's
+//! frontier in slivers. That buys throughput, never correctness: on a
+//! weaker target the stores land in any order and the scan still stops
+//! at the first slot whose tag is not this lap's.
 //!
-//! The ring is multi-producer (reservation CAS) / single-consumer; the
-//! name keeps the SPSC intent of the per-shard topology — exactly one
-//! worker ever pops — while the push side tolerates the engine's many
-//! offer threads.
+//! Payloads are *stamps*: nanoseconds since the ring's
+//! [`epoch`](SpscRing::epoch) (< 2⁶² for 146 years), which all rings of
+//! an engine share so one front-door timestamp serves a batch. The ring
+//! is multi-producer / single-consumer; the name keeps the SPSC intent
+//! of the per-shard topology — exactly one worker ever pops.
 
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::thread::Thread;
 use std::time::{Duration, Instant};
@@ -69,58 +73,68 @@ pub enum Push {
     /// ring ran out of capacity mid-batch; the shortfall was *not*
     /// enqueued and maps to `rejected_capacity` at the front door).
     Pushed(usize),
-    /// The ring was closed before the push began; nothing was enqueued.
+    /// The ring was closed before the push reserved; nothing was enqueued.
     Closed,
 }
 
-/// How long a waiting consumer parks before re-checking the ring. This
-/// is the "timeout" of the batch-or-timeout hand-off: a backlog smaller
-/// than the consumer's batch is never announced by a producer and waits
-/// at most this long (plus the kernel's timer slack, ≈ 50 µs) to be
-/// popped. It is also the cost bound of any missed doorbell, which keeps
-/// the producer→consumer handshake simple (no exactly-once wakeup
-/// protocol is needed for correctness).
+/// How long a waiting consumer parks before re-checking the ring: the
+/// "timeout" of the batch-or-timeout hand-off (a backlog below the
+/// consumer's batch is never announced and waits at most this long plus
+/// ≈ 50 µs of timer slack) and the cost bound of any missed doorbell,
+/// which is why the handshake needs no exactly-once wake-up protocol.
 const PARK: Duration = Duration::from_micros(200);
 
-/// Bounded lock-free ring: many reserving producers, one consumer.
-#[derive(Debug)]
-pub struct SpscRing {
-    /// Slot-index mask; the slot array length is `mask + 1`.
-    mask: u64,
-    /// Logical capacity (requested by the caller, ≤ `mask + 1`). A push
-    /// never admits more than `cap` outstanding payloads even though the
-    /// slot array may be larger after power-of-two rounding.
-    cap: u64,
-    /// Per-slot readiness stamps: slot `s & mask` holds `s + 1` once the
-    /// payload for sequence `s` is readable. Sequence numbers are unique
-    /// over the ring's lifetime, so a stale stamp can never be mistaken
-    /// for a fresh one.
-    seq: Box<[AtomicU64]>,
-    /// Payload array (stamps, see module docs).
-    data: Box<[AtomicU64]>,
-    /// Next sequence the consumer will pop. Release-stored by the
-    /// consumer after copying payloads out; acquire-loaded by producers
-    /// when computing free capacity (this pairing is what makes slot
-    /// reuse safe).
-    head: CachePadded<AtomicU64>,
-    /// Next sequence a producer will reserve.
-    tail: CachePadded<AtomicU64>,
-    /// Set once by [`close`](Self::close); never cleared.
-    closed: AtomicBool,
-    /// Number of pushes past the closed-gate but not yet published. The
-    /// closing drain waits for this to reach zero so no payload is
-    /// stranded by a racing push.
-    in_flight: AtomicU64,
-    /// Backlog a waiting consumer asked to be woken at; 0 while it is
-    /// not waiting. Stored by the consumer around its park, cleared by
-    /// the one producer that rings (see [`pop_wait`](Self::pop_wait)).
+/// Bit 62 of a slot word, the lap-parity tag (module docs). It is the
+/// ring's: a pushed payload must leave it clear.
+pub const LAP_BIT: u64 = 1 << 62;
+
+/// Bit 63 of `tail`: set once by [`SpscRing::close`], never cleared.
+const CLOSED_BIT: u64 = 1 << 63;
+const _: () = assert!(crate::spans::SAMPLE_BIT & LAP_BIT == 0);
+
+/// The consumer's line: it alone stores `head`; every push reads both.
+#[derive(Debug, Default)]
+struct ConsumerLine {
+    /// Next sequence the consumer will pop.
+    head: AtomicU64,
+    /// Backlog a parked consumer asked to be woken at, else 0. Cleared
+    /// by the one producer that rings (see [`SpscRing::pop_wait`]).
     want: AtomicU64,
-    /// The consumer's thread handle, registered on its first wait.
-    consumer: OnceLock<Thread>,
+}
+
+/// The producers' line.
+#[derive(Debug, Default)]
+struct ProducerLine {
+    /// Next sequence a producer will reserve, plus [`CLOSED_BIT`].
+    tail: AtomicU64,
     /// Doorbells rung by producers (statistic; `close()` is not counted).
     doorbells: AtomicU64,
+}
+
+/// What nobody writes after construction (`consumer`: on the first wait).
+#[derive(Debug)]
+struct FixedLine {
+    /// The slot words, a power of two of them: the index mask is `len − 1`.
+    slots: Box<[AtomicU64]>,
+    /// Logical capacity (as requested, ≤ `slots.len()`): no push admits
+    /// more than `cap` outstanding payloads.
+    cap: u64,
+    /// `log2(slots.len())`: a sequence's lap is `s >> shift`.
+    shift: u32,
     /// Time origin for payload stamps.
     epoch: Instant,
+    /// The consumer's thread handle.
+    consumer: OnceLock<Thread>,
+}
+
+/// Bounded lock-free ring: many reserving producers, one consumer. Three
+/// cache lines, laid out by writer, plus `slots × 8` bytes.
+#[derive(Debug)]
+#[repr(C)]
+pub struct SpscRing {
+    cons: CachePadded<ConsumerLine>,
+    prod: CachePadded<ProducerLine>,
+    fixed: CachePadded<FixedLine>,
 }
 
 impl SpscRing {
@@ -131,48 +145,51 @@ impl SpscRing {
     }
 
     /// Creates a ring with an explicit stamp epoch (shared across all
-    /// rings of one engine so one front-door timestamp serves a whole
-    /// batch).
+    /// rings of one engine: one front-door timestamp serves a batch).
     pub fn with_epoch(capacity: usize, epoch: Instant) -> Self {
         let cap = capacity.max(1) as u64;
-        let slots = cap.next_power_of_two() as usize;
-        let mk = |_: usize| AtomicU64::new(0);
+        let slots = cap.next_power_of_two();
         Self {
-            mask: slots as u64 - 1,
-            cap,
-            seq: (0..slots).map(mk).collect(),
-            data: (0..slots).map(mk).collect(),
-            head: CachePadded(AtomicU64::new(0)),
-            tail: CachePadded(AtomicU64::new(0)),
-            closed: AtomicBool::new(false),
-            in_flight: AtomicU64::new(0),
-            want: AtomicU64::new(0),
-            consumer: OnceLock::new(),
-            doorbells: AtomicU64::new(0),
-            epoch,
+            cons: CachePadded::default(),
+            prod: CachePadded::default(),
+            fixed: CachePadded(FixedLine {
+                slots: (0..slots).map(|_| AtomicU64::new(0)).collect(),
+                cap,
+                shift: slots.trailing_zeros(),
+                epoch,
+                consumer: OnceLock::new(),
+            }),
         }
     }
 
     /// The ring's stamp epoch.
     pub fn epoch(&self) -> Instant {
-        self.epoch
+        self.fixed.epoch
     }
 
     /// Current stamp: nanoseconds elapsed since the epoch.
     pub fn stamp_now(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+        self.fixed.epoch.elapsed().as_nanos() as u64
     }
 
     /// Logical capacity.
     pub fn capacity(&self) -> usize {
-        self.cap as usize
+        self.fixed.cap as usize
     }
 
-    /// Approximate number of queued payloads.
+    /// `tail` as everyone but a reserving producer reads it: payloads
+    /// reserved and not yet popped (the close bit masked off), and whether
+    /// the ring is closed. SeqCst: the consumer's load in the doorbell.
+    fn backlog(&self) -> (u64, bool) {
+        let h = self.cons.head.load(Ordering::Acquire);
+        let t = self.prod.tail.load(Ordering::SeqCst);
+        ((t & !CLOSED_BIT).saturating_sub(h), t & CLOSED_BIT != 0)
+    }
+
+    /// Approximate number of queued payloads; frozen reservations
+    /// included, so exact once the ring is closed and the consumer idle.
     pub fn len(&self) -> usize {
-        let h = self.head.load(Ordering::Acquire);
-        let t = self.tail.load(Ordering::Acquire);
-        t.saturating_sub(h) as usize
+        self.backlog().0 as usize
     }
 
     /// Whether the ring currently looks empty.
@@ -182,25 +199,23 @@ impl SpscRing {
 
     /// Whether [`close`](Self::close) has been called.
     pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::SeqCst)
+        self.backlog().1
     }
 
     /// How many times a producer has rung the doorbell (woken a waiting
-    /// consumer because a full batch was ready). Wake-ups by
-    /// [`close`](Self::close) are not counted.
+    /// consumer because a full batch was ready); `close()` is not counted.
     pub fn doorbells(&self) -> u64 {
-        self.doorbells.load(Ordering::Relaxed)
+        self.prod.doorbells.load(Ordering::Relaxed)
     }
 
-    /// Closes the ring. Idempotent; pushes that start after this returns
-    /// deterministically see [`Push::Closed`]. The consumer drains any
-    /// payloads (including racing in-flight pushes) before
-    /// [`pop_wait`](Self::pop_wait) reports exhaustion.
+    /// Closes the ring. Idempotent; `tail` is frozen from here on, so a
+    /// push that starts after this returns deterministically sees
+    /// [`Push::Closed`], and a push that reserved before it lands and is
+    /// drained before [`pop_wait`](Self::pop_wait) reports exhaustion.
     pub fn close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-        // Wake a waiting consumer whatever its backlog, so it can run
-        // the closing drain.
-        if let Some(consumer) = self.consumer.get() {
+        self.prod.tail.fetch_or(CLOSED_BIT, Ordering::SeqCst);
+        // Wake the consumer whatever its backlog, for the closing drain.
+        if let Some(consumer) = self.fixed.consumer.get() {
             consumer.unpark();
         }
     }
@@ -211,51 +226,39 @@ impl SpscRing {
     }
 
     /// Pushes `n` copies of `value` in one reservation. Returns
-    /// [`Push::Pushed`] with the number actually enqueued (0..=n; short
-    /// when capacity ran out) or [`Push::Closed`] if the ring was closed
-    /// before the push began. One release fence publishes the whole
-    /// batch.
+    /// [`Push::Pushed`] with the number enqueued (0..=n; short when
+    /// capacity ran out) or [`Push::Closed`] if the ring closed first.
     pub fn push_repeat(&self, value: u64, n: usize) -> Push {
         self.push_with(n, |_| value)
     }
 
-    /// Pushes `n` payloads produced by `f(i)` for `i` in `0..pushed`.
-    /// Same contract as [`push_repeat`](Self::push_repeat).
+    /// Pushes `n` payloads produced by `f(i)` for `i` in `0..pushed`,
+    /// called **last index first** (module docs). Same contract as
+    /// [`push_repeat`](Self::push_repeat). Bit 62 of what `f` returns is
+    /// the ring's ([`LAP_BIT`]): it must be clear and is stripped.
     ///
     /// The push rings the doorbell only if a consumer is waiting, this
     /// push brought the backlog up to the batch it asked for, and this
-    /// producer is the one that cleared the request: one `unpark` per
-    /// park however many producers race, none below a full batch. A
-    /// smaller backlog reaches the consumer when its park times out.
+    /// producer cleared the request: one `unpark` per park however many
+    /// producers race; a smaller backlog is left to the park's timeout.
     pub fn push_with(&self, n: usize, mut f: impl FnMut(usize) -> u64) -> Push {
-        if n == 0 {
-            return if self.is_closed() {
-                Push::Closed
-            } else {
-                Push::Pushed(0)
-            };
-        }
-        // Close gate: announce the push, then check the flag. `close()`
-        // stores the flag SeqCst before the drain waits on `in_flight`,
-        // so a push either observes closed here or is counted in flight
-        // and its payloads are drained.
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        if self.closed.load(Ordering::SeqCst) {
-            self.in_flight.fetch_sub(1, Ordering::SeqCst);
-            return Push::Closed;
-        }
-        // Reserve up to `n` slots with one CAS on `tail`. SeqCst on
-        // success: the reservation is this side's store in the doorbell
-        // handshake (see `pop_wait`).
+        // Reserve up to `n` slots with one CAS on `tail`, also the close
+        // gate: a closed `tail` never equals the open one loaded here.
+        // SeqCst: this side's store in the doorbell (see `pop_wait`).
         let (start, got) = loop {
-            let t = self.tail.load(Ordering::Relaxed);
-            let h = self.head.load(Ordering::Acquire);
-            let free = self.cap.saturating_sub(t.wrapping_sub(h));
-            let take = (n as u64).min(free);
+            let t = self.prod.tail.load(Ordering::Relaxed);
+            if t & CLOSED_BIT != 0 {
+                return Push::Closed;
+            }
+            // Saturating: `head` is read second and may already be past
+            // a stale `t`; the CAS then fails and the loop reloads.
+            let used = t.saturating_sub(self.cons.head.load(Ordering::Acquire));
+            let take = (n as u64).min(self.fixed.cap.saturating_sub(used));
             if take == 0 {
-                break (t, 0);
+                return Push::Pushed(0);
             }
             if self
+                .prod
                 .tail
                 .compare_exchange_weak(t, t + take, Ordering::SeqCst, Ordering::Relaxed)
                 .is_ok()
@@ -263,107 +266,107 @@ impl SpscRing {
                 break (t, take);
             }
         };
-        if got == 0 {
-            self.in_flight.fetch_sub(1, Ordering::SeqCst);
-            return Push::Pushed(0);
-        }
-        for i in 0..got {
-            let s = start + i;
-            self.data[(s & self.mask) as usize].store(f(i as usize), Ordering::Relaxed);
-        }
-        // Publish the whole batch with a single release fence; the
-        // per-slot stamps below may then be relaxed.
+        // Write the reservation last slot first: it is at most two
+        // stretches, the later one first and each from its far end.
         fence(Ordering::Release);
-        for i in 0..got {
-            let s = start + i;
-            self.seq[(s & self.mask) as usize].store(s + 1, Ordering::Relaxed);
+        let (tag, run) = self.stretch(start, got as usize);
+        let wrapped = self.stretch(start + run.len() as u64, got as usize - run.len());
+        for (base, (tag, run)) in [(run.len(), wrapped), (0, (tag, run))] {
+            for (i, slot) in run.iter().enumerate().rev() {
+                let value = f(base + i);
+                debug_assert_eq!(value & LAP_BIT, 0, "payload bit 62 is the ring's");
+                slot.store((value & !LAP_BIT) | tag, Ordering::Relaxed);
+            }
         }
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
         self.ring_if_batch_ready(start + got);
         Push::Pushed(got as usize)
     }
 
-    /// The backlog a consumer popping into `out_len` slots waits for:
-    /// its buffer, clamped to capacity — a ring smaller than the buffer
-    /// must still ring when it is full.
+    /// One lap's stretch of the slot array: the slots of sequence `s`
+    /// and up to `max − 1` after it, cut at the end of the array, and
+    /// what [`LAP_BIT`] reads in them once they hold those sequences.
+    #[inline]
+    fn stretch(&self, s: u64, max: usize) -> (u64, &[AtomicU64]) {
+        let slots = &self.fixed.slots;
+        let at = (s & (slots.len() as u64 - 1)) as usize;
+        let tag = (((s >> self.fixed.shift) + 1) & 1) << LAP_BIT.trailing_zeros();
+        (tag, &slots[at..slots.len().min(at + max)])
+    }
+
+    /// The backlog a consumer popping into `out_len` slots waits for,
+    /// clamped to capacity: a ring smaller than the buffer rings when full.
     fn batch_want(&self, out_len: usize) -> u64 {
-        (out_len as u64).clamp(1, self.cap)
+        (out_len as u64).clamp(1, self.fixed.cap)
     }
 
     /// The producer half of the doorbell; `tail_after` is the end of the
     /// caller's own reservation.
     #[inline]
     fn ring_if_batch_ready(&self, tail_after: u64) {
-        let want = self.want.load(Ordering::SeqCst);
+        let want = self.cons.want.load(Ordering::SeqCst);
         if want == 0 {
             return;
         }
         // Saturating: with several producers, one pre-empted between
         // publishing and this check can find `head` past its own slots.
-        let backlog = tail_after.saturating_sub(self.head.load(Ordering::Acquire));
-        if backlog >= want && self.want.swap(0, Ordering::SeqCst) != 0 {
-            self.doorbells.fetch_add(1, Ordering::Relaxed);
-            if let Some(consumer) = self.consumer.get() {
+        let backlog = tail_after.saturating_sub(self.cons.head.load(Ordering::Acquire));
+        if backlog >= want && self.cons.want.swap(0, Ordering::SeqCst) != 0 {
+            self.prod.doorbells.fetch_add(1, Ordering::Relaxed);
+            if let Some(consumer) = self.fixed.consumer.get() {
                 consumer.unpark();
             }
         }
     }
 
-    /// Non-blocking batch pop into `out`. Returns the number of payloads
-    /// copied (0 when nothing is ready). Single consumer only.
+    /// Non-blocking batch pop into `out`: copies the contiguous prefix
+    /// of slots whose tag is their lap's (so never past a reservation
+    /// still being written) and returns its length. Single consumer only.
     pub fn pop_n(&self, out: &mut [u64]) -> usize {
-        if out.is_empty() {
-            return 0;
-        }
-        let h = self.head.load(Ordering::Relaxed);
-        // Scan the contiguous ready prefix.
-        let mut n = 0u64;
-        let max = out.len() as u64;
-        while n < max {
-            let s = h + n;
-            if self.seq[(s & self.mask) as usize].load(Ordering::Relaxed) != s + 1 {
+        let h = self.cons.head.load(Ordering::Relaxed);
+        let mut n = 0;
+        while n < out.len() {
+            let (tag, run) = self.stretch(h + n as u64, out.len() - n);
+            let ready = std::iter::zip(run, &mut out[n..])
+                .map_while(|(slot, out)| {
+                    let word = slot.load(Ordering::Relaxed);
+                    (word & LAP_BIT == tag).then(|| *out = word & !LAP_BIT)
+                })
+                .count();
+            n += ready;
+            if ready < run.len() {
                 break;
             }
-            n += 1;
         }
-        if n == 0 {
-            return 0;
+        if n > 0 {
+            // Pairs with the producers' release fence; the release store
+            // pairs with their acquire load of `head`, so the slots are
+            // safe to reuse.
+            fence(Ordering::Acquire);
+            self.cons.head.store(h + n as u64, Ordering::Release);
         }
-        // One acquire fence pairs with the producers' release fence for
-        // the whole batch.
-        fence(Ordering::Acquire);
-        for i in 0..n {
-            let s = h + i;
-            out[i as usize] = self.data[(s & self.mask) as usize].load(Ordering::Relaxed);
-        }
-        // Retire the batch; the release store pairs with the producers'
-        // acquire load of `head` so the slots are safe to reuse.
-        self.head.store(h + n, Ordering::Release);
-        n as usize
+        n
     }
 
     /// Blocking batch pop, batch-or-timeout: returns as soon as anything
     /// is ready, otherwise waits until a full batch (`out.len()`, clamped
     /// to capacity) has been pushed or `PARK` (200 µs) has elapsed,
     /// whichever is first, and pops what is there. Returns `0` **only**
-    /// when the ring is closed and fully drained (no racing push can be
-    /// stranded); otherwise returns ≥ 1.
+    /// when the ring is closed and `head` has met the frozen `tail` (every
+    /// reservation made before the close is popped); otherwise ≥ 1.
     ///
     /// A payload pushed to an *empty* ring therefore waits at most `PARK`
-    /// plus timer slack plus one wake-up (≈ 0.3 ms) before it is popped,
-    /// and at most `min(want − 1, λ·PARK)` payloads sit in the ring
-    /// behind a parked consumer. Under backlog the consumer never gets
-    /// here.
+    /// plus timer slack plus one wake-up (≈ 0.3 ms), and at most
+    /// `min(want − 1, λ·PARK)` payloads sit behind a parked consumer.
+    /// Under backlog the consumer never gets here.
     ///
     /// The doorbell is a Dekker pairing, SeqCst on both sides: the
     /// consumer stores `want` then loads `tail`; a producer advances
-    /// `tail` (the reservation CAS) then loads `want`. Whichever side
-    /// comes second in the total order sees the other's store, so either
-    /// the consumer sees the full batch and does not park, or the
-    /// producer that completed it sees `want` and rings. What slips
-    /// through (a close racing the registration of the consumer's
-    /// handle, a bell spent on a stale `want`) costs one `PARK`, never a
-    /// payload.
+    /// `tail` (the reservation CAS) then loads `want`. Whichever comes
+    /// second in the total order sees the other's store, so either the
+    /// consumer sees the full batch and does not park, or the producer
+    /// that completed it sees `want` and rings. What slips through (a
+    /// close racing the registration of the consumer's handle, a bell
+    /// spent on a stale `want`) costs one `PARK`, never a payload.
     ///
     /// Single consumer only, and always the same thread: its handle is
     /// registered once (a supervisor that restarts a panicked worker
@@ -375,33 +378,30 @@ impl SpscRing {
             if n > 0 {
                 return n;
             }
-            if self.closed.load(Ordering::SeqCst) {
-                // Closing drain: wait out in-flight pushes, then take
-                // one final look.
-                while self.in_flight.load(Ordering::SeqCst) != 0 {
-                    std::hint::spin_loop();
+            match self.backlog() {
+                (0, true) => return 0,
+                // Closing drain: nothing is ready, yet a reservation
+                // below the frozen tail is still being written.
+                (_, true) => std::hint::spin_loop(),
+                (_, false) => {
+                    let me = self.fixed.consumer.get_or_init(std::thread::current);
+                    debug_assert_eq!(
+                        me.id(),
+                        std::thread::current().id(),
+                        "the ring's consumer must stay on one thread"
+                    );
+                    self.cons.want.store(want, Ordering::SeqCst);
+                    // `tail` counts reserved-but-unwritten slots: behind
+                    // a producer pre-empted mid-push this loops on
+                    // `pop_n` rather than wait out `PARK` with a full
+                    // batch queued.
+                    let (backlog, closed) = self.backlog();
+                    if backlog < want && !closed {
+                        std::thread::park_timeout(PARK);
+                    }
+                    self.cons.want.store(0, Ordering::SeqCst);
                 }
-                return self.pop_n(out);
             }
-            let me = self.consumer.get_or_init(std::thread::current);
-            debug_assert_eq!(
-                me.id(),
-                std::thread::current().id(),
-                "the ring's consumer must stay on one thread"
-            );
-            self.want.store(want, Ordering::SeqCst);
-            // `tail` counts reserved-but-unpublished slots: behind a
-            // producer pre-empted mid-push this loops on `pop_n` until
-            // its next time slice instead of parking — preferable to
-            // waiting out `PARK` with a full batch queued.
-            let backlog = self
-                .tail
-                .load(Ordering::SeqCst)
-                .saturating_sub(self.head.load(Ordering::Relaxed));
-            if backlog < want && !self.closed.load(Ordering::SeqCst) {
-                std::thread::park_timeout(PARK);
-            }
-            self.want.store(0, Ordering::SeqCst);
         }
     }
 }
@@ -419,6 +419,85 @@ mod tests {
         assert_eq!(ring.pop_n(&mut out), 5);
         assert_eq!(&out[..5], &[0, 10, 20, 30, 40]);
         assert_eq!(ring.pop_n(&mut out), 0);
+    }
+
+    #[test]
+    fn ring_is_three_cache_lines_and_one_word_per_slot() {
+        assert_eq!(std::mem::size_of::<SpscRing>(), 3 * 64);
+        assert_eq!(std::mem::align_of::<SpscRing>(), 64);
+        // The layout is by writer: consumer, producers, nobody.
+        assert_eq!(std::mem::offset_of!(SpscRing, cons), 0);
+        assert_eq!(std::mem::offset_of!(SpscRing, prod), 64);
+        assert_eq!(std::mem::offset_of!(SpscRing, fixed), 128);
+        // The heap is the slot words and nothing else (131 072 slots is
+        // `rt_overload_3x`'s shard: 1 MiB where two arrays took 2).
+        let ring = SpscRing::new(100_000);
+        assert_eq!(std::mem::size_of_val(&*ring.fixed.slots), 131_072 * 8);
+    }
+
+    #[test]
+    fn zero_is_a_payload_and_a_fresh_slot_is_not() {
+        use crate::spans::SAMPLE_BIT;
+        let ring = SpscRing::new(2);
+        let mut out = [7u64; 4];
+        assert_eq!(ring.pop_n(&mut out), 0, "a zeroed array is not lap 0");
+        // Laps 0 to 3 of both slots: `0` differs from what the slot held
+        // a lap ago by the tag alone, and the sample mark round-trips.
+        for lap in 0..4u64 {
+            assert_eq!(ring.push(0), Push::Pushed(1), "lap {lap}");
+            assert_eq!(ring.pop_n(&mut out), 1);
+            assert_eq!(out[0], 0);
+            assert_eq!(
+                ring.pop_n(&mut out),
+                0,
+                "lap {lap}: last lap's 0 is not this lap's"
+            );
+            let marked = !LAP_BIT - lap;
+            assert_eq!(marked & SAMPLE_BIT, SAMPLE_BIT);
+            assert_eq!(ring.push(marked), Push::Pushed(1));
+            assert_eq!(ring.push_repeat(0, 2), Push::Pushed(1));
+            assert_eq!(ring.pop_n(&mut out), 2);
+            assert_eq!(out[..2], [marked, 0]);
+        }
+    }
+
+    /// Bit 62 of a payload is the ring's: a debug build refuses it, a
+    /// release build strips it rather than let it flip a slot's lap.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "payload bit 62"))]
+    fn a_payload_cannot_forge_the_lap_tag() {
+        let ring = SpscRing::new(4);
+        let mut out = [0u64; 4];
+        for lap in 0..3 {
+            assert_eq!(
+                ring.push_repeat(LAP_BIT | 5, 4),
+                Push::Pushed(4),
+                "lap {lap}"
+            );
+            assert_eq!(ring.pop_n(&mut out), 4);
+            assert_eq!(out, [5; 4]);
+        }
+    }
+
+    /// The doorbell's Dekker pairing needs the reservation CAS, the
+    /// `want` accesses and the consumer's `tail` load SeqCst. No run on
+    /// x86 can tell: a locked RMW is a full fence at any ordering there.
+    /// Until ROADMAP 1b's explorer models a store buffer, the orderings
+    /// are pinned in the source.
+    #[test]
+    fn the_dekker_pairing_is_seqcst_in_the_source() {
+        let src: String = include_str!("ring.rs").split_whitespace().collect();
+        let src = &src[..src.find("#[cfg(test)]").unwrap()];
+        for pinned in [
+            "compare_exchange_weak(t,t+take,Ordering::SeqCst,Ordering::Relaxed)",
+            "self.cons.want.load(Ordering::SeqCst)",
+            "self.cons.want.swap(0,Ordering::SeqCst)",
+            "self.cons.want.store(want,Ordering::SeqCst)",
+            "self.prod.tail.load(Ordering::SeqCst)",
+            "self.prod.tail.fetch_or(CLOSED_BIT,Ordering::SeqCst)",
+        ] {
+            assert!(src.contains(pinned), "{pinned}");
+        }
     }
 
     #[test]
@@ -482,8 +561,8 @@ mod tests {
     /// Stands in for a consumer parked in `pop_wait`, without a clock:
     /// the calling thread registers itself and publishes `want`.
     fn park_here(ring: &SpscRing, want: u64) {
-        ring.consumer.get_or_init(std::thread::current);
-        ring.want.store(want, Ordering::SeqCst);
+        ring.fixed.consumer.get_or_init(std::thread::current);
+        ring.cons.want.store(want, Ordering::SeqCst);
     }
 
     /// Consumes this thread's unpark token; `false` if none was pending
@@ -506,7 +585,7 @@ mod tests {
             0,
             "a sub-batch backlog is the timeout's job"
         );
-        assert_eq!(ring.want.load(Ordering::SeqCst), 256);
+        assert_eq!(ring.cons.want.load(Ordering::SeqCst), 256);
         assert_eq!(ring.push(255), Push::Pushed(1));
         assert_eq!(ring.doorbells(), 1);
         assert!(took_unpark_token());
@@ -586,7 +665,11 @@ mod tests {
         park_here(&ring, 1);
         ring.ring_if_batch_ready(4);
         assert_eq!(ring.doorbells(), 0);
-        assert_eq!(ring.want.load(Ordering::SeqCst), 1, "the request stands");
+        assert_eq!(
+            ring.cons.want.load(Ordering::SeqCst),
+            1,
+            "the request stands"
+        );
     }
 
     /// A consumer thread popping into `BUF` slots until the ring closes;
@@ -612,7 +695,7 @@ mod tests {
     /// Spins until the consumer has published a `want` (it is between
     /// that store and its park, or parked).
     fn await_waiting_consumer(ring: &SpscRing) {
-        while ring.want.load(Ordering::SeqCst) == 0 {
+        while ring.cons.want.load(Ordering::SeqCst) == 0 {
             std::hint::spin_loop();
         }
     }

@@ -15,7 +15,8 @@
 //! front door marks roughly every `sample_every`-th tuple (default
 //! [`DEFAULT_SAMPLE_EVERY`] = 64) by setting [`SAMPLE_BIT`] — bit 63 —
 //! in the tuple's ring stamp. Stamps are nanoseconds since the engine
-//! epoch, which stays below 2⁶³ for ~292 years, so the bit is free. The
+//! epoch, which stays below 2⁶² for 146 years, so the bit is free (the
+//! ring keeps bit 62 for itself, see [`SAMPLE_BIT`]). The
 //! worker detects the bit at retirement, strips it before any delay
 //! arithmetic, and closes the span: `ring_wait` (stamp → batch start),
 //! `execute` (batch start → retirement), and the end-to-end sojourn.
@@ -28,9 +29,12 @@ use std::sync::{Arc, Mutex};
 use crate::histo::{AtomicHisto, Histo};
 use crate::telemetry::PromText;
 
-/// Bit 63 of a ring stamp marks a sampled tuple. Stamps are ns since
-/// the engine epoch (< 2⁶³ for centuries), so the bit never collides
-/// with real time.
+/// Bit 63 of a ring stamp marks a sampled tuple. A ring payload is 62
+/// value bits plus this mark: bit 62 is the ring's own
+/// ([`LAP_BIT`](crate::ring::LAP_BIT), `ring.rs` asserts the two are
+/// disjoint), and stamps are ns since the engine epoch (< 2⁶² for 146
+/// years), so neither bit collides with real time. The ring returns the
+/// mark as pushed; a stamp of `0` is legal.
 pub const SAMPLE_BIT: u64 = 1 << 63;
 
 /// Default sojourn sampling rate: one tuple in 64.

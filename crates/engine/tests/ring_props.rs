@@ -8,18 +8,24 @@
 //! producer against a consumer (plus a mid-flight `close()`) and asserts
 //! exact conservation: accepted == popped, with no duplicates and no
 //! reordering. A second stress aims sixteen producers at a consumer that
-//! waits for a single slot, so every push is a doorbell candidate.
+//! waits for a single slot, so every push is a doorbell candidate. Two
+//! tests pin the close protocol: eight producers racing `close()` (the
+//! reservations below the frozen `tail` are exactly what lands), and a
+//! producer parked between its reservation and its stores (the consumer
+//! neither pops past the hole nor reports the ring drained).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use proptest::prelude::*;
-use streamshed_engine::ring::{Push, SpscRing};
+use streamshed_engine::ring::{Push, SpscRing, LAP_BIT};
+use streamshed_engine::spans::SAMPLE_BIT;
 
 /// One scripted step against the ring: push a batch of `n` values or pop
 /// with an `n`-slot buffer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Step {
     Push(usize),
     Pop(usize),
@@ -30,6 +36,79 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         (1usize..=64).prop_map(Step::Push),
         (1usize..=64).prop_map(Step::Pop),
     ]
+}
+
+/// Plays `steps` against a ring of `capacity` and a `VecDeque` model,
+/// sequence `s` carrying `payload(s)`. The script repeats — with a full
+/// pop and a full push between rounds, so an all-pop or all-push script
+/// still advances — until every slot has been written on `laps` laps.
+fn check_against_model(
+    capacity: usize,
+    steps: &[Step],
+    laps: u64,
+    payload: fn(u64) -> u64,
+) -> Result<(), TestCaseError> {
+    let ring = SpscRing::new(capacity);
+    let slots = capacity.next_power_of_two() as u64;
+    let mut model: VecDeque<u64> = VecDeque::new();
+    let mut next = 0u64;
+    loop {
+        let round = [Step::Pop(capacity), Step::Push(capacity)];
+        for step in steps.iter().chain(&round) {
+            match *step {
+                Step::Push(n) => {
+                    let base = next;
+                    match ring.push_with(n, |i| payload(base + i as u64)) {
+                        Push::Pushed(accepted) => {
+                            // Partial acceptance is a prefix: exactly the
+                            // first `accepted` values are in the ring.
+                            prop_assert!(accepted <= n);
+                            let free = capacity - model.len();
+                            prop_assert_eq!(accepted, n.min(free));
+                            model.extend((base..base + accepted as u64).map(payload));
+                            next += accepted as u64;
+                        }
+                        Push::Closed => prop_assert!(false, "ring is never closed here"),
+                    }
+                }
+                Step::Pop(n) => {
+                    let mut buf = vec![0u64; n];
+                    let got = ring.pop_n(&mut buf);
+                    prop_assert_eq!(got, n.min(model.len()));
+                    for &v in &buf[..got] {
+                        prop_assert_eq!(Some(v), model.pop_front(), "FIFO order");
+                    }
+                }
+            }
+            prop_assert_eq!(ring.len(), model.len());
+            prop_assert!(ring.len() <= capacity, "capacity is a hard bound");
+        }
+        if next >= laps * slots {
+            break;
+        }
+    }
+    // Drain: everything the model still holds comes out, in order.
+    let mut buf = vec![0u64; capacity];
+    while !model.is_empty() {
+        let got = ring.pop_n(&mut buf);
+        prop_assert!(got > 0);
+        for &v in &buf[..got] {
+            prop_assert_eq!(Some(v), model.pop_front());
+        }
+    }
+    prop_assert!(ring.is_empty());
+    Ok(())
+}
+
+/// The whole payload domain in rotation: `0` (an empty slot but for the
+/// tag), a plain stamp, a sampled stamp, and the largest legal word.
+fn edge_payload(s: u64) -> u64 {
+    match s % 4 {
+        0 => 0,
+        1 => s,
+        2 => s | SAMPLE_BIT,
+        _ => !LAP_BIT,
+    }
 }
 
 proptest! {
@@ -43,51 +122,20 @@ proptest! {
         capacity in 1usize..=96,
         steps in proptest::collection::vec(step_strategy(), 1..80),
     ) {
-        let ring = SpscRing::new(capacity);
-        let mut model: VecDeque<u64> = VecDeque::new();
-        let mut next = 0u64;
-        for step in steps {
-            match step {
-                Step::Push(n) => {
-                    let base = next;
-                    match ring.push_with(n, |i| base + i as u64) {
-                        Push::Pushed(accepted) => {
-                            // Partial acceptance is a prefix: exactly the
-                            // first `accepted` values are in the ring.
-                            prop_assert!(accepted <= n);
-                            let free = capacity - model.len();
-                            prop_assert_eq!(accepted, n.min(free));
-                            for i in 0..accepted as u64 {
-                                model.push_back(base + i);
-                            }
-                            next += accepted as u64;
-                        }
-                        Push::Closed => prop_assert!(false, "ring is never closed here"),
-                    }
-                }
-                Step::Pop(n) => {
-                    let mut buf = vec![0u64; n];
-                    let got = ring.pop_n(&mut buf);
-                    prop_assert!(got <= model.len());
-                    prop_assert_eq!(got, n.min(model.len()));
-                    for &v in &buf[..got] {
-                        prop_assert_eq!(Some(v), model.pop_front(), "FIFO order");
-                    }
-                }
-            }
-            prop_assert_eq!(ring.len(), model.len());
-            prop_assert!(ring.len() <= capacity, "capacity is a hard bound");
+        check_against_model(capacity, &steps, 0, |s| s)?;
+    }
+
+    /// The same on rings small enough to lap: one slot, exact powers of
+    /// two and capacities below their slot count, each slot written on
+    /// at least four laps (both tag values twice), with payloads that
+    /// differ from an empty slot by the tag alone.
+    #[test]
+    fn small_rings_match_the_model_lap_after_lap(
+        steps in proptest::collection::vec(step_strategy(), 1..24),
+    ) {
+        for capacity in [1, 2, 3, 5, 8, 13] {
+            check_against_model(capacity, &steps, 4, edge_payload)?;
         }
-        // Drain: everything the model still holds comes out, in order.
-        let mut buf = vec![0u64; capacity];
-        while !model.is_empty() {
-            let got = ring.pop_n(&mut buf);
-            prop_assert!(got > 0);
-            for &v in &buf[..got] {
-                prop_assert_eq!(Some(v), model.pop_front());
-            }
-        }
-        prop_assert!(ring.is_empty());
     }
 
     /// `push_repeat` and single-value `push` obey the same capacity
@@ -178,7 +226,20 @@ fn two_thread_stress_conserves_under_racing_close() {
             "round {round}: every accepted value popped exactly once"
         );
         assert!(ring.is_closed());
-        assert!(matches!(ring.push(1), Push::Closed), "post-close push rejected");
+        assert!(
+            matches!(ring.push(1), Push::Closed),
+            "post-close push rejected"
+        );
+    }
+}
+
+/// Checks popped values `producer << 32 | i` against each producer's
+/// next expected `i`: per-producer FIFO with no gaps.
+fn assert_per_producer_fifo(next: &mut [u64], popped: &[u64]) {
+    for &v in popped {
+        let (p, i) = ((v >> 32) as usize, v & 0xffff_ffff);
+        assert_eq!(i, next[p], "producer {p}: FIFO with no gaps");
+        next[p] += 1;
     }
 }
 
@@ -229,13 +290,146 @@ fn sixteen_producers_into_one_slot_consumer_conserve_and_keep_fifo() {
     let mut next = [0u64; PRODUCERS as usize];
     let mut out = [0u64; 1];
     while ring.pop_wait(&mut out) == 1 {
-        let (p, i) = ((out[0] >> 32) as usize, out[0] & 0xffff_ffff);
-        assert_eq!(i, next[p], "producer {p}: FIFO with no gaps");
-        next[p] += 1;
+        assert_per_producer_fifo(&mut next, &out);
     }
     for p in producers {
         p.join().expect("producer panicked");
     }
     // Every push popped exactly once.
     assert_eq!(next, [PER_PRODUCER; PRODUCERS as usize]);
+}
+
+/// `close()` and the reservation CAS are linearised on `tail`: with
+/// eight producers racing the close, the sum of every `Pushed(k)` is
+/// what the consumer pops before `pop_wait` returns 0, every push begun
+/// after `close()` returned is `Closed`, and `len()` is frozen from then
+/// on (this thread is the consumer, so nothing pops meanwhile).
+#[test]
+fn close_is_linearised_with_eight_racing_reservations() {
+    const PRODUCERS: u64 = 8;
+    for round in 0..20u64 {
+        let ring = Arc::new(SpscRing::new(64));
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let ring = Arc::clone(&ring);
+                std::thread::spawn(move || {
+                    let (mut pushed, mut i) = (0u64, 0u64);
+                    loop {
+                        let batch = 1 + ((p + i) % 7) as usize;
+                        match ring.push_with(batch, |j| p << 32 | (pushed + j as u64)) {
+                            Push::Pushed(0) => std::thread::yield_now(),
+                            Push::Pushed(k) => pushed += k as u64,
+                            Push::Closed => return pushed,
+                        }
+                        i += 1;
+                    }
+                })
+            })
+            .collect();
+
+        // Pop through a round-dependent number of laps, then close with
+        // the producers still pushing.
+        let mut next = [0u64; PRODUCERS as usize];
+        let mut buf = [0u64; 48];
+        let mut popped = 0u64;
+        while popped < 64 * (2 + round) {
+            let got = ring.pop_wait(&mut buf);
+            assert_per_producer_fifo(&mut next, &buf[..got]);
+            popped += got as u64;
+        }
+        ring.close();
+        let frozen = ring.len();
+        assert!(
+            frozen <= ring.capacity(),
+            "round {round}: len() {frozen} of a closed ring"
+        );
+        for _ in 0..100 {
+            assert_eq!(ring.push(0), Push::Closed, "round {round}");
+            assert_eq!(ring.len(), frozen, "round {round}: tail moved after close");
+            std::thread::yield_now();
+        }
+        let mut drained = 0;
+        loop {
+            let got = ring.pop_wait(&mut buf);
+            if got == 0 {
+                break;
+            }
+            assert_per_producer_fifo(&mut next, &buf[..got]);
+            drained += got;
+        }
+        assert_eq!(
+            drained, frozen,
+            "round {round}: the drain is the frozen backlog"
+        );
+        assert_eq!((ring.len(), ring.pop_wait(&mut buf)), (0, 0));
+        for (p, producer) in producers.into_iter().enumerate() {
+            let pushed = producer.join().expect("producer panicked");
+            assert_eq!(
+                pushed, next[p],
+                "round {round}, producer {p}: Pushed(k) vs popped"
+            );
+        }
+    }
+}
+
+/// A producer stopped between its reservation CAS and its first store
+/// (its `push_with` closure blocks on a channel) leaves a hole at `head`
+/// with a later producer's batch written behind it. The consumer must
+/// not pop past the hole, and after `close()` must not report the ring
+/// drained while the reservation is outstanding.
+#[test]
+fn a_reservation_in_progress_holds_the_consumer_and_the_drain() {
+    let ring = Arc::new(SpscRing::new(8));
+    let (release, gate) = mpsc::channel::<()>();
+    let stalled = {
+        let ring = Arc::clone(&ring);
+        std::thread::spawn(move || {
+            let mut gate = Some(gate);
+            ring.push_with(4, |i| {
+                if let Some(gate) = gate.take() {
+                    gate.recv().unwrap();
+                }
+                10 + i as u64
+            })
+        })
+    };
+    while ring.len() < 4 {
+        std::thread::yield_now();
+    }
+    assert_eq!(ring.push_with(4, |i| 20 + i as u64), Push::Pushed(4));
+    let mut buf = [0u64; 8];
+    assert_eq!(
+        ring.pop_n(&mut buf),
+        0,
+        "popped past an unwritten reservation"
+    );
+    assert_eq!(ring.len(), 8);
+    ring.close();
+
+    let (report, drained) = mpsc::channel();
+    let consumer = {
+        let ring = Arc::clone(&ring);
+        std::thread::spawn(move || {
+            let mut all = Vec::new();
+            let mut buf = [0u64; 8];
+            loop {
+                let got = ring.pop_wait(&mut buf);
+                all.extend_from_slice(&buf[..got]);
+                if got == 0 {
+                    report.send(all).unwrap();
+                    return;
+                }
+            }
+        })
+    };
+    assert_eq!(
+        drained.recv_timeout(Duration::from_millis(50)),
+        Err(mpsc::RecvTimeoutError::Timeout),
+        "the closing drain gave up on a reservation below the frozen tail"
+    );
+    assert_eq!(ring.len(), 8);
+    release.send(()).unwrap();
+    assert_eq!(stalled.join().unwrap(), Push::Pushed(4));
+    assert_eq!(drained.recv().unwrap(), [10, 11, 12, 13, 20, 21, 22, 23]);
+    consumer.join().unwrap();
 }

@@ -12,15 +12,16 @@
 //!
 //! None of those tests asserts timing — only conservation, and that the
 //! derived queue length (`pushed − processed`) stays a queue length while
-//! offers race the workers. The one timed test is the `#[ignore]`d
-//! multicore scaling gate at the bottom (CI runs it with
-//! `--include-ignored`).
+//! offers race the workers. The two timed tests at the bottom are
+//! `#[ignore]`d release tests (CI runs them with `--include-ignored`):
+//! the controller holding its sampling period on the wall clock, and the
+//! multicore scaling gate.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use streamshed_engine::hook::{Decision, PeriodSnapshot};
-use streamshed_engine::shard::{Dispatch, ShardConfig, ShardedEngine};
+use streamshed_engine::shard::{BatchResult, Dispatch, ShardConfig, ShardedEngine};
 use streamshed_engine::worker::{CostModel, WORKER_POP_BATCH};
 
 const OFFER_THREADS: usize = 4;
@@ -126,11 +127,19 @@ fn sharded_offers_race_panics_and_close() {
             });
         });
 
-        // The scope guarantees close() has returned: from here on every
-        // offer must be rejected_closed, deterministically.
+        // The scope guarantees close() has returned: from here on no
+        // offer reaches a ring, deterministically. The churning α still
+        // sheds some at the door, before they get as far as the ring;
+        // every other one is `rejected_closed`.
+        let mut after_close = BatchResult::default();
         for _ in 0..50 {
-            assert!(!engine.offer(), "offer after close must be rejected");
+            after_close.merge(&engine.offer_batch(1));
         }
+        assert_eq!(
+            (after_close.offered, after_close.dropped_entry + after_close.rejected_closed),
+            (50, 50),
+            "round {round}: an offer after close is shed or rejected_closed: {after_close:?}"
+        );
 
         let report = engine.shutdown();
         assert_eq!(
@@ -140,8 +149,8 @@ fn sharded_offers_race_panics_and_close() {
         );
         assert_sharded_balance(&report);
         assert!(
-            report.rejected_closed >= 50,
-            "round {round}: the post-close offers are all rejections"
+            report.rejected_closed >= after_close.rejected_closed,
+            "round {round}: the post-close rejections are in the report"
         );
     }
 }
@@ -231,6 +240,35 @@ fn single_shard_concurrent_offers_balance_with_one_panic() {
         assert_eq!(report.rejected_closed, 0, "no close race in this test");
         assert_sharded_balance(&report);
     }
+}
+
+/// The controller thread holds the period grid on the wall clock: no
+/// drift over 40 periods and at most two late wakes. A loaded 2-vCPU
+/// host holds that thread for more than 1.5 T about one run in 15 (the
+/// grid re-anchors and `periods` reads short), so this is not a tier-1
+/// test; the exact check is `period_grid_does_not_drift_and_pays_an_overrun_once`
+/// in `shard.rs`, on synthetic `Instant`s.
+#[cfg(not(debug_assertions))]
+#[test]
+#[ignore = "wall-clock: fails on a host that stalls the controller thread"]
+fn fast_hook_holds_the_sampling_period() {
+    let period = Duration::from_millis(20);
+    let cfg = ShardConfig {
+        cost: Duration::from_micros(200),
+        period,
+        target_delay: Duration::from_millis(100),
+        queue_capacity: 4096,
+        ..stress_cfg(1)
+    };
+    let engine = ShardedEngine::spawn(cfg, streamshed_engine::hook::NoShedding);
+    let t0 = std::time::Instant::now();
+    std::thread::sleep(period * 40 + period / 2);
+    let report = engine.shutdown();
+    // The controller services at most one more boundary while it is
+    // being stopped. What wall-clock time can promise is no *drift*.
+    let nominal = (t0.elapsed().as_secs_f64() / period.as_secs_f64()) as i64;
+    assert!(report.deadline_misses <= 2, "{report:?}");
+    assert!((report.periods as i64 - nominal).abs() <= 1, "{} vs {nominal}", report.periods);
 }
 
 /// Completions per second (drain included) of `shards` spin workers
