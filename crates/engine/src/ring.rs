@@ -2,7 +2,7 @@
 //!
 //! The per-shard mailbox is the hottest shared structure in the engine
 //! and most of its memory, so it is a purpose-built ring, not a general
-//! channel. Its whole protocol lives in three kinds of word:
+//! channel. Its whole protocol lives in four kinds of word:
 //!
 //! * **A slot is one `u64`: payload and readiness together.** Head and
 //!   tail are monotonically increasing sequence numbers; sequence `s`
@@ -23,13 +23,24 @@
 //!   the reservations below the frozen tail are exactly the pushes that
 //!   land, and the closing drain pops until `head` meets it. Every other
 //!   reader of `tail` masks the bit.
-//! * **`head` and `want` are the consumer's.** `head` is release-stored
-//!   after a batch is copied out and acquire-loaded by producers sizing
-//!   a reservation (what makes slot reuse safe). `want` is the
-//!   batch-or-timeout hand-off: an idle consumer publishes the backlog
-//!   it waits for and parks ≤ `PARK` on its own [`Thread`] handle, and
-//!   only the push that completes that backlog unparks it — a parked
-//!   worker costs a push one load. See [`SpscRing::pop_wait`].
+//! * **`head` is the consumer's, and a push does not read it.** `head`
+//!   is release-stored after a batch is copied out. Producers size a
+//!   reservation against `head_seen`, their own copy on their own line,
+//!   and load the real `head` only when the copy says the reservation
+//!   does not fit. A stale copy is conservative: `head` only grows, so
+//!   `head_seen ≤ head` under-reports the room and can cost a refresh,
+//!   never a slot still unread — and a short push is returned only after
+//!   a refresh. What makes slot reuse safe is a release/acquire chain
+//!   through whichever producer refreshed: consumer `head` store
+//!   (Release) → that producer's `head` load (Acquire) → its `head_seen`
+//!   store (Release) → this producer's `head_seen` load (Acquire) → its
+//!   slot stores.
+//! * **`want` is the batch-or-timeout hand-off**, on the producers' line
+//!   beside `tail`, the word it is paired with: an idle consumer
+//!   publishes the backlog it waits for and parks ≤ `PARK` on its own
+//!   [`Thread`] handle, and only the push that completes that backlog
+//!   unparks it — a parked worker costs a push one load of a line it
+//!   already holds. See [`SpscRing::pop_wait`].
 //!
 //! **Ordering.** A slot word validates itself, so the payload needs no
 //! release/acquire pass of its own. One [`fence`]`(Release)` before a
@@ -92,21 +103,25 @@ pub const LAP_BIT: u64 = 1 << 62;
 const CLOSED_BIT: u64 = 1 << 63;
 const _: () = assert!(crate::spans::SAMPLE_BIT & LAP_BIT == 0);
 
-/// The consumer's line: it alone stores `head`; every push reads both.
+/// The consumer's line: `head` alone. The consumer stores it per pop; a
+/// producer loads it only to refresh `head_seen` or to size a doorbell.
 #[derive(Debug, Default)]
 struct ConsumerLine {
     /// Next sequence the consumer will pop.
     head: AtomicU64,
-    /// Backlog a parked consumer asked to be woken at, else 0. Cleared
-    /// by the one producer that rings (see [`SpscRing::pop_wait`]).
-    want: AtomicU64,
 }
 
-/// The producers' line.
+/// The producers' line: everything a push reads or writes besides slots.
 #[derive(Debug, Default)]
 struct ProducerLine {
     /// Next sequence a producer will reserve, plus [`CLOSED_BIT`].
     tail: AtomicU64,
+    /// Backlog a parked consumer asked to be woken at, else 0. Stored by
+    /// the consumer around a park, cleared by the one producer that rings
+    /// (see [`SpscRing::pop_wait`]).
+    want: AtomicU64,
+    /// A `head` some producer loaded, so `≤ head` (module docs).
+    head_seen: AtomicU64,
     /// Doorbells rung by producers (statistic; `close()` is not counted).
     doorbells: AtomicU64,
 }
@@ -128,7 +143,8 @@ struct FixedLine {
 }
 
 /// Bounded lock-free ring: many reserving producers, one consumer. Three
-/// cache lines, laid out by writer, plus `slots × 8` bytes.
+/// cache lines plus `slots × 8` bytes: the consumer's `head`, what a push
+/// touches, and what nobody writes.
 #[derive(Debug)]
 #[repr(C)]
 pub struct SpscRing {
@@ -250,10 +266,13 @@ impl SpscRing {
             if t & CLOSED_BIT != 0 {
                 return Push::Closed;
             }
-            // Saturating: `head` is read second and may already be past
-            // a stale `t`; the CAS then fails and the loop reloads.
-            let used = t.saturating_sub(self.cons.head.load(Ordering::Acquire));
-            let take = (n as u64).min(self.fixed.cap.saturating_sub(used));
+            let mut take = self.room(t, self.prod.head_seen.load(Ordering::Acquire));
+            if take < n as u64 {
+                let head = self.cons.head.load(Ordering::Acquire);
+                self.prod.head_seen.store(head, Ordering::Release);
+                take = self.room(t, head);
+            }
+            let take = take.min(n as u64);
             if take == 0 {
                 return Push::Pushed(0);
             }
@@ -282,6 +301,16 @@ impl SpscRing {
         Push::Pushed(got as usize)
     }
 
+    /// Slots free for a producer that loaded tail `t`, judged by `head`
+    /// (the real one or `head_seen`). Saturating: `t` may be stale, and a
+    /// `head` read after it — or a `head_seen` another producer refreshed
+    /// meanwhile — already past it; that reads as an empty ring, the CAS
+    /// fails on the moved `tail` and the loop reloads.
+    #[inline]
+    fn room(&self, t: u64, head: u64) -> u64 {
+        self.fixed.cap.saturating_sub(t.saturating_sub(head))
+    }
+
     /// One lap's stretch of the slot array: the slots of sequence `s`
     /// and up to `max − 1` after it, cut at the end of the array, and
     /// what [`LAP_BIT`] reads in them once they hold those sequences.
@@ -300,17 +329,18 @@ impl SpscRing {
     }
 
     /// The producer half of the doorbell; `tail_after` is the end of the
-    /// caller's own reservation.
+    /// caller's own reservation. Reads the consumer's line only when a
+    /// consumer is waiting.
     #[inline]
     fn ring_if_batch_ready(&self, tail_after: u64) {
-        let want = self.cons.want.load(Ordering::SeqCst);
+        let want = self.prod.want.load(Ordering::SeqCst);
         if want == 0 {
             return;
         }
         // Saturating: with several producers, one pre-empted between
         // publishing and this check can find `head` past its own slots.
         let backlog = tail_after.saturating_sub(self.cons.head.load(Ordering::Acquire));
-        if backlog >= want && self.cons.want.swap(0, Ordering::SeqCst) != 0 {
+        if backlog >= want && self.prod.want.swap(0, Ordering::SeqCst) != 0 {
             self.prod.doorbells.fetch_add(1, Ordering::Relaxed);
             if let Some(consumer) = self.fixed.consumer.get() {
                 consumer.unpark();
@@ -339,8 +369,9 @@ impl SpscRing {
         }
         if n > 0 {
             // Pairs with the producers' release fence; the release store
-            // pairs with their acquire load of `head`, so the slots are
-            // safe to reuse.
+            // heads the chain to their acquire load of `head` or, through
+            // the producer that refreshed it, of `head_seen`, so the
+            // slots are safe to reuse.
             fence(Ordering::Acquire);
             self.cons.head.store(h + n as u64, Ordering::Release);
         }
@@ -390,7 +421,7 @@ impl SpscRing {
                         std::thread::current().id(),
                         "the ring's consumer must stay on one thread"
                     );
-                    self.cons.want.store(want, Ordering::SeqCst);
+                    self.prod.want.store(want, Ordering::SeqCst);
                     // `tail` counts reserved-but-unwritten slots: behind
                     // a producer pre-empted mid-push this loops on
                     // `pop_n` rather than wait out `PARK` with a full
@@ -399,7 +430,7 @@ impl SpscRing {
                     if backlog < want && !closed {
                         std::thread::park_timeout(PARK);
                     }
-                    self.cons.want.store(0, Ordering::SeqCst);
+                    self.prod.want.store(0, Ordering::SeqCst);
                 }
             }
         }
@@ -425,9 +456,12 @@ mod tests {
     fn ring_is_three_cache_lines_and_one_word_per_slot() {
         assert_eq!(std::mem::size_of::<SpscRing>(), 3 * 64);
         assert_eq!(std::mem::align_of::<SpscRing>(), 64);
-        // The layout is by writer: consumer, producers, nobody.
+        // The consumer's line holds `head` and nothing a push reads
+        // unasked; the doorbell's two words share the producers' line.
         assert_eq!(std::mem::offset_of!(SpscRing, cons), 0);
+        assert_eq!(std::mem::size_of::<ConsumerLine>(), 8);
         assert_eq!(std::mem::offset_of!(SpscRing, prod), 64);
+        assert_eq!(std::mem::size_of::<ProducerLine>(), 32);
         assert_eq!(std::mem::offset_of!(SpscRing, fixed), 128);
         // The heap is the slot words and nothing else (131 072 slots is
         // `rt_overload_3x`'s shard: 1 MiB where two arrays took 2).
@@ -480,24 +514,35 @@ mod tests {
     }
 
     /// The doorbell's Dekker pairing needs the reservation CAS, the
-    /// `want` accesses and the consumer's `tail` load SeqCst. No run on
-    /// x86 can tell: a locked RMW is a full fence at any ordering there.
-    /// Until ROADMAP 1b's explorer models a store buffer, the orderings
-    /// are pinned in the source.
+    /// `want` accesses and the consumer's `tail` load SeqCst, and slot
+    /// reuse needs `head` and `head_seen` Release-stored and
+    /// Acquire-loaded. No run on x86 can tell: a locked RMW is a full
+    /// fence at any ordering there, a plain load an acquire and a plain
+    /// store a release. Until ROADMAP 1b's explorer models a store
+    /// buffer, the orderings are pinned in the source.
     #[test]
     fn the_dekker_pairing_is_seqcst_in_the_source() {
         let src: String = include_str!("ring.rs").split_whitespace().collect();
         let src = &src[..src.find("#[cfg(test)]").unwrap()];
-        for pinned in [
+        let pins = [
             "compare_exchange_weak(t,t+take,Ordering::SeqCst,Ordering::Relaxed)",
-            "self.cons.want.load(Ordering::SeqCst)",
-            "self.cons.want.swap(0,Ordering::SeqCst)",
-            "self.cons.want.store(want,Ordering::SeqCst)",
+            "self.prod.want.load(Ordering::SeqCst)",
+            "self.prod.want.swap(0,Ordering::SeqCst)",
+            "self.prod.want.store(want,Ordering::SeqCst)",
             "self.prod.tail.load(Ordering::SeqCst)",
             "self.prod.tail.fetch_or(CLOSED_BIT,Ordering::SeqCst)",
-        ] {
+            // The slot-reuse chain through a refreshing producer.
+            "self.cons.head.store(h+nasu64,Ordering::Release)",
+            "self.prod.head_seen.store(head,Ordering::Release)",
+            "self.prod.head_seen.load(Ordering::Acquire)",
+        ];
+        for pinned in pins {
             assert!(src.contains(pinned), "{pinned}");
         }
+        // A producer stores (the CAS) before it loads: its one `want`
+        // load sits below the reservation.
+        assert_eq!(src.matches("self.prod.want.load(").count(), 1);
+        assert!(src.find(pins[0]) < src.find(pins[1]), "`want` loaded above the CAS");
     }
 
     #[test]
@@ -509,6 +554,36 @@ mod tests {
         let mut out = [0u64; 16];
         assert_eq!(ring.pop_n(&mut out), 5);
         assert_eq!(ring.push_repeat(3, 2), Push::Pushed(2));
+    }
+
+    #[test]
+    fn a_push_refreshes_head_seen_only_when_its_copy_says_no_room() {
+        for cap in [1usize, 5, 8] {
+            let ring = SpscRing::new(cap);
+            let mut out = vec![0u64; cap];
+            assert_eq!(ring.push_repeat(1, cap), Push::Pushed(cap));
+            assert_eq!(ring.pop_n(&mut out), cap);
+            // `head_seen` is still 0 and reads "full": the push must look
+            // at the real `head` before it answers, and take everything.
+            assert_eq!(ring.prod.head_seen.load(Ordering::Acquire), 0);
+            assert_eq!(ring.push_repeat(2, cap), Push::Pushed(cap), "cap {cap}");
+            assert_eq!(ring.prod.head_seen.load(Ordering::Acquire), cap as u64);
+            // Full by the real `head` too: short only after a refresh.
+            assert_eq!(ring.push(3), Push::Pushed(0), "cap {cap}");
+            assert_eq!(ring.pop_n(&mut out), cap);
+            assert_eq!(out, vec![2; cap]);
+        }
+        // A `head_seen` refreshed past a stale `tail` is an empty ring
+        // (whose CAS then fails), not a wrapped-around full one.
+        let ring = SpscRing::new(8);
+        assert_eq!([5, 7, 9, 15].map(|t| ring.room(t, 7)), [8, 8, 6, 0]);
+        // While the copy shows room the consumer's line is left alone.
+        let mut out = [0u64; 2];
+        for _ in 0..3 {
+            assert_eq!(ring.push_repeat(4, 2), Push::Pushed(2));
+            assert_eq!(ring.pop_n(&mut out), 2);
+        }
+        assert_eq!(ring.prod.head_seen.load(Ordering::Acquire), 0);
     }
 
     #[test]
@@ -562,7 +637,7 @@ mod tests {
     /// the calling thread registers itself and publishes `want`.
     fn park_here(ring: &SpscRing, want: u64) {
         ring.fixed.consumer.get_or_init(std::thread::current);
-        ring.cons.want.store(want, Ordering::SeqCst);
+        ring.prod.want.store(want, Ordering::SeqCst);
     }
 
     /// Consumes this thread's unpark token; `false` if none was pending
@@ -585,7 +660,7 @@ mod tests {
             0,
             "a sub-batch backlog is the timeout's job"
         );
-        assert_eq!(ring.cons.want.load(Ordering::SeqCst), 256);
+        assert_eq!(ring.prod.want.load(Ordering::SeqCst), 256);
         assert_eq!(ring.push(255), Push::Pushed(1));
         assert_eq!(ring.doorbells(), 1);
         assert!(took_unpark_token());
@@ -666,7 +741,7 @@ mod tests {
         ring.ring_if_batch_ready(4);
         assert_eq!(ring.doorbells(), 0);
         assert_eq!(
-            ring.cons.want.load(Ordering::SeqCst),
+            ring.prod.want.load(Ordering::SeqCst),
             1,
             "the request stands"
         );
@@ -695,7 +770,7 @@ mod tests {
     /// Spins until the consumer has published a `want` (it is between
     /// that store and its park, or parked).
     fn await_waiting_consumer(ring: &SpscRing) {
-        while ring.cons.want.load(Ordering::SeqCst) == 0 {
+        while ring.prod.want.load(Ordering::SeqCst) == 0 {
             std::hint::spin_loop();
         }
     }

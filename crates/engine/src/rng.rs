@@ -26,9 +26,10 @@
 //! The wall-clock engine's front door does not share an [`EngineRng`]
 //! (a `&mut` generator cannot be shared by concurrent offerers):
 //! [`AtomicShedder`] carries its own counter-based generator — a Weyl
-//! counter through the splitmix64 finalizer (`mix64`) — chosen so that
-//! a batch of draws has no serial dependency. It flips one coin per
-//! arrival at every α; skip sampling stays with the simulator.
+//! counter through the splitmix64 finalizer (`mix64`), each mixed word
+//! cut into two 32-bit coins — chosen so that a batch of draws has no
+//! serial dependency. It flips one coin per arrival at every α; skip
+//! sampling stays with the simulator.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -177,12 +178,12 @@ impl EntryShedder {
     }
 }
 
-/// Weyl increment of [`AtomicShedder`]'s counter: 2⁶⁴/φ, odd, so the
-/// counter visits every `u64` before repeating.
+/// Weyl increment of [`AtomicShedder`]'s word counter: 2⁶⁴/φ, odd, so
+/// the counter visits every `u64` before repeating.
 const WEYL: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// 2⁵³ — the number of distinct values a draw's top 53 bits take.
-const TWO_53: f64 = (1u64 << 53) as f64;
+/// 2³² — the number of distinct values a coin takes.
+const TWO_32: f64 = (1u64 << 32) as f64;
 
 /// Survivor indices [`AtomicShedder::shed_batch_each`] buffers on the
 /// stack per inner pass (the buffer is zeroed per call, so it is sized
@@ -201,23 +202,35 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Integer form of the Bernoulli compare: for α ∈ (0, 1) and a draw `d`,
-/// `d < bernoulli_threshold(α)` ⇔ `(d >> 11) as f64 / 2⁵³ < α` (the
-/// draw's top 53 bits as a uniform `[0, 1)` float). Scaling by 2⁵³ is
-/// exact; the ceiling keeps a fractional `α·2⁵³` (possible below α = ½)
-/// on the same side of every integer draw; and the threshold is shifted
-/// up by the 11 bits the float form discards instead of shifting every
-/// draw down (`d >> 11 < t` ⇔ `d < t << 11`).
+/// Integer form of the Bernoulli compare on a 32-bit coin: for α ∈ (0, 1)
+/// `coin < coin_threshold(α)` ⇔ `coin / 2³² < α`. Scaling by 2³² is
+/// exact and the ceiling keeps a fractional `α·2³²` on the same side of
+/// every integer coin. An α within 2⁻³² of 1 rounds up to 2³², above
+/// every coin — it sheds everything, which is why the threshold is a
+/// `u64`: wrapped to 32 bits it would read 0, "admit all". An α below
+/// 2⁻³² rounds up to 1, never down to "shed nothing".
 #[inline]
-fn bernoulli_threshold(alpha: f64) -> u64 {
-    ((alpha * TWO_53).ceil() as u64) << 11
+fn coin_threshold(alpha: f64) -> u64 {
+    ((alpha * TWO_32).ceil() as u64).min(1 << 32)
 }
 
-/// The decision kernel: walks the counter `len ≤ SHED_CHUNK` Weyl steps
-/// on from `x` and returns the advanced counter plus how many of the
-/// draws were at or above `threshold`; those survivors' indices are the
-/// first entries of `survivors`. Branch-free: every index is written
-/// and the write cursor advances by the decision bit.
+/// The two coins of one mixed word, in coin-index order: low half, then
+/// high half.
+#[inline]
+fn coins_of(word: u64) -> [u64; 2] {
+    [word & 0xFFFF_FFFF, word >> 32]
+}
+
+/// The decision kernel: flips coins `coin .. coin + len` (`len ≤
+/// SHED_CHUNK`) of the stream rooted at `origin` and returns how many
+/// were at or above `threshold`; those survivors' batch positions
+/// (`0..len`) are the first entries of `survivors`. Coin `c` is half
+/// `c & 1` of word `c >> 1`, and word `k` is `mix64(origin + (k+1)·WEYL)`
+/// — a function of the coin index alone, so a pass that starts on an odd
+/// coin takes the high half of a word whose low half the previous pass
+/// spent, and one that ends on an even coin leaves a high half for the
+/// next. Branch-free in the decisions: every position is written and
+/// the write cursor advances by the decision bit.
 ///
 /// Not generic and never inlined, so every caller runs one compiled
 /// copy: inlined, the loop's register allocation depends on what the
@@ -225,58 +238,82 @@ fn bernoulli_threshold(alpha: f64) -> u64 {
 /// keyed door).
 #[inline(never)]
 fn survivors_of(
-    mut x: u64,
+    origin: u64,
+    coin: u64,
     threshold: u64,
     len: usize,
     survivors: &mut [u16; SHED_CHUNK],
-) -> (u64, usize) {
-    let mut kept = 0usize;
-    for j in 0..len {
+) -> usize {
+    let mut x = origin.wrapping_add((coin >> 1).wrapping_mul(WEYL));
+    let mut next_word = || {
         x = x.wrapping_add(WEYL);
-        // `kept ≤ j < SHED_CHUNK`, so the `%` never wraps: it only
-        // shows the compiler the index is in bounds.
+        mix64(x)
+    };
+    let mut kept = 0usize;
+    // `kept ≤ j < SHED_CHUNK`, so the `%` never wraps: it only shows
+    // the compiler the index is in bounds.
+    let mut flip = |j: usize, coin: u64| {
         survivors[kept % SHED_CHUNK] = j as u16;
-        kept += usize::from(mix64(x) >= threshold);
+        kept += usize::from(coin >= threshold);
+    };
+    let lead = (coin & 1) as usize & usize::from(len > 0);
+    if lead == 1 {
+        flip(0, coins_of(next_word())[1]);
     }
-    (x, kept)
+    let pairs = (len - lead) / 2;
+    for p in 0..pairs {
+        let [low, high] = coins_of(next_word());
+        flip(lead + 2 * p, low);
+        flip(lead + 2 * p + 1, high);
+    }
+    if lead + 2 * pairs < len {
+        flip(len - 1, coins_of(next_word())[0]);
+    }
+    kept
 }
 
 /// Lock-free entry shedder for the real-time engine, shared by
 /// concurrent offerers: one Bernoulli(α) coin per arrival.
 ///
-/// Randomness is **counter-based** (splitmix64): the state is a Weyl
-/// counter and draw `i` after counter value `x` is
-/// `mix64(x + i·WEYL)` — a function of the counter alone, not of draw
-/// `i − 1`. Consecutive draws of a batch pass are therefore linked only
-/// by a one-cycle add (the CPU pipelines the mixes of a whole batch);
-/// the pass loads the counter once and stores `x + n·WEYL` back once,
-/// so splitting a stream into batches of any sizes makes the identical
-/// decision sequence.
+/// Randomness is **counter-based** (splitmix64) and a mixed word pays
+/// for **two coins**: the shared state is the index `c` of the next
+/// coin beside an immutable origin (the mixed seed), coin `c` is the low
+/// (`c` even) or high (`c` odd) 32 bits of word `c >> 1`, and word `k`
+/// is `mix64(origin + (k+1)·WEYL)` — a function of the index alone, not
+/// of the draw before it. Consecutive words of a batch pass are
+/// therefore linked only by a one-cycle add (the CPU pipelines the mixes
+/// of a whole batch); the pass loads the index once and stores `c + n`
+/// back once, so splitting a stream into batches of any sizes, odd ones
+/// included, makes the identical decision sequence. 32 bits resolve α to
+/// 2⁻³², far below what the controller commands or a run could observe.
 ///
-/// The counter uses relaxed load/store — concurrent offerers can reuse
-/// a stretch of it, which perturbs the realised drop rate far less than
+/// The index uses relaxed load/store — concurrent offerers can reuse a
+/// stretch of it, which perturbs the realised drop rate far less than
 /// scheduling jitter already does.
 #[derive(Debug)]
 pub struct AtomicShedder {
-    counter: AtomicU64,
+    origin: u64,
+    coin: AtomicU64,
 }
 
 impl AtomicShedder {
     /// Creates shedder state from a seed. The seed is mixed before it
-    /// becomes the counter's origin, so nearby seeds (or seeds a multiple
-    /// of the Weyl increment apart) start at unrelated points of the
-    /// counter's cycle instead of replaying each other's stream shifted.
+    /// becomes the word counter's origin, so nearby seeds (or seeds a
+    /// multiple of the Weyl increment apart) start at unrelated points of
+    /// the counter's cycle instead of replaying each other's stream
+    /// shifted.
     pub fn new(seed: u64) -> Self {
         Self {
-            counter: AtomicU64::new(mix64(seed)),
+            origin: mix64(seed),
+            coin: AtomicU64::new(0),
         }
     }
 
     /// Decides the fate of a batch of `n` arrivals under drop
     /// probability `alpha` in **one pass**, returning the number to
-    /// drop. The counter is loaded once and stored back once, the `n`
-    /// draws are mutually independent and the threshold is computed
-    /// once.
+    /// drop. The coin index is loaded once and stored back once, the
+    /// `⌈n/2⌉` mixes are mutually independent and the threshold is
+    /// computed once.
     ///
     /// Positions of the drops within the batch are not reported: at the
     /// front door a batch is a run of identical anonymous tuples, so
@@ -304,24 +341,32 @@ impl AtomicShedder {
         if alpha >= 1.0 || alpha.is_nan() {
             return n;
         }
-        let threshold = bernoulli_threshold(alpha);
-        let mut x = self.counter.load(Ordering::Relaxed);
+        let threshold = coin_threshold(alpha);
+        let coin = self.coin.load(Ordering::Relaxed);
         let mut survivors = [0u16; SHED_CHUNK];
         let mut kept_total = 0u64;
         let mut base = 0u64;
         while base < n {
             let len = (n - base).min(SHED_CHUNK as u64) as usize;
-            let kept;
-            (x, kept) = survivors_of(x, threshold, len, &mut survivors);
+            let at = coin.wrapping_add(base);
+            let kept = survivors_of(self.origin, at, threshold, len, &mut survivors);
             for &j in &survivors[..kept] {
                 keep(base as usize + j as usize);
             }
             kept_total += kept as u64;
             base += len as u64;
         }
-        self.counter.store(x, Ordering::Relaxed);
+        self.coin.store(coin.wrapping_add(n), Ordering::Relaxed);
         n - kept_total
     }
+}
+
+/// Upper critical value of χ² with `df` degrees of freedom at tail
+/// probability 10⁻⁴ (Wilson–Hilferty; z = 3.719).
+#[cfg(test)]
+pub(crate) fn chi2_crit_1e4(df: f64) -> f64 {
+    let a = 2.0 / (9.0 * df);
+    df * (1.0 - a + 3.719 * a.sqrt()).powi(3)
 }
 
 #[cfg(test)]
@@ -478,13 +523,6 @@ mod tests {
         }
     }
 
-    /// Upper critical value of χ² with `df` degrees of freedom at tail
-    /// probability 10⁻⁴ (Wilson–Hilferty; z = 3.719).
-    fn chi2_crit_1e4(df: f64) -> f64 {
-        let a = 2.0 / (9.0 * df);
-        df * (1.0 - a + 3.719 * a.sqrt()).powi(3)
-    }
-
     #[test]
     fn counter_generator_passes_rate_runs_and_autocorrelation() {
         // A counter-based generator is only as good as its mix: a weak
@@ -548,25 +586,64 @@ mod tests {
 
     #[test]
     fn integer_threshold_agrees_with_the_float_compare() {
-        // m < threshold(α) must decide exactly as (m >> 11) / 2⁵³ < α
-        // did, for mix outputs on both sides of the boundary — also at
-        // the small α where `α·2⁵³` has a fractional part to round.
-        let almost_one = 1.0 - 2f64.powi(-53);
-        for &alpha in &[0.001, 0.005, 0.01, 0.02, 0.1, 1.0 / 3.0, 0.5, 0.9, almost_one] {
-            let t = bernoulli_threshold(alpha);
-            for m in [0, 1, t - (1 << 11), t - 1, t, t + ((1 << 11) - 1), u64::MAX] {
-                let unit = (m >> 11) as f64 / TWO_53;
-                assert_eq!(m < t, unit < alpha, "alpha {alpha} mix output {m:#x}");
+        // coin < threshold(α) must decide exactly as coin / 2³² < α, for
+        // coins on both sides of the boundary — also at the small α where
+        // `α·2³²` has a fractional part to round.
+        for &alpha in &[0.001, 0.005, 0.01, 0.02, 0.1, 1.0 / 3.0, 0.5, 0.9] {
+            let t = coin_threshold(alpha);
+            for coin in [0, 1, t - 2, t - 1, t, t + 1, u64::from(u32::MAX)] {
+                let unit = coin as f64 / TWO_32;
+                assert_eq!(coin < t, unit < alpha, "alpha {alpha} coin {coin:#x}");
             }
         }
-        // α = 1 − 2⁻⁵³ spares only the single largest draw.
+        // An α closer to 1 than a coin resolves sheds everything: the
+        // threshold clamps to 2³², above every coin, and must not wrap to
+        // 0 ("admit all").
+        let almost_one = 1.0 - 2f64.powi(-53);
+        assert_eq!(coin_threshold(almost_one), 1 << 32);
         let s = AtomicShedder::new(5);
         assert_eq!(s.shed_batch(almost_one, 100_000), 100_000);
+        // An α below a coin's resolution still sheds coin 0: threshold 1,
+        // not 0.
+        assert_eq!(coin_threshold(2f64.powi(-40)), 1);
         // Out-of-range α never reaches the threshold: negative sheds
         // nothing, > 1 and NaN shed everything.
         assert_eq!(s.shed_batch(-0.5, 1_000), 0);
         assert_eq!(s.shed_batch(1.5, 1_000), 1_000);
         assert_eq!(s.shed_batch(f64::NAN, 1_000), 1_000);
+    }
+
+    #[test]
+    fn the_two_coins_of_a_word_decide_independently() {
+        // Lag-1 autocorrelation over the whole stream averages the two
+        // kinds of neighbour. Pin each by itself with a 2×2 contingency
+        // χ² (1 degree of freedom) of the two drop decisions: the halves
+        // of one word, and the high half of a word with the low half of
+        // the next.
+        let words = 1_000_000usize;
+        for &alpha in &[0.1, 0.5, 0.9] {
+            let drops = batch_decisions(&AtomicShedder::new(77), alpha, 2 * words + 1, &[1024]);
+            for (pairing, offset) in [("low/high of one word", 0), ("high/next low", 1)] {
+                let mut seen = [[0f64; 2]; 2];
+                for pair in drops[offset..].chunks_exact(2) {
+                    seen[usize::from(pair[0])][usize::from(pair[1])] += 1.0;
+                }
+                let n: f64 = seen.iter().flatten().sum();
+                let mut chi2 = 0.0;
+                for (a, row) in seen.iter().enumerate() {
+                    for (b, &cell) in row.iter().enumerate() {
+                        let first = seen[a][0] + seen[a][1];
+                        let second = seen[0][b] + seen[1][b];
+                        let expected = first * second / n;
+                        chi2 += (cell - expected).powi(2) / expected;
+                    }
+                }
+                assert!(
+                    chi2 < chi2_crit_1e4(1.0),
+                    "alpha {alpha}, {pairing}: chi2 {chi2} over {seen:?}"
+                );
+            }
+        }
     }
 
     #[test]

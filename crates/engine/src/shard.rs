@@ -238,10 +238,17 @@ impl Global {
     }
 }
 
-/// Fibonacci hash of a dispatch key onto a shard index.
+/// Fibonacci hash of a dispatch key onto a shard index: the multiply
+/// spreads the key over its top 32 bits, and those, read as a fraction
+/// of 2³², are scaled to `0..shards` by a second multiply and a shift —
+/// no division, which at one call per admitted tuple was the survivor
+/// loop's longest instruction. Always `< shards`; consecutive integers
+/// (what `offer_batch` feeds it under [`Dispatch::KeyHash`]) land as
+/// evenly as hashed keys do.
 #[inline]
 fn key_to_shard(key: u64, shards: usize) -> usize {
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % shards
+    let h32 = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+    ((h32 * shards as u64) >> 32) as usize
 }
 
 /// Per-shard admit counts of one batched offer are scratch the door
@@ -813,43 +820,32 @@ impl ShardedEngine {
             let stamp = *stamp.get_or_insert_with(|| self.epoch.elapsed().as_nanos() as u64);
             // Sojourn sampling: the marked head of the sub-batch carries
             // SAMPLE_BIT, preserving the 1-in-`sample_every` rate across
-            // batched admission. A second reservation only happens when
-            // this sub-batch crossed a sampling point.
+            // batched admission. Head and rest share the reservation.
             let marked = crate::spans::sample_crossings(
                 &self.global.sample_acc,
                 self.cfg.sample_every,
                 want,
-            )
-            .min(want);
-            let mut got = 0u64;
-            let mut closed = false;
-            if marked > 0 {
-                match shard
-                    .ring
-                    .push_repeat(stamp | crate::spans::SAMPLE_BIT, marked as usize)
-                {
-                    Push::Pushed(g) => got += g as u64,
-                    Push::Closed => closed = true,
-                }
-            }
-            if !closed && want > marked {
-                match shard.ring.push_repeat(stamp, (want - marked) as usize) {
-                    Push::Pushed(g) => got += g as u64,
-                    Push::Closed => closed = true,
-                }
-            }
+            ) as usize;
+            let sampled = stamp | crate::spans::SAMPLE_BIT;
+            let pushed = shard
+                .ring
+                .push_with(want as usize, |i| if i < marked { sampled } else { stamp });
+            // One reservation has one outcome: a closed ring took nothing.
+            let (got, rejected, rejected_res) = match pushed {
+                Push::Pushed(got) => (
+                    got as u64,
+                    &self.global.rejected_capacity,
+                    &mut res.rejected_capacity,
+                ),
+                Push::Closed => (0, &self.global.rejected_closed, &mut res.rejected_closed),
+            };
             if got > 0 {
                 shard.stats.pushed.fetch_add(got, Ordering::Relaxed);
                 res.dispatched += got;
             }
-            if closed {
-                self.global.rejected_closed.fetch_add(want - got, Ordering::Relaxed);
-                res.rejected_closed += want - got;
-            } else if got < want {
-                self.global
-                    .rejected_capacity
-                    .fetch_add(want - got, Ordering::Relaxed);
-                res.rejected_capacity += want - got;
+            if got < want {
+                rejected.fetch_add(want - got, Ordering::Relaxed);
+                *rejected_res += want - got;
             }
         }
     }
@@ -1393,6 +1389,108 @@ mod tests {
         assert_eq!(non_empty.len(), 1, "one shard owns the key");
         assert_eq!(non_empty[0].dispatched, 80);
         assert!(report.counters_balance());
+    }
+
+    #[test]
+    fn key_to_shard_is_in_range_even_and_sticky_at_every_shard_count() {
+        use crate::rng::{chi2_crit_1e4, mix64};
+        const KEYS: u64 = 100_000;
+        // Hashed keys, and the consecutive integers `offer_batch` feeds
+        // the hash under `KeyHash` (`seq0 + k`).
+        let consecutive = |i| 0xFFFF_FF00 + i;
+        let families = [("hashed", mix64 as fn(u64) -> u64), ("consecutive", consecutive)];
+        for shards in 1..=STACK_SHARDS + 1 {
+            for (family, key) in families {
+                let mut seen = vec![0f64; shards];
+                for i in 0..KEYS {
+                    let shard = key_to_shard(key(i), shards);
+                    assert!(shard < shards, "{family} key {i}: shard {shard} of {shards}");
+                    seen[shard] += 1.0;
+                }
+                let expected = KEYS as f64 / shards as f64;
+                let chi2: f64 = seen.iter().map(|s| (s - expected).powi(2) / expected).sum();
+                assert!(
+                    shards == 1 || chi2 < chi2_crit_1e4((shards - 1) as f64),
+                    "{family} keys over {shards} shards: chi2 {chi2}, {seen:?}"
+                );
+            }
+
+            // One key through the three keyed doors lands on one shard.
+            let key = mix64(shards as u64);
+            let mut cfg = quick_cfg(shards);
+            cfg.cost = Duration::ZERO;
+            let engine = ShardedEngine::spawn(cfg, NoShedding);
+            assert!(engine.offer_keyed(key));
+            assert_eq!(engine.offer_batch_keyed(&[key; 7]).dispatched, 7);
+            assert_eq!(engine.offer_batch_keyed_with(9, |_| key).dispatched, 9);
+            let report = engine.shutdown();
+            for (i, shard) in report.per_shard.iter().enumerate() {
+                let owner = i == key_to_shard(key, shards);
+                assert_eq!(shard.dispatched, if owner { 17 } else { 0 }, "{shards} shards");
+            }
+        }
+    }
+
+    /// An engine with no threads behind its front door: the test is its
+    /// rings' consumer.
+    fn door_without_workers(queue_capacity: usize, sample_every: u32) -> ShardedEngine {
+        let cfg = ShardConfig {
+            queue_capacity,
+            sample_every,
+            ..quick_cfg(1)
+        };
+        let epoch = Instant::now();
+        ShardedEngine {
+            global: Arc::new(Global::new(cfg.seed)),
+            shards: vec![Shard {
+                stats: Arc::new(WorkerStats::new()),
+                ring: Arc::new(SpscRing::with_epoch(queue_capacity, epoch)),
+                handle: None,
+            }],
+            controller: None,
+            cfg,
+            obs: None,
+            epoch,
+        }
+    }
+
+    #[test]
+    fn push_counts_fills_the_ledger_from_one_reservation() {
+        use crate::spans::SAMPLE_BIT;
+        const WANT: u64 = 20;
+        const ROOM: usize = 12;
+        // Sampling every tuple marks all 20, more than fit; 1-in-64 from
+        // an accumulator at 62 crosses one sampling point.
+        for (sample_every, marked) in [(1, WANT as usize), (64, 1), (0, 0)] {
+            let engine = door_without_workers(ROOM, sample_every);
+            engine.global.sample_acc.store(62, Ordering::Relaxed);
+            let mut res = BatchResult::default();
+            engine.push_counts(&[WANT], &mut res);
+            let expect = BatchResult {
+                dispatched: ROOM as u64,
+                rejected_capacity: WANT - ROOM as u64,
+                ..BatchResult::default()
+            };
+            assert_eq!(res, expect, "sample_every {sample_every}");
+            assert_eq!(engine.shards[0].stats.pushed.load(Ordering::Relaxed), ROOM as u64);
+
+            // The sampled stamps are the head of what landed.
+            let mut out = [0u64; WANT as usize];
+            assert_eq!(engine.shards[0].ring.pop_n(&mut out), ROOM);
+            let sampled: Vec<bool> = out[..ROOM].iter().map(|s| s & SAMPLE_BIT != 0).collect();
+            let head = marked.min(ROOM);
+            assert_eq!(sampled, [vec![true; head], vec![false; ROOM - head]].concat());
+            assert!(out[..ROOM].iter().all(|s| s & !SAMPLE_BIT == out[0] & !SAMPLE_BIT));
+
+            // A reservation that loses to `close()` loses whole.
+            engine.close();
+            engine.push_counts(&[WANT], &mut res);
+            assert_eq!(res.rejected_closed, WANT);
+            assert_eq!(res.dispatched + res.rejected_capacity, WANT);
+            let g = &engine.global;
+            assert_eq!(g.rejected_closed.load(Ordering::Relaxed), WANT);
+            assert_eq!(g.rejected_capacity.load(Ordering::Relaxed), WANT - ROOM as u64);
+        }
     }
 
     #[test]

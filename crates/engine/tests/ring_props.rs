@@ -8,7 +8,8 @@
 //! producer against a consumer (plus a mid-flight `close()`) and asserts
 //! exact conservation: accepted == popped, with no duplicates and no
 //! reordering. A second stress aims sixteen producers at a consumer that
-//! waits for a single slot, so every push is a doorbell candidate. Two
+//! waits for a single slot, so every push is a doorbell candidate; a
+//! third laps a 2-slot and a 4-slot ring with two batch producers. Two
 //! tests pin the close protocol: eight producers racing `close()` (the
 //! reservations below the frozen `tail` are exactly what lands), and a
 //! producer parked between its reservation and its stores (the consumer
@@ -63,8 +64,10 @@ fn check_against_model(
                             // Partial acceptance is a prefix: exactly the
                             // first `accepted` values are in the ring.
                             prop_assert!(accepted <= n);
+                            // …and never short while the model has room,
+                            // however stale the producers' `head_seen`.
                             let free = capacity - model.len();
-                            prop_assert_eq!(accepted, n.min(free));
+                            prop_assert_eq!(accepted, n.min(free), "short push with room");
                             model.extend((base..base + accepted as u64).map(payload));
                             next += accepted as u64;
                         }
@@ -81,7 +84,7 @@ fn check_against_model(
                 }
             }
             prop_assert_eq!(ring.len(), model.len());
-            prop_assert!(ring.len() <= capacity, "capacity is a hard bound");
+            prop_assert!(ring.len() <= ring.capacity(), "capacity is a hard bound");
         }
         if next >= laps * slots {
             break;
@@ -259,6 +262,54 @@ impl Drop for CloseWhenLast {
     }
 }
 
+/// Races `producers` threads, each pushing `per_producer` payloads in
+/// batches of up to `max_batch`, against this thread popping `pop_buf`
+/// slots at a time; asserts per-producer FIFO and that every push is
+/// popped exactly once.
+fn race_producers(
+    producers: u64,
+    capacity: usize,
+    per_producer: u64,
+    max_batch: u64,
+    pop_buf: usize,
+) {
+    let ring = Arc::new(SpscRing::new(capacity));
+    let running = Arc::new(AtomicU64::new(producers));
+    let threads: Vec<_> = (0..producers)
+        .map(|p| {
+            let producer = CloseWhenLast {
+                ring: Arc::clone(&ring),
+                running: Arc::clone(&running),
+            };
+            std::thread::spawn(move || {
+                let mut i = 0u64;
+                while i < per_producer {
+                    let batch = (1 + i % max_batch).min(per_producer - i) as usize;
+                    match producer.ring.push_with(batch, |j| p << 32 | (i + j as u64)) {
+                        Push::Pushed(0) => std::thread::yield_now(),
+                        Push::Pushed(k) => i += k as u64,
+                        Push::Closed => panic!("closed with producer {p} still pushing"),
+                    }
+                }
+            })
+        })
+        .collect();
+
+    let mut next = vec![0u64; producers as usize];
+    let mut out = vec![0u64; pop_buf];
+    loop {
+        let got = ring.pop_wait(&mut out);
+        if got == 0 {
+            break;
+        }
+        assert_per_producer_fifo(&mut next, &out[..got]);
+    }
+    for t in threads {
+        t.join().expect("producer panicked");
+    }
+    assert_eq!(next, vec![per_producer; producers as usize]);
+}
+
 /// Sixteen single-tuple producers into a consumer that pops one slot at a
 /// time: its batch is 1, so every push may ring the doorbell and a
 /// producer pre-empted between publishing and its doorbell check
@@ -267,36 +318,18 @@ impl Drop for CloseWhenLast {
 /// exact conservation must hold.
 #[test]
 fn sixteen_producers_into_one_slot_consumer_conserve_and_keep_fifo() {
-    const PRODUCERS: u64 = 16;
-    const PER_PRODUCER: u64 = 20_000;
-    let ring = Arc::new(SpscRing::new(8));
-    let running = Arc::new(AtomicU64::new(PRODUCERS));
-    let producers: Vec<_> = (0..PRODUCERS)
-        .map(|p| {
-            let producer = CloseWhenLast {
-                ring: Arc::clone(&ring),
-                running: Arc::clone(&running),
-            };
-            std::thread::spawn(move || {
-                for i in 0..PER_PRODUCER {
-                    while producer.ring.push(p << 32 | i) != Push::Pushed(1) {
-                        std::thread::yield_now();
-                    }
-                }
-            })
-        })
-        .collect();
+    race_producers(16, 8, 20_000, 1, 1);
+}
 
-    let mut next = [0u64; PRODUCERS as usize];
-    let mut out = [0u64; 1];
-    while ring.pop_wait(&mut out) == 1 {
-        assert_per_producer_fifo(&mut next, &out);
+/// Two batch producers over a 2-slot and a 4-slot ring: every reservation
+/// laps, is sized against a `head_seen` the *other* producer may have
+/// refreshed (after this one loaded its `tail`, so ahead of it), and is
+/// short more often than not.
+#[test]
+fn two_producers_lapping_a_tiny_ring_conserve_and_keep_fifo() {
+    for capacity in [2, 4] {
+        race_producers(2, capacity, 100_000, capacity as u64, capacity);
     }
-    for p in producers {
-        p.join().expect("producer panicked");
-    }
-    // Every push popped exactly once.
-    assert_eq!(next, [PER_PRODUCER; PRODUCERS as usize]);
 }
 
 /// `close()` and the reservation CAS are linearised on `tail`: with
