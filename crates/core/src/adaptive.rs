@@ -54,8 +54,7 @@
 //! and flight-recorder bundles.
 
 use crate::controller::FeedbackController;
-use crate::estimator::DelayEstimator;
-use crate::kalman::CostTracker;
+use crate::estimator::{CostEstimator, DelayEstimator};
 use crate::loop_::{LoopConfig, SignalRow};
 use crate::shedder::EntryShedder;
 use crate::strategy::SheddingStrategy;
@@ -188,7 +187,7 @@ const MIN_DELAY_SAMPLES: u64 = 3;
 #[derive(Debug, Clone)]
 pub struct AdaptiveCtrlStrategy {
     cfg: LoopConfig,
-    cost: CostTracker,
+    cost: CostEstimator,
     delay: DelayEstimator,
     controller: FeedbackController,
     params: ControllerParams,
@@ -224,7 +223,7 @@ impl AdaptiveCtrlStrategy {
         let prior_cost_s = cfg.prior_cost_us / 1e6;
         let params = design_for_integrator(&DesignSpec::paper_default());
         Self {
-            cost: cfg.build_cost_tracker(),
+            cost: CostEstimator::new(cfg.prior_cost_us, cfg.cost_smoothing),
             delay: DelayEstimator::new(cfg.headroom),
             controller: FeedbackController::new(params),
             params,
@@ -402,7 +401,7 @@ const PROBE_WINDOW: u64 = 12;
 #[derive(Debug, Clone)]
 pub struct ComparatorStrategy {
     cfg: LoopConfig,
-    cost: CostTracker,
+    cost: CostEstimator,
     delay: DelayEstimator,
     controller: FeedbackController,
     cost_rls: RlsEstimator,
@@ -438,7 +437,7 @@ impl ComparatorStrategy {
         let params = Self::params_for(current);
         let plan = Self::plan_for(current);
         Self {
-            cost: cfg.build_cost_tracker(),
+            cost: CostEstimator::new(cfg.prior_cost_us, cfg.cost_smoothing),
             delay: DelayEstimator::new(cfg.headroom),
             controller: FeedbackController::new(params),
             cost_rls: RlsEstimator::new(prior_cost_s, prior_cost_s * prior_cost_s, 0.9),

@@ -15,6 +15,9 @@
 //! * [`strategy`] — the three evaluated strategies: `CTRL`, `BASELINE`,
 //!   `AURORA` (§5);
 //! * [`loop_`] — shared loop configuration and signal logging;
+//! * [`supervisor`] — the safety layer around a strategy: signal
+//!   validation, hold on dropout, divergence watchdog and the open-loop
+//!   fallback;
 //! * [`adaptive`] — the self-tuning plane: online re-identification,
 //!   gain-scheduled pole placement with bumpless transfer, and the
 //!   model-free comparator (the conclusion's adaptive-control
@@ -47,11 +50,8 @@
 pub mod adaptive;
 pub mod controller;
 pub mod estimator;
-pub mod kalman;
 pub mod loop_;
-pub mod lsrm;
 pub mod model;
-pub mod priority;
 pub mod shedder;
 pub mod strategy;
 pub mod supervisor;
@@ -59,11 +59,8 @@ pub mod supervisor;
 pub use adaptive::{AdaptiveCtrlStrategy, ComparatorStrategy, GainScheduler, RlsEstimator};
 pub use controller::FeedbackController;
 pub use estimator::{CostEstimator, DelayEstimator};
-pub use kalman::{CostTracker, CostTrackerKind, KalmanCostEstimator};
 pub use loop_::{LoopConfig, ShedMode, SignalRow};
-pub use lsrm::{Lsrm, ShedPlan};
 pub use model::PlantModel;
-pub use priority::{PriorityCtrlStrategy, StreamPriorities};
 pub use shedder::{EntryShedder, NetworkShedder};
 pub use strategy::{AuroraStrategy, BaselineStrategy, CtrlStrategy, SheddingStrategy};
 pub use supervisor::{Supervisor, SupervisorConfig, SupervisorLog, SupervisorMode};

@@ -37,9 +37,6 @@ pub struct LoopConfig {
     /// effort back into the controller state (on by default; exposed for
     /// the ablation benches).
     pub anti_windup: bool,
-    /// Which cost tracker the CTRL strategy builds (EWMA default; Kalman
-    /// per the paper's future-work suggestion).
-    pub cost_tracker: crate::kalman::CostTrackerKind,
 }
 
 impl LoopConfig {
@@ -56,7 +53,6 @@ impl LoopConfig {
             controller: ControllerParams::PAPER,
             shed_mode: ShedMode::Entry,
             anti_windup: true,
-            cost_tracker: crate::kalman::CostTrackerKind::Ewma,
         }
     }
 
@@ -64,27 +60,6 @@ impl LoopConfig {
     pub fn with_anti_windup(mut self, on: bool) -> Self {
         self.anti_windup = on;
         self
-    }
-
-    /// Builder-style setter for the cost tracker kind.
-    pub fn with_cost_tracker(mut self, kind: crate::kalman::CostTrackerKind) -> Self {
-        self.cost_tracker = kind;
-        self
-    }
-
-    /// Builds the configured cost tracker.
-    pub fn build_cost_tracker(&self) -> crate::kalman::CostTracker {
-        match self.cost_tracker {
-            crate::kalman::CostTrackerKind::Ewma => crate::kalman::CostTracker::Ewma(
-                crate::estimator::CostEstimator::new(self.prior_cost_us, self.cost_smoothing),
-            ),
-            crate::kalman::CostTrackerKind::Kalman => crate::kalman::CostTracker::Kalman(
-                crate::kalman::KalmanCostEstimator::with_defaults(self.prior_cost_us),
-            ),
-            crate::kalman::CostTrackerKind::Frozen => {
-                crate::kalman::CostTracker::Frozen(self.prior_cost_us)
-            }
-        }
     }
 
     /// Builder-style setter for the target delay.

@@ -12,8 +12,7 @@
 //! signals for the transient plots.
 
 use crate::controller::FeedbackController;
-use crate::estimator::DelayEstimator;
-use crate::kalman::CostTracker;
+use crate::estimator::{CostEstimator, DelayEstimator};
 use crate::loop_::{LoopConfig, ShedMode, SignalRow};
 use crate::shedder::{EntryShedder, NetworkShedder};
 use streamshed_engine::hook::{ControlHook, Decision, PeriodSnapshot};
@@ -58,7 +57,7 @@ pub trait SheddingStrategy: ControlHook {
 #[derive(Debug, Clone)]
 pub struct CtrlStrategy {
     cfg: LoopConfig,
-    cost: CostTracker,
+    cost: CostEstimator,
     delay: DelayEstimator,
     controller: FeedbackController,
     target_s: f64,
@@ -76,7 +75,7 @@ impl CtrlStrategy {
     /// Builds the strategy from a loop configuration.
     pub fn from_config(cfg: &LoopConfig) -> Self {
         Self {
-            cost: cfg.build_cost_tracker(),
+            cost: CostEstimator::new(cfg.prior_cost_us, cfg.cost_smoothing),
             delay: DelayEstimator::new(cfg.headroom),
             controller: FeedbackController::new(cfg.controller),
             target_s: cfg.target_delay_s(),

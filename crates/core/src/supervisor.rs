@@ -323,17 +323,6 @@ impl<S: SheddingStrategy + Clone> Supervisor<S> {
                 self.last_alpha + (d.entry_drop_prob - self.last_alpha).clamp(-step, step);
             d.entry_drop_prob = limited;
         }
-        if let Some(v) = &mut d.per_entry_drop_prob {
-            for a in v.iter_mut() {
-                if !a.is_finite() {
-                    *a = d.entry_drop_prob;
-                    touched = true;
-                } else if !(0.0..=1.0).contains(a) {
-                    *a = a.clamp(0.0, 1.0);
-                    touched = true;
-                }
-            }
-        }
         if !(d.shed_load_us.is_finite() && d.shed_load_us >= 0.0) {
             d.shed_load_us = 0.0;
             touched = true;
@@ -342,7 +331,7 @@ impl<S: SheddingStrategy + Clone> Supervisor<S> {
             self.log.sanitised_outputs += 1;
         }
         self.last_alpha = d.entry_drop_prob;
-        self.last_applied = d.clone();
+        self.last_applied = d;
         d
     }
 }
@@ -378,8 +367,7 @@ impl<S: SheddingStrategy + Clone> ControlHook for Supervisor<S> {
                         // Hold the last actuation through the dropout.
                         self.transition(snap.k, SupervisorMode::Hold);
                         self.log.held_periods += 1;
-                        let held = self.last_applied.clone();
-                        return self.sanitise(held, false);
+                        return self.sanitise(self.last_applied, false);
                     }
                 } else if self.diverging() {
                     self.transition(snap.k, SupervisorMode::Fallback);

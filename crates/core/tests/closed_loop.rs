@@ -174,56 +174,6 @@ fn aurora_unstable_under_ramp() {
 }
 
 #[test]
-fn priority_shedding_protects_important_streams() {
-    use streamshed_control::priority::{PriorityCtrlStrategy, StreamPriorities};
-
-    // 2× overload; stream 0 is 10× more important than streams 1 and 2.
-    let times = StepTrace::constant(380.0).arrival_times(120.0);
-    let cfg = LoopConfig::paper_default();
-    let mut strategy =
-        PriorityCtrlStrategy::new(&cfg, StreamPriorities::new(vec![10.0, 1.0, 1.0]));
-    let net = identification_network();
-    let sim = Simulator::new(net, SimConfig::paper_default());
-    let arrivals: Vec<SimTime> = to_micros(&times).into_iter().map(SimTime).collect();
-    let report = sim.run(&arrivals, &mut strategy, secs(120));
-
-    // Overall: still sheds about the overload fraction and keeps delays
-    // controlled.
-    assert!((report.loss_ratio() - 0.5).abs() < 0.1, "loss {}", report.loss_ratio());
-    assert!(report.delay_stats().mean_ms() < 4000.0);
-
-    // Per-stream: the entry filters f1/f2/f3 (nodes 0..3) process what
-    // their streams admitted. Stream 0 must be nearly untouched while 1
-    // and 2 bear the cut.
-    let f = &report.node_stats;
-    assert_eq!(f[0].name, "f1");
-    let offered_per_stream = report.offered as f64 / 3.0;
-    let keep0 = f[0].processed as f64 / offered_per_stream;
-    let keep1 = f[1].processed as f64 / offered_per_stream;
-    let keep2 = f[2].processed as f64 / offered_per_stream;
-    assert!(keep0 > 0.95, "priority stream keep fraction {keep0}");
-    assert!(keep1 < 0.35, "low-priority keep fraction {keep1}");
-    assert!(keep2 < 0.35, "low-priority keep fraction {keep2}");
-    assert_eq!(strategy.name(), "CTRL-PRIORITY");
-}
-
-#[test]
-fn kalman_tracker_also_closes_the_loop() {
-    use streamshed_control::kalman::CostTrackerKind;
-
-    let times = StepTrace::constant(380.0).arrival_times(120.0);
-    let cfg = LoopConfig::paper_default().with_cost_tracker(CostTrackerKind::Kalman);
-    let (report, ctrl) = run(CtrlStrategy::from_config(&cfg), &times, 120);
-    let tail: Vec<_> = ctrl.signals().iter().skip(30).collect();
-    let mean_yhat: f64 = tail.iter().map(|s| s.y_hat_s).sum::<f64>() / tail.len() as f64;
-    assert!(
-        (mean_yhat - 2.0).abs() < 0.3,
-        "Kalman-tracked loop steady state {mean_yhat}"
-    );
-    assert!((report.loss_ratio() - 0.5).abs() < 0.1);
-}
-
-#[test]
 fn adaptive_ctrl_survives_cost_jump_on_the_real_engine() {
     use streamshed_control::adaptive::AdaptiveCtrlStrategy;
     use streamshed_engine::cost::CostSchedule;

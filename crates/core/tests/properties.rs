@@ -1,50 +1,12 @@
-//! Property-based tests for the control crate: priority allocation,
+//! Property-based tests for the control crate: the actuators, the
 //! estimators, and the identification machinery.
 
 use proptest::prelude::*;
 use streamshed_control::adaptive::RlsEstimator;
 use streamshed_control::estimator::CostEstimator;
-use streamshed_control::kalman::KalmanCostEstimator;
-use streamshed_control::priority::StreamPriorities;
 use streamshed_control::shedder::{EntryShedder, NetworkShedder};
 
 proptest! {
-    /// Priority allocation always conserves the total admission budget
-    /// and keeps per-stream fractions in [0, 1].
-    #[test]
-    fn priority_allocation_conserves_budget(
-        weights in prop::collection::vec(0.01..100.0f64, 1..8),
-        keep in 0.0..1.0f64,
-    ) {
-        let p = StreamPriorities::new(weights.clone());
-        let keeps = p.allocate_keep(keep);
-        prop_assert_eq!(keeps.len(), weights.len());
-        prop_assert!(keeps.iter().all(|k| (0.0..=1.0 + 1e-12).contains(k)));
-        let total: f64 = keeps.iter().sum::<f64>() / keeps.len() as f64;
-        prop_assert!((total - keep).abs() < 1e-9, "total {total} vs keep {keep}");
-    }
-
-    /// Higher weight never receives a smaller keep fraction.
-    #[test]
-    fn priority_allocation_is_monotone_in_weight(
-        weights in prop::collection::vec(0.01..100.0f64, 2..8),
-        keep in 0.0..1.0f64,
-    ) {
-        let p = StreamPriorities::new(weights.clone());
-        let keeps = p.allocate_keep(keep);
-        for i in 0..weights.len() {
-            for j in 0..weights.len() {
-                if weights[i] > weights[j] {
-                    prop_assert!(
-                        keeps[i] >= keeps[j] - 1e-9,
-                        "w{i}={} k{i}={} vs w{j}={} k{j}={}",
-                        weights[i], keeps[i], weights[j], keeps[j]
-                    );
-                }
-            }
-        }
-    }
-
     /// The entry shedder's α is always a probability and is monotone:
     /// more desired admission ⇒ less shedding.
     #[test]
@@ -93,21 +55,18 @@ proptest! {
         );
     }
 
-    /// Both cost trackers stay within the convex hull of their inputs.
+    /// The EWMA cost tracker stays within the convex hull of its inputs.
     #[test]
     fn cost_trackers_stay_in_hull(
         prior in 500.0..20_000.0f64,
         measurements in prop::collection::vec(500.0..20_000.0f64, 1..40),
     ) {
         let mut ewma = CostEstimator::new(prior, 0.4);
-        let mut kalman = KalmanCostEstimator::with_defaults(prior);
         let lo = measurements.iter().cloned().fold(prior, f64::min);
         let hi = measurements.iter().cloned().fold(prior, f64::max);
         for &m in &measurements {
             let e = ewma.update(Some(m));
-            let k = kalman.update(Some(m));
             prop_assert!((lo - 1e-6..=hi + 1e-6).contains(&e), "ewma {e}");
-            prop_assert!((lo - 1e-6..=hi + 1e-6).contains(&k), "kalman {k}");
         }
     }
 }

@@ -331,7 +331,7 @@ impl<H: ControlHook> ControlHook for FaultyHook<H> {
             Some(k @ FaultKind::ActuatorIgnore) => {
                 self.log.actuator_faults += 1;
                 self.last_flags |= k.flag();
-                self.last_decision.clone()
+                self.last_decision
             }
             Some(k @ FaultKind::ActuatorPartial { applied }) => {
                 self.log.actuator_faults += 1;
@@ -339,16 +339,12 @@ impl<H: ControlHook> ControlHook for FaultyHook<H> {
                 let f = applied.clamp(0.0, 1.0);
                 Decision {
                     entry_drop_prob: commanded.entry_drop_prob * f,
-                    per_entry_drop_prob: commanded
-                        .per_entry_drop_prob
-                        .as_ref()
-                        .map(|v| v.iter().map(|a| a * f).collect()),
                     shed_load_us: commanded.shed_load_us * f,
                 }
             }
             _ => commanded,
         };
-        self.last_decision = applied.clone();
+        self.last_decision = applied;
         applied
     }
 }
@@ -431,7 +427,7 @@ mod tests {
     impl ControlHook for Probe {
         fn on_period(&mut self, s: &PeriodSnapshot) -> Decision {
             self.0.push(*s);
-            self.1.clone()
+            self.1
         }
     }
 

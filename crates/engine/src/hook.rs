@@ -74,16 +74,12 @@ impl PeriodSnapshot {
 }
 
 /// The actuator command for the next control period.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct Decision {
     /// Probability the entry shedder drops each arriving tuple
-    /// (the paper's shedding factor `α`, Eq. 13). Clamped to `[0, 1]`.
+    /// (the paper's shedding factor `α`, Eq. 13). Engines apply
+    /// [`Self::alpha`], the value clamped to `[0, 1]`.
     pub entry_drop_prob: f64,
-    /// Optional per-entry drop probabilities for heterogeneous stream
-    /// priorities (the paper's future-work item). Entry `i` uses
-    /// `per_entry_drop_prob[i % len]`; when `None`, every entry uses
-    /// [`Self::entry_drop_prob`].
-    pub per_entry_drop_prob: Option<Vec<f64>>,
     /// CPU load (µs) to shed immediately from in-network queues
     /// (the paper's `Ls`, §4.5.2). Zero for entry-only shedding.
     pub shed_load_us: f64,
@@ -93,7 +89,6 @@ impl Decision {
     /// No shedding at all.
     pub const NONE: Decision = Decision {
         entry_drop_prob: 0.0,
-        per_entry_drop_prob: None,
         shed_load_us: 0.0,
     };
 
@@ -101,17 +96,6 @@ impl Decision {
     pub fn entry(alpha: f64) -> Decision {
         Decision {
             entry_drop_prob: alpha,
-            per_entry_drop_prob: None,
-            shed_load_us: 0.0,
-        }
-    }
-
-    /// Per-entry (priority-aware) entry shedding.
-    pub fn per_entry(alphas: Vec<f64>) -> Decision {
-        assert!(!alphas.is_empty(), "need at least one entry probability");
-        Decision {
-            entry_drop_prob: 0.0,
-            per_entry_drop_prob: Some(alphas),
             shed_load_us: 0.0,
         }
     }
@@ -120,17 +104,14 @@ impl Decision {
     pub fn network(load_us: f64) -> Decision {
         Decision {
             entry_drop_prob: 0.0,
-            per_entry_drop_prob: None,
             shed_load_us: load_us,
         }
     }
 
-    /// The drop probability in force for a given entry index.
-    pub fn drop_prob_for_entry(&self, entry: usize) -> f64 {
-        match &self.per_entry_drop_prob {
-            Some(v) if !v.is_empty() => v[entry % v.len()].clamp(0.0, 1.0),
-            _ => self.entry_drop_prob.clamp(0.0, 1.0),
-        }
+    /// The entry drop probability in force: [`Self::entry_drop_prob`]
+    /// clamped to `[0, 1]`. NaN passes through unchanged.
+    pub fn alpha(&self) -> f64 {
+        self.entry_drop_prob.clamp(0.0, 1.0)
     }
 }
 
@@ -206,6 +187,14 @@ mod tests {
         assert_eq!(Decision::NONE.entry_drop_prob, 0.0);
         assert_eq!(Decision::entry(0.25).entry_drop_prob, 0.25);
         assert_eq!(Decision::network(1000.0).shed_load_us, 1000.0);
+    }
+
+    #[test]
+    fn alpha_clamps_and_passes_nan_through() {
+        assert_eq!(Decision::entry(0.25).alpha(), 0.25);
+        assert_eq!(Decision::entry(-0.5).alpha(), 0.0);
+        assert_eq!(Decision::entry(1.5).alpha(), 1.0);
+        assert!(Decision::entry(f64::NAN).alpha().is_nan());
     }
 
     #[test]

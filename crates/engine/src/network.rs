@@ -15,12 +15,6 @@ impl NodeId {
     pub fn index(self) -> usize {
         self.0
     }
-
-    /// Builds a `NodeId` from a raw index (for analyses that iterate
-    /// `0..network.len()`); out-of-range ids panic on use.
-    pub fn from_index(index: usize) -> Self {
-        NodeId(index)
-    }
 }
 
 impl fmt::Display for NodeId {
@@ -110,7 +104,6 @@ pub struct QueryNetwork {
     entries: Vec<NodeId>,
     topo_order: Vec<NodeId>,
     downstream_load_us: Vec<f64>,
-    output_yield: Vec<f64>,
 }
 
 impl QueryNetwork {
@@ -151,17 +144,6 @@ impl QueryNetwork {
     /// This is the per-tuple "load" used by load-based shedding (§4.5.2).
     pub fn downstream_load_us(&self, node: NodeId) -> f64 {
         self.downstream_load_us[node.0]
-    }
-
-    /// Expected number of *query outputs* a tuple sitting in front of
-    /// `node` will eventually produce:
-    /// `Y(n) = sel(n) · Σ_children Y(child)`, with `Y = sel(n)` at sinks.
-    ///
-    /// Tuples deeper in the network have survived more filters, so they
-    /// are more valuable — the utility side of Aurora's LSRM ranking
-    /// (load saved per output lost).
-    pub fn output_yield(&self, node: NodeId) -> f64 {
-        self.output_yield[node.0]
     }
 
     /// Expected total CPU (µs) per tuple admitted at an entry point —
@@ -348,37 +330,11 @@ impl NetworkBuilder {
             load[i] = node.cost.as_micros() as f64 + sel * child_sum;
         }
 
-        // Output yields: same reverse-topological sweep, but counting
-        // expected query results instead of CPU.
-        let mut yields = vec![0.0f64; n];
-        for &NodeId(i) in topo.iter().rev() {
-            let node = &nodes[i];
-            let sel = node.logic.expected_selectivity();
-            let branches = &node.outputs;
-            let has_children = branches.iter().any(|b| !b.is_empty());
-            yields[i] = if !has_children {
-                sel
-            } else if node.logic.kind() == "split" && branches.len() > 1 {
-                let total: f64 = branches
-                    .iter()
-                    .map(|b| b.iter().map(|e| yields[e.node.0]).sum::<f64>())
-                    .sum();
-                sel * total / branches.len() as f64
-            } else {
-                sel * branches
-                    .iter()
-                    .flat_map(|b| b.iter())
-                    .map(|e| yields[e.node.0])
-                    .sum::<f64>()
-            };
-        }
-
         Ok(QueryNetwork {
             nodes,
             entries,
             topo_order: topo,
             downstream_load_us: load,
-            output_yield: yields,
         })
     }
 }

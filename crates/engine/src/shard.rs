@@ -643,7 +643,7 @@ impl ShardedEngine {
                     global.periods.fetch_add(1, Ordering::Relaxed);
 
                     // Actuate: one α broadcast to the shared front door…
-                    let alpha = decision.entry_drop_prob.clamp(0.0, 1.0);
+                    let alpha = decision.alpha();
                     global.alpha_bits.store(alpha.to_bits(), Ordering::Relaxed);
                     // …and the in-queue shed load divided among shards in
                     // proportion to their queues, each share converted to

@@ -26,31 +26,7 @@ use crate::operator::OutputBuffer;
 use crate::time::{secs, SimDuration, SimTime};
 use crate::tuple::{RootId, Tuple};
 use rand::{Rng, RngCore};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-
-/// Victim-selection policy for in-network load shedding.
-///
-/// `NewestFirst` is the paper's statistical shedding (drop what has
-/// waited least); `LowestValueFirst` is *semantic* shedding in the sense
-/// of \[26\]: victims are chosen by (payload-value) utility, so the tuples
-/// that survive are the most valuable ones. Policies apply to the
-/// dominant queue — the network input buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ShedPolicy {
-    /// Drop the most recently admitted tuples first (default).
-    #[default]
-    NewestFirst,
-    /// Drop the oldest tuples first (they are closest to violating).
-    OldestFirst,
-    /// Semantic shedding: drop the lowest-value tuples first.
-    LowestValueFirst,
-    /// LSRM-style location ranking (Aurora's roadmap, \[26\]): visit
-    /// drop locations in descending load-saved-per-output-lost order,
-    /// draining each before moving to the next-best one. Minimises
-    /// expected query-output loss for the load shed.
-    LsrmRatio,
-}
 
 /// Configuration of a simulation run.
 #[derive(Debug, Clone)]
@@ -74,13 +50,6 @@ pub struct SimConfig {
     /// (the network buffer of §3), which keeps operator trains small and
     /// departures arrival-ordered. Must be ≥ 1.
     pub admission_gate: usize,
-    /// Victim-selection policy for in-network shedding.
-    pub shed_policy: ShedPolicy,
-    /// Wall-clock pacing: `None` (default) runs in pure virtual time;
-    /// `Some(speed)` throttles the run so that `speed` simulated seconds
-    /// elapse per wall-clock second — a real-time (or accelerated) replay
-    /// of the full query network. `Some(1.0)` is true real time.
-    pub pacing: Option<f64>,
     /// Ingress batching: how many due arrivals are admitted per admission
     /// pass. `1` (the default) is the historical per-arrival path and
     /// keeps every seeded RNG stream bit-identical to prior releases.
@@ -105,26 +74,8 @@ impl SimConfig {
             key_space: 100,
             cost_schedule: CostSchedule::constant(),
             admission_gate: 64,
-            shed_policy: ShedPolicy::default(),
-            pacing: None,
             ingress_batch: 1,
         }
-    }
-
-    /// Enables wall-clock pacing (see [`Self::pacing`]).
-    pub fn with_pacing(mut self, simulated_seconds_per_wall_second: f64) -> Self {
-        assert!(
-            simulated_seconds_per_wall_second > 0.0
-                && simulated_seconds_per_wall_second.is_finite()
-        );
-        self.pacing = Some(simulated_seconds_per_wall_second);
-        self
-    }
-
-    /// Sets the shed-victim policy.
-    pub fn with_shed_policy(mut self, policy: ShedPolicy) -> Self {
-        self.shed_policy = policy;
-        self
     }
 
     /// Sets the control period.
@@ -335,8 +286,6 @@ pub struct Simulator {
     /// indexed in lockstep with the root slab. Admission always rewrites
     /// the slot, so recycled `RootId`s can never inherit a stale sample.
     spans_exec: Vec<u64>,
-    /// Wall-clock anchor for paced runs (set on first loop iteration).
-    pacing_started: Option<std::time::Instant>,
 }
 
 /// EWMA smoothing factor for per-operator cost tracking (the same order
@@ -346,8 +295,7 @@ const COST_EWMA_ALPHA: f64 = 0.2;
 /// Upper bound on operator invocations per [`Simulator::execute_batch`]
 /// call. Batches normally end at the next event (arrival, period
 /// boundary, run end); the cap only bounds pathological cases — e.g.
-/// zero-cost operators whose execution never advances the clock — and
-/// keeps wall-clock pacing granularity sane.
+/// zero-cost operators whose execution never advances the clock.
 const MAX_BATCH: u32 = 1024;
 
 /// Counters accumulated over one control period and reset at each
@@ -421,7 +369,6 @@ impl Simulator {
             spans: None,
             spans_acc: 0,
             spans_exec: Vec::new(),
-            pacing_started: None,
         }
     }
 
@@ -547,7 +494,7 @@ impl Simulator {
                     cpu_busy_us: pc.cpu_work_us,
                 };
                 let new_decision = hook.on_period(&snapshot);
-                let alpha_in_force = decision.drop_prob_for_entry(0);
+                let alpha_in_force = decision.alpha();
                 decision = new_decision;
                 // Skip-sampling state is only valid under the α it was
                 // drawn for; resample lazily under the new decision.
@@ -616,21 +563,6 @@ impl Simulator {
                 }
                 debug_assert!(next_event >= self.clock);
                 self.clock = next_event.max(self.clock);
-            }
-
-            // 4. Optional wall-clock pacing.
-            if let Some(speed) = self.cfg.pacing {
-                let wall_target =
-                    std::time::Duration::from_secs_f64(self.clock.as_secs_f64() / speed);
-                let started = *self
-                    .pacing_started
-                    .get_or_insert_with(std::time::Instant::now);
-                let elapsed = started.elapsed();
-                // Only sleep once the deficit is tangible — sub-ms sleeps
-                // are noise and would dominate the loop.
-                if wall_target > elapsed + std::time::Duration::from_millis(1) {
-                    std::thread::sleep(wall_target - elapsed);
-                }
             }
         }
 
@@ -774,6 +706,7 @@ impl Simulator {
         }
         let n_entries = self.network.entries().len();
         let key_space = self.cfg.key_space.max(1);
+        let alpha = decision.alpha();
         // Rotating cursor equivalent to `(offered - 1) % n_entries`
         // without a division per arrival.
         let mut cursor = metrics.offered as usize % n_entries;
@@ -786,14 +719,14 @@ impl Simulator {
             pc.offered += 1;
             metrics.offered += 1;
             // Entry (stream) assignment is by arrival order, so it is
-            // stable under shedding — a prerequisite for per-entry
-            // (priority) drop probabilities.
+            // stable under shedding, and each entry keeps its own
+            // shedder state: the seeded RNG draw sequence (and with it
+            // every campaign digest) depends on both.
             let entry_pos = cursor;
             cursor += 1;
             if cursor == n_entries {
                 cursor = 0;
             }
-            let alpha = decision.drop_prob_for_entry(entry_pos);
             // Hybrid entry shedding: geometric skip sampling (one RNG
             // draw per *drop*) below `rng::BERNOULLI_ALPHA_MIN`, a plain
             // coin flip per arrival above it — each branch is the faster
@@ -848,6 +781,7 @@ impl Simulator {
         let n_entries = self.network.entries().len();
         let key_space = self.cfg.key_space.max(1);
         let batch_max = self.cfg.ingress_batch;
+        let alpha = decision.alpha();
         loop {
             // Gather the next batch of due arrivals.
             let start = *next_arrival;
@@ -878,11 +812,7 @@ impl Simulator {
             scratch.resize(n, false);
             for entry_pos in 0..n_entries {
                 let first = (entry_pos + n_entries - cursor0) % n_entries;
-                if first >= n {
-                    continue;
-                }
-                let alpha = decision.drop_prob_for_entry(entry_pos);
-                if alpha <= 0.0 {
+                if first >= n || alpha <= 0.0 {
                     continue;
                 }
                 let skip = self.entry_skip[entry_pos]
@@ -1155,80 +1085,22 @@ impl Simulator {
         // Queue contents are about to change under the scheduler's feet.
         self.train_node = None;
         self.train_left = 0;
-        if self.cfg.shed_policy == ShedPolicy::LsrmRatio {
-            return self.shed_load_lsrm(target_us);
-        }
         let mut shed = 0.0f64;
         let mut dropped = 0u64;
-        // The input buffer is the dominant queue; pick victims there
-        // according to the configured policy.
-        match self.cfg.shed_policy {
-            ShedPolicy::NewestFirst => {
-                while shed < target_us {
-                    match self.input_buffer.pop_back() {
-                        Some((entry, t)) => {
-                            self.buffered_per_entry[entry] -= 1;
-                            shed += self.network.downstream_load_us(NodeId(entry));
-                            self.node_shed[entry] += 1;
-                            if self.roots.consume(t.root).is_some() {
-                                dropped += 1;
-                            }
-                        }
-                        None => break,
+        // The input buffer is the dominant queue: drop its newest tuples
+        // first (they have waited least).
+        while shed < target_us {
+            match self.input_buffer.pop_back() {
+                Some((entry, t)) => {
+                    self.buffered_per_entry[entry] -= 1;
+                    shed += self.network.downstream_load_us(NodeId(entry));
+                    self.node_shed[entry] += 1;
+                    if self.roots.consume(t.root).is_some() {
+                        dropped += 1;
                     }
                 }
+                None => break,
             }
-            ShedPolicy::OldestFirst => {
-                while shed < target_us {
-                    match self.input_buffer.pop_front() {
-                        Some((entry, t)) => {
-                            self.buffered_per_entry[entry] -= 1;
-                            shed += self.network.downstream_load_us(NodeId(entry));
-                            self.node_shed[entry] += 1;
-                            if self.roots.consume(t.root).is_some() {
-                                dropped += 1;
-                            }
-                        }
-                        None => break,
-                    }
-                }
-            }
-            ShedPolicy::LowestValueFirst => {
-                // Semantic shedding: sort victim candidates by payload
-                // value, drop the least valuable, keep arrival order for
-                // the survivors.
-                if !self.input_buffer.is_empty() && target_us > 0.0 {
-                    let mut order: Vec<usize> = (0..self.input_buffer.len()).collect();
-                    order.sort_by(|&a, &b| {
-                        self.input_buffer[a]
-                            .1
-                            .value
-                            .partial_cmp(&self.input_buffer[b].1.value)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    });
-                    let mut doomed = vec![false; self.input_buffer.len()];
-                    for &idx in &order {
-                        if shed >= target_us {
-                            break;
-                        }
-                        let (entry, t) = self.input_buffer[idx];
-                        self.buffered_per_entry[entry] -= 1;
-                        shed += self.network.downstream_load_us(NodeId(entry));
-                        self.node_shed[entry] += 1;
-                        if self.roots.consume(t.root).is_some() {
-                            dropped += 1;
-                        }
-                        doomed[idx] = true;
-                    }
-                    let mut i = 0;
-                    self.input_buffer.retain(|_| {
-                        let keep = !doomed[i];
-                        i += 1;
-                        keep
-                    });
-                }
-            }
-            ShedPolicy::LsrmRatio => unreachable!("handled above"),
         }
         if shed >= target_us {
             return dropped;
@@ -1271,84 +1143,6 @@ impl Simulator {
                 if shed >= target_us {
                     break 'outer;
                 }
-            }
-        }
-        dropped
-    }
-
-    /// LSRM-style shedding: locations visited in descending
-    /// load-saved-per-output-lost ratio; entry locations also cover the
-    /// input-buffer tuples destined for them.
-    fn shed_load_lsrm(&mut self, target_us: f64) -> u64 {
-        let n = self.network.len();
-        let ratio = |i: usize| {
-            let id = NodeId::from_index(i);
-            self.network.downstream_load_us(id) / self.network.output_yield(id).max(1e-12)
-        };
-        let mut ranking: Vec<usize> = (0..n).collect();
-        ranking.sort_by(|&a, &b| {
-            ratio(b)
-                .partial_cmp(&ratio(a))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-
-        let mut shed = 0.0f64;
-        let mut dropped = 0u64;
-        for &i in &ranking {
-            if shed >= target_us {
-                break;
-            }
-            let per_tuple = self.network.downstream_load_us(NodeId::from_index(i));
-            if per_tuple <= 0.0 {
-                continue;
-            }
-            // Node's own queues, newest first.
-            for port in 0..self.queues[i].len() {
-                while shed < target_us {
-                    match self.queues[i][port].pop_back() {
-                        Some(t) => {
-                            self.total_queued -= 1;
-                            self.note_pop(i);
-                            shed += per_tuple;
-                            self.node_shed[i] += 1;
-                            // Count root retirements, not copies (see
-                            // `shed_load` on fan-out conservation).
-                            if self.roots.consume(t.root).is_some() {
-                                dropped += 1;
-                            }
-                        }
-                        None => break,
-                    }
-                }
-            }
-            // Entry node: its pending input-buffer tuples shed at the
-            // same ratio.
-            if shed < target_us
-                && self.network.entries().iter().any(|e| e.index() == i)
-            {
-                let mut doomed = vec![false; self.input_buffer.len()];
-                for idx in (0..self.input_buffer.len()).rev() {
-                    if shed >= target_us {
-                        break;
-                    }
-                    let (entry, t) = self.input_buffer[idx];
-                    if entry != i {
-                        continue;
-                    }
-                    doomed[idx] = true;
-                    self.buffered_per_entry[entry] -= 1;
-                    shed += per_tuple;
-                    self.node_shed[i] += 1;
-                    if self.roots.consume(t.root).is_some() {
-                        dropped += 1;
-                    }
-                }
-                let mut k = 0;
-                self.input_buffer.retain(|_| {
-                    let keep = !doomed[k];
-                    k += 1;
-                    keep
-                });
             }
         }
         dropped
@@ -1608,28 +1402,6 @@ mod tests {
     }
 
     #[test]
-    fn per_entry_drop_probabilities_respected() {
-        // Two-entry network; drop everything on entry 1, nothing on 0.
-        let mut b = NetworkBuilder::new();
-        let a = b.add("a", micros(100), Map::identity());
-        let c = b.add("c", micros(100), Map::identity());
-        b.entry(a);
-        b.entry(c);
-        let net = b.build().unwrap();
-        let sim = Simulator::new(net, SimConfig::paper_default());
-        let arrivals = uniform_arrivals(500.0, 10.0);
-        let mut hook = |_s: &PeriodSnapshot| Decision::per_entry(vec![0.0, 1.0]);
-        let report = sim.run(&arrivals, &mut hook, secs(10));
-        // After the first (unshed) period, stream 1 loses everything:
-        // overall loss just under one half.
-        let loss = report.loss_ratio();
-        assert!(loss > 0.40 && loss < 0.50, "loss {loss}");
-        // Stream 0's operator processed far more than stream 1's.
-        let stats = &report.node_stats;
-        assert!(stats[0].processed > stats[1].processed * 5);
-    }
-
-    #[test]
     fn node_stats_track_selectivity() {
         let mut b = NetworkBuilder::new();
         let f = b.add("f", millis(1), Filter::value_below(0.3));
@@ -1648,157 +1420,6 @@ mod tests {
         // Map is 1:1.
         let m_stat = &report.node_stats[1];
         assert_eq!(m_stat.processed, m_stat.emitted);
-    }
-
-    #[test]
-    fn semantic_shedding_keeps_high_value_tuples() {
-        use crate::operator::OperatorLogic;
-        // Record surviving values via a custom sink operator.
-        struct Recorder(std::sync::Arc<std::sync::Mutex<Vec<f64>>>);
-        impl OperatorLogic for Recorder {
-            fn kind(&self) -> &'static str {
-                "recorder"
-            }
-            fn process(
-                &mut self,
-                _port: usize,
-                tuple: &Tuple,
-                _now: SimTime,
-                _out: &mut OutputBuffer,
-            ) {
-                self.0.lock().unwrap().push(tuple.value);
-            }
-        }
-
-        let run = |policy: ShedPolicy| {
-            let values = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-            let mut b = NetworkBuilder::new();
-            let m = b.add("m", millis(5), Map::identity());
-            let r = b.add("rec", micros(1), Recorder(values.clone()));
-            b.connect(m, r);
-            b.entry(m);
-            let net = b.build().unwrap();
-            let sim = Simulator::new(net, SimConfig::paper_default().with_shed_policy(policy));
-            let arrivals = uniform_arrivals(400.0, 20.0);
-            // Shed *less* than the per-period excess (400 in, ~194
-            // processed, shed ~160): a standing buffer remains, so the
-            // victim-selection policy has a population to choose from.
-            let mut hook = |s: &PeriodSnapshot| {
-                if s.k >= 1 {
-                    Decision::network(800_000.0)
-                } else {
-                    Decision::NONE
-                }
-            };
-            let _ = sim.run(&arrivals, &mut hook, secs(20));
-            let v = values.lock().unwrap();
-            v.iter().sum::<f64>() / v.len() as f64
-        };
-        let random_mean = run(ShedPolicy::NewestFirst);
-        let semantic_mean = run(ShedPolicy::LowestValueFirst);
-        // Values are U[0,1): random shedding keeps mean ≈ 0.5, semantic
-        // shedding keeps the upper part of the distribution.
-        assert!(
-            semantic_mean > random_mean + 0.1,
-            "semantic {semantic_mean} vs random {random_mean}"
-        );
-    }
-
-    #[test]
-    fn oldest_first_policy_sheds_the_longest_waiting() {
-        let net = unit_network(millis(5));
-        let sim = Simulator::new(
-            net,
-            SimConfig::paper_default().with_shed_policy(ShedPolicy::OldestFirst),
-        );
-        let arrivals = uniform_arrivals(400.0, 10.0);
-        let mut hook = |s: &PeriodSnapshot| {
-            if s.k == 5 {
-                Decision::network(3_000_000.0)
-            } else {
-                Decision::NONE
-            }
-        };
-        let report = sim.run(&arrivals, &mut hook, secs(10));
-        assert!(report.dropped_network > 0);
-        // Dropping the oldest clears the head of the line: tuples that
-        // complete right after the shed have small delays.
-        assert!(report.completed > 0);
-    }
-
-    #[test]
-    fn lsrm_policy_sheds_cheapest_utility_first() {
-        // Two independent chains: stream A is expensive (10 ms/tuple),
-        // stream B cheap (2 ms/tuple); equal yields. The LSRM ratio
-        // prefers dropping A's tuples — more load saved per output lost.
-        let build = || {
-            let mut b = NetworkBuilder::new();
-            let a_in = b.add("a_in", millis(1), Map::identity());
-            let a_work = b.add("a_work", millis(9), Map::identity());
-            let b_in = b.add("b_in", millis(1), Map::identity());
-            let b_work = b.add("b_work", millis(1), Map::identity());
-            b.connect(a_in, a_work);
-            b.connect(b_in, b_work);
-            b.entry(a_in);
-            b.entry(b_in);
-            b.build().unwrap()
-        };
-        let run = |policy: ShedPolicy| {
-            let sim = Simulator::new(
-                build(),
-                SimConfig::paper_default().with_shed_policy(policy),
-            );
-            // 2× overload: capacity = 0.97/6ms ≈ 162/s vs 300/s offered.
-            let arrivals = uniform_arrivals(300.0, 20.0);
-            let mut hook = |s: &PeriodSnapshot| {
-                if s.k >= 1 {
-                    Decision::network(900_000.0)
-                } else {
-                    Decision::NONE
-                }
-            };
-            sim.run(&arrivals, &mut hook, secs(20))
-        };
-        let lsrm = run(ShedPolicy::LsrmRatio);
-        assert!(lsrm.dropped_network > 0);
-        // Under LSRM, stream B (cheap) is protected: its operators see
-        // clearly more tuples than stream A's. (The preference is bounded
-        // because shedding only acts on what is *queued* at boundaries —
-        // between boundaries FIFO admission is stream-blind.)
-        let a_processed = lsrm.node_stats[0].processed;
-        let b_processed = lsrm.node_stats[2].processed;
-        assert!(
-            b_processed as f64 > a_processed as f64 * 1.25,
-            "B {b_processed} vs A {a_processed}"
-        );
-        // Newest-first is stream-blind: roughly equal.
-        let blind = run(ShedPolicy::NewestFirst);
-        let a2 = blind.node_stats[0].processed as f64;
-        let b2 = blind.node_stats[2].processed as f64;
-        assert!((a2 / b2 - 1.0).abs() < 0.35, "A {a2} vs B {b2}");
-        // Same load target → LSRM completes at least as many outputs.
-        assert!(lsrm.completed >= blind.completed);
-    }
-
-    #[test]
-    fn pacing_throttles_to_wall_clock() {
-        // 2 simulated seconds at 20× speed ⇒ ≥ ~95 ms of wall time.
-        let cfg = SimConfig::paper_default().with_pacing(20.0);
-        let sim = Simulator::new(unit_network(millis(5)), cfg);
-        let arrivals = uniform_arrivals(100.0, 2.0);
-        let t0 = std::time::Instant::now();
-        let report = sim.run(&arrivals, &mut NoShedding, secs(2));
-        let wall = t0.elapsed();
-        assert_eq!(report.completed, 200);
-        assert!(
-            wall >= std::time::Duration::from_millis(90),
-            "paced run finished in {wall:?}"
-        );
-        // Unpaced, the same run takes well under 10 ms.
-        let sim2 = Simulator::new(unit_network(millis(5)), SimConfig::paper_default());
-        let t1 = std::time::Instant::now();
-        let _ = sim2.run(&arrivals, &mut NoShedding, secs(2));
-        assert!(t1.elapsed() < wall / 3);
     }
 
     #[test]

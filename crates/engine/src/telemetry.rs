@@ -358,7 +358,7 @@ impl ControlTrace {
             measured_cost_us: snap.measured_cost_us.unwrap_or(f64::NAN),
             mean_delay_ms: snap.mean_delay_ms.unwrap_or(f64::NAN),
             cpu_busy_us: snap.cpu_busy_us,
-            alpha: decision.drop_prob_for_entry(0),
+            alpha: decision.alpha(),
             shed_load_us: decision.shed_load_us,
             y_hat_s: s.y_hat_s,
             error_s: s.error_s,

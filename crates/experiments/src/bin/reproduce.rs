@@ -20,6 +20,38 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use streamshed_experiments as exp;
 
+/// A figure generator, called with `--seed`.
+type Generate = fn(u64) -> exp::FigureResult;
+
+/// Every figure `reproduce` regenerates, in `all` order: its name,
+/// whether `all` runs it, and its generator (seedless figures ignore the
+/// seed). The usage text, `all`, the unknown-name check and the dispatch
+/// all read this one table.
+const FIGURES: &[(&str, bool, Generate)] = &[
+    ("fig5", true, |_| exp::fig05::run()),
+    ("fig6", true, |_| exp::fig06::run()),
+    ("fig7", true, |_| exp::fig07::run()),
+    ("fig8", true, |_| exp::fig08::run()),
+    ("fig12", true, exp::fig12::run),
+    ("fig13", true, exp::fig13::run),
+    ("fig14", true, exp::fig14::run),
+    ("fig15", true, exp::fig15::run),
+    ("fig16", true, exp::fig16::run),
+    ("fig17", true, exp::fig17::run),
+    ("fig18", true, exp::fig18::run),
+    ("fig19", true, exp::fig19::run),
+    ("overhead", true, |_| exp::overhead::run()),
+    ("ablations", true, exp::ablations::run),
+    ("faults", true, exp::faults::run),
+    ("adaptive", true, exp::adaptive::run),
+    // Wall-clock (not virtual-time): run explicitly, not in "all". --seed
+    // drives the entry shedder; pacing stays wall-clock, so runs are
+    // seedable but not byte-identical.
+    ("sharded", false, exp::sharded::run),
+    ("monitor", false, exp::monitor::run),
+    ("net", false, exp::net::run),
+];
+
 fn run_trace(scenario: &str, out_dir: &PathBuf, seed: u64) {
     if !exp::faults::SCENARIOS.contains(&scenario) {
         eprintln!(
@@ -143,10 +175,9 @@ fn main() {
                 scenario = Some(args.next().expect("--scenario needs a scenario key"));
             }
             "--help" | "-h" => {
+                let names: Vec<&str> = FIGURES.iter().map(|f| f.0).collect();
                 eprintln!(
-                    "usage: reproduce [--out DIR] [--seed N] [--jobs N] [fig5 fig6 fig7 \
-                     fig8 fig12 fig13 fig14 fig15 fig16 fig17 fig18 fig19 overhead \
-                     ablations extensions faults adaptive sharded monitor net | all]\n       \
+                    "usage: reproduce [--out DIR] [--seed N] [--jobs N] [{} | all]\n       \
                      reproduce trace --scenario KEY [--out DIR] [--seed N]\n       \
                      reproduce campaign [--lane sanity|stress|full] [--filter GLOB] \
                      [--list] [--sabotage] [--out DIR] [--seed N] [--jobs N]\n       \
@@ -168,6 +199,7 @@ fn main() {
                      --jobs N: regenerate figures on N worker threads (0 or default: \
                      one per core); results are byte-identical for any N\n       \
                      scenarios: {}",
+                    names.join(" "),
                     exp::faults::SCENARIOS.join(", ")
                 );
                 return;
@@ -195,79 +227,34 @@ fn main() {
         run_trace(&key, &out_dir, seed);
         return;
     }
-    if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        wanted = vec![
-            "fig5".into(),
-            "fig6".into(),
-            "fig7".into(),
-            "fig8".into(),
-            "fig12".into(),
-            "fig13".into(),
-            "fig14".into(),
-            "fig15".into(),
-            "fig16".into(),
-            "fig17".into(),
-            "fig18".into(),
-            "fig19".into(),
-            "overhead".into(),
-            "ablations".into(),
-            "extensions".into(),
-            "faults".into(),
-            "adaptive".into(),
-        ];
-    }
-
-    // Drop unknown names up front so the worker pool only sees real tasks.
-    wanted.retain(|name| {
-        let known = matches!(
-            name.as_str(),
-            "fig5" | "fig6" | "fig7" | "fig8" | "fig12" | "fig13" | "fig14" | "fig15"
-                | "fig16" | "fig17" | "fig18" | "fig19" | "overhead" | "ablations"
-                | "extensions" | "faults" | "adaptive" | "sharded" | "monitor" | "net"
-        );
-        if !known {
-            eprintln!("unknown figure '{name}', skipping");
-        }
-        known
-    });
+    let figures: Vec<_> = if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
+        FIGURES.iter().filter(|f| f.1).collect()
+    } else {
+        // Drop unknown names up front so the worker pool only sees real tasks.
+        wanted
+            .iter()
+            .filter_map(|name| {
+                let known = FIGURES.iter().find(|f| f.0 == name);
+                if known.is_none() {
+                    eprintln!("unknown figure '{name}', skipping");
+                }
+                known
+            })
+            .collect()
+    };
 
     // Fan the scenarios across the worker pool. Each figure builds its own
     // seeded simulator, so results do not depend on scheduling; rendering
     // and file writes stay on the main thread, in figure order, which keeps
     // stdout and results/* byte-identical for any --jobs value.
-    let figs = exp::parallel::run_indexed(wanted.len(), jobs, |i| {
+    let figs = exp::parallel::run_indexed(figures.len(), jobs, |i| {
         let start = std::time::Instant::now();
-        let fig = match wanted[i].as_str() {
-            "fig5" => exp::fig05::run(),
-            "fig6" => exp::fig06::run(),
-            "fig7" => exp::fig07::run(),
-            "fig8" => exp::fig08::run(),
-            "fig12" => exp::fig12::run(seed),
-            "fig13" => exp::fig13::run(seed),
-            "fig14" => exp::fig14::run(seed),
-            "fig15" => exp::fig15::run(seed),
-            "fig16" => exp::fig16::run(seed),
-            "fig17" => exp::fig17::run(seed),
-            "fig18" => exp::fig18::run(seed),
-            "fig19" => exp::fig19::run(seed),
-            "overhead" => exp::overhead::run(),
-            "ablations" => exp::ablations::run(seed),
-            "extensions" => exp::extensions::run(seed),
-            "faults" => exp::faults::run(seed),
-            "adaptive" => exp::adaptive::run(seed),
-            // Wall-clock (not virtual-time): run explicitly, not in
-            // "all". --seed drives the entry shedder; pacing stays
-            // wall-clock, so runs are seedable but not byte-identical.
-            "sharded" => exp::sharded::run(seed),
-            "monitor" => exp::monitor::run(seed),
-            "net" => exp::net::run(seed),
-            other => unreachable!("unknown figure '{other}' survived filtering"),
-        };
+        let fig = (figures[i].2)(seed);
         (fig, start.elapsed())
     });
 
     let mut gates_failed = false;
-    for (name, (fig, elapsed)) in wanted.iter().zip(figs) {
+    for (&(name, ..), (fig, elapsed)) in figures.into_iter().zip(figs) {
         println!("{}", fig.render());
         println!("  [{name} regenerated in {elapsed:.1?}]\n");
         if let Err(e) = fig.write_into(&out_dir) {

@@ -47,7 +47,6 @@
 pub mod ablations;
 pub mod adaptive;
 pub mod campaign;
-pub mod extensions;
 pub mod faults;
 pub mod fig05;
 pub mod fig06;

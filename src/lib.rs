@@ -70,10 +70,8 @@ pub mod prelude {
         adaptive::{AdaptiveCtrlStrategy, RlsEstimator},
         controller::FeedbackController,
         estimator::{CostEstimator, DelayEstimator},
-        kalman::{CostTracker, CostTrackerKind, KalmanCostEstimator},
         loop_::{LoopConfig, ShedMode},
         model::PlantModel,
-        priority::{PriorityCtrlStrategy, StreamPriorities},
         strategy::{AuroraStrategy, BaselineStrategy, CtrlStrategy, SheddingStrategy},
         supervisor::{Supervisor, SupervisorConfig, SupervisorMode},
     };

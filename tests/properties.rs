@@ -188,16 +188,11 @@ proptest! {
                 "period {k}: shed_load_us = {}",
                 d.shed_load_us
             );
-            if let Some(per) = &d.per_entry_drop_prob {
-                for &p in per {
-                    prop_assert!(p.is_finite() && (0.0..=1.0).contains(&p));
-                }
-            }
         }
     }
 
     /// No sequence of garbage measurements (NaN, ±∞, zero, negative) can
-    /// poison any cost tracker: the estimate stays finite, positive, and
+    /// poison the cost tracker: the estimate stays finite, positive, and
     /// within the range spanned by the prior and the valid samples.
     #[test]
     fn cost_estimators_never_poisoned(
@@ -215,7 +210,6 @@ proptest! {
         prior in 100.0..50_000.0f64,
     ) {
         let mut ewma = CostEstimator::new(prior, 0.3);
-        let mut kalman = KalmanCostEstimator::with_defaults(prior);
         let mut lo = prior;
         let mut hi = prior;
         for &s in &samples {
@@ -225,16 +219,15 @@ proptest! {
                     hi = hi.max(v);
                 }
             }
-            for est in [ewma.update(s), kalman.update(s)] {
-                prop_assert!(
-                    est.is_finite() && est > 0.0,
-                    "estimate poisoned by {s:?}: {est}"
-                );
-                // Both trackers interpolate between the prior and the
-                // valid measurements; garbage must not drag them outside
-                // that envelope.
-                prop_assert!(est >= lo - 1e-6 && est <= hi + 1e-6);
-            }
+            let est = ewma.update(s);
+            prop_assert!(
+                est.is_finite() && est > 0.0,
+                "estimate poisoned by {s:?}: {est}"
+            );
+            // The tracker interpolates between the prior and the valid
+            // measurements; garbage must not drag it outside that
+            // envelope.
+            prop_assert!(est >= lo - 1e-6 && est <= hi + 1e-6);
         }
     }
 
