@@ -109,7 +109,9 @@ impl Decision {
     }
 
     /// The entry drop probability in force: [`Self::entry_drop_prob`]
-    /// clamped to `[0, 1]`. NaN passes through unchanged.
+    /// clamped to `[0, 1]`. NaN passes through unchanged, and both
+    /// engines' entry shedder ([`crate::rng::AtomicShedder`]) sheds every
+    /// arrival under it: a corrupt command fails closed.
     pub fn alpha(&self) -> f64 {
         self.entry_drop_prob.clamp(0.0, 1.0)
     }

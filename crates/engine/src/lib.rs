@@ -65,7 +65,7 @@ pub use hook::{ControlHook, Decision, NoShedding, PeriodSnapshot};
 pub use metrics::{DelayStats, RunReport};
 pub use network::{NetworkBuilder, NodeId, QueryNetwork};
 pub use ring::{Push, SpscRing};
-pub use rng::{engine_rng, AtomicShedder, EngineRng, EntryShedder, GeometricSkip};
+pub use rng::{engine_rng, AtomicShedder, EngineRng};
 pub use shard::{BatchResult, Dispatch, ShardConfig, ShardReport, ShardStat, ShardedEngine};
 pub use histo::{AtomicHisto, Histo};
 pub use sim::{SimConfig, Simulator};

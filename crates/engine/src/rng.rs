@@ -1,7 +1,6 @@
 //! The engine's randomness seam.
 //!
-//! Every hot-path random decision in the engine — tuple payload draws,
-//! entry-shedder coin flips, shed-location selection — goes through the
+//! Tuple payload draws and shed-location selection go through the
 //! [`EngineRng`] type defined here, so the generator can be swapped in
 //! one place and every call site seeds identically
 //! (`engine_rng(cfg.seed)`). The current generator is xoshiro256+
@@ -9,30 +8,17 @@
 //! previous `StdRng` (xoshiro256++) with a cheaper output stage, which
 //! matters at one-draw-per-tuple rates.
 //!
-//! The module also hosts [`GeometricSkip`], the entry shedder's
-//! skip-sampling state. Instead of flipping a Bernoulli(α) coin per
-//! arrival, it draws the number of *admissions until the next drop* once
-//! per drop:
-//!
-//! ```text
-//! P(admit m tuples, then drop one) = (1 − α)^m · α,   m = ⌊ln u / ln(1 − α)⌋
-//! ```
-//!
-//! with `u` uniform in `[0, 1)`. The admit/drop sequence this produces is
-//! distributed identically to iid per-tuple coin flips (the gaps between
-//! drops in a Bernoulli process are exactly geometric), but costs one RNG
-//! draw and one logarithm per *drop* instead of one draw per *arrival*.
-//!
-//! The wall-clock engine's front door does not share an [`EngineRng`]
-//! (a `&mut` generator cannot be shared by concurrent offerers):
-//! [`AtomicShedder`] carries its own counter-based generator — a Weyl
-//! counter through the splitmix64 finalizer (`mix64`), each mixed word
-//! cut into two 32-bit coins — chosen so that a batch of draws has no
-//! serial dependency. It flips one coin per arrival at every α; skip
-//! sampling stays with the simulator.
+//! Entry shedding — the paper's coin with drop probability α (Eq. 13) —
+//! has one kernel, [`AtomicShedder`], used by both engines: the
+//! simulator's admission pass and the wall-clock front door (where a
+//! `&mut` generator could not be shared by concurrent offerers). It
+//! carries its own counter-based generator — a Weyl counter through the
+//! splitmix64 finalizer (`mix64`), each mixed word cut into two 32-bit
+//! coins — chosen so that a batch of draws has no serial dependency and
+//! any split of a stream into batches makes the same decisions.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The engine's pseudo-random generator (currently xoshiro256+).
@@ -43,139 +29,6 @@ pub type EngineRng = SmallRng;
 /// one-line change.
 pub fn engine_rng(seed: u64) -> EngineRng {
     EngineRng::seed_from_u64(seed)
-}
-
-/// Skip-sampling state for one entry shedder: the number of arrivals to
-/// admit before the next drop.
-///
-/// `α` is fixed at construction; when the controller issues a new drop
-/// probability, discard the state and construct a fresh one (the sampled
-/// skip is only valid under the α it was drawn for).
-#[derive(Debug, Clone, Copy)]
-pub struct GeometricSkip {
-    alpha: f64,
-    /// Arrivals still to admit before the next drop. `u64::MAX` doubles
-    /// as "effectively never" for α = 0.
-    admits_left: u64,
-}
-
-impl GeometricSkip {
-    /// Creates skip state for drop probability `alpha` (clamped to
-    /// `[0, 1]`), drawing the first skip from `rng`.
-    pub fn new(alpha: f64, rng: &mut EngineRng) -> Self {
-        let alpha = if alpha.is_nan() { 0.0 } else { alpha.clamp(0.0, 1.0) };
-        let mut s = Self {
-            alpha,
-            admits_left: 0,
-        };
-        s.admits_left = s.draw_skip(rng);
-        s
-    }
-
-    /// The drop probability this state was drawn for.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// Decides the fate of one arrival: `true` means drop it. Costs an
-    /// RNG draw only when it answers `true` (to sample the next gap).
-    #[inline]
-    pub fn should_drop(&mut self, rng: &mut EngineRng) -> bool {
-        if self.admits_left == 0 {
-            self.admits_left = self.draw_skip(rng);
-            true
-        } else {
-            self.admits_left -= 1;
-            false
-        }
-    }
-
-    /// Samples the number of admissions before the next drop:
-    /// `⌊ln u / ln(1 − α)⌋` for α ∈ (0, 1); never for α = 0; immediately
-    /// for α = 1.
-    fn draw_skip(&mut self, rng: &mut EngineRng) -> u64 {
-        sample_skip(self.alpha, rng.gen::<f64>())
-    }
-}
-
-/// The inverse-CDF geometric draw underlying [`GeometricSkip`]: maps a
-/// uniform `u ∈ [0, 1)` to the number of admissions before the next drop
-/// under drop probability `alpha`. Exposed for the statistical
-/// equivalence tests.
-#[inline]
-pub fn sample_skip(alpha: f64, u: f64) -> u64 {
-    if alpha <= 0.0 {
-        return u64::MAX; // never drop
-    }
-    if alpha >= 1.0 {
-        return 0; // drop every arrival
-    }
-    // ln u is ≤ 0 and finite for u ∈ (0, 1); u = 0 maps to the deep tail,
-    // which the saturating cast turns into "effectively never".
-    let m = (u.ln() / (1.0 - alpha).ln()).floor();
-    if m >= u64::MAX as f64 {
-        u64::MAX
-    } else {
-        m as u64
-    }
-}
-
-/// Commanded drop probabilities at or above this threshold use a plain
-/// Bernoulli coin flip per arrival; below it, geometric skip sampling.
-///
-/// The crossover is empirical (PR 3's per-α sweep, see CHANGES.md):
-/// skip sampling amortises one RNG draw + one `ln` per *drop*,
-/// so it wins decisively in the small-α regime (≈2.4× at α = 0.01) but
-/// loses once drops are frequent enough that the geometric gaps are
-/// short (0.86× at α = 0.05, 0.49× at α = 0.1) — the `ln` then costs
-/// more than the coin flips it replaces. The hybrid picks the winner
-/// per control period from the commanded α.
-pub const BERNOULLI_ALPHA_MIN: f64 = 0.02;
-
-/// Hybrid entry-shedding state for one entry: Bernoulli coin flips when
-/// drops are frequent (α ≥ [`BERNOULLI_ALPHA_MIN`]), geometric skip
-/// sampling when they are rare.
-///
-/// Like [`GeometricSkip`], α is fixed at construction; when the
-/// controller issues a new drop probability, discard the state and
-/// construct a fresh one (which is also where the Bernoulli-vs-skip
-/// choice is re-made).
-#[derive(Debug, Clone, Copy)]
-pub enum EntryShedder {
-    /// Per-arrival coin flip (one RNG draw per arrival).
-    Bernoulli(f64),
-    /// Skip sampling (one RNG draw per drop).
-    Skip(GeometricSkip),
-}
-
-impl EntryShedder {
-    /// Creates hybrid shedding state for drop probability `alpha`,
-    /// picking the faster sampler for that α.
-    pub fn new(alpha: f64, rng: &mut EngineRng) -> Self {
-        let alpha = if alpha.is_nan() { 0.0 } else { alpha.clamp(0.0, 1.0) };
-        if alpha >= BERNOULLI_ALPHA_MIN {
-            EntryShedder::Bernoulli(alpha)
-        } else {
-            EntryShedder::Skip(GeometricSkip::new(alpha, rng))
-        }
-    }
-
-    /// The drop probability this state was built for.
-    pub fn alpha(&self) -> f64 {
-        match self {
-            EntryShedder::Bernoulli(a) => *a,
-            EntryShedder::Skip(s) => s.alpha(),
-        }
-    }
-
-    /// Decides the fate of one arrival: `true` means drop it.
-    #[inline]
-    pub fn should_drop(&mut self, rng: &mut EngineRng) -> bool {
-        match self {
-            EntryShedder::Bernoulli(a) => rng.gen::<f64>() < *a,
-            EntryShedder::Skip(s) => s.should_drop(rng),
-        }
-    }
 }
 
 /// Weyl increment of [`AtomicShedder`]'s word counter: 2⁶⁴/φ, odd, so
@@ -272,8 +125,8 @@ fn survivors_of(
     kept
 }
 
-/// Lock-free entry shedder for the real-time engine, shared by
-/// concurrent offerers: one Bernoulli(α) coin per arrival.
+/// The entry shedder of both engines — lock-free, so the wall clock's
+/// concurrent offerers can share it: one Bernoulli(α) coin per arrival.
 ///
 /// Randomness is **counter-based** (splitmix64) and a mixed word pays
 /// for **two coins**: the shared state is the index `c` of the next
@@ -374,53 +227,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn skip_zero_alpha_never_drops() {
-        let mut rng = engine_rng(1);
-        let mut skip = GeometricSkip::new(0.0, &mut rng);
-        for _ in 0..10_000 {
-            assert!(!skip.should_drop(&mut rng));
-        }
-    }
-
-    #[test]
-    fn skip_full_alpha_always_drops() {
-        let mut rng = engine_rng(2);
-        let mut skip = GeometricSkip::new(1.0, &mut rng);
-        for _ in 0..1_000 {
-            assert!(skip.should_drop(&mut rng));
-        }
-    }
-
-    #[test]
-    fn skip_drop_rate_matches_alpha() {
-        for &alpha in &[0.01, 0.1, 0.5, 0.9] {
-            let mut rng = engine_rng(3);
-            let mut skip = GeometricSkip::new(alpha, &mut rng);
-            let n = 200_000;
-            let drops = (0..n).filter(|_| skip.should_drop(&mut rng)).count();
-            let rate = drops as f64 / n as f64;
-            // 200k samples: 5σ ≈ 5·sqrt(α(1−α)/n) < 0.006 for all α here.
-            assert!(
-                (rate - alpha).abs() < 0.01,
-                "alpha {alpha}: observed {rate}"
-            );
-        }
-    }
-
-    #[test]
-    fn sample_skip_inverse_cdf_boundaries() {
-        // u just above 1−α ⇒ drop immediately; u below ⇒ admit ≥ 1.
-        assert_eq!(sample_skip(0.5, 0.6), 0);
-        assert_eq!(sample_skip(0.5, 0.4), 1);
-        assert_eq!(sample_skip(0.0, 0.5), u64::MAX);
-        assert_eq!(sample_skip(1.0, 0.5), 0);
-        // Degenerate uniform draw of exactly 0 saturates instead of
-        // overflowing.
-        assert_eq!(sample_skip(0.5, 0.0), u64::MAX);
-    }
-
-    #[test]
     fn engine_rng_is_deterministic_per_seed() {
+        use rand::Rng;
         let mut a = engine_rng(42);
         let mut b = engine_rng(42);
         for _ in 0..100 {
@@ -428,38 +236,6 @@ mod tests {
         }
         let mut c = engine_rng(43);
         assert_ne!(a.gen::<u64>(), c.gen::<u64>());
-    }
-
-    #[test]
-    fn hybrid_picks_sampler_by_alpha() {
-        let mut rng = engine_rng(5);
-        assert!(matches!(
-            EntryShedder::new(BERNOULLI_ALPHA_MIN / 2.0, &mut rng),
-            EntryShedder::Skip(_)
-        ));
-        assert!(matches!(
-            EntryShedder::new(BERNOULLI_ALPHA_MIN, &mut rng),
-            EntryShedder::Bernoulli(_)
-        ));
-        assert!(matches!(
-            EntryShedder::new(0.5, &mut rng),
-            EntryShedder::Bernoulli(_)
-        ));
-    }
-
-    #[test]
-    fn hybrid_drop_rate_matches_alpha_on_both_branches() {
-        for &alpha in &[0.005, 0.01, 0.05, 0.3, 0.9] {
-            let mut rng = engine_rng(6);
-            let mut shedder = EntryShedder::new(alpha, &mut rng);
-            let n = 200_000;
-            let drops = (0..n).filter(|_| shedder.should_drop(&mut rng)).count();
-            let rate = drops as f64 / n as f64;
-            assert!(
-                (rate - alpha).abs() < 0.01,
-                "alpha {alpha}: observed {rate}"
-            );
-        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::cost::CostSchedule;
 use crate::hook::{ControlHook, Decision, PeriodSnapshot};
 use crate::metrics::{MetricsAccumulator, PeriodRecord, RunReport};
 use crate::network::{NodeId, QueryNetwork};
-use crate::rng::{engine_rng, EngineRng, EntryShedder};
+use crate::rng::{engine_rng, AtomicShedder, EngineRng};
 use crate::telemetry::{EventSink, SharedRecorder, SpanKind};
 use crate::operator::OutputBuffer;
 use crate::time::{secs, SimDuration, SimTime};
@@ -38,8 +38,9 @@ pub struct SimConfig {
     pub headroom: f64,
     /// Delay target `yd`, used for violation accounting in the report.
     pub target_delay: SimDuration,
-    /// RNG seed (tuple payloads, entry shedding coin flips, shed-location
-    /// selection).
+    /// Seed of the run's two random streams: the [`EngineRng`] (tuple
+    /// payloads, shed-location selection) and the entry shedder's coins
+    /// ([`AtomicShedder`], the wall-clock front door's kernel).
     pub seed: u64,
     /// Join/grouping keys are drawn uniformly from `0..key_space`.
     pub key_space: u64,
@@ -50,17 +51,6 @@ pub struct SimConfig {
     /// (the network buffer of §3), which keeps operator trains small and
     /// departures arrival-ordered. Must be ≥ 1.
     pub admission_gate: usize,
-    /// Ingress batching: how many due arrivals are admitted per admission
-    /// pass. `1` (the default) is the historical per-arrival path and
-    /// keeps every seeded RNG stream bit-identical to prior releases.
-    /// Values ≥ 2 mirror the real-time engines' `offer_batch` front door:
-    /// shed decisions are made in one grouped pass per entry (amortising
-    /// the hybrid shedder's state access) and kept tuples are then
-    /// admitted in arrival order, each with its **exact** original
-    /// virtual timestamp. The reordered RNG draws make batched runs a
-    /// *different* (still statistically-iid) sample path, which is why
-    /// batching is opt-in.
-    pub ingress_batch: usize,
 }
 
 impl SimConfig {
@@ -74,7 +64,6 @@ impl SimConfig {
             key_space: 100,
             cost_schedule: CostSchedule::constant(),
             admission_gate: 64,
-            ingress_batch: 1,
         }
     }
 
@@ -106,13 +95,6 @@ impl SimConfig {
     /// Sets the cost schedule.
     pub fn with_cost_schedule(mut self, schedule: CostSchedule) -> Self {
         self.cost_schedule = schedule;
-        self
-    }
-
-    /// Sets the ingress batch size (see [`Self::ingress_batch`]).
-    pub fn with_ingress_batch(mut self, n: usize) -> Self {
-        assert!(n >= 1, "ingress_batch must be >= 1");
-        self.ingress_batch = n;
         self
     }
 }
@@ -231,13 +213,9 @@ pub struct Simulator {
     /// in lockstep with `input_buffer` so the period-boundary load
     /// estimate is O(entries) instead of O(buffered tuples).
     buffered_per_entry: Vec<u64>,
-    /// Entry-shedder state, one per entry position (hybrid Bernoulli /
-    /// geometric-skip, picked from the commanded α); reset whenever the
-    /// controller issues a new decision.
-    entry_skip: Vec<Option<EntryShedder>>,
-    /// Reusable drop-flag buffer for the batched admission pass
-    /// (`ingress_batch` ≥ 2), so the hot loop never allocates.
-    ingress_scratch: Vec<bool>,
+    /// The entry shedder: the wall-clock front door's coin stream, seeded
+    /// from [`SimConfig::seed`].
+    shedder: AtomicShedder,
     /// Flattened routing tables, one per node.
     fanout: Vec<Fanout>,
     roots: RootSlab,
@@ -277,15 +255,45 @@ pub struct Simulator {
     node_cost_ewma: Vec<f64>,
     /// Optional telemetry sink for engine-side spans (shedder hot path).
     telemetry: Option<SharedRecorder>,
-    /// Latency-truth-plane sink: every `u32`-th admitted root is tracked
-    /// end to end and closed at departure ([`Self::with_spans`]).
-    spans: Option<(crate::spans::SpanHandle, u32)>,
+    /// Latency-truth-plane sampling ([`Self::with_spans`]).
+    spans: SpanSampler,
+}
+
+/// Latency-truth-plane sampling state: every `u32`-th admitted root is
+/// tracked end to end and closed at departure.
+#[derive(Default)]
+struct SpanSampler {
+    /// The sink and the sampling stride; `None` samples nothing.
+    sink: Option<(crate::spans::SpanHandle, u32)>,
     /// Admission counter driving every-Nth sojourn sampling.
-    spans_acc: u64,
+    admitted: u64,
     /// Per-root accumulated execute wall (µs; `u64::MAX` = unsampled),
     /// indexed in lockstep with the root slab. Admission always rewrites
     /// the slot, so recycled `RootId`s can never inherit a stale sample.
-    spans_exec: Vec<u64>,
+    exec: Vec<u64>,
+}
+
+impl SpanSampler {
+    /// Marks the freshly admitted `root` as sampled (or not),
+    /// unconditionally rewriting its slot so slab recycling never leaks a
+    /// stale sample.
+    #[inline]
+    fn note_admitted(&mut self, root: RootId) {
+        let Some((_, every)) = self.sink.as_ref() else {
+            return;
+        };
+        let every = *every as u64;
+        self.admitted += 1;
+        let idx = root.0 as usize;
+        if self.exec.len() <= idx {
+            self.exec.resize(idx + 1, u64::MAX);
+        }
+        self.exec[idx] = if self.admitted.is_multiple_of(every) {
+            0
+        } else {
+            u64::MAX
+        };
+    }
 }
 
 /// EWMA smoothing factor for per-operator cost tracking (the same order
@@ -327,9 +335,9 @@ impl Simulator {
             })
             .collect();
         let n_nodes = network.len();
-        let n_entries = network.entries().len();
         let port_toggle = vec![0; n_nodes];
         let rng = engine_rng(cfg.seed);
+        let shedder = AtomicShedder::new(cfg.seed);
         let fanout = Fanout::build(&network);
         let inv_headroom = 1.0 / cfg.headroom;
         let passthrough = network
@@ -344,8 +352,7 @@ impl Simulator {
             total_queued: 0,
             input_buffer: VecDeque::new(),
             buffered_per_entry: vec![0; n_nodes],
-            entry_skip: vec![None; n_entries],
-            ingress_scratch: Vec::new(),
+            shedder,
             fanout,
             roots: RootSlab::new(),
             rng,
@@ -366,9 +373,7 @@ impl Simulator {
             node_shed: vec![0; n_nodes],
             node_cost_ewma: vec![f64::NAN; n_nodes],
             telemetry: None,
-            spans: None,
-            spans_acc: 0,
-            spans_exec: Vec::new(),
+            spans: SpanSampler::default(),
         }
     }
 
@@ -396,29 +401,8 @@ impl Simulator {
     /// shed mid-network lose their sample, mirroring the real-time
     /// engines.
     pub fn with_spans(mut self, handle: crate::spans::SpanHandle, sample_every: u32) -> Self {
-        self.spans = Some((handle, sample_every.max(1)));
+        self.spans.sink = Some((handle, sample_every.max(1)));
         self
-    }
-
-    /// Marks the freshly admitted `root` as span-sampled (or not),
-    /// unconditionally rewriting its slot so slab recycling never leaks a
-    /// stale sample.
-    #[inline]
-    fn note_admitted_root(&mut self, root: RootId) {
-        let Some((_, every)) = self.spans.as_ref() else {
-            return;
-        };
-        let every = *every as u64;
-        self.spans_acc += 1;
-        let idx = root.0 as usize;
-        if self.spans_exec.len() <= idx {
-            self.spans_exec.resize(idx + 1, u64::MAX);
-        }
-        self.spans_exec[idx] = if self.spans_acc.is_multiple_of(every) {
-            0
-        } else {
-            u64::MAX
-        };
     }
 
     /// Runs the simulation for `duration`, admitting tuples at the given
@@ -496,9 +480,6 @@ impl Simulator {
                 let new_decision = hook.on_period(&snapshot);
                 let alpha_in_force = decision.alpha();
                 decision = new_decision;
-                // Skip-sampling state is only valid under the α it was
-                // drawn for; resample lazily under the new decision.
-                self.entry_skip.iter_mut().for_each(|s| *s = None);
                 metrics.periods.push(PeriodRecord {
                     k,
                     time_s: next_boundary.as_secs_f64(),
@@ -692,6 +673,13 @@ impl Simulator {
 
     /// Admits every arrival at or before the current clock (and before
     /// `end`), applying the entry-shedding decision in force.
+    ///
+    /// The due arrivals are a contiguous run of `arrival_times`. One
+    /// [`AtomicShedder::shed_batch_each`] pass decides them all and the
+    /// survivors are admitted in arrival order, each with its exact
+    /// virtual timestamp. A coin's decision depends on its index alone,
+    /// so how the clock groups arrivals into passes never moves the
+    /// sample path.
     fn admit_due(
         &mut self,
         arrival_times: &[SimTime],
@@ -701,158 +689,41 @@ impl Simulator {
         metrics: &mut MetricsAccumulator,
         pc: &mut PeriodCounters,
     ) {
-        if self.cfg.ingress_batch > 1 {
-            return self.admit_due_batched(arrival_times, next_arrival, end, decision, metrics, pc);
+        let start = *next_arrival;
+        let due = arrival_times[start..]
+            .iter()
+            .take_while(|&&t| t <= self.clock && t < end)
+            .count();
+        if due == 0 {
+            return;
         }
+        *next_arrival = start + due;
+        let due_times = &arrival_times[start..start + due];
+        // Entries are assigned round-robin over *offered* arrivals, so the
+        // split between entries is stable under shedding: arrival `j` of
+        // this pass belongs to entry `(first + j) % n_entries`.
         let n_entries = self.network.entries().len();
+        let first = metrics.offered as usize % n_entries;
+        pc.offered += due as u64;
+        metrics.offered += due as u64;
         let key_space = self.cfg.key_space.max(1);
         let alpha = decision.alpha();
-        // Rotating cursor equivalent to `(offered - 1) % n_entries`
-        // without a division per arrival.
-        let mut cursor = metrics.offered as usize % n_entries;
-        while *next_arrival < arrival_times.len()
-            && arrival_times[*next_arrival] <= self.clock
-            && arrival_times[*next_arrival] < end
-        {
-            let t = arrival_times[*next_arrival];
-            *next_arrival += 1;
-            pc.offered += 1;
-            metrics.offered += 1;
-            // Entry (stream) assignment is by arrival order, so it is
-            // stable under shedding, and each entry keeps its own
-            // shedder state: the seeded RNG draw sequence (and with it
-            // every campaign digest) depends on both.
-            let entry_pos = cursor;
-            cursor += 1;
-            if cursor == n_entries {
-                cursor = 0;
-            }
-            // Hybrid entry shedding: geometric skip sampling (one RNG
-            // draw per *drop*) below `rng::BERNOULLI_ALPHA_MIN`, a plain
-            // coin flip per arrival above it — each branch is the faster
-            // sampler in its α regime and both are statistically iid
-            // Bernoulli(α) (see `rng::EntryShedder`). The state is reset
-            // at every new decision, which is harmless because the
-            // geometric distribution is memoryless.
-            if alpha > 0.0 {
-                let skip = self.entry_skip[entry_pos]
-                    .get_or_insert_with(|| EntryShedder::new(alpha, &mut self.rng));
-                if skip.should_drop(&mut self.rng) {
-                    pc.dropped_entry += 1;
-                    metrics.dropped_entry += 1;
-                    continue;
-                }
-            }
-            pc.admitted += 1;
+        let dropped = self.shedder.shed_batch_each(alpha, due as u64, |j| {
+            let t = due_times[j];
+            let entry = self.network.entries()[(first + j) % n_entries].index();
             let root = self.roots.admit(t);
-            self.note_admitted_root(root);
+            self.spans.note_admitted(root);
             // Bounded key via widening multiply (Lemire) — uniform to
             // within 2⁻⁶⁴·key_space, with no 128-bit division per tuple.
-            let key =
-                (((self.rng.next_u64() as u128) * (key_space as u128)) >> 64) as u64;
+            let key = (((self.rng.next_u64() as u128) * (key_space as u128)) >> 64) as u64;
             let value = self.rng.gen::<f64>();
-            let entry = self.network.entries()[entry_pos];
-            self.buffered_per_entry[entry.index()] += 1;
+            self.buffered_per_entry[entry] += 1;
             self.input_buffer
-                .push_back((entry.index(), Tuple::new(root, t, key, value)));
-        }
-    }
-
-    /// Batched variant of [`Self::admit_due`], active when
-    /// [`SimConfig::ingress_batch`] ≥ 2 — the virtual-time mirror of the
-    /// real-time engines' `offer_batch` front door.
-    ///
-    /// Each pass gathers up to `ingress_batch` due arrivals and makes the
-    /// entry-shed decisions in one grouped sweep per entry (loading each
-    /// entry's hybrid-shedder state once per batch instead of once per
-    /// arrival), then admits the survivors in original arrival order so
-    /// the global input buffer stays arrival-sorted. Every admitted tuple
-    /// keeps its own exact virtual arrival timestamp; only the RNG draw
-    /// *order* differs from the scalar path.
-    fn admit_due_batched(
-        &mut self,
-        arrival_times: &[SimTime],
-        next_arrival: &mut usize,
-        end: SimTime,
-        decision: &Decision,
-        metrics: &mut MetricsAccumulator,
-        pc: &mut PeriodCounters,
-    ) {
-        let n_entries = self.network.entries().len();
-        let key_space = self.cfg.key_space.max(1);
-        let batch_max = self.cfg.ingress_batch;
-        let alpha = decision.alpha();
-        loop {
-            // Gather the next batch of due arrivals.
-            let start = *next_arrival;
-            let mut n = 0usize;
-            while n < batch_max {
-                let i = start + n;
-                if i >= arrival_times.len()
-                    || arrival_times[i] > self.clock
-                    || arrival_times[i] >= end
-                {
-                    break;
-                }
-                n += 1;
-            }
-            if n == 0 {
-                return;
-            }
-            *next_arrival = start + n;
-            // Entry assignment stays by arrival order (stable under
-            // shedding), so arrival j of this batch belongs to entry
-            // `(cursor0 + j) % n_entries`.
-            let cursor0 = metrics.offered as usize % n_entries;
-            pc.offered += n as u64;
-            metrics.offered += n as u64;
-            // Pass 1 — grouped shed decisions, one entry at a time.
-            let mut scratch = std::mem::take(&mut self.ingress_scratch);
-            scratch.clear();
-            scratch.resize(n, false);
-            for entry_pos in 0..n_entries {
-                let first = (entry_pos + n_entries - cursor0) % n_entries;
-                if first >= n || alpha <= 0.0 {
-                    continue;
-                }
-                let skip = self.entry_skip[entry_pos]
-                    .get_or_insert_with(|| EntryShedder::new(alpha, &mut self.rng));
-                let mut j = first;
-                while j < n {
-                    if skip.should_drop(&mut self.rng) {
-                        scratch[j] = true;
-                    }
-                    j += n_entries;
-                }
-            }
-            // Pass 2 — admit survivors in arrival order, each with its
-            // exact original timestamp.
-            let mut cursor = cursor0;
-            for (j, &dropped) in scratch.iter().enumerate() {
-                let entry_pos = cursor;
-                cursor += 1;
-                if cursor == n_entries {
-                    cursor = 0;
-                }
-                if dropped {
-                    pc.dropped_entry += 1;
-                    metrics.dropped_entry += 1;
-                    continue;
-                }
-                let t = arrival_times[start + j];
-                pc.admitted += 1;
-                let root = self.roots.admit(t);
-                self.note_admitted_root(root);
-                let key =
-                    (((self.rng.next_u64() as u128) * (key_space as u128)) >> 64) as u64;
-                let value = self.rng.gen::<f64>();
-                let entry = self.network.entries()[entry_pos];
-                self.buffered_per_entry[entry.index()] += 1;
-                self.input_buffer
-                    .push_back((entry.index(), Tuple::new(root, t, key, value)));
-            }
-            self.ingress_scratch = scratch;
-        }
+                .push_back((entry, Tuple::new(root, t, key, value)));
+        });
+        pc.admitted += due as u64 - dropped;
+        pc.dropped_entry += dropped;
+        metrics.dropped_entry += dropped;
     }
 
     /// Executes operator invocations back-to-back until the clock reaches
@@ -1032,7 +903,7 @@ impl Simulator {
             metrics.record_departure(arrival, departure);
             pc.completed += 1;
             pc.delay_sum_ms += (departure - arrival).as_millis_f64();
-            if let Some(exec_us) = self.spans_exec.get_mut(root_idx) {
+            if let Some(exec_us) = self.spans.exec.get_mut(root_idx) {
                 if *exec_us != u64::MAX {
                     // Close the sampled sojourn with the exact
                     // decomposition: everything not spent executing this
@@ -1040,7 +911,7 @@ impl Simulator {
                     let exec = *exec_us;
                     *exec_us = u64::MAX;
                     let sojourn_us = (departure - arrival).0;
-                    if let Some((handle, _)) = self.spans.as_ref() {
+                    if let Some((handle, _)) = self.spans.sink.as_ref() {
                         handle.record(crate::spans::Stage::Execute, exec * 1_000);
                         handle.record(
                             crate::spans::Stage::RingWait,
@@ -1062,7 +933,7 @@ impl Simulator {
         if !departed {
             // This invocation's wall advances the clock after the return,
             // so a still-live sampled root accrues it as execute time.
-            if let Some(exec_us) = self.spans_exec.get_mut(root_idx) {
+            if let Some(exec_us) = self.spans.exec.get_mut(root_idx) {
                 if *exec_us != u64::MAX {
                     *exec_us += wall.0;
                 }
@@ -1225,78 +1096,82 @@ mod tests {
 
     #[test]
     fn entry_shedding_probability_drops_share() {
-        let net = unit_network(micros(100));
-        let cfg = SimConfig::paper_default();
-        let sim = Simulator::new(net, cfg);
-        let arrivals = uniform_arrivals(1000.0, 10.0);
-        let mut hook = |_s: &PeriodSnapshot| Decision::entry(0.5);
-        let report = sim.run(&arrivals, &mut hook, secs(10));
-        let ratio = report.loss_ratio();
-        // First period runs unshed (alpha starts at 0): expect ≈ 0.45.
-        assert!(ratio > 0.35 && ratio < 0.55, "ratio {ratio}");
-    }
-
-    #[test]
-    fn batched_ingress_identical_when_nothing_is_shed() {
-        // With the shedder off, the batched pass admits the same tuples
-        // with the same timestamps in the same order as the scalar path,
-        // so the whole report is equivalent.
-        let scalar = {
-            let sim = Simulator::new(unit_network(millis(5)), SimConfig::paper_default());
-            sim.run(&uniform_arrivals(100.0, 10.0), &mut NoShedding, secs(10))
-        };
-        let batched = {
-            let cfg = SimConfig::paper_default().with_ingress_batch(256);
-            let sim = Simulator::new(unit_network(millis(5)), cfg);
-            sim.run(&uniform_arrivals(100.0, 10.0), &mut NoShedding, secs(10))
-        };
-        assert_eq!(scalar.offered, batched.offered);
-        assert_eq!(scalar.completed, batched.completed);
-        assert_eq!(
-            scalar.delay_stats().mean_ms(),
-            batched.delay_stats().mean_ms(),
-            "exact per-arrival timestamps survive batching"
-        );
-    }
-
-    #[test]
-    fn batched_ingress_sheds_at_the_same_rate_as_scalar() {
-        // α = 0.5 under heavy offered load: the batched grouped shed pass
-        // is a different sample path but the same Bernoulli(α) process.
-        let run = |batch: usize| {
-            let cfg = SimConfig::paper_default().with_ingress_batch(batch);
-            let sim = Simulator::new(unit_network(micros(100)), cfg);
-            let mut hook = |_s: &PeriodSnapshot| Decision::entry(0.5);
-            sim.run(&uniform_arrivals(1000.0, 10.0), &mut hook, secs(10))
-        };
-        let scalar = run(1);
-        let batched = run(512);
-        assert_eq!(scalar.offered, batched.offered);
-        let (a, b) = (scalar.loss_ratio(), batched.loss_ratio());
-        assert!((a - b).abs() < 0.05, "scalar {a} vs batched {b}");
-        assert!(b > 0.35 && b < 0.55, "batched ratio {b}");
-    }
-
-    #[test]
-    fn batched_ingress_covers_multiple_entries() {
-        // Two entry streams: the grouped pass walks each entry's stripe
-        // of the batch with that entry's own shedder state.
-        let net = |cost| {
+        // One entry and two: the round-robin entry split neither changes
+        // the drop share nor favours an entry — also within one admission
+        // pass, so arrivals come in bursts of four simultaneous tuples.
+        let two_entries = {
             let mut b = NetworkBuilder::new();
-            let m1 = b.add("m1", cost, Map::identity());
-            let m2 = b.add("m2", cost, Map::identity());
-            b.entry(m1);
-            b.entry(m2);
+            for name in ["m1", "m2"] {
+                let m = b.add(name, micros(100), Map::identity());
+                b.entry(m);
+            }
             b.build().unwrap()
         };
-        let cfg = SimConfig::paper_default().with_ingress_batch(64);
-        let sim = Simulator::new(net(micros(100)), cfg);
-        let mut hook = |_s: &PeriodSnapshot| Decision::entry(0.3);
-        let report = sim.run(&uniform_arrivals(2000.0, 10.0), &mut hook, secs(10));
-        assert_eq!(report.offered, 20_000);
-        let ratio = report.dropped_entry as f64 / report.offered as f64;
-        // First period runs unshed; expect a bit under 0.3.
-        assert!(ratio > 0.2 && ratio < 0.35, "ratio {ratio}");
+        for net in [unit_network(micros(100)), two_entries] {
+            let sim = Simulator::new(net, SimConfig::paper_default());
+            let arrivals: Vec<SimTime> = uniform_arrivals(250.0, 10.0)
+                .into_iter()
+                .flat_map(|t| [t; 4])
+                .collect();
+            let mut hook = |_s: &PeriodSnapshot| Decision::entry(0.5);
+            let report = sim.run(&arrivals, &mut hook, secs(10));
+            let ratio = report.loss_ratio();
+            // First period runs unshed (alpha starts at 0): expect ≈ 0.45.
+            assert!(ratio > 0.35 && ratio < 0.55, "ratio {ratio}");
+            let first = report.node_stats[0].processed as f64;
+            let last = report.node_stats.last().unwrap().processed as f64;
+            assert!(
+                (first - last).abs() <= 0.1 * first,
+                "entries {first} vs {last}"
+            );
+        }
+    }
+
+    #[test]
+    fn entry_shedding_replays_the_front_door_coin_stream() {
+        // The simulator flips the wall-clock front door's coins: replaying
+        // each period's offered count through a fresh `AtomicShedder` of
+        // the same seed drops exactly as many tuples. α = 0 and α = 1
+        // periods consume no coins on either side.
+        const SCHEDULE: [f64; 8] = [0.3, 0.0, 0.9, 0.01, 1.0, 0.5, 0.0, 0.75];
+        let cfg = SimConfig::paper_default().with_seed(42);
+        let sim = Simulator::new(unit_network(micros(100)), cfg);
+        let mut hook =
+            |s: &PeriodSnapshot| Decision::entry(SCHEDULE[s.k as usize % SCHEDULE.len()]);
+        let report = sim.run(&uniform_arrivals(3000.0, 12.0), &mut hook, secs(12));
+        assert_eq!(report.periods.len(), 12);
+        let front_door = AtomicShedder::new(42);
+        for (k, p) in report.periods.iter().enumerate() {
+            // The decision taken at boundary k commands period k + 1.
+            let alpha = if k == 0 {
+                0.0
+            } else {
+                SCHEDULE[(k - 1) % SCHEDULE.len()]
+            };
+            assert_eq!(p.alpha, alpha, "period {k}");
+            assert!(p.offered > 2_900, "period {k} offered {}", p.offered);
+            assert_eq!(
+                p.dropped,
+                front_door.shed_batch(alpha, p.offered),
+                "period {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn nan_alpha_sheds_everything() {
+        // A corrupt command fails closed, as at the wall clock's door.
+        let sim = Simulator::new(unit_network(micros(100)), SimConfig::paper_default());
+        let mut hook = |_s: &PeriodSnapshot| Decision::entry(f64::NAN);
+        let report = sim.run(&uniform_arrivals(1000.0, 5.0), &mut hook, secs(5));
+        // Period 0 runs before the first command.
+        assert_eq!(report.periods[0].dropped, 0);
+        for p in &report.periods[1..] {
+            assert!(
+                p.offered > 0 && p.admitted == 0 && p.dropped == p.offered,
+                "{p:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Property-based tests for the engine's operators, network builder, and
-//! time arithmetic — plus the statistical-equivalence and determinism
-//! properties of the geometric-skip entry shedder.
+//! time arithmetic — plus the simulator's same-seed determinism.
 
 use proptest::prelude::*;
 use streamshed_engine::network::NetworkBuilder;
@@ -140,46 +139,10 @@ proptest! {
         ));
     }
 
-    /// Geometric-skip sampling is statistically indistinguishable from
-    /// per-tuple Bernoulli coin flips: over many decisions, both observe
-    /// a drop rate within sampling tolerance of α, for α across the full
-    /// shedding range.
-    #[test]
-    fn geometric_skip_matches_bernoulli_rate(
-        alpha_idx in 0usize..4,
-        seed in 0u64..1000,
-    ) {
-        use rand::Rng as _;
-        use streamshed_engine::rng::{engine_rng, GeometricSkip};
-        let alpha = [0.01f64, 0.1, 0.5, 0.9][alpha_idx];
-        let n = 100_000u64;
-        // 6σ of a Binomial(n, α) proportion, plus a small absolute slack
-        // for the tiny-α cases.
-        let tol = 6.0 * (alpha * (1.0 - alpha) / n as f64).sqrt() + 2e-3;
-
-        let mut rng = engine_rng(seed);
-        let mut skip = GeometricSkip::new(alpha, &mut rng);
-        let skip_drops = (0..n).filter(|_| skip.should_drop(&mut rng)).count();
-        let skip_rate = skip_drops as f64 / n as f64;
-
-        let mut rng = engine_rng(seed ^ 0x5eed_cafe);
-        let bern_drops = (0..n).filter(|_| rng.gen::<f64>() < alpha).count();
-        let bern_rate = bern_drops as f64 / n as f64;
-
-        prop_assert!(
-            (skip_rate - alpha).abs() < tol,
-            "skip rate {skip_rate} vs alpha {alpha} (tol {tol})"
-        );
-        prop_assert!(
-            (skip_rate - bern_rate).abs() < 2.0 * tol,
-            "skip rate {skip_rate} vs bernoulli rate {bern_rate} (tol {tol})"
-        );
-    }
-
     /// Same seed ⇒ bit-identical `RunReport`, with both the entry shedder
-    /// (geometric skip) and in-network shedding (partial Fisher–Yates)
-    /// exercised. This is the determinism contract the batched executor
-    /// and all fast paths must preserve.
+    /// (the front door's counter coins) and in-network shedding (partial
+    /// Fisher–Yates) exercised. This is the determinism contract the
+    /// batched executor and all fast paths must preserve.
     #[test]
     fn same_seed_same_run_report(seed in 0u64..500, alpha in 0.0f64..0.6) {
         use streamshed_engine::hook::{Decision, PeriodSnapshot};

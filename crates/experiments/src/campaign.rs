@@ -663,17 +663,10 @@ fn run_shard(spec: &CellSpec, seed: u64, sabotage: bool) -> ShardRunStats {
     let cost_us = net.expected_cost_per_tuple_us();
     let rate = OVERLOAD * IDENTIFICATION_HEADROOM / cost_us * 1e6;
 
-    // Batched-ingress coverage: a quarter of shards keep the historical
-    // per-arrival admission path, the rest exercise the batched pass at
-    // the real front door's sub-batch sizes. Derived from the shard seed,
-    // so the choice is a pure function of (campaign seed, cell key,
-    // shard) and the campaign stays byte-deterministic across `--jobs`.
-    let ingress_batch = [1usize, 64, 256, 1024][((seed >> 8) % 4) as usize];
     let mut sim_cfg = SimConfig::paper_default()
         .with_period(loop_cfg.period())
         .with_target_delay(loop_cfg.target_delay())
-        .with_seed(seed)
-        .with_ingress_batch(ingress_batch);
+        .with_seed(seed);
     if spec.fault == "stall" {
         // An operator stalls (6× cost) for 20 s mid-run.
         sim_cfg = sim_cfg.with_cost_schedule(stall_schedule(&[(50.0, 70.0, 6.0)]));

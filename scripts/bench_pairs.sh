@@ -29,11 +29,15 @@ history=$root/BENCH_HISTORY.jsonl
 runs=$(mktemp)
 trap 'rm -f "$runs"' EXIT
 
+# The checkout's short rev; a dirty tree is `<rev>+<8 hex of sha1(git diff
+# HEAD)>`, so each dirty row names its diff. BENCH_HISTORY.jsonl is left
+# out: this script appends to it, which must not dirty the next run's rev.
 rev_of() {
     local rev
+    local others=(-- . ':(exclude)BENCH_HISTORY.jsonl')
     rev=$(git -C "$1" rev-parse --short HEAD 2>/dev/null || echo unknown)
-    if [ -n "$(git -C "$1" status --porcelain 2>/dev/null)" ]; then
-        rev=$rev-dirty
+    if [ -n "$(git -C "$1" status --porcelain "${others[@]}" 2>/dev/null)" ]; then
+        rev=$rev+$(git -C "$1" diff HEAD "${others[@]}" | sha1sum | cut -c1-8)
     fi
     echo "$rev"
 }
