@@ -47,24 +47,22 @@
 //!    deterministic (no RNG), so campaign outputs stay byte-identical
 //!    across worker counts.
 //!
-//! Both self-tuning strategies report their state through
+//! Both self-tuners run layers 1 and 2 through one private helper and
+//! then CTRL's Eq. 10 law against the *scheduled* cost. Both report
+//! their state through
 //! [`InstrumentedHook::adapt_state`], which flows through the
 //! [`ControlTrace`] seam into
 //! the observability plane (`streamshed_adapt_*` Prometheus families)
 //! and flight-recorder bundles.
 
 use crate::controller::FeedbackController;
-use crate::estimator::{CostEstimator, DelayEstimator};
-use crate::loop_::{LoopConfig, SignalRow};
-use crate::shedder::EntryShedder;
-use crate::strategy::SheddingStrategy;
+use crate::loop_::{LoopConfig, ShedMode, SignalRow};
+use crate::strategy::{Eq10Law, SheddingStrategy};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 use streamshed_engine::diagnostics::{ControllerHealth, DiagnosticsConfig};
 use streamshed_engine::hook::{ControlHook, Decision, PeriodSnapshot};
-use streamshed_engine::telemetry::{
-    AdaptState, ControlState, ControlTrace, InstrumentedHook, LoopMode,
-};
+use streamshed_engine::telemetry::{AdaptState, ControlState, ControlTrace, InstrumentedHook};
 use streamshed_zdomain::design::{design_for_integrator, ControllerParams, DesignSpec};
 
 /// Scalar recursive-least-squares estimator with exponential forgetting:
@@ -179,121 +177,62 @@ impl GainScheduler {
 }
 
 /// Minimum measured-delay samples before the measured-delay RLS is
-/// trusted over the closed-loop gain RLS.
+/// trusted over the caller's fallback estimate.
 const MIN_DELAY_SAMPLES: u64 = 3;
 
-/// CTRL with online re-identification and gain-scheduled, bumpless
-/// re-tuning. See the module docs for the three-layer design.
+/// Default relative hysteresis band of the gain scheduler.
+pub const DEFAULT_HYSTERESIS_FRAC: f64 = 0.25;
+
+/// The self-tuners actuate at the network entry whatever `cfg` says.
+fn entry_law(cfg: &LoopConfig, params: ControllerParams) -> Eq10Law {
+    Eq10Law::new(&cfg.clone().with_shed_mode(ShedMode::Entry), params)
+}
+
+/// Measured-delay re-identification plus gain scheduling with bumpless
+/// handover — the block both self-tuners run before the Eq. 10 law.
 #[derive(Debug, Clone)]
-pub struct AdaptiveCtrlStrategy {
-    cfg: LoopConfig,
-    cost: CostEstimator,
-    delay: DelayEstimator,
-    controller: FeedbackController,
-    params: ControllerParams,
-    /// Identified plant gain `b ≈ c/(H·T)` in delay-seconds per
-    /// (queued-tuple), i.e. ŷ(k+1) = ŷ(k) + b·Δq.
-    gain_rls: RlsEstimator,
+struct Retuner {
+    headroom: f64,
     /// Per-tuple cost (seconds) identified from the *measured* delay via
     /// `y = (q+1)·c/H`.
     cost_rls: RlsEstimator,
     delay_samples: u64,
-    scheduler: GainScheduler,
-    swaps: u64,
-    retune_pending: bool,
-    target_s: f64,
-    prev_yhat: Option<f64>,
-    prev_delta_q: f64,
     /// Queue length at the previous period boundary — the regressor the
     /// measured-delay model pairs with (`ŷ(k) = (q(k−1)+1)·c/H`):
     /// tuples whose delays average into period `k` queued behind the
     /// backlog standing at the period's *start*.
     prev_q: u64,
-    signals: Vec<SignalRow>,
+    scheduler: GainScheduler,
+    swaps: u64,
+    retune_pending: bool,
 }
 
-/// Default relative hysteresis band of the gain scheduler.
-pub const DEFAULT_HYSTERESIS_FRAC: f64 = 0.25;
-
-impl AdaptiveCtrlStrategy {
-    /// Builds the adaptive strategy around a loop configuration; the
-    /// configuration's controller parameters are only the starting point.
-    pub fn from_config(cfg: &LoopConfig) -> Self {
-        let prior_gain = cfg.prior_cost_us / 1e6 / cfg.headroom; // c/H
+impl Retuner {
+    fn new(cfg: &LoopConfig) -> Self {
         let prior_cost_s = cfg.prior_cost_us / 1e6;
-        let params = design_for_integrator(&DesignSpec::paper_default());
         Self {
-            cost: CostEstimator::new(cfg.prior_cost_us, cfg.cost_smoothing),
-            delay: DelayEstimator::new(cfg.headroom),
-            controller: FeedbackController::new(params),
-            params,
-            gain_rls: RlsEstimator::new(prior_gain, prior_gain * prior_gain, 0.97),
+            headroom: cfg.headroom,
             cost_rls: RlsEstimator::new(prior_cost_s, prior_cost_s * prior_cost_s, 0.9),
             delay_samples: 0,
+            prev_q: 0,
             scheduler: GainScheduler::new(cfg.prior_cost_us, DEFAULT_HYSTERESIS_FRAC),
             swaps: 0,
             retune_pending: false,
-            target_s: cfg.target_delay_s(),
-            prev_yhat: None,
-            prev_delta_q: 0.0,
-            prev_q: 0,
-            signals: Vec::new(),
-            cfg: cfg.clone(),
         }
     }
 
-    /// Changes the delay target at runtime.
-    pub fn set_target_delay_s(&mut self, yd_s: f64) {
-        assert!(yd_s > 0.0);
-        self.target_s = yd_s;
-    }
-
-    /// The currently identified per-tuple delay gain (seconds of delay
-    /// per outstanding tuple ≈ `c/H`).
-    pub fn identified_gain(&self) -> f64 {
-        self.gain_rls.estimate()
-    }
-
-    /// The controller parameters currently in force.
-    pub fn current_params(&self) -> ControllerParams {
-        self.controller.params()
-    }
-
-    /// The gain scheduler (scheduled cost, generation).
-    pub fn scheduler(&self) -> &GainScheduler {
-        &self.scheduler
-    }
-
-    /// Bumpless parameter swaps performed so far.
-    pub fn swaps(&self) -> u64 {
-        self.swaps
-    }
-
-    /// The cost estimate driving the scheduler this period: the
-    /// measured-delay RLS once it has seen enough real samples, else the
-    /// closed-loop gain RLS mapped back to a cost (`c = b·H`).
-    fn reidentified_cost_us(&self) -> f64 {
-        if self.delay_samples >= MIN_DELAY_SAMPLES {
-            self.cost_rls.estimate() * 1e6
-        } else {
-            self.gain_rls.estimate().max(1e-9) * self.cfg.headroom * 1e6
-        }
-    }
-}
-
-impl ControlHook for AdaptiveCtrlStrategy {
-    fn on_period(&mut self, snap: &PeriodSnapshot) -> Decision {
+    /// Feeds one period. The scheduler follows the measured-delay RLS
+    /// once it has seen enough real samples, `fallback_us` before that;
+    /// a snap re-tunes `controller` bumplessly. Returns the scheduled
+    /// cost in seconds (the gain's) and in µs (the logged one).
+    fn schedule(
+        &mut self,
+        snap: &PeriodSnapshot,
+        fallback_us: f64,
+        controller: &mut FeedbackController,
+    ) -> (f64, f64) {
+        let h = self.headroom;
         let period_s = snap.period.as_secs_f64();
-        let h = self.cfg.headroom;
-        let c_us = self.cost.update(snap.measured_cost_us);
-        let y_hat = self.delay.estimate_delay_s(snap.outstanding, c_us);
-
-        // --- re-identification ------------------------------------------
-        // Closed-loop gain: ŷ(k) − ŷ(k−1) = b · Δq(k−1).
-        if let Some(prev) = self.prev_yhat {
-            self.gain_rls.update(self.prev_delta_q, y_hat - prev);
-        }
-        self.prev_yhat = Some(y_hat);
         // Measured-delay cost: y(k) = (q(k−1)+1)·c/H, anchored in ground
         // truth. Pairing with the PREVIOUS boundary queue matters: with
         // the current one, a fast-moving queue decorrelates (or
@@ -306,45 +245,98 @@ impl ControlHook for AdaptiveCtrlStrategy {
             }
         }
         self.prev_q = snap.outstanding;
-
-        // --- gain scheduling with bumpless handover ---------------------
-        if let Some(old_c_us) = self.scheduler.observe(self.reidentified_cost_us()) {
+        let est_us = if self.delay_samples >= MIN_DELAY_SAMPLES {
+            self.cost_rls.estimate() * 1e6
+        } else {
+            fallback_us
+        };
+        if let Some(old_c_us) = self.scheduler.observe(est_us) {
             let new_c_us = self.scheduler.scheduled_cost_us();
             let g_old = h / (old_c_us / 1e6 * period_s);
             let g_new = h / (new_c_us / 1e6 * period_s);
-            self.controller.retune_bumpless(self.params, g_old, g_new);
-            self.swaps += 1;
-            self.retune_pending = true;
+            controller.retune_bumpless(controller.params(), g_old, g_new);
+            self.note_swap();
         }
         let c_sched_s = self.scheduler.scheduled_cost_us() / 1e6;
+        (c_sched_s, c_sched_s * 1e6)
+    }
 
-        // --- the Eq. 10 law against the *scheduled* cost ----------------
-        let e = self.target_s - y_hat;
-        let u = self.controller.compute(e, c_sched_s, period_s, h);
-        let fout = snap.fout_rate();
-        let v = u + fout;
-        let fin = snap.fin_rate();
-        let v_applied = v.clamp(0.0, fin.max(0.0));
-        if self.cfg.anti_windup {
-            self.controller.commit(e, v_applied - fout);
-        } else {
-            self.controller.commit(e, u);
+    fn note_swap(&mut self) {
+        self.swaps += 1;
+        self.retune_pending = true;
+    }
+
+    fn adapt_state(&self, arm: i64) -> AdaptState {
+        AdaptState {
+            cost_est_us: self.scheduler.scheduled_cost_us(),
+            generation: self.scheduler.generation(),
+            swaps: self.swaps,
+            arm,
         }
+    }
+}
+
+/// CTRL with online re-identification and gain-scheduled, bumpless
+/// re-tuning. See the module docs for the three-layer design.
+#[derive(Debug, Clone)]
+pub struct AdaptiveCtrlStrategy {
+    law: Eq10Law,
+    /// Identified plant gain `b ≈ c/(H·T)` in delay-seconds per
+    /// (queued-tuple), i.e. ŷ(k+1) = ŷ(k) + b·Δq.
+    gain_rls: RlsEstimator,
+    retuner: Retuner,
+    prev_yhat: Option<f64>,
+    prev_delta_q: f64,
+}
+
+impl AdaptiveCtrlStrategy {
+    /// Builds the adaptive strategy around a loop configuration; the
+    /// configuration's controller parameters are only the starting point.
+    pub fn from_config(cfg: &LoopConfig) -> Self {
+        let prior_gain = cfg.prior_cost_us / 1e6 / cfg.headroom; // c/H
+        Self {
+            law: entry_law(cfg, design_for_integrator(&DesignSpec::paper_default())),
+            gain_rls: RlsEstimator::new(prior_gain, prior_gain * prior_gain, 0.97),
+            retuner: Retuner::new(cfg),
+            prev_yhat: None,
+            prev_delta_q: 0.0,
+        }
+    }
+
+    /// The currently identified per-tuple delay gain (seconds of delay
+    /// per outstanding tuple ≈ `c/H`).
+    pub fn identified_gain(&self) -> f64 {
+        self.gain_rls.estimate()
+    }
+
+    /// The gain scheduler (scheduled cost, generation).
+    pub fn scheduler(&self) -> &GainScheduler {
+        &self.retuner.scheduler
+    }
+
+    /// Bumpless parameter swaps performed so far.
+    pub fn swaps(&self) -> u64 {
+        self.retuner.swaps
+    }
+}
+
+impl ControlHook for AdaptiveCtrlStrategy {
+    fn on_period(&mut self, snap: &PeriodSnapshot) -> Decision {
+        let (decision, applied_u) = self.law.step(snap, |controller, _, y_hat| {
+            // Closed-loop gain: ŷ(k) − ŷ(k−1) = b · Δq(k−1).
+            if let Some(prev) = self.prev_yhat {
+                self.gain_rls.update(self.prev_delta_q, y_hat - prev);
+            }
+            self.prev_yhat = Some(y_hat);
+            // Until the measured delay is trusted, the closed-loop gain
+            // mapped back to a cost (`c = b·H`) drives the scheduler.
+            let gain_cost_us = self.gain_rls.estimate().max(1e-9) * self.retuner.headroom * 1e6;
+            self.retuner.schedule(snap, gain_cost_us, controller)
+        });
         // Record the queue change the plant will see this period (for
         // the next identification step).
-        self.prev_delta_q = (v_applied - fout) * period_s;
-
-        let alpha = EntryShedder::alpha_for(v, fin);
-        self.signals.push(SignalRow {
-            k: snap.k,
-            y_hat_s: y_hat,
-            error_s: e,
-            u_tps: u,
-            v_tps: v,
-            alpha,
-            cost_us: c_sched_s * 1e6,
-        });
-        Decision::entry(alpha)
+        self.prev_delta_q = applied_u * snap.period.as_secs_f64();
+        decision
     }
 }
 
@@ -354,26 +346,25 @@ impl SheddingStrategy for AdaptiveCtrlStrategy {
     }
 
     fn signals(&self) -> &[SignalRow] {
-        &self.signals
+        self.law.signals()
     }
 
     fn take_retune(&mut self) -> bool {
-        std::mem::take(&mut self.retune_pending)
+        std::mem::take(&mut self.retuner.retune_pending)
+    }
+
+    fn set_target_delay_s(&mut self, yd_s: f64) {
+        self.law.set_target_delay_s(yd_s);
     }
 }
 
 impl InstrumentedHook for AdaptiveCtrlStrategy {
     fn control_state(&self) -> Option<ControlState> {
-        crate::strategy::state_from_signals(&self.signals)
+        self.law.control_state()
     }
 
     fn adapt_state(&self) -> Option<AdaptState> {
-        Some(AdaptState {
-            cost_est_us: self.scheduler.scheduled_cost_us(),
-            generation: self.scheduler.generation(),
-            swaps: self.swaps,
-            arm: -1,
-        })
+        Some(self.retuner.adapt_state(-1))
     }
 }
 
@@ -400,19 +391,8 @@ const PROBE_WINDOW: u64 = 12;
 /// byte-identical regardless of worker count.
 #[derive(Debug, Clone)]
 pub struct ComparatorStrategy {
-    cfg: LoopConfig,
-    cost: CostEstimator,
-    delay: DelayEstimator,
-    controller: FeedbackController,
-    cost_rls: RlsEstimator,
-    delay_samples: u64,
-    /// Queue at the previous period boundary (see
-    /// [`AdaptiveCtrlStrategy`]'s regressor pairing).
-    prev_q: u64,
-    scheduler: GainScheduler,
-    swaps: u64,
-    retune_pending: bool,
-    target_s: f64,
+    law: Eq10Law,
+    retuner: Retuner,
     /// Index into [`COMPARATOR_ARMS`] of the incumbent.
     current: usize,
     /// Arm indices probed this cycle (incumbent first).
@@ -422,7 +402,6 @@ pub struct ComparatorStrategy {
     periods_in_probe: u64,
     scores: Vec<f64>,
     health: ControllerHealth,
-    signals: Vec<SignalRow>,
 }
 
 impl ComparatorStrategy {
@@ -433,28 +412,16 @@ impl ComparatorStrategy {
             .iter()
             .position(|&p| p == 0.7)
             .expect("paper pole is an arm");
-        let prior_cost_s = cfg.prior_cost_us / 1e6;
-        let params = Self::params_for(current);
         let plan = Self::plan_for(current);
         Self {
-            cost: CostEstimator::new(cfg.prior_cost_us, cfg.cost_smoothing),
-            delay: DelayEstimator::new(cfg.headroom),
-            controller: FeedbackController::new(params),
-            cost_rls: RlsEstimator::new(prior_cost_s, prior_cost_s * prior_cost_s, 0.9),
-            delay_samples: 0,
-            prev_q: 0,
-            scheduler: GainScheduler::new(cfg.prior_cost_us, DEFAULT_HYSTERESIS_FRAC),
-            swaps: 0,
-            retune_pending: false,
-            target_s: cfg.target_delay_s(),
+            law: entry_law(cfg, Self::params_for(current)),
+            retuner: Retuner::new(cfg),
             current,
             scores: vec![f64::INFINITY; plan.len()],
             plan,
             probe_idx: 0,
             periods_in_probe: 0,
             health: Self::fresh_health(cfg.target_delay_s()),
-            signals: Vec::new(),
-            cfg: cfg.clone(),
         }
     }
 
@@ -484,19 +451,12 @@ impl ComparatorStrategy {
     /// Swaps to `arm` bumplessly (the gain is unchanged — only the pole
     /// placement moves).
     fn switch_to(&mut self, arm: usize, period_s: f64) {
-        let g = self.cfg.headroom / (self.scheduler.scheduled_cost_us() / 1e6 * period_s);
-        self.controller
+        let g =
+            self.retuner.headroom / (self.retuner.scheduler.scheduled_cost_us() / 1e6 * period_s);
+        self.law
+            .controller
             .retune_bumpless(Self::params_for(arm), g, g);
-        self.swaps += 1;
-        self.retune_pending = true;
-    }
-
-    /// Changes the target delay at runtime; probe scoring restarts so
-    /// old-target burn does not bias the next arm choice.
-    pub fn set_target_delay_s(&mut self, yd_s: f64) {
-        assert!(yd_s > 0.0);
-        self.target_s = yd_s;
-        self.health = Self::fresh_health(yd_s);
+        self.retuner.note_swap();
     }
 
     /// The incumbent arm's index into [`COMPARATOR_ARMS`].
@@ -511,7 +471,7 @@ impl ComparatorStrategy {
 
     /// Bumpless parameter swaps performed so far.
     pub fn swaps(&self) -> u64 {
-        self.swaps
+        self.retuner.swaps
     }
 
     /// The arm the controller is actually running *this* period (the
@@ -523,72 +483,14 @@ impl ComparatorStrategy {
 
 impl ControlHook for ComparatorStrategy {
     fn on_period(&mut self, snap: &PeriodSnapshot) -> Decision {
-        let period_s = snap.period.as_secs_f64();
-        let h = self.cfg.headroom;
-        let c_us = self.cost.update(snap.measured_cost_us);
-        let y_hat = self.delay.estimate_delay_s(snap.outstanding, c_us);
-
-        // Measured-delay re-identification (same seam as the adaptive
-        // strategy, paired with the previous boundary queue); the
-        // tracker estimate is the model-free fallback.
-        if let Some(d_ms) = snap.mean_delay_ms {
-            if d_ms.is_finite() && d_ms >= 0.0 {
-                let x = (self.prev_q as f64 + 1.0) / h;
-                self.cost_rls.update(x, d_ms / 1e3);
-                self.delay_samples += 1;
-            }
-        }
-        self.prev_q = snap.outstanding;
-        let est_us = if self.delay_samples >= MIN_DELAY_SAMPLES {
-            self.cost_rls.estimate() * 1e6
-        } else {
-            c_us
-        };
-        if let Some(old_c_us) = self.scheduler.observe(est_us) {
-            let new_c_us = self.scheduler.scheduled_cost_us();
-            let g_old = h / (old_c_us / 1e6 * period_s);
-            let g_new = h / (new_c_us / 1e6 * period_s);
-            let params = self.controller.params();
-            self.controller.retune_bumpless(params, g_old, g_new);
-            self.swaps += 1;
-            self.retune_pending = true;
-        }
-        let c_sched_s = self.scheduler.scheduled_cost_us() / 1e6;
-
-        let e = self.target_s - y_hat;
-        let u = self.controller.compute(e, c_sched_s, period_s, h);
-        let fout = snap.fout_rate();
-        let v = u + fout;
-        let fin = snap.fin_rate();
-        let v_applied = v.clamp(0.0, fin.max(0.0));
-        if self.cfg.anti_windup {
-            self.controller.commit(e, v_applied - fout);
-        } else {
-            self.controller.commit(e, u);
-        }
-
-        let alpha = EntryShedder::alpha_for(v, fin);
-        self.signals.push(SignalRow {
-            k: snap.k,
-            y_hat_s: y_hat,
-            error_s: e,
-            u_tps: u,
-            v_tps: v,
-            alpha,
-            cost_us: c_sched_s * 1e6,
+        // The cost tracker is the model-free fallback until the measured
+        // delay is trusted.
+        let (decision, _) = self.law.step(snap, |controller, c_us, _| {
+            self.retuner.schedule(snap, c_us, controller)
         });
-        let decision = Decision::entry(alpha);
 
         // --- score the active probe -------------------------------------
-        let state = ControlState {
-            y_hat_s: y_hat,
-            error_s: e,
-            u_tps: u,
-            cost_est_us: c_sched_s * 1e6,
-            mode: LoopMode::Direct,
-            fault_flags: 0,
-        };
-        let trace = ControlTrace::capture(snap, &decision, Some(&state), 0);
+        let trace = ControlTrace::capture(snap, &decision, self.control_state().as_ref(), 0);
         let _ = self.health.observe(&trace);
         self.periods_in_probe += 1;
 
@@ -611,8 +513,8 @@ impl ControlHook for ComparatorStrategy {
                 self.scores = vec![f64::INFINITY; self.plan.len()];
                 self.probe_idx = 0;
             }
-            self.switch_to(self.plan[self.probe_idx], period_s);
-            self.health = Self::fresh_health(self.target_s);
+            self.switch_to(self.plan[self.probe_idx], snap.period.as_secs_f64());
+            self.health = Self::fresh_health(self.law.target_s());
             self.periods_in_probe = 0;
         }
         decision
@@ -625,26 +527,37 @@ impl SheddingStrategy for ComparatorStrategy {
     }
 
     fn signals(&self) -> &[SignalRow] {
-        &self.signals
+        self.law.signals()
     }
 
     fn take_retune(&mut self) -> bool {
-        std::mem::take(&mut self.retune_pending)
+        std::mem::take(&mut self.retuner.retune_pending)
+    }
+
+    /// Also restarts the probe cycle on the incumbent: scores banked
+    /// under the old target are dropped and a neighbour probe in flight
+    /// is swapped back, so old-target burn does not bias the next arm
+    /// choice.
+    fn set_target_delay_s(&mut self, yd_s: f64) {
+        self.law.set_target_delay_s(yd_s);
+        self.health = Self::fresh_health(yd_s);
+        self.scores.fill(f64::INFINITY);
+        let on_neighbour = self.active_arm() != self.current;
+        self.probe_idx = 0;
+        self.periods_in_probe = 0;
+        if on_neighbour {
+            self.switch_to(self.current, self.law.cfg.period().as_secs_f64());
+        }
     }
 }
 
 impl InstrumentedHook for ComparatorStrategy {
     fn control_state(&self) -> Option<ControlState> {
-        crate::strategy::state_from_signals(&self.signals)
+        self.law.control_state()
     }
 
     fn adapt_state(&self) -> Option<AdaptState> {
-        Some(AdaptState {
-            cost_est_us: self.scheduler.scheduled_cost_us(),
-            generation: self.scheduler.generation(),
-            swaps: self.swaps,
-            arm: self.active_arm() as i64,
-        })
+        Some(self.retuner.adapt_state(self.active_arm() as i64))
     }
 }
 
@@ -871,5 +784,34 @@ mod tests {
         // The swaps were flagged for the supervisor ramp.
         assert!(s.take_retune());
         assert!(!s.take_retune(), "flag is consumed");
+    }
+
+    #[test]
+    fn comparator_target_change_restarts_the_probe_cycle() {
+        let cfg = LoopConfig::paper_default();
+        let mut s = ComparatorStrategy::from_config(&cfg);
+        let mut q = 0.0f64;
+        // 12 periods on the incumbent, then 6 into the first neighbour.
+        for k in 0..18 {
+            let d = s.on_period(&snap(k, 400, q.round() as u64, 5105.0));
+            q = (q + (1.0 - d.entry_drop_prob) * 400.0 - 190.0).max(0.0);
+        }
+        assert_ne!(s.active_arm(), s.current_arm(), "mid-cycle on a neighbour");
+        assert!(s.scores[0].is_finite(), "the incumbent's score is banked");
+        let swaps = s.swaps();
+
+        s.set_target_delay_s(3.0);
+        assert_eq!(s.active_arm(), s.current_arm(), "back on the incumbent");
+        assert!(
+            s.scores.iter().all(|sc| sc.is_infinite()),
+            "old-target scores dropped: {:?}",
+            s.scores
+        );
+        assert_eq!((s.probe_idx, s.periods_in_probe), (0, 0));
+        assert_eq!(s.swaps(), swaps + 1, "the swap back is a bumpless swap");
+
+        let _ = s.on_period(&snap(18, 400, q.round() as u64, 5105.0));
+        let row = s.signals().last().unwrap();
+        assert_eq!(row.error_s, 3.0 - row.y_hat_s, "error vs the new target");
     }
 }

@@ -9,18 +9,20 @@
 //!   Fig. 1 (`shed L − L0` whenever measured load exceeds capacity).
 //!
 //! All three implement the engine's [`ControlHook`] and log their internal
-//! signals for the transient plots.
+//! signals for the transient plots. CTRL and both self-tuners
+//! ([`crate::adaptive`]) run one copy of the Eq. 10 step, [`Eq10Law`].
 
 use crate::controller::FeedbackController;
 use crate::estimator::{CostEstimator, DelayEstimator};
 use crate::loop_::{LoopConfig, ShedMode, SignalRow};
 use crate::shedder::{EntryShedder, NetworkShedder};
-use streamshed_engine::hook::{ControlHook, Decision, PeriodSnapshot};
+use streamshed_engine::hook::{ControlHook, Decision, NoShedding, PeriodSnapshot};
 use streamshed_engine::telemetry::{ControlState, InstrumentedHook, LoopMode};
+use streamshed_zdomain::design::ControllerParams;
 
 /// Maps a strategy's most recent [`SignalRow`] to the engine's
 /// telemetry [`ControlState`] (strategies acting alone run `Direct`).
-pub(crate) fn state_from_signals(signals: &[SignalRow]) -> Option<ControlState> {
+fn state_from_signals(signals: &[SignalRow]) -> Option<ControlState> {
     signals.last().map(|r| ControlState {
         y_hat_s: r.y_hat_s,
         error_s: r.error_s,
@@ -32,7 +34,7 @@ pub(crate) fn state_from_signals(signals: &[SignalRow]) -> Option<ControlState> 
 }
 
 /// A named load-shedding strategy.
-pub trait SheddingStrategy: ControlHook {
+pub trait SheddingStrategy: InstrumentedHook {
     /// Display name for experiment output ("CTRL", "BASELINE", "AURORA").
     fn name(&self) -> &'static str;
 
@@ -47,6 +49,124 @@ pub trait SheddingStrategy: ControlHook {
     fn take_retune(&mut self) -> bool {
         false
     }
+
+    /// Changes the delay target at runtime (the Fig. 18 experiment).
+    /// Open-loop strategies have no target, so the default ignores it.
+    fn set_target_delay_s(&mut self, yd_s: f64) {
+        let _ = yd_s;
+    }
+}
+
+/// Admitting everything is the strategy of identification runs.
+impl SheddingStrategy for NoShedding {
+    fn name(&self) -> &'static str {
+        "NONE"
+    }
+
+    fn signals(&self) -> &[SignalRow] {
+        &[]
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The Eq. 10 law
+// ---------------------------------------------------------------------------
+
+/// The paper's per-period control step (Fig. 3, Eq. 10), shared by CTRL
+/// and the self-tuners: track `c(k)`, estimate `ŷ(k)` from the virtual
+/// queue, compute `u(k)`, turn `v = u + fout` into the actuation, and
+/// log the period's signals.
+#[derive(Debug, Clone)]
+pub(crate) struct Eq10Law {
+    pub(crate) cfg: LoopConfig,
+    cost: CostEstimator,
+    delay: DelayEstimator,
+    pub(crate) controller: FeedbackController,
+    target_s: f64,
+    signals: Vec<SignalRow>,
+}
+
+impl Eq10Law {
+    /// A law for `cfg` whose controller starts at `params`.
+    pub(crate) fn new(cfg: &LoopConfig, params: ControllerParams) -> Self {
+        Self {
+            cost: CostEstimator::new(cfg.prior_cost_us, cfg.cost_smoothing),
+            delay: DelayEstimator::new(cfg.headroom),
+            controller: FeedbackController::new(params),
+            target_s: cfg.target_delay_s(),
+            signals: Vec::new(),
+            cfg: cfg.clone(),
+        }
+    }
+
+    pub(crate) fn target_s(&self) -> f64 {
+        self.target_s
+    }
+
+    pub(crate) fn set_target_delay_s(&mut self, yd_s: f64) {
+        assert!(yd_s > 0.0);
+        self.target_s = yd_s;
+    }
+
+    pub(crate) fn signals(&self) -> &[SignalRow] {
+        &self.signals
+    }
+
+    pub(crate) fn control_state(&self) -> Option<ControlState> {
+        state_from_signals(&self.signals)
+    }
+
+    /// Runs one period. `gain_cost` receives the controller (for a
+    /// re-tune), the tracked cost `c(k)` in µs and `ŷ(k)`, and returns
+    /// the cost the gain `H/(c·T)` uses, in seconds, plus the cost to log,
+    /// in µs. Returns the decision and the applied control effort
+    /// `v_applied − fout`.
+    pub(crate) fn step(
+        &mut self,
+        snap: &PeriodSnapshot,
+        gain_cost: impl FnOnce(&mut FeedbackController, f64, f64) -> (f64, f64),
+    ) -> (Decision, f64) {
+        let period_s = snap.period.as_secs_f64();
+        let c_us = self.cost.update(snap.measured_cost_us);
+        // ŷ from the virtual queue (Eq. 11) — never from true delays.
+        let y_hat = self.delay.estimate_delay_s(snap.outstanding, c_us);
+        let (gain_c_s, logged_cost_us) = gain_cost(&mut self.controller, c_us, y_hat);
+
+        let e = self.target_s - y_hat;
+        let h = self.cfg.headroom;
+        let u = self.controller.compute(e, gain_c_s, period_s, h);
+        let fout = snap.fout_rate();
+        let v = u + fout;
+        let fin = snap.fin_rate();
+        // Actuator saturation: can admit at most what arrives, at least 0.
+        let v_applied = v.clamp(0.0, fin.max(0.0));
+        let applied_u = v_applied - fout;
+        // Anti-windup: store the saturated control effort (the raw one
+        // when the ablation disables back-calculation).
+        let committed = if self.cfg.anti_windup { applied_u } else { u };
+        self.controller.commit(e, committed);
+
+        let decision = match self.cfg.shed_mode {
+            ShedMode::Entry => Decision::entry(EntryShedder::alpha_for(v, fin)),
+            ShedMode::Network => Decision::network(NetworkShedder::load_to_shed_us(
+                snap.queued_load_us,
+                fin,
+                v,
+                c_us,
+                period_s,
+            )),
+        };
+        self.signals.push(SignalRow {
+            k: snap.k,
+            y_hat_s: y_hat,
+            error_s: e,
+            u_tps: u,
+            v_tps: v,
+            alpha: decision.entry_drop_prob,
+            cost_us: logged_cost_us,
+        });
+        (decision, applied_u)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -56,11 +176,7 @@ pub trait SheddingStrategy: ControlHook {
 /// The control-theoretic strategy (the paper's CTRL system).
 #[derive(Debug, Clone)]
 pub struct CtrlStrategy {
-    cfg: LoopConfig,
-    cost: CostEstimator,
-    delay: DelayEstimator,
-    controller: FeedbackController,
-    target_s: f64,
+    law: Eq10Law,
     /// When set, the loop gain `H/(c·T)` is computed from this cost
     /// forever — a design-time tuning that is never re-derived. The
     /// delay estimate still follows the live cost tracker, so the loop
@@ -68,20 +184,14 @@ pub struct CtrlStrategy {
     /// textbook gain-mismatch instability the self-tuning plane exists
     /// to prevent.
     gain_cost_us: Option<f64>,
-    signals: Vec<SignalRow>,
 }
 
 impl CtrlStrategy {
     /// Builds the strategy from a loop configuration.
     pub fn from_config(cfg: &LoopConfig) -> Self {
         Self {
-            cost: CostEstimator::new(cfg.prior_cost_us, cfg.cost_smoothing),
-            delay: DelayEstimator::new(cfg.headroom),
-            controller: FeedbackController::new(cfg.controller),
-            target_s: cfg.target_delay_s(),
+            law: Eq10Law::new(cfg, cfg.controller),
             gain_cost_us: None,
-            signals: Vec::new(),
-            cfg: cfg.clone(),
         }
     }
 
@@ -101,64 +211,18 @@ impl CtrlStrategy {
         Self::from_config(&LoopConfig::paper_default())
     }
 
-    /// Changes the delay target at runtime (the Fig. 18 experiment).
-    pub fn set_target_delay_s(&mut self, yd_s: f64) {
-        assert!(yd_s > 0.0);
-        self.target_s = yd_s;
-    }
-
     /// The active target, seconds.
     pub fn target_delay_s(&self) -> f64 {
-        self.target_s
+        self.law.target_s()
     }
 }
 
 impl ControlHook for CtrlStrategy {
     fn on_period(&mut self, snap: &PeriodSnapshot) -> Decision {
-        let period_s = snap.period.as_secs_f64();
-        let h = self.cfg.headroom;
-        let c_us = self.cost.update(snap.measured_cost_us);
-        let c_s = c_us / 1e6;
-
-        // ŷ from the virtual queue (Eq. 11) — never from true delays.
-        let y_hat = self.delay.estimate_delay_s(snap.outstanding, c_us);
-        let e = self.target_s - y_hat;
-
-        // Frozen-gain arm: the rate conversion stays at the design cost.
-        let gain_c_s = self.gain_cost_us.map_or(c_s, |c| c / 1e6);
-        let u = self.controller.compute(e, gain_c_s, period_s, h);
-        let fout = snap.fout_rate();
-        let v = u + fout;
-
-        let fin = snap.fin_rate();
-        // Actuator saturation: can admit at most what arrives, at least 0.
-        let v_applied = v.clamp(0.0, fin.max(0.0));
-        // Anti-windup: store the saturated control effort (the raw one
-        // when the ablation disables back-calculation).
-        if self.cfg.anti_windup {
-            self.controller.commit(e, v_applied - fout);
-        } else {
-            self.controller.commit(e, u);
-        }
-
-        let decision = match self.cfg.shed_mode {
-            ShedMode::Entry => Decision::entry(EntryShedder::alpha_for(v, fin)),
-            ShedMode::Network => Decision::network(NetworkShedder::load_to_shed_us(
-                snap.queued_load_us,
-                fin,
-                v,
-                c_us,
-                period_s,
-            )),
-        };
-        self.signals.push(SignalRow {
-            k: snap.k,
-            y_hat_s: y_hat,
-            error_s: e,
-            u_tps: u,
-            v_tps: v,
-            alpha: decision.entry_drop_prob,
-            cost_us: c_us,
+        let (decision, _) = self.law.step(snap, |_, c_us, _| {
+            let c_s = c_us / 1e6;
+            // Frozen-gain arm: the rate conversion stays at the design cost.
+            (self.gain_cost_us.map_or(c_s, |c| c / 1e6), c_us)
         });
         decision
     }
@@ -170,13 +234,17 @@ impl SheddingStrategy for CtrlStrategy {
     }
 
     fn signals(&self) -> &[SignalRow] {
-        &self.signals
+        self.law.signals()
+    }
+
+    fn set_target_delay_s(&mut self, yd_s: f64) {
+        self.law.set_target_delay_s(yd_s);
     }
 }
 
 impl InstrumentedHook for CtrlStrategy {
     fn control_state(&self) -> Option<ControlState> {
-        state_from_signals(&self.signals)
+        self.law.control_state()
     }
 }
 
@@ -210,12 +278,6 @@ impl BaselineStrategy {
             shed_mode: cfg.shed_mode,
             signals: Vec::new(),
         }
-    }
-
-    /// Changes the delay target at runtime (Fig. 18).
-    pub fn set_target_delay_s(&mut self, yd_s: f64) {
-        assert!(yd_s > 0.0);
-        self.target_s = yd_s;
     }
 }
 
@@ -268,6 +330,11 @@ impl SheddingStrategy for BaselineStrategy {
 
     fn signals(&self) -> &[SignalRow] {
         &self.signals
+    }
+
+    fn set_target_delay_s(&mut self, yd_s: f64) {
+        assert!(yd_s > 0.0);
+        self.target_s = yd_s;
     }
 }
 

@@ -421,7 +421,7 @@ impl<S: SheddingStrategy + Clone> ControlHook for Supervisor<S> {
     }
 }
 
-impl<S: SheddingStrategy + Clone + InstrumentedHook> InstrumentedHook for Supervisor<S> {
+impl<S: SheddingStrategy + Clone> InstrumentedHook for Supervisor<S> {
     /// The supervised loop's state for telemetry.
     ///
     /// The mode mirrors [`SupervisorMode`]. While engaged, the inner
@@ -462,6 +462,16 @@ impl<S: SheddingStrategy + Clone> SheddingStrategy for Supervisor<S> {
     /// have no row — the inner loop was not consulted.
     fn signals(&self) -> &[SignalRow] {
         self.inner.signals()
+    }
+
+    /// Moves the watchdog, the fallback trim and the inner strategy to
+    /// the new target — the pristine copy too, so a re-engagement after
+    /// fallback keeps it.
+    fn set_target_delay_s(&mut self, yd_s: f64) {
+        assert!(yd_s > 0.0 && yd_s.is_finite());
+        self.cfg.target_s = yd_s;
+        self.inner.set_target_delay_s(yd_s);
+        self.pristine.set_target_delay_s(yd_s);
     }
 }
 
@@ -682,6 +692,29 @@ mod tests {
         assert_eq!(st.mode, LoopMode::Fallback);
         assert!(st.y_hat_s.is_nan() && st.error_s.is_nan() && st.u_tps.is_nan());
         assert!((st.cost_est_us - 5105.0).abs() < 1e-9, "last good cost kept");
+    }
+
+    #[test]
+    fn target_change_survives_fallback_and_reengagement() {
+        let mut sup = supervised();
+        sup.set_target_delay_s(5.0);
+        // A sensor dropout forces the fallback whatever the target.
+        let _ = sup.on_period(&snap(0, 400, Some(5105.0), Some(4800.0)));
+        for k in 1..=6 {
+            let _ = sup.on_period(&snap(k, 400, None, None));
+        }
+        assert_eq!(sup.mode(), SupervisorMode::Fallback);
+        // A 5.2 s true delay is healthy only against the new 5 s target
+        // (0.2 s over it, inside half the 1 s margin; 3.2 s over 2 s).
+        for k in 7..30 {
+            let _ = sup.on_period(&snap(k, 900, Some(5105.0), Some(5200.0)));
+        }
+        assert_eq!(sup.mode(), SupervisorMode::Engaged);
+        assert_eq!(sup.log().reengagements, 1);
+        // The re-engaged inner strategy came from the pristine copy, and
+        // measures its error against the new target.
+        let row = sup.inner().signals().last().unwrap();
+        assert_eq!(row.error_s, 5.0 - row.y_hat_s);
     }
 
     #[test]

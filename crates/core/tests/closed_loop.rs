@@ -9,6 +9,7 @@ use streamshed_engine::hook::ControlHook;
 use streamshed_engine::metrics::RunReport;
 use streamshed_engine::networks::identification_network;
 use streamshed_engine::sim::{SimConfig, Simulator};
+use streamshed_engine::telemetry::InstrumentedHook;
 use streamshed_engine::time::{secs, SimTime};
 use streamshed_workload::{to_micros, ArrivalTrace, ParetoTrace, StepTrace};
 
@@ -249,6 +250,7 @@ fn ctrl_follows_runtime_target_changes() {
             self.inner.on_period(snap)
         }
     }
+    impl InstrumentedHook for Switching {}
     let cfg = LoopConfig::paper_default().with_target_delay_ms(1000.0);
     let mut hook = Switching {
         inner: CtrlStrategy::from_config(&cfg),

@@ -48,12 +48,10 @@
 //! anomalous state are what the flight recorder
 //! ([`flight`](crate::flight)) snapshots.
 //!
-//! [`SharedDiagnostics`] is the cloneable, thread-safe handle that
-//! implements [`EventSink`], so the engine's tracing seam
-//! ([`TracingHook`](crate::telemetry::TracingHook), the sharded
-//! controller loop) feeds diagnostics with no extra plumbing.
+//! [`SharedDiagnostics`] is the cloneable, thread-safe handle the
+//! observability plane ([`ObsPlane`](crate::obs::ObsPlane)) feeds.
 
-use crate::telemetry::{ControlTrace, EventSink, LoopMode, PromText, Ring};
+use crate::telemetry::{ControlTrace, LoopMode, PromText, Ring};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -1067,15 +1065,9 @@ impl ControllerHealth {
     }
 }
 
-impl EventSink for ControllerHealth {
-    fn record(&mut self, trace: &ControlTrace) {
-        let _ = self.observe(trace);
-    }
-}
-
 /// A cloneable, thread-safe handle to a [`ControllerHealth`] engine —
-/// shared between the controller thread (writer, via [`EventSink`]) and
-/// the HTTP endpoints (readers).
+/// shared between the controller thread (writer) and the HTTP endpoints
+/// (readers).
 #[derive(Debug, Clone)]
 pub struct SharedDiagnostics(Arc<Mutex<ControllerHealth>>);
 
@@ -1104,12 +1096,6 @@ impl SharedDiagnostics {
     /// A point-in-time copy of the verdict and every estimator.
     pub fn snapshot(&self) -> DiagnosticsSnapshot {
         self.lock().snapshot()
-    }
-}
-
-impl EventSink for SharedDiagnostics {
-    fn record(&mut self, trace: &ControlTrace) {
-        let _ = self.observe(trace);
     }
 }
 
@@ -1398,11 +1384,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_handle_works_as_event_sink() {
+    fn shared_handle_observes_through_clones() {
         let diag = SharedDiagnostics::new(cfg());
-        let mut sink = diag.clone();
+        let writer = diag.clone();
         for k in 0..5 {
-            sink.record(&trace(k, TARGET, 0.3));
+            let _ = writer.observe(&trace(k, TARGET, 0.3));
         }
         assert_eq!(diag.state(), HealthState::Healthy);
         assert_eq!(diag.snapshot().periods, 5);

@@ -351,10 +351,8 @@ impl<H: ControlHook> ControlHook for FaultyHook<H> {
 
 impl<H: InstrumentedHook> InstrumentedHook for FaultyHook<H> {
     /// Forwards the wrapped hook's state, stamped with the fault flags
-    /// that fired last period — so a
-    /// [`TracingHook`](crate::telemetry::TracingHook) outside the fault
-    /// harness records both the controller's view and what interfered
-    /// with it.
+    /// that fired last period — so the engine's trace records both the
+    /// controller's view and what interfered with it.
     fn control_state(&self) -> Option<ControlState> {
         let mut state = self.inner.control_state().unwrap_or_default();
         state.fault_flags |= self.last_flags;

@@ -24,9 +24,8 @@
 //! [`sim::Simulator`] used by all experiments, and the real-time sharded
 //! engine in [`shard`] running the same loop against the wall clock (a
 //! single-worker pipeline is `shards: 1`).
-//! Both, plus the fault harness, emit one structured [`telemetry`]
-//! record per control period through the same [`hook::ControlHook`]
-//! seam.
+//! Both run each control period through one step,
+//! [`telemetry::control_step`], which emits one structured trace record.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -71,8 +70,8 @@ pub use histo::{AtomicHisto, Histo};
 pub use sim::{SimConfig, Simulator};
 pub use spans::{ProfileSnapshot, SpanHandle, SpanRegistry, Stage};
 pub use telemetry::{
-    ControlState, ControlTrace, EventSink, InstrumentedHook, LoopMode, Ring, RingRecorder,
-    SharedRecorder, TracingHook,
+    control_step, ControlState, ControlTrace, EventSink, InstrumentedHook, LoopMode, Ring,
+    SharedRecorder,
 };
 pub use time::{micros, millis, millis_f64, secs, secs_f64, SimDuration, SimTime};
 pub use tuple::{RootId, Tuple};

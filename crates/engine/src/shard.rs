@@ -86,7 +86,7 @@ use crate::hook::PeriodSnapshot;
 use crate::obs::{MetricsFn, ObsHandle, ObsOptions, ObsPlane, ObsServer};
 use crate::ring::{Push, SpscRing};
 use crate::rng::{mix64, AtomicShedder};
-use crate::telemetry::{ControlTrace, EventSink, InstrumentedHook, PromText, SharedRecorder};
+use crate::telemetry::{control_step, EventSink, InstrumentedHook, PromText, SharedRecorder};
 use crate::time::{SimDuration, SimTime};
 use crate::worker::{spawn_supervised, CostModel, WorkerConfig, WorkerStats};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -448,9 +448,9 @@ impl ShardedEngine {
         Self::spawn_recorded(cfg, hook, None)
     }
 
-    /// Like [`Self::spawn`], additionally capturing one [`ControlTrace`]
-    /// per control period (with per-shard queue lengths attached) into
-    /// `recorder`.
+    /// Like [`Self::spawn`], additionally capturing one
+    /// [`ControlTrace`](crate::telemetry::ControlTrace) per control
+    /// period (with per-shard queue lengths attached) into `recorder`.
     pub fn spawn_recorded<H>(
         cfg: ShardConfig,
         hook: H,
@@ -463,11 +463,12 @@ impl ShardedEngine {
     }
 
     /// Spawns the engine with the live observability plane attached: the
-    /// per-period [`ControlTrace`] stream (with per-shard queue lengths)
-    /// feeds an [`ObsPlane`] — trace ring, controller-health diagnostics,
-    /// optional anomaly flight recorder — and, when `options.http` is
-    /// set, an HTTP server answers `/metrics`, `/health`, `/ready` and
-    /// `/trace` for this engine. Fails only if the HTTP bind fails.
+    /// per-period [`ControlTrace`](crate::telemetry::ControlTrace) stream
+    /// (with per-shard queue lengths) feeds an [`ObsPlane`] — trace ring,
+    /// controller-health diagnostics, optional anomaly flight recorder —
+    /// and, when `options.http` is set, an HTTP server answers
+    /// `/metrics`, `/health`, `/ready` and `/trace` for this engine.
+    /// Fails only if the HTTP bind fails.
     pub fn spawn_observed<H>(
         cfg: ShardConfig,
         hook: H,
@@ -636,10 +637,10 @@ impl ShardedEngine {
                         cpu_busy_us: period_cost.busy_us,
                     };
 
-                    let t0 = Instant::now();
-                    let decision = hook.on_period(&snapshot);
-                    let hook_ns = t0.elapsed().as_nanos() as u64;
-                    global.hook_ns_total.fetch_add(hook_ns, Ordering::Relaxed);
+                    let (decision, trace) = control_step(&mut hook, &snapshot);
+                    global
+                        .hook_ns_total
+                        .fetch_add(trace.hook_ns, Ordering::Relaxed);
                     global.periods.fetch_add(1, Ordering::Relaxed);
 
                     // Actuate: one α broadcast to the shared front door…
@@ -667,12 +668,7 @@ impl ShardedEngine {
                     }
 
                     if let Some(rec) = sink.as_mut() {
-                        let state = hook.control_state();
-                        let trace =
-                            ControlTrace::capture(&snapshot, &decision, state.as_ref(), hook_ns)
-                                .with_adapt(hook.adapt_state())
-                                .with_shard_queues(&queues);
-                        rec.record(&trace);
+                        rec.record(&trace.with_shard_queues(&queues));
                     }
                     k += 1;
                 }

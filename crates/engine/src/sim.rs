@@ -9,19 +9,19 @@
 //! * executing an operator of cost `w` advances the clock by `w / H`
 //!   where `H` is the headroom factor (the fraction of CPU available to
 //!   query processing);
-//! * at every control-period boundary the [`ControlHook`] is consulted and
-//!   its [`Decision`] applied (entry drop probability and/or immediate
-//!   in-network load shedding).
+//! * at every control-period boundary the [`InstrumentedHook`] is
+//!   consulted and its [`Decision`] applied (entry drop probability
+//!   and/or immediate in-network load shedding).
 //!
 //! Virtual time makes the paper's 400-second experiments run in
 //! milliseconds and deterministically (seeded RNG).
 
 use crate::cost::CostSchedule;
-use crate::hook::{ControlHook, Decision, PeriodSnapshot};
+use crate::hook::{Decision, PeriodSnapshot};
 use crate::metrics::{MetricsAccumulator, PeriodRecord, RunReport};
 use crate::network::{NodeId, QueryNetwork};
 use crate::rng::{engine_rng, AtomicShedder, EngineRng};
-use crate::telemetry::{EventSink, SharedRecorder, SpanKind};
+use crate::telemetry::{control_step, EventSink, InstrumentedHook, SharedRecorder, SpanKind};
 use crate::operator::OutputBuffer;
 use crate::time::{secs, SimDuration, SimTime};
 use crate::tuple::{RootId, Tuple};
@@ -253,7 +253,7 @@ pub struct Simulator {
     /// Per-operator EWMA of the per-invocation CPU cost (µs); NaN until
     /// the operator first runs.
     node_cost_ewma: Vec<f64>,
-    /// Optional telemetry sink for engine-side spans (shedder hot path).
+    /// Optional recorder for per-period traces and spans.
     telemetry: Option<SharedRecorder>,
     /// Latency-truth-plane sampling ([`Self::with_spans`]).
     spans: SpanSampler,
@@ -382,10 +382,9 @@ impl Simulator {
         &self.network
     }
 
-    /// Attaches a telemetry recorder: the engine reports its shedder
-    /// hot-path spans ([`SpanKind::Shedder`]) into it. Share the same
-    /// recorder with a [`TracingHook`](crate::telemetry::TracingHook) to
-    /// get hook spans and per-period traces in one place.
+    /// Attaches a telemetry recorder: the engine records one
+    /// [`ControlTrace`](crate::telemetry::ControlTrace) per period into
+    /// it, plus the hook and shedder spans ([`SpanKind`]).
     pub fn with_telemetry(mut self, recorder: SharedRecorder) -> Self {
         self.telemetry = Some(recorder);
         self
@@ -414,7 +413,7 @@ impl Simulator {
     pub fn run(
         mut self,
         arrival_times: &[SimTime],
-        hook: &mut dyn ControlHook,
+        hook: &mut dyn InstrumentedHook,
         duration: SimDuration,
     ) -> RunReport {
         debug_assert!(
@@ -477,7 +476,11 @@ impl Simulator {
                     },
                     cpu_busy_us: pc.cpu_work_us,
                 };
-                let new_decision = hook.on_period(&snapshot);
+                let (new_decision, trace) = control_step(hook, &snapshot);
+                if let Some(rec) = self.telemetry.as_mut() {
+                    rec.record(&trace);
+                    rec.record_span(SpanKind::Hook, trace.hook_ns);
+                }
                 let alpha_in_force = decision.alpha();
                 decision = new_decision;
                 metrics.periods.push(PeriodRecord {
@@ -1334,6 +1337,65 @@ mod tests {
         // The engine timed its shed operations into the shared recorder.
         let span = rec.span_stats(SpanKind::Shedder);
         assert!(span.count >= 7, "one shed per period from k=2, got {}", span.count);
+    }
+
+    #[test]
+    fn telemetry_records_one_trace_and_hook_span_per_period() {
+        use crate::faults::{FaultKind, FaultPlan, FaultWindow, FaultyHook};
+        use crate::hook::ControlHook;
+        use crate::telemetry::{
+            AdaptState, ControlState, LoopMode, SharedRecorder, SpanKind, FLAG_STALE_QUEUE,
+        };
+        struct Instrumented;
+        impl ControlHook for Instrumented {
+            fn on_period(&mut self, _s: &PeriodSnapshot) -> Decision {
+                Decision::entry(0.2)
+            }
+        }
+        impl InstrumentedHook for Instrumented {
+            fn control_state(&self) -> Option<ControlState> {
+                Some(ControlState {
+                    y_hat_s: 1.5,
+                    error_s: 0.5,
+                    u_tps: 10.0,
+                    cost_est_us: 5000.0,
+                    mode: LoopMode::Engaged,
+                    fault_flags: 0,
+                })
+            }
+            fn adapt_state(&self) -> Option<AdaptState> {
+                Some(AdaptState {
+                    cost_est_us: 5100.0,
+                    generation: 1,
+                    swaps: 2,
+                    arm: 0,
+                })
+            }
+        }
+        let rec = SharedRecorder::with_capacity(32);
+        let sim = Simulator::new(unit_network(millis(5)), SimConfig::paper_default())
+            .with_telemetry(rec.clone());
+        let plan = FaultPlan::new(1).with(FaultWindow::new(FaultKind::StaleQueue, 3, 5));
+        let mut hook = FaultyHook::new(Instrumented, plan);
+        let report = sim.run(&uniform_arrivals(300.0, 10.0), &mut hook, secs(10));
+
+        let traces = rec.snapshot();
+        assert_eq!(traces.len(), report.periods.len());
+        assert_eq!(rec.span_stats(SpanKind::Hook).count, traces.len() as u64);
+        for (t, p) in traces.iter().zip(&report.periods) {
+            // The clean engine snapshot and the hook's final decision…
+            assert_eq!((t.k, t.offered, t.completed), (p.k, p.offered, p.completed));
+            assert_eq!(t.alpha, 0.2);
+            // …with the hook's internals and the faults that fired.
+            assert_eq!((t.y_hat_s, t.mode), (1.5, LoopMode::Engaged));
+            assert_eq!((t.adapt_cost_us, t.adapt_swaps), (5100.0, 2));
+            let flags = if (3..5).contains(&t.k) {
+                FLAG_STALE_QUEUE
+            } else {
+                0
+            };
+            assert_eq!(t.fault_flags, flags, "k={}", t.k);
+        }
     }
 
     #[test]

@@ -4,22 +4,20 @@
 //! to the target in ~3 control periods, the shed load tracks the input
 //! excess — yet an end-of-run [`RunReport`](crate::metrics::RunReport)
 //! only shows aggregates. This module records **why** a run behaved as it
-//! did, one structured [`ControlTrace`] per control period, captured at
-//! the single seam every runner shares: the [`ControlHook`] boundary.
+//! did, one structured [`ControlTrace`] per control period.
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Zero allocation on the hot path.** The [`RingRecorder`] is
-//!    seeded with its full capacity up front; recording a period is a
-//!    bounds-checked slot write. When the ring wraps, the oldest records
-//!    are overwritten and counted, never reallocated.
-//! 2. **One schema for every runner.** The [`TracingHook`] wraps any
-//!    [`ControlHook`], so the virtual-time
-//!    simulator, the threaded [`shard`](crate::shard) engine, and the fault
-//!    harness ([`FaultyHook`](crate::faults::FaultyHook)) all emit
-//!    identical records. Controller internals (`ŷ(k)`, `e(k)`, `u(k)`,
-//!    supervisor mode, fault flags) flow through the [`InstrumentedHook`]
-//!    trait, which hooks implement to expose their last-period state.
+//! 1. **Zero allocation on the hot path.** A [`SharedRecorder`]'s ring
+//!    is allocated to its full capacity up front; recording a period is
+//!    a slot write. When the ring wraps, the oldest records are
+//!    overwritten and counted, never reallocated.
+//! 2. **One step for every engine.** The simulator and the threaded
+//!    [`shard`](crate::shard) engine both run a period through
+//!    [`control_step`], so they emit identical records. Controller
+//!    internals (`ŷ(k)`, `e(k)`, `u(k)`, supervisor mode, the fault
+//!    flags of a [`FaultyHook`](crate::faults::FaultyHook)) flow through
+//!    the [`InstrumentedHook`] trait.
 //! 3. **Offline-friendly export.** Traces serialise to JSONL
 //!    ([`export_jsonl`]) and CSV ([`export_csv`]); live counters render
 //!    to the Prometheus text exposition format via [`PromText`] (used by
@@ -531,6 +529,22 @@ impl ControlTrace {
     }
 }
 
+/// One control step, as both engines run it: times `hook`'s
+/// `on_period` on `snap` and captures the period's [`ControlTrace`] —
+/// the snapshot the engine built, the decision the hook returned, and
+/// the hook's reported internals.
+pub fn control_step<H: InstrumentedHook + ?Sized>(
+    hook: &mut H,
+    snap: &PeriodSnapshot,
+) -> (Decision, ControlTrace) {
+    let t0 = Instant::now();
+    let decision = hook.on_period(snap);
+    let hook_ns = t0.elapsed().as_nanos() as u64;
+    let trace = ControlTrace::capture(snap, &decision, hook.control_state().as_ref(), hook_ns)
+        .with_adapt(hook.adapt_state());
+    (decision, trace)
+}
+
 /// Serialises traces as one JSON object per line.
 pub fn export_jsonl(traces: &[ControlTrace]) -> String {
     let mut out = String::with_capacity(traces.len() * 320);
@@ -646,22 +660,14 @@ pub trait EventSink {
     }
 }
 
-/// Discards everything (for overhead baselines).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn record(&mut self, _trace: &ControlTrace) {}
-}
-
 /// A fixed-capacity overwrite-oldest ring of `Copy` records.
 ///
 /// The backing storage is fully allocated at construction, so pushing is
 /// a slot write with no allocation — the property every hot-path log in
-/// the engine needs ([`RingRecorder`] builds on it for control traces).
-/// When full, the
-/// oldest record is overwritten and [`Ring::overwritten`] incremented,
-/// so a long run keeps its most recent `capacity` records.
+/// the engine needs ([`SharedRecorder`] builds on it for control
+/// traces). When full, the oldest record is overwritten and
+/// [`Ring::overwritten`] incremented, so a long run keeps its most
+/// recent `capacity` records.
 #[derive(Debug, Clone)]
 pub struct Ring<T: Copy> {
     buf: Vec<T>,
@@ -726,70 +732,21 @@ impl<T: Copy> Ring<T> {
     }
 }
 
-/// A fixed-capacity ring buffer of [`ControlTrace`] records plus span
-/// statistics.
-///
-/// The buffer is fully allocated at construction; recording is a slot
-/// write. When full, the oldest record is overwritten and
-/// [`RingRecorder::overwritten`] incremented, so a long run keeps its
-/// most recent `capacity` periods.
-#[derive(Debug, Clone)]
-pub struct RingRecorder {
+/// [`SharedRecorder`]'s inner: the trace ring plus span statistics.
+#[derive(Debug)]
+struct RingRecorder {
     ring: Ring<ControlTrace>,
     spans: [SpanStats; SpanKind::COUNT],
 }
 
-impl RingRecorder {
-    /// Creates a recorder holding up to `capacity` periods
-    /// (fully preallocated; `capacity` must be ≥ 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity >= 1, "recorder capacity must be at least 1");
-        Self {
-            ring: Ring::with_capacity(capacity),
-            spans: [SpanStats::default(); SpanKind::COUNT],
-        }
-    }
-
-    /// Records recorded so far (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Number of records lost to ring wrap-around.
-    pub fn overwritten(&self) -> u64 {
-        self.ring.overwritten()
-    }
-
-    /// Span statistics for one hot-path section.
-    pub fn span_stats(&self, kind: SpanKind) -> SpanStats {
-        self.spans[kind.index()]
-    }
-
-    /// The retained records in chronological order (oldest first).
-    pub fn to_vec(&self) -> Vec<ControlTrace> {
-        self.ring.to_vec()
-    }
-}
-
-impl EventSink for RingRecorder {
-    fn record(&mut self, trace: &ControlTrace) {
-        self.ring.push(*trace);
-    }
-
-    fn record_span(&mut self, kind: SpanKind, nanos: u64) {
-        self.spans[kind.index()].add(nanos);
-    }
-}
-
-/// A cloneable, thread-safe handle to a [`RingRecorder`] — the sink to
-/// use when the recorder must outlive the hook (the real-time engine
-/// moves its hook into the controller thread) or be shared between the
-/// hook and the engine (shedder spans from the simulator).
+/// A cloneable, thread-safe recorder of [`ControlTrace`] records plus
+/// span statistics — the sink both engines record into, shared with the
+/// caller that reads it after (or during) the run.
+///
+/// The ring is fully allocated at construction; recording is a slot
+/// write. When full, the oldest record is overwritten and
+/// [`SharedRecorder::overwritten`] incremented, so a long run keeps its
+/// most recent `capacity` periods.
 #[derive(Debug, Clone)]
 pub struct SharedRecorder(Arc<Mutex<RingRecorder>>);
 
@@ -800,135 +757,48 @@ impl SharedRecorder {
         crate::lock_unpoisoned(&self.0)
     }
 
-    /// Creates a shared recorder with the given ring capacity.
+    /// Creates a shared recorder holding up to `capacity` periods
+    /// (fully preallocated; `capacity` must be ≥ 1).
     pub fn with_capacity(capacity: usize) -> Self {
-        Self(Arc::new(Mutex::new(RingRecorder::with_capacity(capacity))))
+        Self(Arc::new(Mutex::new(RingRecorder {
+            ring: Ring::with_capacity(capacity),
+            spans: [SpanStats::default(); SpanKind::COUNT],
+        })))
     }
 
     /// Snapshot of the retained records, oldest first.
     pub fn snapshot(&self) -> Vec<ControlTrace> {
-        self.lock().to_vec()
+        self.lock().ring.to_vec()
     }
 
     /// Span statistics for one hot-path section.
     pub fn span_stats(&self, kind: SpanKind) -> SpanStats {
-        self.lock().span_stats(kind)
+        self.lock().spans[kind.index()]
     }
 
     /// Number of records lost to ring wrap-around.
     pub fn overwritten(&self) -> u64 {
-        self.lock().overwritten()
+        self.lock().ring.overwritten()
     }
 
-    /// Records recorded so far.
+    /// Records retained so far (≤ capacity).
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.lock().ring.len()
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
+        self.lock().ring.is_empty()
     }
 }
 
 impl EventSink for SharedRecorder {
     fn record(&mut self, trace: &ControlTrace) {
-        self.lock().record(trace);
+        self.lock().ring.push(*trace);
     }
 
     fn record_span(&mut self, kind: SpanKind, nanos: u64) {
-        self.lock().record_span(kind, nanos);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// TracingHook
-// ---------------------------------------------------------------------------
-
-/// Wraps any [`InstrumentedHook`], recording one [`ControlTrace`] per
-/// period into an [`EventSink`] and timing the hook invocation as a
-/// [`SpanKind::Hook`] span.
-///
-/// Because the wrapper is itself an `InstrumentedHook`, it composes with
-/// the rest of the stack (e.g. tracing a
-/// [`FaultyHook`](crate::faults::FaultyHook) that wraps a supervisor).
-pub struct TracingHook<H, S = RingRecorder> {
-    inner: H,
-    sink: S,
-}
-
-impl<H: InstrumentedHook> TracingHook<H, RingRecorder> {
-    /// Traces `inner` into an owned ring recorder of `capacity` periods.
-    pub fn new(inner: H, capacity: usize) -> Self {
-        Self {
-            inner,
-            sink: RingRecorder::with_capacity(capacity),
-        }
-    }
-
-    /// The recorder (for inspection mid-run).
-    pub fn recorder(&self) -> &RingRecorder {
-        &self.sink
-    }
-
-    /// Consumes the hook, returning the recorder.
-    pub fn into_recorder(self) -> RingRecorder {
-        self.sink
-    }
-}
-
-impl<H: InstrumentedHook> TracingHook<H, SharedRecorder> {
-    /// Traces `inner` into a shared recorder (cloneable handle retained
-    /// by the caller).
-    pub fn shared(inner: H, recorder: SharedRecorder) -> Self {
-        Self {
-            inner,
-            sink: recorder,
-        }
-    }
-}
-
-impl<H, S> TracingHook<H, S> {
-    /// Traces `inner` into an arbitrary [`EventSink`] — the constructor
-    /// the observability plane uses to fan one trace stream out to the
-    /// ring recorder, the diagnostics engine, and the flight recorder at
-    /// once (see [`ObsPlane`](crate::obs::ObsPlane)).
-    pub fn with_sink(inner: H, sink: S) -> Self {
-        Self { inner, sink }
-    }
-
-    /// The wrapped hook.
-    pub fn inner(&self) -> &H {
-        &self.inner
-    }
-
-    /// Consumes the wrapper, returning `(inner hook, sink)`.
-    pub fn into_parts(self) -> (H, S) {
-        (self.inner, self.sink)
-    }
-}
-
-impl<H: InstrumentedHook, S: EventSink> ControlHook for TracingHook<H, S> {
-    fn on_period(&mut self, snapshot: &PeriodSnapshot) -> Decision {
-        let t0 = Instant::now();
-        let decision = self.inner.on_period(snapshot);
-        let hook_ns = t0.elapsed().as_nanos() as u64;
-        let state = self.inner.control_state();
-        let trace = ControlTrace::capture(snapshot, &decision, state.as_ref(), hook_ns)
-            .with_adapt(self.inner.adapt_state());
-        self.sink.record(&trace);
-        self.sink.record_span(SpanKind::Hook, hook_ns);
-        decision
-    }
-}
-
-impl<H: InstrumentedHook, S: EventSink> InstrumentedHook for TracingHook<H, S> {
-    fn control_state(&self) -> Option<ControlState> {
-        self.inner.control_state()
-    }
-
-    fn adapt_state(&self) -> Option<AdaptState> {
-        self.inner.adapt_state()
+        self.lock().spans[kind.index()].add(nanos);
     }
 }
 
@@ -1185,35 +1055,31 @@ mod tests {
     }
 
     #[test]
-    fn tracing_hook_records_every_period() {
-        let mut hook = TracingHook::new(|_s: &PeriodSnapshot| Decision::entry(0.25), 64);
-        for k in 0..10 {
-            let d = hook.on_period(&snap(k));
-            assert_eq!(d.entry_drop_prob, 0.25);
-        }
-        let rec = hook.into_recorder();
-        assert_eq!(rec.len(), 10);
-        let traces = rec.to_vec();
-        assert_eq!(traces[3].k, 3);
-        assert_eq!(traces[3].alpha, 0.25);
-        assert_eq!(traces[3].offered, 300);
+    fn control_step_traces_the_snapshot_and_decision() {
+        let mut hook = |_s: &PeriodSnapshot| Decision::entry(0.25);
+        let (d, t) = control_step(&mut hook, &snap(3));
+        assert_eq!(d.entry_drop_prob, 0.25);
+        assert_eq!(t.k, 3);
+        assert_eq!(t.alpha, 0.25);
+        assert_eq!(t.offered, 300);
         // Plain closures report no internals: NaN, Direct, no flags.
-        assert!(traces[3].y_hat_s.is_nan());
-        assert_eq!(traces[3].mode, LoopMode::Direct);
-        assert_eq!(traces[3].fault_flags, 0);
-        assert_eq!(rec.span_stats(SpanKind::Hook).count, 10);
+        assert!(t.y_hat_s.is_nan());
+        assert_eq!(t.mode, LoopMode::Direct);
+        assert_eq!(t.fault_flags, 0);
+        assert!(!t.has_adapt());
     }
 
     #[test]
     fn ring_overwrites_oldest_and_counts() {
-        let mut rec = RingRecorder::with_capacity(4);
+        let rec = SharedRecorder::with_capacity(4);
+        let mut sink = rec.clone();
         let d = Decision::NONE;
         for k in 0..10 {
-            rec.record(&ControlTrace::capture(&snap(k), &d, None, 7));
+            sink.record(&ControlTrace::capture(&snap(k), &d, None, 7));
         }
         assert_eq!(rec.len(), 4);
         assert_eq!(rec.overwritten(), 6);
-        let ks: Vec<u64> = rec.to_vec().iter().map(|t| t.k).collect();
+        let ks: Vec<u64> = rec.snapshot().iter().map(|t| t.k).collect();
         assert_eq!(ks, vec![6, 7, 8, 9], "chronological, newest retained");
     }
 
@@ -1270,9 +1136,11 @@ mod tests {
     #[test]
     fn shared_recorder_collects_across_clones() {
         let rec = SharedRecorder::with_capacity(16);
-        let mut hook = TracingHook::shared(NoShedding, rec.clone());
+        let mut sink = rec.clone();
         for k in 0..5 {
-            let _ = hook.on_period(&snap(k));
+            let (_, trace) = control_step(&mut NoShedding, &snap(k));
+            sink.record(&trace);
+            sink.record_span(SpanKind::Hook, trace.hook_ns);
         }
         assert_eq!(rec.len(), 5);
         assert_eq!(rec.span_stats(SpanKind::Hook).count, 5);
@@ -1316,9 +1184,7 @@ mod tests {
                 })
             }
         }
-        let mut hook = TracingHook::new(Fixed, 8);
-        let _ = hook.on_period(&snap(0));
-        let t = hook.recorder().to_vec()[0];
+        let (_, t) = control_step(&mut Fixed, &snap(0));
         assert_eq!(t.y_hat_s, 2.5);
         assert_eq!(t.mode, LoopMode::Fallback);
         assert_eq!(t.fault_flags, FLAG_STALE_QUEUE);
@@ -1411,9 +1277,7 @@ mod tests {
                 })
             }
         }
-        let mut hook = TracingHook::new(Adapting, 8);
-        let _ = hook.on_period(&snap(0));
-        let t = hook.recorder().to_vec()[0];
+        let (_, t) = control_step(&mut Adapting, &snap(0));
         assert_eq!(t.adapt_cost_us, 10_210.5);
         assert_eq!(t.adapt_generation, 2);
         assert_eq!(t.adapt_swaps, 3);

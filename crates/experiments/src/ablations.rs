@@ -19,6 +19,7 @@ use streamshed_control::shedder::EntryShedder;
 use streamshed_engine::hook::{ControlHook, Decision, PeriodSnapshot};
 use streamshed_engine::networks::identification_network;
 use streamshed_engine::sim::{SimConfig, Simulator};
+use streamshed_engine::telemetry::InstrumentedHook;
 use streamshed_engine::time::{secs, SimTime};
 use streamshed_workload::{to_micros, ArrivalTrace, ParetoTrace};
 use streamshed_zdomain::design::{design_for_integrator, DesignSpec};
@@ -67,6 +68,8 @@ impl ControlHook for TrueDelayFeedback {
         Decision::entry(EntryShedder::alpha_for(v, fin))
     }
 }
+
+impl InstrumentedHook for TrueDelayFeedback {}
 
 fn true_delay_metrics(times: &[f64], seed: u64) -> MetricsSummary {
     let cfg = LoopConfig::paper_default();

@@ -51,7 +51,7 @@ use streamshed_engine::networks::{
 };
 use streamshed_engine::network::QueryNetwork;
 use streamshed_engine::sim::{SimConfig, Simulator};
-use streamshed_engine::telemetry::{SharedRecorder, TracingHook};
+use streamshed_engine::telemetry::{InstrumentedHook, SharedRecorder};
 use streamshed_engine::time::{micros, secs, SimTime};
 use streamshed_workload::{to_micros, WorkloadKind};
 
@@ -701,35 +701,22 @@ fn run_shard(spec: &CellSpec, seed: u64, sabotage: bool) -> ShardRunStats {
     // regression drill): silently run the *bare* loop where the cell
     // says paper tuning — the bounded-delay invariant must catch it.
     let supervised = spec.supervised() && !(sabotage && spec.control == "paper");
-    let report = if supervised {
-        match spec.control {
-            "adaptive" => {
-                let strategy =
-                    Supervisor::from_loop(AdaptiveCtrlStrategy::from_config(&loop_cfg), &loop_cfg);
-                let mut hook =
-                    TracingHook::shared(FaultyHook::new(strategy, plan), recorder.clone());
-                sim.run(&arrivals, &mut hook, secs(DURATION_S))
-            }
-            "comparator" => {
-                let strategy =
-                    Supervisor::from_loop(ComparatorStrategy::from_config(&loop_cfg), &loop_cfg);
-                let mut hook =
-                    TracingHook::shared(FaultyHook::new(strategy, plan), recorder.clone());
-                sim.run(&arrivals, &mut hook, secs(DURATION_S))
-            }
-            _ => {
-                let strategy =
-                    Supervisor::from_loop(CtrlStrategy::from_config(&loop_cfg), &loop_cfg);
-                let mut hook =
-                    TracingHook::shared(FaultyHook::new(strategy, plan), recorder.clone());
-                sim.run(&arrivals, &mut hook, secs(DURATION_S))
-            }
-        }
-    } else {
-        let mut hook =
-            TracingHook::shared(FaultyHook::new(CtrlStrategy::from_config(&loop_cfg), plan), recorder.clone());
-        sim.run(&arrivals, &mut hook, secs(DURATION_S))
+    let mut hook: Box<dyn InstrumentedHook> = match (supervised, spec.control) {
+        (true, "adaptive") => Box::new(FaultyHook::new(
+            Supervisor::from_loop(AdaptiveCtrlStrategy::from_config(&loop_cfg), &loop_cfg),
+            plan,
+        )),
+        (true, "comparator") => Box::new(FaultyHook::new(
+            Supervisor::from_loop(ComparatorStrategy::from_config(&loop_cfg), &loop_cfg),
+            plan,
+        )),
+        (true, _) => Box::new(FaultyHook::new(
+            Supervisor::from_loop(CtrlStrategy::from_config(&loop_cfg), &loop_cfg),
+            plan,
+        )),
+        (false, _) => Box::new(FaultyHook::new(CtrlStrategy::from_config(&loop_cfg), plan)),
     };
+    let report = sim.run(&arrivals, hook.as_mut(), secs(DURATION_S));
 
     // Post-hoc diagnostics: feed the recorded trace through a fresh
     // classifier. The campaign's breadth (every workload family at 1.6×

@@ -118,9 +118,9 @@ mod tests {
             get("CTRL:phase2_convergence_periods"),
             get("BASELINE:phase2_convergence_periods")
         );
-        // AURORA never aims at a delay target (the runner applies the
-        // schedule to the target-tracking strategies only): with or
-        // without it, AURORA commands the same α in every period.
+        // AURORA never aims at a delay target (its `set_target_delay_s`
+        // is the trait's no-op): with or without the schedule, AURORA
+        // commands the same α in every period.
         let (times, cfg, schedule) = inputs(7);
         let alphas = |schedule: Option<TargetSchedule>| -> Vec<u64> {
             let aurora = StrategyKind::Aurora;

@@ -9,11 +9,13 @@ use streamshed_control::strategy::{
     AuroraStrategy, BaselineStrategy, CtrlStrategy, SheddingStrategy,
 };
 use streamshed_engine::cost::CostSchedule;
-use streamshed_engine::hook::{ControlHook, Decision, PeriodSnapshot};
+use streamshed_engine::hook::{ControlHook, Decision, NoShedding, PeriodSnapshot};
 use streamshed_engine::metrics::RunReport;
 use streamshed_engine::networks::identification_network;
 use streamshed_engine::sim::{SimConfig, Simulator};
-use streamshed_engine::telemetry::{ControlState, ControlTrace, InstrumentedHook, TracingHook};
+use streamshed_engine::telemetry::{
+    AdaptState, ControlState, ControlTrace, InstrumentedHook, SharedRecorder,
+};
 use streamshed_engine::time::{secs, SimTime};
 use streamshed_workload::{to_micros, CostTrace};
 
@@ -125,74 +127,13 @@ pub struct StrategyOutcome {
 }
 
 /// A runtime delay-target schedule: `(from_period, target_seconds)` pairs
-/// applied to CTRL/BASELINE as the run progresses (Fig. 18).
+/// applied through [`SheddingStrategy::set_target_delay_s`] as the run
+/// progresses (Fig. 18).
 #[derive(Debug, Clone, Default)]
 pub struct TargetSchedule(pub Vec<(u64, f64)>);
 
-enum AnyStrategy {
-    Ctrl(CtrlStrategy),
-    Baseline(BaselineStrategy),
-    Aurora(AuroraStrategy),
-    Adaptive(AdaptiveCtrlStrategy),
-    Comparator(Box<ComparatorStrategy>),
-    None,
-}
-
-impl AnyStrategy {
-    fn apply_target(&mut self, yd_s: f64) {
-        match self {
-            AnyStrategy::Ctrl(s) => s.set_target_delay_s(yd_s),
-            AnyStrategy::Baseline(s) => s.set_target_delay_s(yd_s),
-            AnyStrategy::Adaptive(s) => s.set_target_delay_s(yd_s),
-            AnyStrategy::Comparator(s) => s.set_target_delay_s(yd_s),
-            _ => {}
-        }
-    }
-
-    fn on_period(&mut self, snap: &PeriodSnapshot) -> Decision {
-        match self {
-            AnyStrategy::Ctrl(s) => s.on_period(snap),
-            AnyStrategy::Baseline(s) => s.on_period(snap),
-            AnyStrategy::Aurora(s) => s.on_period(snap),
-            AnyStrategy::Adaptive(s) => s.on_period(snap),
-            AnyStrategy::Comparator(s) => s.on_period(snap),
-            AnyStrategy::None => Decision::NONE,
-        }
-    }
-
-    fn signals(&self) -> Vec<SignalRow> {
-        match self {
-            AnyStrategy::Ctrl(s) => s.signals().to_vec(),
-            AnyStrategy::Baseline(s) => s.signals().to_vec(),
-            AnyStrategy::Aurora(s) => s.signals().to_vec(),
-            AnyStrategy::Adaptive(s) => s.signals().to_vec(),
-            AnyStrategy::Comparator(s) => s.signals().to_vec(),
-            AnyStrategy::None => Vec::new(),
-        }
-    }
-
-    fn control_state(&self) -> Option<ControlState> {
-        match self {
-            AnyStrategy::Ctrl(s) => s.control_state(),
-            AnyStrategy::Baseline(s) => s.control_state(),
-            AnyStrategy::Aurora(s) => s.control_state(),
-            AnyStrategy::Adaptive(s) => s.control_state(),
-            AnyStrategy::Comparator(s) => s.control_state(),
-            AnyStrategy::None => None,
-        }
-    }
-
-    fn adapt_state(&self) -> Option<streamshed_engine::telemetry::AdaptState> {
-        match self {
-            AnyStrategy::Adaptive(s) => s.adapt_state(),
-            AnyStrategy::Comparator(s) => s.adapt_state(),
-            _ => None,
-        }
-    }
-}
-
 struct ScheduledHook {
-    strategy: AnyStrategy,
+    strategy: Box<dyn SheddingStrategy>,
     schedule: TargetSchedule,
     next: usize,
 }
@@ -200,7 +141,8 @@ struct ScheduledHook {
 impl ControlHook for ScheduledHook {
     fn on_period(&mut self, snap: &PeriodSnapshot) -> Decision {
         while self.next < self.schedule.0.len() && self.schedule.0[self.next].0 <= snap.k {
-            self.strategy.apply_target(self.schedule.0[self.next].1);
+            self.strategy
+                .set_target_delay_s(self.schedule.0[self.next].1);
             self.next += 1;
         }
         self.strategy.on_period(snap)
@@ -212,7 +154,7 @@ impl InstrumentedHook for ScheduledHook {
         self.strategy.control_state()
     }
 
-    fn adapt_state(&self) -> Option<streamshed_engine::telemetry::AdaptState> {
+    fn adapt_state(&self) -> Option<AdaptState> {
         self.strategy.adapt_state()
     }
 }
@@ -250,27 +192,21 @@ pub fn run_with_strategy(
         sim_cfg = sim_cfg.with_cost_schedule(CostSchedule::from_points(points));
     }
 
-    let strategy = match kind {
-        StrategyKind::Ctrl => AnyStrategy::Ctrl(CtrlStrategy::from_config(loop_cfg)),
-        StrategyKind::Baseline => {
-            AnyStrategy::Baseline(BaselineStrategy::from_config(loop_cfg))
-        }
-        StrategyKind::Aurora => AnyStrategy::Aurora(AuroraStrategy::from_config(loop_cfg)),
+    let strategy: Box<dyn SheddingStrategy> = match kind {
+        StrategyKind::Ctrl => Box::new(CtrlStrategy::from_config(loop_cfg)),
+        StrategyKind::Baseline => Box::new(BaselineStrategy::from_config(loop_cfg)),
+        StrategyKind::Aurora => Box::new(AuroraStrategy::from_config(loop_cfg)),
         StrategyKind::AuroraWithHeadroom(h) => {
-            AnyStrategy::Aurora(AuroraStrategy::new(h, loop_cfg.prior_cost_us))
+            Box::new(AuroraStrategy::new(h, loop_cfg.prior_cost_us))
         }
-        StrategyKind::CtrlFrozenGain => AnyStrategy::Ctrl(
+        StrategyKind::CtrlFrozenGain => Box::new(
             CtrlStrategy::from_config(loop_cfg).with_frozen_gain_at(loop_cfg.prior_cost_us),
         ),
-        StrategyKind::Adaptive => {
-            AnyStrategy::Adaptive(AdaptiveCtrlStrategy::from_config(loop_cfg))
-        }
-        StrategyKind::Comparator => {
-            AnyStrategy::Comparator(Box::new(ComparatorStrategy::from_config(loop_cfg)))
-        }
-        StrategyKind::NoShedding => AnyStrategy::None,
+        StrategyKind::Adaptive => Box::new(AdaptiveCtrlStrategy::from_config(loop_cfg)),
+        StrategyKind::Comparator => Box::new(ComparatorStrategy::from_config(loop_cfg)),
+        StrategyKind::NoShedding => Box::new(NoShedding),
     };
-    let scheduled = ScheduledHook {
+    let mut hook = ScheduledHook {
         strategy,
         schedule: target_schedule.unwrap_or_default(),
         next: 0,
@@ -278,19 +214,18 @@ pub fn run_with_strategy(
     // Ring sized to the run's period count: every period survives.
     let period_count =
         (duration_s as f64 / loop_cfg.period().as_secs_f64()).ceil() as usize + 8;
-    let mut hook = TracingHook::new(scheduled, period_count);
+    let recorder = SharedRecorder::with_capacity(period_count);
 
     let arrivals: Vec<SimTime> = to_micros(times).into_iter().map(SimTime).collect();
-    let sim = Simulator::new(network, sim_cfg);
+    let sim = Simulator::new(network, sim_cfg).with_telemetry(recorder.clone());
     let report = sim.run(&arrivals, &mut hook, secs(duration_s));
     let metrics = MetricsSummary::from_report(&report);
-    let (scheduled, recorder) = hook.into_parts();
     StrategyOutcome {
         name: kind.name().to_string(),
         report,
-        signals: scheduled.strategy.signals(),
+        signals: hook.strategy.signals().to_vec(),
         metrics,
-        traces: recorder.to_vec(),
+        traces: recorder.snapshot(),
     }
 }
 

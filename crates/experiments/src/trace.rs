@@ -2,9 +2,9 @@
 //! stack engaged and dumps the structured control-loop trace.
 //!
 //! The replay wires the same stack the fault matrix ([`crate::faults`])
-//! evaluates — supervised CTRL behind a seeded [`FaultyHook`] — but wraps it in
-//! a [`TracingHook`] and hands the simulator a [`SharedRecorder`], so
-//! every control period produces one [`ControlTrace`] record:
+//! evaluates — supervised CTRL behind a seeded [`FaultyHook`] — and hands
+//! the simulator a [`SharedRecorder`], so every control period produces
+//! one [`ControlTrace`] record:
 //! engine counters, the controller's internal signals (ŷ, e, u, cost
 //! estimate), the supervisor mode, the fault flags that fired, and the
 //! hook's wall-clock cost. Exporters turn the ring into JSONL or CSV.
@@ -25,7 +25,7 @@ use streamshed_engine::networks::identification_network;
 use streamshed_engine::sim::Simulator;
 use streamshed_engine::telemetry::{
     export_csv, export_jsonl, fault_flag_names, reconstructed_mean_delay_ms, ControlTrace,
-    SharedRecorder, SpanKind, SpanStats, TracingHook,
+    SharedRecorder, SpanKind, SpanStats,
 };
 use streamshed_engine::time::secs;
 
@@ -161,7 +161,7 @@ pub fn run(scenario: &str, seed: u64) -> TraceResult {
     let recorder = SharedRecorder::with_capacity(periods);
 
     let strategy = Supervisor::from_loop(CtrlStrategy::from_config(&loop_cfg), &loop_cfg);
-    let mut hook = TracingHook::shared(FaultyHook::new(strategy, plan), recorder.clone());
+    let mut hook = FaultyHook::new(strategy, plan);
     let sim =
         Simulator::new(identification_network(), sim_cfg).with_telemetry(recorder.clone());
     let report = sim.run(&arrivals, &mut hook, secs(faults::DURATION_S));

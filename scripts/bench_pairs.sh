@@ -7,8 +7,9 @@
 # (`cargo build --release` in each; see .claude/skills/verify/SKILL.md §5).
 # Runs `perfbench bench` `pairs` times on each side, alternating which
 # side goes first, with a new seed per pair (both sides of a pair share
-# it), and prints for every metric both medians, quartiles and how many
-# pairs the change won, lost or tied (direction from BENCHMARK.json).
+# it), and prints the table of scripts/bench_table.py: for every metric
+# both medians, quartiles and how many pairs the change won, lost or tied
+# (direction from BENCHMARK.json).
 # With trace=1 the runs are traced and the table includes the per-layer
 # ladder. Every run is appended as one JSON line to BENCH_HISTORY.jsonl at
 # the root of this checkout. Exits 1 if any run reported `correct: false`.
@@ -91,42 +92,4 @@ for pair in $(seq 1 "$pairs"); do
     fi
 done
 
-python3 - "$runs" "$change/BENCHMARK.json" <<'PY'
-import json, statistics, sys
-runs = [json.loads(line) for line in open(sys.argv[1])]
-spec = json.load(open(sys.argv[2]))
-better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
-order = [m["name"] for m in spec["end_to_end"] + spec["per_layer"]]
-sides = {side: sorted((r for r in runs if r["side"] == side), key=lambda r: r["pair"])
-         for side in ("parent", "change")}
-
-def quartiles(values):
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, med, q3
-
-print(f"\n{'metric':<44} {'better':>6}  {'parent median (q1 … q3)':>40}  "
-      f"{'change median (q1 … q3)':>40}  {'ratio':>6}  won/lost/tied")
-for name in order:
-    cols = {side: [r["metrics"][name] for r in rs if name in r["metrics"]]
-            for side, rs in sides.items()}
-    if not cols["parent"] or len(cols["parent"]) != len(cols["change"]):
-        continue
-    sign = 1 if better[name] == "higher" else -1
-    won = sum(sign * (c - p) > 0 for p, c in zip(cols["parent"], cols["change"]))
-    lost = sum(sign * (c - p) < 0 for p, c in zip(cols["parent"], cols["change"]))
-    cells = {}
-    for side, values in cols.items():
-        q1, med, q3 = quartiles(values)
-        cells[side] = (med, f"{med:.6g} ({q1:.6g} … {q3:.6g})")
-    base = cells["parent"][0]
-    ratio = f"{cells['change'][0] / base:.3f}" if base else "n/a"
-    print(f"{name:<44} {better[name]:>6}  {cells['parent'][1]:>40}  {cells['change'][1]:>40}  "
-          f"{ratio:>6}  {won}/{lost}/{len(cols['parent']) - won - lost}")
-
-bad = [r for r in runs if not r["correct"]]
-for r in bad:
-    print(f"INCORRECT: pair {r['pair']} {r['side']} seed {r['seed']}", file=sys.stderr)
-sys.exit(1 if bad else 0)
-PY
+python3 "$root/scripts/bench_table.py" "$runs" --spec "$change/BENCHMARK.json"
