@@ -10,7 +10,7 @@
 //!
 //! All three implement the engine's [`ControlHook`] and log their internal
 //! signals for the transient plots. CTRL and both self-tuners
-//! ([`crate::adaptive`]) run one copy of the Eq. 10 step, [`Eq10Law`].
+//! ([`crate::adaptive`]) run one copy of the Eq. 10 step, `Eq10Law`.
 
 use crate::controller::FeedbackController;
 use crate::estimator::{CostEstimator, DelayEstimator};

@@ -47,7 +47,7 @@ fn ctrl_holds_two_second_target_under_sustained_overload() {
     );
 
     // True measured delays agree with the estimate (model validity).
-    let mean_true = report.delay_stats().mean_ms() / 1e3;
+    let mean_true = report.mean_delay_ms() / 1e3;
     assert!(
         (mean_true - 2.0).abs() < 0.6,
         "true mean delay {mean_true} s"
@@ -126,7 +126,7 @@ fn network_shedding_mode_also_controls_delay() {
     let times = StepTrace::constant(400.0).arrival_times(120.0);
     let cfg = LoopConfig::paper_default().with_shed_mode(ShedMode::Network);
     let (report, _) = run(CtrlStrategy::from_config(&cfg), &times, 120);
-    let mean_true = report.delay_stats().mean_ms() / 1e3;
+    let mean_true = report.mean_delay_ms() / 1e3;
     assert!(
         mean_true < 3.0,
         "network-mode mean delay {mean_true} s should stay near target"

@@ -363,19 +363,7 @@ impl DiagnosticsSnapshot {
     /// The snapshot as one JSON object (strictly valid: `NaN` renders
     /// as `null`).
     pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                let s = format!("{v:.9}");
-                let s = s.trim_end_matches('0').trim_end_matches('.');
-                if s.is_empty() || s == "-" {
-                    "0".into()
-                } else {
-                    s.into()
-                }
-            } else {
-                "null".into()
-            }
-        }
+        let num = crate::telemetry::json_num;
         let events = self
             .recent_events
             .iter()

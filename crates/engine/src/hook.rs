@@ -63,14 +63,6 @@ impl PeriodSnapshot {
         self.completed as f64 / self.period.as_secs_f64()
     }
 
-    /// Fraction of offered tuples dropped this period (all shedders).
-    pub fn drop_fraction(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            (self.dropped_entry + self.dropped_network) as f64 / self.offered as f64
-        }
-    }
 }
 
 /// The actuator command for the next control period.
@@ -172,16 +164,6 @@ mod tests {
         let s = snap();
         assert!((s.fin_rate() - 200.0).abs() < 1e-9);
         assert!((s.fout_rate() - 120.0).abs() < 1e-9);
-        assert!((s.drop_fraction() - 0.3).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_offered_has_zero_drop_fraction() {
-        let mut s = snap();
-        s.offered = 0;
-        s.dropped_entry = 0;
-        s.dropped_network = 0;
-        assert_eq!(s.drop_fraction(), 0.0);
     }
 
     #[test]

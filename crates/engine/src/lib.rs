@@ -32,7 +32,6 @@
 
 pub mod affinity;
 pub mod cost;
-pub mod describe;
 pub mod diagnostics;
 pub mod faults;
 pub mod flight;
@@ -61,7 +60,7 @@ pub use faults::{FaultKind, FaultLog, FaultPlan, FaultWindow, FaultyHook};
 pub use flight::{FlightConfig, FlightRecorder};
 pub use obs::{http_get, HttpConfig, ObsHandle, ObsOptions, ObsPlane, ObsServer};
 pub use hook::{ControlHook, Decision, NoShedding, PeriodSnapshot};
-pub use metrics::{DelayStats, RunReport};
+pub use metrics::RunReport;
 pub use network::{NetworkBuilder, NodeId, QueryNetwork};
 pub use ring::{Push, SpscRing};
 pub use rng::{engine_rng, AtomicShedder, EngineRng};

@@ -36,7 +36,7 @@
 
 use crate::diagnostics::{DiagnosticsConfig, DiagnosticsSnapshot, SharedDiagnostics};
 use crate::flight::{FlightConfig, FlightRecorder};
-use crate::telemetry::{ControlTrace, EventSink, SharedRecorder, SpanKind};
+use crate::telemetry::{ControlTrace, EventSink, SharedRecorder};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -289,11 +289,6 @@ impl ObsPlane {
 impl EventSink for ObsPlane {
     fn record(&mut self, trace: &ControlTrace) {
         self.on_trace(trace);
-    }
-
-    fn record_span(&mut self, kind: SpanKind, nanos: u64) {
-        let mut rec = self.recorder.clone();
-        rec.record_span(kind, nanos);
     }
 }
 

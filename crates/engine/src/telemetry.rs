@@ -130,15 +130,6 @@ pub fn fault_flag_names(flags: u16) -> FaultFlagNames {
     }
 }
 
-/// The `FLAG_*` bit for a fault-flag name, `None` for unknown names.
-/// Inverse of [`fault_flag_names`] — every name round-trips to its bit.
-pub fn fault_flag_bit(name: &str) -> Option<u16> {
-    FAULT_FLAGS
-        .iter()
-        .find(|&&(_, n)| n == name)
-        .map(|&(bit, _)| bit)
-}
-
 // ---------------------------------------------------------------------------
 // Loop mode + control state
 // ---------------------------------------------------------------------------
@@ -408,23 +399,10 @@ impl ControlTrace {
             || self.adapt_swaps > 0
     }
 
-    /// One JSON object on a single line (JSONL). `NaN` fields render as
-    /// `null` so the output is strictly valid JSON.
+    /// One JSON object on a single line (JSONL). Floats render through
+    /// `json_num`, so they round-trip and `NaN` becomes `null`.
     pub fn to_jsonl(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                // Trim trailing noise while staying round-trippable.
-                let s = format!("{v:.9}");
-                let s = s.trim_end_matches('0').trim_end_matches('.');
-                if s.is_empty() || s == "-" {
-                    "0".into()
-                } else {
-                    s.into()
-                }
-            } else {
-                "null".into()
-            }
-        }
+        let num = json_num;
         let shard_queues = self.shard_queues[..(self.shards as usize).min(MAX_TRACE_SHARDS)]
             .iter()
             .map(|q| q.to_string())
@@ -529,6 +507,17 @@ impl ControlTrace {
     }
 }
 
+/// A float as a JSON number: its `Display` form (the shortest string
+/// that parses back to the same `f64`, never an exponent) when finite,
+/// `null` otherwise, so the output stays strictly valid JSON.
+pub(crate) fn json_num(v: f64) -> String {
+    if v.is_finite() {
+        v.to_string()
+    } else {
+        "null".into()
+    }
+}
+
 /// One control step, as both engines run it: times `hook`'s
 /// `on_period` on `snap` and captures the period's [`ControlTrace`] —
 /// the snapshot the engine built, the decision the hook returned, and
@@ -583,68 +572,6 @@ pub fn reconstructed_mean_delay_ms(traces: &[ControlTrace]) -> Option<f64> {
 }
 
 // ---------------------------------------------------------------------------
-// Spans
-// ---------------------------------------------------------------------------
-
-/// A timed hot-path section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanKind {
-    /// The control hook invocation (monitor → controller → actuator
-    /// arithmetic).
-    Hook,
-    /// The engine's in-network shed operation (victim selection + queue
-    /// surgery).
-    Shedder,
-}
-
-impl SpanKind {
-    const COUNT: usize = 2;
-
-    fn index(self) -> usize {
-        match self {
-            SpanKind::Hook => 0,
-            SpanKind::Shedder => 1,
-        }
-    }
-
-    /// Stable lowercase name, used by the exporters.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            SpanKind::Hook => "hook",
-            SpanKind::Shedder => "shedder",
-        }
-    }
-}
-
-/// Aggregate wall-clock statistics for one [`SpanKind`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpanStats {
-    /// Number of spans recorded.
-    pub count: u64,
-    /// Total nanoseconds across all spans.
-    pub total_ns: u64,
-    /// The longest single span, nanoseconds.
-    pub max_ns: u64,
-}
-
-impl SpanStats {
-    /// Mean span length in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.count as f64
-        }
-    }
-
-    fn add(&mut self, nanos: u64) {
-        self.count += 1;
-        self.total_ns += nanos;
-        self.max_ns = self.max_ns.max(nanos);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Sinks
 // ---------------------------------------------------------------------------
 
@@ -653,11 +580,6 @@ impl SpanStats {
 pub trait EventSink {
     /// Records one per-period trace.
     fn record(&mut self, trace: &ControlTrace);
-
-    /// Records one timed span (default: discarded).
-    fn record_span(&mut self, kind: SpanKind, nanos: u64) {
-        let _ = (kind, nanos);
-    }
 }
 
 /// A fixed-capacity overwrite-oldest ring of `Copy` records.
@@ -732,73 +654,54 @@ impl<T: Copy> Ring<T> {
     }
 }
 
-/// [`SharedRecorder`]'s inner: the trace ring plus span statistics.
-#[derive(Debug)]
-struct RingRecorder {
-    ring: Ring<ControlTrace>,
-    spans: [SpanStats; SpanKind::COUNT],
-}
-
-/// A cloneable, thread-safe recorder of [`ControlTrace`] records plus
-/// span statistics — the sink both engines record into, shared with the
-/// caller that reads it after (or during) the run.
+/// A cloneable, thread-safe ring of [`ControlTrace`] records — the sink
+/// both engines record into, shared with the caller that reads it after
+/// (or during) the run.
 ///
 /// The ring is fully allocated at construction; recording is a slot
 /// write. When full, the oldest record is overwritten and
 /// [`SharedRecorder::overwritten`] incremented, so a long run keeps its
 /// most recent `capacity` periods.
 #[derive(Debug, Clone)]
-pub struct SharedRecorder(Arc<Mutex<RingRecorder>>);
+pub struct SharedRecorder(Arc<Mutex<Ring<ControlTrace>>>);
 
 impl SharedRecorder {
     /// No recorder method can panic part-way through an update, so the
     /// ring behind a poisoned lock is still valid.
-    fn lock(&self) -> MutexGuard<'_, RingRecorder> {
+    fn lock(&self) -> MutexGuard<'_, Ring<ControlTrace>> {
         crate::lock_unpoisoned(&self.0)
     }
 
     /// Creates a shared recorder holding up to `capacity` periods
     /// (fully preallocated; `capacity` must be ≥ 1).
     pub fn with_capacity(capacity: usize) -> Self {
-        Self(Arc::new(Mutex::new(RingRecorder {
-            ring: Ring::with_capacity(capacity),
-            spans: [SpanStats::default(); SpanKind::COUNT],
-        })))
+        Self(Arc::new(Mutex::new(Ring::with_capacity(capacity))))
     }
 
     /// Snapshot of the retained records, oldest first.
     pub fn snapshot(&self) -> Vec<ControlTrace> {
-        self.lock().ring.to_vec()
-    }
-
-    /// Span statistics for one hot-path section.
-    pub fn span_stats(&self, kind: SpanKind) -> SpanStats {
-        self.lock().spans[kind.index()]
+        self.lock().to_vec()
     }
 
     /// Number of records lost to ring wrap-around.
     pub fn overwritten(&self) -> u64 {
-        self.lock().ring.overwritten()
+        self.lock().overwritten()
     }
 
     /// Records retained so far (≤ capacity).
     pub fn len(&self) -> usize {
-        self.lock().ring.len()
+        self.lock().len()
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.lock().ring.is_empty()
+        self.lock().is_empty()
     }
 }
 
 impl EventSink for SharedRecorder {
     fn record(&mut self, trace: &ControlTrace) {
-        self.lock().ring.push(*trace);
-    }
-
-    fn record_span(&mut self, kind: SpanKind, nanos: u64) {
-        self.lock().spans[kind.index()].add(nanos);
+        self.lock().push(*trace);
     }
 }
 
@@ -1088,11 +991,12 @@ mod tests {
         let mut s = snap(2);
         s.measured_cost_us = None;
         s.mean_delay_ms = None;
-        let t = ControlTrace::capture(&s, &Decision::entry(0.5), None, 42);
+        let t = ControlTrace::capture(&s, &Decision::entry(0.123456789123), None, 42);
         let line = t.to_jsonl();
         assert!(line.starts_with('{') && line.ends_with('}'));
         assert!(line.contains("\"measured_cost_us\":null"));
-        assert!(line.contains("\"alpha\":0.5"));
+        // Floats print in full, so they parse back to the same bits.
+        assert!(line.contains("\"alpha\":0.123456789123,"), "{line}");
         assert!(line.contains("\"mode\":\"direct\""));
         assert!(!line.contains("NaN"));
         // Structural sanity: one object, balanced quotes, expected key.
@@ -1140,10 +1044,8 @@ mod tests {
         for k in 0..5 {
             let (_, trace) = control_step(&mut NoShedding, &snap(k));
             sink.record(&trace);
-            sink.record_span(SpanKind::Hook, trace.hook_ns);
         }
         assert_eq!(rec.len(), 5);
-        assert_eq!(rec.span_stats(SpanKind::Hook).count, 5);
         assert!(!rec.is_empty());
     }
 
@@ -1192,17 +1094,6 @@ mod tests {
             fault_flag_names(t.fault_flags).collect::<Vec<_>>(),
             vec!["stale_queue"]
         );
-    }
-
-    #[test]
-    fn span_stats_track_mean_and_max() {
-        let mut s = SpanStats::default();
-        s.add(10);
-        s.add(30);
-        assert_eq!(s.count, 2);
-        assert_eq!(s.total_ns, 40);
-        assert_eq!(s.max_ns, 30);
-        assert!((s.mean_ns() - 20.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1318,9 +1209,7 @@ mod tests {
         for &(bit, name) in FAULT_FLAGS.iter() {
             let names: Vec<_> = fault_flag_names(bit).collect();
             assert_eq!(names, vec![name], "bit {bit:#06x}");
-            assert_eq!(fault_flag_bit(name), Some(bit), "name {name}");
         }
-        assert_eq!(fault_flag_bit("no_such_flag"), None);
         // Joined rendering matches the table order for a multi-bit set.
         let joined = fault_flag_names(FLAG_STALE_QUEUE | FLAG_PERIOD_JITTER).join("|");
         assert_eq!(joined, "stale_queue|period_jitter");

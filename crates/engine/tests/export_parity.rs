@@ -1,10 +1,10 @@
 //! Property tests pinning the two trace exporters to each other.
 //!
 //! A [`ControlTrace`] must mean the same thing whether it was exported
-//! as JSONL or CSV: every CSV cell has to agree with the corresponding
-//! JSON field (modulo the JSONL exporter's 9-decimal float trimming and
-//! its NaN-as-null convention), and both exporters have to cover every
-//! struct field. The latter is enforced against the serde `Serialize`
+//! as JSONL or CSV: every CSV cell has to parse to exactly the value of
+//! the corresponding JSON field (modulo JSONL's NaN-as-null
+//! convention), so floats round-trip through both; and both exporters
+//! have to cover every struct field. The latter is enforced against the serde `Serialize`
 //! derive, so adding a field to `ControlTrace` without teaching both
 //! hand-rolled exporters about it fails here instead of silently
 //! producing truncated exports.
@@ -154,10 +154,7 @@ fn assert_row_parity(t: &ControlTrace, jsonl_line: &str, csv_row: &str) {
             Value::String(s) => assert_eq!(s, cell, "column {col}"),
             Value::Number(a) => {
                 let b: f64 = cell.parse().unwrap_or_else(|_| panic!("{col}: {cell}"));
-                // JSONL trims floats to 9 decimal places; CSV prints the
-                // full `Display` form.
-                let tol = 1e-8f64.max(1e-9 * b.abs());
-                assert!((a - b).abs() <= tol, "column {col}: JSONL {a} vs CSV {b}");
+                assert!(*a == b, "column {col}: JSONL {a} vs CSV {b}");
             }
             other => panic!("column {col}: unexpected JSON value {other:?}"),
         }

@@ -25,7 +25,7 @@ use streamshed_engine::networks::identification_network;
 use streamshed_engine::sim::Simulator;
 use streamshed_engine::telemetry::{
     export_csv, export_jsonl, fault_flag_names, reconstructed_mean_delay_ms, ControlTrace,
-    SharedRecorder, SpanKind, SpanStats,
+    SharedRecorder,
 };
 use streamshed_engine::time::secs;
 
@@ -41,10 +41,6 @@ pub struct TraceResult {
     pub report: RunReport,
     /// One record per control period, in period order.
     pub traces: Vec<ControlTrace>,
-    /// Wall-clock statistics of the control-hook invocations.
-    pub hook_spans: SpanStats,
-    /// Wall-clock statistics of the in-network shedder invocations.
-    pub shedder_spans: SpanStats,
 }
 
 impl TraceResult {
@@ -68,7 +64,7 @@ impl TraceResult {
     /// engine's own measurement. `None` when either side is undefined
     /// (no completed tuples).
     pub fn reconstruction_error(&self) -> Option<f64> {
-        let truth = self.report.delay_stats.mean_ms();
+        let truth = self.report.mean_delay_ms();
         if truth <= 0.0 || !truth.is_finite() {
             return None;
         }
@@ -115,19 +111,19 @@ impl TraceResult {
                 fault_flag_names(flags).join("|")
             }
         ));
+        let n = self.traces.len();
+        let total_ns: u64 = self.traces.iter().map(|t| t.hook_ns).sum();
+        let max_ns = self.traces.iter().map(|t| t.hook_ns).max().unwrap_or(0);
         out.push_str(&format!(
-            "  hook span: n={} mean={:.1}µs max={:.1}µs | shedder span: n={} mean={:.1}µs\n",
-            self.hook_spans.count,
-            self.hook_spans.mean_ns() / 1e3,
-            self.hook_spans.max_ns as f64 / 1e3,
-            self.shedder_spans.count,
-            self.shedder_spans.mean_ns() / 1e3,
+            "  hook span: n={n} mean={:.1}µs max={:.1}µs\n",
+            total_ns as f64 / n.max(1) as f64 / 1e3,
+            max_ns as f64 / 1e3,
         ));
         match (self.reconstructed_mean_delay_ms(), self.reconstruction_error()) {
             (Some(rec), Some(err)) => out.push_str(&format!(
                 "  mean delay: engine {:.1} ms, reconstructed from trace {:.1} ms \
                  (error {:.3}%)\n",
-                self.report.delay_stats.mean_ms(),
+                self.report.mean_delay_ms(),
                 rec,
                 err * 100.0
             )),
@@ -171,8 +167,6 @@ pub fn run(scenario: &str, seed: u64) -> TraceResult {
         seed,
         report,
         traces: recorder.snapshot(),
-        hook_spans: recorder.span_stats(SpanKind::Hook),
-        shedder_spans: recorder.span_stats(SpanKind::Shedder),
     }
 }
 
@@ -190,7 +184,7 @@ mod tests {
             err < 0.01,
             "reconstruction error {:.4}% (engine {:.2} ms, trace {:.2} ms)",
             err * 100.0,
-            tr.report.delay_stats.mean_ms(),
+            tr.report.mean_delay_ms(),
             tr.reconstructed_mean_delay_ms().unwrap()
         );
     }
@@ -226,7 +220,8 @@ mod tests {
         assert!(summary.contains("mean delay"));
         // Dropout windows blank the sensor; the flag must appear.
         assert!(summary.contains("sensor_dropout"), "{summary}");
-        assert!(tr.hook_spans.count as usize >= tr.traces.len());
+        let hook_line = format!("hook span: n={} ", tr.traces.len());
+        assert!(summary.contains(&hook_line), "{summary}");
     }
 
     #[test]

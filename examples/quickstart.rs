@@ -8,6 +8,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use streamshed::engine::spans::SpanRegistry;
 use streamshed::prelude::*;
 
 fn main() {
@@ -28,19 +29,27 @@ fn main() {
     println!("workload: {} tuples over {duration_s} s (capacity 190 t/s)", arrivals.len());
     println!("target delay: {target_ms} ms\n");
 
+    // Each run samples every admitted tuple into a span registry, whose
+    // sojourn histogram then holds every departure's delay (ns of
+    // virtual time).
+    let spans = [SpanRegistry::new(), SpanRegistry::new()];
+    let sim = |i: usize| {
+        Simulator::new(identification_network(), SimConfig::paper_default())
+            .with_spans(spans[i].handle("sim"), 1)
+    };
+
     // 1. No shedding: the queue — and the delays — grow without bound.
-    let sim = Simulator::new(identification_network(), SimConfig::paper_default());
-    let open = sim.run(&arrivals, &mut NoShedding, secs(duration_s as u64));
+    let open = sim(0).run(&arrivals, &mut NoShedding, secs(duration_s as u64));
 
     // 2. The paper's feedback controller.
     let mut ctrl = CtrlStrategy::from_config(&LoopConfig::paper_default());
-    let sim = Simulator::new(identification_network(), SimConfig::paper_default());
-    let closed = sim.run(&arrivals, &mut ctrl, secs(duration_s as u64));
+    let closed = sim(1).run(&arrivals, &mut ctrl, secs(duration_s as u64));
 
-    for (name, report) in [("no shedding", &open), ("CTRL", &closed)] {
+    for (name, report, spans) in [("no shedding", &open, &spans[0]), ("CTRL", &closed, &spans[1])] {
+        let p99_ms = spans.snapshot().sojourn.quantile(0.99) as f64 / 1e6;
         println!("--- {name} ---");
-        println!("  mean delay        : {:>10.1} ms", report.delay_stats().mean_ms());
-        println!("  p99 delay         : {:>10.1} ms", report.delay_stats().quantile_ms(0.99).unwrap_or(0.0));
+        println!("  mean delay        : {:>10.1} ms", report.mean_delay_ms());
+        println!("  p99 delay         : {p99_ms:>10.1} ms");
         println!("  delay violations  : {:>10.1} tuple·s", report.accumulated_violation_ms / 1e3);
         println!("  delayed tuples    : {:>10}", report.delayed_tuples);
         println!("  max overshoot     : {:>10.1} ms", report.max_overshoot_ms);

@@ -52,7 +52,7 @@ fn main() {
     }
 
     println!("\n--- totals over {duration} s ---");
-    println!("  mean delay      : {:.0} ms (target 2000 ms)", report.delay_stats().mean_ms());
+    println!("  mean delay      : {:.0} ms (target 2000 ms)", report.mean_delay_ms());
     println!("  delayed tuples  : {}", report.delayed_tuples);
     println!("  max overshoot   : {:.0} ms", report.max_overshoot_ms);
     println!("  data loss       : {:.1} %", report.loss_ratio() * 100.0);

@@ -14,6 +14,7 @@
 
 use streamshed::prelude::*;
 use streamshed::engine::operator::{AggFunc, Aggregate, Filter, WindowJoin, WindowSpec};
+use streamshed::engine::spans::SpanRegistry;
 use streamshed::engine::time::{millis, secs_f64};
 
 /// Quote/trade correlation network: join → window-avg → alert filter.
@@ -65,7 +66,11 @@ fn main() {
         .with_target_delay(millis(500));
 
     for use_ctrl in [true, false] {
-        let sim = Simulator::new(ticker_network(), sim_cfg.clone());
+        // Sample every admitted quote: the sojourn histogram then holds
+        // every departure's delay, in ns of virtual time.
+        let spans = SpanRegistry::new();
+        let sim =
+            Simulator::new(ticker_network(), sim_cfg.clone()).with_spans(spans.handle("sim"), 1);
         let report = if use_ctrl {
             let mut s = CtrlStrategy::from_config(&loop_cfg);
             sim.run(&arrivals, &mut s, secs(duration))
@@ -82,10 +87,11 @@ fn main() {
         );
         println!("  worst staleness       : {:>8.1} ms", report.max_overshoot_ms);
         println!("  quotes dropped        : {:>7.1} %", report.loss_ratio() * 100.0);
+        let sojourn = spans.snapshot().sojourn;
         println!(
             "  p50 / p99 delay       : {:>6.0} / {:.0} ms",
-            report.delay_stats().quantile_ms(0.5).unwrap_or(0.0),
-            report.delay_stats().quantile_ms(0.99).unwrap_or(0.0)
+            sojourn.quantile(0.5) as f64 / 1e6,
+            sojourn.quantile(0.99) as f64 / 1e6
         );
     }
     println!(

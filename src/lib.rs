@@ -52,7 +52,7 @@
 //!
 //! // The controller keeps the average delay near the 2 s target while
 //! // shedding roughly the overload fraction (1 − 190/300 ≈ 37%).
-//! assert!(report.delay_stats().mean_ms() < 3500.0);
+//! assert!(report.mean_delay_ms() < 3500.0);
 //! assert!(report.loss_ratio() > 0.2 && report.loss_ratio() < 0.55);
 //! ```
 
@@ -78,7 +78,7 @@ pub mod prelude {
     pub use streamshed_engine::{
         faults::{FaultKind, FaultPlan, FaultWindow, FaultyHook},
         hook::{ControlHook, Decision, NoShedding, PeriodSnapshot},
-        metrics::{DelayStats, RunReport},
+        metrics::RunReport,
         network::{NetworkBuilder, QueryNetwork},
         networks::{identification_network, monitoring_network, uniform_chain},
         sim::{SimConfig, Simulator},

@@ -37,7 +37,7 @@ fn deterministic_across_runs() {
             r.completed,
             r.dropped_entry,
             r.accumulated_violation_ms,
-            r.delay_stats().mean_ms(),
+            r.mean_delay_ms(),
         )
     };
     assert_eq!(run(), run(), "virtual-time runs must be bit-reproducible");
@@ -131,7 +131,7 @@ fn model_predicts_engine_behaviour() {
         .sum::<f64>()
         / 60.0;
     let predicted_ms = model.predict_delay_s(q_tail.round() as u64) * 1e3;
-    let measured_ms = report.delay_stats().mean_ms();
+    let measured_ms = report.mean_delay_ms();
     assert!(
         (predicted_ms - measured_ms).abs() < 0.35 * measured_ms,
         "model {predicted_ms} ms vs engine {measured_ms} ms"

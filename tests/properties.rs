@@ -56,7 +56,7 @@ proptest! {
             SimConfig::paper_default().with_seed(seed),
         );
         let report = sim.run(&arr, &mut NoShedding, secs(10));
-        prop_assert!(report.delay_stats().mean_ms() >= 0.0);
+        prop_assert!(report.mean_delay_ms() >= 0.0);
         prop_assert!(report.max_overshoot_ms >= 0.0);
         if report.delayed_tuples == 0 {
             prop_assert_eq!(report.accumulated_violation_ms, 0.0);
