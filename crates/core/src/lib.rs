@@ -63,4 +63,4 @@ pub use loop_::{LoopConfig, ShedMode, SignalRow};
 pub use model::PlantModel;
 pub use shedder::{EntryShedder, NetworkShedder};
 pub use strategy::{AuroraStrategy, BaselineStrategy, CtrlStrategy, SheddingStrategy};
-pub use supervisor::{Supervisor, SupervisorConfig, SupervisorLog, SupervisorMode};
+pub use supervisor::{Supervisor, SupervisorLog, SupervisorMode};

@@ -27,8 +27,6 @@ pub struct LoopConfig {
     pub headroom: f64,
     /// Prior per-tuple cost estimate, µs (before any measurement).
     pub prior_cost_us: f64,
-    /// EWMA smoothing for the cost estimator, in `(0, 1]`.
-    pub cost_smoothing: f64,
     /// Controller parameters (CTRL strategy only).
     pub controller: ControllerParams,
     /// Actuation mode.
@@ -49,7 +47,6 @@ impl LoopConfig {
             period_ms: 1000.0,
             headroom: 0.97,
             prior_cost_us: 0.97 / 190.0 * 1e6, // ≈ 5105 µs
-            cost_smoothing: 0.3,
             controller: ControllerParams::PAPER,
             shed_mode: ShedMode::Entry,
             anti_windup: true,
@@ -99,13 +96,6 @@ impl LoopConfig {
     /// Builder-style setter for the shed mode.
     pub fn with_shed_mode(mut self, m: ShedMode) -> Self {
         self.shed_mode = m;
-        self
-    }
-
-    /// Builder-style setter for the cost smoothing factor.
-    pub fn with_cost_smoothing(mut self, s: f64) -> Self {
-        assert!(s > 0.0 && s <= 1.0);
-        self.cost_smoothing = s;
         self
     }
 

@@ -72,6 +72,9 @@ impl SheddingStrategy for NoShedding {
 // The Eq. 10 law
 // ---------------------------------------------------------------------------
 
+/// EWMA weight of a new `c(k)` sample in the cost tracker.
+const COST_SMOOTHING: f64 = 0.3;
+
 /// The paper's per-period control step (Fig. 3, Eq. 10), shared by CTRL
 /// and the self-tuners: track `c(k)`, estimate `ŷ(k)` from the virtual
 /// queue, compute `u(k)`, turn `v = u + fout` into the actuation, and
@@ -90,7 +93,7 @@ impl Eq10Law {
     /// A law for `cfg` whose controller starts at `params`.
     pub(crate) fn new(cfg: &LoopConfig, params: ControllerParams) -> Self {
         Self {
-            cost: CostEstimator::new(cfg.prior_cost_us, cfg.cost_smoothing),
+            cost: CostEstimator::new(cfg.prior_cost_us, COST_SMOOTHING),
             delay: DelayEstimator::new(cfg.headroom),
             controller: FeedbackController::new(params),
             target_s: cfg.target_delay_s(),

@@ -11,8 +11,8 @@
 //!   replaced with the last good value before the inner strategy sees
 //!   them.
 //! * **hold on dropout** — when the monitor produces no cost sample at
-//!   all, the last actuation is held for up to
-//!   [`SupervisorConfig::max_stale_periods`] periods before degrading.
+//!   all, the last actuation is held for up to `MAX_STALE_PERIODS` (5)
+//!   periods before degrading.
 //! * **divergence watchdog** — the *delayed but real* mean-delay
 //!   measurement (which the paper's controller deliberately ignores for
 //!   control, §4.5.1) is exactly the right signal for *supervision*: if
@@ -24,10 +24,10 @@
 //!   `α₀ = 1 − (H/c)/fin` (Aurora-style capacity matching) with a
 //!   bang-bang trim from the true delay, rate-limited for bumpless
 //!   transfer.
-//! * **supervised re-engagement** — after
-//!   [`SupervisorConfig::recovery_periods`] consecutive healthy periods
-//!   the inner strategy is rebuilt from its pristine state (controller
-//!   history cleared) and re-engaged, again rate-limited.
+//! * **supervised re-engagement** — after `RECOVERY_PERIODS` (10)
+//!   consecutive healthy periods the inner strategy is rebuilt from its
+//!   pristine state (controller history cleared) and re-engaged, again
+//!   rate-limited.
 //!
 //! Whatever mode it is in, the supervisor's output is always sanitised:
 //! the entry-drop probability is finite and in `[0, 1]`, the in-network
@@ -39,55 +39,24 @@ use std::collections::VecDeque;
 use streamshed_engine::hook::{ControlHook, Decision, PeriodSnapshot};
 use streamshed_engine::telemetry::{ControlState, InstrumentedHook, LoopMode};
 
-/// Supervisor tuning.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SupervisorConfig {
-    /// Delay target `yd` in seconds (for the divergence watchdog and the
-    /// fallback trim).
-    pub target_s: f64,
-    /// Headroom factor `H` (for the open-loop fallback capacity).
-    pub headroom: f64,
-    /// Prior cost estimate (µs) used as the initial "last good" sample.
-    pub prior_cost_us: f64,
-    /// Periods to hold the last actuation on sensor dropout before
-    /// falling back.
-    pub max_stale_periods: u64,
-    /// A cost sample further than this factor from the last accepted one
-    /// (in either direction) is rejected as an outlier.
-    pub cost_outlier_factor: f64,
-    /// Number of consecutive periods the delay residual must exceed
-    /// [`Self::divergence_margin_s`] to declare divergence.
-    pub divergence_window: usize,
-    /// Residual margin (seconds above target) for the watchdog.
-    pub divergence_margin_s: f64,
-    /// Consecutive healthy periods required before re-engaging the inner
-    /// strategy.
-    pub recovery_periods: u64,
-    /// Fixed fallback shed factor; `None` computes the open-loop
-    /// capacity-matching factor from the last good cost.
-    pub fallback_alpha: Option<f64>,
-    /// Maximum change of the shed factor per period while in fallback or
-    /// ramping after a mode switch (bumpless transfer).
-    pub max_alpha_step: f64,
-}
-
-impl SupervisorConfig {
-    /// Defaults derived from a loop configuration.
-    pub fn from_loop(cfg: &LoopConfig) -> Self {
-        Self {
-            target_s: cfg.target_delay_s(),
-            headroom: cfg.headroom,
-            prior_cost_us: cfg.prior_cost_us,
-            max_stale_periods: 5,
-            cost_outlier_factor: 8.0,
-            divergence_window: 5,
-            divergence_margin_s: 1.0,
-            recovery_periods: 10,
-            fallback_alpha: None,
-            max_alpha_step: 0.1,
-        }
-    }
-}
+/// Periods to hold the last actuation on sensor dropout before falling
+/// back.
+const MAX_STALE_PERIODS: u64 = 5;
+/// A cost sample further than this factor from the last accepted one (in
+/// either direction) is rejected as an outlier.
+const COST_OUTLIER_FACTOR: f64 = 8.0;
+/// Number of consecutive periods the delay residual must exceed
+/// [`DIVERGENCE_MARGIN_S`] to declare divergence.
+const DIVERGENCE_WINDOW: usize = 5;
+/// Residual margin (seconds above target) for the watchdog.
+const DIVERGENCE_MARGIN_S: f64 = 1.0;
+/// Consecutive healthy periods required before re-engaging the inner
+/// strategy; also the length of the rate-limited ramp after a mode
+/// switch.
+const RECOVERY_PERIODS: u64 = 10;
+/// Maximum change of the shed factor per period while in fallback or
+/// ramping after a mode switch (bumpless transfer).
+const MAX_ALPHA_STEP: f64 = 0.1;
 
 /// The supervisor's operating mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,7 +106,10 @@ pub struct Supervisor<S> {
     inner: S,
     /// A pristine copy used to reset controller state on re-engagement.
     pristine: S,
-    cfg: SupervisorConfig,
+    /// Delay target `yd`, seconds (the watchdog and the fallback trim).
+    target_s: f64,
+    /// Headroom factor `H` (the open-loop fallback capacity).
+    headroom: f64,
     mode: SupervisorMode,
     stale_periods: u64,
     last_good_cost_us: f64,
@@ -153,19 +125,19 @@ pub struct Supervisor<S> {
 }
 
 impl<S: SheddingStrategy + Clone> Supervisor<S> {
-    /// Wraps `inner` with the given supervisor configuration.
-    pub fn new(inner: S, cfg: SupervisorConfig) -> Self {
-        assert!(cfg.target_s > 0.0 && cfg.target_s.is_finite());
-        assert!(cfg.headroom > 0.0 && cfg.headroom <= 1.0);
-        assert!(cfg.prior_cost_us > 0.0 && cfg.prior_cost_us.is_finite());
-        assert!(cfg.cost_outlier_factor > 1.0);
-        assert!(cfg.divergence_window >= 1);
-        assert!(cfg.max_alpha_step > 0.0);
+    /// Wraps `inner` for the target, headroom and prior cost of
+    /// `loop_cfg`; the prior is the initial "last good" cost sample.
+    pub fn from_loop(inner: S, loop_cfg: &LoopConfig) -> Self {
+        let target_s = loop_cfg.target_delay_s();
+        assert!(target_s > 0.0 && target_s.is_finite());
+        assert!(loop_cfg.headroom > 0.0 && loop_cfg.headroom <= 1.0);
+        assert!(loop_cfg.prior_cost_us > 0.0 && loop_cfg.prior_cost_us.is_finite());
         Self {
             pristine: inner.clone(),
-            last_good_cost_us: cfg.prior_cost_us,
+            last_good_cost_us: loop_cfg.prior_cost_us,
             inner,
-            cfg,
+            target_s,
+            headroom: loop_cfg.headroom,
             mode: SupervisorMode::Engaged,
             stale_periods: 0,
             last_alpha: 0.0,
@@ -177,11 +149,6 @@ impl<S: SheddingStrategy + Clone> Supervisor<S> {
             log: SupervisorLog::default(),
             events: Vec::new(),
         }
-    }
-
-    /// Wraps `inner` with defaults derived from `loop_cfg`.
-    pub fn from_loop(inner: S, loop_cfg: &LoopConfig) -> Self {
-        Self::new(inner, SupervisorConfig::from_loop(loop_cfg))
     }
 
     /// The current operating mode.
@@ -226,7 +193,7 @@ impl<S: SheddingStrategy + Clone> Supervisor<S> {
         if self.mode != mode {
             self.mode = mode;
             self.events.push(SupervisorEvent { k, entered: mode });
-            self.ramp = self.cfg.recovery_periods.min(10);
+            self.ramp = RECOVERY_PERIODS;
             if mode == SupervisorMode::Fallback {
                 self.fallback_trim = 0.0;
                 self.log.divergence_trips += 1;
@@ -244,8 +211,8 @@ impl<S: SheddingStrategy + Clone> Supervisor<S> {
             }
             Some(c) => {
                 self.stale_periods = 0;
-                let lo = self.last_good_cost_us / self.cfg.cost_outlier_factor;
-                let hi = self.last_good_cost_us * self.cfg.cost_outlier_factor;
+                let lo = self.last_good_cost_us / COST_OUTLIER_FACTOR;
+                let hi = self.last_good_cost_us * COST_OUTLIER_FACTOR;
                 if !c.is_finite() || c <= 0.0 || c < lo || c > hi {
                     self.log.rejected_cost_samples += 1;
                     Some(self.last_good_cost_us)
@@ -272,34 +239,26 @@ impl<S: SheddingStrategy + Clone> Supervisor<S> {
     /// True when the residual has exceeded the margin for the whole
     /// window.
     fn diverging(&self) -> bool {
-        self.residuals.len() >= self.cfg.divergence_window
-            && self
-                .residuals
-                .iter()
-                .all(|&r| r > self.cfg.divergence_margin_s)
+        self.residuals.len() >= DIVERGENCE_WINDOW
+            && self.residuals.iter().all(|&r| r > DIVERGENCE_MARGIN_S)
     }
 
     /// The open-loop fallback decision: shed down to capacity, trimmed by
     /// the true delay when one is available.
     fn fallback_decision(&mut self, snap: &PeriodSnapshot, delay_ms: Option<f64>) -> Decision {
-        let base = match self.cfg.fallback_alpha {
-            Some(a) => a.clamp(0.0, 1.0),
-            None => {
-                let capacity_tps = self.cfg.headroom / (self.last_good_cost_us / 1e6);
-                let fin = snap.fin_rate();
-                if fin <= f64::EPSILON || !fin.is_finite() {
-                    0.0
-                } else {
-                    (1.0 - capacity_tps / fin).clamp(0.0, 1.0)
-                }
-            }
+        let capacity_tps = self.headroom / (self.last_good_cost_us / 1e6);
+        let fin = snap.fin_rate();
+        let base = if fin <= f64::EPSILON || !fin.is_finite() {
+            0.0
+        } else {
+            (1.0 - capacity_tps / fin).clamp(0.0, 1.0)
         };
         if let Some(d_ms) = delay_ms {
             let d_s = d_ms / 1e3;
-            if d_s > self.cfg.target_s {
-                self.fallback_trim += self.cfg.max_alpha_step;
-            } else if d_s < 0.5 * self.cfg.target_s {
-                self.fallback_trim -= self.cfg.max_alpha_step;
+            if d_s > self.target_s {
+                self.fallback_trim += MAX_ALPHA_STEP;
+            } else if d_s < 0.5 * self.target_s {
+                self.fallback_trim -= MAX_ALPHA_STEP;
             }
             self.fallback_trim = self.fallback_trim.clamp(-0.5, 0.5);
         }
@@ -318,7 +277,7 @@ impl<S: SheddingStrategy + Clone> Supervisor<S> {
             touched = true;
         }
         if rate_limit {
-            let step = self.cfg.max_alpha_step;
+            let step = MAX_ALPHA_STEP;
             let limited =
                 self.last_alpha + (d.entry_drop_prob - self.last_alpha).clamp(-step, step);
             d.entry_drop_prob = limited;
@@ -343,8 +302,8 @@ impl<S: SheddingStrategy + Clone> ControlHook for Supervisor<S> {
 
         // Watchdog input: the delayed-but-real measurement.
         if let Some(d_ms) = delay_ms {
-            self.residuals.push_back(d_ms / 1e3 - self.cfg.target_s);
-            while self.residuals.len() > self.cfg.divergence_window {
+            self.residuals.push_back(d_ms / 1e3 - self.target_s);
+            while self.residuals.len() > DIVERGENCE_WINDOW {
                 self.residuals.pop_front();
             }
         }
@@ -354,14 +313,12 @@ impl<S: SheddingStrategy + Clone> ControlHook for Supervisor<S> {
         // half the divergence margin — hysteresis against flapping.
         let healthy = cost == Some(self.last_good_cost_us)
             && snap.measured_cost_us.is_some()
-            && delay_ms.is_none_or(|d_ms| {
-                d_ms / 1e3 - self.cfg.target_s <= 0.5 * self.cfg.divergence_margin_s
-            });
+            && delay_ms.is_none_or(|d_ms| d_ms / 1e3 - self.target_s <= 0.5 * DIVERGENCE_MARGIN_S);
 
         match self.mode {
             SupervisorMode::Engaged | SupervisorMode::Hold => {
                 if cost.is_none() {
-                    if self.stale_periods > self.cfg.max_stale_periods {
+                    if self.stale_periods > MAX_STALE_PERIODS {
                         self.transition(snap.k, SupervisorMode::Fallback);
                     } else {
                         // Hold the last actuation through the dropout.
@@ -399,7 +356,7 @@ impl<S: SheddingStrategy + Clone> ControlHook for Supervisor<S> {
         self.log.fallback_periods += 1;
         if healthy {
             self.healthy_streak += 1;
-            if self.healthy_streak >= self.cfg.recovery_periods {
+            if self.healthy_streak >= RECOVERY_PERIODS {
                 // Re-engage with a pristine controller; the decision this
                 // period already comes from the inner strategy again.
                 self.healthy_streak = 0;
@@ -469,7 +426,7 @@ impl<S: SheddingStrategy + Clone> SheddingStrategy for Supervisor<S> {
     /// fallback keeps it.
     fn set_target_delay_s(&mut self, yd_s: f64) {
         assert!(yd_s > 0.0 && yd_s.is_finite());
-        self.cfg.target_s = yd_s;
+        self.target_s = yd_s;
         self.inner.set_target_delay_s(yd_s);
         self.pristine.set_target_delay_s(yd_s);
     }
@@ -635,7 +592,7 @@ mod tests {
         let d = sup.on_period(&snap(6, 10, Some(5105.0), Some(9000.0)));
         assert_eq!(sup.mode(), SupervisorMode::Fallback);
         assert!(
-            (d.entry_drop_prob - prev).abs() <= sup.cfg.max_alpha_step + 1e-12,
+            (d.entry_drop_prob - prev).abs() <= MAX_ALPHA_STEP + 1e-12,
             "first fallback step {} from {prev}",
             d.entry_drop_prob
         );
@@ -645,7 +602,7 @@ mod tests {
         for k in 7..12 {
             let d = sup.on_period(&snap(k, 10, Some(5105.0), Some(9000.0)));
             assert!(d.entry_drop_prob >= prev);
-            assert!(d.entry_drop_prob - prev <= sup.cfg.max_alpha_step + 1e-12);
+            assert!(d.entry_drop_prob - prev <= MAX_ALPHA_STEP + 1e-12);
             prev = d.entry_drop_prob;
         }
     }

@@ -129,9 +129,25 @@ pub struct DiagEvent {
     pub to: HealthState,
 }
 
-/// Largest supported sliding window (fixed so the engine never
-/// allocates per period).
-pub const MAX_DIAG_WINDOW: usize = 64;
+/// The design settling time, periods (the paper's `(z − 0.7)²`
+/// placement: ~3).
+const SETTLE_TARGET_PERIODS: u64 = 3;
+/// Sliding-window length for oscillation detection, periods.
+const OSC_WINDOW: usize = 16;
+/// `α ≥ 1 − eps` (or `≤ eps`) counts as pinned.
+const ALPHA_PIN_EPS: f64 = 1e-3;
+/// Rolling window for the SLO burn rate, periods.
+const BURN_WINDOW: usize = 32;
+/// Fast SLO burn window, periods: the multi-window burn-rate pair's short
+/// arm, read from the most recent samples of the slow window's ring.
+const BURN_FAST_WINDOW: usize = 5;
+/// Slow SLO burn window, periods. Both burn rates must reach
+/// [`BURN_DIVERGE_FRAC`] — with this window *full* — before burn evidence
+/// alone escalates to `Diverging`.
+const BURN_SLOW_WINDOW: usize = 60;
+/// Burn-rate fraction at which the fast/slow pair escalates the loop to
+/// `Diverging`.
+const BURN_DIVERGE_FRAC: f64 = 0.9;
 
 /// Tuning of the diagnostics engine. Defaults encode the paper's design
 /// targets (3-period settling, zero overshoot) with bands sized for
@@ -140,16 +156,10 @@ pub const MAX_DIAG_WINDOW: usize = 64;
 pub struct DiagnosticsConfig {
     /// The delay target `y_d`, seconds.
     pub target_delay_s: f64,
-    /// The design settling time, periods (the paper's `(z − 0.7)²`
-    /// placement: ~3).
-    pub settle_target_periods: u64,
     /// Half-width of the error band as a fraction of the target: the
     /// delay is "settled" while `y ≤ y_d · (1 + band)`. Sized generously
     /// (wall-clock delay measurements are noisy).
     pub error_band_frac: f64,
-    /// Sliding-window length for oscillation detection, periods
-    /// (≤ [`MAX_DIAG_WINDOW`]).
-    pub window: usize,
     /// Sign flips (of `e(k)`, or actuation reversals) within the window
     /// that classify the loop `Oscillating`.
     pub osc_min_flips: u32,
@@ -159,27 +169,12 @@ pub struct DiagnosticsConfig {
     /// An `α` move only counts as an actuation reversal when its
     /// magnitude is at least this much.
     pub alpha_swing: f64,
-    /// `α ≥ 1 − eps` (or `≤ eps`) counts as pinned.
-    pub alpha_pin_eps: f64,
     /// Consecutive pinned-while-violating periods that classify the
     /// loop `Saturated`.
     pub saturation_periods: u64,
     /// Consecutive out-of-band periods beyond which the loop is
     /// `Diverging` (the grace budget; ≥ the settle target).
     pub grace_periods: u64,
-    /// Rolling window for the SLO burn rate, periods
-    /// (≤ [`MAX_DIAG_WINDOW`]).
-    pub burn_window: usize,
-    /// Fast SLO burn window, periods: the multi-window burn-rate pair's
-    /// short arm (≤ [`Self::burn_slow_window`]).
-    pub burn_fast_window: usize,
-    /// Slow SLO burn window, periods (≤ [`MAX_DIAG_WINDOW`]). Both burn
-    /// rates must exceed [`Self::burn_diverge_frac`] — with this window
-    /// *full* — before burn evidence alone escalates to `Diverging`.
-    pub burn_slow_window: usize,
-    /// Burn-rate fraction at which the fast/slow pair escalates the
-    /// loop to `Diverging`.
-    pub burn_diverge_frac: f64,
 }
 
 impl DiagnosticsConfig {
@@ -189,19 +184,33 @@ impl DiagnosticsConfig {
     pub fn for_target(target_delay: Duration) -> Self {
         Self {
             target_delay_s: target_delay.as_secs_f64(),
-            settle_target_periods: 3,
             error_band_frac: 0.3,
-            window: 16,
             osc_min_flips: 3,
             osc_min_error_frac: 0.10,
             alpha_swing: 0.25,
-            alpha_pin_eps: 1e-3,
             saturation_periods: 3,
             grace_periods: 12,
-            burn_window: 32,
-            burn_fast_window: 5,
-            burn_slow_window: 60,
-            burn_diverge_frac: 0.9,
+        }
+    }
+
+    /// The detuned thresholds for classifying a recorded run after the
+    /// fact (the campaign and `reproduce adaptive`): a well-regulated
+    /// stochastic loop crosses its target every few periods, moves `α`
+    /// with every burst and can sit above a tight band for tens of
+    /// periods while it tracks a cost ramp, all with a bounded tail. These
+    /// gates only trip on what a broken loop produces: 6+ large flips in
+    /// the window (|e| > 0.6·target on both sides, `α` reversals ≥ 0.6),
+    /// a 24-period out-of-band streak (band 75 %), or a 10-period
+    /// full-shed pin.
+    pub fn post_hoc(target_delay: Duration) -> Self {
+        Self {
+            error_band_frac: 0.75,
+            osc_min_flips: 6,
+            osc_min_error_frac: 0.6,
+            alpha_swing: 0.6,
+            grace_periods: 24,
+            saturation_periods: 10,
+            ..Self::for_target(target_delay)
         }
     }
 
@@ -210,31 +219,11 @@ impl DiagnosticsConfig {
             self.target_delay_s > 0.0 && self.target_delay_s.is_finite(),
             "target delay must be positive"
         );
-        assert!(
-            (1..=MAX_DIAG_WINDOW).contains(&self.window),
-            "window must be 1..={MAX_DIAG_WINDOW}"
-        );
-        assert!(
-            (1..=MAX_DIAG_WINDOW).contains(&self.burn_window),
-            "burn window must be 1..={MAX_DIAG_WINDOW}"
-        );
-        assert!(
-            (1..=MAX_DIAG_WINDOW).contains(&self.burn_slow_window),
-            "slow burn window must be 1..={MAX_DIAG_WINDOW}"
-        );
-        assert!(
-            (1..=self.burn_slow_window).contains(&self.burn_fast_window),
-            "fast burn window must be 1..=burn_slow_window"
-        );
-        assert!(
-            self.burn_diverge_frac > 0.0 && self.burn_diverge_frac <= 1.0,
-            "burn divergence fraction must be in (0, 1]"
-        );
         assert!(self.error_band_frac >= 0.0);
         assert!(self.alpha_swing > 0.0);
         assert!(self.saturation_periods >= 1);
         assert!(
-            self.grace_periods >= self.settle_target_periods,
+            self.grace_periods >= SETTLE_TARGET_PERIODS,
             "grace must cover the settle target"
         );
     }
@@ -290,13 +279,13 @@ pub struct DiagnosticsSnapshot {
     pub pinned_low_periods: u64,
     /// Periods with the delay above target (no band), total.
     pub slo_violation_periods: u64,
-    /// Fraction of the burn window with the delay above target.
+    /// Fraction of the burn window (32 periods) with the delay above
+    /// target.
     pub slo_burn_rate: f64,
-    /// Burn rate over the fast window (most recent
-    /// `burn_fast_window` periods).
+    /// Burn rate over the fast window (the 5 most recent periods).
     pub slo_burn_fast: f64,
-    /// Burn rate over the slow window (most recent
-    /// `burn_slow_window` periods; 0.0 until any period arrives).
+    /// Burn rate over the slow window (the 60 most recent periods; 0.0
+    /// until any period arrives).
     pub slo_burn_slow: f64,
     /// Σ (y − y_d)⁺ · T over observed periods, seconds.
     pub slo_violation_seconds: f64,
@@ -611,16 +600,16 @@ pub struct ControllerHealth {
     last_error: f64,
     last_alpha: f64,
     // Sliding windows (chronological via cursor arithmetic).
-    err_win: [f64; MAX_DIAG_WINDOW],
-    alpha_win: [f64; MAX_DIAG_WINDOW],
+    err_win: [f64; OSC_WINDOW],
+    alpha_win: [f64; OSC_WINDOW],
     win_len: usize,
     win_next: usize,
-    burn_win: [bool; MAX_DIAG_WINDOW],
+    burn_win: [bool; BURN_WINDOW],
     burn_len: usize,
     burn_next: usize,
     // The fast/slow burn pair shares one ring sized by the slow window;
     // the fast rate reads its most recent samples.
-    burn2_win: [bool; MAX_DIAG_WINDOW],
+    burn2_win: [bool; BURN_SLOW_WINDOW],
     burn2_len: usize,
     burn2_next: usize,
     // Streaks + episode tracking.
@@ -679,14 +668,14 @@ impl ControllerHealth {
             last_y: f64::NAN,
             last_error: f64::NAN,
             last_alpha: 0.0,
-            err_win: [f64::NAN; MAX_DIAG_WINDOW],
-            alpha_win: [0.0; MAX_DIAG_WINDOW],
+            err_win: [f64::NAN; OSC_WINDOW],
+            alpha_win: [0.0; OSC_WINDOW],
             win_len: 0,
             win_next: 0,
-            burn_win: [false; MAX_DIAG_WINDOW],
+            burn_win: [false; BURN_WINDOW],
             burn_len: 0,
             burn_next: 0,
-            burn2_win: [false; MAX_DIAG_WINDOW],
+            burn2_win: [false; BURN_SLOW_WINDOW],
             burn2_len: 0,
             burn2_next: 0,
             violation_streak: 0,
@@ -720,11 +709,6 @@ impl ControllerHealth {
             periods_in_state: [0; 5],
             events: Ring::with_capacity(EVENT_RING),
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &DiagnosticsConfig {
-        &self.cfg
     }
 
     /// The current classification.
@@ -816,23 +800,20 @@ impl ControllerHealth {
             self.slo_violation_periods += 1;
             self.slo_violation_seconds += (y - t) * trace.period_s.max(0.0);
         }
-        let bw = self.cfg.burn_window;
-        if self.burn_len < bw {
+        if self.burn_len < BURN_WINDOW {
             self.burn_len += 1;
         }
         self.burn_win[self.burn_next] = above_target;
-        self.burn_next = (self.burn_next + 1) % bw;
-        let sw = self.cfg.burn_slow_window;
-        if self.burn2_len < sw {
+        self.burn_next = (self.burn_next + 1) % BURN_WINDOW;
+        if self.burn2_len < BURN_SLOW_WINDOW {
             self.burn2_len += 1;
         }
         self.burn2_win[self.burn2_next] = above_target;
-        self.burn2_next = (self.burn2_next + 1) % sw;
+        self.burn2_next = (self.burn2_next + 1) % BURN_SLOW_WINDOW;
 
         // --- Actuator saturation ---------------------------------------
-        let eps = self.cfg.alpha_pin_eps;
-        let pinned_high = alpha >= 1.0 - eps;
-        let pinned_low = alpha <= eps;
+        let pinned_high = alpha >= 1.0 - ALPHA_PIN_EPS;
+        let pinned_low = alpha <= ALPHA_PIN_EPS;
         if pinned_high {
             self.pinned_high_periods += 1;
         }
@@ -846,16 +827,12 @@ impl ControllerHealth {
         }
 
         // --- Oscillation window ----------------------------------------
-        let w = self.cfg.window;
-        if self.win_len < w {
-            self.err_win[self.win_next] = e;
-            self.alpha_win[self.win_next] = alpha;
+        if self.win_len < OSC_WINDOW {
             self.win_len += 1;
-        } else {
-            self.err_win[self.win_next] = e;
-            self.alpha_win[self.win_next] = alpha;
         }
-        self.win_next = (self.win_next + 1) % w;
+        self.err_win[self.win_next] = e;
+        self.alpha_win[self.win_next] = alpha;
+        self.win_next = (self.win_next + 1) % OSC_WINDOW;
         self.flips = self.count_flips();
 
         // --- Mode + fault accounting -----------------------------------
@@ -886,12 +863,12 @@ impl ControllerHealth {
         // --- Classification --------------------------------------------
         // Burn evidence escalates only once the slow window is full:
         // both arms of the fast/slow pair must burn at or above the
-        // configured fraction, so a short spike (fast-only) or a stale
+        // escalation fraction, so a short spike (fast-only) or a stale
         // historical burn (slow-only) never trips it alone.
         let (burn_fast, burn_slow) = self.burn_pair();
-        let burn_alarm = self.burn2_len == self.cfg.burn_slow_window
-            && burn_fast >= self.cfg.burn_diverge_frac
-            && burn_slow >= self.cfg.burn_diverge_frac;
+        let burn_alarm = self.burn2_len == BURN_SLOW_WINDOW
+            && burn_fast >= BURN_DIVERGE_FRAC
+            && burn_slow >= BURN_DIVERGE_FRAC;
         let new_state = if self.violation_streak > self.cfg.grace_periods || burn_alarm {
             HealthState::Diverging
         } else if self.pinned_streak >= self.cfg.saturation_periods {
@@ -927,16 +904,16 @@ impl ControllerHealth {
     }
 
     /// The (fast, slow) SLO burn rates: fractions of the most recent
-    /// `burn_fast_window` / `burn_slow_window` periods with the delay
+    /// [`BURN_FAST_WINDOW`] / [`BURN_SLOW_WINDOW`] periods with the delay
     /// above target (0.0 before any period).
     fn burn_pair(&self) -> (f64, f64) {
         if self.burn2_len == 0 {
             return (0.0, 0.0);
         }
-        let sw = self.cfg.burn_slow_window;
+        let sw = BURN_SLOW_WINDOW;
         let slow_hits = self.burn2_win[..self.burn2_len].iter().filter(|&&b| b).count();
         let slow = slow_hits as f64 / self.burn2_len as f64;
-        let fw = self.cfg.burn_fast_window.min(self.burn2_len);
+        let fw = BURN_FAST_WINDOW.min(self.burn2_len);
         let mut fast_hits = 0usize;
         for back in 1..=fw {
             // Most recent sample is one slot behind the cursor.
@@ -952,7 +929,7 @@ impl ControllerHealth {
     /// `e(k)` plus direction reversals of `α(k)` with sufficient swing;
     /// the larger of the two is the loop's flip count.
     fn count_flips(&self) -> u32 {
-        let w = self.cfg.window;
+        let w = OSC_WINDOW;
         let n = self.win_len;
         if n < 3 {
             return 0;
@@ -1011,12 +988,12 @@ impl ControllerHealth {
             violation_streak: self.violation_streak,
             pinned_streak: self.pinned_streak,
             flips_in_window: self.flips,
-            flip_rate: self.flips as f64 / self.cfg.window as f64,
+            flip_rate: self.flips as f64 / OSC_WINDOW as f64,
             settle_samples: self.settle_samples,
             settle_last_periods: self.settle_last,
             settle_ewma_periods: self.settle_ewma,
             settle_max_periods: self.settle_max,
-            settle_target_periods: self.cfg.settle_target_periods,
+            settle_target_periods: SETTLE_TARGET_PERIODS,
             overshoot_last_frac: self.overshoot_last,
             overshoot_ewma_frac: self.overshoot_ewma,
             overshoot_max_frac: self.overshoot_max,

@@ -26,56 +26,19 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-/// Tuning of the flight recorder.
-#[derive(Debug, Clone)]
-pub struct FlightConfig {
-    /// Directory bundles are written into (created on demand).
-    pub dir: PathBuf,
-    /// Minimum number of control periods between two bundles. A
-    /// transition closer than this to the previously recorded one is
-    /// skipped.
-    pub debounce_periods: u64,
-    /// Maximum bundles kept in `dir`; the oldest (by file name, which
-    /// sorts chronologically) are deleted beyond this.
-    pub max_bundles: usize,
-}
-
-impl FlightConfig {
-    /// Defaults: 20-period debounce, 8 retained bundles.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            debounce_periods: 20,
-            max_bundles: 8,
-        }
-    }
-
-    /// Same defaults, but writing into a per-run subdirectory
-    /// `base/<sanitised run_key>` — so many concurrent runs (a scenario
-    /// campaign) neither interleave their bundles nor evict each other's
-    /// through the shared retention limit: the 8-bundle cap applies per
-    /// run. Key characters outside `[A-Za-z0-9._-]` become `_`.
-    pub fn for_run(base: impl Into<PathBuf>, run_key: &str) -> Self {
-        let sane: String = run_key
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect();
-        let sane = if sane.is_empty() { "run".to_string() } else { sane };
-        Self::new(base.into().join(sane))
-    }
-}
+/// Minimum number of control periods between two bundles. A transition
+/// closer than this to the previously recorded one is skipped.
+const DEBOUNCE_PERIODS: u64 = 20;
+/// Maximum bundles kept in the directory; the oldest (by file name, which
+/// sorts chronologically) are deleted beyond this.
+const MAX_BUNDLES: usize = 8;
 
 /// Writes anomaly bundles. One instance per observability plane; not
 /// thread-safe by itself (the plane wraps it in a mutex).
 #[derive(Debug)]
 pub struct FlightRecorder {
-    cfg: FlightConfig,
+    /// Directory bundles are written into (created on demand).
+    dir: PathBuf,
     last_recorded_k: Option<u64>,
     bundles_written: u64,
     skipped_debounce: u64,
@@ -83,21 +46,15 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// Creates a recorder (panics on a zero retention limit).
-    pub fn new(cfg: FlightConfig) -> Self {
-        assert!(cfg.max_bundles >= 1, "retention must keep at least 1 bundle");
+    /// Creates a recorder writing into `dir`.
+    pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
-            cfg,
+            dir: dir.into(),
             last_recorded_k: None,
             bundles_written: 0,
             skipped_debounce: 0,
             last_error: None,
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &FlightConfig {
-        &self.cfg
     }
 
     /// Bundles written so far.
@@ -142,7 +99,7 @@ impl FlightRecorder {
         profile: Option<&crate::spans::ProfileSnapshot>,
     ) -> Option<PathBuf> {
         if let Some(last) = self.last_recorded_k {
-            if k.saturating_sub(last) < self.cfg.debounce_periods {
+            if k.saturating_sub(last) < DEBOUNCE_PERIODS {
                 self.skipped_debounce += 1;
                 return None;
             }
@@ -170,14 +127,14 @@ impl FlightRecorder {
         traces: &[ControlTrace],
         profile: Option<&crate::spans::ProfileSnapshot>,
     ) -> std::io::Result<PathBuf> {
-        fs::create_dir_all(&self.cfg.dir)?;
+        fs::create_dir_all(&self.dir)?;
         let unix_ms = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_millis())
             .unwrap_or(0);
         let name = format!("flight_{unix_ms:013}_k{k:08}_{}.jsonl", state.as_str());
-        let path = self.cfg.dir.join(&name);
-        let tmp = self.cfg.dir.join(format!(".{name}.tmp"));
+        let path = self.dir.join(&name);
+        let tmp = self.dir.join(format!(".{name}.tmp"));
         {
             let mut f = fs::File::create(&tmp)?;
             let profile_field = match profile {
@@ -205,12 +162,12 @@ impl FlightRecorder {
     /// start with a zero-padded unix-ms stamp, so lexicographic order is
     /// chronological.
     fn enforce_retention(&self) {
-        let mut bundles = list_bundles(&self.cfg.dir);
-        if bundles.len() <= self.cfg.max_bundles {
+        let mut bundles = list_bundles(&self.dir);
+        if bundles.len() <= MAX_BUNDLES {
             return;
         }
         bundles.sort();
-        let excess = bundles.len() - self.cfg.max_bundles;
+        let excess = bundles.len() - MAX_BUNDLES;
         for path in bundles.into_iter().take(excess) {
             let _ = fs::remove_file(path);
         }
@@ -277,7 +234,7 @@ mod tests {
     #[test]
     fn bundle_written_atomically_with_header_and_traces() {
         let dir = temp_dir("basic");
-        let mut fr = FlightRecorder::new(FlightConfig::new(&dir));
+        let mut fr = FlightRecorder::new(&dir);
         let traces: Vec<_> = (0..5).map(trace).collect();
         let path = fr
             .record_transition(42, HealthState::Saturated, &snapshot(), &traces)
@@ -302,7 +259,7 @@ mod tests {
     #[test]
     fn debounce_skips_nearby_transitions() {
         let dir = temp_dir("debounce");
-        let mut fr = FlightRecorder::new(FlightConfig::new(&dir));
+        let mut fr = FlightRecorder::new(&dir);
         let traces = [trace(0)];
         assert!(fr
             .record_transition(10, HealthState::Oscillating, &snapshot(), &traces)
@@ -324,70 +281,31 @@ mod tests {
     #[test]
     fn retention_deletes_oldest_bundles() {
         let dir = temp_dir("retention");
-        let mut cfg = FlightConfig::new(&dir);
-        cfg.debounce_periods = 0;
-        cfg.max_bundles = 3;
-        let mut fr = FlightRecorder::new(cfg);
+        let mut fr = FlightRecorder::new(&dir);
         let traces = [trace(0)];
-        for k in 0..6 {
+        for k in 0..10 {
             assert!(fr
                 .record_transition(k * 100, HealthState::Diverging, &snapshot(), &traces)
                 .is_some());
         }
         let mut left = list_bundles(&dir);
-        assert_eq!(left.len(), 3);
+        assert_eq!(left.len(), MAX_BUNDLES);
         left.sort();
-        // The survivors are the newest ones (k 300/400/500 in the name).
+        // The survivors are the newest ones (k 200..=900 in the name).
         let names: Vec<_> = left
             .iter()
             .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
             .collect();
-        assert!(names.iter().any(|n| n.contains("k00000500")), "{names:?}");
+        assert!(names.iter().any(|n| n.contains("k00000900")), "{names:?}");
+        assert!(names.iter().any(|n| n.contains("k00000200")), "{names:?}");
+        assert!(!names.iter().any(|n| n.contains("k00000100")), "{names:?}");
         assert!(!names.iter().any(|n| n.contains("k00000000")), "{names:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn per_run_config_isolates_retention_between_runs() {
-        let base = temp_dir("per_run");
-        // The raw campaign key contains characters unfit for paths.
-        let a = FlightConfig::for_run(&base, "web+stale_q+ident+4shard/paper");
-        let b = FlightConfig::for_run(&base, "poisson+clean+ident+1shard/paper");
-        assert_ne!(a.dir, b.dir);
-        assert!(a.dir.starts_with(&base));
-        let name = a.dir.file_name().unwrap().to_string_lossy().into_owned();
-        assert!(
-            name.chars().all(|c| c.is_ascii_alphanumeric() || "._-".contains(c)),
-            "{name}"
-        );
-        assert_eq!(FlightConfig::for_run(&base, "???").dir, base.join("___"));
-        assert_eq!(FlightConfig::for_run(&base, "").dir, base.join("run"));
-
-        // Bundles written under one run never evict the other run's.
-        let mut cfg_a = a.clone();
-        cfg_a.debounce_periods = 0;
-        cfg_a.max_bundles = 2;
-        let mut fr_a = FlightRecorder::new(cfg_a);
-        let mut fr_b = FlightRecorder::new(b.clone());
-        let traces = [trace(0)];
-        assert!(fr_b
-            .record_transition(1, HealthState::Diverging, &snapshot(), &traces)
-            .is_some());
-        for k in 0..5 {
-            assert!(fr_a
-                .record_transition(k, HealthState::Diverging, &snapshot(), &traces)
-                .is_some());
-        }
-        assert_eq!(list_bundles(&fr_a.config().dir).len(), 2, "run A retention");
-        assert_eq!(list_bundles(&b.dir).len(), 1, "run B untouched");
-        let _ = fs::remove_dir_all(&base);
-    }
-
-    #[test]
     fn unwritable_dir_records_error_not_panic() {
-        let mut fr = FlightRecorder::new(FlightConfig::new(
-            "/proc/definitely/not/writable/streamshed",
-        ));
+        let mut fr = FlightRecorder::new("/proc/definitely/not/writable/streamshed");
         let out = fr.record_transition(5, HealthState::Diverging, &snapshot(), &[trace(0)]);
         assert!(out.is_none());
         assert!(fr.last_error().is_some());

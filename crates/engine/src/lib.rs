@@ -57,7 +57,7 @@ pub use diagnostics::{
     SharedDiagnostics,
 };
 pub use faults::{FaultKind, FaultLog, FaultPlan, FaultWindow, FaultyHook};
-pub use flight::{FlightConfig, FlightRecorder};
+pub use flight::FlightRecorder;
 pub use obs::{http_get, HttpConfig, ObsHandle, ObsOptions, ObsPlane, ObsServer};
 pub use hook::{ControlHook, Decision, NoShedding, PeriodSnapshot};
 pub use metrics::RunReport;

@@ -35,7 +35,7 @@
 //! constructor.
 
 use crate::diagnostics::{DiagnosticsConfig, DiagnosticsSnapshot, SharedDiagnostics};
-use crate::flight::{FlightConfig, FlightRecorder};
+use crate::flight::FlightRecorder;
 use crate::telemetry::{ControlTrace, EventSink, SharedRecorder};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -55,23 +55,22 @@ pub struct HttpConfig {
     /// Bind address. Default `127.0.0.1:0` (loopback, OS-chosen port —
     /// read the real one from [`ObsServer::addr`]).
     pub addr: String,
-    /// Per-connection read/write timeout (a stalled client cannot hold
-    /// the serial accept loop hostage for longer than this).
-    pub io_timeout: Duration,
-    /// Maximum bytes of request head read before the connection is
-    /// rejected with 431.
-    pub max_request_bytes: usize,
 }
 
 impl Default for HttpConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            io_timeout: Duration::from_millis(500),
-            max_request_bytes: 8 * 1024,
         }
     }
 }
+
+/// Per-connection read/write timeout (a stalled client cannot hold the
+/// serial accept loop hostage for longer than this).
+const IO_TIMEOUT: Duration = Duration::from_millis(500);
+/// Maximum bytes of request head read before the connection is rejected
+/// with 431.
+const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
 /// Opt-in observability configuration for the engine's `spawn_observed`
 /// constructor.
@@ -85,8 +84,9 @@ pub struct ObsOptions {
     /// Capacity of the trace ring behind `/trace` and the flight
     /// recorder.
     pub trace_capacity: usize,
-    /// Anomaly flight recorder; `None` disables bundle writing.
-    pub flight: Option<FlightConfig>,
+    /// Directory of the anomaly flight recorder's bundles; `None`
+    /// disables bundle writing.
+    pub flight: Option<std::path::PathBuf>,
 }
 
 impl ObsOptions {
@@ -104,20 +104,7 @@ impl ObsOptions {
 
     /// Adds an anomaly flight recorder writing into `dir`.
     pub fn with_flight_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.flight = Some(FlightConfig::new(dir));
-        self
-    }
-
-    /// Adds an anomaly flight recorder writing into a per-run
-    /// subdirectory of `base` (see [`FlightConfig::for_run`]) — campaign
-    /// hygiene: concurrent runs keep their own bundle retention instead
-    /// of evicting each other in a shared directory.
-    pub fn with_flight_run_dir(
-        mut self,
-        base: impl Into<std::path::PathBuf>,
-        run_key: &str,
-    ) -> Self {
-        self.flight = Some(FlightConfig::for_run(base, run_key));
+        self.flight = Some(dir.into());
         self
     }
 
@@ -178,7 +165,7 @@ impl ObsPlane {
             flight: options
                 .flight
                 .clone()
-                .map(|cfg| Arc::new(Mutex::new(FlightRecorder::new(cfg)))),
+                .map(|dir| Arc::new(Mutex::new(FlightRecorder::new(dir)))),
             periods: Arc::new(AtomicU64::new(0)),
             adapt: Arc::new(AdaptCache::default()),
             spans: crate::spans::SpanRegistry::new(),
@@ -320,7 +307,7 @@ impl ObsServer {
         let stop_t = Arc::clone(&stop);
         let thread = thread::Builder::new()
             .name("streamshed-obs".into())
-            .spawn(move || accept_loop(listener, cfg, plane, metrics, stop_t))
+            .spawn(move || accept_loop(listener, plane, metrics, stop_t))
             .expect("spawn obs thread");
         Ok(Self {
             addr,
@@ -358,7 +345,6 @@ impl Drop for ObsServer {
 
 fn accept_loop(
     listener: TcpListener,
-    cfg: HttpConfig,
     plane: ObsPlane,
     metrics: MetricsFn,
     stop: Arc<AtomicBool>,
@@ -371,7 +357,7 @@ fn accept_loop(
         // Supervised: a panic in request handling must not kill the
         // endpoint for the rest of the run.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            handle_connection(stream, &cfg, &plane, &metrics)
+            handle_connection(stream, &plane, &metrics)
         }));
         if result.is_err() {
             // Swallow and keep serving; the next scrape still works.
@@ -379,10 +365,10 @@ fn accept_loop(
     }
 }
 
-fn handle_connection(mut stream: TcpStream, cfg: &HttpConfig, plane: &ObsPlane, metrics: &MetricsFn) {
-    let _ = stream.set_read_timeout(Some(cfg.io_timeout));
-    let _ = stream.set_write_timeout(Some(cfg.io_timeout));
-    let (status, content_type, body) = match read_request_head(&mut stream, cfg.max_request_bytes) {
+fn handle_connection(mut stream: TcpStream, plane: &ObsPlane, metrics: &MetricsFn) {
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+    let (status, content_type, body) = match read_request_head(&mut stream, MAX_REQUEST_BYTES) {
         Ok(line) => {
             let mut parts = line.split_whitespace();
             match (parts.next(), parts.next()) {

@@ -33,37 +33,37 @@ use std::collections::VecDeque;
 pub struct SimConfig {
     /// Control period `T`.
     pub period: SimDuration,
-    /// True headroom of the simulated CPU: the fraction of wall time
-    /// available to query processing (the paper fits `H = 0.97`).
-    pub headroom: f64,
     /// Delay target `yd`, used for violation accounting in the report.
     pub target_delay: SimDuration,
     /// Seed of the run's two random streams: the [`EngineRng`] (tuple
     /// payloads, shed-location selection) and the entry shedder's coins
     /// ([`AtomicShedder`], the wall-clock front door's kernel).
     pub seed: u64,
-    /// Join/grouping keys are drawn uniformly from `0..key_space`.
-    pub key_space: u64,
     /// Time-varying multiplier on every operator's base cost.
     pub cost_schedule: CostSchedule,
-    /// Admission gate: maximum number of tuples inside operator queues at
-    /// once. The backlog beyond this waits in a global FIFO input buffer
-    /// (the network buffer of §3), which keeps operator trains small and
-    /// departures arrival-ordered. Must be ≥ 1.
-    pub admission_gate: usize,
 }
+
+/// True headroom `H` of the simulated CPU: the fraction of wall time
+/// available to query processing (the paper fits `H = 0.97`).
+const HEADROOM: f64 = 0.97;
+
+/// Join/grouping keys are drawn uniformly from `0..KEY_SPACE`.
+const KEY_SPACE: u64 = 100;
+
+/// Admission gate: maximum number of tuples inside operator queues at
+/// once. The backlog beyond this waits in a global FIFO input buffer (the
+/// network buffer of §3), which keeps operator trains small and
+/// departures arrival-ordered.
+const ADMISSION_GATE: u64 = 64;
 
 impl SimConfig {
     /// Paper-default configuration: `T = 1 s`, `H = 0.97`, `yd = 2 s`.
     pub fn paper_default() -> Self {
         Self {
             period: secs(1),
-            headroom: 0.97,
             target_delay: secs(2),
             seed: 0xB0EA11,
-            key_space: 100,
             cost_schedule: CostSchedule::constant(),
-            admission_gate: 64,
         }
     }
 
@@ -76,13 +76,6 @@ impl SimConfig {
     /// Sets the delay target.
     pub fn with_target_delay(mut self, target: SimDuration) -> Self {
         self.target_delay = target;
-        self
-    }
-
-    /// Sets the headroom factor.
-    pub fn with_headroom(mut self, h: f64) -> Self {
-        assert!(h > 0.0 && h <= 1.0, "headroom must be in (0, 1]");
-        self.headroom = h;
         self
     }
 
@@ -330,7 +323,7 @@ impl Simulator {
             // runs never grow a queue mid-flight.
             .map(|n| {
                 (0..n.logic.ports())
-                    .map(|_| VecDeque::with_capacity(64))
+                    .map(|_| VecDeque::with_capacity(ADMISSION_GATE as usize))
                     .collect()
             })
             .collect();
@@ -339,7 +332,7 @@ impl Simulator {
         let rng = engine_rng(cfg.seed);
         let shedder = AtomicShedder::new(cfg.seed);
         let fanout = Fanout::build(&network);
-        let inv_headroom = 1.0 / cfg.headroom;
+        let inv_headroom = 1.0 / HEADROOM;
         let passthrough = network
             .nodes()
             .iter()
@@ -565,8 +558,7 @@ impl Simulator {
     /// gate.
     #[inline]
     fn fill_from_input_buffer(&mut self) {
-        let gate = self.cfg.admission_gate.max(1) as u64;
-        while self.total_queued < gate {
+        while self.total_queued < ADMISSION_GATE {
             match self.input_buffer.pop_front() {
                 Some((entry, tuple)) => {
                     self.buffered_per_entry[entry] -= 1;
@@ -703,7 +695,6 @@ impl Simulator {
         let first = metrics.offered as usize % n_entries;
         pc.offered += due as u64;
         metrics.offered += due as u64;
-        let key_space = self.cfg.key_space.max(1);
         let alpha = decision.alpha();
         let dropped = self.shedder.shed_batch_each(alpha, due as u64, |j| {
             let t = due_times[j];
@@ -711,8 +702,8 @@ impl Simulator {
             let root = self.roots.admit(t);
             self.spans.note_admitted(root);
             // Bounded key via widening multiply (Lemire) — uniform to
-            // within 2⁻⁶⁴·key_space, with no 128-bit division per tuple.
-            let key = (((self.rng.next_u64() as u128) * (key_space as u128)) >> 64) as u64;
+            // within 2⁻⁶⁴·KEY_SPACE, with no 128-bit division per tuple.
+            let key = (((self.rng.next_u64() as u128) * (KEY_SPACE as u128)) >> 64) as u64;
             let value = self.rng.gen::<f64>();
             self.buffered_per_entry[entry] += 1;
             self.input_buffer

@@ -92,21 +92,13 @@ impl ArmReport {
 /// Replays an outcome's trace series through a fresh diagnostics
 /// classifier and measures each swap's settling time.
 pub fn classify(outcome: &StrategyOutcome, target_s: f64) -> ArmReport {
-    // Post-hoc classification uses the campaign's detuned thresholds,
-    // not the live monitor's: at a 250 ms target with a 1 s period the
-    // queue quantum is 5–42 ms of delay per tuple, so even a perfectly
-    // regulated loop crosses a ±30 % band on most periods. The gates
-    // below only trip on excursions a genuinely broken loop produces —
-    // large every-period flips, long out-of-band streaks, a sustained
-    // full-shed pin — which is what separates the frozen-gain limit
-    // cycle from the self-tuners' quantization ripple.
-    let mut cfg = DiagnosticsConfig::for_target(Duration::from_secs_f64(target_s));
-    cfg.error_band_frac = 0.75;
-    cfg.osc_min_flips = 6;
-    cfg.osc_min_error_frac = 0.6;
-    cfg.alpha_swing = 0.6;
-    cfg.grace_periods = 24;
-    cfg.saturation_periods = 10;
+    // Post-hoc classification uses the detuned thresholds, not the live
+    // monitor's: at a 250 ms target with a 1 s period the queue quantum
+    // is 5–42 ms of delay per tuple, so even a perfectly regulated loop
+    // crosses a ±30 % band on most periods. The post-hoc gates separate
+    // the frozen-gain limit cycle from the self-tuners' quantization
+    // ripple.
+    let cfg = DiagnosticsConfig::post_hoc(Duration::from_secs_f64(target_s));
     let band = target_s * (1.0 + cfg.error_band_frac);
     let mut health = ControllerHealth::new(cfg);
     let mut state_periods = [0u64; 5];

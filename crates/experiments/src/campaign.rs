@@ -721,27 +721,12 @@ fn run_shard(spec: &CellSpec, seed: u64, sabotage: bool) -> ShardRunStats {
     // Post-hoc diagnostics: feed the recorded trace through a fresh
     // classifier. The campaign's breadth (every workload family at 1.6×
     // overload, including heavy-tailed Pareto bursts and the 2×
-    // cost-trace peak) needs a far less twitchy tuning than the live
-    // monitor: a well-regulated stochastic loop crosses its target
-    // every few periods, moves α with every burst, and can sit above
-    // the band for tens of periods while it tracks a cost ramp — all
-    // with a bounded tail. The gates here only classify excursions a
-    // genuinely broken loop produces: near-every-period large flips
-    // (6+ in the 16-period window, |e| > 0.6·target on both sides,
-    // α reversals ≥ 0.6), a 24-period out-of-band streak, or a
-    // 10-period full-shed pin (a cost spike legitimately pins α for a
-    // few periods while the backlog flushes). The sabotage drill stays
-    // caught regardless — a bare loop at 1.6× overload diverges for
-    // the whole run, far past any of these.
-    let mut diag_cfg =
-        DiagnosticsConfig::for_target(Duration::from_micros(loop_cfg.target_delay().as_micros()));
-    diag_cfg.error_band_frac = 0.75;
-    diag_cfg.osc_min_flips = 6;
-    diag_cfg.osc_min_error_frac = 0.6;
-    diag_cfg.alpha_swing = 0.6;
-    diag_cfg.grace_periods = 24;
-    diag_cfg.saturation_periods = 10;
-    let mut health = ControllerHealth::new(diag_cfg);
+    // cost-trace peak) needs the detuned post-hoc gates, not the live
+    // monitor's. The sabotage drill stays caught regardless — a bare
+    // loop at 1.6× overload diverges for the whole run, far past them.
+    let mut health = ControllerHealth::new(DiagnosticsConfig::post_hoc(Duration::from_micros(
+        loop_cfg.target_delay().as_micros(),
+    )));
     for t in &recorder.snapshot() {
         let _ = health.observe(t);
     }

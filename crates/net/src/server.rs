@@ -51,7 +51,7 @@
 //!   OPEN/PAUSED ── wire error ──▶ CLOSING (error reply, flush, close)
 //!   OPEN/PAUSED ── idle_timeout ─▶ CLOSED
 //!   drain: listener unregistered; every conn flushes its replies and
-//!   closes; workers join when conns are gone or drain_timeout ends.
+//!   closes; workers join when conns are gone or `DRAIN_TIMEOUT` ends.
 //! ```
 //!
 //! Capacity refusals are *explicit*, mirroring the in-process four-bucket
@@ -123,9 +123,10 @@ pub struct NetConfig {
     pub max_write_buf: usize,
     /// Connections idle longer than this are closed.
     pub idle_timeout: Duration,
-    /// Grace period for flushing replies at shutdown.
-    pub drain_timeout: Duration,
 }
+
+/// Grace period for flushing replies at shutdown.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(2);
 
 impl Default for NetConfig {
     fn default() -> Self {
@@ -137,7 +138,6 @@ impl Default for NetConfig {
             max_frame_tuples: 16_384,
             max_write_buf: 256 * 1024,
             idle_timeout: Duration::from_secs(60),
-            drain_timeout: Duration::from_secs(2),
         }
     }
 }
@@ -397,7 +397,7 @@ impl NetServer {
     }
 
     /// Graceful drain: stop accepting, let workers process buffered
-    /// frames and flush replies (bounded by `drain_timeout`), join.
+    /// frames and flush replies (bounded by `DRAIN_TIMEOUT`), join.
     pub fn shutdown(mut self) {
         self.drain_and_join();
     }
@@ -497,7 +497,7 @@ impl Worker {
                     // Stop accepting; the descriptor itself closes with
                     // the worker.
                     let _ = self.ready.remove(self.listener.as_raw_fd());
-                    Instant::now() + self.cfg.drain_timeout
+                    Instant::now() + DRAIN_TIMEOUT
                 });
                 // Drop everything already flushed; give the rest more
                 // rounds until the deadline.

@@ -10,18 +10,13 @@
 //! * [`model`] — computes model predictions and modeling errors for
 //!   candidate `(c, H)` (Figs. 6–7);
 //! * [`knee`] — locates the processing-capacity knee by scanning arrival
-//!   rates (Fig. 5's 190 tuples/s threshold);
-//! * [`online`] — the streaming counterpart: exponentially forgotten
-//!   recursive least squares re-fitting the same slope/intercept model
-//!   from live data (the self-tuning plane's re-identification seam).
+//!   rates (Fig. 5's 190 tuples/s threshold).
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod knee;
 pub mod model;
-pub mod online;
-pub mod regression;
 
 use serde::{Deserialize, Serialize};
 use streamshed_engine::hook::NoShedding;
@@ -32,8 +27,6 @@ use streamshed_workload::{to_micros, ArrivalTrace};
 
 pub use knee::{find_capacity_knee, KneeEstimate};
 pub use model::{fit_headroom, model_error_s, predict_delays_s, rmse, ModelFit};
-pub use online::OnlineRegression;
-pub use regression::{ols, regression_identify, RegressionFit};
 
 /// One observed control period of an identification run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

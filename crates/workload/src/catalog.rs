@@ -8,13 +8,13 @@
 //! topology's capacity).
 //!
 //! Variants that do not natively take a rate parameter (Pareto, Web) are
-//! rescaled in time ([`TimeScale`]) so their burstiness shape survives
-//! while the long-run mean hits the target. Everything is a pure function
+//! rescaled in time so their burstiness shape survives while the
+//! long-run mean hits the target. Everything is a pure function
 //! of `(rate, duration, seed)` — byte-identical on every call.
 
 use crate::{
     ArrivalTrace, CostTrace, MmppTrace, ParetoTrace, PoissonTrace, SineTrace, StepTrace,
-    TimeScale, WebLikeTrace,
+    WebLikeTrace,
 };
 
 /// One workload family of the campaign grid.
@@ -118,16 +118,30 @@ impl WorkloadKind {
     }
 }
 
-/// Time-scales `inner` so its long-run mean rate becomes `mean_rate`.
+/// Time-scales `inner` so its long-run mean rate becomes `mean_rate`:
+/// `duration_s · factor` seconds of its arrivals, compressed by `factor`.
 fn rescaled<T: ArrivalTrace>(inner: T, mean_rate: f64, duration_s: f64) -> Vec<f64> {
     let native = inner.mean_rate();
     assert!(native > 0.0 && native.is_finite(), "trace has no usable mean rate");
-    TimeScale::new(inner, mean_rate / native).arrival_times(duration_s)
+    let factor = mean_rate / native;
+    inner
+        .arrival_times(duration_s * factor)
+        .into_iter()
+        .map(|t| t / factor)
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rescaled_compresses_time() {
+        // 10 s of a 100 t/s trace squeezed into 5 s.
+        let times = rescaled(StepTrace::constant(100.0), 200.0, 5.0);
+        assert!((times.len() as i64 - 1000).abs() <= 1, "{}", times.len());
+        assert!(times.iter().all(|&x| x < 5.0));
+    }
 
     #[test]
     fn keys_are_unique_and_round_trip() {

@@ -22,7 +22,6 @@
 #![deny(unsafe_code)]
 
 pub mod catalog;
-pub mod combine;
 pub mod cost;
 pub mod mmpp;
 pub mod pareto;
@@ -30,11 +29,9 @@ pub mod poisson;
 pub mod schedule;
 pub mod sine;
 pub mod step;
-pub mod tracefile;
 pub mod web;
 
 pub use catalog::WorkloadKind;
-pub use combine::{Overlay, Splice, Thin, TimeScale};
 pub use cost::CostTrace;
 pub use mmpp::{MmppState, MmppTrace};
 pub use pareto::ParetoTrace;
@@ -42,7 +39,6 @@ pub use poisson::PoissonTrace;
 pub use schedule::{frame_schedule, schedule_tuples, uniform_schedule, FrameAt};
 pub use sine::SineTrace;
 pub use step::StepTrace;
-pub use tracefile::FileTrace;
 pub use web::WebLikeTrace;
 
 /// A generator of tuple-arrival instants.

@@ -104,13 +104,4 @@ proptest! {
         let b = CostTrace::paper_fig14(base, seed);
         prop_assert_eq!(pts, b.points_ms(400.0));
     }
-
-    #[test]
-    fn tracefile_roundtrip(times in prop::collection::vec(0.0..1000.0f64, 0..200)) {
-        let mut sorted = times.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let ft = FileTrace::from_times(sorted.clone()).unwrap();
-        let replay = ft.arrival_times(f64::INFINITY);
-        prop_assert_eq!(replay, sorted);
-    }
 }

@@ -29,8 +29,6 @@
 pub mod analysis;
 pub mod complex;
 pub mod design;
-pub mod freq;
-pub mod jury;
 pub mod linalg;
 pub mod poly;
 pub mod roots;

@@ -120,39 +120,6 @@ proptest! {
     }
 
     #[test]
-    fn jury_agrees_with_root_finding(
-        roots_in in prop::collection::vec(-1.4..1.4f64, 1..6),
-    ) {
-        use streamshed_zdomain::jury::{jury_test, Stability};
-        // Avoid roots too near the unit circle where both methods are
-        // legitimately ambiguous.
-        prop_assume!(roots_in.iter().all(|r| (r.abs() - 1.0).abs() > 0.02));
-        let p = Poly::from_real_roots(&roots_in);
-        let stable_by_roots = roots_in.iter().all(|r| r.abs() < 1.0);
-        match jury_test(&p) {
-            Stability::Stable => prop_assert!(stable_by_roots),
-            Stability::Unstable => prop_assert!(!stable_by_roots),
-            Stability::Marginal => prop_assert!(false, "marginal away from the circle"),
-        }
-    }
-
-    #[test]
-    fn sensitivity_plus_complement_is_one(
-        pole in -0.9..0.9f64,
-        gain in 0.05..3.0f64,
-        omega in 0.01..3.0f64,
-    ) {
-        use streamshed_zdomain::freq::{complementary_sensitivity, sensitivity};
-        let l = TransferFunction::new(
-            Poly::constant(gain),
-            Poly::from_real_roots(&[pole]),
-        ).unwrap();
-        let s = sensitivity(&l).freq_response(omega);
-        let t = complementary_sensitivity(&l).freq_response(omega);
-        prop_assert!(((s + t) - Complex::ONE).abs() < 1e-9);
-    }
-
-    #[test]
     fn complex_field_axioms(
         are in -5.0..5.0f64, aim in -5.0..5.0f64,
         bre in -5.0..5.0f64, bim in -5.0..5.0f64,

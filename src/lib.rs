@@ -73,7 +73,7 @@ pub mod prelude {
         loop_::{LoopConfig, ShedMode},
         model::PlantModel,
         strategy::{AuroraStrategy, BaselineStrategy, CtrlStrategy, SheddingStrategy},
-        supervisor::{Supervisor, SupervisorConfig, SupervisorMode},
+        supervisor::{Supervisor, SupervisorMode},
     };
     pub use streamshed_engine::{
         faults::{FaultKind, FaultPlan, FaultWindow, FaultyHook},
