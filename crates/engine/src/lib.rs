@@ -58,7 +58,7 @@ pub use diagnostics::{
 };
 pub use faults::{FaultKind, FaultLog, FaultPlan, FaultWindow, FaultyHook};
 pub use flight::FlightRecorder;
-pub use obs::{http_get, HttpConfig, ObsHandle, ObsOptions, ObsPlane, ObsServer};
+pub use obs::{http_get, ObsHandle, ObsOptions, ObsPlane, ObsServer};
 pub use hook::{ControlHook, Decision, NoShedding, PeriodSnapshot};
 pub use metrics::RunReport;
 pub use network::{NetworkBuilder, NodeId, QueryNetwork};

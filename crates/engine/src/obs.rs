@@ -49,22 +49,6 @@ use std::time::Duration;
 // Options
 // ---------------------------------------------------------------------------
 
-/// HTTP server tuning.
-#[derive(Debug, Clone)]
-pub struct HttpConfig {
-    /// Bind address. Default `127.0.0.1:0` (loopback, OS-chosen port —
-    /// read the real one from [`ObsServer::addr`]).
-    pub addr: String,
-}
-
-impl Default for HttpConfig {
-    fn default() -> Self {
-        Self {
-            addr: "127.0.0.1:0".to_string(),
-        }
-    }
-}
-
 /// Per-connection read/write timeout (a stalled client cannot hold the
 /// serial accept loop hostage for longer than this).
 const IO_TIMEOUT: Duration = Duration::from_millis(500);
@@ -76,9 +60,10 @@ const MAX_REQUEST_BYTES: usize = 8 * 1024;
 /// constructor.
 #[derive(Debug, Clone)]
 pub struct ObsOptions {
-    /// HTTP endpoint; `None` runs diagnostics + flight recording without
-    /// a server.
-    pub http: Option<HttpConfig>,
+    /// Bind address of the HTTP endpoint (`127.0.0.1:0` picks a free
+    /// loopback port: read the real one from [`ObsServer::addr`]); `None`
+    /// runs diagnostics + flight recording without a server.
+    pub http: Option<String>,
     /// Controller-health diagnostics tuning.
     pub diagnostics: DiagnosticsConfig,
     /// Capacity of the trace ring behind `/trace` and the flight
@@ -95,7 +80,7 @@ impl ObsOptions {
     /// flight recorder.
     pub fn for_target(target_delay: Duration) -> Self {
         Self {
-            http: Some(HttpConfig::default()),
+            http: Some("127.0.0.1:0".to_string()),
             diagnostics: DiagnosticsConfig::for_target(target_delay),
             trace_capacity: 1024,
             flight: None,
@@ -108,11 +93,9 @@ impl ObsOptions {
         self
     }
 
-    /// Replaces the HTTP configuration (e.g. to pin a port).
+    /// Serves HTTP on `addr` (e.g. to pin a port).
     pub fn with_http_addr(mut self, addr: impl Into<String>) -> Self {
-        let mut http = self.http.unwrap_or_default();
-        http.addr = addr.into();
-        self.http = Some(http);
+        self.http = Some(addr.into());
         self
     }
 }
@@ -298,10 +281,10 @@ pub struct ObsServer {
 }
 
 impl ObsServer {
-    /// Binds `cfg.addr` and starts serving `plane` (with `metrics`
-    /// rendering the `/metrics` body). Fails only on bind errors.
-    pub fn start(cfg: HttpConfig, plane: ObsPlane, metrics: MetricsFn) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(cfg.addr.as_str())?;
+    /// Binds `addr` and starts serving `plane` (with `metrics` rendering
+    /// the `/metrics` body). Fails only on bind errors.
+    pub fn start(addr: &str, plane: ObsPlane, metrics: MetricsFn) -> std::io::Result<Self> {
+        let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_t = Arc::clone(&stop);
@@ -552,7 +535,7 @@ impl ObsHandle {
     pub fn start(options: &ObsOptions, metrics: MetricsFn) -> std::io::Result<Self> {
         let plane = ObsPlane::new(options);
         let server = match &options.http {
-            Some(http) => Some(ObsServer::start(http.clone(), plane.clone(), metrics)?),
+            Some(addr) => Some(ObsServer::start(addr, plane.clone(), metrics)?),
             None => None,
         };
         Ok(Self { plane, server })
@@ -624,7 +607,7 @@ mod tests {
             metrics_plane.health().render_prom(&mut p);
             p.finish()
         });
-        ObsServer::start(HttpConfig::default(), plane.clone(), metrics).expect("bind")
+        ObsServer::start("127.0.0.1:0", plane.clone(), metrics).expect("bind")
     }
 
     #[test]

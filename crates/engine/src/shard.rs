@@ -481,9 +481,9 @@ impl ShardedEngine {
         let spans = plane.spans().clone();
         let mut engine = Self::spawn_sink(cfg, hook, Some(plane.clone()), Some(&spans));
         let server = match &options.http {
-            Some(http) => {
+            Some(addr) => {
                 let metrics = metrics_fn(&engine, Some(plane.clone()));
-                Some(ObsServer::start(http.clone(), plane.clone(), metrics)?)
+                Some(ObsServer::start(addr, plane.clone(), metrics)?)
             }
             None => None,
         };
