@@ -9,6 +9,9 @@
 use crate::model::PlantModel;
 use serde::{Deserialize, Serialize};
 
+/// EWMA weight of a new `c(k)` sample in the cost tracker.
+const COST_SMOOTHING: f64 = 0.3;
+
 /// Exponentially weighted moving average tracker for the per-tuple cost
 /// `c(k)`.
 ///
@@ -19,18 +22,15 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CostEstimator {
     estimate_us: f64,
-    smoothing: f64,
 }
 
 impl CostEstimator {
-    /// Creates an estimator with a prior cost and smoothing factor in
-    /// `(0, 1]` (1 = trust only the newest measurement).
-    pub fn new(prior_us: f64, smoothing: f64) -> Self {
+    /// Creates an estimator from a prior cost; each new sample moves the
+    /// estimate `COST_SMOOTHING` (0.3) of the way to it.
+    pub fn new(prior_us: f64) -> Self {
         assert!(prior_us > 0.0 && prior_us.is_finite());
-        assert!(smoothing > 0.0 && smoothing <= 1.0);
         Self {
             estimate_us: prior_us,
-            smoothing,
         }
     }
 
@@ -39,7 +39,7 @@ impl CostEstimator {
     pub fn update(&mut self, measured_us: Option<f64>) -> f64 {
         if let Some(m) = measured_us {
             if m.is_finite() && m > 0.0 {
-                self.estimate_us += self.smoothing * (m - self.estimate_us);
+                self.estimate_us += COST_SMOOTHING * (m - self.estimate_us);
             }
         }
         self.estimate_us
@@ -83,7 +83,7 @@ mod tests {
 
     #[test]
     fn ewma_converges_to_measurements() {
-        let mut e = CostEstimator::new(5000.0, 0.3);
+        let mut e = CostEstimator::new(5000.0);
         for _ in 0..50 {
             e.update(Some(8000.0));
         }
@@ -92,7 +92,7 @@ mod tests {
 
     #[test]
     fn ewma_ignores_missing_and_garbage() {
-        let mut e = CostEstimator::new(5000.0, 0.5);
+        let mut e = CostEstimator::new(5000.0);
         e.update(None);
         e.update(Some(f64::NAN));
         e.update(Some(-3.0));
@@ -102,9 +102,9 @@ mod tests {
 
     #[test]
     fn ewma_smoothing_bounds_step_response() {
-        let mut e = CostEstimator::new(1000.0, 0.25);
+        let mut e = CostEstimator::new(1000.0);
         let after_one = e.update(Some(2000.0));
-        assert!((after_one - 1250.0).abs() < 1e-9);
+        assert!((after_one - 1300.0).abs() < 1e-9);
     }
 
     #[test]
@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     #[should_panic]
-    fn rejects_zero_smoothing() {
-        let _ = CostEstimator::new(1000.0, 0.0);
+    fn rejects_zero_prior() {
+        let _ = CostEstimator::new(0.0);
     }
 }

@@ -61,7 +61,7 @@ proptest! {
         prior in 500.0..20_000.0f64,
         measurements in prop::collection::vec(500.0..20_000.0f64, 1..40),
     ) {
-        let mut ewma = CostEstimator::new(prior, 0.4);
+        let mut ewma = CostEstimator::new(prior);
         let lo = measurements.iter().cloned().fold(prior, f64::min);
         let hi = measurements.iter().cloned().fold(prior, f64::max);
         for &m in &measurements {

@@ -562,8 +562,8 @@ impl DiagnosticsSnapshot {
         // reported state — non-adaptive loops keep the exposition clean.
         if self.adapt_seen {
             p.gauge(
-                "adapt_cost_est_us",
-                "Re-identified per-tuple cost estimate in force, microseconds",
+                "adapt_cost_estimate_us",
+                "Re-identified per-tuple cost estimate driving the gain scheduler, microseconds",
                 self.adapt_cost_est_us,
             )
             .gauge(
@@ -1341,10 +1341,12 @@ mod tests {
         let mut p = PromText::new("streamshed");
         s.render_prom(&mut p);
         let text = p.finish();
-        assert!(text.contains("streamshed_adapt_cost_est_us 10210.5"), "{text}");
-        assert!(text.contains("streamshed_adapt_gain_generation 2"));
-        assert!(text.contains("streamshed_adapt_swaps_total 3"));
-        assert!(text.contains("streamshed_adapt_comparator_arm 1"));
+        assert!(text.contains("# TYPE streamshed_adapt_cost_estimate_us gauge"), "{text}");
+        assert!(text.contains("streamshed_adapt_cost_estimate_us 10210.5"), "{text}");
+        assert!(text.contains("streamshed_adapt_gain_generation 2"), "{text}");
+        assert!(text.contains("# TYPE streamshed_adapt_swaps_total counter"), "{text}");
+        assert!(text.contains("streamshed_adapt_swaps_total 3"), "{text}");
+        assert!(text.contains("streamshed_adapt_comparator_arm 1"), "{text}");
         assert!(s.to_json().contains("\"adapt_swaps\":3"));
     }
 

@@ -63,6 +63,98 @@ impl PeriodSnapshot {
         self.completed as f64 / self.period.as_secs_f64()
     }
 
+    /// Builds period `k`'s snapshot from its ledger and what the engine
+    /// read at the boundary: the backlog and its own `c(k)` sample. Both
+    /// engines build their snapshots here, so two rules hold for both:
+    ///
+    /// - **Front-door loss is inclusive.** `dropped_entry` is the α drops
+    ///   plus the capacity rejections (both cut admitted load, though the
+    ///   wall clock's report keeps them apart), and `admitted` is
+    ///   `offered` less every front-door loss, closed rejections included.
+    /// - **An idle period has zero delay.** With nothing completed *and*
+    ///   nothing outstanding the delay is known to be zero. `None` there
+    ///   would let an over-shedding controller read its own drought as a
+    ///   sensor blackout and hold the shut command forever; `None` stays
+    ///   for a period that retired nothing while tuples are in flight.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn from_ledger(
+        k: u64,
+        now: SimTime,
+        period: SimDuration,
+        ledger: &PeriodLedger,
+        outstanding: u64,
+        queued_tuples: u64,
+        queued_load_us: f64,
+        measured_cost_us: Option<f64>,
+    ) -> Self {
+        let l = ledger;
+        let dropped_entry = l.dropped_entry + l.rejected_capacity;
+        let mean_delay_ms = if l.completed > 0 {
+            Some(l.delay_sum_ms / l.completed as f64)
+        } else if outstanding == 0 {
+            Some(0.0)
+        } else {
+            None
+        };
+        PeriodSnapshot {
+            k,
+            now,
+            period,
+            offered: l.offered,
+            admitted: l.offered.saturating_sub(dropped_entry + l.rejected_closed),
+            dropped_entry,
+            dropped_network: l.dropped_network,
+            completed: l.completed,
+            outstanding,
+            queued_tuples,
+            queued_load_us,
+            measured_cost_us,
+            mean_delay_ms,
+            cpu_busy_us: l.cpu_busy_us,
+        }
+    }
+}
+
+/// One control period's ledger: what crossed the front door, what was
+/// shed inside, what departed and the work that took. The simulator
+/// fills one as it runs; the wall clock takes the difference of two
+/// cumulative readings ([`Self::since`]). The engines' report ledgers
+/// keep the buckets disjoint; [`PeriodSnapshot::from_ledger`] folds them
+/// into the controller's view.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct PeriodLedger {
+    /// Arrivals at the front door, before shedding.
+    pub(crate) offered: u64,
+    /// Arrivals the entry shedder dropped (α).
+    pub(crate) dropped_entry: u64,
+    /// Arrivals refused by a full queue (never, in the simulator).
+    pub(crate) rejected_capacity: u64,
+    /// Arrivals refused after close (never, in the simulator).
+    pub(crate) rejected_closed: u64,
+    /// Tuples shed from in-network queues.
+    pub(crate) dropped_network: u64,
+    /// Roots that departed.
+    pub(crate) completed: u64,
+    /// Summed true delay of the departed roots, ms.
+    pub(crate) delay_sum_ms: f64,
+    /// CPU work executed, µs (excludes the headroom tax).
+    pub(crate) cpu_busy_us: u64,
+}
+
+impl PeriodLedger {
+    /// The ledger between an `earlier` cumulative reading and this one.
+    pub(crate) fn since(&self, earlier: &Self) -> Self {
+        Self {
+            offered: self.offered - earlier.offered,
+            dropped_entry: self.dropped_entry - earlier.dropped_entry,
+            rejected_capacity: self.rejected_capacity - earlier.rejected_capacity,
+            rejected_closed: self.rejected_closed - earlier.rejected_closed,
+            dropped_network: self.dropped_network - earlier.dropped_network,
+            completed: self.completed - earlier.completed,
+            delay_sum_ms: self.delay_sum_ms - earlier.delay_sum_ms,
+            cpu_busy_us: self.cpu_busy_us - earlier.cpu_busy_us,
+        }
+    }
 }
 
 /// The actuator command for the next control period.
@@ -164,6 +256,45 @@ mod tests {
         let s = snap();
         assert!((s.fin_rate() - 200.0).abs() < 1e-9);
         assert!((s.fout_rate() - 120.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn from_ledger_owns_the_idle_and_front_door_rules() {
+        let ledger = |offered, dropped_entry, rejected_capacity, rejected_closed, completed| {
+            PeriodLedger {
+                offered,
+                dropped_entry,
+                rejected_capacity,
+                rejected_closed,
+                dropped_network: 2,
+                completed,
+                delay_sum_ms: 30.0 * completed as f64,
+                cpu_busy_us: 700,
+            }
+        };
+        // (ledger, outstanding, (admitted, dropped_entry, mean_delay_ms))
+        let rows = [
+            // Idle: nothing retired, nothing in flight: a known zero.
+            (ledger(0, 0, 0, 0, 0), 0, (0, 0, Some(0.0))),
+            // Shed whole at the door is idle too.
+            (ledger(40, 40, 0, 0, 0), 0, (0, 40, Some(0.0))),
+            // Nothing retired while tuples are in flight: no reading.
+            (ledger(10, 0, 0, 0, 0), 10, (10, 0, None)),
+            // Completions give the mean whatever is outstanding.
+            (ledger(10, 0, 0, 0, 4), 0, (10, 0, Some(30.0))),
+            (ledger(10, 0, 0, 0, 4), 7, (10, 0, Some(30.0))),
+            // α drops and capacity rejections are one front-door loss;
+            // closed rejections are not admitted either.
+            (ledger(100, 10, 5, 3, 20), 9, (82, 15, Some(30.0))),
+        ];
+        for (i, (l, queued, want)) in rows.into_iter().enumerate() {
+            let at = SimTime::ZERO + secs(4);
+            let s = PeriodSnapshot::from_ledger(3, at, secs(1), &l, queued, queued, 0.0, None);
+            assert_eq!((s.admitted, s.dropped_entry, s.mean_delay_ms), want, "row {i}");
+            // Conservation: every offer is admitted or lost at the door.
+            assert_eq!(s.admitted + s.dropped_entry + l.rejected_closed, s.offered, "row {i}");
+            assert_eq!((s.dropped_network, s.completed, s.cpu_busy_us), (2, l.completed, 700));
+        }
     }
 
     #[test]

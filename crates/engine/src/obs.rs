@@ -104,28 +104,6 @@ impl ObsOptions {
 // ObsPlane
 // ---------------------------------------------------------------------------
 
-/// Lock-free cache of the newest self-tuning telemetry, behind the
-/// `streamshed_adapt_*` metric families. Written on every period whose
-/// [`ControlTrace`] carries adaptive state (see
-/// [`ControlTrace::has_adapt`]); never written by plain controllers, so
-/// the families stay absent from `/metrics` until a self-tuning
-/// strategy is actually driving the loop.
-#[derive(Debug, Default)]
-struct AdaptCache {
-    /// `f64::to_bits` of the newest re-identified per-tuple cost, µs.
-    cost_bits: AtomicU64,
-    /// Gain generation (increments on every scheduler retune).
-    generation: AtomicU64,
-    /// Bumpless swaps performed.
-    swaps: AtomicU64,
-    /// Comparator arm index, offset by 1 (0 = none yet / not a
-    /// comparator; the wire value is `arm + 1` so the atomic can stay
-    /// unsigned).
-    arm_plus_one: AtomicU64,
-    /// Whether any adaptive trace has been observed.
-    seen: AtomicBool,
-}
-
 /// The cloneable hub the engines feed per period and the HTTP endpoints
 /// read. See the module docs for the fan-out.
 #[derive(Debug, Clone)]
@@ -134,7 +112,6 @@ pub struct ObsPlane {
     diagnostics: SharedDiagnostics,
     flight: Option<Arc<Mutex<FlightRecorder>>>,
     periods: Arc<AtomicU64>,
-    adapt: Arc<AdaptCache>,
     spans: crate::spans::SpanRegistry,
 }
 
@@ -150,7 +127,6 @@ impl ObsPlane {
                 .clone()
                 .map(|dir| Arc::new(Mutex::new(FlightRecorder::new(dir)))),
             periods: Arc::new(AtomicU64::new(0)),
-            adapt: Arc::new(AdaptCache::default()),
             spans: crate::spans::SpanRegistry::new(),
         }
     }
@@ -190,47 +166,7 @@ impl ObsPlane {
         self.periods.load(Ordering::Relaxed)
     }
 
-    /// Appends the `streamshed_adapt_*` families to a Prometheus
-    /// builder — the self-tuning plane's external surface: the current
-    /// re-identified per-tuple cost ĉ, the gain generation, the bumpless
-    /// swap count, and the comparator's active arm. Emits nothing until
-    /// a self-tuning strategy has produced at least one trace.
-    pub fn render_adapt_prom(&self, p: &mut crate::telemetry::PromText) {
-        if !self.adapt.seen.load(Ordering::Relaxed) {
-            return;
-        }
-        p.gauge(
-            "adapt_cost_estimate_us",
-            "Re-identified per-tuple cost estimate driving the gain scheduler, microseconds",
-            f64::from_bits(self.adapt.cost_bits.load(Ordering::Relaxed)),
-        )
-        .gauge(
-            "adapt_gain_generation",
-            "Gain-schedule generation (increments on every pole-placement retune)",
-            self.adapt.generation.load(Ordering::Relaxed) as f64,
-        )
-        .counter(
-            "adapt_swaps_total",
-            "Bumpless controller-gain swaps performed",
-            self.adapt.swaps.load(Ordering::Relaxed) as f64,
-        )
-        .gauge(
-            "adapt_comparator_arm",
-            "Active comparator arm index (-1 when the strategy is not the comparator)",
-            self.adapt.arm_plus_one.load(Ordering::Relaxed) as f64 - 1.0,
-        );
-    }
-
     fn on_trace(&self, trace: &ControlTrace) {
-        if trace.has_adapt() {
-            self.adapt.cost_bits.store(trace.adapt_cost_us.to_bits(), Ordering::Relaxed);
-            self.adapt.generation.store(trace.adapt_generation, Ordering::Relaxed);
-            self.adapt.swaps.store(trace.adapt_swaps, Ordering::Relaxed);
-            self.adapt
-                .arm_plus_one
-                .store((trace.adapt_arm + 1).max(0) as u64, Ordering::Relaxed);
-            self.adapt.seen.store(true, Ordering::Relaxed);
-        }
         let mut rec = self.recorder.clone();
         rec.record(trace);
         let transition = self.diagnostics.observe(trace);
@@ -724,35 +660,6 @@ mod tests {
         let head = http_head(404, "text/plain", 9);
         assert!(head.starts_with("HTTP/1.1 404 Not Found\r\n"), "{head}");
         assert!(head.ends_with("Content-Length: 9\r\nConnection: close\r\n\r\n"), "{head}");
-    }
-
-    #[test]
-    fn adapt_families_appear_only_once_a_self_tuner_reports() {
-        let plane = ObsPlane::new(&options());
-        let mut sink = plane.clone();
-
-        // Plain traces leave the families absent entirely.
-        sink.record(&trace(0, TARGET, 0.3));
-        let mut p = PromText::new("streamshed");
-        plane.render_adapt_prom(&mut p);
-        assert_eq!(p.finish(), "", "no adapt families before a self-tuning trace");
-
-        // An adaptive trace populates all four.
-        let mut t = trace(1, TARGET, 0.3);
-        t.adapt_cost_us = 10_210.5;
-        t.adapt_generation = 2;
-        t.adapt_swaps = 3;
-        t.adapt_arm = 1;
-        sink.record(&t);
-        let mut p = PromText::new("streamshed");
-        plane.render_adapt_prom(&mut p);
-        let body = p.finish();
-        assert!(body.contains("# TYPE streamshed_adapt_cost_estimate_us gauge"), "{body}");
-        assert!(body.contains("streamshed_adapt_cost_estimate_us 10210.5"), "{body}");
-        assert!(body.contains("streamshed_adapt_gain_generation 2"), "{body}");
-        assert!(body.contains("# TYPE streamshed_adapt_swaps_total counter"), "{body}");
-        assert!(body.contains("streamshed_adapt_swaps_total 3"), "{body}");
-        assert!(body.contains("streamshed_adapt_comparator_arm 1"), "{body}");
     }
 
     #[test]

@@ -428,64 +428,6 @@ impl OperatorLogic for Split {
 }
 
 // ---------------------------------------------------------------------------
-// Dedup
-// ---------------------------------------------------------------------------
-
-/// Suppresses tuples whose key was already seen within a sliding time
-/// window — the usual guard in front of expensive downstream operators.
-pub struct Dedup {
-    window: SimDuration,
-    seen: std::collections::HashMap<u64, SimTime>,
-    declared_selectivity: f64,
-    last_sweep: SimTime,
-}
-
-impl Dedup {
-    /// Creates a dedup with the given suppression window and a declared
-    /// pass fraction for load estimation.
-    pub fn new(window: SimDuration, declared_selectivity: f64) -> Self {
-        assert!((0.0..=1.0).contains(&declared_selectivity));
-        Self {
-            window,
-            seen: std::collections::HashMap::new(),
-            declared_selectivity,
-            last_sweep: SimTime::ZERO,
-        }
-    }
-
-    /// Number of distinct keys currently tracked.
-    pub fn tracked_keys(&self) -> usize {
-        self.seen.len()
-    }
-}
-
-impl OperatorLogic for Dedup {
-    fn kind(&self) -> &'static str {
-        "dedup"
-    }
-
-    fn process(&mut self, _port: PortId, tuple: &Tuple, now: SimTime, out: &mut OutputBuffer) {
-        // Amortised sweep of expired entries once per window.
-        if now - self.last_sweep > self.window {
-            let w = self.window;
-            self.seen.retain(|_, &mut t| now - t <= w);
-            self.last_sweep = now;
-        }
-        match self.seen.get(&tuple.key) {
-            Some(&t) if now - t <= self.window => {}
-            _ => {
-                self.seen.insert(tuple.key, now);
-                out.emit(*tuple);
-            }
-        }
-    }
-
-    fn expected_selectivity(&self) -> f64 {
-        self.declared_selectivity
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Time-window aggregate
 // ---------------------------------------------------------------------------
 
@@ -691,30 +633,6 @@ mod tests {
         s.process(0, &t(1, 0.8), SimTime::ZERO, &mut out);
         assert_eq!(out.items[0].0, Some(0));
         assert_eq!(out.items[1].0, Some(1));
-    }
-
-    #[test]
-    fn dedup_suppresses_within_window() {
-        let mut d = Dedup::new(crate::time::millis(100), 0.5);
-        assert_eq!(run(&mut d, 0, t(7, 1.0), SimTime(0)).len(), 1);
-        // Same key, inside the window: suppressed.
-        assert_eq!(run(&mut d, 0, t(7, 2.0), SimTime(50_000)).len(), 0);
-        // Different key passes.
-        assert_eq!(run(&mut d, 0, t(8, 1.0), SimTime(60_000)).len(), 1);
-        // Same key after expiry passes again.
-        assert_eq!(run(&mut d, 0, t(7, 3.0), SimTime(200_000)).len(), 1);
-        assert!(d.tracked_keys() >= 1);
-    }
-
-    #[test]
-    fn dedup_sweeps_expired_keys() {
-        let mut d = Dedup::new(crate::time::millis(10), 0.5);
-        for k in 0..100 {
-            run(&mut d, 0, t(k, 1.0), SimTime(k * 1000));
-        }
-        // 100 ms later a sweep is triggered by the next tuple.
-        run(&mut d, 0, t(999, 1.0), SimTime(500_000));
-        assert!(d.tracked_keys() < 100, "tracked {}", d.tracked_keys());
     }
 
     #[test]

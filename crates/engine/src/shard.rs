@@ -82,7 +82,7 @@
 //! ledger" — earlier revisions double-counted capacity rejections into
 //! `dropped_entry`.)
 
-use crate::hook::PeriodSnapshot;
+use crate::hook::{PeriodLedger, PeriodSnapshot};
 use crate::obs::{MetricsFn, ObsHandle, ObsOptions, ObsPlane, ObsServer};
 use crate::ring::{Push, SpscRing};
 use crate::rng::{mix64, AtomicShedder};
@@ -495,9 +495,9 @@ impl ShardedEngine {
     /// closure [`spawn_observed`](Self::spawn_observed) hands its HTTP
     /// server, exposed so an external front end (e.g. the network
     /// ingestion plane) can serve the engine's `streamshed_*` families
-    /// from its own listener. Includes the diagnostics and adapt
-    /// families when the engine was spawned with an observability plane
-    /// attached. The closure captures only `Arc`s, so it stays valid
+    /// from its own listener. Includes the diagnostics families (the
+    /// self-tuner's `adapt_*` among them) when the engine was spawned
+    /// with an observability plane attached. The closure captures only `Arc`s, so it stays valid
     /// for the engine's whole lifetime.
     pub fn metrics_fn(&self) -> MetricsFn {
         metrics_fn(self, self.obs.as_ref().map(|o| o.plane.clone()))
@@ -568,7 +568,7 @@ impl ShardedEngine {
                 let start = Instant::now();
                 let mut grid = PeriodGrid::new(start, cfg.period);
                 let mut k = 0u64;
-                let mut last = Totals::default();
+                let mut last = PeriodLedger::default();
                 let mut cost =
                     CostMeter::new(cfg.shards, cfg.headroom, cfg.cost.as_micros() as f64);
                 let mut queues = vec![0u64; cfg.shards];
@@ -584,8 +584,8 @@ impl ShardedEngine {
                         *q = st.queue_len();
                     }
                     let q_total: u64 = queues.iter().sum();
-                    let now = Totals::read(&global, &stats);
-                    let delta = now.minus(&last);
+                    let now = ledger_reading(&global, &stats);
+                    let delta = now.since(&last);
                     last = now;
 
                     // Cost model: c(k) = H·ΣΔbusy/ΣΔcompleted (held while
@@ -610,32 +610,21 @@ impl ShardedEngine {
                     // budget must use below.
                     let plant_cost_us = cost.cost_us / cfg.shards as f64;
 
-                    let completed = period_cost.completed;
-                    // The controller's view of front-door loss stays
-                    // inclusive: α drops and capacity rejections both
-                    // reduce admitted load, so `dropped_entry` here is
-                    // their sum even though the report ledger keeps the
-                    // buckets disjoint.
-                    let front_door_drops = delta.dropped_entry + delta.rejected_capacity;
-                    let snapshot = PeriodSnapshot {
-                        k,
-                        now: SimTime(start.elapsed().as_micros() as u64),
-                        period: SimDuration(cfg.period.as_micros() as u64),
-                        offered: delta.offered,
-                        admitted: delta
-                            .offered
-                            .saturating_sub(front_door_drops + delta.rejected_closed),
-                        dropped_entry: front_door_drops,
-                        dropped_network: delta.dropped_shed,
-                        completed,
-                        outstanding: q_total,
-                        queued_tuples: q_total,
-                        queued_load_us: q_total as f64 * plant_cost_us,
-                        measured_cost_us: period_cost.measured.then_some(plant_cost_us),
-                        mean_delay_ms: (completed > 0)
-                            .then(|| delta.delay_sum_us as f64 / completed as f64 / 1e3),
+                    let ledger = PeriodLedger {
+                        completed: period_cost.completed,
                         cpu_busy_us: period_cost.busy_us,
+                        ..delta
                     };
+                    let snapshot = PeriodSnapshot::from_ledger(
+                        k,
+                        SimTime(start.elapsed().as_micros() as u64),
+                        SimDuration(cfg.period.as_micros() as u64),
+                        &ledger,
+                        q_total,
+                        q_total,
+                        q_total as f64 * plant_cost_us,
+                        period_cost.measured.then_some(plant_cost_us),
+                    );
 
                     let (decision, trace) = control_step(&mut hook, &snapshot);
                     global
@@ -893,7 +882,6 @@ fn metrics_fn(engine: &ShardedEngine, plane: Option<ObsPlane>) -> MetricsFn {
         render_prometheus(&global, &stats, &mut p);
         if let Some(plane) = &plane {
             plane.health().render_prom(&mut p);
-            plane.render_adapt_prom(&mut p);
             plane.spans().snapshot().render_prom(&mut p);
         }
         p.finish()
@@ -1018,7 +1006,7 @@ fn render_prometheus(g: &Global, shards: &[Arc<WorkerStats>], p: &mut PromText) 
         )
         .gauge_vec(
             "shard_cost_ewma_us",
-            "Measured per-tuple cost EWMA per shard, microseconds (NaN until measured)",
+            "Per-tuple cost last measured per shard, unsmoothed, microseconds (NaN until measured)",
             "shard",
             &per(&|s| s.cost_ewma_us()),
         );
@@ -1104,42 +1092,22 @@ impl Drop for ShardedEngine {
     }
 }
 
-/// Aggregated deltas the controller tracks period to period.
-#[derive(Default, Clone, Copy)]
-struct Totals {
-    offered: u64,
-    dropped_entry: u64,
-    rejected_capacity: u64,
-    rejected_closed: u64,
-    dropped_shed: u64,
-    delay_sum_us: u64,
-}
-
-impl Totals {
-    fn read(g: &Global, stats: &[Arc<WorkerStats>]) -> Self {
-        let mut t = Self {
-            offered: g.offered.load(Ordering::Relaxed),
-            dropped_entry: g.dropped_entry.load(Ordering::Relaxed),
-            rejected_capacity: g.rejected_capacity.load(Ordering::Relaxed),
-            rejected_closed: g.rejected_closed.load(Ordering::Relaxed),
-            ..Self::default()
-        };
-        for s in stats {
-            t.dropped_shed += s.dropped_shed.load(Ordering::Relaxed);
-            t.delay_sum_us += s.delay_sum_us.load(Ordering::Relaxed);
-        }
-        t
-    }
-
-    fn minus(&self, o: &Self) -> Self {
-        Self {
-            offered: self.offered - o.offered,
-            dropped_entry: self.dropped_entry - o.dropped_entry,
-            rejected_capacity: self.rejected_capacity - o.rejected_capacity,
-            rejected_closed: self.rejected_closed - o.rejected_closed,
-            dropped_shed: self.dropped_shed - o.dropped_shed,
-            delay_sum_us: self.delay_sum_us - o.delay_sum_us,
-        }
+/// The cumulative front-door and shed counters as a ledger, for the
+/// controller to difference period to period. Completions and busy time
+/// come from the [`CostMeter`]'s reading instead, so `c(k)` and
+/// `completed` share one load of each shard's counters.
+fn ledger_reading(g: &Global, stats: &[Arc<WorkerStats>]) -> PeriodLedger {
+    let sum = |f: fn(&WorkerStats) -> &AtomicU64| -> u64 {
+        stats.iter().map(|s| f(s).load(Ordering::Relaxed)).sum()
+    };
+    PeriodLedger {
+        offered: g.offered.load(Ordering::Relaxed),
+        dropped_entry: g.dropped_entry.load(Ordering::Relaxed),
+        rejected_capacity: g.rejected_capacity.load(Ordering::Relaxed),
+        rejected_closed: g.rejected_closed.load(Ordering::Relaxed),
+        dropped_network: sum(|s| &s.dropped_shed),
+        delay_sum_ms: sum(|s| &s.delay_sum_us) as f64 / 1e3,
+        ..PeriodLedger::default()
     }
 }
 
@@ -1611,6 +1579,82 @@ mod tests {
         let report = engine.shutdown();
         assert!(report.counters_balance(), "{report:?}");
         assert!(http_get(addr, "/health", Duration::from_millis(300)).is_err());
+    }
+
+    #[test]
+    fn observed_engine_declares_each_family_once() {
+        use crate::obs::{http_get, ObsOptions};
+        use crate::telemetry::{AdaptState, InstrumentedHook};
+        struct SelfTuning;
+        impl crate::hook::ControlHook for SelfTuning {
+            fn on_period(&mut self, _s: &PeriodSnapshot) -> Decision {
+                Decision::NONE
+            }
+        }
+        impl InstrumentedHook for SelfTuning {
+            fn adapt_state(&self) -> Option<AdaptState> {
+                Some(AdaptState {
+                    cost_est_us: 210.5,
+                    generation: 2,
+                    swaps: 3,
+                    arm: -1,
+                })
+            }
+        }
+        let cfg = ShardConfig {
+            period: Duration::from_millis(10),
+            ..quick_cfg(1)
+        };
+        let options = ObsOptions::for_target(cfg.target_delay);
+        let engine = ShardedEngine::spawn_observed(cfg, SelfTuning, &options).unwrap();
+        let obs = engine.obs().unwrap();
+        while obs.plane.periods_observed() == 0 {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let t = Duration::from_secs(2);
+        let (status, body) = http_get(obs.addr().unwrap(), "/metrics", t).unwrap();
+        assert_eq!(status, 200);
+        assert!(body.contains("streamshed_adapt_cost_estimate_us 210.5"), "{body}");
+        // `# HELP <name> …` and `# TYPE <name> …`, each at most once.
+        let mut declared: Vec<&str> = body
+            .lines()
+            .filter(|l| l.starts_with("# HELP ") || l.starts_with("# TYPE "))
+            .map(|l| &l[..7 + l[7..].find(' ').unwrap_or(l.len() - 7)])
+            .collect();
+        let all = declared.len();
+        declared.sort_unstable();
+        declared.dedup();
+        assert_eq!(declared.len(), all, "a family is declared twice:\n{body}");
+        engine.shutdown();
+    }
+
+    #[test]
+    fn an_idle_period_reports_zero_delay() {
+        // α = 1 from the first boundary on: every later offer is shed at
+        // the door and the periods after them are idle.
+        let rec = SharedRecorder::with_capacity(256);
+        let cfg = ShardConfig {
+            period: Duration::from_millis(10),
+            ..quick_cfg(1)
+        };
+        let hook = |_s: &PeriodSnapshot| Decision::entry(1.0);
+        let engine = ShardedEngine::spawn_recorded(cfg, hook, Some(rec.clone()));
+        std::thread::sleep(Duration::from_millis(30));
+        for _ in 0..50 {
+            engine.offer();
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        let report = engine.shutdown();
+        assert!(report.counters_balance(), "{report:?}");
+        let traces = rec.snapshot();
+        let idle: Vec<_> = traces
+            .iter()
+            .filter(|t| t.completed == 0 && t.outstanding == 0)
+            .collect();
+        assert!(!idle.is_empty());
+        for t in idle {
+            assert_eq!(t.mean_delay_ms, 0.0, "period {} is idle: {t:?}", t.k);
+        }
     }
 
     #[test]

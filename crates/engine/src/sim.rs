@@ -17,7 +17,7 @@
 //! milliseconds and deterministically (seeded RNG).
 
 use crate::cost::CostSchedule;
-use crate::hook::{Decision, PeriodSnapshot};
+use crate::hook::{Decision, PeriodLedger, PeriodSnapshot};
 use crate::metrics::{MetricsAccumulator, PeriodRecord, RunReport};
 use crate::network::{NodeId, QueryNetwork};
 use crate::rng::{engine_rng, AtomicShedder, EngineRng};
@@ -300,16 +300,10 @@ const COST_EWMA_ALPHA: f64 = 0.2;
 const MAX_BATCH: u32 = 1024;
 
 /// Counters accumulated over one control period and reset at each
-/// boundary.
+/// boundary: the controller's ledger and the wall time spent executing.
 #[derive(Default)]
 struct PeriodCounters {
-    offered: u64,
-    admitted: u64,
-    dropped_entry: u64,
-    dropped_network: u64,
-    completed: u64,
-    delay_sum_ms: f64,
-    cpu_work_us: u64,
+    ledger: PeriodLedger,
     busy_wall_us: u64,
 }
 
@@ -436,38 +430,17 @@ impl Simulator {
 
             // 2. Period boundaries that are due.
             while next_boundary <= self.clock && next_boundary <= end {
-                let queued_load_us = self.queued_load_us();
-                let snapshot = PeriodSnapshot {
+                let l = &pc.ledger;
+                let snapshot = PeriodSnapshot::from_ledger(
                     k,
-                    now: next_boundary,
+                    next_boundary,
                     period,
-                    offered: pc.offered,
-                    admitted: pc.admitted,
-                    dropped_entry: pc.dropped_entry,
-                    dropped_network: pc.dropped_network,
-                    completed: pc.completed,
-                    outstanding: self.roots.live_roots,
-                    queued_tuples: self.total_queued + self.input_buffer.len() as u64,
-                    queued_load_us,
-                    measured_cost_us: if pc.completed > 0 {
-                        Some(pc.cpu_work_us as f64 / pc.completed as f64)
-                    } else {
-                        None
-                    },
-                    // An idle pipeline (nothing completed *and* nothing
-                    // in flight) has a known delay of zero — reporting
-                    // `None` there would let an over-shedding controller
-                    // read its own drought as a sensor blackout and hold
-                    // the shut command forever.
-                    mean_delay_ms: if pc.completed > 0 {
-                        Some(pc.delay_sum_ms / pc.completed as f64)
-                    } else if self.roots.live_roots == 0 {
-                        Some(0.0)
-                    } else {
-                        None
-                    },
-                    cpu_busy_us: pc.cpu_work_us,
-                };
+                    l,
+                    self.roots.live_roots,
+                    self.total_queued + self.input_buffer.len() as u64,
+                    self.queued_load_us(),
+                    (l.completed > 0).then(|| l.cpu_busy_us as f64 / l.completed as f64),
+                );
                 let (new_decision, trace) = control_step(hook, &snapshot);
                 if let Some(rec) = self.telemetry.as_mut() {
                     rec.record(&trace);
@@ -477,18 +450,14 @@ impl Simulator {
                 metrics.periods.push(PeriodRecord {
                     k,
                     time_s: next_boundary.as_secs_f64(),
-                    offered: pc.offered,
-                    admitted: pc.admitted,
-                    dropped: pc.dropped_entry + pc.dropped_network,
-                    completed: pc.completed,
-                    outstanding: self.roots.live_roots,
+                    offered: snapshot.offered,
+                    admitted: snapshot.admitted,
+                    dropped: snapshot.dropped_entry + snapshot.dropped_network,
+                    completed: snapshot.completed,
+                    outstanding: snapshot.outstanding,
                     alpha: alpha_in_force,
                     arrival_mean_delay_ms: f64::NAN, // filled in finish()
-                    measured_cost_us: if pc.completed > 0 {
-                        pc.cpu_work_us as f64 / pc.completed as f64
-                    } else {
-                        f64::NAN
-                    },
+                    measured_cost_us: snapshot.measured_cost_us.unwrap_or(f64::NAN),
                     cpu_utilisation: pc.busy_wall_us as f64 / period.as_micros() as f64,
                 });
                 pc = PeriodCounters::default();
@@ -502,7 +471,7 @@ impl Simulator {
                 // run-level conservation identity).
                 if decision.shed_load_us > 0.0 && boundary < end {
                     let dropped = self.shed_load(decision.shed_load_us);
-                    pc.dropped_network += dropped;
+                    pc.ledger.dropped_network += dropped;
                     metrics.dropped_network += dropped;
                 }
             }
@@ -693,7 +662,7 @@ impl Simulator {
         // this pass belongs to entry `(first + j) % n_entries`.
         let n_entries = self.network.entries().len();
         let first = metrics.offered as usize % n_entries;
-        pc.offered += due as u64;
+        pc.ledger.offered += due as u64;
         metrics.offered += due as u64;
         let alpha = decision.alpha();
         let dropped = self.shedder.shed_batch_each(alpha, due as u64, |j| {
@@ -709,8 +678,7 @@ impl Simulator {
             self.input_buffer
                 .push_back((entry, Tuple::new(root, t, key, value)));
         });
-        pc.admitted += due as u64 - dropped;
-        pc.dropped_entry += dropped;
+        pc.ledger.dropped_entry += dropped;
         metrics.dropped_entry += dropped;
     }
 
@@ -740,7 +708,7 @@ impl Simulator {
             while budget > 0 {
                 budget -= 1;
                 let (work_us, wall) = self.execute_one(metrics, pc);
-                pc.cpu_work_us += work_us;
+                pc.ledger.cpu_busy_us += work_us;
                 pc.busy_wall_us += wall.as_micros();
                 self.clock += wall;
                 self.fill_from_input_buffer();
@@ -889,8 +857,8 @@ impl Simulator {
         let departed = if let Some(arrival) = self.roots.consume(tuple.root) {
             let departure = self.clock;
             metrics.record_departure(arrival, departure);
-            pc.completed += 1;
-            pc.delay_sum_ms += (departure - arrival).as_millis_f64();
+            pc.ledger.completed += 1;
+            pc.ledger.delay_sum_ms += (departure - arrival).as_millis_f64();
             if let Some(exec_us) = self.spans.exec.get_mut(root_idx) {
                 if *exec_us != u64::MAX {
                     // Close the sampled sojourn with the exact

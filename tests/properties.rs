@@ -209,7 +209,7 @@ proptest! {
         ),
         prior in 100.0..50_000.0f64,
     ) {
-        let mut ewma = CostEstimator::new(prior, 0.3);
+        let mut ewma = CostEstimator::new(prior);
         let mut lo = prior;
         let mut hi = prior;
         for &s in &samples {
