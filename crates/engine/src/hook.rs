@@ -121,7 +121,7 @@ impl PeriodSnapshot {
 /// cumulative readings ([`Self::since`]). The engines' report ledgers
 /// keep the buckets disjoint; [`PeriodSnapshot::from_ledger`] folds them
 /// into the controller's view.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct PeriodLedger {
     /// Arrivals at the front door, before shedding.
     pub(crate) offered: u64,

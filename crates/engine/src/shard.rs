@@ -497,8 +497,8 @@ impl ShardedEngine {
     /// ingestion plane) can serve the engine's `streamshed_*` families
     /// from its own listener. Includes the diagnostics families (the
     /// self-tuner's `adapt_*` among them) when the engine was spawned
-    /// with an observability plane attached. The closure captures only `Arc`s, so it stays valid
-    /// for the engine's whole lifetime.
+    /// with an observability plane attached. The closure captures only
+    /// `Arc`s, so it stays valid for the engine's whole lifetime.
     pub fn metrics_fn(&self) -> MetricsFn {
         metrics_fn(self, self.obs.as_ref().map(|o| o.plane.clone()))
     }
