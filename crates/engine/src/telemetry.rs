@@ -63,71 +63,12 @@ pub const FAULT_FLAGS: [(u16, &str); 7] = [
     (FLAG_PERIOD_JITTER, "period_jitter"),
 ];
 
-/// OR of every defined `FLAG_*` bit.
-const FAULT_FLAG_MASK: u16 = FLAG_SENSOR_DROPOUT
-    | FLAG_STALE_QUEUE
-    | FLAG_COST_NAN
-    | FLAG_COST_SPIKE
-    | FLAG_ACTUATOR_IGNORE
-    | FLAG_ACTUATOR_PARTIAL
-    | FLAG_PERIOD_JITTER;
-
-/// Iterator over the names of the set fault-flag bits, in bit order.
-///
-/// Fixed-size state (no allocation per call); returned by
-/// [`fault_flag_names`].
-#[derive(Debug, Clone, Copy)]
-pub struct FaultFlagNames {
-    flags: u16,
-    idx: usize,
-}
-
-impl FaultFlagNames {
-    /// Joins the names with `sep` (one allocation for the output only).
-    pub fn join(self, sep: &str) -> String {
-        let mut out = String::new();
-        for name in self {
-            if !out.is_empty() {
-                out.push_str(sep);
-            }
-            out.push_str(name);
-        }
-        out
-    }
-}
-
-impl Iterator for FaultFlagNames {
-    type Item = &'static str;
-
-    fn next(&mut self) -> Option<&'static str> {
-        while self.idx < FAULT_FLAGS.len() {
-            let (bit, name) = FAULT_FLAGS[self.idx];
-            self.idx += 1;
-            if self.flags & bit != 0 {
-                return Some(name);
-            }
-        }
-        None
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining: u16 = FAULT_FLAGS[self.idx..]
-            .iter()
-            .fold(0, |acc, (bit, _)| acc | bit);
-        let n = (self.flags & remaining).count_ones() as usize;
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for FaultFlagNames {}
-
-/// Human-readable names of the set fault-flag bits, for rendering.
-/// Returns a fixed-size iterator — no per-call allocation.
-pub fn fault_flag_names(flags: u16) -> FaultFlagNames {
-    FaultFlagNames {
-        flags: flags & FAULT_FLAG_MASK,
-        idx: 0,
-    }
+/// The `|`-joined names of the set fault-flag bits, in bit order
+/// (empty when none is set; undefined bits are ignored).
+pub fn fault_flag_names(flags: u16) -> String {
+    let names: Vec<&str> =
+        FAULT_FLAGS.iter().filter(|(bit, _)| flags & bit != 0).map(|(_, name)| *name).collect();
+    names.join("|")
 }
 
 // ---------------------------------------------------------------------------
@@ -1090,10 +1031,7 @@ mod tests {
         assert_eq!(t.y_hat_s, 2.5);
         assert_eq!(t.mode, LoopMode::Fallback);
         assert_eq!(t.fault_flags, FLAG_STALE_QUEUE);
-        assert_eq!(
-            fault_flag_names(t.fault_flags).collect::<Vec<_>>(),
-            vec!["stale_queue"]
-        );
+        assert_eq!(fault_flag_names(t.fault_flags), "stale_queue");
     }
 
     #[test]
@@ -1189,31 +1127,24 @@ mod tests {
 
     #[test]
     fn fault_flag_names_cover_all_bits() {
-        let all = FLAG_SENSOR_DROPOUT
-            | FLAG_STALE_QUEUE
-            | FLAG_COST_NAN
-            | FLAG_COST_SPIKE
-            | FLAG_ACTUATOR_IGNORE
-            | FLAG_ACTUATOR_PARTIAL
-            | FLAG_PERIOD_JITTER;
-        assert_eq!(fault_flag_names(all).len(), 7);
-        assert_eq!(fault_flag_names(all).count(), 7);
-        assert_eq!(fault_flag_names(0).len(), 0);
-        assert_eq!(fault_flag_names(0).next(), None);
-        // Undefined high bits never leak into the iteration.
-        assert_eq!(fault_flag_names(0x8000).len(), 0);
-    }
-
-    #[test]
-    fn fault_flags_round_trip_bit_to_name_to_bit() {
-        for &(bit, name) in FAULT_FLAGS.iter() {
-            let names: Vec<_> = fault_flag_names(bit).collect();
-            assert_eq!(names, vec![name], "bit {bit:#06x}");
+        let all = FAULT_FLAGS.iter().fold(0, |acc, (bit, _)| acc | bit);
+        let cases: &[(u16, &str)] = &[
+            (0, ""),
+            // Undefined high bits never leak into the names.
+            (0x8000, ""),
+            (FLAG_STALE_QUEUE | FLAG_PERIOD_JITTER, "stale_queue|period_jitter"),
+            (
+                all | 0x8000,
+                "sensor_dropout|stale_queue|cost_nan|cost_spike|actuator_ignore|\
+                 actuator_partial|period_jitter",
+            ),
+        ];
+        for &(flags, want) in cases {
+            assert_eq!(fault_flag_names(flags), want, "flags {flags:#06x}");
         }
-        // Joined rendering matches the table order for a multi-bit set.
-        let joined = fault_flag_names(FLAG_STALE_QUEUE | FLAG_PERIOD_JITTER).join("|");
-        assert_eq!(joined, "stale_queue|period_jitter");
-        assert_eq!(fault_flag_names(0).join("|"), "");
+        for &(bit, name) in FAULT_FLAGS.iter() {
+            assert_eq!(fault_flag_names(bit), name, "bit {bit:#06x}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! reproduce [--out DIR] [--seed N] [--jobs N] [fig5 fig6 ... | all]
-//! reproduce trace --scenario KEY [--out DIR] [--seed N]
+//! reproduce trace --cell KEY [--out DIR] [--seed N]
 //! reproduce campaign [--lane sanity|stress|full] [--filter GLOB] [--list]
 //!                    [--sabotage] [--out DIR] [--seed N] [--jobs N]
 //! ```
@@ -12,12 +12,14 @@
 //! across `--jobs N` worker threads (default: one per core; every scenario
 //! seeds its own simulator, so output is byte-identical for any N —
 //! rendering and file writes happen on the main thread in figure order).
-//! The `trace` subcommand replays one fault scenario with the telemetry
-//! recorder engaged and writes `DIR/trace_<scenario>.jsonl` + `.csv` (see
+//! The `trace` subcommand replays the run `campaign --filter KEY --seed N`
+//! makes of one cell, keeping the telemetry, and writes
+//! `DIR/trace_<KEY>.s<i>.jsonl` + `.csv` for every shard `i` (see
 //! `streamshed_experiments::trace`).
 
 use std::io::Write as _;
 use std::path::PathBuf;
+use streamshed_engine::telemetry::{export_csv, export_jsonl};
 use streamshed_experiments as exp;
 
 /// A figure generator, called with `--seed`.
@@ -52,27 +54,27 @@ const FIGURES: &[(&str, bool, Generate)] = &[
     ("net", false, exp::net::run),
 ];
 
-fn run_trace(scenario: &str, out_dir: &PathBuf, seed: u64) {
-    if !exp::faults::SCENARIOS.contains(&scenario) {
-        eprintln!(
-            "unknown scenario '{scenario}'; known: {}",
-            exp::faults::SCENARIOS.join(", ")
-        );
+fn run_trace(key: &str, out_dir: &PathBuf, seed: u64) {
+    if exp::campaign::cell(key).is_none() {
+        eprintln!("unknown cell '{key}'; `reproduce campaign --lane full --list` prints every key");
         std::process::exit(2);
     }
     let start = std::time::Instant::now();
-    let result = exp::trace::run(scenario, seed);
+    let result = exp::trace::run(key, seed);
     print!("{}", result.render_summary());
     println!("  [trace regenerated in {:.1?}]\n", start.elapsed());
     if let Err(e) = std::fs::create_dir_all(out_dir) {
         eprintln!("failed to create {}: {e}", out_dir.display());
         std::process::exit(1);
     }
-    for (ext, body) in [("jsonl", result.to_jsonl()), ("csv", result.to_csv())] {
-        let path = out_dir.join(format!("trace_{scenario}.{ext}"));
-        match std::fs::File::create(&path).and_then(|mut f| f.write_all(body.as_bytes())) {
-            Ok(()) => println!("trace written to {}", path.display()),
-            Err(e) => eprintln!("failed to write {}: {e}", path.display()),
+    for (i, run) in result.shards.iter().enumerate() {
+        let bodies = [("jsonl", export_jsonl(&run.traces)), ("csv", export_csv(&run.traces))];
+        for (ext, body) in bodies {
+            let path = out_dir.join(format!("trace_{key}.s{i}.{ext}"));
+            match std::fs::File::create(&path).and_then(|mut f| f.write_all(body.as_bytes())) {
+                Ok(()) => println!("trace written to {}", path.display()),
+                Err(e) => eprintln!("failed to write {}: {e}", path.display()),
+            }
         }
     }
 }
@@ -133,7 +135,7 @@ fn main() {
     let mut out_dir = PathBuf::from("results");
     let mut seed = 7u64;
     let mut jobs = exp::parallel::default_jobs();
-    let mut scenario: Option<String> = None;
+    let mut cell: Option<String> = None;
     let mut lane = String::from("sanity");
     let mut filter: Option<String> = None;
     let mut list_only = false;
@@ -171,20 +173,23 @@ fn main() {
                     jobs = exp::parallel::default_jobs();
                 }
             }
-            "--scenario" => {
-                scenario = Some(args.next().expect("--scenario needs a scenario key"));
+            "--cell" => {
+                cell = Some(args.next().expect("--cell needs a campaign cell key"));
             }
             "--help" | "-h" => {
                 let names: Vec<&str> = FIGURES.iter().map(|f| f.0).collect();
                 eprintln!(
                     "usage: reproduce [--out DIR] [--seed N] [--jobs N] [{} | all]\n       \
-                     reproduce trace --scenario KEY [--out DIR] [--seed N]\n       \
+                     reproduce trace --cell KEY [--out DIR] [--seed N]\n       \
                      reproduce campaign [--lane sanity|stress|full] [--filter GLOB] \
                      [--list] [--sabotage] [--out DIR] [--seed N] [--jobs N]\n       \
                      campaign: seeded grid sweep (workload × fault × topology × \
                      shards × controller) with invariant checks; writes \
                      DIR/CAMPAIGN.json; exits non-zero on failures except in the \
                      stress lane\n       \
+                     trace: replays campaign cell KEY (as `campaign --list` prints \
+                     it) exactly as `campaign --filter KEY --seed N` runs it; \
+                     writes DIR/trace_KEY.s<i>.jsonl and .csv for every shard i\n       \
                      adaptive: self-tuning control — fixed paper tuning vs the \
                      gain-scheduled re-identifier and the model-free comparator \
                      under a doubling cost staircase (seeded, virtual-time)\n       \
@@ -197,10 +202,8 @@ fn main() {
                      conservation, shedding fairness, connection hold); not part \
                      of 'all'\n       \
                      --jobs N: regenerate figures on N worker threads (0 or default: \
-                     one per core); results are byte-identical for any N\n       \
-                     scenarios: {}",
+                     one per core); results are byte-identical for any N",
                     names.join(" "),
-                    exp::faults::SCENARIOS.join(", ")
                 );
                 return;
             }
@@ -220,8 +223,8 @@ fn main() {
         return;
     }
     if wanted.iter().any(|w| w == "trace") {
-        let key = scenario.unwrap_or_else(|| {
-            eprintln!("trace needs --scenario KEY (one of: {})", exp::faults::SCENARIOS.join(", "));
+        let key = cell.unwrap_or_else(|| {
+            eprintln!("trace needs --cell KEY (a campaign cell key, e.g. from `campaign --list`)");
             std::process::exit(2);
         });
         run_trace(&key, &out_dir, seed);

@@ -27,7 +27,10 @@
 //! regardless of `--jobs`. A cell's seed derives only from the campaign
 //! seed and the cell *key* (never its position in the grid), so
 //! `reproduce campaign --filter '<key>' --seed <s>` replays any single
-//! cell exactly.
+//! cell exactly, and `reproduce trace --cell '<key>' --seed <s>` replays
+//! the same run with every shard's control-loop trace kept
+//! ([`simulate_cell`]). The cells are the repo's one fault catalogue:
+//! the `faults` figure reads its matrix out of them too.
 //!
 //! Two CI lanes ride on top: the fixed-seed **sanity** corpus (a
 //! curated ~90-cell subset, hard gate) and the rotating **stress** lane
@@ -51,17 +54,16 @@ use streamshed_engine::networks::{
 };
 use streamshed_engine::network::QueryNetwork;
 use streamshed_engine::sim::{SimConfig, Simulator};
-use streamshed_engine::telemetry::{InstrumentedHook, SharedRecorder};
+use streamshed_engine::spans::{ProfileSnapshot, SpanRegistry, Stage, DEFAULT_SAMPLE_EVERY};
+use streamshed_engine::telemetry::{ControlTrace, InstrumentedHook, SharedRecorder};
 use streamshed_engine::time::{micros, secs, SimTime};
 use streamshed_workload::{to_micros, WorkloadKind};
 
-/// Simulated length of every campaign cell, seconds. Shorter than the
-/// fault matrix's 200 s — the campaign trades per-cell depth for grid
-/// breadth — but still a whole number of 1 s control periods (the
-/// conservation identity is exact only then). Recoverable fault windows
-/// close by 70 s, leaving ≥ 50 s of recovery tail; sensor-blinding
-/// faults persist to the end of the run so the tail measures the loop
-/// *under* the fault (see [`plan_for`]).
+/// Simulated length of every campaign cell, seconds: a whole number of
+/// 1 s control periods (the conservation identity is exact only then).
+/// Recoverable fault windows close by 70 s, leaving ≥ 50 s of recovery
+/// tail; sensor-blinding faults persist to the end of the run so the
+/// tail measures the loop *under* the fault (see [`plan_for`]).
 pub const DURATION_S: u64 = 120;
 
 /// Offered load relative to each topology's processing capacity. Every
@@ -71,8 +73,7 @@ pub const OVERLOAD: f64 = 1.6;
 /// Periods of the recovery tail the bounded-delay invariant averages.
 pub const TAIL_PERIODS: usize = 20;
 
-/// The bounded-delay invariant's tail bound, seconds (target is 2 s;
-/// the fault matrix uses the same recovery bound).
+/// The bounded-delay invariant's tail bound, seconds (target is 2 s).
 pub const TAIL_BOUND_S: f64 = 8.0;
 
 /// Every Nth cell of a selection is re-run for the replay invariant.
@@ -86,9 +87,9 @@ pub const STRESS_CELLS: usize = 192;
 /// backstop against a wedged scenario, not a pacing mechanism.
 pub const CELL_TIMEOUT: Duration = Duration::from_secs(240);
 
-/// Fault axis of the grid: the full fault-matrix catalogue
-/// ([`crate::faults::SCENARIOS`]) plus two compound faults built with
-/// [`FaultPlan::merge`].
+/// Fault axis of the grid, and the one fault catalogue: ten single
+/// faults plus two compound faults built with [`FaultPlan::merge`]. The
+/// `faults` figure reads its matrix out of these cells.
 pub const FAULTS: &[&str] = &[
     "clean",
     "stale_q",
@@ -318,6 +319,11 @@ pub fn select_cells(lane: &str, seed: u64, filter: Option<&str>) -> Vec<CellSpec
             other => panic!("unknown lane '{other}' (sanity | stress | full)"),
         },
     }
+}
+
+/// The grid cell with exactly this key, if any.
+pub fn cell(key: &str) -> Option<CellSpec> {
+    full_grid().into_iter().find(|c| c.key() == key)
 }
 
 /// Counters and post-hoc diagnostics of one shard's run within a cell.
@@ -652,9 +658,69 @@ pub fn plan_for(fault: &str, seed: u64) -> FaultPlan {
     }
 }
 
-/// Runs one shard of a cell and collects its counters + post-hoc
-/// diagnostics. Pure virtual time; byte-deterministic in `seed`.
-fn run_shard(spec: &CellSpec, seed: u64, sabotage: bool) -> ShardRunStats {
+/// One shard's raw run: the engine report, every period's control trace
+/// and the latency truth plane's profile. [`ShardRun::stats`] derives
+/// the campaign's counters from it; `reproduce trace` exports the traces.
+#[derive(Debug, Clone)]
+pub struct ShardRun {
+    /// The engine's own run report.
+    pub report: RunReport,
+    /// One record per control period, in period order.
+    pub traces: Vec<ControlTrace>,
+    /// The sampled span profile (sojourns and their stage times).
+    pub spans: ProfileSnapshot,
+}
+
+impl ShardRun {
+    /// The shard's counters and post-hoc diagnostics.
+    pub fn stats(&self) -> ShardRunStats {
+        let report = &self.report;
+        // Post-hoc diagnostics: feed the recorded trace through a fresh
+        // classifier. The campaign's breadth (every workload family at
+        // 1.6× overload, including heavy-tailed Pareto bursts and the 2×
+        // cost-trace peak) needs the detuned post-hoc gates, not the live
+        // monitor's. The sabotage drill stays caught regardless — a bare
+        // loop at 1.6× overload diverges for the whole run, far past them.
+        // Every controller shares the paper's target delay.
+        let target = LoopConfig::paper_default().target_delay();
+        let mut health = ControllerHealth::new(DiagnosticsConfig::post_hoc(
+            Duration::from_micros(target.as_micros()),
+        ));
+        for t in &self.traces {
+            let _ = health.observe(t);
+        }
+        let snap = health.snapshot();
+
+        let prof = &self.spans;
+        let ring = &prof.stages[Stage::RingWait.index()];
+        let exec = &prof.stages[Stage::Execute.index()];
+
+        ShardRunStats {
+            offered: report.offered,
+            dropped_entry: report.dropped_entry,
+            dropped_network: report.dropped_network,
+            completed: report.completed,
+            outstanding: report.outstanding_at_end(),
+            residual: report.conservation_residual(),
+            tail_delay_s: tail_delay_s(report, TAIL_PERIODS),
+            violation_s: report.accumulated_violation_ms / 1e3,
+            periods: snap.periods,
+            faulted_periods: snap.faulted_periods,
+            anomalies: snap.anomalies,
+            healthy_fraction: snap.healthy_fraction(),
+            span_samples: prof.sojourn.count(),
+            span_sojourn_ns: prof.sojourn.sum(),
+            span_stage_ns: ring.sum() + exec.sum(),
+            span_counts_equal: ring.count() == prof.sojourn.count()
+                && exec.count() == prof.sojourn.count(),
+        }
+    }
+}
+
+/// Simulates one shard of a cell with the telemetry recorder and the
+/// latency truth plane engaged. Pure virtual time; byte-deterministic in
+/// `seed`.
+fn simulate_shard(spec: &CellSpec, seed: u64, sabotage: bool) -> ShardRun {
     let loop_cfg = match spec.control {
         "netshed" => LoopConfig::paper_default().with_shed_mode(ShedMode::Network),
         _ => LoopConfig::paper_default(),
@@ -687,16 +753,16 @@ fn run_shard(spec: &CellSpec, seed: u64, sabotage: bool) -> ShardRunStats {
     }
 
     let plan = plan_for(spec.fault, seed);
+    // Sized for every period of the run: the trace replay exports it all.
     let recorder = SharedRecorder::with_capacity(DURATION_S as usize + 8);
     // Latency truth plane: sampled sojourns must decompose exactly into
     // ring_wait + execute in virtual time (the span_conservation
     // invariant). Sampling is a pure function of the admission count,
     // so this keeps the cell byte-deterministic.
-    let spans = streamshed_engine::spans::SpanRegistry::new();
-    let sim = Simulator::new(net, sim_cfg).with_telemetry(recorder.clone()).with_spans(
-        spans.handle("sim"),
-        streamshed_engine::spans::DEFAULT_SAMPLE_EVERY,
-    );
+    let spans = SpanRegistry::new();
+    let sim = Simulator::new(net, sim_cfg)
+        .with_telemetry(recorder.clone())
+        .with_spans(spans.handle("sim"), DEFAULT_SAMPLE_EVERY);
     // Sabotage mode (used by the harness's own self-test and the CI
     // regression drill): silently run the *bare* loop where the cell
     // says paper tuning — the bounded-delay invariant must catch it.
@@ -717,50 +783,18 @@ fn run_shard(spec: &CellSpec, seed: u64, sabotage: bool) -> ShardRunStats {
         (false, _) => Box::new(FaultyHook::new(CtrlStrategy::from_config(&loop_cfg), plan)),
     };
     let report = sim.run(&arrivals, hook.as_mut(), secs(DURATION_S));
-
-    // Post-hoc diagnostics: feed the recorded trace through a fresh
-    // classifier. The campaign's breadth (every workload family at 1.6×
-    // overload, including heavy-tailed Pareto bursts and the 2×
-    // cost-trace peak) needs the detuned post-hoc gates, not the live
-    // monitor's. The sabotage drill stays caught regardless — a bare
-    // loop at 1.6× overload diverges for the whole run, far past them.
-    let mut health = ControllerHealth::new(DiagnosticsConfig::post_hoc(Duration::from_micros(
-        loop_cfg.target_delay().as_micros(),
-    )));
-    for t in &recorder.snapshot() {
-        let _ = health.observe(t);
-    }
-    let snap = health.snapshot();
-
-    let prof = spans.snapshot();
-    let ring = &prof.stages[streamshed_engine::spans::Stage::RingWait.index()];
-    let exec = &prof.stages[streamshed_engine::spans::Stage::Execute.index()];
-
-    ShardRunStats {
-        offered: report.offered,
-        dropped_entry: report.dropped_entry,
-        dropped_network: report.dropped_network,
-        completed: report.completed,
-        outstanding: report.outstanding_at_end(),
-        residual: report.conservation_residual(),
-        tail_delay_s: tail_delay_s(&report, TAIL_PERIODS),
-        violation_s: report.accumulated_violation_ms / 1e3,
-        periods: snap.periods,
-        faulted_periods: snap.faulted_periods,
-        anomalies: snap.anomalies,
-        healthy_fraction: snap.healthy_fraction(),
-        span_samples: prof.sojourn.count(),
-        span_sojourn_ns: prof.sojourn.sum(),
-        span_stage_ns: ring.sum() + exec.sum(),
-        span_counts_equal: ring.count() == prof.sojourn.count()
-            && exec.count() == prof.sojourn.count(),
-    }
+    ShardRun { report, traces: recorder.snapshot(), spans: spans.snapshot() }
 }
 
-/// Runs every shard of one cell.
-pub fn run_cell(spec: &CellSpec, campaign_seed: u64, sabotage: bool) -> Vec<ShardRunStats> {
+/// Simulates every shard of one cell, keeping each shard's raw run.
+pub fn simulate_cell(spec: &CellSpec, campaign_seed: u64, sabotage: bool) -> Vec<ShardRun> {
     let cs = cell_seed(campaign_seed, &spec.key());
-    (0..spec.shards).map(|i| run_shard(spec, shard_seed(cs, i), sabotage)).collect()
+    (0..spec.shards).map(|i| simulate_shard(spec, shard_seed(cs, i), sabotage)).collect()
+}
+
+/// Runs every shard of one cell and keeps only its counters.
+pub fn run_cell(spec: &CellSpec, campaign_seed: u64, sabotage: bool) -> Vec<ShardRunStats> {
+    simulate_cell(spec, campaign_seed, sabotage).iter().map(ShardRun::stats).collect()
 }
 
 /// Evaluates the invariant library against one completed cell.
@@ -804,9 +838,6 @@ pub struct CellOutcome {
     pub digest: String,
     /// One-line command that replays exactly this cell.
     pub replay: String,
-    /// One-line deep-telemetry replay of the cell's fault scenario, when
-    /// the fault is part of the canonical trace catalogue.
-    pub trace_replay: Option<String>,
     /// Per-shard counters and diagnostics.
     pub shards: Vec<ShardRunStats>,
 }
@@ -823,7 +854,6 @@ impl ToJson for CellOutcome {
             "invariants": self.invariants,
             "digest": self.digest,
             "replay": self.replay,
-            "trace_replay": self.trace_replay,
             "shards": self.shards,
         })
     }
@@ -892,9 +922,10 @@ impl CampaignResult {
         for r in self.results.iter().filter(|r| r.status != "pass") {
             let what = if r.failed.is_empty() { r.status.clone() } else { r.failed.join(",") };
             out.push_str(&format!("{} | {} | {} | {}\n", r.key, r.seed, what, r.replay));
-            if let Some(tr) = &r.trace_replay {
-                out.push_str(&format!("    deep trace: {tr}\n"));
-            }
+            out.push_str(&format!(
+                "    deep trace: reproduce trace --cell '{}' --seed {}\n",
+                r.key, self.seed
+            ));
             for inv in r.invariants.iter().filter(|i| !i.passed) {
                 out.push_str(&format!("    {}: {}\n", inv.name, inv.detail));
             }
@@ -946,9 +977,6 @@ pub fn run_campaign(
         let key = spec.key();
         let cs = cell_seed(seed, &key);
         let replay = format!("reproduce campaign --filter '{key}' --seed {seed}");
-        let trace_replay = (crate::faults::SCENARIOS.contains(&spec.fault)
-            && spec.topo == "ident")
-            .then(|| format!("reproduce trace --scenario {} --seed {cs}", spec.fault));
         let cell = match outcome {
             TaskOutcome::Done((shards, replay_digest)) => {
                 let invariants = evaluate_cell(spec, &shards, replay_digest);
@@ -966,7 +994,6 @@ pub fn run_campaign(
                     invariants,
                     digest: format!("{:#018x}", digest_shards(&shards)),
                     replay,
-                    trace_replay,
                     shards,
                 }
             }
@@ -978,7 +1005,6 @@ pub fn run_campaign(
                 invariants: vec![InvariantResult::fail("panic", msg)],
                 digest: String::new(),
                 replay,
-                trace_replay,
                 shards: Vec::new(),
             },
             TaskOutcome::TimedOut => CellOutcome {
@@ -992,7 +1018,6 @@ pub fn run_campaign(
                 )],
                 digest: String::new(),
                 replay,
-                trace_replay,
                 shards: Vec::new(),
             },
         };
@@ -1056,12 +1081,8 @@ mod tests {
     }
 
     #[test]
-    fn campaign_faults_extend_the_trace_catalogue() {
-        for s in crate::faults::SCENARIOS {
-            assert!(FAULTS.contains(s), "campaign grid lost fault '{s}'");
-        }
+    fn compound_faults_carry_both_fault_classes() {
         assert!(FAULTS.contains(&"stale_partial") && FAULTS.contains(&"dropout_flood"));
-        // Compounds really carry both fault classes.
         let plan = plan_for("stale_partial", 3);
         assert_eq!(plan.windows().len(), 2);
     }
@@ -1335,7 +1356,10 @@ mod tests {
             table.contains("reproduce campaign --filter 'poisson+stale_q+ident+1shard+paper' --seed 7"),
             "{table}"
         );
-        assert!(table.contains("reproduce trace --scenario stale_q --seed"), "{table}");
+        assert!(
+            table.contains("reproduce trace --cell 'poisson+stale_q+ident+1shard+paper' --seed 7"),
+            "{table}"
+        );
         let json = result.to_json();
         assert!(json.contains("\"status\": \"fail\""), "{json}");
     }

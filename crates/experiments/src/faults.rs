@@ -1,138 +1,36 @@
-//! Robustness extension: the fault-injection scenario matrix.
+//! Robustness extension: the fault-injection matrix.
 //!
-//! The paper evaluates CTRL under hostile *workloads*; this experiment
+//! The paper evaluates CTRL under hostile *workloads*; this figure
 //! evaluates it under hostile *loop conditions* — broken sensors,
 //! corrupted cost measurements, misbehaving actuators, operator stalls,
 //! period jitter, and flash floods — and shows what the supervisory layer
-//! ([`Supervisor`]) buys.
+//! ([`Supervisor`](streamshed_control::supervisor::Supervisor)) buys.
 //!
-//! Each scenario runs twice over the same 200 s, 300 t/s overload (the
-//! identification network saturates at ≈190 t/s): once with bare CTRL and
-//! once with CTRL wrapped in the supervisor, both behind the *same*
-//! seeded [`FaultyHook`]. The headline metric is the accumulated delay
-//! violation Σ(y − yd)⁺: for fault classes that blind the virtual-queue
-//! estimator (stale `q(k)`, sensor dropout, cost collapse) the bare loop
-//! admits far over capacity and the violation explodes, while the
-//! supervisor's watchdog falls back to open-loop capacity matching and
-//! keeps it bounded.
+//! The figure is a read-out of the campaign: for every fault in
+//! [`campaign::FAULTS`] it runs the cells
+//! `poisson+<fault>+ident+1shard+{nosup,paper}` — bare CTRL and CTRL
+//! wrapped in the supervisor, both behind the *same* seeded fault plan —
+//! so `reproduce campaign --filter <key> --seed <seed>` and
+//! `reproduce trace --cell <key> --seed <seed>` replay any point of it.
+//! The headline metric is the accumulated delay violation Σ(y − yd)⁺: for
+//! fault classes that blind the virtual-queue estimator (stale `q(k)`,
+//! sensor dropout, cost collapse) the bare loop admits far over capacity
+//! and the violation explodes, while the supervisor's watchdog falls back
+//! to open-loop capacity matching and keeps it bounded.
 
+use crate::campaign::{self, CellSpec, ShardRunStats};
 use crate::{FigureResult, Series};
-use streamshed_control::loop_::LoopConfig;
-use streamshed_control::strategy::CtrlStrategy;
-use streamshed_control::supervisor::Supervisor;
-use streamshed_engine::faults::{
-    inject_flash_flood, stall_schedule, FaultKind, FaultPlan, FaultWindow, FaultyHook,
-};
-use streamshed_engine::metrics::RunReport;
-use streamshed_engine::networks::identification_network;
-use streamshed_engine::sim::{SimConfig, Simulator};
-use streamshed_engine::time::{secs, SimTime};
-use streamshed_workload::{to_micros, ArrivalTrace, StepTrace};
+use streamshed_workload::WorkloadKind;
 
-/// Run length of every scenario cell (seconds). Shared with
-/// [`crate::trace`] so a traced replay sees the identical workload.
-pub const DURATION_S: u64 = 200;
-const RATE_TPS: f64 = 300.0;
-
-/// The scenario keys of the matrix, in display order.
-pub const SCENARIOS: &[&str] = &[
-    "clean",
-    "stale_q",
-    "sensor_dropout",
-    "cost_nan",
-    "cost_collapse",
-    "actuator_hold",
-    "actuator_partial",
-    "flash_flood",
-    "stall",
-    "jitter",
-];
-
-/// The fault plan for one scenario key.
-pub fn plan_for(key: &str, seed: u64) -> FaultPlan {
-    let plan = FaultPlan::new(seed);
-    match key {
-        // Freeze the queue reading from the very start of the run, while
-        // the queue is still small: the controller believes the system is
-        // underloaded forever — the worst case for a virtual-queue loop.
-        "stale_q" => plan.with(FaultWindow::new(FaultKind::StaleQueue, 1, 120)),
-        "sensor_dropout" => plan.with(FaultWindow::new(FaultKind::SensorDropout, 1, 120)),
-        "cost_nan" => plan.with(FaultWindow::new(FaultKind::CostNan, 60, 140)),
-        // A 20× downward cost spike: the estimator is told tuples are
-        // almost free, so the loop under-sheds.
-        "cost_collapse" => {
-            plan.with(FaultWindow::new(FaultKind::CostSpike { factor: 0.05 }, 60, 140))
-        }
-        "actuator_hold" => plan.with(FaultWindow::new(FaultKind::ActuatorIgnore, 60, 140)),
-        "actuator_partial" => plan.with(FaultWindow::new(
-            FaultKind::ActuatorPartial { applied: 0.5 },
-            60,
-            140,
-        )),
-        "jitter" => plan.with(FaultWindow::new(FaultKind::PeriodJitter { factor: 2.0 }, 60, 140)),
-        // "clean", "flash_flood" and "stall" inject nothing at the hook;
-        // the latter two perturb the plant instead (arrivals / cost
-        // schedule).
-        _ => plan,
-    }
+/// The single shard of the `poisson+<fault>+ident+1shard+<control>` cell.
+fn cell(fault: &'static str, control: &'static str, seed: u64) -> ShardRunStats {
+    let spec =
+        CellSpec { workload: WorkloadKind::Poisson, fault, topo: "ident", shards: 1, control };
+    campaign::run_cell(&spec, seed, false).remove(0)
 }
 
-/// The simulator configuration for one scenario (the `stall` scenario
-/// perturbs the plant through a cost schedule rather than the hook).
-pub fn scenario_sim_config(key: &str, seed: u64) -> SimConfig {
-    let loop_cfg = LoopConfig::paper_default();
-    let mut sim_cfg = SimConfig::paper_default()
-        .with_period(loop_cfg.period())
-        .with_target_delay(loop_cfg.target_delay())
-        .with_seed(seed);
-    if key == "stall" {
-        // An operator stalls (6× cost) for 40 s.
-        sim_cfg = sim_cfg.with_cost_schedule(stall_schedule(&[(100.0, 140.0, 6.0)]));
-    }
-    sim_cfg
-}
-
-/// The arrival instants for one scenario (the `flash_flood` scenario
-/// injects a burst on top of the base rate).
-pub fn scenario_arrivals(key: &str, seed: u64) -> Vec<SimTime> {
-    let times = StepTrace::constant(RATE_TPS).arrival_times(DURATION_S as f64);
-    let mut arrivals: Vec<SimTime> = to_micros(&times).into_iter().map(SimTime).collect();
-    if key == "flash_flood" {
-        // +300 t/s on top of the base rate for 10 s.
-        inject_flash_flood(&mut arrivals, 100.0, 110.0, 3000, seed);
-    }
-    arrivals
-}
-
-/// Runs one (scenario, strategy) cell and returns the engine report.
-fn run_cell(key: &str, supervised: bool, seed: u64) -> RunReport {
-    let loop_cfg = LoopConfig::paper_default();
-    let sim_cfg = scenario_sim_config(key, seed);
-    let arrivals = scenario_arrivals(key, seed);
-    let plan = plan_for(key, seed);
-    let sim = Simulator::new(identification_network(), sim_cfg);
-    if supervised {
-        let strategy = Supervisor::from_loop(CtrlStrategy::from_config(&loop_cfg), &loop_cfg);
-        let mut hook = FaultyHook::new(strategy, plan);
-        sim.run(&arrivals, &mut hook, secs(DURATION_S))
-    } else {
-        let mut hook = FaultyHook::new(CtrlStrategy::from_config(&loop_cfg), plan);
-        sim.run(&arrivals, &mut hook, secs(DURATION_S))
-    }
-}
-
-/// Mean true delay (s) over the final `n` periods — the "did it recover"
-/// metric.
-fn tail_delay_s(report: &RunReport, n: usize) -> f64 {
-    let vals: Vec<f64> = report
-        .periods
-        .iter()
-        .rev()
-        .take(n)
-        .map(|p| p.arrival_mean_delay_ms / 1e3)
-        .filter(|d| d.is_finite())
-        .collect();
-    vals.iter().sum::<f64>() / vals.len().max(1) as f64
+fn loss(s: &ShardRunStats) -> f64 {
+    (s.dropped_entry + s.dropped_network) as f64 / s.offered.max(1) as f64
 }
 
 /// Runs the fault matrix.
@@ -141,25 +39,28 @@ pub fn run(seed: u64) -> FigureResult {
     let mut series_sup = Vec::new();
     let mut summary = Vec::new();
     let mut notes = vec![
-        "scenario indices: ".to_string() + &SCENARIOS.join(", "),
-        "violation metric: accumulated Σ(y − yd)⁺ in tuple-seconds over a \
-         200 s, 300 t/s overload (capacity ≈ 190 t/s)"
-            .into(),
+        "scenario indices: ".to_string() + &campaign::FAULTS.join(", "),
+        format!(
+            "violation metric: accumulated Σ(y − yd)⁺ in tuple-seconds over the \
+             campaign's {} s, {}× Poisson overload of the identification network \
+             (cells poisson+<fault>+ident+1shard+{{nosup,paper}})",
+            campaign::DURATION_S,
+            campaign::OVERLOAD
+        ),
     ];
 
-    for (i, &key) in SCENARIOS.iter().enumerate() {
-        let ctrl = run_cell(key, false, seed);
-        let sup = run_cell(key, true, seed);
-        let v_ctrl = ctrl.accumulated_violation_ms / 1e3;
-        let v_sup = sup.accumulated_violation_ms / 1e3;
+    for (i, &key) in campaign::FAULTS.iter().enumerate() {
+        let ctrl = cell(key, "nosup", seed);
+        let sup = cell(key, "paper", seed);
+        let (v_ctrl, v_sup) = (ctrl.violation_s, sup.violation_s);
         series_ctrl.push((i as f64, v_ctrl));
         series_sup.push((i as f64, v_sup));
         summary.push((format!("{key}/CTRL:violation_s"), v_ctrl));
         summary.push((format!("{key}/SUP:violation_s"), v_sup));
-        summary.push((format!("{key}/CTRL:loss"), ctrl.loss_ratio()));
-        summary.push((format!("{key}/SUP:loss"), sup.loss_ratio()));
-        summary.push((format!("{key}/CTRL:tail_delay_s"), tail_delay_s(&ctrl, 20)));
-        summary.push((format!("{key}/SUP:tail_delay_s"), tail_delay_s(&sup, 20)));
+        summary.push((format!("{key}/CTRL:loss"), loss(&ctrl)));
+        summary.push((format!("{key}/SUP:loss"), loss(&sup)));
+        summary.push((format!("{key}/CTRL:tail_delay_s"), ctrl.tail_delay_s));
+        summary.push((format!("{key}/SUP:tail_delay_s"), sup.tail_delay_s));
         summary.push((
             format!("{key}:violation_ratio"),
             if v_sup > 1e-9 { v_ctrl / v_sup } else { f64::INFINITY },
@@ -173,9 +74,10 @@ pub fn run(seed: u64) -> FigureResult {
             .into(),
     );
     notes.push(
-        "cost_nan, actuator faults, flash floods and stalls are absorbed \
-         by the existing feedback design — the supervisor must (and does) \
-         stay out of the way"
+        "cost_nan, actuator_partial, flash floods, stalls and jitter are \
+         absorbed by the existing feedback design — the supervisor must \
+         (and does) stay out of the way; actuator_hold freezes whatever α \
+         is live when its window opens, so its outcome swings with the seed"
             .into(),
     );
 
@@ -211,7 +113,7 @@ mod tests {
         // Reference scale: the clean run's violation (start-up transient
         // of a permanently overloaded system).
         let clean = get(&fig, "clean/SUP:violation_s").max(1.0);
-        for key in SCENARIOS {
+        for key in campaign::FAULTS {
             let v = get(&fig, &format!("{key}/SUP:violation_s"));
             assert!(
                 v < 60.0 * clean,

@@ -22,9 +22,10 @@
 //! | [`fig19`] | control-period sweep 31.25 ms – 8 s |
 //! | [`overhead`] | §5.1 controller computational overhead |
 //!
-//! Beyond the paper's figures, [`faults`] runs the robustness fault
-//! matrix, [`trace`] replays one of its scenarios with the full
-//! telemetry stack engaged (`reproduce trace --scenario <key>`), and
+//! Beyond the paper's figures, [`faults`] reads the robustness fault
+//! matrix out of the campaign's single-shard identification-network
+//! cells, [`trace`] replays any campaign cell with every shard's
+//! control-loop trace kept (`reproduce trace --cell <key>`), and
 //! [`sharded`] demonstrates delay convergence on the wall-clock sharded
 //! data plane (`reproduce sharded`; excluded from `all` because it is
 //! wall-clock rather than virtual-time), and [`monitor`] exercises the
