@@ -5,11 +5,11 @@
 //! `reproduce campaign --filter <key> --seed <seed>` makes, counter for
 //! counter — but it keeps what the campaign folds away: each shard's
 //! [`RunReport`](streamshed_engine::metrics::RunReport) and one
-//! [`ControlTrace`] per control period (engine counters, the
-//! controller's internal signals ŷ, e, u and cost estimate, the
-//! supervisor mode, the fault flags that fired, and the hook's
-//! wall-clock cost). Exporters turn each shard's records into JSONL or
-//! CSV.
+//! [`ControlTrace`](streamshed_engine::telemetry::ControlTrace) per
+//! control period (engine counters, the controller's internal signals
+//! ŷ, e, u and cost estimate, the supervisor mode, the fault flags that
+//! fired, and the hook's wall-clock cost). Exporters turn each shard's
+//! records into JSONL or CSV.
 //!
 //! Because the trace carries per-period `completed` and `mean_delay_ms`,
 //! a shard's overall mean delay can be *reconstructed* from the trace
@@ -18,7 +18,7 @@
 //! evaluation needs (see [`TraceResult::reconstruction_error`]).
 
 use crate::campaign::{self, ShardRun};
-use streamshed_engine::telemetry::{fault_flag_names, reconstructed_mean_delay_ms, ControlTrace};
+use streamshed_engine::telemetry::{fault_flag_names, reconstructed_mean_delay_ms};
 
 /// Everything one traced replay produces.
 #[derive(Debug, Clone)]
@@ -73,7 +73,7 @@ impl TraceResult {
 }
 
 fn render_shard(out: &mut String, run: &ShardRun, error: Option<f64>) {
-    let traces: &[ControlTrace] = &run.traces;
+    let traces = &run.traces;
     out.push_str(&format!(
         "    periods traced: {} | completed: {} | loss ratio: {:.3}\n",
         traces.len(),
