@@ -1142,9 +1142,21 @@ mod tests {
         for &(flags, want) in cases {
             assert_eq!(fault_flag_names(flags), want, "flags {flags:#06x}");
         }
+    }
+
+    #[test]
+    fn fault_flags_round_trip_bit_to_name_to_bit() {
+        let bit_of = |name: &str| {
+            FAULT_FLAGS.iter().find(|(_, n)| *n == name).map(|(bit, _)| *bit).unwrap()
+        };
         for &(bit, name) in FAULT_FLAGS.iter() {
             assert_eq!(fault_flag_names(bit), name, "bit {bit:#06x}");
+            assert_eq!(bit_of(&fault_flag_names(bit)), bit, "bit {bit:#06x}");
         }
+        // A multi-bit set splits back into the bits it was rendered from.
+        let flags = FLAG_STALE_QUEUE | FLAG_PERIOD_JITTER;
+        let back = fault_flag_names(flags).split('|').fold(0, |acc, n| acc | bit_of(n));
+        assert_eq!(back, flags);
     }
 
     #[test]
