@@ -8,9 +8,10 @@
 //! so the engine behaves identically on constrained hosts — only the
 //! cache locality differs.
 //!
-//! The crate forbids unsafe code by default; this module is the single
-//! audited exception, a direct `sched_setaffinity(2)` wrapper (the
-//! vendored dependency set carries no libc binding).
+//! The crate forbids unsafe code by default; this module is one of its
+//! two audited exceptions, a direct `sched_setaffinity(2)` wrapper (the
+//! vendored dependency set carries no libc binding). The other is the
+//! single guarded call of the AVX-512 coin evaluator in `rng`.
 #![allow(unsafe_code)]
 
 /// Pins the calling thread to `core` (Linux only). Returns `true` on

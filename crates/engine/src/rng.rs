@@ -9,13 +9,22 @@
 //! matters at one-draw-per-tuple rates.
 //!
 //! Entry shedding — the paper's coin with drop probability α (Eq. 13) —
-//! has one kernel, [`AtomicShedder`], used by both engines: the
+//! has one shedder, [`AtomicShedder`], used by both engines: the
 //! simulator's admission pass and the wall-clock front door (where a
 //! `&mut` generator could not be shared by concurrent offerers). It
 //! carries its own counter-based generator — a Weyl counter through the
 //! splitmix64 finalizer (`mix64`), each mixed word cut into two 32-bit
 //! coins — chosen so that a batch of draws has no serial dependency and
 //! any split of a stream into batches makes the same decisions.
+//!
+//! The decision has one definition (coin `c` is kept iff it is at or
+//! above `⌈α·2³²⌉`) and two evaluators that produce the same 64-bit keep
+//! masks: the portable scalar `survivors_of`, and an AVX-512 one that
+//! mixes eight words per instruction, which the CPU alone selects
+//! (`is_x86_feature_detected!`). Batches shorter than two vectors and
+//! an α within 2⁻³² of 1 stay scalar. The test
+//! `avx512_evaluator_makes_the_scalar_decisions` holds the two to the
+//! same masks, whole and split, at both coin parities.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -38,10 +47,25 @@ const WEYL: u64 = 0x9E37_79B9_7F4A_7C15;
 /// 2³² — the number of distinct values a coin takes.
 const TWO_32: f64 = (1u64 << 32) as f64;
 
-/// Survivor indices [`AtomicShedder::shed_batch_each`] buffers on the
-/// stack per inner pass (the buffer is zeroed per call, so it is sized
-/// to the common frame, not to `OFFER_BATCH_MAX`).
+/// Coins one call of the AVX-512 evaluator decides, into
+/// [`SHED_CHUNK_MASKS`] 64-bit keep masks.
 const SHED_CHUNK: usize = 256;
+
+/// 64-coin keep masks per [`SHED_CHUNK`].
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+const SHED_CHUNK_MASKS: usize = SHED_CHUNK / 64;
+
+/// Coins one AVX-512 vector decides: eight mixed words of two coins each.
+const VECTOR_COINS: u64 = 16;
+
+/// The shortest batch the AVX-512 evaluator takes: two vectors. One
+/// vector's mix is two `vpmullq` latencies long, no shorter than eight
+/// pipelined scalar mixes, so a shorter batch stays scalar.
+const VECTOR_MIN_BATCH: u64 = 2 * VECTOR_COINS;
+
+/// The two multipliers of [`mix64`].
+const MIX_1: u64 = 0xBF58_476D_1CE4_E5B9;
+const MIX_2: u64 = 0x94D0_49BB_1331_11EB;
 
 /// splitmix64 finalizer: a full-avalanche bit mix. It is the output
 /// stage of [`AtomicShedder`]'s counter-based generator and the
@@ -49,9 +73,9 @@ const SHED_CHUNK: usize = 256;
 #[inline]
 pub(crate) fn mix64(mut x: u64) -> u64 {
     x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = x.wrapping_mul(MIX_1);
     x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+    x = x.wrapping_mul(MIX_2);
     x ^ (x >> 31)
 }
 
@@ -61,10 +85,14 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
 /// every integer coin. An α within 2⁻³² of 1 rounds up to 2³², above
 /// every coin — it sheds everything, which is why the threshold is a
 /// `u64`: wrapped to 32 bits it would read 0, "admit all". An α below
-/// 2⁻³² rounds up to 1, never down to "shed nothing".
+/// 2⁻³² rounds up to 1, never down to "shed nothing". The ceiling is
+/// taken through `i64` (exact: `α·2³²` < 2⁵³): `f64::ceil` is a libm
+/// call on the baseline x86-64 target.
 #[inline]
 fn coin_threshold(alpha: f64) -> u64 {
-    ((alpha * TWO_32).ceil() as u64).min(1 << 32)
+    let scaled = alpha * TWO_32;
+    let floor = scaled as i64;
+    ((floor + i64::from((floor as f64) < scaled)) as u64).min(1 << 32)
 }
 
 /// The two coins of one mixed word, in coin-index order: low half, then
@@ -74,55 +102,132 @@ fn coins_of(word: u64) -> [u64; 2] {
     [word & 0xFFFF_FFFF, word >> 32]
 }
 
-/// The decision kernel: flips coins `coin .. coin + len` (`len ≤
-/// SHED_CHUNK`) of the stream rooted at `origin` and returns how many
-/// were at or above `threshold`; those survivors' batch positions
-/// (`0..len`) are the first entries of `survivors`. Coin `c` is half
-/// `c & 1` of word `c >> 1`, and word `k` is `mix64(origin + (k+1)·WEYL)`
-/// — a function of the coin index alone, so a pass that starts on an odd
-/// coin takes the high half of a word whose low half the previous pass
-/// spent, and one that ends on an even coin leaves a high half for the
-/// next. Branch-free in the decisions: every position is written and
-/// the write cursor advances by the decision bit.
+/// The scalar evaluator, and the oracle the vector one is tested
+/// against: flips coins `coin .. coin + len` (`len ≤ 64`) of the stream
+/// rooted at `origin` and returns their keep mask — bit `j` set iff coin
+/// `coin + j` is at or above `threshold` — and the number kept. Coin `c`
+/// is half `c & 1` of word `c >> 1`, and word `k` is
+/// `mix64(origin + (k+1)·WEYL)` — a function of the coin index alone, so
+/// a pass that starts on an odd coin takes the high half of a word whose
+/// low half the previous pass spent, and one that ends on an even coin
+/// leaves a high half for the next. Branch-free in the decisions: each
+/// decision bit enters the mask at the top and shifts down (every shift
+/// but the last is by a constant), and the count is summed rather than
+/// popcounted (the baseline x86-64 target has no `popcnt`).
 ///
 /// Not generic and never inlined, so every caller runs one compiled
-/// copy: inlined, the loop's register allocation depends on what the
-/// caller's `keep` closure captures (two extra moves per draw in the
-/// keyed door).
+/// copy whatever its `keep` closure captures.
 #[inline(never)]
-fn survivors_of(
-    origin: u64,
-    coin: u64,
-    threshold: u64,
-    len: usize,
-    survivors: &mut [u16; SHED_CHUNK],
-) -> usize {
+fn survivors_of(origin: u64, coin: u64, threshold: u64, len: usize) -> (u64, u64) {
+    debug_assert!(len <= 64);
+    if len == 0 {
+        return (0, 0);
+    }
     let mut x = origin.wrapping_add((coin >> 1).wrapping_mul(WEYL));
     let mut next_word = || {
         x = x.wrapping_add(WEYL);
         mix64(x)
     };
-    let mut kept = 0usize;
-    // `kept ≤ j < SHED_CHUNK`, so the `%` never wraps: it only shows
-    // the compiler the index is in bounds.
-    let mut flip = |j: usize, coin: u64| {
-        survivors[kept % SHED_CHUNK] = j as u16;
-        kept += usize::from(coin >= threshold);
+    let (mut mask, mut kept) = (0u64, 0u64);
+    let mut flip = |coin: u64| {
+        let bit = u64::from(coin >= threshold);
+        mask = mask >> 1 | bit << 63;
+        kept += bit;
     };
-    let lead = (coin & 1) as usize & usize::from(len > 0);
+    let lead = (coin & 1) as usize;
     if lead == 1 {
-        flip(0, coins_of(next_word())[1]);
+        flip(coins_of(next_word())[1]);
     }
     let pairs = (len - lead) / 2;
-    for p in 0..pairs {
+    for _ in 0..pairs {
         let [low, high] = coins_of(next_word());
-        flip(lead + 2 * p, low);
-        flip(lead + 2 * p + 1, high);
+        flip(low);
+        flip(high);
     }
     if lead + 2 * pairs < len {
-        flip(len - 1, coins_of(next_word())[0]);
+        flip(coins_of(next_word())[0]);
     }
-    kept
+    (mask >> (64 - len), kept)
+}
+
+/// Whether the running CPU can run the AVX-512 coin evaluator. Only the
+/// CPU selects the evaluator: there is no switch to force either one.
+fn avx512_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512dq")
+            && is_x86_feature_detected!("popcnt")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The vector evaluator of the same coin stream: eight words per
+/// instruction, their sixteen 32-bit coins compared in one unsigned
+/// compare.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{MIX_1, MIX_2, SHED_CHUNK_MASKS, VECTOR_COINS, WEYL};
+    use std::arch::x86_64::*;
+
+    /// [`mix64`](super::mix64) on eight words at once (`vpmullq` for
+    /// the two multiplies).
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn mix64x8(x: __m512i) -> __m512i {
+        let x = _mm512_xor_si512(x, _mm512_srli_epi64::<30>(x));
+        let x = _mm512_mullo_epi64(x, _mm512_set1_epi64(MIX_1 as i64));
+        let x = _mm512_xor_si512(x, _mm512_srli_epi64::<27>(x));
+        let x = _mm512_mullo_epi64(x, _mm512_set1_epi64(MIX_2 as i64));
+        _mm512_xor_si512(x, _mm512_srli_epi64::<31>(x))
+    }
+
+    /// Keep masks of coins `coin .. coin + len` (`len ≤ SHED_CHUNK`),
+    /// bit `b` of `masks[m]` deciding coin `coin + 64·m + b` exactly as
+    /// [`survivors_of`](super::survivors_of) does, and their number of
+    /// set bits. Lane `j` of vector `v` holds word `(coin >> 1) + 8v + j`,
+    /// so its u32 lanes are coins in index order and the compare's
+    /// 16-bit mask is their keep bits. An odd `coin` is the high half of
+    /// word `coin >> 1`: the `⌈(lead + len)/16⌉` vectors decide one
+    /// `lead` coin more, and the masks laid end to end shift down by it.
+    #[target_feature(enable = "avx512f,avx512dq,popcnt")]
+    pub(super) fn keep_masks(
+        origin: u64,
+        coin: u64,
+        threshold: u32,
+        len: usize,
+        masks: &mut [u64; SHED_CHUNK_MASKS],
+    ) -> u64 {
+        const STEP: usize = VECTOR_COINS as usize;
+        let lead = (coin & 1) as usize;
+        let coins = lead + len;
+        let weyl = |k: u64| WEYL.wrapping_mul(k) as i64;
+        let first = origin.wrapping_add((coin >> 1).wrapping_mul(WEYL)) as i64;
+        let [l1, l2, l3, l4, l5, l6, l7, l8] = [1, 2, 3, 4, 5, 6, 7, 8].map(weyl);
+        let mut x = _mm512_add_epi64(
+            _mm512_set1_epi64(first),
+            _mm512_setr_epi64(l1, l2, l3, l4, l5, l6, l7, l8),
+        );
+        let stride = _mm512_set1_epi64(weyl(8));
+        let threshold = _mm512_set1_epi32(threshold as i32);
+        let mut raw = [0u64; SHED_CHUNK_MASKS + 1];
+        for v in 0..coins.div_ceil(STEP) {
+            // Lanes past the pass's last coin stay 0.
+            let live = (0xFFFF_u32 >> (STEP - (coins - STEP * v).min(STEP))) as u16;
+            let kept = _mm512_mask_cmpge_epu32_mask(live, mix64x8(x), threshold);
+            raw[v / 4] |= u64::from(kept) << (STEP * (v % 4));
+            x = _mm512_add_epi64(x, stride);
+        }
+        let mut kept = 0;
+        for (m, mask) in masks.iter_mut().enumerate() {
+            *mask = raw[m] >> lead | raw[m + 1] << 1 << (63 - lead);
+            kept += u64::from(mask.count_ones());
+        }
+        kept
+    }
 }
 
 /// The entry shedder of both engines — lock-free, so the wall clock's
@@ -133,12 +238,13 @@ fn survivors_of(
 /// coin beside an immutable origin (the mixed seed), coin `c` is the low
 /// (`c` even) or high (`c` odd) 32 bits of word `c >> 1`, and word `k`
 /// is `mix64(origin + (k+1)·WEYL)` — a function of the index alone, not
-/// of the draw before it. Consecutive words of a batch pass are
-/// therefore linked only by a one-cycle add (the CPU pipelines the mixes
-/// of a whole batch); the pass loads the index once and stores `c + n`
-/// back once, so splitting a stream into batches of any sizes, odd ones
-/// included, makes the identical decision sequence. 32 bits resolve α to
-/// 2⁻³², far below what the controller commands or a run could observe.
+/// of the draw before it. The words of a pass therefore do not wait on
+/// each other (the CPU pipelines the scalar mixes, and the AVX-512
+/// evaluator mixes eight per instruction); the pass loads the index
+/// once and stores `c + n` back once, so splitting a stream into batches
+/// of any sizes, odd ones included, makes the identical decision
+/// sequence. 32 bits resolve α to 2⁻³², far below what the controller
+/// commands or a run could observe.
 ///
 /// The index uses relaxed load/store — concurrent offerers can reuse a
 /// stretch of it, which perturbs the realised drop rate far less than
@@ -147,6 +253,8 @@ fn survivors_of(
 pub struct AtomicShedder {
     origin: u64,
     coin: AtomicU64,
+    /// The CPU runs the AVX-512 evaluator.
+    avx512: bool,
 }
 
 impl AtomicShedder {
@@ -159,21 +267,21 @@ impl AtomicShedder {
         Self {
             origin: mix64(seed),
             coin: AtomicU64::new(0),
+            avx512: avx512_detected(),
         }
     }
 
     /// Decides the fate of a batch of `n` arrivals under drop
     /// probability `alpha` in **one pass**, returning the number to
-    /// drop. The coin index is loaded once and stored back once, the
-    /// `⌈n/2⌉` mixes are mutually independent and the threshold is
-    /// computed once.
+    /// drop. The coin index is loaded once and stored back once and the
+    /// threshold is computed once; the keep masks are only counted.
     ///
     /// Positions of the drops within the batch are not reported: at the
     /// front door a batch is a run of identical anonymous tuples, so
     /// only the count matters. Keyed batches use
     /// [`shed_batch_each`](Self::shed_batch_each).
     pub fn shed_batch(&self, alpha: f64, n: u64) -> u64 {
-        self.shed_batch_each(alpha, n, |_| {})
+        self.pass(alpha, n, |_, _| {})
     }
 
     /// Batch decision that also reports each *admitted* position (for
@@ -181,36 +289,69 @@ impl AtomicShedder {
     /// grouping). Calls `keep(i)` for every admitted index `i < n`, in
     /// order; returns the number dropped.
     ///
-    /// `keep` runs over each chunk's survivor list alone instead of
-    /// behind an unpredictable per-arrival branch.
+    /// `keep` runs over each keep mask's set bits alone (one
+    /// `trailing_zeros` per survivor) instead of behind an unpredictable
+    /// per-arrival branch.
     pub fn shed_batch_each(&self, alpha: f64, n: u64, mut keep: impl FnMut(usize)) -> u64 {
+        self.pass(alpha, n, |base, mut mask| {
+            while mask != 0 {
+                keep(base + mask.trailing_zeros() as usize);
+                mask &= mask - 1;
+            }
+        })
+    }
+
+    /// One pass over `n` arrivals: calls `visit(base, mask)` with each
+    /// keep mask, bit `b` deciding position `base + b`, in order, and
+    /// returns the number dropped. α ≤ 0 keeps all and α ≥ 1 (or NaN,
+    /// which fails closed: a corrupt command sheds rather than floods)
+    /// drops all without consuming coins. The AVX-512 evaluator decides
+    /// in chunks of [`SHED_CHUNK`] when the CPU has it; a batch shorter
+    /// than [`VECTOR_MIN_BATCH`], and the threshold 2³² of an α within
+    /// 2⁻³² of 1, which does not fit the vector's 32-bit compare, stay
+    /// on [`survivors_of`], 64 coins per call.
+    fn pass(&self, alpha: f64, n: u64, mut visit: impl FnMut(usize, u64)) -> u64 {
         if alpha <= 0.0 {
-            for i in 0..n {
-                keep(i as usize);
+            for base in (0..n).step_by(64) {
+                visit(base as usize, u64::MAX >> (64 - (n - base).min(64)));
             }
             return 0;
         }
-        // NaN fails closed: a corrupt command sheds rather than floods.
         if alpha >= 1.0 || alpha.is_nan() {
             return n;
         }
         let threshold = coin_threshold(alpha);
         let coin = self.coin.load(Ordering::Relaxed);
-        let mut survivors = [0u16; SHED_CHUNK];
-        let mut kept_total = 0u64;
-        let mut base = 0u64;
-        while base < n {
-            let len = (n - base).min(SHED_CHUNK as u64) as usize;
-            let at = coin.wrapping_add(base);
-            let kept = survivors_of(self.origin, at, threshold, len, &mut survivors);
-            for &j in &survivors[..kept] {
-                keep(base as usize + j as usize);
+        let mut kept = 0u64;
+        if self.avx512 && n >= VECTOR_MIN_BATCH && threshold < 1 << 32 {
+            #[cfg(target_arch = "x86_64")]
+            for base in (0..n).step_by(SHED_CHUNK) {
+                let len = (n - base).min(SHED_CHUNK as u64) as usize;
+                let mut masks = [0u64; SHED_CHUNK_MASKS];
+                let at = coin.wrapping_add(base);
+                // SAFETY: the private `self.avx512` is only set true from
+                // `avx512_detected()`: the running CPU has every target
+                // feature the evaluator is compiled for.
+                #[allow(unsafe_code)]
+                let chunk_kept = unsafe {
+                    avx512::keep_masks(self.origin, at, threshold as u32, len, &mut masks)
+                };
+                kept += chunk_kept;
+                for (m, &mask) in masks.iter().enumerate().take(len.div_ceil(64)) {
+                    visit(base as usize + 64 * m, mask);
+                }
             }
-            kept_total += kept as u64;
-            base += len as u64;
+        } else {
+            for base in (0..n).step_by(64) {
+                let len = (n - base).min(64) as usize;
+                let at = coin.wrapping_add(base);
+                let (mask, mask_kept) = survivors_of(self.origin, at, threshold, len);
+                kept += mask_kept;
+                visit(base as usize, mask);
+            }
         }
         self.coin.store(coin.wrapping_add(n), Ordering::Relaxed);
-        n - kept_total
+        n - kept
     }
 }
 
@@ -296,6 +437,72 @@ mod tests {
                 "alpha {alpha}"
             );
             assert_eq!(whole.shed_batch(alpha, 5_000), split.shed_batch(alpha, 5_000));
+        }
+    }
+
+    #[test]
+    fn avx512_evaluator_makes_the_scalar_decisions() {
+        // The gate for identical decisions: every keep mask the AVX-512
+        // evaluator produces equals `survivors_of`'s. One stream per seed
+        // and α is decided three ways — by the scalar evaluator in one
+        // pass (the oracle), and by the CPU's evaluator in one pass and
+        // split into batches of every size 0..=2·SHED_CHUNK+1. Σ sizes is
+        // odd, so the second round of sizes starts each size on the other
+        // coin parity; the split's last chunks run the vector kernel at
+        // every length 1..=SHED_CHUNK. 1 − 2⁻³³ is the 2³² threshold,
+        // which stays scalar.
+        let vector = avx512_detected();
+        if vector {
+            println!("rng differential: AVX-512 evaluator against the scalar one");
+        } else {
+            println!(
+                "rng differential: scalar only (no AVX-512 on this CPU; \
+                 the vector evaluator is unmeasured)"
+            );
+        }
+        assert_eq!(AtomicShedder::new(0).avx512, vector);
+        let masks = |s: AtomicShedder, alpha: f64, n: usize| {
+            let mut seen = Vec::new();
+            s.pass(alpha, n as u64, |base, mask| seen.push((base, mask)));
+            seen
+        };
+        let scalar = |seed: u64| AtomicShedder { avx512: false, ..AtomicShedder::new(seed) };
+        let sizes: Vec<usize> = (0..=2 * SHED_CHUNK + 1).collect();
+        let n = 2 * sizes.iter().sum::<usize>();
+        assert_eq!(n / 2 % 2, 1);
+        let tiny = 2f64.powi(-33);
+        for seed in 0..32 {
+            for alpha in [tiny, 1e-9, 0.01, 0.5, 0.9, 0.999, 1.0 - tiny] {
+                let oracle = masks(scalar(seed), alpha, n);
+                assert!(
+                    masks(AtomicShedder::new(seed), alpha, n) == oracle,
+                    "seed {seed} alpha {alpha}: one pass differs"
+                );
+                let dropped: Vec<bool> =
+                    (0..n).map(|i| oracle[i / 64].1 >> (i % 64) & 1 == 0).collect();
+                let split = batch_decisions(&AtomicShedder::new(seed), alpha, n, &sizes);
+                assert!(split == dropped, "seed {seed} alpha {alpha}: split stream differs");
+            }
+            // A random coin lands on the threshold with probability 2⁻³²;
+            // put the threshold on each coin of a two-vector pass and one
+            // above it: the coin is kept, then dropped.
+            let origin = mix64(seed);
+            let n = VECTOR_MIN_BATCH as usize;
+            for k in 0..n {
+                let word = mix64(origin.wrapping_add((k as u64 / 2 + 1).wrapping_mul(WEYL)));
+                let coin = coins_of(word)[k % 2];
+                for (threshold, kept) in [(coin, 1), (coin + 1, 0)] {
+                    let alpha = threshold as f64 / TWO_32;
+                    if threshold == 0 || threshold == 1 << 32 {
+                        continue;
+                    }
+                    assert_eq!(coin_threshold(alpha), threshold);
+                    let oracle = masks(scalar(seed), alpha, n);
+                    assert_eq!(oracle[0].1 >> k & 1, kept, "seed {seed} coin {k}");
+                    let vector = masks(AtomicShedder::new(seed), alpha, n);
+                    assert_eq!(vector, oracle, "seed {seed} coin {k}");
+                }
+            }
         }
     }
 
