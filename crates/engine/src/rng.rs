@@ -293,6 +293,10 @@ impl AtomicShedder {
     /// `trailing_zeros` per survivor) instead of behind an unpredictable
     /// per-arrival branch.
     pub fn shed_batch_each(&self, alpha: f64, n: u64, mut keep: impl FnMut(usize)) -> u64 {
+        if alpha <= 0.0 {
+            (0..n as usize).for_each(keep);
+            return 0;
+        }
         self.pass(alpha, n, |base, mut mask| {
             while mask != 0 {
                 keep(base + mask.trailing_zeros() as usize);
@@ -305,16 +309,14 @@ impl AtomicShedder {
     /// keep mask, bit `b` deciding position `base + b`, in order, and
     /// returns the number dropped. α ≤ 0 keeps all and α ≥ 1 (or NaN,
     /// which fails closed: a corrupt command sheds rather than floods)
-    /// drops all without consuming coins. The AVX-512 evaluator decides
-    /// in chunks of [`SHED_CHUNK`] when the CPU has it; a batch shorter
-    /// than [`VECTOR_MIN_BATCH`], and the threshold 2³² of an α within
-    /// 2⁻³² of 1, which does not fit the vector's 32-bit compare, stay
-    /// on [`survivors_of`], 64 coins per call.
+    /// drops all, neither consuming coins nor visiting a mask. The
+    /// AVX-512 evaluator decides in chunks of [`SHED_CHUNK`] when the CPU
+    /// has it; a batch shorter than [`VECTOR_MIN_BATCH`], and the
+    /// threshold 2³² of an α within 2⁻³² of 1, which does not fit the
+    /// vector's 32-bit compare, stay on [`survivors_of`], 64 coins per
+    /// call.
     fn pass(&self, alpha: f64, n: u64, mut visit: impl FnMut(usize, u64)) -> u64 {
         if alpha <= 0.0 {
-            for base in (0..n).step_by(64) {
-                visit(base as usize, u64::MAX >> (64 - (n - base).min(64)));
-            }
             return 0;
         }
         if alpha >= 1.0 || alpha.is_nan() {
