@@ -35,12 +35,15 @@
 //!   (Release) → that producer's `head` load (Acquire) → its `head_seen`
 //!   store (Release) → this producer's `head_seen` load (Acquire) → its
 //!   slot stores.
-//! * **`want` is the batch-or-timeout hand-off**, on the producers' line
+//! * **`want` is the bell-or-timeout hand-off**, on the producers' line
 //!   beside `tail`, the word it is paired with: an idle consumer
-//!   publishes the backlog it waits for and parks ≤ `PARK` on its own
-//!   [`Thread`] handle, and only the push that completes that backlog
-//!   unparks it — a parked worker costs a push one load of a line it
-//!   already holds. See [`SpscRing::pop_wait`].
+//!   publishes the ring's *bell*, a quarter of its capacity, and parks
+//!   ≤ `PARK` on its own [`Thread`] handle; only the push that brings
+//!   the backlog up to the bell unparks it, and anything less waits for
+//!   the timeout. A bell protects capacity, not latency: it fires only
+//!   when the timer's wait could fill the ring, and a parked worker costs
+//!   a push one load of a line it already holds. See
+//!   [`SpscRing::pop_wait`].
 //!
 //! **Ordering.** A slot word validates itself, so the payload needs no
 //! release/acquire pass of its own. One [`fence`]`(Release)` before a
@@ -89,10 +92,12 @@ pub enum Push {
 }
 
 /// How long a waiting consumer parks before re-checking the ring: the
-/// "timeout" of the batch-or-timeout hand-off (a backlog below the
-/// consumer's batch is never announced and waits at most this long plus
-/// ≈ 50 µs of timer slack) and the cost bound of any missed doorbell,
-/// which is why the handshake needs no exactly-once wake-up protocol.
+/// "timeout" of the bell-or-timeout hand-off (a backlog below the ring's
+/// bell is never announced and waits at most this long plus ≈ 50 µs of
+/// timer slack, so a parked consumer leaves at most
+/// `min(bell − 1, λ·(PARK + slack))` payloads in its ring) and the cost
+/// bound of any missed doorbell, which is why the handshake needs no
+/// exactly-once wake-up protocol.
 const PARK: Duration = Duration::from_micros(200);
 
 /// Bit 62 of a slot word, the lap-parity tag (module docs). It is the
@@ -116,7 +121,7 @@ struct ConsumerLine {
 struct ProducerLine {
     /// Next sequence a producer will reserve, plus [`CLOSED_BIT`].
     tail: AtomicU64,
-    /// Backlog a parked consumer asked to be woken at, else 0. Stored by
+    /// The ring's bell while its consumer is parked, else 0. Stored by
     /// the consumer around a park, cleared by the one producer that rings
     /// (see [`SpscRing::pop_wait`]).
     want: AtomicU64,
@@ -136,6 +141,11 @@ struct FixedLine {
     cap: u64,
     /// `log2(slots.len())`: a sequence's lap is `s >> shift`.
     shift: u32,
+    /// The backlog that wakes a parked consumer, `max(1, cap / 4)`: the
+    /// wake has three quarters of the ring to land in. A `u32` beside
+    /// `shift` keeps this line at 64 bytes; it saturates only past 2³⁴
+    /// slots, where the smaller bell leaves even more of the ring free.
+    bell: u32,
     /// Time origin for payload stamps.
     epoch: Instant,
     /// The consumer's thread handle.
@@ -172,6 +182,7 @@ impl SpscRing {
                 slots: (0..slots).map(|_| AtomicU64::new(0)).collect(),
                 cap,
                 shift: slots.trailing_zeros(),
+                bell: u32::try_from(cap / 4).unwrap_or(u32::MAX).max(1),
                 epoch,
                 consumer: OnceLock::new(),
             }),
@@ -191,6 +202,12 @@ impl SpscRing {
     /// Logical capacity.
     pub fn capacity(&self) -> usize {
         self.fixed.cap as usize
+    }
+
+    /// The backlog at which a push wakes a parked consumer,
+    /// `max(1, capacity / 4)` (see [`pop_wait`](Self::pop_wait)).
+    pub fn bell(&self) -> usize {
+        self.fixed.bell as usize
     }
 
     /// `tail` as everyone but a reserving producer reads it: payloads
@@ -219,7 +236,8 @@ impl SpscRing {
     }
 
     /// How many times a producer has rung the doorbell (woken a waiting
-    /// consumer because a full batch was ready); `close()` is not counted.
+    /// consumer because the backlog reached the bell); `close()` is not
+    /// counted.
     pub fn doorbells(&self) -> u64 {
         self.prod.doorbells.load(Ordering::Relaxed)
     }
@@ -254,9 +272,9 @@ impl SpscRing {
     /// the ring's ([`LAP_BIT`]): it must be clear and is stripped.
     ///
     /// The push rings the doorbell only if a consumer is waiting, this
-    /// push brought the backlog up to the batch it asked for, and this
-    /// producer cleared the request: one `unpark` per park however many
-    /// producers race; a smaller backlog is left to the park's timeout.
+    /// push brought the backlog up to the ring's bell, and this producer
+    /// cleared the request: one `unpark` per park however many producers
+    /// race; a smaller backlog is left to the park's timeout.
     pub fn push_with(&self, n: usize, mut f: impl FnMut(usize) -> u64) -> Push {
         // Reserve up to `n` slots with one CAS on `tail`, also the close
         // gate: a closed `tail` never equals the open one loaded here.
@@ -297,7 +315,7 @@ impl SpscRing {
                 slot.store((value & !LAP_BIT) | tag, Ordering::Relaxed);
             }
         }
-        self.ring_if_batch_ready(start + got);
+        self.ring_if_due(start + got);
         Push::Pushed(got as usize)
     }
 
@@ -322,17 +340,11 @@ impl SpscRing {
         (tag, &slots[at..slots.len().min(at + max)])
     }
 
-    /// The backlog a consumer popping into `out_len` slots waits for,
-    /// clamped to capacity: a ring smaller than the buffer rings when full.
-    fn batch_want(&self, out_len: usize) -> u64 {
-        (out_len as u64).clamp(1, self.fixed.cap)
-    }
-
     /// The producer half of the doorbell; `tail_after` is the end of the
     /// caller's own reservation. Reads the consumer's line only when a
     /// consumer is waiting.
     #[inline]
-    fn ring_if_batch_ready(&self, tail_after: u64) {
+    fn ring_if_due(&self, tail_after: u64) {
         let want = self.prod.want.load(Ordering::SeqCst);
         if want == 0 {
             return;
@@ -378,24 +390,28 @@ impl SpscRing {
         n
     }
 
-    /// Blocking batch pop, batch-or-timeout: returns as soon as anything
-    /// is ready, otherwise waits until a full batch (`out.len()`, clamped
-    /// to capacity) has been pushed or `PARK` (200 µs) has elapsed,
-    /// whichever is first, and pops what is there. Returns `0` **only**
-    /// when the ring is closed and `head` has met the frozen `tail` (every
-    /// reservation made before the close is popped); otherwise ≥ 1.
+    /// Blocking batch pop, bell-or-timeout: returns as soon as anything
+    /// is ready, otherwise publishes the ring's bell (`max(1, cap / 4)`,
+    /// whatever `out.len()` is) as `want` and waits until the backlog
+    /// reaches it or `PARK` (200 µs) has elapsed, whichever is first, and
+    /// pops what is there. Returns `0` **only** when the ring is closed
+    /// and `head` has met the frozen `tail` (every reservation made
+    /// before the close is popped); otherwise ≥ 1.
     ///
     /// A payload pushed to an *empty* ring therefore waits at most `PARK`
-    /// plus timer slack plus one wake-up (≈ 0.3 ms), and at most
-    /// `min(want − 1, λ·PARK)` payloads sit behind a parked consumer.
-    /// Under backlog the consumer never gets here.
+    /// plus timer slack plus one wake-up (≈ 0.3 ms) unless a quarter of
+    /// the ring arrives first, and at most `min(bell − 1, λ·(PARK +
+    /// slack))` payloads sit behind a parked consumer. The bell rings
+    /// only for an arrival rate that could fill the ring within a few
+    /// timer waits, and then three quarters of it are still free for the
+    /// wake. Under backlog the consumer never gets here.
     ///
     /// The doorbell is a Dekker pairing, SeqCst on both sides: the
     /// consumer stores `want` then loads `tail`; a producer advances
     /// `tail` (the reservation CAS) then loads `want`. Whichever comes
     /// second in the total order sees the other's store, so either the
-    /// consumer sees the full batch and does not park, or the producer
-    /// that completed it sees `want` and rings. What slips through (a
+    /// consumer sees the bell's backlog and does not park, or the
+    /// producer that completed it sees `want` and rings. What slips through (a
     /// close racing the registration of the consumer's handle, a bell
     /// spent on a stale `want`) costs one `PARK`, never a payload.
     ///
@@ -403,7 +419,7 @@ impl SpscRing {
     /// registered once (a supervisor that restarts a panicked worker
     /// loop does so on the worker's own thread).
     pub fn pop_wait(&self, out: &mut [u64]) -> usize {
-        let want = self.batch_want(out.len());
+        let want = u64::from(self.fixed.bell);
         loop {
             let n = self.pop_n(out);
             if n > 0 {
@@ -424,8 +440,8 @@ impl SpscRing {
                     self.prod.want.store(want, Ordering::SeqCst);
                     // `tail` counts reserved-but-unwritten slots: behind
                     // a producer pre-empted mid-push this loops on
-                    // `pop_n` rather than wait out `PARK` with a full
-                    // batch queued.
+                    // `pop_n` rather than wait out `PARK` with the bell's
+                    // backlog queued.
                     let (backlog, closed) = self.backlog();
                     if backlog < want && !closed {
                         std::thread::park_timeout(PARK);
@@ -633,11 +649,15 @@ mod tests {
         ring.close();
     }
 
-    /// Stands in for a consumer parked in `pop_wait`, without a clock:
-    /// the calling thread registers itself and publishes `want`.
-    fn park_here(ring: &SpscRing, want: u64) {
-        ring.fixed.consumer.get_or_init(std::thread::current);
-        ring.prod.want.store(want, Ordering::SeqCst);
+    impl SpscRing {
+        /// Stands in for a consumer parked in `pop_wait`, without a
+        /// clock: the calling thread registers itself and publishes the
+        /// bell as `want`.
+        pub(crate) fn park_here(&self) {
+            self.fixed.consumer.get_or_init(std::thread::current);
+            let bell = u64::from(self.fixed.bell);
+            self.prod.want.store(bell, Ordering::SeqCst);
+        }
     }
 
     /// Consumes this thread's unpark token; `false` if none was pending
@@ -649,16 +669,16 @@ mod tests {
     }
 
     #[test]
-    fn doorbell_rings_once_at_a_full_batch_and_not_below() {
+    fn doorbell_rings_once_at_a_quarter_and_not_below() {
         let ring = SpscRing::new(1024);
-        park_here(&ring, 256);
+        ring.park_here();
         for i in 0..255 {
             assert_eq!(ring.push(i), Push::Pushed(1));
         }
         assert_eq!(
             ring.doorbells(),
             0,
-            "a sub-batch backlog is the timeout's job"
+            "a backlog below a quarter of the ring is the timeout's job"
         );
         assert_eq!(ring.prod.want.load(Ordering::SeqCst), 256);
         assert_eq!(ring.push(255), Push::Pushed(1));
@@ -675,8 +695,8 @@ mod tests {
         let mut out = [0u64; 512];
         for round in 1..=50u64 {
             assert_eq!(ring.push_repeat(round, 255), Push::Pushed(255));
-            park_here(&ring, 256);
-            // Each of the four completes the batch from its own point of
+            ring.park_here();
+            // Each of the four reaches the bell from its own point of
             // view; only the one whose swap cleared `want` may ring.
             let start = Arc::new(std::sync::Barrier::new(4));
             let producers: Vec<_> = (0..4)
@@ -697,27 +717,34 @@ mod tests {
         }
     }
 
+    /// The bell is a quarter of the ring and never 0 (which `want` reads
+    /// as "not waiting"): below it no push rings, the push that reaches
+    /// it rings exactly once, and a ring of 1–7 slots rings on every push.
     #[test]
-    fn want_clamps_to_capacity_so_a_full_small_ring_rings() {
-        let ring = SpscRing::new(4);
-        assert_eq!(ring.batch_want(256), 4);
-        assert_eq!(
-            ring.batch_want(0),
-            1,
-            "an empty buffer must not read as 'not waiting'"
-        );
-        assert_eq!(SpscRing::new(1024).batch_want(256), 256);
-        park_here(&ring, ring.batch_want(256));
-        assert_eq!(ring.push_repeat(7, 3), Push::Pushed(3));
-        assert_eq!(ring.doorbells(), 0);
-        assert_eq!(ring.push_repeat(7, 9), Push::Pushed(1));
-        assert_eq!(ring.doorbells(), 1);
+    fn bell_is_a_quarter_of_capacity_and_never_zero() {
+        let caps = [1, 2, 3, 4, 5, 8, 1024, 65_536];
+        let bells = [1, 1, 1, 1, 1, 2, 256, 16_384];
+        for (cap, bell) in caps.into_iter().zip(bells) {
+            let ring = SpscRing::new(cap);
+            assert_eq!(ring.bell(), bell, "cap {cap}");
+            ring.park_here();
+            for i in 1..bell {
+                assert_eq!(ring.push(i as u64), Push::Pushed(1));
+            }
+            assert_eq!(ring.doorbells(), 0, "cap {cap}: a backlog of bell − 1");
+            assert_eq!(ring.prod.want.load(Ordering::SeqCst), bell as u64);
+            assert_eq!(ring.push(7), Push::Pushed(1));
+            assert_eq!(ring.doorbells(), 1, "cap {cap}: the push at the bell");
+            assert!(took_unpark_token(), "cap {cap}");
+            assert_eq!(ring.push_repeat(7, cap), Push::Pushed(cap - bell));
+            assert_eq!(ring.doorbells(), 1, "cap {cap}: one bell per park");
+        }
     }
 
     #[test]
     fn close_wakes_a_sub_batch_backlog_without_counting_a_bell() {
         let ring = SpscRing::new(1024);
-        park_here(&ring, 256);
+        ring.park_here();
         assert_eq!(ring.push_repeat(9, 10), Push::Pushed(10));
         ring.close();
         assert!(took_unpark_token());
@@ -730,15 +757,15 @@ mod tests {
 
     #[test]
     fn stalled_producer_behind_head_neither_rings_nor_panics() {
-        // A producer pre-empted between publishing slots 0..4 and its
+        // A producer pre-empted between publishing slots 0..2 and its
         // doorbell check: by the time it looks, the consumer has popped
-        // past them (head 10) and parked again.
-        let ring = SpscRing::new(64);
-        assert_eq!(ring.push_repeat(1, 10), Push::Pushed(10));
+        // past them (head 4) and parked again, waiting for a bell of 1.
+        let ring = SpscRing::new(4);
+        assert_eq!(ring.push_repeat(1, 4), Push::Pushed(4));
         let mut out = [0u64; 16];
-        assert_eq!(ring.pop_n(&mut out), 10);
-        park_here(&ring, 1);
-        ring.ring_if_batch_ready(4);
+        assert_eq!(ring.pop_n(&mut out), 4);
+        ring.park_here();
+        ring.ring_if_due(2);
         assert_eq!(ring.doorbells(), 0);
         assert_eq!(
             ring.prod.want.load(Ordering::SeqCst),
@@ -775,19 +802,23 @@ mod tests {
         }
     }
 
+    /// A backlog one short of the bell, pushed at a parked consumer,
+    /// rings nothing and is delivered by the park's timeout.
     #[test]
     fn sub_batch_backlog_arrives_by_timeout_without_a_bell() {
         let ring = Arc::new(SpscRing::new(1024));
+        let below = ring.bell() - 1;
         let consumer = spawn_timing_consumer::<256>(&ring);
         await_waiting_consumer(&ring);
-        assert_eq!(ring.push_repeat(ring.stamp_now(), 255), Push::Pushed(255));
+        let stamp = ring.stamp_now();
+        assert_eq!(ring.push_repeat(stamp, below), Push::Pushed(below));
         while !ring.is_empty() {
             std::hint::spin_loop();
         }
         assert_eq!(ring.doorbells(), 0);
         ring.close();
         let waits = consumer.join().unwrap();
-        assert_eq!(waits.len(), 255);
+        assert_eq!(waits.len(), below);
         // The property is delivery without a bell. How *soon* the
         // timeout delivers is a claim about `PARK` that a wall clock on
         // a shared host cannot hold (one vCPU stall exceeds any small
@@ -801,12 +832,13 @@ mod tests {
 
     #[test]
     fn pushes_aimed_at_the_park_window_do_not_lose_the_wake_up() {
-        // A one-slot consumer makes every push a full batch, and every
+        // A ring whose bell is 1 makes every push ring-worthy, and every
         // push is fired the moment `want` appears — i.e. into the window
         // between the consumer's `want` store and its park, where a
         // broken handshake would leave the tuple to the timeout.
         const PUSHES: usize = 10_000;
-        let ring = Arc::new(SpscRing::new(64));
+        let ring = Arc::new(SpscRing::new(4));
+        assert_eq!(ring.bell(), 1);
         let consumer = spawn_timing_consumer::<1>(&ring);
         for _ in 0..PUSHES {
             await_waiting_consumer(&ring);

@@ -206,6 +206,14 @@ impl WorkerStats {
     /// after the ring published it, so the worker can momentarily be
     /// ahead of `pushed`, and that must read as an empty queue rather
     /// than wrap.
+    ///
+    /// While the worker is parked on an empty ring (the shard is under
+    /// capacity), this also counts what the ring's bell-or-timeout
+    /// hand-off leaves there: at most `min(bell − 1, λ·(PARK + slack))`
+    /// tuples, with `bell` = [`SpscRing::bell`] (a quarter of the ring),
+    /// λ the shard's survivor rate and `PARK` + slack ≈ 0.25 ms, each
+    /// popped when the park times out. A worker with a backlog never
+    /// parks, so under overload the count is exactly the backlog.
     pub fn queue_len(&self) -> u64 {
         let processed = self.processed.load(Ordering::Relaxed);
         self.pushed.load(Ordering::Relaxed).saturating_sub(processed)
@@ -589,8 +597,8 @@ mod tests {
     fn restarted_worker_is_still_rung_by_a_full_batch() {
         // The panic supervisor restarts `worker_loop` on the worker's own
         // thread, so the ring's registered consumer handle stays valid:
-        // a full batch pushed at the parked, restarted worker must ring
-        // it (and the same-thread debug assertion must not fire, which
+        // a bell's backlog (a quarter of this ring, one pop batch) pushed
+        // at the parked, restarted worker must ring it (and the same-thread debug assertion must not fire, which
         // would show up as further panics).
         let stats = Arc::new(WorkerStats::new());
         let ring = Arc::new(SpscRing::new(4 * WORKER_POP_BATCH));
@@ -622,6 +630,23 @@ mod tests {
         handle.join().unwrap();
         assert_eq!(stats.worker_panics.load(Ordering::Relaxed), 1);
         assert_eq!(stats.completed.load(Ordering::Relaxed), fed - 1);
+    }
+
+    #[test]
+    fn a_parked_backlog_below_the_bell_rings_nothing_and_counts_as_queue() {
+        // The test thread plays the parked worker, without a clock: a
+        // backlog one short of the bell waits in the ring for the park's
+        // timeout, and `queue_len` (the controller's qᵢ) reads all of it.
+        let stats = WorkerStats::new();
+        let ring = SpscRing::new(4 * WORKER_POP_BATCH);
+        let below = ring.bell() - 1;
+        ring.park_here();
+        feed(&ring, &stats, below);
+        assert_eq!(ring.doorbells(), 0);
+        assert_eq!(stats.queue_len(), below as u64);
+        feed(&ring, &stats, 1);
+        assert_eq!(ring.doorbells(), 1, "the push at the bell rings");
+        assert_eq!(stats.queue_len(), ring.bell() as u64);
     }
 
     #[test]

@@ -311,14 +311,15 @@ fn race_producers(
 }
 
 /// Sixteen single-tuple producers into a consumer that pops one slot at a
-/// time: its batch is 1, so every push may ring the doorbell and a
-/// producer pre-empted between publishing and its doorbell check
-/// routinely finds `head` past its own slot (a debug build panics there
-/// if the backlog subtraction does not saturate). Per-producer FIFO and
-/// exact conservation must hold.
+/// time from a 7-slot ring: its bell is 1, so every push may ring the
+/// doorbell and a producer pre-empted between publishing and its
+/// doorbell check routinely finds `head` past its own slot (a debug build
+/// panics there if the backlog subtraction does not saturate).
+/// Per-producer FIFO and exact conservation must hold.
 #[test]
 fn sixteen_producers_into_one_slot_consumer_conserve_and_keep_fifo() {
-    race_producers(16, 8, 20_000, 1, 1);
+    assert_eq!(SpscRing::new(7).bell(), 1);
+    race_producers(16, 7, 20_000, 1, 1);
 }
 
 /// Two batch producers over a 2-slot and a 4-slot ring: every reservation
