@@ -402,7 +402,7 @@ impl SpscRing {
     /// plus timer slack plus one wake-up (≈ 0.3 ms) unless a quarter of
     /// the ring arrives first, and at most `min(bell − 1, λ·(PARK +
     /// slack))` payloads sit behind a parked consumer. The bell rings
-    /// only for an arrival rate that could fill the ring within a few
+    /// only for an arrival rate that could fill the ring within four
     /// timer waits, and then three quarters of it are still free for the
     /// wake. Under backlog the consumer never gets here.
     ///
@@ -411,9 +411,10 @@ impl SpscRing {
     /// `tail` (the reservation CAS) then loads `want`. Whichever comes
     /// second in the total order sees the other's store, so either the
     /// consumer sees the bell's backlog and does not park, or the
-    /// producer that completed it sees `want` and rings. What slips through (a
-    /// close racing the registration of the consumer's handle, a bell
-    /// spent on a stale `want`) costs one `PARK`, never a payload.
+    /// producer that completed it sees `want` and rings. What slips
+    /// through (a close racing the registration of the consumer's
+    /// handle, a bell spent on a stale `want`) costs one `PARK`, never a
+    /// payload.
     ///
     /// Single consumer only, and always the same thread: its handle is
     /// registered once (a supervisor that restarts a panicked worker

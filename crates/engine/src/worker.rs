@@ -598,8 +598,9 @@ mod tests {
         // The panic supervisor restarts `worker_loop` on the worker's own
         // thread, so the ring's registered consumer handle stays valid:
         // a bell's backlog (a quarter of this ring, one pop batch) pushed
-        // at the parked, restarted worker must ring it (and the same-thread debug assertion must not fire, which
-        // would show up as further panics).
+        // at the parked, restarted worker must ring it (and the
+        // same-thread debug assertion must not fire, which would show up
+        // as further panics).
         let stats = Arc::new(WorkerStats::new());
         let ring = Arc::new(SpscRing::new(4 * WORKER_POP_BATCH));
         let mut c = cfg();
