@@ -345,8 +345,8 @@ impl SheddingStrategy for AdaptiveCtrlStrategy {
         "CTRL-ADAPTIVE"
     }
 
-    fn signals(&self) -> &[SignalRow] {
-        self.law.signals()
+    fn last_signal(&self) -> Option<&SignalRow> {
+        self.law.last_signal()
     }
 
     fn take_retune(&mut self) -> bool {
@@ -526,8 +526,8 @@ impl SheddingStrategy for ComparatorStrategy {
         "CTRL-COMPARATOR"
     }
 
-    fn signals(&self) -> &[SignalRow] {
-        self.law.signals()
+    fn last_signal(&self) -> Option<&SignalRow> {
+        self.law.last_signal()
     }
 
     fn take_retune(&mut self) -> bool {
@@ -663,7 +663,7 @@ mod tests {
             "identified {got}, true {true_gain}"
         );
         assert_eq!(s.name(), "CTRL-ADAPTIVE");
-        assert_eq!(s.signals().len(), 200);
+        assert_eq!(s.last_signal().map(|r| r.k), Some(199));
     }
 
     #[test]
@@ -811,7 +811,7 @@ mod tests {
         assert_eq!(s.swaps(), swaps + 1, "the swap back is a bumpless swap");
 
         let _ = s.on_period(&snap(18, 400, q.round() as u64, 5105.0));
-        let row = s.signals().last().unwrap();
+        let row = s.last_signal().unwrap();
         assert_eq!(row.error_s, 3.0 - row.y_hat_s, "error vs the new target");
     }
 }

@@ -14,7 +14,7 @@
 //!   (Eq. 13) and in-network load `Ls = Lq + Li − La` (§4.5.2);
 //! * [`strategy`] — the three evaluated strategies: `CTRL`, `BASELINE`,
 //!   `AURORA` (§5);
-//! * [`loop_`] — shared loop configuration and signal logging;
+//! * [`loop_`] — shared loop configuration and the per-period signal row;
 //! * [`supervisor`] — the safety layer around a strategy: signal
 //!   validation, hold on dropout, divergence watchdog and the open-loop
 //!   fallback;

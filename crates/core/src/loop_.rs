@@ -115,7 +115,7 @@ impl LoopConfig {
     }
 }
 
-/// One row of a strategy's internal signal log — the quantities of
+/// One period of a strategy's internal signals — the quantities of
 /// Fig. 10 (`e`, `u`, `v`, `α`) plus the estimates feeding them.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SignalRow {

@@ -8,8 +8,9 @@
 //! * [`AuroraStrategy`] — the open-loop Aurora/Borealis load shedder of
 //!   Fig. 1 (`shed L − L0` whenever measured load exceeds capacity).
 //!
-//! All three implement the engine's [`ControlHook`] and log their internal
-//! signals for the transient plots. CTRL and both self-tuners
+//! All three implement the engine's [`ControlHook`] and keep their latest
+//! internal signals for telemetry; the per-period history is the
+//! engine's `ControlTrace` log. CTRL and both self-tuners
 //! ([`crate::adaptive`]) run one copy of the Eq. 10 step, `Eq10Law`.
 
 use crate::controller::FeedbackController;
@@ -22,8 +23,8 @@ use streamshed_zdomain::design::ControllerParams;
 
 /// Maps a strategy's most recent [`SignalRow`] to the engine's
 /// telemetry [`ControlState`] (strategies acting alone run `Direct`).
-fn state_from_signals(signals: &[SignalRow]) -> Option<ControlState> {
-    signals.last().map(|r| ControlState {
+fn state_from_signal(row: Option<&SignalRow>) -> Option<ControlState> {
+    row.map(|r| ControlState {
         y_hat_s: r.y_hat_s,
         error_s: r.error_s,
         u_tps: r.u_tps,
@@ -38,8 +39,11 @@ pub trait SheddingStrategy: InstrumentedHook {
     /// Display name for experiment output ("CTRL", "BASELINE", "AURORA").
     fn name(&self) -> &'static str;
 
-    /// Internal signal log, one row per period.
-    fn signals(&self) -> &[SignalRow];
+    /// The most recent period's internal signals (`None` before the
+    /// first period). Only the last row is kept, so a long-running loop
+    /// holds constant memory; a caller that wants the history records
+    /// this once per period, or reads the engine's control traces.
+    fn last_signal(&self) -> Option<&SignalRow>;
 
     /// Returns `true` (and clears the flag) when the strategy re-tuned
     /// its controller since the last call. A supervisor uses this to
@@ -63,8 +67,8 @@ impl SheddingStrategy for NoShedding {
         "NONE"
     }
 
-    fn signals(&self) -> &[SignalRow] {
-        &[]
+    fn last_signal(&self) -> Option<&SignalRow> {
+        None
     }
 }
 
@@ -75,7 +79,7 @@ impl SheddingStrategy for NoShedding {
 /// The paper's per-period control step (Fig. 3, Eq. 10), shared by CTRL
 /// and the self-tuners: track `c(k)`, estimate `ŷ(k)` from the virtual
 /// queue, compute `u(k)`, turn `v = u + fout` into the actuation, and
-/// log the period's signals.
+/// keep the period's signals.
 #[derive(Debug, Clone)]
 pub(crate) struct Eq10Law {
     pub(crate) cfg: LoopConfig,
@@ -83,7 +87,7 @@ pub(crate) struct Eq10Law {
     delay: DelayEstimator,
     pub(crate) controller: FeedbackController,
     target_s: f64,
-    signals: Vec<SignalRow>,
+    last: Option<SignalRow>,
 }
 
 impl Eq10Law {
@@ -94,7 +98,7 @@ impl Eq10Law {
             delay: DelayEstimator::new(cfg.headroom),
             controller: FeedbackController::new(params),
             target_s: cfg.target_delay_s(),
-            signals: Vec::new(),
+            last: None,
             cfg: cfg.clone(),
         }
     }
@@ -108,12 +112,12 @@ impl Eq10Law {
         self.target_s = yd_s;
     }
 
-    pub(crate) fn signals(&self) -> &[SignalRow] {
-        &self.signals
+    pub(crate) fn last_signal(&self) -> Option<&SignalRow> {
+        self.last.as_ref()
     }
 
     pub(crate) fn control_state(&self) -> Option<ControlState> {
-        state_from_signals(&self.signals)
+        state_from_signal(self.last.as_ref())
     }
 
     /// Runs one period. `gain_cost` receives the controller (for a
@@ -156,7 +160,7 @@ impl Eq10Law {
                 period_s,
             )),
         };
-        self.signals.push(SignalRow {
+        self.last = Some(SignalRow {
             k: snap.k,
             y_hat_s: y_hat,
             error_s: e,
@@ -233,8 +237,8 @@ impl SheddingStrategy for CtrlStrategy {
         "CTRL"
     }
 
-    fn signals(&self) -> &[SignalRow] {
-        self.law.signals()
+    fn last_signal(&self) -> Option<&SignalRow> {
+        self.law.last_signal()
     }
 
     fn set_target_delay_s(&mut self, yd_s: f64) {
@@ -265,7 +269,7 @@ pub struct BaselineStrategy {
     headroom: f64,
     last_cost_us: f64,
     shed_mode: ShedMode,
-    signals: Vec<SignalRow>,
+    last: Option<SignalRow>,
 }
 
 impl BaselineStrategy {
@@ -276,7 +280,7 @@ impl BaselineStrategy {
             headroom: cfg.headroom,
             last_cost_us: cfg.prior_cost_us,
             shed_mode: cfg.shed_mode,
-            signals: Vec::new(),
+            last: None,
         }
     }
 }
@@ -310,7 +314,7 @@ impl ControlHook for BaselineStrategy {
                 period_s,
             )),
         };
-        self.signals.push(SignalRow {
+        self.last = Some(SignalRow {
             k: snap.k,
             y_hat_s: (q + 1.0) * c_s / h,
             error_s: self.target_s - (q + 1.0) * c_s / h,
@@ -328,8 +332,8 @@ impl SheddingStrategy for BaselineStrategy {
         "BASELINE"
     }
 
-    fn signals(&self) -> &[SignalRow] {
-        &self.signals
+    fn last_signal(&self) -> Option<&SignalRow> {
+        self.last.as_ref()
     }
 
     fn set_target_delay_s(&mut self, yd_s: f64) {
@@ -340,7 +344,7 @@ impl SheddingStrategy for BaselineStrategy {
 
 impl InstrumentedHook for BaselineStrategy {
     fn control_state(&self) -> Option<ControlState> {
-        state_from_signals(&self.signals)
+        state_from_signal(self.last.as_ref())
     }
 }
 
@@ -357,7 +361,7 @@ impl InstrumentedHook for BaselineStrategy {
 pub struct AuroraStrategy {
     headroom_for_l0: f64,
     last_cost_us: f64,
-    signals: Vec<SignalRow>,
+    last: Option<SignalRow>,
 }
 
 impl AuroraStrategy {
@@ -369,7 +373,7 @@ impl AuroraStrategy {
         Self {
             headroom_for_l0,
             last_cost_us: prior_cost_us,
-            signals: Vec::new(),
+            last: None,
         }
     }
 
@@ -390,7 +394,7 @@ impl ControlHook for AuroraStrategy {
         let l0 = self.headroom_for_l0 / c_s; // tuples/s
         let l = snap.fin_rate();
         let alpha = if l > l0 { 1.0 - l0 / l } else { 0.0 };
-        self.signals.push(SignalRow {
+        self.last = Some(SignalRow {
             k: snap.k,
             y_hat_s: f64::NAN,
             error_s: f64::NAN,
@@ -408,14 +412,14 @@ impl SheddingStrategy for AuroraStrategy {
         "AURORA"
     }
 
-    fn signals(&self) -> &[SignalRow] {
-        &self.signals
+    fn last_signal(&self) -> Option<&SignalRow> {
+        self.last.as_ref()
     }
 }
 
 impl InstrumentedHook for AuroraStrategy {
     fn control_state(&self) -> Option<ControlState> {
-        state_from_signals(&self.signals)
+        state_from_signal(self.last.as_ref())
     }
 }
 
@@ -450,8 +454,9 @@ mod tests {
         let d = s.on_period(&snap(0, 150, 10, Some(5105.0)));
         assert_eq!(d.entry_drop_prob, 0.0);
         assert_eq!(s.name(), "CTRL");
-        assert_eq!(s.signals().len(), 1);
-        assert!(s.signals()[0].error_s > 1.5);
+        let row = s.last_signal().expect("one period logged");
+        assert_eq!(row.k, 0);
+        assert!(row.error_s > 1.5);
     }
 
     #[test]
@@ -490,7 +495,7 @@ mod tests {
         for k in 0..20 {
             let _ = s.on_period(&snap(k, 200, 100, Some(10_000.0)));
         }
-        let last = s.signals().last().unwrap();
+        let last = s.last_signal().unwrap();
         assert!((last.cost_us - 10_000.0).abs() < 200.0, "{}", last.cost_us);
     }
 
@@ -544,7 +549,7 @@ mod tests {
         assert!(s.control_state().is_none(), "no state before first period");
         let _ = s.on_period(&snap(0, 400, 2000, Some(5105.0)));
         let state = s.control_state().expect("one period logged");
-        let row = s.signals().last().unwrap();
+        let row = s.last_signal().unwrap();
         assert_eq!(state.y_hat_s, row.y_hat_s);
         assert_eq!(state.error_s, row.error_s);
         assert_eq!(state.u_tps, row.u_tps);

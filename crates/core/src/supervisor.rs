@@ -415,10 +415,11 @@ impl<S: SheddingStrategy + Clone> SheddingStrategy for Supervisor<S> {
         "SUPERVISED"
     }
 
-    /// The inner strategy's signal log. Periods spent in hold or fallback
-    /// have no row — the inner loop was not consulted.
-    fn signals(&self) -> &[SignalRow] {
-        self.inner.signals()
+    /// The inner strategy's latest signals. Periods spent in hold or
+    /// fallback leave no row — the inner loop was not consulted — so
+    /// this is the last period the inner loop ran.
+    fn last_signal(&self) -> Option<&SignalRow> {
+        self.inner.last_signal()
     }
 
     /// Moves the watchdog, the fallback trim and the inner strategy to
@@ -497,7 +498,7 @@ mod tests {
         let _ = sup.on_period(&snap(1, 400, Some(51.0), Some(1900.0)));
         assert_eq!(sup.log().rejected_cost_samples, 1);
         // Cost tracker still near the real value, not the outlier.
-        let last = sup.inner().signals().last().unwrap();
+        let last = sup.inner().last_signal().unwrap();
         assert!(last.cost_us > 4000.0, "cost {}", last.cost_us);
     }
 
@@ -670,7 +671,7 @@ mod tests {
         assert_eq!(sup.log().reengagements, 1);
         // The re-engaged inner strategy came from the pristine copy, and
         // measures its error against the new target.
-        let row = sup.inner().signals().last().unwrap();
+        let row = sup.inner().last_signal().unwrap();
         assert_eq!(row.error_s, 5.0 - row.y_hat_s);
     }
 
@@ -678,6 +679,6 @@ mod tests {
     fn named_and_delegating() {
         let sup = supervised();
         assert_eq!(sup.name(), "SUPERVISED");
-        assert!(sup.signals().is_empty());
+        assert!(sup.last_signal().is_none());
     }
 }

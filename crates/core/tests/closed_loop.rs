@@ -1,11 +1,11 @@
 //! End-to-end closed-loop tests: strategies driving the real simulator on
 //! the paper's identification network.
 
-use streamshed_control::loop_::{LoopConfig, ShedMode};
+use streamshed_control::loop_::{LoopConfig, ShedMode, SignalRow};
 use streamshed_control::strategy::{
     AuroraStrategy, BaselineStrategy, CtrlStrategy, SheddingStrategy,
 };
-use streamshed_engine::hook::ControlHook;
+use streamshed_engine::hook::{ControlHook, Decision, PeriodSnapshot};
 use streamshed_engine::metrics::RunReport;
 use streamshed_engine::networks::identification_network;
 use streamshed_engine::sim::{SimConfig, Simulator};
@@ -13,22 +13,49 @@ use streamshed_engine::telemetry::InstrumentedHook;
 use streamshed_engine::time::{secs, SimTime};
 use streamshed_workload::{to_micros, ArrivalTrace, ParetoTrace, StepTrace};
 
-fn run<S: SheddingStrategy>(strategy: S, times: &[f64], dur_s: u64) -> (RunReport, S) {
+/// A strategy and the signal row it kept at each period: strategies
+/// hold only their latest row, so the history is recorded here.
+struct Logged<S> {
+    inner: S,
+    rows: Vec<SignalRow>,
+}
+
+impl<S: SheddingStrategy> Logged<S> {
+    fn new(inner: S) -> Self {
+        Self {
+            inner,
+            rows: Vec::new(),
+        }
+    }
+}
+
+impl<S: SheddingStrategy> ControlHook for Logged<S> {
+    fn on_period(&mut self, snap: &PeriodSnapshot) -> Decision {
+        let decision = self.inner.on_period(snap);
+        self.rows.extend(self.inner.last_signal().copied());
+        decision
+    }
+}
+
+impl<S: SheddingStrategy> InstrumentedHook for Logged<S> {}
+
+fn run<S: SheddingStrategy>(strategy: S, times: &[f64], dur_s: u64) -> (RunReport, Logged<S>) {
     run_seeded(strategy, times, dur_s, SimConfig::paper_default().seed)
 }
 
 fn run_seeded<S: SheddingStrategy>(
-    mut strategy: S,
+    strategy: S,
     times: &[f64],
     dur_s: u64,
     seed: u64,
-) -> (RunReport, S) {
+) -> (RunReport, Logged<S>) {
     let net = identification_network();
     let cfg = SimConfig::paper_default().with_seed(seed);
     let sim = Simulator::new(net, cfg);
     let arrivals: Vec<SimTime> = to_micros(times).into_iter().map(SimTime).collect();
-    let report = sim.run(&arrivals, &mut strategy, secs(dur_s));
-    (report, strategy)
+    let mut logged = Logged::new(strategy);
+    let report = sim.run(&arrivals, &mut logged, secs(dur_s));
+    (report, logged)
 }
 
 #[test]
@@ -39,7 +66,7 @@ fn ctrl_holds_two_second_target_under_sustained_overload() {
 
     // The virtual queue must stabilise near q* ≈ 368 and the estimated
     // delay near 2 s.
-    let tail: Vec<_> = ctrl.signals().iter().skip(30).collect();
+    let tail: Vec<_> = ctrl.rows.iter().skip(30).collect();
     let mean_yhat: f64 = tail.iter().map(|s| s.y_hat_s).sum::<f64>() / tail.len() as f64;
     assert!(
         (mean_yhat - 2.0).abs() < 0.3,
@@ -206,12 +233,12 @@ fn adaptive_ctrl_survives_cost_jump_on_the_real_engine() {
     let sim_cfg = SimConfig::paper_default().with_cost_schedule(schedule);
 
     let cfg = LoopConfig::paper_default();
-    let mut adaptive = AdaptiveCtrlStrategy::from_config(&cfg);
+    let mut adaptive = Logged::new(AdaptiveCtrlStrategy::from_config(&cfg));
     let sim = Simulator::new(identification_network(), sim_cfg);
     let report = sim.run(&arrivals, &mut adaptive, secs(150));
 
     // Settled on the post-jump regime: estimated delay back near target.
-    let tail: Vec<_> = adaptive.signals().iter().skip(110).collect();
+    let tail: Vec<_> = adaptive.rows.iter().skip(110).collect();
     let mean_yhat: f64 = tail.iter().map(|s| s.y_hat_s).sum::<f64>() / tail.len() as f64;
     assert!(
         (mean_yhat - 2.0).abs() < 0.4,
@@ -219,7 +246,7 @@ fn adaptive_ctrl_survives_cost_jump_on_the_real_engine() {
     );
     // The identified gain roughly doubled (c/H went from ~5.3 ms to
     // ~10.5 ms per tuple).
-    let g = adaptive.identified_gain();
+    let g = adaptive.inner.identified_gain();
     assert!(
         g > 1.4 * (5105.0 / 1e6 / 0.97),
         "identified gain {g} should reflect the doubled cost"
@@ -235,16 +262,13 @@ fn ctrl_follows_runtime_target_changes() {
     // Fig. 18: yd = 1 s, then 3 s, then 5 s. Wrap CtrlStrategy to switch
     // targets at period boundaries.
     struct Switching {
-        inner: CtrlStrategy,
+        inner: Logged<CtrlStrategy>,
     }
     impl ControlHook for Switching {
-        fn on_period(
-            &mut self,
-            snap: &streamshed_engine::hook::PeriodSnapshot,
-        ) -> streamshed_engine::hook::Decision {
+        fn on_period(&mut self, snap: &PeriodSnapshot) -> Decision {
             match snap.k {
-                50 => self.inner.set_target_delay_s(3.0),
-                100 => self.inner.set_target_delay_s(5.0),
+                50 => self.inner.inner.set_target_delay_s(3.0),
+                100 => self.inner.inner.set_target_delay_s(5.0),
                 _ => {}
             }
             self.inner.on_period(snap)
@@ -253,7 +277,7 @@ fn ctrl_follows_runtime_target_changes() {
     impl InstrumentedHook for Switching {}
     let cfg = LoopConfig::paper_default().with_target_delay_ms(1000.0);
     let mut hook = Switching {
-        inner: CtrlStrategy::from_config(&cfg),
+        inner: Logged::new(CtrlStrategy::from_config(&cfg)),
     };
     let times = StepTrace::constant(400.0).arrival_times(150.0);
     let net = identification_network();
@@ -261,7 +285,7 @@ fn ctrl_follows_runtime_target_changes() {
     let arrivals: Vec<SimTime> = to_micros(&times).into_iter().map(SimTime).collect();
     let _ = sim.run(&arrivals, &mut hook, secs(150));
 
-    let sig = hook.inner.signals();
+    let sig = &hook.inner.rows;
     let mean_around = |lo: usize, hi: usize| {
         sig[lo..hi].iter().map(|s| s.y_hat_s).sum::<f64>() / (hi - lo) as f64
     };

@@ -4,7 +4,7 @@
 
 use serde::{Deserialize, Serialize};
 use streamshed_control::adaptive::{AdaptiveCtrlStrategy, ComparatorStrategy};
-use streamshed_control::loop_::{LoopConfig, SignalRow};
+use streamshed_control::loop_::LoopConfig;
 use streamshed_control::strategy::{
     AuroraStrategy, BaselineStrategy, CtrlStrategy, SheddingStrategy,
 };
@@ -117,12 +117,12 @@ pub struct StrategyOutcome {
     pub name: String,
     /// The engine's run report.
     pub report: RunReport,
-    /// The strategy's internal signal log (empty for `NoShedding`).
-    pub signals: Vec<SignalRow>,
     /// The four paper metrics.
     pub metrics: MetricsSummary,
     /// One telemetry record per control period (newest-last; bounded by
-    /// the run's period count, so nothing is overwritten).
+    /// the run's period count, so nothing is overwritten). It carries
+    /// the strategy's ŷ, e, u, α and ĉ for every period (`NaN` where a
+    /// strategy reports none, as `NoShedding` never does).
     pub traces: Vec<ControlTrace>,
 }
 
@@ -223,7 +223,6 @@ pub fn run_with_strategy(
     StrategyOutcome {
         name: kind.name().to_string(),
         report,
-        signals: hook.strategy.signals().to_vec(),
         metrics,
         traces: recorder.snapshot(),
     }
@@ -232,6 +231,7 @@ pub fn run_with_strategy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use streamshed_control::loop_::SignalRow;
     use streamshed_workload::{ArrivalTrace, StepTrace};
 
     #[test]
@@ -247,32 +247,61 @@ mod tests {
             1,
         );
         assert_eq!(out.name, "CTRL");
-        assert_eq!(out.signals.len(), 30);
+        assert_eq!(out.traces.len(), 30);
+        assert!(out.traces.iter().all(|t| t.y_hat_s.is_finite()));
         assert!(out.metrics.loss_ratio > 0.1);
     }
 
     #[test]
     fn runner_traces_mirror_the_signal_log() {
+        // The same run twice: through the runner, and on a hook that
+        // records the strategy's signal row at every period.
+        struct Recording {
+            strategy: CtrlStrategy,
+            rows: Vec<SignalRow>,
+        }
+        impl ControlHook for Recording {
+            fn on_period(&mut self, snap: &PeriodSnapshot) -> Decision {
+                let decision = self.strategy.on_period(snap);
+                self.rows.extend(self.strategy.last_signal().copied());
+                decision
+            }
+        }
+        impl InstrumentedHook for Recording {}
+
         let times = StepTrace::constant(300.0).arrival_times(30.0);
-        let out = run_with_strategy(
-            StrategyKind::Ctrl,
-            &times,
-            &LoopConfig::paper_default(),
-            30,
-            None,
-            None,
-            1,
-        );
-        assert_eq!(out.traces.len(), out.signals.len());
-        for (t, s) in out.traces.iter().zip(&out.signals) {
+        let cfg = LoopConfig::paper_default();
+        let out = run_with_strategy(StrategyKind::Ctrl, &times, &cfg, 30, None, None, 1);
+        let mut hook = Recording {
+            strategy: CtrlStrategy::from_config(&cfg),
+            rows: Vec::new(),
+        };
+        let sim_cfg = SimConfig::paper_default()
+            .with_period(cfg.period())
+            .with_target_delay(cfg.target_delay())
+            .with_seed(1);
+        let arrivals: Vec<SimTime> = to_micros(&times).into_iter().map(SimTime).collect();
+        let sim = Simulator::new(identification_network(), sim_cfg);
+        let _ = sim.run(&arrivals, &mut hook, secs(30));
+
+        assert_eq!(out.traces.len(), hook.rows.len());
+        for (t, s) in out.traces.iter().zip(&hook.rows) {
             assert_eq!(t.k, s.k);
-            assert!(
-                (t.y_hat_s - s.y_hat_s).abs() < 1e-12,
-                "period {}: trace ŷ {} vs signal ŷ {}",
-                t.k,
-                t.y_hat_s,
-                s.y_hat_s
-            );
+            let pairs = [
+                (t.y_hat_s, s.y_hat_s),
+                (t.error_s, s.error_s),
+                (t.u_tps, s.u_tps),
+                (t.alpha, s.alpha),
+                (t.cost_est_us, s.cost_us),
+            ];
+            for (trace, signal) in pairs {
+                assert_eq!(
+                    trace.to_bits(),
+                    signal.to_bits(),
+                    "period {}: {pairs:?}",
+                    t.k
+                );
+            }
         }
     }
 
@@ -290,8 +319,8 @@ mod tests {
         );
         // After period 20 the loop aims at 4 s: the estimated delay in the
         // last periods should clearly exceed the initial 1 s regime.
-        let early: f64 = out.signals[12..18].iter().map(|s| s.y_hat_s).sum::<f64>() / 6.0;
-        let late: f64 = out.signals[34..40].iter().map(|s| s.y_hat_s).sum::<f64>() / 6.0;
+        let early: f64 = out.traces[12..18].iter().map(|t| t.y_hat_s).sum::<f64>() / 6.0;
+        let late: f64 = out.traces[34..40].iter().map(|t| t.y_hat_s).sum::<f64>() / 6.0;
         assert!(late > early + 1.0, "early {early}, late {late}");
     }
 
@@ -308,7 +337,7 @@ mod tests {
                 None,
                 1,
             );
-            assert_eq!(out.signals.len(), 30, "{}", out.name);
+            assert_eq!(out.traces.len(), 30, "{}", out.name);
             assert!(out.metrics.loss_ratio > 0.1, "{}", out.name);
             // The self-tuning state must reach the telemetry plane.
             let last = out.traces.last().unwrap();
@@ -357,7 +386,10 @@ mod tests {
             1,
         );
         assert_eq!(out.metrics.loss_ratio, 0.0);
-        assert!(out.signals.is_empty());
+        assert!(
+            out.traces.iter().all(|t| t.y_hat_s.is_nan()),
+            "no controller signals"
+        );
         // Overloaded with no shedding: the queue builds.
         assert!(out.report.periods.last().unwrap().outstanding > 500);
     }

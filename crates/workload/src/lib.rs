@@ -24,6 +24,7 @@
 pub mod catalog;
 pub mod cost;
 pub mod mmpp;
+mod order;
 pub mod pareto;
 pub mod poisson;
 pub mod schedule;
@@ -45,6 +46,23 @@ pub use web::WebLikeTrace;
 pub trait ArrivalTrace {
     /// Generates sorted arrival instants (seconds) covering
     /// `[0, duration_s)`.
+    ///
+    /// The contract every generator keeps, and every consumer may rely
+    /// on:
+    /// - every instant is finite and lies in `[0, duration_s)`;
+    /// - the sequence is non-decreasing;
+    /// - for a given generator, seed and `duration_s`, the instants are
+    ///   the same bits from release to release (the experiments crate's
+    ///   `sample_path_pin` test pins them, through Fig. 12's summary and
+    ///   nine campaign cells' digests).
+    ///
+    /// Generators whose instants are not produced in order (the Web
+    /// trace superposes sorted per-source runs) order them with a
+    /// crate-private routine that relies on the first point: it places
+    /// each instant by its time bucket, ⌊t·n/duration_s⌋, which is
+    /// monotone in t, so sorting takes linear time. Finite non-negative
+    /// instants have a single order and equal instants have equal bits,
+    /// so any correct ordering returns the same bits.
     fn arrival_times(&self, duration_s: f64) -> Vec<f64>;
 
     /// Calls `f` with each arrival instant of `[0, duration_s)` in

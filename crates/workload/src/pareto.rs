@@ -6,6 +6,7 @@
 //! by a bias factor β." Smaller β → heavier tail → burstier input
 //! (Fig. 17 sweeps β ∈ {0.1, 0.25, 0.5, 1, 1.25, 1.5}).
 
+use crate::order::order_instants;
 use crate::ArrivalTrace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -141,7 +142,7 @@ impl ParetoTrace {
 impl ArrivalTrace for ParetoTrace {
     fn arrival_times(&self, duration_s: f64) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity((self.mean_rate * duration_s) as usize);
         let periods = (duration_s / self.period_s).ceil() as usize;
         for k in 0..periods {
             let start = k as f64 * self.period_s;
@@ -158,8 +159,15 @@ impl ArrivalTrace for ParetoTrace {
                 out.push(start + frac * span);
             }
         }
-        out.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        out
+        // Non-decreasing by construction: `(i + u)/count` grows with i,
+        // and each period starts where the last one ended. Rounding at a
+        // period boundary could still invert two instants; then order
+        // them.
+        if out.is_sorted() {
+            out
+        } else {
+            order_instants(out, duration_s)
+        }
     }
 
     fn mean_rate(&self) -> f64 {
@@ -214,6 +222,53 @@ mod tests {
         let times = trace.arrival_times(100.0);
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
         assert!(times.iter().all(|&t| (0.0..100.0).contains(&t)));
+    }
+
+    /// The generator body before its instants were known to be ordered:
+    /// the same draws, then a comparison sort.
+    fn reference_arrival_times(trace: &ParetoTrace, duration_s: f64) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(trace.seed);
+        let mut out = Vec::new();
+        let periods = (duration_s / trace.period_s).ceil() as usize;
+        for k in 0..periods {
+            let start = k as f64 * trace.period_s;
+            let end = (start + trace.period_s).min(duration_s);
+            let factor = trace.draw_factor(&mut rng);
+            let count = (trace.mean_rate * trace.period_s * factor).round() as usize;
+            if count == 0 {
+                continue;
+            }
+            let span = end - start;
+            for i in 0..count {
+                let frac = (i as f64 + rng.gen_range(0.0..1.0)) / count as f64;
+                out.push(start + frac * span);
+            }
+        }
+        out.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        out
+    }
+
+    #[test]
+    fn output_matches_the_sorted_reference_bit_for_bit() {
+        for beta in [0.1, 0.25, 0.5, 1.0, 1.25, 1.5] {
+            for period_s in [0.05, 0.1, 1.0] {
+                for (seed, duration_s) in [(1, 100.0), (2, 37.3)] {
+                    let trace = ParetoTrace::builder()
+                        .bias(beta)
+                        .period_s(period_s)
+                        .seed(seed)
+                        .build();
+                    let got = trace.arrival_times(duration_s);
+                    assert!(got.is_sorted(), "β={beta} T={period_s} seed {seed}");
+                    let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&got),
+                        bits(&reference_arrival_times(&trace, duration_s)),
+                        "β={beta} T={period_s} seed {seed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! Fig. 13 "Web" series: sustained baseline around 100–300 t/s with
 //! bursts towards ~800 t/s and long-range dependence.
 
+use crate::order::order_instants;
 use crate::ArrivalTrace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -129,8 +130,7 @@ impl WebLikeTrace {
 
 impl ArrivalTrace for WebLikeTrace {
     fn arrival_times(&self, duration_s: f64) -> Vec<f64> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity((self.mean_rate() * duration_s) as usize);
         for src in 0..self.sources {
             let mut src_rng =
                 StdRng::seed_from_u64(self.seed ^ (0xD1F4_u64.wrapping_mul(src as u64 + 1)));
@@ -146,8 +146,13 @@ impl ArrivalTrace for WebLikeTrace {
                     let gap = 1.0 / self.on_rate;
                     let mut at = t;
                     while at < end {
-                        // Small jitter keeps sources from phase-locking.
-                        out.push(at + src_rng.gen_range(0.0..gap * 0.5));
+                        // Small jitter keeps sources from phase-locking;
+                        // it is drawn even when it pushes the instant
+                        // past the end, so the stream stays the same.
+                        let jittered = at + src_rng.gen_range(0.0..gap * 0.5);
+                        if jittered < duration_s {
+                            out.push(jittered);
+                        }
                         at += gap;
                     }
                     t += dur;
@@ -157,10 +162,7 @@ impl ArrivalTrace for WebLikeTrace {
                 on = !on;
             }
         }
-        let _ = &mut rng;
-        out.retain(|&t| t < duration_s);
-        out.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        out
+        order_instants(out, duration_s)
     }
 
     fn mean_rate(&self) -> f64 {
@@ -221,6 +223,72 @@ mod tests {
         let times = WebLikeTrace::paper_default(2).arrival_times(100.0);
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
         assert!(times.iter().all(|&t| t < 100.0));
+    }
+
+    /// The generator body before the linear-time ordering: the same
+    /// draws, a `retain` of the instants the jitter pushed past the end,
+    /// then a comparison sort.
+    fn reference_arrival_times(trace: &WebLikeTrace, duration_s: f64) -> Vec<f64> {
+        let mut out = Vec::new();
+        for src in 0..trace.sources {
+            let mut src_rng =
+                StdRng::seed_from_u64(trace.seed ^ (0xD1F4_u64.wrapping_mul(src as u64 + 1)));
+            let mut t = src_rng.gen_range(0.0..trace.mean_off_s);
+            let mut on = src_rng.gen_bool(trace.mean_on_s / (trace.mean_on_s + trace.mean_off_s));
+            while t < duration_s {
+                if on {
+                    let dur = trace.draw_duration(trace.mean_on_s, &mut src_rng);
+                    let end = (t + dur).min(duration_s);
+                    let gap = 1.0 / trace.on_rate;
+                    let mut at = t;
+                    while at < end {
+                        out.push(at + src_rng.gen_range(0.0..gap * 0.5));
+                        at += gap;
+                    }
+                    t += dur;
+                } else {
+                    t += trace.draw_duration(trace.mean_off_s, &mut src_rng);
+                }
+                on = !on;
+            }
+        }
+        out.retain(|&t| t < duration_s);
+        out.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        out
+    }
+
+    #[test]
+    fn output_matches_the_sorted_reference_bit_for_bit() {
+        // (sources, on_rate, duration): the paper's default, the
+        // heavier Fig. 18 mix, and loadgen's one-source-per-connection
+        // shape at fleet rates.
+        let grid = [
+            (1, 12.0, 400.0),
+            (1, 1500.0, 20.0),
+            (3, 150.0, 60.0),
+            (3, 1500.0, 1.0),
+            (40, 12.0, 400.0),
+            (40, 150.0, 7.5),
+            (64, 12.0, 100.0),
+            (64, 1500.0, 1.0),
+        ];
+        let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+        for seed in 0..32u64 {
+            for (sources, on_rate, duration_s) in
+                [grid[seed as usize % 8], grid[(seed as usize + 3) % 8]]
+            {
+                let trace = WebLikeTrace::builder()
+                    .sources(sources)
+                    .on_rate(on_rate)
+                    .seed(seed)
+                    .build();
+                assert_eq!(
+                    bits(&trace.arrival_times(duration_s)),
+                    bits(&reference_arrival_times(&trace, duration_s)),
+                    "{sources} sources at {on_rate}/s for {duration_s} s, seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]

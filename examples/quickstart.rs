@@ -9,6 +9,7 @@
 //! ```
 
 use streamshed::engine::spans::SpanRegistry;
+use streamshed::engine::telemetry::SharedRecorder;
 use streamshed::prelude::*;
 
 fn main() {
@@ -41,9 +42,12 @@ fn main() {
     // 1. No shedding: the queue — and the delays — grow without bound.
     let open = sim(0).run(&arrivals, &mut NoShedding, secs(duration_s as u64));
 
-    // 2. The paper's feedback controller.
+    // 2. The paper's feedback controller, with one control trace per
+    // period recorded.
     let mut ctrl = CtrlStrategy::from_config(&LoopConfig::paper_default());
-    let closed = sim(1).run(&arrivals, &mut ctrl, secs(duration_s as u64));
+    let traces = SharedRecorder::with_capacity(duration_s as usize);
+    let closed_sim = sim(1).with_telemetry(traces.clone());
+    let closed = closed_sim.run(&arrivals, &mut ctrl, secs(duration_s as u64));
 
     for (name, report, spans) in [("no shedding", &open, &spans[0]), ("CTRL", &closed, &spans[1])] {
         let p99_ms = spans.snapshot().sojourn.quantile(0.99) as f64 / 1e6;
@@ -57,7 +61,7 @@ fn main() {
         println!();
     }
 
-    let settled: Vec<_> = ctrl.signals().iter().skip(20).collect();
+    let settled: Vec<_> = traces.snapshot().into_iter().skip(20).collect();
     let mean_yhat = settled.iter().map(|s| s.y_hat_s).sum::<f64>() / settled.len() as f64;
     println!(
         "CTRL steady state: estimated delay ŷ = {mean_yhat:.2} s (target 2.00 s), \

@@ -12,6 +12,7 @@
 
 use streamshed::prelude::*;
 use streamshed::engine::cost::CostSchedule;
+use streamshed::engine::telemetry::SharedRecorder;
 
 fn main() {
     let duration = 300u64;
@@ -34,18 +35,21 @@ fn main() {
 
     let sim_cfg = SimConfig::paper_default().with_cost_schedule(schedule);
     let mut ctrl = CtrlStrategy::from_config(&LoopConfig::paper_default());
-    let sim = Simulator::new(identification_network(), sim_cfg);
+    // One control trace per period: ŷ, α and the cost estimate in force.
+    let recorder = SharedRecorder::with_capacity(duration as usize);
+    let sim = Simulator::new(identification_network(), sim_cfg).with_telemetry(recorder.clone());
     let report = sim.run(&arrivals, &mut ctrl, secs(duration));
+    let traces = recorder.snapshot();
 
     println!("time(s)  true-cost(ms)  est-cost(ms)  y-est(s)  shed(%)");
     let truth = cost.points_ms(duration as f64);
-    for row in ctrl.signals().iter().step_by(15) {
+    for row in traces.iter().step_by(15) {
         let k = row.k as usize;
         println!(
             "{:6}  {:12.2}  {:11.2}  {:7.2}  {:6.1}",
             k,
             truth[k.min(truth.len() - 1)].1,
-            row.cost_us / 1e3,
+            row.cost_est_us / 1e3,
             row.y_hat_s,
             row.alpha * 100.0
         );
@@ -58,11 +62,10 @@ fn main() {
     println!("  data loss       : {:.1} %", report.loss_ratio() * 100.0);
 
     // The estimator must have tracked the big cost jump.
-    let est_at_peak = ctrl
-        .signals()
+    let est_at_peak = traces
         .iter()
-        .filter(|s| (130..140).contains(&(s.k as usize)))
-        .map(|s| s.cost_us / 1e3)
+        .filter(|t| (130..140).contains(&(t.k as usize)))
+        .map(|t| t.cost_est_us / 1e3)
         .fold(0.0f64, f64::max);
     println!(
         "\ncost estimate near the 125 s jump peaked at {est_at_peak:.1} ms \
