@@ -55,7 +55,7 @@
 //! the observability plane (`streamshed_adapt_*` Prometheus families)
 //! and flight-recorder bundles.
 
-use crate::controller::FeedbackController;
+use crate::controller::{ControllerParams, FeedbackController};
 use crate::loop_::{LoopConfig, ShedMode, SignalRow};
 use crate::strategy::{Eq10Law, SheddingStrategy};
 use serde::{Deserialize, Serialize};
@@ -63,7 +63,6 @@ use std::time::Duration;
 use streamshed_engine::diagnostics::{ControllerHealth, DiagnosticsConfig};
 use streamshed_engine::hook::{ControlHook, Decision, PeriodSnapshot};
 use streamshed_engine::telemetry::{AdaptState, ControlState, ControlTrace, InstrumentedHook};
-use streamshed_zdomain::design::{design_for_integrator, ControllerParams, DesignSpec};
 
 /// Scalar recursive-least-squares estimator with exponential forgetting:
 /// fits `y = θ·x` online.
@@ -295,7 +294,9 @@ impl AdaptiveCtrlStrategy {
     pub fn from_config(cfg: &LoopConfig) -> Self {
         let prior_gain = cfg.prior_cost_us / 1e6 / cfg.headroom; // c/H
         Self {
-            law: entry_law(cfg, design_for_integrator(&DesignSpec::paper_default())),
+            // The derived design, not `PAPER`: its `a` is one ulp off the
+            // literal, and the recorded sample paths use this one.
+            law: entry_law(cfg, ControllerParams::for_double_pole(0.7)),
             gain_rls: RlsEstimator::new(prior_gain, prior_gain * prior_gain, 0.97),
             retuner: Retuner::new(cfg),
             prev_yhat: None,
@@ -426,7 +427,7 @@ impl ComparatorStrategy {
     }
 
     fn params_for(arm: usize) -> ControllerParams {
-        design_for_integrator(&DesignSpec::from_double_pole(COMPARATOR_ARMS[arm]))
+        ControllerParams::for_double_pole(COMPARATOR_ARMS[arm])
     }
 
     /// The probe plan for an incumbent: itself first, then its ladder

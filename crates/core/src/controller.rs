@@ -3,11 +3,11 @@
 //! `u(k) = (H/(c·T))·[b0·e(k) + b1·e(k−1)] − a·u(k−1)`
 //!
 //! with gain-normalised parameters from
-//! [`streamshed_zdomain::design::design_for_integrator`]. The controller
-//! output `u` is a *rate* (tuples/second): the allowed growth of the
-//! virtual queue over the next period, to which the actuator adds the
-//! measured departure rate `fout` to obtain the desired admission rate
-//! `v = u + fout`.
+//! [`ControllerParams::for_double_pole`] (Appendix A in closed form). The
+//! controller output `u` is a *rate* (tuples/second): the allowed growth
+//! of the virtual queue over the next period, to which the actuator adds
+//! the measured departure rate `fout` to obtain the desired admission
+//! rate `v = u + fout`.
 //!
 //! One DSMS-specific addition (in the spirit of §4.5): **anti-windup** by
 //! back-calculation. The actuator saturates — it cannot admit more than
@@ -17,7 +17,68 @@
 //! stretches wind the state up and the first burst overshoots massively.
 
 use serde::{Deserialize, Serialize};
-use streamshed_zdomain::design::ControllerParams;
+
+/// The current-error weight every design uses. Appendix A leaves `b0`
+/// free (the static-gain condition, Eq. 19, holds for any value on the
+/// integrator plant); the paper fixes it at 0.4.
+const B0: f64 = 0.4;
+
+/// Gain-normalised parameters of the paper's first-order controller
+/// `C(z) = (H/cT)·(b0·z + b1)/(z + a)`.
+///
+/// The runtime control law (Eq. 10) is
+/// `u(k) = (H/cT)·[b0·e(k) + b1·e(k−1)] − a·u(k−1)`.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct ControllerParams {
+    /// Controller pole parameter (denominator `z + a`).
+    pub a: f64,
+    /// Current-error weight.
+    pub b0: f64,
+    /// Previous-error weight.
+    pub b1: f64,
+}
+
+impl ControllerParams {
+    /// The parameters reported in §5 of the paper:
+    /// `b0 = 0.4, b1 = −0.31, a = −0.8`.
+    ///
+    /// `a` is the literal `−0.8`, one ulp from the derived
+    /// `for_double_pole(0.7).a = −0.7999999999999999`; both are in use
+    /// and each pins its own sample path.
+    pub const PAPER: ControllerParams = ControllerParams {
+        a: -0.8,
+        b0: 0.4,
+        b1: -0.31,
+    };
+
+    /// Appendix A's design for a double closed-loop pole at `p`.
+    ///
+    /// With plant `g/(z − 1)` the loop's characteristic polynomial is
+    /// `(z + a)(z − 1) + (b0·z + b1) = z² + (a − 1 + b0)·z + (b1 − a)`;
+    /// matching it to `(z − p)² = z² − 2p·z + p²` gives
+    /// `a = 1 − 2p − b0` and `b1 = p² + a`, with `b0 = 0.4`. The paper's
+    /// `p = 0.7` (≈ e^(−1/3), convergence in about three periods) yields
+    /// its published constants:
+    ///
+    /// ```
+    /// use streamshed_control::controller::ControllerParams;
+    ///
+    /// let params = ControllerParams::for_double_pole(0.7);
+    /// assert!((params.b0 - 0.4).abs() < 1e-12);
+    /// assert!((params.b1 - (-0.31)).abs() < 1e-12); // b1 = 0.49 + a
+    /// assert!((params.a - (-0.8)).abs() < 1e-12);   // a  = −1.4 + 1 − 0.4
+    /// ```
+    pub fn for_double_pole(p: f64) -> Self {
+        // This operation order reproduces the bits every pinned sample
+        // path was recorded with.
+        let a = -2.0 * p + 1.0 - B0;
+        Self {
+            a,
+            b0: B0,
+            b1: p * p + a,
+        }
+    }
+}
 
 /// The paper's first-order delay controller.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -45,11 +106,10 @@ impl FeedbackController {
     /// the design equations recover them exactly:
     ///
     /// ```
-    /// use streamshed_control::controller::FeedbackController;
-    /// use streamshed_zdomain::design::{design_for_integrator, DesignSpec};
+    /// use streamshed_control::controller::{ControllerParams, FeedbackController};
     ///
     /// // (z − 0.7)² = z² − 1.4z + 0.49, b0 = 0.4
-    /// let derived = design_for_integrator(&DesignSpec::from_double_pole(0.7));
+    /// let derived = ControllerParams::for_double_pole(0.7);
     /// let paper = FeedbackController::paper().params();
     /// assert!((derived.b0 - paper.b0).abs() < 1e-12 && (paper.b0 - 0.4).abs() < 1e-12);
     /// assert!((derived.b1 - paper.b1).abs() < 1e-12 && (paper.b1 + 0.31).abs() < 1e-12);
@@ -125,8 +185,7 @@ impl FeedbackController {
     /// not just the pole set, triggered the retune).
     ///
     /// ```
-    /// use streamshed_control::controller::FeedbackController;
-    /// use streamshed_zdomain::design::{design_for_integrator, DesignSpec};
+    /// use streamshed_control::controller::{ControllerParams, FeedbackController};
     ///
     /// let (c, t, h) = (5.0e-3, 1.0, 0.97);
     /// let gain = h / (c * t);
@@ -140,7 +199,7 @@ impl FeedbackController {
     ///     frozen.commit(e, u);
     /// }
     /// // Retune to a faster pole; gain unchanged (same cost estimate).
-    /// let fast = design_for_integrator(&DesignSpec::from_double_pole(0.5));
+    /// let fast = ControllerParams::for_double_pole(0.5);
     /// swapped.retune_bumpless(fast, gain, gain);
     /// // At zero current error the swap is invisible: the history term
     /// // carries over exactly.
@@ -168,11 +227,152 @@ impl FeedbackController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streamshed_zdomain::design::{design_for_integrator, DesignSpec};
+    use proptest::prelude::*;
 
     const C: f64 = 5.263e-3; // seconds
     const T: f64 = 1.0;
     const H: f64 = 0.97;
+
+    /// Appendix A's design with the free weight `b0` exposed; production
+    /// always uses [`B0`].
+    fn design_with_b0(p: f64, b0: f64) -> ControllerParams {
+        let a = -2.0 * p + 1.0 - b0;
+        ControllerParams {
+            a,
+            b0,
+            b1: p * p + a,
+        }
+    }
+
+    /// `(c1, c0)` of the closed-loop characteristic polynomial
+    /// `z² + c1·z + c0 = (z + a)(z − 1) + (b0·z + b1)`.
+    fn clce(params: &ControllerParams) -> (f64, f64) {
+        (params.a - 1.0 + params.b0, params.b1 - params.a)
+    }
+
+    /// Unit-step response of the closed loop `(b0·z + b1)/(z² + c1·z + c0)`
+    /// from its difference equation
+    /// `y(k) = −c1·y(k−1) − c0·y(k−2) + b0·r(k−1) + b1·r(k−2)`.
+    fn step_response(params: &ControllerParams, steps: usize) -> Vec<f64> {
+        let (c1, c0) = clce(params);
+        let step = |k: usize, lag: usize| if k >= lag { 1.0 } else { 0.0 };
+        let mut ys: Vec<f64> = Vec::with_capacity(steps);
+        let (mut y1, mut y2) = (0.0, 0.0);
+        for k in 0..steps {
+            let y = -c1 * y1 - c0 * y2 + params.b0 * step(k, 1) + params.b1 * step(k, 2);
+            ys.push(y);
+            (y2, y1) = (y1, y);
+        }
+        ys
+    }
+
+    #[test]
+    fn double_pole_at_0_7_gives_the_paper_constants() {
+        let derived = ControllerParams::for_double_pole(0.7);
+        assert!((derived.b0 - 0.4).abs() < 1e-12);
+        assert!((derived.b1 - (-0.31)).abs() < 1e-12);
+        assert!((derived.a - (-0.8)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn clce_is_the_specified_double_pole() {
+        for p in [0.0, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95] {
+            let (c1, c0) = clce(&ControllerParams::for_double_pole(p));
+            assert!((c1 - (-2.0 * p)).abs() < 1e-12, "p = {p}: c1 = {c1}");
+            assert!((c0 - p * p).abs() < 1e-12, "p = {p}: c0 = {c0}");
+            // Zero discriminant: the quadratic formula's two roots
+            // coincide at −c1/2 = p — a double real pole, damping 1.
+            let disc = c1 * c1 - 4.0 * c0;
+            assert!(disc.abs() < 1e-12, "p = {p}: discriminant {disc}");
+            assert!((-c1 / 2.0 - p).abs() < 1e-12, "p = {p}");
+        }
+    }
+
+    #[test]
+    fn static_gain_is_one() {
+        // Eq. 19: the closed loop's DC gain T(1) = (b0 + b1)/(1 + c1 + c0),
+        // and 1 + c1 + c0 = b0 + b1 on the integrator plant.
+        for p in [0.0, 0.3, 0.5, 0.7, 0.9] {
+            for b0 in [0.1, 0.4, 0.9, 2.0] {
+                let params = design_with_b0(p, b0);
+                let (c1, c0) = clce(&params);
+                let gain = (params.b0 + params.b1) / (1.0 + c1 + c0);
+                assert!((gain - 1.0).abs() < 1e-12, "p = {p}, b0 = {b0}: {gain}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_b0_gives_the_same_clce() {
+        // The static-gain condition is redundant on the integrator plant,
+        // so b0 stays free: every choice places the same poles.
+        for p in [0.5, 0.7, 0.9] {
+            let want = clce(&ControllerParams::for_double_pole(p));
+            for b0 in [0.1, 0.4, 0.9, 2.0] {
+                let (c1, c0) = clce(&design_with_b0(p, b0));
+                assert!((c1 - want.0).abs() < 1e-12, "p = {p}, b0 = {b0}: c1 {c1}");
+                assert!((c0 - want.1).abs() < 1e-12, "p = {p}, b0 = {b0}: c0 {c0}");
+            }
+            assert_eq!(design_with_b0(p, 0.4), ControllerParams::for_double_pole(p));
+        }
+    }
+
+    #[test]
+    fn production_designs_keep_their_bits() {
+        // `(p, a, b1)` bits of the comparator arms and the ablation poles,
+        // as the sample paths were recorded; b0 is 0.4 throughout.
+        const PINNED: [(f64, u64, u64); 5] = [
+            (0.5, 0xbfd9_9999_9999_999a, 0xbfc3_3333_3333_3334),
+            (0.6, 0xbfe3_3333_3333_3333, 0xbfce_b851_eb85_1eb8),
+            (0.7, 0xbfe9_9999_9999_9999, 0xbfd3_d70a_3d70_a3d7),
+            (0.8, 0xbff0_0000_0000_0000, 0xbfd7_0a3d_70a3_d708),
+            (0.9, 0xbff3_3333_3333_3334, 0xbfd8_f5c2_8f5c_28f8),
+        ];
+        for (p, a, b1) in PINNED {
+            let params = ControllerParams::for_double_pole(p);
+            assert_eq!(params.a.to_bits(), a, "a at p = {p}");
+            assert_eq!(params.b0.to_bits(), 0x3fd9_9999_9999_999a, "b0 at p = {p}");
+            assert_eq!(params.b1.to_bits(), b1, "b1 at p = {p}");
+        }
+    }
+
+    #[test]
+    fn paper_literal_is_one_ulp_from_the_derived_design() {
+        let derived = ControllerParams::for_double_pole(0.7);
+        let paper = ControllerParams::PAPER;
+        assert_eq!(derived.b0.to_bits(), paper.b0.to_bits());
+        assert_eq!(derived.b1.to_bits(), paper.b1.to_bits());
+        // Same sign, so adjacent bit patterns are adjacent doubles.
+        assert_eq!(paper.a.to_bits() - derived.a.to_bits(), 1);
+        assert!(derived.a > paper.a);
+    }
+
+    proptest! {
+        /// Damping 1: the step response is a sum of p^k and k·p^k modes,
+        /// so its increments change sign at most once (no ringing), and
+        /// it settles at 1. The controller zero −b1/b0 lies below the
+        /// pole for p < 1 − b0, and there the response is monotone; above
+        /// it the zero adds one overshoot (1.2 % at the paper's 0.7).
+        #[test]
+        fn closed_loop_step_response_settles_without_ringing(p in 0.05..0.95f64) {
+            let ys = step_response(&ControllerParams::for_double_pole(p), 2000);
+            let steps: Vec<f64> = ys
+                .windows(2)
+                .map(|w| w[1] - w[0])
+                .filter(|d| d.abs() > 1e-12)
+                .collect();
+            let turns = steps
+                .windows(2)
+                .filter(|d| d[0].signum() != d[1].signum())
+                .count();
+            prop_assert!(turns <= 1, "p = {p}: {turns} turns");
+            if p < 1.0 - B0 {
+                prop_assert!(turns == 0 && ys.iter().all(|&y| y <= 1.0 + 1e-12), "p = {p}");
+            }
+            let last = ys[ys.len() - 1];
+            prop_assert!((last - 1.0).abs() < 1e-9, "p = {p}: settles at {last}");
+        }
+    }
 
     /// Simulates the closed loop against the ideal plant
     /// q(k) = q(k−1) + u_applied(k)·T (the queue *is* the integrator) and
@@ -294,7 +494,7 @@ mod tests {
     #[test]
     fn alternative_designs_converge_too() {
         for pole in [0.5, 0.8] {
-            let params = design_for_integrator(&DesignSpec::from_double_pole(pole));
+            let params = ControllerParams::for_double_pole(pole);
             let mut ctrl = FeedbackController::new(params);
             let mut q: f64 = 0.0;
             let mut y = 0.0;

@@ -1,8 +1,8 @@
 //! Loop configuration shared by all shedding strategies.
 
+use crate::controller::ControllerParams;
 use serde::{Deserialize, Serialize};
 use streamshed_engine::time::{millis_f64, SimDuration};
-use streamshed_zdomain::design::ControllerParams;
 
 /// Where the actuator sheds load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]

@@ -20,7 +20,6 @@
 
 use serde::{Deserialize, Serialize};
 use streamshed_engine::time::SimDuration;
-use streamshed_zdomain::TransferFunction;
 
 /// The first-order integrator model of the stream engine.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -77,11 +76,6 @@ impl PlantModel {
         (target_delay_s * self.headroom / self.cost_s() - 1.0).max(0.0)
     }
 
-    /// The plant transfer function `G(z) = cT / (H(z−1))` (Eq. 4).
-    pub fn transfer_function(&self) -> TransferFunction {
-        TransferFunction::integrator(self.gain())
-    }
-
     /// One step of the difference-equation form of the model:
     /// `q(k) = q(k−1) + (fin − fout)·T`, returning the new queue length
     /// (floored at 0) — used by tests and the open-loop failure demos.
@@ -131,17 +125,6 @@ mod tests {
     fn queue_for_tiny_delay_floors_at_zero() {
         let m = paper_model();
         assert_eq!(m.queue_for_delay(0.0), 0.0);
-    }
-
-    #[test]
-    fn transfer_function_is_integrator() {
-        let m = paper_model();
-        let g = m.transfer_function();
-        let poles = g.poles();
-        assert_eq!(poles.len(), 1);
-        assert!((poles[0].re - 1.0).abs() < 1e-12);
-        // Gain: cT/H.
-        assert!((g.num().coeff(0) - m.gain()).abs() < 1e-12);
     }
 
     #[test]

@@ -13,13 +13,12 @@
 //! engine's `ControlTrace` log. CTRL and both self-tuners
 //! ([`crate::adaptive`]) run one copy of the Eq. 10 step, `Eq10Law`.
 
-use crate::controller::FeedbackController;
+use crate::controller::{ControllerParams, FeedbackController};
 use crate::estimator::{CostEstimator, DelayEstimator};
 use crate::loop_::{LoopConfig, ShedMode, SignalRow};
 use crate::shedder::{EntryShedder, NetworkShedder};
 use streamshed_engine::hook::{ControlHook, Decision, NoShedding, PeriodSnapshot};
 use streamshed_engine::telemetry::{ControlState, InstrumentedHook, LoopMode};
-use streamshed_zdomain::design::ControllerParams;
 
 /// Maps a strategy's most recent [`SignalRow`] to the engine's
 /// telemetry [`ControlState`] (strategies acting alone run `Direct`).

@@ -10,9 +10,8 @@
 //! divided by the arrival rate.
 
 use proptest::prelude::*;
-use streamshed_control::controller::FeedbackController;
+use streamshed_control::controller::{ControllerParams, FeedbackController};
 use streamshed_control::shedder::EntryShedder;
-use streamshed_zdomain::design::{design_for_integrator, DesignSpec};
 
 const T: f64 = 1.0;
 const H: f64 = 0.97;
@@ -44,7 +43,7 @@ proptest! {
         let g_old = H / (c_old * T);
         let g_new = H / (c_new * T);
         let old_params = FeedbackController::paper().params();
-        let new_params = design_for_integrator(&DesignSpec::from_double_pole(pole));
+        let new_params = ControllerParams::for_double_pole(pole);
 
         let mut swapped = with_history(&history, c_old);
         let mut kept = swapped;
@@ -89,7 +88,7 @@ proptest! {
         let c_new = c_old * cost_ratio;
         let g_old = H / (c_old * T);
         let g_new = H / (c_new * T);
-        let new_params = design_for_integrator(&DesignSpec::from_double_pole(pole));
+        let new_params = ControllerParams::for_double_pole(pole);
 
         let mut swapped = with_history(&history, c_old);
         let mut kept = swapped;
@@ -116,7 +115,7 @@ proptest! {
         let mut kept = swapped;
         for &p in &poles {
             swapped.retune_bumpless(
-                design_for_integrator(&DesignSpec::from_double_pole(p)),
+                ControllerParams::for_double_pole(p),
                 g,
                 g,
             );

@@ -13,7 +13,7 @@
 
 use crate::runner::{run_with_strategy, MetricsSummary, StrategyKind};
 use crate::{FigureResult, Series};
-use streamshed_control::controller::FeedbackController;
+use streamshed_control::controller::{ControllerParams, FeedbackController};
 use streamshed_control::loop_::{LoopConfig, ShedMode};
 use streamshed_control::shedder::EntryShedder;
 use streamshed_engine::hook::{ControlHook, Decision, PeriodSnapshot};
@@ -22,7 +22,6 @@ use streamshed_engine::sim::{SimConfig, Simulator};
 use streamshed_engine::telemetry::InstrumentedHook;
 use streamshed_engine::time::{secs, SimTime};
 use streamshed_workload::{to_micros, ArrivalTrace, ParetoTrace};
-use streamshed_zdomain::design::{design_for_integrator, DesignSpec};
 
 const DURATION_S: u64 = 300;
 
@@ -108,7 +107,7 @@ pub fn run(seed: u64) -> FigureResult {
         metrics(&base.clone().with_anti_windup(false), &times, seed),
     ));
     for pole in [0.5, 0.9] {
-        let params = design_for_integrator(&DesignSpec::from_double_pole(pole));
+        let params = ControllerParams::for_double_pole(pole);
         rows.push((
             format!("pole={pole}"),
             metrics(&base.clone().with_controller(params), &times, seed),

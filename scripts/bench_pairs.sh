@@ -12,7 +12,9 @@
 # (direction from BENCHMARK.json).
 # With trace=1 the runs are traced and the table includes the per-layer
 # ladder. Every run is appended as one JSON line to BENCH_HISTORY.jsonl at
-# the root of this checkout. Exits 1 if any run reported `correct: false`.
+# the root of this checkout; a run whose checks failed keeps perfbench's
+# `# CHECK FAILED: …` lines in its row's `check_failures` list, and they
+# are echoed to stderr. Exits 1 if any run reported `correct: false`.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
@@ -49,11 +51,13 @@ run_side() {
     out=$(cd "$2" && ./target/release/perfbench bench \
         --workload "$workload" --seed "$5" --seconds "$seconds" --trace "$trace" 2>/dev/null) || true
     HOST=$(grep -m1 '^# host:' <<<"$out" | cut -c3-) RESULT=$(tail -n1 <<<"$out") \
+        CHECKS=$(sed -n 's/^# CHECK FAILED: //p' <<<"$out") \
         python3 - "$1" "$3" "$4" "$5" "$6" "$workload" "$seconds" "$trace" >>"$runs" <<'PY'
 import json, os, sys, time
 side, rev, pair, seed, position, workload, seconds, trace = sys.argv[1:]
 result = json.loads(os.environ["RESULT"])
-print(json.dumps({
+checks = [line for line in os.environ["CHECKS"].splitlines() if line]
+row = {
     "schema": 1,
     "unix_time": int(time.time()),
     "rev": rev,
@@ -69,7 +73,12 @@ print(json.dumps({
     "attempted": result["attempted"],
     "failed": result["failed"],
     "metrics": {name: cell["value"] for name, cell in result["metrics"].items()},
-}, sort_keys=True))
+}
+if checks:
+    row["check_failures"] = checks
+print(json.dumps(row, sort_keys=True))
+for check in checks:
+    print(f"pair {pair} {side} (seed {seed}): CHECK FAILED: {check}", file=sys.stderr)
 print(f"pair {pair} {side} ({position}, seed {seed}): correct {result['correct']} failed {result['failed']}",
       " ".join(f"{k}={c['value']:.6g}" for k, c in result["metrics"].items() if "." not in k),
       file=sys.stderr)

@@ -9,7 +9,9 @@ The first form reads the runs of one `scripts/bench_pairs.sh` session
 whose `rev` is one of the two given, pairs them by (workload, seed), and
 renders one table per workload. Each table gives, for every metric in
 BENCHMARK.json, both medians, quartiles and how many pairs the change
-won, lost or tied. Exits 1 if any rendered run reported `correct: false`.
+won, lost or tied. Exits 1 if any rendered run reported `correct: false`,
+and prints each such run with the checks it failed (`check_failures`,
+absent from rows recorded before the script kept them).
 """
 import argparse
 import json
@@ -104,6 +106,8 @@ def main():
     bad = [r for r in rendered if not r["correct"]]
     for r in bad:
         print(f"INCORRECT: pair {r['pair']} {r['side']} seed {r['seed']}", file=sys.stderr)
+        for check in r.get("check_failures", []):
+            print(f"    CHECK FAILED: {check}", file=sys.stderr)
     return 1 if bad else 0
 
 

@@ -12,10 +12,8 @@
 //!   (step, sinusoid, Pareto, self-similar web-like).
 //! * [`control`] — the paper's contribution: the DSMS delay model, the
 //!   virtual-queue delay estimator, the pole-placement feedback
-//!   controller, and the `CTRL` / `BASELINE` / `AURORA` shedding
-//!   strategies.
-//! * [`zdomain`] — discrete-time control mathematics (polynomials,
-//!   transfer functions, pole placement).
+//!   controller (Appendix A's design in closed form), and the `CTRL` /
+//!   `BASELINE` / `AURORA` shedding strategies.
 //! * [`net`] — the network ingestion plane: a zero-copy binary wire
 //!   protocol, thread-per-core TCP/HTTP listeners feeding the sharded
 //!   engine, and a seeded load-generator fleet.
@@ -62,13 +60,12 @@ pub use streamshed_experiments as experiments;
 pub use streamshed_net as net;
 pub use streamshed_sysid as sysid;
 pub use streamshed_workload as workload;
-pub use streamshed_zdomain as zdomain;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use streamshed_control::{
         adaptive::{AdaptiveCtrlStrategy, RlsEstimator},
-        controller::FeedbackController,
+        controller::{ControllerParams, FeedbackController},
         estimator::{CostEstimator, DelayEstimator},
         loop_::{LoopConfig, ShedMode},
         model::PlantModel,
@@ -87,8 +84,5 @@ pub mod prelude {
     };
     pub use streamshed_workload::{
         to_micros, ArrivalTrace, CostTrace, ParetoTrace, SineTrace, StepTrace, WebLikeTrace,
-    };
-    pub use streamshed_zdomain::design::{
-        design_for_integrator, ControllerParams, DesignSpec,
     };
 }

@@ -12,9 +12,9 @@ fn arrivals_of(trace: &dyn ArrivalTrace, dur_s: f64) -> Vec<SimTime> {
 
 #[test]
 fn facade_reexports_compose() {
-    // Design a controller with zdomain, wrap it in a strategy, drive the
-    // engine with a workload — all through the prelude.
-    let params = design_for_integrator(&DesignSpec::paper_default());
+    // Design a controller, wrap it in a strategy, drive the engine with a
+    // workload — all through the prelude.
+    let params = ControllerParams::for_double_pole(0.7);
     assert!((params.b0 - 0.4).abs() < 1e-12);
 
     let cfg = LoopConfig::paper_default().with_controller(params);
