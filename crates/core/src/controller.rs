@@ -227,95 +227,12 @@ impl FeedbackController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::design::{step_response, turns};
     use proptest::prelude::*;
 
     const C: f64 = 5.263e-3; // seconds
     const T: f64 = 1.0;
     const H: f64 = 0.97;
-
-    /// Appendix A's design with the free weight `b0` exposed; production
-    /// always uses [`B0`].
-    fn design_with_b0(p: f64, b0: f64) -> ControllerParams {
-        let a = -2.0 * p + 1.0 - b0;
-        ControllerParams {
-            a,
-            b0,
-            b1: p * p + a,
-        }
-    }
-
-    /// `(c1, c0)` of the closed-loop characteristic polynomial
-    /// `z² + c1·z + c0 = (z + a)(z − 1) + (b0·z + b1)`.
-    fn clce(params: &ControllerParams) -> (f64, f64) {
-        (params.a - 1.0 + params.b0, params.b1 - params.a)
-    }
-
-    /// Unit-step response of the closed loop `(b0·z + b1)/(z² + c1·z + c0)`
-    /// from its difference equation
-    /// `y(k) = −c1·y(k−1) − c0·y(k−2) + b0·r(k−1) + b1·r(k−2)`.
-    fn step_response(params: &ControllerParams, steps: usize) -> Vec<f64> {
-        let (c1, c0) = clce(params);
-        let step = |k: usize, lag: usize| if k >= lag { 1.0 } else { 0.0 };
-        let mut ys: Vec<f64> = Vec::with_capacity(steps);
-        let (mut y1, mut y2) = (0.0, 0.0);
-        for k in 0..steps {
-            let y = -c1 * y1 - c0 * y2 + params.b0 * step(k, 1) + params.b1 * step(k, 2);
-            ys.push(y);
-            (y2, y1) = (y1, y);
-        }
-        ys
-    }
-
-    #[test]
-    fn double_pole_at_0_7_gives_the_paper_constants() {
-        let derived = ControllerParams::for_double_pole(0.7);
-        assert!((derived.b0 - 0.4).abs() < 1e-12);
-        assert!((derived.b1 - (-0.31)).abs() < 1e-12);
-        assert!((derived.a - (-0.8)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clce_is_the_specified_double_pole() {
-        for p in [0.0, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95] {
-            let (c1, c0) = clce(&ControllerParams::for_double_pole(p));
-            assert!((c1 - (-2.0 * p)).abs() < 1e-12, "p = {p}: c1 = {c1}");
-            assert!((c0 - p * p).abs() < 1e-12, "p = {p}: c0 = {c0}");
-            // Zero discriminant: the quadratic formula's two roots
-            // coincide at −c1/2 = p — a double real pole, damping 1.
-            let disc = c1 * c1 - 4.0 * c0;
-            assert!(disc.abs() < 1e-12, "p = {p}: discriminant {disc}");
-            assert!((-c1 / 2.0 - p).abs() < 1e-12, "p = {p}");
-        }
-    }
-
-    #[test]
-    fn static_gain_is_one() {
-        // Eq. 19: the closed loop's DC gain T(1) = (b0 + b1)/(1 + c1 + c0),
-        // and 1 + c1 + c0 = b0 + b1 on the integrator plant.
-        for p in [0.0, 0.3, 0.5, 0.7, 0.9] {
-            for b0 in [0.1, 0.4, 0.9, 2.0] {
-                let params = design_with_b0(p, b0);
-                let (c1, c0) = clce(&params);
-                let gain = (params.b0 + params.b1) / (1.0 + c1 + c0);
-                assert!((gain - 1.0).abs() < 1e-12, "p = {p}, b0 = {b0}: {gain}");
-            }
-        }
-    }
-
-    #[test]
-    fn every_b0_gives_the_same_clce() {
-        // The static-gain condition is redundant on the integrator plant,
-        // so b0 stays free: every choice places the same poles.
-        for p in [0.5, 0.7, 0.9] {
-            let want = clce(&ControllerParams::for_double_pole(p));
-            for b0 in [0.1, 0.4, 0.9, 2.0] {
-                let (c1, c0) = clce(&design_with_b0(p, b0));
-                assert!((c1 - want.0).abs() < 1e-12, "p = {p}, b0 = {b0}: c1 {c1}");
-                assert!((c0 - want.1).abs() < 1e-12, "p = {p}, b0 = {b0}: c0 {c0}");
-            }
-            assert_eq!(design_with_b0(p, 0.4), ControllerParams::for_double_pole(p));
-        }
-    }
 
     #[test]
     fn production_designs_keep_their_bits() {
@@ -356,15 +273,7 @@ mod tests {
         #[test]
         fn closed_loop_step_response_settles_without_ringing(p in 0.05..0.95f64) {
             let ys = step_response(&ControllerParams::for_double_pole(p), 2000);
-            let steps: Vec<f64> = ys
-                .windows(2)
-                .map(|w| w[1] - w[0])
-                .filter(|d| d.abs() > 1e-12)
-                .collect();
-            let turns = steps
-                .windows(2)
-                .filter(|d| d[0].signum() != d[1].signum())
-                .count();
+            let turns = turns(&ys);
             prop_assert!(turns <= 1, "p = {p}: {turns} turns");
             if p < 1.0 - B0 {
                 prop_assert!(turns == 0 && ys.iter().all(|&y| y <= 1.0 + 1e-12), "p = {p}");
@@ -374,23 +283,34 @@ mod tests {
         }
     }
 
-    /// Simulates the closed loop against the ideal plant
-    /// q(k) = q(k−1) + u_applied(k)·T (the queue *is* the integrator) and
-    /// returns the ŷ trajectory.
+    /// Runs `ctrl` against the ideal plant q(k) = q(k−1) + u_applied(k)·T
+    /// (the queue *is* the integrator) from queue length `q`, with
+    /// per-tuple cost `cost(k)`, and returns the ŷ trajectory.
+    fn run_ideal_loop(
+        ctrl: &mut FeedbackController,
+        q: &mut f64,
+        target_s: f64,
+        cost: impl Fn(usize) -> f64,
+        steps: usize,
+    ) -> Vec<f64> {
+        (0..steps)
+            .map(|k| {
+                let c = cost(k);
+                let y = (*q + 1.0) * c / H;
+                let e = target_s - y;
+                let u = ctrl.compute(e, c, T, H);
+                ctrl.commit(e, u);
+                // Unbounded actuator: queue follows the controller exactly.
+                *q = (*q + u * T).max(0.0);
+                y
+            })
+            .collect()
+    }
+
+    /// The paper's controller from an empty queue at constant cost.
     fn simulate_ideal_loop(target_s: f64, steps: usize) -> Vec<f64> {
         let mut ctrl = FeedbackController::paper();
-        let mut q: f64 = 0.0;
-        let mut ys = Vec::with_capacity(steps);
-        for _ in 0..steps {
-            let y = (q + 1.0) * C / H;
-            ys.push(y);
-            let e = target_s - y;
-            let u = ctrl.compute(e, C, T, H);
-            ctrl.commit(e, u);
-            // Unbounded actuator: queue follows the controller exactly.
-            q = (q + u * T).max(0.0);
-        }
-        ys
+        run_ideal_loop(&mut ctrl, &mut 0.0, target_s, |_| C, steps)
     }
 
     #[test]
@@ -414,21 +334,10 @@ mod tests {
     fn tracks_setpoint_changes() {
         let mut ctrl = FeedbackController::paper();
         let mut q: f64 = 0.0;
-        let run_to = |target: f64, steps: usize, ctrl: &mut FeedbackController,
-                          q: &mut f64| {
-            let mut last = 0.0;
-            for _ in 0..steps {
-                last = (*q + 1.0) * C / H;
-                let e = target - last;
-                let u = ctrl.compute(e, C, T, H);
-                ctrl.commit(e, u);
-                *q = (*q + u * T).max(0.0);
-            }
-            last
-        };
-        let y = run_to(1.0, 30, &mut ctrl, &mut q);
+        let mut run_to = |target: f64| run_ideal_loop(&mut ctrl, &mut q, target, |_| C, 30)[29];
+        let y = run_to(1.0);
         assert!((y - 1.0).abs() < 0.1, "after first target: {y}");
-        let y = run_to(3.0, 30, &mut ctrl, &mut q);
+        let y = run_to(3.0);
         assert!((y - 3.0).abs() < 0.2, "after second target: {y}");
     }
 
@@ -437,19 +346,9 @@ mod tests {
         // Cost doubles mid-run; the loop must re-converge (Fig. 15's c
         // peaks). We fold the changing cost into both plant and controller
         // (the estimator tracks it).
-        let mut ctrl = FeedbackController::paper();
-        let mut q: f64 = 0.0;
         let target = 2.0;
-        let mut ys = Vec::new();
-        for k in 0..80 {
-            let c = if k < 40 { C } else { 2.0 * C };
-            let y = (q + 1.0) * c / H;
-            ys.push(y);
-            let e = target - y;
-            let u = ctrl.compute(e, c, T, H);
-            ctrl.commit(e, u);
-            q = (q + u * T).max(0.0);
-        }
+        let cost = |k| if k < 40 { C } else { 2.0 * C };
+        let ys = run_ideal_loop(&mut FeedbackController::paper(), &mut 0.0, target, cost, 80);
         // Re-converged by 20 periods after the change.
         for y in &ys[65..] {
             assert!((y - target).abs() < 0.25, "post-disturbance {y}");
@@ -494,17 +393,8 @@ mod tests {
     #[test]
     fn alternative_designs_converge_too() {
         for pole in [0.5, 0.8] {
-            let params = ControllerParams::for_double_pole(pole);
-            let mut ctrl = FeedbackController::new(params);
-            let mut q: f64 = 0.0;
-            let mut y = 0.0;
-            for _ in 0..60 {
-                y = (q + 1.0) * C / H;
-                let e = 2.0 - y;
-                let u = ctrl.compute(e, C, T, H);
-                ctrl.commit(e, u);
-                q = (q + u * T).max(0.0);
-            }
+            let mut ctrl = FeedbackController::new(ControllerParams::for_double_pole(pole));
+            let y = run_ideal_loop(&mut ctrl, &mut 0.0, 2.0, |_| C, 60)[59];
             assert!((y - 2.0).abs() < 0.2, "pole {pole}: settled {y}");
         }
     }

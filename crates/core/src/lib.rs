@@ -56,6 +56,15 @@ pub mod shedder;
 pub mod strategy;
 pub mod supervisor;
 
+// Appendix A's claims as closed-form tests of `controller`: the design
+// equations, the loop's responses, and the character of its poles.
+#[cfg(test)]
+mod analysis;
+#[cfg(test)]
+mod design;
+#[cfg(test)]
+mod tf;
+
 pub use adaptive::{AdaptiveCtrlStrategy, ComparatorStrategy, GainScheduler, RlsEstimator};
 pub use controller::FeedbackController;
 pub use estimator::{CostEstimator, DelayEstimator};

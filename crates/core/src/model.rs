@@ -128,6 +128,21 @@ mod tests {
     }
 
     #[test]
+    fn transfer_function_is_integrator() {
+        // G(z) = cT/(H(z − 1)): a sustained excess of one tuple/s raises
+        // the predicted delay by the gain cT/H every period — a ramp, the
+        // integrator's pole at 1.
+        let m = paper_model();
+        let mut q = 0.0;
+        for k in 0..10u64 {
+            assert_eq!(q, k as f64);
+            let dy = m.predict_delay_s(k + 1) - m.predict_delay_s(k);
+            assert!((dy - m.gain()).abs() < 1e-12, "period {k}: {dy}");
+            q = m.step_queue(q, 191.0, 190.0);
+        }
+    }
+
+    #[test]
     fn step_queue_integrates_excess() {
         let m = PlantModel::new(5000.0, 1.0, secs(1));
         let q1 = m.step_queue(0.0, 300.0, 200.0);
