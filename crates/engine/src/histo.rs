@@ -254,10 +254,23 @@ impl AtomicHisto {
     /// Records one value. Lock-free, allocation-free, relaxed ordering.
     #[inline]
     pub fn record(&self, v: u64) {
-        self.counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` copies of `v` in one update of each word; `n == 0`
+    /// records nothing.
+    #[inline]
+    pub fn record_n(&self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.counts[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
+        // `max` only grows: a value at or below it needs no locked RMW.
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Number of recorded values.

@@ -210,9 +210,6 @@ struct Global {
     rr_next: AtomicU64,
     stop: AtomicBool,
     shedder: AtomicShedder,
-    /// Admitted-tuple accumulator driving sojourn sampling
-    /// ([`spans::sample_crossed`](crate::spans::sample_crossed)).
-    sample_acc: AtomicU64,
 }
 
 impl Global {
@@ -229,7 +226,6 @@ impl Global {
             rr_next: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             shedder: AtomicShedder::new(seed),
-            sample_acc: AtomicU64::new(0),
         }
     }
 
@@ -793,28 +789,26 @@ impl ShardedEngine {
         })
     }
 
-    /// Pushes `counts[i]` stamps to shard `i` in one reservation each,
+    /// Pushes `counts[i]` tuples to shard `i` in one reservation each,
     /// folding outcomes into `res`. One timestamp serves the whole call
-    /// (all rings share the engine epoch).
+    /// (all rings share the engine epoch), so a shard's tuples travel as
+    /// at most two runs per 256: the sampled head and the rest.
     fn push_counts(&self, counts: &[u64], res: &mut BatchResult) {
         let mut stamp = None;
+        let every = self.cfg.sample_every;
         for (shard, &want) in self.shards.iter().zip(counts) {
             if want == 0 {
                 continue;
             }
-            let stamp = *stamp.get_or_insert_with(|| self.epoch.elapsed().as_nanos() as u64);
-            // Sojourn sampling: the marked head of the sub-batch carries
-            // SAMPLE_BIT, preserving the 1-in-`sample_every` rate across
-            // batched admission. Head and rest share the reservation.
-            let marked = crate::spans::sample_crossings(
-                &self.global.sample_acc,
-                self.cfg.sample_every,
-                want,
-            ) as usize;
-            let sampled = stamp | crate::spans::SAMPLE_BIT;
-            let pushed = shard
-                .ring
-                .push_with(want as usize, |i| if i < marked { sampled } else { stamp });
+            let stamp = *stamp.get_or_insert_with(|| {
+                self.epoch.elapsed().as_nanos() as u64 & crate::ring::STAMP_MASK
+            });
+            // Sojourn sampling by the shard's own ring sequence: the
+            // reservation's multiples of `sample_every` are its sampled
+            // head.
+            let pushed = shard.ring.push_sampled(stamp, want as usize, |start, got| {
+                crate::spans::sampled_in(every, start, got as u64) as usize
+            });
             // One reservation has one outcome: a closed ring took nothing.
             let (got, rejected, rejected_res) = match pushed {
                 Push::Pushed(got) => (
@@ -1437,14 +1431,21 @@ mod tests {
 
     #[test]
     fn push_counts_fills_the_ledger_from_one_reservation() {
+        use crate::ring::{run_len, run_stamp};
         use crate::spans::SAMPLE_BIT;
         const WANT: u64 = 20;
         const ROOM: usize = 12;
-        // Sampling every tuple marks all 20, more than fit; 1-in-64 from
-        // an accumulator at 62 crosses one sampling point.
-        for (sample_every, marked) in [(1, WANT as usize), (64, 1), (0, 0)] {
+        // Sampling every tuple marks all that land; 1-in-4 marks the
+        // multiples of 4 among ring sequences [4, 16), 1-in-64 none of
+        // them; 0 never marks.
+        for (sample_every, marked) in [(1, ROOM), (4, 3), (64, 0), (0, 0)] {
             let engine = door_without_workers(ROOM, sample_every);
-            engine.global.sample_acc.store(62, Ordering::Relaxed);
+            // Four tuples ahead, so the reservation starts at sequence 4.
+            let mut res = BatchResult::default();
+            engine.push_counts(&[4], &mut res);
+            let mut out = [0u64; WANT as usize];
+            let head_runs = 1 + usize::from(sample_every > 1);
+            assert_eq!(engine.shards[0].ring.pop_n(&mut out), head_runs);
             let mut res = BatchResult::default();
             engine.push_counts(&[WANT], &mut res);
             let expect = BatchResult {
@@ -1453,15 +1454,17 @@ mod tests {
                 ..BatchResult::default()
             };
             assert_eq!(res, expect, "sample_every {sample_every}");
-            assert_eq!(engine.shards[0].stats.pushed.load(Ordering::Relaxed), ROOM as u64);
+            assert_eq!(engine.shards[0].stats.pushed.load(Ordering::Relaxed), 4 + ROOM as u64);
 
-            // The sampled stamps are the head of what landed.
-            let mut out = [0u64; WANT as usize];
-            assert_eq!(engine.shards[0].ring.pop_n(&mut out), ROOM);
-            let sampled: Vec<bool> = out[..ROOM].iter().map(|s| s & SAMPLE_BIT != 0).collect();
-            let head = marked.min(ROOM);
-            assert_eq!(sampled, [vec![true; head], vec![false; ROOM - head]].concat());
-            assert!(out[..ROOM].iter().all(|s| s & !SAMPLE_BIT == out[0] & !SAMPLE_BIT));
+            // At most two runs, the sampled one first, on one stamp.
+            let runs = engine.shards[0].ring.pop_n(&mut out);
+            let words = &out[..runs];
+            let lens: Vec<usize> = words.iter().map(|w| run_len(*w)).collect();
+            let expect: Vec<usize> = [marked, ROOM - marked].into_iter().filter(|n| *n > 0).collect();
+            assert_eq!(lens, expect, "sample_every {sample_every}");
+            let sampled: Vec<bool> = words.iter().map(|w| w & SAMPLE_BIT != 0).collect();
+            assert_eq!(sampled, expect.iter().enumerate().map(|(i, _)| i == 0 && marked > 0).collect::<Vec<_>>());
+            assert!(words.iter().all(|w| run_stamp(*w) == run_stamp(words[0])));
 
             // A reservation that loses to `close()` loses whole.
             engine.close();

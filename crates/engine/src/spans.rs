@@ -11,30 +11,30 @@
 //!
 //! ## Sampling
 //!
-//! Per-tuple end-to-end sojourn is tracked on a sampled basis: the
-//! front door marks roughly every `sample_every`-th tuple (default
-//! [`DEFAULT_SAMPLE_EVERY`] = 64) by setting [`SAMPLE_BIT`] — bit 63 —
-//! in the tuple's ring stamp. Stamps are nanoseconds since the engine
-//! epoch, which stays below 2⁶² for 146 years, so the bit is free (the
-//! ring keeps bit 62 for itself, see [`SAMPLE_BIT`]). The
-//! worker detects the bit at retirement, strips it before any delay
-//! arithmetic, and closes the span: `ring_wait` (stamp → batch start),
-//! `execute` (batch start → retirement), and the end-to-end sojourn.
-//! At 1/64 sampling the record path adds a handful of relaxed atomic
-//! increments per 64 tuples — unmeasurable next to a ring push.
+//! Per-tuple end-to-end sojourn is tracked on a sampled basis: a shard
+//! samples the tuples at its ring sequences that are multiples of
+//! `sample_every` (default [`DEFAULT_SAMPLE_EVERY`] = 64, see
+//! [`sampled_in`]). The front door learns a reservation's sequences only
+//! once it holds them, so the ring asks it how many of them are sampled
+//! and writes those as the reservation's first run, with [`SAMPLE_BIT`]
+//! — bit 63 — set in the run word. The worker detects the bit at
+//! retirement and closes the span for every tuple of the run:
+//! `ring_wait` (stamp → batch start), `execute` (batch start →
+//! retirement), and the end-to-end sojourn. A zero-cost worker records a
+//! sampled run of `m` tuples with one [`SpanHandle::record_n`] call per
+//! histogram, so even `sample_every = 1` costs a few relaxed atomic
+//! increments per run, not per tuple.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::histo::{AtomicHisto, Histo};
 use crate::telemetry::PromText;
 
-/// Bit 63 of a ring stamp marks a sampled tuple. A ring payload is 62
-/// value bits plus this mark: bit 62 is the ring's own
-/// ([`LAP_BIT`](crate::ring::LAP_BIT), `ring.rs` asserts the two are
-/// disjoint), and stamps are ns since the engine epoch (< 2⁶² for 146
-/// years), so neither bit collides with real time. The ring returns the
-/// mark as pushed; a stamp of `0` is legal.
+/// Bit 63 of a ring run word marks every tuple of the run as sampled.
+/// The other bits are the ring's: a valid bit (62), `count − 1` (61–54)
+/// and the arrival stamp (53–0, ns since the engine epoch modulo 2⁵⁴;
+/// see [`ring`](crate::ring), which asserts the fields are disjoint).
+/// A pop returns the mark as pushed; a stamp of `0` is legal.
 pub const SAMPLE_BIT: u64 = 1 << 63;
 
 /// Default sojourn sampling rate: one tuple in 64.
@@ -140,13 +140,26 @@ impl SpanHandle {
     /// Records one stage duration in nanoseconds.
     #[inline]
     pub fn record(&self, stage: Stage, ns: u64) {
-        self.slot.stages[stage.index()].record(ns);
+        self.record_n(stage, ns, 1);
+    }
+
+    /// Records `n` tuples that each spent `ns` nanoseconds in `stage`
+    /// (one sampled run), in one histogram update.
+    #[inline]
+    pub fn record_n(&self, stage: Stage, ns: u64, n: u64) {
+        self.slot.stages[stage.index()].record_n(ns, n);
     }
 
     /// Records one sampled end-to-end sojourn in nanoseconds.
     #[inline]
     pub fn record_sojourn(&self, ns: u64) {
-        self.slot.sojourn.record(ns);
+        self.record_sojourn_n(ns, 1);
+    }
+
+    /// Records `n` sampled end-to-end sojourns of `ns` nanoseconds each.
+    #[inline]
+    pub fn record_sojourn_n(&self, ns: u64, n: u64) {
+        self.slot.sojourn.record_n(ns, n);
     }
 
     /// The slot's label (shard id or listener thread name).
@@ -438,20 +451,17 @@ impl ProfileSnapshot {
     }
 }
 
-/// Batch sampling helper for front doors: bumps the shared admitted
-/// counter by `n` and returns how many sampling points the batch
-/// crossed — the number of tuples the caller should mark with
-/// [`SAMPLE_BIT`] (so batched admission samples at the same 1-in-`every`
-/// rate as scalar admission). `every == 0` disables sampling at zero
-/// cost.
+/// How many of the sequences `[start, start + n)` of one shard's ring are
+/// sampled: the multiples of `every` among them, so a shard samples one
+/// tuple in `every` however its reservations fall. `every == 0`
+/// disables sampling.
 #[inline]
-pub fn sample_crossings(acc: &AtomicU64, every: u32, n: u64) -> u64 {
-    if every == 0 || n == 0 {
+pub fn sampled_in(every: u32, start: u64, n: u64) -> u64 {
+    if every == 0 {
         return 0;
     }
-    let every = every as u64;
-    let prev = acc.fetch_add(n, Ordering::Relaxed);
-    (prev + n) / every - prev / every
+    let every = u64::from(every);
+    (start + n).div_ceil(every) - start.div_ceil(every)
 }
 
 #[cfg(test)]
@@ -600,20 +610,39 @@ mod tests {
 
     #[test]
     fn sample_crossing_marks_once_per_every() {
-        let acc = AtomicU64::new(0);
-        let mut marks = 0;
-        for _ in 0..640 {
-            marks += sample_crossings(&acc, 64, 1);
-        }
+        // 640 single-tuple reservations mark one tuple in 64.
+        let marks: u64 = (0..640).map(|s| sampled_in(64, s, 1)).sum();
         assert_eq!(marks, 10);
-        // Batched offers sample at the same overall rate: 10 batches of
-        // 100 tuples cross 1000/64 = 15 points (± the phase).
-        let acc = AtomicU64::new(0);
-        let mut marks = 0;
-        for _ in 0..10 {
-            marks += sample_crossings(&acc, 64, 100);
+        // Reservations of any size sample at the same rate: 10 of 100
+        // tuples from sequence 0 hold the 16 multiples of 64 below 1000,
+        // and a reservation that ends on a multiple does not count it.
+        let marks: u64 = (0..10).map(|k| sampled_in(64, 100 * k, 100)).sum();
+        assert_eq!(marks, 1000_u64.div_ceil(64));
+        assert_eq!([sampled_in(64, 1, 63), sampled_in(64, 1, 64)], [0, 1]);
+        assert_eq!(sampled_in(1, 12_345, 256), 256, "every=1 samples every tuple");
+        assert_eq!(sampled_in(0, 0, 100), 0, "every=0 disables sampling");
+    }
+
+    #[test]
+    fn a_sampled_run_records_as_its_tuples_would() {
+        let reg = SpanRegistry::new();
+        let (one, run) = (reg.handle("one"), reg.handle("run"));
+        for _ in 0..5 {
+            one.record(Stage::RingWait, 3_000);
+            one.record_sojourn(7_000);
         }
-        assert_eq!(marks, 1000 / 64);
-        assert_eq!(sample_crossings(&acc, 0, 100), 0, "every=0 disables sampling");
+        run.record_n(Stage::RingWait, 3_000, 5);
+        run.record_sojourn_n(7_000, 5);
+        run.record_n(Stage::Execute, 9, 0);
+        let snap = reg.snapshot();
+        let label = |l: &str| snap.labels.iter().find(|x| x.label == l).unwrap().clone();
+        let (a, b) = (label("one"), label("run"));
+        let view = |h: &Histo| (h.count(), h.sum(), h.max(), h.cumulative_le(5_000));
+        assert_eq!(view(&a.sojourn), view(&b.sojourn));
+        for stage in Stage::ALL {
+            let (x, y) = (&a.stages[stage.index()], &b.stages[stage.index()]);
+            assert_eq!(view(x), view(y), "{stage:?}");
+        }
+        assert_eq!(view(&b.stages[Stage::RingWait.index()]), (5, 15_000, 3_000, 5));
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Every shard of the engine in [`shard`](crate::shard) runs this
 //! worker: a batch drain loop over the shard's ingress
-//! ring ([`SpscRing`]) with in-queue shed budget, per-tuple delay
-//! accounting against a target, a busy-time counter (the raw material
+//! ring ([`SpscRing`]) with in-queue shed budget, delay accounting
+//! against a target, a busy-time counter (the raw material
 //! of the per-shard cost model), and panic-catch-and-restart
 //! supervision that loses only the tuple being processed.
 //!
@@ -19,13 +19,18 @@
 //! between two tuples, shed-budget consumption (charged to the next
 //! completion) and any time the host takes the CPU away.
 //!
-//! The worker pops up to [`WORKER_POP_BATCH`] stamps per ring operation
-//! into a [`PendingBatch`] that is owned by the *supervisor* loop, not
-//! the worker iteration: the batch cursor advances before each tuple is
-//! processed, so a panic mid-batch poisons exactly one tuple and the
-//! restarted loop resumes with the remainder of the batch intact.
+//! The worker pops up to [`WORKER_POP_BATCH`] run words per ring
+//! operation (a run is up to 256 tuples that share an arrival stamp, see
+//! [`ring`](crate::ring)) into a [`PendingBatch`] that is owned by the
+//! *supervisor* loop, not the worker iteration. Its cursor is a (run,
+//! offset) pair and advances before the tuples it covers are processed:
+//! a zero-cost worker takes up the rest of a run at once and retires it
+//! in O(1), a timed one takes one tuple at a time, and either stops short
+//! of an injected panic's tuple and then takes it alone, so a panic
+//! mid-batch poisons exactly one tuple and the restarted loop resumes
+//! with the remainder of the batch intact.
 
-use crate::ring::{CachePadded, SpscRing};
+use crate::ring::{run_len, run_stamp, sojourn_ns, CachePadded, SpscRing};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -66,23 +71,26 @@ pub struct WorkerConfig {
     /// where unsupported).
     pub pin_core: Option<usize>,
     /// Span recorder for the latency truth plane. When set, the worker
-    /// closes sampled sojourns (stamps carrying
+    /// closes sampled sojourns (runs carrying
     /// [`SAMPLE_BIT`](crate::spans::SAMPLE_BIT)) into `ring_wait` /
     /// `execute` / sojourn histograms at retirement. `None` costs
-    /// nothing beyond one branch per tuple.
+    /// nothing beyond one branch per retirement.
     pub spans: Option<crate::spans::SpanHandle>,
 }
 
-/// Maximum stamps a worker pops from its ring per ring operation.
+/// Maximum run words a worker pops from its ring per ring operation.
 pub const WORKER_POP_BATCH: usize = 256;
 
-/// A popped-but-not-yet-processed run of stamps. Owned by the supervisor
-/// so a panic mid-batch loses only the tuple whose cursor was already
+/// Popped-but-not-yet-processed run words. Owned by the supervisor so a
+/// panic mid-batch loses only the tuple whose cursor was already
 /// advanced; the restarted loop drains the rest.
 #[derive(Debug)]
 pub struct PendingBatch {
     buf: [u64; WORKER_POP_BATCH],
+    /// The run the cursor is in.
     next: usize,
+    /// Tuples of run `next` already taken up.
+    offset: usize,
     len: usize,
 }
 
@@ -98,6 +106,7 @@ impl PendingBatch {
         Self {
             buf: [0; WORKER_POP_BATCH],
             next: 0,
+            offset: 0,
             len: 0,
         }
     }
@@ -201,7 +210,11 @@ impl WorkerStats {
     }
 
     /// Tuples queued for this worker: `pushed − processed`, i.e. in the
-    /// ring or popped and not yet taken up. `processed` is read first
+    /// ring or popped and not yet taken up. Both count tuples, not the
+    /// ring's run words: a run moves `processed` by the tuples taken up
+    /// of it, so a popped run still counts what is left of it. A
+    /// zero-cost worker takes up a whole run at once, and its `q` can
+    /// step down by up to 256 at a time. `processed` is read first
     /// and the difference saturates: the front door counts a push only
     /// after the ring published it, so the worker can momentarily be
     /// ahead of `pushed`, and that must read as an empty queue rather
@@ -239,36 +252,37 @@ impl WorkerStats {
         }
     }
 
-    /// Atomically consumes one unit of shed budget; `true` if a unit was
-    /// available.
-    fn try_consume_shed_budget(&self) -> bool {
+    /// Atomically consumes one unit of shed budget for each of up to `n`
+    /// tuples; returns how many units were available (`≤ n`).
+    fn take_shed_budget(&self, n: u64) -> u64 {
         let mut budget = self.shed_budget.load(Ordering::Relaxed);
         while budget > 0 {
+            let take = budget.min(n);
             match self.shed_budget.compare_exchange_weak(
                 budget,
-                budget - 1,
+                budget - take,
                 Ordering::Relaxed,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => return true,
+                Ok(_) => return take,
                 Err(b) => budget = b,
             }
         }
-        false
+        0
     }
 
-    /// Delay/violation accounting for one completed tuple. Worker thread
-    /// only (single-writer counters).
+    /// Delay/violation accounting for `n` completed tuples of one delay.
+    /// Worker thread only (single-writer counters).
     #[inline]
-    fn record_completion(&self, delay_us: u64, target_us: u64) {
-        bump(&self.completed, 1);
-        bump(&self.delay_sum_us, delay_us);
+    fn record_completions(&self, n: u64, delay_us: u64, target_us: u64) {
+        bump(&self.completed, n);
+        bump(&self.delay_sum_us, n * delay_us);
         if delay_us > self.delay_max_us.load(Ordering::Relaxed) {
             self.delay_max_us.store(delay_us, Ordering::Relaxed);
         }
         if delay_us > target_us {
-            bump(&self.delayed, 1);
-            bump(&self.violation_sum_us, delay_us - target_us);
+            bump(&self.delayed, n);
+            bump(&self.violation_sum_us, n * (delay_us - target_us));
         }
     }
 }
@@ -306,9 +320,9 @@ fn drain<const ZERO_COST: bool>(
 ) {
     let target_us = cfg.target_delay.as_micros() as u64;
     // Zero-cost workers (throughput microbenches) take one clock reading
-    // per popped batch and none per tuple; with a real service time
-    // delay must be measured at each tuple's own completion, and the
-    // service loop is reading the clock there anyway.
+    // per popped batch and none per run; with a real service time delay
+    // must be measured at each tuple's own completion, and the service
+    // loop is reading the clock there anyway.
     let zero_cost = ZERO_COST;
     let epoch = ring.epoch();
     loop {
@@ -319,42 +333,58 @@ fn drain<const ZERO_COST: bool>(
             }
             pending.len = n;
             pending.next = 0;
+            pending.offset = 0;
         }
-        let batch_now_ns =
-            if zero_cost { Instant::now().duration_since(epoch).as_nanos() as u64 } else { 0 };
+        let batch_now_ns = if zero_cost { ring.stamp_now() } else { 0 };
         // Busy time chains completion to completion. The chain restarts
         // here — after a pop, or on re-entry after a caught panic — so
         // neither parked time nor an unwind is ever counted as busy.
         let mut prev_done_ns =
             if zero_cost { 0 } else { Instant::now().duration_since(epoch).as_nanos() as u64 };
         while pending.next < pending.len {
-            let raw = pending.buf[pending.next];
-            // Strip the sojourn-sampling mark before any delay
-            // arithmetic; a sampled tuple that gets shed below simply
-            // loses its sample (sampling is statistical, not a ledger).
-            let sampled = raw & crate::spans::SAMPLE_BIT != 0;
-            let stamp = raw & !crate::spans::SAMPLE_BIT;
-            // Advance the cursor *before* processing: a panic below
-            // loses exactly this tuple.
-            pending.next += 1;
-            let nth = bump(&stats.processed, 1);
+            let word = pending.buf[pending.next];
+            let sampled = word & crate::spans::SAMPLE_BIT != 0;
+            let stamp = run_stamp(word);
+            let len = run_len(word);
+            // Take up the rest of the run at once, or one tuple of it —
+            // and stop short of an injected panic's tuple, then take it
+            // alone, so the panic below loses exactly that tuple.
+            let before = stats.processed.load(Ordering::Relaxed);
+            let mut take = if zero_cost { (len - pending.offset) as u64 } else { 1 };
+            if let Some(p) = cfg.panic_on_tuple {
+                if p > before && p - before <= take {
+                    take = (p - before - 1).max(1);
+                }
+            }
+            // Advance the cursor *before* processing.
+            pending.offset += take as usize;
+            if pending.offset == len {
+                pending.next += 1;
+                pending.offset = 0;
+            }
+            let nth = bump(&stats.processed, take);
             if cfg.panic_on_tuple == Some(nth) {
                 panic!("injected worker fault at tuple {nth}");
             }
-            // In-queue shedding: consume budget instead of work.
-            if stats.try_consume_shed_budget() {
-                bump(&stats.dropped_shed, 1);
+            // In-queue shedding: consume budget instead of work, a unit
+            // per tuple; a sampled tuple that is shed loses its sample
+            // (sampling is statistical, not a ledger).
+            let shed = stats.take_shed_budget(take);
+            if shed > 0 {
+                bump(&stats.dropped_shed, shed);
+            }
+            let done = take - shed;
+            if done == 0 {
                 continue;
             }
             if zero_cost {
-                let delay_us = batch_now_ns.saturating_sub(stamp) / 1_000;
-                stats.record_completion(delay_us, target_us);
+                let sojourn = sojourn_ns(batch_now_ns, stamp);
+                stats.record_completions(done, sojourn / 1_000, target_us);
                 if sampled {
                     if let Some(spans) = &cfg.spans {
-                        let sojourn_ns = batch_now_ns.saturating_sub(stamp);
-                        spans.record(crate::spans::Stage::RingWait, sojourn_ns);
-                        spans.record(crate::spans::Stage::Execute, 0);
-                        spans.record_sojourn(sojourn_ns);
+                        spans.record_n(crate::spans::Stage::RingWait, sojourn, done);
+                        spans.record_n(crate::spans::Stage::Execute, 0, done);
+                        spans.record_sojourn_n(sojourn, done);
                     }
                 }
                 continue;
@@ -380,18 +410,18 @@ fn drain<const ZERO_COST: bool>(
             let done_ns = done.duration_since(epoch).as_nanos() as u64;
             bump(&stats.busy_ns, done_ns.saturating_sub(prev_done_ns));
             prev_done_ns = done_ns;
-            let delay_us = done_ns.saturating_sub(stamp) / 1_000;
-            stats.record_completion(delay_us, target_us);
+            let sojourn = sojourn_ns(done_ns, stamp);
+            stats.record_completions(1, sojourn / 1_000, target_us);
             if sampled {
                 if let Some(spans) = &cfg.spans {
-                    // Close the sampled sojourn: stamp → batch start is
-                    // ring residency, batch start → retirement is
+                    // Close the sampled sojourn: stamp → service start is
+                    // ring residency, service start → retirement is
                     // execution, and their concatenation is the
                     // end-to-end sojourn.
                     let t0_ns = t0.duration_since(epoch).as_nanos() as u64;
-                    spans.record(crate::spans::Stage::RingWait, t0_ns.saturating_sub(stamp));
+                    spans.record(crate::spans::Stage::RingWait, sojourn_ns(t0_ns, stamp));
                     spans.record(crate::spans::Stage::Execute, done_ns.saturating_sub(t0_ns));
-                    spans.record_sojourn(done_ns.saturating_sub(stamp));
+                    spans.record_sojourn(sojourn);
                 }
             }
         }
@@ -682,6 +712,89 @@ mod tests {
         assert_eq!(stats.dropped_shed.load(Ordering::Relaxed), 5);
         assert_eq!(stats.completed.load(Ordering::Relaxed), 0);
         assert_eq!(stats.shed_budget.load(Ordering::Relaxed), 0);
+    }
+
+    /// A zero-cost worker fed `runs` pushes of `n` tuples each (one run
+    /// per push up to 256) with `budget` in-queue shed budget, until the
+    /// ring drains.
+    fn drain_zero_cost(runs: &[usize], budget: u64, panic_on_tuple: Option<u64>) -> WorkerStats {
+        let stats = Arc::new(WorkerStats::new());
+        stats.shed_budget.store(budget, Ordering::Relaxed);
+        let ring = Arc::new(SpscRing::new(4096));
+        for &n in runs {
+            feed(&ring, &stats, n);
+        }
+        ring.close();
+        let mut c = cfg();
+        c.cost = Duration::ZERO;
+        c.panic_on_tuple = panic_on_tuple;
+        spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), c)
+            .join()
+            .unwrap();
+        Arc::into_inner(stats).unwrap()
+    }
+
+    #[test]
+    fn a_panic_inside_a_run_loses_one_tuple_and_retires_the_rest() {
+        // One 256-tuple run, the 100th poisoned: 99 retired at once, the
+        // 100th lost, and the restarted loop retires the other 156 from
+        // the run's offset.
+        let stats = drain_zero_cost(&[256], 0, Some(100));
+        let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        assert_eq!(read(&stats.worker_panics), 1);
+        assert_eq!(read(&stats.completed), 255);
+        assert_eq!(read(&stats.processed), 256);
+        assert_eq!(stats.queue_len(), 0);
+        // The first and the last tuple of a run are one tuple each too.
+        for (runs, poisoned) in [(&[256, 256][..], 1), (&[256, 256][..], 256), (&[256, 256][..], 257)] {
+            let stats = drain_zero_cost(runs, 0, Some(poisoned));
+            assert_eq!(read(&stats.worker_panics), 1, "tuple {poisoned}");
+            assert_eq!(read(&stats.completed), 511, "tuple {poisoned}");
+        }
+    }
+
+    #[test]
+    fn shed_budget_is_consumed_tuple_by_tuple_mid_run() {
+        let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        // A budget that ends inside the second run.
+        let stats = drain_zero_cost(&[256, 256], 300, None);
+        assert_eq!(read(&stats.dropped_shed), 300);
+        assert_eq!(read(&stats.completed), 212);
+        assert_eq!(read(&stats.shed_budget), 0);
+        // With a panic inside the shed stretch: tuples 1–49 take budget,
+        // 50 is lost before it could, 51–101 take the rest, and 102–256
+        // complete — as if each tuple were taken up alone.
+        let stats = drain_zero_cost(&[256], 100, Some(50));
+        assert_eq!(read(&stats.dropped_shed), 100);
+        assert_eq!(read(&stats.worker_panics), 1);
+        assert_eq!(read(&stats.completed), 155);
+        assert_eq!(read(&stats.processed), 256);
+    }
+
+    #[test]
+    fn a_sojourn_across_the_stamp_wrap_is_its_length() {
+        use crate::ring::STAMP_MASK;
+        let stats = Arc::new(WorkerStats::new());
+        let ring = Arc::new(SpscRing::new(64));
+        let mut c = cfg();
+        c.cost = Duration::ZERO;
+        // A fresh ring's clock is far below a second, so a stamp one
+        // second back lies on the previous lap, just below 2⁵⁴.
+        let now = ring.stamp_now();
+        assert!(now < 1_000_000_000, "{now}");
+        let stamp = now.wrapping_sub(1_000_000_000) & STAMP_MASK;
+        assert!(stamp > STAMP_MASK - 1_000_000_000);
+        assert_eq!(ring.push_repeat(stamp, 10), Push::Pushed(10));
+        stats.pushed.fetch_add(10, Ordering::Relaxed);
+        ring.close();
+        spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), c)
+            .join()
+            .unwrap();
+        assert_eq!(stats.completed.load(Ordering::Relaxed), 10);
+        let max_us = stats.delay_max_us.load(Ordering::Relaxed);
+        assert!((1_000_000..60_000_000).contains(&max_us), "{max_us} µs");
+        assert_eq!(stats.delay_sum_us.load(Ordering::Relaxed), 10 * max_us);
+        assert_eq!(stats.delayed.load(Ordering::Relaxed), 10, "over the 50 ms target");
     }
 
     #[test]

@@ -1,31 +1,37 @@
 //! Property and stress tests for the bounded SPSC ring behind the
 //! batched front door ([`streamshed_engine::ring::SpscRing`]).
 //!
-//! The properties check the ring against a `VecDeque` reference model
-//! under arbitrary interleavings of batch pushes and batch pops: FIFO
-//! order is exact, the logical capacity is never exceeded, and every
-//! accepted element is popped exactly once. The stress test races a
-//! producer against a consumer (plus a mid-flight `close()`) and asserts
-//! exact conservation: accepted == popped, with no duplicates and no
-//! reordering. A second stress aims sixteen producers at a consumer that
-//! waits for a single slot, so every push is a doorbell candidate; a
-//! third laps a 2-slot and a 4-slot ring with two batch producers. Two
-//! tests pin the close protocol: eight producers racing `close()` (the
-//! reservations below the frozen `tail` are exactly what lands), and a
-//! producer parked between its reservation and its stores (the consumer
-//! neither pops past the hole nor reports the ring drained).
+//! The ring carries runs: a push of `n` tuples writes one word per 256
+//! of them, at the run's first sequence, and a pop returns those words.
+//! The properties check the ring against a `VecDeque` reference model of
+//! run words under arbitrary interleavings of pushes of 1–600 tuples and
+//! batch pops: FIFO order is exact, a push of `n` with room `r < n`
+//! lands exactly `r` tuples, the logical capacity (in tuples) is never
+//! exceeded, and every accepted run is popped exactly once, across the
+//! 256-tuple split and the wrap of the slot array. The stress tests race
+//! producers against a consumer and check, on the expanded tuples,
+//! per-producer FIFO and exact conservation: a producer against a
+//! consumer with a mid-flight `close()`; sixteen producers into a
+//! consumer that pops one run at a time, so every push is a doorbell
+//! candidate; and two batch producers lapping a 2-slot and a 4-slot
+//! ring. Two tests pin the close protocol: eight producers racing
+//! `close()` (the reservations below the frozen `tail` are exactly what
+//! lands), and a producer parked between its reservation and its stores
+//! (the consumer neither pops past the hole nor reports the ring
+//! drained).
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use proptest::prelude::*;
-use streamshed_engine::ring::{Push, SpscRing, LAP_BIT};
+use streamshed_engine::ring::{run_len, run_stamp, Push, SpscRing, RUN_MAX, STAMP_MASK};
 use streamshed_engine::spans::SAMPLE_BIT;
 
-/// One scripted step against the ring: push a batch of `n` values or pop
-/// with an `n`-slot buffer.
+/// One scripted step against the ring: push `n` tuples, or pop with an
+/// `n`-word buffer.
 #[derive(Debug, Clone, Copy)]
 enum Step {
     Push(usize),
@@ -34,56 +40,107 @@ enum Step {
 
 fn step_strategy() -> impl Strategy<Value = Step> {
     prop_oneof![
-        (1usize..=64).prop_map(Step::Push),
+        (1usize..=600).prop_map(Step::Push),
         (1usize..=64).prop_map(Step::Pop),
     ]
 }
 
-/// Plays `steps` against a ring of `capacity` and a `VecDeque` model,
-/// sequence `s` carrying `payload(s)`. The script repeats — with a full
-/// pop and a full push between rounds, so an all-pop or all-push script
-/// still advances — until every slot has been written on `laps` laps.
+/// The run word a pop returns for `count` tuples stamped `stamp`.
+fn word(stamp: u64, count: usize, sampled: bool) -> u64 {
+    let mark = if sampled { SAMPLE_BIT } else { 0 };
+    stamp | ((count as u64 - 1) << 54) | mark
+}
+
+/// The words a reservation of `got` tuples writes with `marked` of them
+/// sampled, with their tuple counts: the sampled head, then the rest,
+/// each cut every 256 tuples.
+fn runs_of(stamp: u64, got: usize, marked: usize) -> Vec<(u64, usize)> {
+    let mut runs = Vec::new();
+    for (n, sampled) in [(marked, true), (got - marked, false)] {
+        let mut left = n;
+        while left > 0 {
+            let count = left.min(RUN_MAX);
+            runs.push((word(stamp, count, sampled), count));
+            left -= count;
+        }
+    }
+    runs
+}
+
+/// The edges of the stamp domain in rotation: `0` (a slot with only the
+/// valid bit), a plain stamp, the largest stamp, and one just below it.
+fn edge_stamp(k: u64) -> u64 {
+    match k % 4 {
+        0 => 0,
+        1 => k,
+        2 => STAMP_MASK,
+        _ => STAMP_MASK - k,
+    }
+}
+
+/// How many tuples of a reservation from `start` are sampled: any
+/// number, often more than the reservation (the ring clamps it), and
+/// across the 256 split.
+fn marked_at(start: u64) -> usize {
+    (start.wrapping_mul(0x9E37_79B9) % 301) as usize
+}
+
+/// Plays `steps` against a ring of `capacity` and a `VecDeque` of the
+/// run words it must return (and their counts, which the model keeps
+/// itself rather than decode), push `k` stamped `stamp(k)`. The script
+/// repeats — with a full pop and a full push between rounds, so an
+/// all-pop or all-push script still advances — until `laps × slots`
+/// tuples have been pushed.
 fn check_against_model(
     capacity: usize,
     steps: &[Step],
     laps: u64,
-    payload: fn(u64) -> u64,
+    stamp: fn(u64) -> u64,
 ) -> Result<(), TestCaseError> {
     let ring = SpscRing::new(capacity);
     let slots = capacity.next_power_of_two() as u64;
-    let mut model: VecDeque<u64> = VecDeque::new();
-    let mut next = 0u64;
+    let mut model: VecDeque<(u64, usize)> = VecDeque::new();
+    let mut held = 0usize;
+    let (mut next, mut pushes) = (0u64, 0u64);
     loop {
         let round = [Step::Pop(capacity), Step::Push(capacity)];
         for step in steps.iter().chain(&round) {
             match *step {
                 Step::Push(n) => {
-                    let base = next;
-                    match ring.push_with(n, |i| payload(base + i as u64)) {
-                        Push::Pushed(accepted) => {
-                            // Partial acceptance is a prefix: exactly the
-                            // first `accepted` values are in the ring.
-                            prop_assert!(accepted <= n);
-                            // …and never short while the model has room,
-                            // however stale the producers' `head_seen`.
-                            let free = capacity - model.len();
-                            prop_assert_eq!(accepted, n.min(free), "short push with room");
-                            model.extend((base..base + accepted as u64).map(payload));
-                            next += accepted as u64;
-                        }
-                        Push::Closed => prop_assert!(false, "ring is never closed here"),
-                    }
+                    let s = stamp(pushes);
+                    pushes += 1;
+                    let seen = Cell::new(None);
+                    let pushed = ring.push_sampled(s, n, |start, got| {
+                        seen.set(Some((start, got)));
+                        marked_at(start)
+                    });
+                    let Push::Pushed(accepted) = pushed else {
+                        return Err(TestCaseError::fail("ring is never closed here"));
+                    };
+                    // Exact tuple capacity, however stale the producers'
+                    // `head_seen`: a push of `n` with room `r` lands
+                    // `min(n, r)`.
+                    prop_assert_eq!(accepted, n.min(capacity - held), "short push with room");
+                    let expect_seen = (accepted > 0).then_some((next, accepted));
+                    prop_assert_eq!(seen.get(), expect_seen, "sampled() sees the reservation");
+                    let marked = marked_at(next).min(accepted);
+                    model.extend(runs_of(s, accepted, marked));
+                    next += accepted as u64;
+                    held += accepted;
                 }
                 Step::Pop(n) => {
                     let mut buf = vec![0u64; n];
                     let got = ring.pop_n(&mut buf);
                     prop_assert_eq!(got, n.min(model.len()));
-                    for &v in &buf[..got] {
-                        prop_assert_eq!(Some(v), model.pop_front(), "FIFO order");
+                    for &w in &buf[..got] {
+                        let (expect, count) = model.pop_front().unwrap();
+                        prop_assert_eq!(w, expect, "FIFO order");
+                        prop_assert_eq!(run_len(w), count);
+                        held -= count;
                     }
                 }
             }
-            prop_assert_eq!(ring.len(), model.len());
+            prop_assert_eq!(ring.len(), held);
             prop_assert!(ring.len() <= ring.capacity(), "capacity is a hard bound");
         }
         if next >= laps * slots {
@@ -95,63 +152,56 @@ fn check_against_model(
     while !model.is_empty() {
         let got = ring.pop_n(&mut buf);
         prop_assert!(got > 0);
-        for &v in &buf[..got] {
-            prop_assert_eq!(Some(v), model.pop_front());
+        for &w in &buf[..got] {
+            prop_assert_eq!(Some(w), model.pop_front().map(|run| run.0));
         }
     }
     prop_assert!(ring.is_empty());
+    prop_assert_eq!(ring.pop_n(&mut buf), 0, "a drained ring holds no run");
     Ok(())
-}
-
-/// The whole payload domain in rotation: `0` (an empty slot but for the
-/// tag), a plain stamp, a sampled stamp, and the largest legal word.
-fn edge_payload(s: u64) -> u64 {
-    match s % 4 {
-        0 => 0,
-        1 => s,
-        2 => s | SAMPLE_BIT,
-        _ => !LAP_BIT,
-    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Arbitrary interleavings of batch pushes and pops agree with a
-    /// `VecDeque` model element for element, and the ring never holds
-    /// more than its logical capacity.
+    /// Arbitrary interleavings of pushes of 1–600 tuples and batch pops
+    /// agree with the model run for run, and the ring never holds more
+    /// than its logical capacity.
     #[test]
     fn ring_matches_vecdeque_model(
         capacity in 1usize..=96,
         steps in proptest::collection::vec(step_strategy(), 1..80),
     ) {
-        check_against_model(capacity, &steps, 0, |s| s)?;
+        check_against_model(capacity, &steps, 0, |k| k)?;
     }
 
-    /// The same on rings small enough to lap: one slot, exact powers of
-    /// two and capacities below their slot count, each slot written on
-    /// at least four laps (both tag values twice), with payloads that
-    /// differ from an empty slot by the tag alone.
+    /// The same on rings small enough to lap on every push — one slot,
+    /// exact powers of two and capacities below their slot count — and
+    /// on a 65 536-tuple ring where runs of 256 cross the end of the
+    /// array; each written on at least four laps, with the stamps at the
+    /// edges of their domain.
     #[test]
     fn small_rings_match_the_model_lap_after_lap(
         steps in proptest::collection::vec(step_strategy(), 1..24),
     ) {
-        for capacity in [1, 2, 3, 5, 8, 13] {
-            check_against_model(capacity, &steps, 4, edge_payload)?;
+        for capacity in [1, 2, 3, 5, 8, 13, 65_536] {
+            check_against_model(capacity, &steps, 4, edge_stamp)?;
         }
     }
 
-    /// `push_repeat` and single-value `push` obey the same capacity
-    /// accounting as `push_with`.
+    /// `push_repeat` and single-value `push` obey the same tuple
+    /// accounting as `push_sampled`, and a sampled `push_repeat` marks
+    /// every run it writes.
     #[test]
     fn push_variants_agree_on_accounting(
-        capacity in 1usize..=64,
-        batches in proptest::collection::vec(1usize..=48, 1..20),
+        capacity in 1usize..=700,
+        batches in proptest::collection::vec(1usize..=600, 1..20),
     ) {
         let ring = SpscRing::new(capacity);
         let mut held = 0usize;
-        for n in batches {
-            let accepted = match ring.push_repeat(7, n) {
+        for (i, n) in batches.into_iter().enumerate() {
+            let stamp = if i % 2 == 0 { 7 } else { 7 | SAMPLE_BIT };
+            let accepted = match if n == 1 { ring.push(stamp) } else { ring.push_repeat(stamp, n) } {
                 Push::Pushed(a) => a,
                 Push::Closed => unreachable!(),
             };
@@ -160,17 +210,46 @@ proptest! {
             if held == capacity {
                 let mut buf = vec![0u64; capacity];
                 let got = ring.pop_n(&mut buf);
-                prop_assert_eq!(got, held);
+                prop_assert_eq!(buf[..got].iter().map(|w| run_len(*w)).sum::<usize>(), held);
+                prop_assert!(buf[..got].iter().all(|w| run_stamp(*w) == 7));
                 held = 0;
             }
         }
     }
 }
 
-/// Two threads race batched pushes against batched pops, with `close()`
-/// fired mid-flight from the producer side. Conservation must be exact:
-/// every accepted value is popped exactly once, in FIFO order, and
-/// nothing is accepted after close.
+/// A producer's stamp: producer `p` (4 bits), the tuples it asked for
+/// (10 bits) and the index of the push's first tuple (40 bits).
+fn producer_stamp(p: u64, asked: usize, base: u64) -> u64 {
+    debug_assert!(p < 16 && asked < 1024 && base < 1 << 40);
+    p << 50 | (asked as u64) << 40 | base
+}
+
+/// Takes popped run words against each producer's next expected tuple:
+/// every run continues the push its stamp names at exactly the next
+/// tuple, inside what that push asked for — per-producer FIFO on the
+/// expanded tuples, with no gap and no duplicate. Returns the tuples.
+fn take_runs(next: &mut [u64], popped: &[u64]) -> u64 {
+    let mut tuples = 0;
+    for &w in popped {
+        let stamp = run_stamp(w);
+        let (p, asked, base) = ((stamp >> 50) as usize, (stamp >> 40) & 1023, stamp & ((1 << 40) - 1));
+        let len = run_len(w) as u64;
+        assert!(
+            base <= next[p] && next[p] + len <= base + asked,
+            "producer {p}: run of {len} from the push at {base} (asked {asked}) while expecting tuple {}",
+            next[p]
+        );
+        next[p] += len;
+        tuples += len;
+    }
+    tuples
+}
+
+/// Two threads race pushes of 1–600 tuples against batched pops, with
+/// `close()` fired mid-flight from the producer side. Conservation must
+/// be exact: every accepted tuple is popped exactly once, in FIFO order,
+/// and nothing is accepted after close.
 #[test]
 fn two_thread_stress_conserves_under_racing_close() {
     for round in 0..8u64 {
@@ -183,9 +262,9 @@ fn two_thread_stress_conserves_under_racing_close() {
             std::thread::spawn(move || {
                 let mut next = 0u64;
                 loop {
-                    let batch = 1 + (next % 97) as usize;
-                    let base = next;
-                    match ring.push_with(batch, |i| base + i as u64) {
+                    let batch = 1 + (next % 600) as usize;
+                    let stamp = producer_stamp(0, batch, next);
+                    match ring.push_sampled(stamp, batch, |start, _| (start % 5) as usize) {
                         Push::Pushed(a) => {
                             accepted.fetch_add(a as u64, Ordering::SeqCst);
                             next += a as u64;
@@ -207,42 +286,27 @@ fn two_thread_stress_conserves_under_racing_close() {
 
         // Consumer: pop_wait returns 0 only when closed AND drained, so a
         // plain drain loop is also the shutdown handshake.
-        let mut popped = 0u64;
-        let mut expect = 0u64;
+        let mut next = [0u64];
         let mut buf = [0u64; 64];
         loop {
             let got = ring.pop_wait(&mut buf);
             if got == 0 {
                 break;
             }
-            for &v in &buf[..got] {
-                assert_eq!(v, expect, "round {round}: FIFO order with no gaps");
-                expect += 1;
-            }
-            popped += got as u64;
+            take_runs(&mut next, &buf[..got]);
         }
         producer.join().unwrap();
 
         assert_eq!(
-            popped,
+            next[0],
             accepted.load(Ordering::SeqCst),
-            "round {round}: every accepted value popped exactly once"
+            "round {round}: every accepted tuple popped exactly once"
         );
         assert!(ring.is_closed());
         assert!(
             matches!(ring.push(1), Push::Closed),
             "post-close push rejected"
         );
-    }
-}
-
-/// Checks popped values `producer << 32 | i` against each producer's
-/// next expected `i`: per-producer FIFO with no gaps.
-fn assert_per_producer_fifo(next: &mut [u64], popped: &[u64]) {
-    for &v in popped {
-        let (p, i) = ((v >> 32) as usize, v & 0xffff_ffff);
-        assert_eq!(i, next[p], "producer {p}: FIFO with no gaps");
-        next[p] += 1;
     }
 }
 
@@ -262,9 +326,9 @@ impl Drop for CloseWhenLast {
     }
 }
 
-/// Races `producers` threads, each pushing `per_producer` payloads in
-/// batches of up to `max_batch`, against this thread popping `pop_buf`
-/// slots at a time; asserts per-producer FIFO and that every push is
+/// Races `producers` threads, each pushing `per_producer` tuples in
+/// pushes of up to `max_batch`, against this thread popping `pop_buf`
+/// runs at a time; asserts per-producer FIFO and that every tuple is
 /// popped exactly once.
 fn race_producers(
     producers: u64,
@@ -285,7 +349,7 @@ fn race_producers(
                 let mut i = 0u64;
                 while i < per_producer {
                     let batch = (1 + i % max_batch).min(per_producer - i) as usize;
-                    match producer.ring.push_with(batch, |j| p << 32 | (i + j as u64)) {
+                    match producer.ring.push_repeat(producer_stamp(p, batch, i), batch) {
                         Push::Pushed(0) => std::thread::yield_now(),
                         Push::Pushed(k) => i += k as u64,
                         Push::Closed => panic!("closed with producer {p} still pushing"),
@@ -302,7 +366,7 @@ fn race_producers(
         if got == 0 {
             break;
         }
-        assert_per_producer_fifo(&mut next, &out[..got]);
+        take_runs(&mut next, &out[..got]);
     }
     for t in threads {
         t.join().expect("producer panicked");
@@ -310,7 +374,7 @@ fn race_producers(
     assert_eq!(next, vec![per_producer; producers as usize]);
 }
 
-/// Sixteen single-tuple producers into a consumer that pops one slot at a
+/// Sixteen single-tuple producers into a consumer that pops one run at a
 /// time from a 7-slot ring: its bell is 1, so every push may ring the
 /// doorbell and a producer pre-empted between publishing and its
 /// doorbell check routinely finds `head` past its own slot (a debug build
@@ -350,7 +414,7 @@ fn close_is_linearised_with_eight_racing_reservations() {
                     let (mut pushed, mut i) = (0u64, 0u64);
                     loop {
                         let batch = 1 + ((p + i) % 7) as usize;
-                        match ring.push_with(batch, |j| p << 32 | (pushed + j as u64)) {
+                        match ring.push_repeat(producer_stamp(p, batch, pushed), batch) {
                             Push::Pushed(0) => std::thread::yield_now(),
                             Push::Pushed(k) => pushed += k as u64,
                             Push::Closed => return pushed,
@@ -368,18 +432,17 @@ fn close_is_linearised_with_eight_racing_reservations() {
         let mut popped = 0u64;
         while popped < 64 * (2 + round) {
             let got = ring.pop_wait(&mut buf);
-            assert_per_producer_fifo(&mut next, &buf[..got]);
-            popped += got as u64;
+            popped += take_runs(&mut next, &buf[..got]);
         }
         ring.close();
-        let frozen = ring.len();
+        let frozen = ring.len() as u64;
         assert!(
-            frozen <= ring.capacity(),
+            frozen <= ring.capacity() as u64,
             "round {round}: len() {frozen} of a closed ring"
         );
         for _ in 0..100 {
             assert_eq!(ring.push(0), Push::Closed, "round {round}");
-            assert_eq!(ring.len(), frozen, "round {round}: tail moved after close");
+            assert_eq!(ring.len() as u64, frozen, "round {round}: tail moved after close");
             std::thread::yield_now();
         }
         let mut drained = 0;
@@ -388,8 +451,7 @@ fn close_is_linearised_with_eight_racing_reservations() {
             if got == 0 {
                 break;
             }
-            assert_per_producer_fifo(&mut next, &buf[..got]);
-            drained += got;
+            drained += take_runs(&mut next, &buf[..got]);
         }
         assert_eq!(
             drained, frozen,
@@ -406,11 +468,12 @@ fn close_is_linearised_with_eight_racing_reservations() {
     }
 }
 
-/// A producer stopped between its reservation CAS and its first store
-/// (its `push_with` closure blocks on a channel) leaves a hole at `head`
-/// with a later producer's batch written behind it. The consumer must
-/// not pop past the hole, and after `close()` must not report the ring
-/// drained while the reservation is outstanding.
+/// A producer stopped between its reservation CAS and its stores (its
+/// `push_sampled` callback, which the ring calls in between, blocks on a
+/// channel) leaves a hole at `head` with a later producer's run written
+/// behind it. The consumer must not pop past the hole, and after
+/// `close()` must not report the ring drained while the reservation is
+/// outstanding.
 #[test]
 fn a_reservation_in_progress_holds_the_consumer_and_the_drain() {
     let ring = Arc::new(SpscRing::new(8));
@@ -418,19 +481,16 @@ fn a_reservation_in_progress_holds_the_consumer_and_the_drain() {
     let stalled = {
         let ring = Arc::clone(&ring);
         std::thread::spawn(move || {
-            let mut gate = Some(gate);
-            ring.push_with(4, |i| {
-                if let Some(gate) = gate.take() {
-                    gate.recv().unwrap();
-                }
-                10 + i as u64
+            ring.push_sampled(10, 4, |_, _| {
+                gate.recv().unwrap();
+                0
             })
         })
     };
     while ring.len() < 4 {
         std::thread::yield_now();
     }
-    assert_eq!(ring.push_with(4, |i| 20 + i as u64), Push::Pushed(4));
+    assert_eq!(ring.push_repeat(20, 4), Push::Pushed(4));
     let mut buf = [0u64; 8];
     assert_eq!(
         ring.pop_n(&mut buf),
@@ -448,7 +508,9 @@ fn a_reservation_in_progress_holds_the_consumer_and_the_drain() {
             let mut buf = [0u64; 8];
             loop {
                 let got = ring.pop_wait(&mut buf);
-                all.extend_from_slice(&buf[..got]);
+                for w in &buf[..got] {
+                    all.extend(std::iter::repeat_n(run_stamp(*w), run_len(*w)));
+                }
                 if got == 0 {
                     report.send(all).unwrap();
                     return;
@@ -464,6 +526,6 @@ fn a_reservation_in_progress_holds_the_consumer_and_the_drain() {
     assert_eq!(ring.len(), 8);
     release.send(()).unwrap();
     assert_eq!(stalled.join().unwrap(), Push::Pushed(4));
-    assert_eq!(drained.recv().unwrap(), [10, 11, 12, 13, 20, 21, 22, 23]);
+    assert_eq!(drained.recv().unwrap(), [10, 10, 10, 10, 20, 20, 20, 20]);
     consumer.join().unwrap();
 }
