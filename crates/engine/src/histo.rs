@@ -303,6 +303,25 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
+    fn atomic_record_n_is_n_records() {
+        let (one, run) = (AtomicHisto::new(), AtomicHisto::new());
+        for v in [7, 7, 7, 900, 900, 0] {
+            one.record(v);
+        }
+        run.record_n(7, 3);
+        run.record_n(900, 2);
+        run.record_n(0, 1);
+        run.record_n(5_000, 0);
+        assert_eq!(run.count(), one.count());
+        let (a, b) = (one.snapshot(), run.snapshot());
+        assert_eq!((b.count(), b.sum(), b.max()), (6, 1_821, 900));
+        assert_eq!((a.count(), a.sum(), a.max()), (b.count(), b.sum(), b.max()));
+        for bound in [0, 7, 899, 900] {
+            assert_eq!(a.cumulative_le(bound), b.cumulative_le(bound), "≤ {bound}");
+        }
+    }
+
+    #[test]
     fn exact_below_32() {
         let mut h = Histo::new();
         for v in 0..32u64 {

@@ -600,7 +600,8 @@ mod tests {
         ];
         assert_eq!(out[..6], expect);
         assert_eq!(out[..6].iter().map(|w| run_len(*w)).sum::<usize>(), 606);
-        assert_eq!(out[..6].iter().map(|w| run_stamp(*w)).collect::<Vec<_>>(), [10, 20, 30, 40, 40, 40]);
+        let stamps: Vec<u64> = out[..6].iter().map(|w| run_stamp(*w)).collect();
+        assert_eq!(stamps, [10, 20, 30, 40, 40, 40]);
         assert_eq!(ring.pop_n(&mut out), 0);
         assert!(ring.is_empty());
     }

@@ -746,8 +746,8 @@ mod tests {
         assert_eq!(read(&stats.processed), 256);
         assert_eq!(stats.queue_len(), 0);
         // The first and the last tuple of a run are one tuple each too.
-        for (runs, poisoned) in [(&[256, 256][..], 1), (&[256, 256][..], 256), (&[256, 256][..], 257)] {
-            let stats = drain_zero_cost(runs, 0, Some(poisoned));
+        for poisoned in [1, 256, 257] {
+            let stats = drain_zero_cost(&[256, 256], 0, Some(poisoned));
             assert_eq!(read(&stats.worker_panics), 1, "tuple {poisoned}");
             assert_eq!(read(&stats.completed), 511, "tuple {poisoned}");
         }

@@ -201,10 +201,8 @@ proptest! {
         let mut held = 0usize;
         for (i, n) in batches.into_iter().enumerate() {
             let stamp = if i % 2 == 0 { 7 } else { 7 | SAMPLE_BIT };
-            let accepted = match if n == 1 { ring.push(stamp) } else { ring.push_repeat(stamp, n) } {
-                Push::Pushed(a) => a,
-                Push::Closed => unreachable!(),
-            };
+            let pushed = if n == 1 { ring.push(stamp) } else { ring.push_repeat(stamp, n) };
+            let Push::Pushed(accepted) = pushed else { unreachable!() };
             prop_assert_eq!(accepted, n.min(capacity - held));
             held += accepted;
             if held == capacity {
@@ -233,7 +231,11 @@ fn take_runs(next: &mut [u64], popped: &[u64]) -> u64 {
     let mut tuples = 0;
     for &w in popped {
         let stamp = run_stamp(w);
-        let (p, asked, base) = ((stamp >> 50) as usize, (stamp >> 40) & 1023, stamp & ((1 << 40) - 1));
+        let (p, asked, base) = (
+            (stamp >> 50) as usize,
+            (stamp >> 40) & 1023,
+            stamp & ((1 << 40) - 1),
+        );
         let len = run_len(w) as u64;
         assert!(
             base <= next[p] && next[p] + len <= base + asked,
@@ -349,7 +351,10 @@ fn race_producers(
                 let mut i = 0u64;
                 while i < per_producer {
                     let batch = (1 + i % max_batch).min(per_producer - i) as usize;
-                    match producer.ring.push_repeat(producer_stamp(p, batch, i), batch) {
+                    match producer
+                        .ring
+                        .push_repeat(producer_stamp(p, batch, i), batch)
+                    {
                         Push::Pushed(0) => std::thread::yield_now(),
                         Push::Pushed(k) => i += k as u64,
                         Push::Closed => panic!("closed with producer {p} still pushing"),
@@ -442,7 +447,11 @@ fn close_is_linearised_with_eight_racing_reservations() {
         );
         for _ in 0..100 {
             assert_eq!(ring.push(0), Push::Closed, "round {round}");
-            assert_eq!(ring.len() as u64, frozen, "round {round}: tail moved after close");
+            assert_eq!(
+                ring.len() as u64,
+                frozen,
+                "round {round}: tail moved after close"
+            );
             std::thread::yield_now();
         }
         let mut drained = 0;
