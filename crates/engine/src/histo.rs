@@ -28,11 +28,14 @@
 //! 1919; the 64×32 = 2048-slot array keeps the fixed power-of-two
 //! layout with the tail rows unreachable for `u64` inputs.
 //!
-//! Two flavours share the layout: [`Histo`] (plain counts — the query,
-//! merge, and single-threaded record side) and [`AtomicHisto`] (relaxed
-//! `AtomicU64` counts — the lock-free record side drained by the obs
-//! plane via [`AtomicHisto::snapshot`]).
+//! One type serves both of its uses. A plain [`Histo`] records and
+//! merges through `&mut self`, where its relaxed `AtomicU64` cells cost
+//! what plain `u64`s would. A span slot ([`spans`](crate::spans)) is
+//! recorded by its one owner thread through `&self` with relaxed
+//! load + store pairs, no locked read-modify-write, while the obs plane
+//! reads it concurrently and copies it with [`Clone`].
 
+use crate::worker::bump;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of count slots: 64 rows × 32 sub-buckets.
@@ -86,15 +89,22 @@ fn bucket_mid(idx: usize) -> u64 {
     low + (bucket_high(idx) - low) / 2
 }
 
-/// A plain mergeable log-linear histogram. See the module docs for the
-/// bucket layout. `record` is allocation-free; the 16 KiB count array
-/// is boxed so the struct itself stays cheap to move.
-#[derive(Clone)]
+/// A mergeable log-linear histogram. See the module docs for the bucket
+/// layout. `record` is allocation-free; the 16 KiB count array is boxed
+/// so the struct itself stays cheap to move.
+///
+/// The cells are relaxed atomics so that one type serves both uses:
+/// [`record`](Self::record) and [`merge`](Self::merge) take `&mut self`
+/// and compile to plain loads and stores, and a span slot's owner records
+/// through `&self` while readers copy it. A copy ([`Clone`]) of a
+/// histogram being recorded is racy across cells, but each bucket is
+/// monotone and the copy's count is re-derived from its buckets, so the
+/// copy is internally consistent; that is all a scrape needs.
 pub struct Histo {
-    counts: Box<[u64; BUCKETS]>,
-    count: u64,
-    sum: u64,
-    max: u64,
+    counts: Box<[AtomicU64; BUCKETS]>,
+    count: AtomicU64,
+    sum: AtomicU64,
+    max: AtomicU64,
 }
 
 impl Default for Histo {
@@ -103,12 +113,28 @@ impl Default for Histo {
     }
 }
 
+impl Clone for Histo {
+    fn clone(&self) -> Self {
+        let mut h = Histo::new();
+        let mut count = 0u64;
+        for (dst, src) in h.counts.iter_mut().zip(self.counts.iter()) {
+            let c = src.load(Ordering::Relaxed);
+            *dst.get_mut() = c;
+            count += c;
+        }
+        *h.count.get_mut() = count;
+        *h.sum.get_mut() = self.sum();
+        *h.max.get_mut() = self.max();
+        h
+    }
+}
+
 impl std::fmt::Debug for Histo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Histo")
-            .field("count", &self.count)
-            .field("sum", &self.sum)
-            .field("max", &self.max)
+            .field("count", &self.count())
+            .field("sum", &self.sum())
+            .field("max", &self.max())
             .finish_non_exhaustive()
     }
 }
@@ -116,55 +142,84 @@ impl std::fmt::Debug for Histo {
 impl Histo {
     /// An empty histogram.
     pub fn new() -> Self {
+        // `AtomicU64` is not `Copy`; build the boxed array in place.
+        let counts: Box<[AtomicU64; BUCKETS]> = (0..BUCKETS)
+            .map(|_| AtomicU64::new(0))
+            .collect::<Box<[_]>>()
+            .try_into()
+            .expect("length matches BUCKETS");
         Self {
-            counts: Box::new([0; BUCKETS]),
-            count: 0,
-            sum: 0,
-            max: 0,
+            counts,
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
         }
     }
 
     /// Records one value.
     #[inline]
     pub fn record(&mut self, v: u64) {
-        self.counts[bucket_index(v)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-        self.max = self.max.max(v);
+        *self.counts[bucket_index(v)].get_mut() += 1;
+        *self.count.get_mut() += 1;
+        let sum = self.sum.get_mut();
+        *sum = sum.saturating_add(v);
+        let max = self.max.get_mut();
+        *max = (*max).max(v);
+    }
+
+    /// Records `n` copies of `v` (`n == 0` records nothing) through
+    /// `&self`, as the histogram's one writer: each cell is a relaxed
+    /// load + store, not a locked read-modify-write. A second concurrent
+    /// writer would lose counts, so only a span slot's owner
+    /// ([`SpanHandle`](crate::spans::SpanHandle), neither `Clone` nor
+    /// `Sync`) calls this.
+    #[inline]
+    pub(crate) fn record_n_owned(&self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        bump(&self.counts[bucket_index(v)], n);
+        bump(&self.count, n);
+        let sum = self.sum.load(Ordering::Relaxed);
+        self.sum.store(sum.saturating_add(v.saturating_mul(n)), Ordering::Relaxed);
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.store(v, Ordering::Relaxed);
+        }
     }
 
     /// Merges `other` into `self`. Exact: the result is element-wise
     /// identical to having recorded both streams into one histogram.
     pub fn merge(&mut self, other: &Histo) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
+            *a.get_mut() += b.load(Ordering::Relaxed);
         }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
+        *self.count.get_mut() += other.count();
+        let sum = self.sum.get_mut();
+        *sum = sum.saturating_add(other.sum());
+        let max = self.max.get_mut();
+        *max = (*max).max(other.max());
     }
 
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
-        self.count
+        self.count.load(Ordering::Relaxed)
     }
 
     /// Exact sum of recorded values (saturating).
     pub fn sum(&self) -> u64 {
-        self.sum
+        self.sum.load(Ordering::Relaxed)
     }
 
     /// Largest recorded value (0 when empty).
     pub fn max(&self) -> u64 {
-        self.max
+        self.max.load(Ordering::Relaxed)
     }
 
     /// Mean of recorded values (0.0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
+        match self.count() {
+            0 => 0.0,
+            n => self.sum() as f64 / n as f64,
         }
     }
 
@@ -172,18 +227,19 @@ impl Histo {
     /// bucket holding the `ceil(q * count)`-th smallest recorded value,
     /// clamped to the observed maximum. Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
+        let (count, max) = (self.count(), self.max());
+        if count == 0 {
             return 0;
         }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).clamp(1, count);
         let mut seen = 0u64;
-        for (idx, &c) in self.counts.iter().enumerate() {
-            seen += c;
+        for (idx, c) in self.counts.iter().enumerate() {
+            seen += c.load(Ordering::Relaxed);
             if seen >= rank {
-                return bucket_mid(idx).min(self.max);
+                return bucket_mid(idx).min(max);
             }
         }
-        self.max
+        max
     }
 
     /// Cumulative count of recorded values whose bucket lies entirely at
@@ -192,7 +248,8 @@ impl Histo {
     /// straddling `bound` counts toward the next boundary.
     pub fn cumulative_le(&self, bound: u64) -> u64 {
         let mut total = 0u64;
-        for (idx, &c) in self.counts.iter().enumerate() {
+        for (idx, c) in self.counts.iter().enumerate() {
+            let c = c.load(Ordering::Relaxed);
             if c == 0 {
                 continue;
             }
@@ -206,114 +263,28 @@ impl Histo {
     }
 }
 
-/// The lock-free recording flavour: relaxed `AtomicU64` counts sharing
-/// [`Histo`]'s layout. Record from any number of threads without
-/// coordination; the obs plane drains it with [`AtomicHisto::snapshot`].
-/// Snapshots are racy across buckets (a concurrent `record` may be
-/// half-visible) but each bucket is monotone, which is all a scrape
-/// needs.
-pub struct AtomicHisto {
-    counts: Box<[AtomicU64; BUCKETS]>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for AtomicHisto {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for AtomicHisto {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AtomicHisto")
-            .field("count", &self.count.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
-}
-
-impl AtomicHisto {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        // `AtomicU64` is not `Copy`; build the boxed array in place.
-        let counts: Box<[AtomicU64; BUCKETS]> = (0..BUCKETS)
-            .map(|_| AtomicU64::new(0))
-            .collect::<Vec<_>>()
-            .into_boxed_slice()
-            .try_into()
-            .expect("length matches BUCKETS");
-        Self {
-            counts,
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one value. Lock-free, allocation-free, relaxed ordering.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.record_n(v, 1);
-    }
-
-    /// Records `n` copies of `v` in one update of each word; `n == 0`
-    /// records nothing.
-    #[inline]
-    pub fn record_n(&self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.counts[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Relaxed);
-        self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
-        // `max` only grows: a value at or below it needs no locked RMW.
-        if v > self.max.load(Ordering::Relaxed) {
-            self.max.fetch_max(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Copies the current counts into a plain [`Histo`] for querying and
-    /// merging.
-    pub fn snapshot(&self) -> Histo {
-        let mut h = Histo::new();
-        let mut count = 0u64;
-        for (dst, src) in h.counts.iter_mut().zip(self.counts.iter()) {
-            let c = src.load(Ordering::Relaxed);
-            *dst = c;
-            count += c;
-        }
-        // Derive the total from the buckets themselves so the snapshot
-        // is internally consistent even mid-record.
-        h.count = count;
-        h.sum = self.sum.load(Ordering::Relaxed);
-        h.max = self.max.load(Ordering::Relaxed);
-        h
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn cells(h: &Histo) -> Vec<u64> {
+        h.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+    }
+
+    /// The owner's `&self` path, as a span slot records.
     #[test]
     fn atomic_record_n_is_n_records() {
-        let (one, run) = (AtomicHisto::new(), AtomicHisto::new());
+        let (one, run) = (Histo::new(), Histo::new());
         for v in [7, 7, 7, 900, 900, 0] {
-            one.record(v);
+            one.record_n_owned(v, 1);
         }
-        run.record_n(7, 3);
-        run.record_n(900, 2);
-        run.record_n(0, 1);
-        run.record_n(5_000, 0);
+        run.record_n_owned(7, 3);
+        run.record_n_owned(900, 2);
+        run.record_n_owned(0, 1);
+        run.record_n_owned(5_000, 0);
         assert_eq!(run.count(), one.count());
-        let (a, b) = (one.snapshot(), run.snapshot());
+        let (a, b) = (one.clone(), run.clone());
         assert_eq!((b.count(), b.sum(), b.max()), (6, 1_821, 900));
         assert_eq!((a.count(), a.sum(), a.max()), (b.count(), b.sum(), b.max()));
         for bound in [0, 7, 899, 900] {
@@ -378,18 +349,21 @@ mod tests {
         assert!(rel <= 1.0 / 32.0, "rel err {rel}");
     }
 
+    /// A copy of a slot its owner recorded reads as a plain histogram of
+    /// the same stream.
     #[test]
     fn atomic_snapshot_matches_plain() {
-        let a = AtomicHisto::new();
+        let a = Histo::new();
         let mut p = Histo::new();
         for v in [0u64, 5, 31, 32, 1000, 65_535, 1 << 40] {
-            a.record(v);
+            a.record_n_owned(v, 1);
             p.record(v);
         }
-        let s = a.snapshot();
+        let s = a.clone();
         assert_eq!(s.count(), p.count());
         assert_eq!(s.sum(), p.sum());
         assert_eq!(s.max(), p.max());
+        assert_eq!(cells(&s), cells(&p));
         for q in [0.5, 0.9, 0.99, 0.999] {
             assert_eq!(s.quantile(q), p.quantile(q));
         }
@@ -446,7 +420,7 @@ mod tests {
             prop_assert_eq!(left.count(), whole.count());
             prop_assert_eq!(left.sum(), whole.sum());
             prop_assert_eq!(left.max(), whole.max());
-            prop_assert_eq!(&left.counts[..], &whole.counts[..]);
+            prop_assert_eq!(cells(&left), cells(&whole));
             for q in [0.5, 0.9, 0.99, 0.999] {
                 prop_assert_eq!(left.quantile(q), whole.quantile(q));
             }

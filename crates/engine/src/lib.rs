@@ -65,7 +65,7 @@ pub use network::{NetworkBuilder, NodeId, QueryNetwork};
 pub use ring::{Push, SpscRing};
 pub use rng::{engine_rng, AtomicShedder, EngineRng};
 pub use shard::{BatchResult, Dispatch, ShardConfig, ShardReport, ShardStat, ShardedEngine};
-pub use histo::{AtomicHisto, Histo};
+pub use histo::Histo;
 pub use sim::{SimConfig, Simulator};
 pub use spans::{ProfileSnapshot, SpanHandle, SpanRegistry, Stage};
 pub use telemetry::{

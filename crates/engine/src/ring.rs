@@ -307,6 +307,14 @@ impl SpscRing {
         self.backlog().0 as usize
     }
 
+    /// Tuples ever pushed to this ring: `tail` without the close bit. A
+    /// reservation is never given back, so this counts every push exactly,
+    /// from the instant it reserved (its runs may still be being
+    /// written); frozen once the ring is closed.
+    pub fn pushed(&self) -> u64 {
+        self.prod.tail.load(Ordering::Relaxed) & !CLOSED_BIT
+    }
+
     /// Whether the ring currently looks empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0

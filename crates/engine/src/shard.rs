@@ -64,15 +64,17 @@
 //! Σᵢ pushedᵢ == completed + dropped_shed + worker_panics   (drained)
 //! ```
 //!
-//! **Who writes what.** The front door writes the global buckets and
-//! one per-shard counter, [`WorkerStats::pushed`] (reported as
-//! `dispatched`); the controller writes the per-shard cost slot; the
-//! worker writes everything else in [`WorkerStats`].
-//! The two sides sit on different cache lines, so an offer does not
-//! invalidate the line a worker retires into. A shard's queue length is
-//! not stored anywhere: it is derived, `qᵢ = pushedᵢ − processedᵢ`
-//! ([`WorkerStats::queue_len`]), which is what the controller, `/metrics`
-//! and [`ShardedEngine::queue_len`] read.
+//! **Who writes what.** The front door writes the global buckets and no
+//! per-shard counter: what it pushed to shard `i` is that ring's own
+//! reservation counter, `pushedᵢ` = [`SpscRing::pushed`] (reported as
+//! `dispatched`), which ring sequences count in tuples. The controller
+//! writes the per-shard cost slot; the worker writes everything else in
+//! [`WorkerStats`], so an offer never touches the lines a worker retires
+//! into. `offered` and the three other buckets are counted apart from
+//! the rings, so the first line above is a real check. A shard's queue
+//! length is not stored anywhere: it is derived, `qᵢ = pushedᵢ −
+//! processedᵢ` ([`WorkerStats::queue_len`]), which is what the
+//! controller, `/metrics` and [`ShardedEngine::queue_len`] read.
 //!
 //! The four front-door buckets are disjoint: `dropped_entry` counts
 //! *only* entry-shedder (α) drops, `rejected_capacity` counts arrivals
@@ -545,6 +547,7 @@ impl ShardedEngine {
                         pin_core: cfg.pin_cores.then_some(i % cores),
                         spans: spans.map(|r| r.handle(&i.to_string())),
                     },
+                    format!("shard-{i}"),
                 );
                 Shard {
                     stats,
@@ -558,9 +561,10 @@ impl ShardedEngine {
             let global = Arc::clone(&global);
             let stats: Vec<Arc<WorkerStats>> =
                 shards.iter().map(|s| Arc::clone(&s.stats)).collect();
+            let rings: Vec<Arc<SpscRing>> = shards.iter().map(|s| Arc::clone(&s.ring)).collect();
             let cfg = cfg.clone();
             let mut sink = sink;
-            std::thread::spawn(move || {
+            let spawned = std::thread::Builder::new().name("controller".into()).spawn(move || {
                 let start = Instant::now();
                 let mut grid = PeriodGrid::new(start, cfg.period);
                 let mut k = 0u64;
@@ -576,8 +580,8 @@ impl ShardedEngine {
 
                     // Monitor: the global virtual-queue signal is the sum
                     // of per-shard queue lengths, q(k) = Σ qᵢ(k).
-                    for (q, st) in queues.iter_mut().zip(&stats) {
-                        *q = st.queue_len();
+                    for ((q, st), ring) in queues.iter_mut().zip(&stats).zip(&rings) {
+                        *q = st.queue_len(ring);
                     }
                     let q_total: u64 = queues.iter().sum();
                     let now = ledger_reading(&global, &stats);
@@ -657,7 +661,8 @@ impl ShardedEngine {
                     }
                     k += 1;
                 }
-            })
+            });
+            spawned.expect("spawn controller")
         };
 
         Self {
@@ -691,54 +696,40 @@ impl ShardedEngine {
     /// from the same shedder state.
     pub fn offer_batch(&self, n: usize) -> BatchResult {
         let shards = self.cfg.shards;
-        with_shard_counts(shards, |counts| {
-            let mut res = BatchResult::default();
-            let mut remaining = n;
-            while remaining > 0 {
-                let chunk = remaining.min(OFFER_BATCH_MAX);
-                remaining -= chunk;
-                self.global.offered.fetch_add(chunk as u64, Ordering::Relaxed);
-                res.offered += chunk as u64;
-                let alpha = self.global.alpha();
-                let drops = self.global.shedder.shed_batch(alpha, chunk as u64);
-                if drops > 0 {
-                    self.global.dropped_entry.fetch_add(drops, Ordering::Relaxed);
-                    res.dropped_entry += drops;
-                }
-                let admit = chunk as u64 - drops;
-                if admit == 0 {
-                    continue;
-                }
-                // One routing resolution for the whole chunk: survivors
-                // take consecutive arrival sequence numbers.
-                let seq0 = self.global.rr_next.fetch_add(admit, Ordering::Relaxed);
-                counts.fill(0);
-                match self.cfg.dispatch {
-                    Dispatch::RoundRobin if (shards as u64).is_power_of_two() => {
-                        // Closed-form strict rotation: shard
-                        // (seq0 + k) & mask for k in 0..admit.
-                        let base = admit / shards as u64;
-                        let extra = admit % shards as u64;
-                        let start = rr_to_shard(seq0, shards) as u64;
-                        for (i, c) in counts.iter_mut().enumerate() {
-                            let offset = (i as u64 + shards as u64 - start) % shards as u64;
-                            *c = base + u64::from(offset < extra);
-                        }
-                    }
-                    Dispatch::RoundRobin => {
-                        for k in 0..admit {
-                            counts[rr_to_shard(seq0.wrapping_add(k), shards)] += 1;
-                        }
-                    }
-                    Dispatch::KeyHash => {
-                        for k in 0..admit {
-                            counts[key_to_shard(seq0.wrapping_add(k), shards)] += 1;
-                        }
-                    }
-                }
-                self.push_counts(counts, &mut res);
+        let g = &self.global;
+        self.offer_chunks(n, |alpha, _, len, counts| {
+            let drops = g.shedder.shed_batch(alpha, len as u64);
+            let admit = len as u64 - drops;
+            if admit == 0 {
+                return drops;
             }
-            res
+            // One routing resolution for the whole chunk: survivors
+            // take consecutive arrival sequence numbers.
+            let seq0 = g.rr_next.fetch_add(admit, Ordering::Relaxed);
+            match self.cfg.dispatch {
+                Dispatch::RoundRobin if (shards as u64).is_power_of_two() => {
+                    // Closed-form strict rotation: shard
+                    // (seq0 + k) & mask for k in 0..admit.
+                    let base = admit / shards as u64;
+                    let extra = admit % shards as u64;
+                    let start = rr_to_shard(seq0, shards) as u64;
+                    for (i, c) in counts.iter_mut().enumerate() {
+                        let offset = (i as u64 + shards as u64 - start) % shards as u64;
+                        *c = base + u64::from(offset < extra);
+                    }
+                }
+                Dispatch::RoundRobin => {
+                    for k in 0..admit {
+                        counts[rr_to_shard(seq0.wrapping_add(k), shards)] += 1;
+                    }
+                }
+                Dispatch::KeyHash => {
+                    for k in 0..admit {
+                        counts[key_to_shard(seq0.wrapping_add(k), shards)] += 1;
+                    }
+                }
+            }
+            drops
         })
     }
 
@@ -753,33 +744,63 @@ impl ShardedEngine {
     }
 
     /// Keyed batch admission with *lazy* key materialization: `key_at(i)`
-    /// is called only for arrivals the entry shedder admits. This is the
-    /// network plane's shed-before-decode seam — a frame of `n` keys can
-    /// be admitted straight out of the receive buffer, and keys the
-    /// shedder drops are never decoded at all (under heavy shedding a
-    /// frame costs one header read plus one shedder pass). Semantics are
-    /// otherwise identical to [`offer_batch_keyed`](Self::offer_batch_keyed):
-    /// per-arrival decisions in index order, sticky key→shard routing,
-    /// one grouping pass and one ring reservation per target shard.
+    /// is called only for arrivals the entry shedder admits, and only
+    /// where there is a shard to choose: a one-shard engine reads no key
+    /// at all, and costs what [`offer_batch`](Self::offer_batch) costs.
+    /// This is the network plane's shed-before-decode seam — a frame of
+    /// `n` keys can be admitted straight out of the receive buffer, and
+    /// keys the shedder drops are never decoded at all (under heavy
+    /// shedding a frame costs one header read plus one shedder pass).
+    /// Semantics are otherwise identical to
+    /// [`offer_batch_keyed`](Self::offer_batch_keyed): per-arrival
+    /// decisions in index order, sticky key→shard routing, one grouping
+    /// pass and one ring reservation per target shard.
     pub fn offer_batch_keyed_with<F>(&self, n: usize, mut key_at: F) -> BatchResult
     where
         F: FnMut(usize) -> u64,
     {
         let shards = self.cfg.shards;
-        with_shard_counts(shards, |counts| {
+        let shedder = &self.global.shedder;
+        self.offer_chunks(n, |alpha, base, len, counts| {
+            shedder.shed_batch_each(alpha, len as u64, |i| {
+                counts[key_to_shard(key_at(base + i), shards)] += 1;
+            })
+        })
+    }
+
+    /// The chunk loop both batch doors share: per chunk of at most
+    /// [`OFFER_BATCH_MAX`] arrivals from index `base`, count the chunk
+    /// offered, let `route(alpha, base, len, counts)` run the shed pass
+    /// and fill the zeroed per-shard admit counts (returning the drops),
+    /// and push the counts. A one-shard engine skips `route`: its
+    /// survivors all go to shard 0, so the count-only shed pass is the
+    /// whole routing, with no sequence, key or grouping pass. The coins
+    /// drawn are the same either way.
+    #[inline]
+    fn offer_chunks(
+        &self,
+        n: usize,
+        mut route: impl FnMut(f64, usize, usize, &mut [u64]) -> u64,
+    ) -> BatchResult {
+        let g = &self.global;
+        with_shard_counts(self.cfg.shards, |counts| {
             let mut res = BatchResult::default();
             let mut base = 0usize;
             while base < n {
                 let len = (n - base).min(OFFER_BATCH_MAX);
-                self.global.offered.fetch_add(len as u64, Ordering::Relaxed);
+                g.offered.fetch_add(len as u64, Ordering::Relaxed);
                 res.offered += len as u64;
-                let alpha = self.global.alpha();
-                counts.fill(0);
-                let drops = self.global.shedder.shed_batch_each(alpha, len as u64, |i| {
-                    counts[key_to_shard(key_at(base + i), shards)] += 1;
-                });
+                let alpha = g.alpha();
+                let drops = if let [only] = counts {
+                    let drops = g.shedder.shed_batch(alpha, len as u64);
+                    *only = len as u64 - drops;
+                    drops
+                } else {
+                    counts.fill(0);
+                    route(alpha, base, len, counts)
+                };
                 if drops > 0 {
-                    self.global.dropped_entry.fetch_add(drops, Ordering::Relaxed);
+                    g.dropped_entry.fetch_add(drops, Ordering::Relaxed);
                     res.dropped_entry += drops;
                 }
                 self.push_counts(counts, &mut res);
@@ -818,10 +839,7 @@ impl ShardedEngine {
                 ),
                 Push::Closed => (0, &self.global.rejected_closed, &mut res.rejected_closed),
             };
-            if got > 0 {
-                shard.stats.pushed.fetch_add(got, Ordering::Relaxed);
-                res.dispatched += got;
-            }
+            res.dispatched += got;
             if got < want {
                 rejected.fetch_add(want - got, Ordering::Relaxed);
                 *rejected_res += want - got;
@@ -842,7 +860,7 @@ impl ShardedEngine {
     /// ≈ 0.3 ms; a shard under backlog never parks, so there the sum is
     /// exact backlog.
     pub fn queue_len(&self) -> u64 {
-        self.shards.iter().map(|s| s.stats.queue_len()).sum()
+        self.shards.iter().map(|s| s.stats.queue_len(&s.ring)).sum()
     }
 
     /// The engine's configuration.
@@ -899,12 +917,16 @@ fn render_prometheus(
     let per = |f: &dyn Fn(&WorkerStats) -> f64| -> Vec<f64> {
         shards.iter().map(|s| f(s)).collect()
     };
+    let per_ring = |f: &dyn Fn(&SpscRing) -> f64| -> Vec<f64> {
+        rings.iter().map(|r| f(r)).collect()
+    };
+    let queues: Vec<u64> = shards.iter().zip(rings).map(|(s, r)| s.queue_len(r)).collect();
     let sum = |f: fn(&WorkerStats) -> &AtomicU64| -> u64 {
         shards.iter().map(|s| f(s).load(Ordering::Relaxed)).sum()
     };
     let completed = sum(|w| &w.completed);
     let delay_sum = sum(|w| &w.delay_sum_us);
-    let queue_len: u64 = shards.iter().map(|s| s.queue_len()).sum();
+    let queue_len: u64 = queues.iter().sum();
     let delayed = sum(|w| &w.delayed);
     let violation_us = sum(|w| &w.violation_sum_us);
     let delay_max_us = shards
@@ -983,7 +1005,7 @@ fn render_prometheus(
             "shard_dispatched_total",
             "Tuples dispatched to each shard",
             "shard",
-            &per(&|s| s.pushed.load(Ordering::Relaxed) as f64),
+            &per_ring(&|r| r.pushed() as f64),
         )
         .counter_vec(
             "shard_completed_total",
@@ -1007,13 +1029,13 @@ fn render_prometheus(
             "shard_doorbells_total",
             "Times a push woke each shard's parked worker: its ring reached a quarter full",
             "shard",
-            &rings.iter().map(|r| r.doorbells() as f64).collect::<Vec<_>>(),
+            &per_ring(&|r| r.doorbells() as f64),
         )
         .gauge_vec(
             "shard_queue_len",
             "Tuples queued per shard",
             "shard",
-            &per(&|s| s.queue_len() as f64),
+            &queues.iter().map(|&q| q as f64).collect::<Vec<_>>(),
         )
         .gauge_vec(
             "shard_cost_ewma_us",
@@ -1065,7 +1087,7 @@ impl ShardedEngine {
             dropped_shed += st.dropped_shed.load(Ordering::Relaxed);
             panics += st.worker_panics.load(Ordering::Relaxed);
             per_shard.push(ShardStat {
-                dispatched: st.pushed.load(Ordering::Relaxed),
+                dispatched: shard.ring.pushed(),
                 completed: c,
                 dropped_shed: st.dropped_shed.load(Ordering::Relaxed),
                 worker_panics: st.worker_panics.load(Ordering::Relaxed),
@@ -1406,22 +1428,27 @@ mod tests {
         }
     }
 
-    /// An engine with no threads behind its front door: the test is its
-    /// rings' consumer.
-    fn door_without_workers(queue_capacity: usize, sample_every: u32) -> ShardedEngine {
+    /// An engine of `shards` shards with no threads behind its front
+    /// door: the test is its rings' consumer.
+    fn door_without_workers(
+        shards: usize,
+        queue_capacity: usize,
+        sample_every: u32,
+    ) -> ShardedEngine {
         let cfg = ShardConfig {
             queue_capacity,
             sample_every,
-            ..quick_cfg(1)
+            ..quick_cfg(shards)
         };
         let epoch = Instant::now();
+        let shard = |_| Shard {
+            stats: Arc::new(WorkerStats::new()),
+            ring: Arc::new(SpscRing::with_epoch(queue_capacity, epoch)),
+            handle: None,
+        };
         ShardedEngine {
             global: Arc::new(Global::new(cfg.seed)),
-            shards: vec![Shard {
-                stats: Arc::new(WorkerStats::new()),
-                ring: Arc::new(SpscRing::with_epoch(queue_capacity, epoch)),
-                handle: None,
-            }],
+            shards: (0..shards).map(shard).collect(),
             controller: None,
             cfg,
             obs: None,
@@ -1439,7 +1466,7 @@ mod tests {
         // multiples of 4 among ring sequences [4, 16), 1-in-64 none of
         // them; 0 never marks.
         for (sample_every, marked) in [(1, ROOM), (4, 3), (64, 0), (0, 0)] {
-            let engine = door_without_workers(ROOM, sample_every);
+            let engine = door_without_workers(1, ROOM, sample_every);
             // Four tuples ahead, so the reservation starts at sequence 4.
             let mut res = BatchResult::default();
             engine.push_counts(&[4], &mut res);
@@ -1454,7 +1481,7 @@ mod tests {
                 ..BatchResult::default()
             };
             assert_eq!(res, expect, "sample_every {sample_every}");
-            assert_eq!(engine.shards[0].stats.pushed.load(Ordering::Relaxed), 4 + ROOM as u64);
+            assert_eq!(engine.shards[0].ring.pushed(), 4 + ROOM as u64);
 
             // At most two runs, the sampled one first, on one stamp.
             let runs = engine.shards[0].ring.pop_n(&mut out);
@@ -1477,6 +1504,71 @@ mod tests {
             assert_eq!(g.rejected_closed.load(Ordering::Relaxed), WANT);
             assert_eq!(g.rejected_capacity.load(Ordering::Relaxed), WANT - ROOM as u64);
         }
+    }
+
+    #[test]
+    fn one_shard_doors_read_no_key_and_shed_as_any_shard_count() {
+        // Per call, a 1-shard keyed door (which must not read a key), a
+        // 1-shard unkeyed door and a 4-shard keyed door, all on one seed,
+        // decide alike: the coins do not depend on how survivors route.
+        let ring_room = 4 * (OFFER_BATCH_MAX + 1);
+        let alphas = [0.0, 0.3, 0.9, 1.0 - 2f64.powi(-33), 1.0, f64::NAN];
+        for alpha in alphas {
+            for n in [1, 63, 256, 257, OFFER_BATCH_MAX + 1] {
+                let doors: [ShardedEngine; 3] = [1, 1, 4].map(|shards| {
+                    let engine = door_without_workers(shards, ring_room, 0);
+                    engine.global.alpha_bits.store(alpha.to_bits(), Ordering::Relaxed);
+                    engine
+                });
+                let [keyed_one, plain_one, keyed_four] = &doors;
+                let mut dispatched = 0;
+                for call in 0..3 {
+                    let at = format!("alpha {alpha}, n {n}, call {call}");
+                    let a = keyed_one.offer_batch_keyed_with(n, |i| {
+                        panic!("a one-shard door read key {i} ({at})")
+                    });
+                    let b = plain_one.offer_batch(n);
+                    let c = keyed_four.offer_batch_keyed_with(n, |i| mix64(i as u64));
+                    assert_eq!(a, b, "{at}");
+                    assert_eq!(a, c, "{at}");
+                    assert_eq!(a.offered, n as u64, "{at}");
+                    assert_eq!(a.rejected_capacity + a.rejected_closed, 0, "{at}");
+                    dispatched += a.dispatched;
+                }
+                let landed: u64 = keyed_four.shards.iter().map(|s| s.ring.pushed()).sum();
+                assert_eq!(landed, dispatched, "alpha {alpha}, n {n}");
+                assert_eq!(keyed_one.shards[0].ring.pushed(), dispatched);
+            }
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn engine_threads_carry_their_names() {
+        // Whole names, not kernel-truncated ones: each fits 15 bytes, and
+        // none starts like a listener thread's (`streamshed-net-N`), whose
+        // CPU is attributed by that prefix.
+        let engine = ShardedEngine::spawn(quick_cfg(12), NoShedding);
+        let names = || -> Vec<String> {
+            std::fs::read_dir("/proc/self/task")
+                .unwrap()
+                .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+                .map(|comm| comm.trim_end().to_string())
+                .collect()
+        };
+        // A new thread names itself once it runs: wait for it to.
+        let wanted = ["shard-0", "shard-11", "controller"];
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut seen = names();
+        while !wanted.iter().all(|w| seen.iter().any(|n| n == w)) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+            seen = names();
+        }
+        for want in wanted {
+            assert!(want.len() <= 15 && !want.starts_with("streamshed-net"));
+            assert!(seen.iter().any(|n| n == want), "no thread {want}: {seen:?}");
+        }
+        engine.shutdown();
     }
 
     #[test]

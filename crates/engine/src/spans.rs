@@ -22,12 +22,24 @@
 //! `ring_wait` (stamp → batch start), `execute` (batch start →
 //! retirement), and the end-to-end sojourn. A zero-cost worker records a
 //! sampled run of `m` tuples with one [`SpanHandle::record_n`] call per
-//! histogram, so even `sample_every = 1` costs a few relaxed atomic
-//! increments per run, not per tuple.
+//! histogram, so even `sample_every = 1` costs a few relaxed loads and
+//! stores per run, not per tuple.
+//!
+//! ## One writer per slot
+//!
+//! A slot is written by the one thread that holds its [`SpanHandle`],
+//! and the type makes that so: a handle is neither `Clone` nor `Sync`,
+//! so it can be moved to a thread but not shared with a second one.
+//! Recording is therefore a relaxed load + store per cell (the idiom of
+//! the worker's own counters), never a locked read-modify-write. The obs
+//! plane reads slots concurrently, with relaxed loads, and may see a
+//! record half done, as any scrape may.
 
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
 
-use crate::histo::{AtomicHisto, Histo};
+use crate::histo::Histo;
 use crate::telemetry::PromText;
 
 /// Bit 63 of a ring run word marks every tuple of the run as sampled.
@@ -108,8 +120,8 @@ struct Slot {
     /// Whether `sojourn` holds per-frame turnarounds (a listener thread)
     /// rather than per-tuple sojourns (a shard worker, the sim).
     frames: bool,
-    stages: [AtomicHisto; Stage::COUNT],
-    sojourn: AtomicHisto,
+    stages: [Histo; Stage::COUNT],
+    sojourn: Histo,
 }
 
 impl Slot {
@@ -117,17 +129,31 @@ impl Slot {
         Self {
             label: label.to_string(),
             frames,
-            stages: std::array::from_fn(|_| AtomicHisto::new()),
-            sojourn: AtomicHisto::new(),
+            stages: std::array::from_fn(|_| Histo::new()),
+            sojourn: Histo::new(),
         }
     }
 }
 
-/// A cheap, cloneable recorder bound to one registry slot. Recording is
-/// lock-free and allocation-free (relaxed atomic bucket increments).
-#[derive(Clone)]
+/// The recorder of one registry slot, held by the slot's one writer.
+/// Recording is lock-free and allocation-free: relaxed loads and stores,
+/// since no other thread writes the slot. A handle can be moved to the
+/// thread that records (it is `Send`), but it is neither `Clone` nor
+/// `Sync`, so a second thread cannot record into the same slot:
+///
+/// ```compile_fail
+/// use streamshed_engine::spans::{SpanRegistry, Stage};
+/// let registry = SpanRegistry::new();
+/// let handle = registry.handle("0");
+/// std::thread::scope(|s| {
+///     s.spawn(|| handle.record(Stage::Execute, 1));
+///     handle.record(Stage::Execute, 2);
+/// });
+/// ```
 pub struct SpanHandle {
     slot: Arc<Slot>,
+    /// `Cell` is `Send` and not `Sync`: so is the handle.
+    _one_writer: PhantomData<Cell<()>>,
 }
 
 impl std::fmt::Debug for SpanHandle {
@@ -147,7 +173,7 @@ impl SpanHandle {
     /// (one sampled run), in one histogram update.
     #[inline]
     pub fn record_n(&self, stage: Stage, ns: u64, n: u64) {
-        self.slot.stages[stage.index()].record_n(ns, n);
+        self.slot.stages[stage.index()].record_n_owned(ns, n);
     }
 
     /// Records one sampled end-to-end sojourn in nanoseconds.
@@ -159,7 +185,7 @@ impl SpanHandle {
     /// Records `n` sampled end-to-end sojourns of `ns` nanoseconds each.
     #[inline]
     pub fn record_sojourn_n(&self, ns: u64, n: u64) {
-        self.slot.sojourn.record_n(ns, n);
+        self.slot.sojourn.record_n_owned(ns, n);
     }
 
     /// The slot's label (shard id or listener thread name).
@@ -191,8 +217,9 @@ impl SpanRegistry {
 
     /// Registers a new per-tuple recorder slot under `label` (e.g. the
     /// shard id) and returns its handle. The slot lives for the
-    /// registry's lifetime; a respawned worker reuses its cloned handle
-    /// rather than registering again.
+    /// registry's lifetime; a worker restarted after a panic keeps its
+    /// handle (the restart runs on the same thread), and slots registered
+    /// under one label are reported together.
     pub fn handle(&self, label: &str) -> SpanHandle {
         self.register(label, false)
     }
@@ -209,7 +236,10 @@ impl SpanRegistry {
     fn register(&self, label: &str, frames: bool) -> SpanHandle {
         let slot = Arc::new(Slot::new(label, frames));
         self.slots.lock().expect("span registry poisoned").push(Arc::clone(&slot));
-        SpanHandle { slot }
+        SpanHandle {
+            slot,
+            _one_writer: PhantomData,
+        }
     }
 
     /// Merges every slot into a queryable [`ProfileSnapshot`]. Stage
@@ -222,8 +252,8 @@ impl SpanRegistry {
         let mut labels: Vec<LabelProfile> = Vec::new();
         for slot in slots.iter() {
             let mut slot_stages: [Histo; Stage::COUNT] =
-                std::array::from_fn(|i| slot.stages[i].snapshot());
-            let slot_sojourn = slot.sojourn.snapshot();
+                std::array::from_fn(|i| slot.stages[i].clone());
+            let slot_sojourn = slot.sojourn.clone();
             for (agg, s) in stages.iter_mut().zip(slot_stages.iter()) {
                 agg.merge(s);
             }

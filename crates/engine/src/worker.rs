@@ -30,7 +30,7 @@
 //! mid-batch poisons exactly one tuple and the restarted loop resumes
 //! with the remainder of the batch intact.
 
-use crate::ring::{run_len, run_stamp, sojourn_ns, CachePadded, SpscRing};
+use crate::ring::{run_len, run_stamp, sojourn_ns, SpscRing};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -51,8 +51,10 @@ pub enum CostModel {
     Spin,
 }
 
-/// Configuration of one supervised worker.
-#[derive(Debug, Clone)]
+/// Configuration of one supervised worker. Not `Clone`: it owns the
+/// worker's [`SpanHandle`](crate::spans::SpanHandle), which has one
+/// writer.
+#[derive(Debug)]
 pub struct WorkerConfig {
     /// Nominal CPU work per tuple (before the headroom tax).
     pub cost: Duration,
@@ -112,17 +114,15 @@ impl PendingBatch {
     }
 }
 
-/// Per-worker counters, shared between the worker thread, the front
-/// door that feeds it, and the controller that reads it.
+/// Per-worker counters, shared between the worker thread and the
+/// controller that reads them. The front door writes none of them: what
+/// it pushed is the ring's reservation counter ([`SpscRing::pushed`]).
 ///
 /// All fields are relaxed atomics: they are statistics, not
 /// synchronization. Each counter has **one writer**, which is what lets
 /// the hot ones be plain load + store pairs instead of locked
 /// read-modify-writes:
 ///
-/// * the front door writes [`pushed`](Self::pushed), alone on its cache
-///   line, so an offer never invalidates the line the worker retires
-///   into;
 /// * the worker thread writes `processed`, `completed`, `dropped_shed`,
 ///   the delay ledger and `busy_ns` (its supervisor, on the same
 ///   thread, writes `worker_panics`);
@@ -131,17 +131,17 @@ impl PendingBatch {
 /// * `shed_budget` is the exception — the controller adds to it and the
 ///   worker consumes it, so it keeps its atomic RMWs.
 ///
-/// The invariant the stress tests assert is that every tuple counted in
-/// `pushed` ends up in exactly one of `completed`, `dropped_shed`, or is
+/// The invariant the stress tests assert is that every tuple the ring
+/// counts as pushed ends up in exactly one of `completed`, `dropped_shed`, or is
 /// the single tuple lost to one of `worker_panics`; at every instant on
 /// the worker thread `processed == completed + dropped_shed +
 /// worker_panics` (+ 1 while a tuple is being worked).
+///
+/// Aligned to a cache line so no other allocation shares the lines the
+/// worker retires into.
 #[derive(Debug)]
+#[repr(align(64))]
 pub struct WorkerStats {
-    /// Tuples successfully pushed to this worker's ring (written by the
-    /// front door after the ring push lands). Queue length is derived
-    /// from it: see [`queue_len`](Self::queue_len).
-    pub pushed: CachePadded<AtomicU64>,
     /// Tuples the worker took up for processing (including shed and
     /// panicked ones); advanced *before* the tuple is worked.
     pub processed: AtomicU64,
@@ -184,7 +184,7 @@ impl Default for WorkerStats {
 /// Adds `by` to a counter only the calling thread writes: a relaxed
 /// load + store, not a locked RMW. Returns the new value.
 #[inline]
-fn bump(counter: &AtomicU64, by: u64) -> u64 {
+pub(crate) fn bump(counter: &AtomicU64, by: u64) -> u64 {
     let next = counter.load(Ordering::Relaxed).wrapping_add(by);
     counter.store(next, Ordering::Relaxed);
     next
@@ -194,7 +194,6 @@ impl WorkerStats {
     /// Fresh, all-zero counters (the cost slot starts at `NaN`).
     pub fn new() -> Self {
         Self {
-            pushed: CachePadded(AtomicU64::new(0)),
             processed: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             dropped_shed: AtomicU64::new(0),
@@ -209,16 +208,16 @@ impl WorkerStats {
         }
     }
 
-    /// Tuples queued for this worker: `pushed − processed`, i.e. in the
-    /// ring or popped and not yet taken up. Both count tuples, not the
-    /// ring's run words: a run moves `processed` by the tuples taken up
-    /// of it, so a popped run still counts what is left of it. A
-    /// zero-cost worker takes up a whole run at once, and its `q` can
-    /// step down by up to 256 at a time. `processed` is read first
-    /// and the difference saturates: the front door counts a push only
-    /// after the ring published it, so the worker can momentarily be
-    /// ahead of `pushed`, and that must read as an empty queue rather
-    /// than wrap.
+    /// Tuples queued for this worker, whose ring is `ring`:
+    /// [`SpscRing::pushed`] `− processed`, i.e. reserved in the ring or
+    /// popped and not yet taken up. Both count tuples, not the ring's run
+    /// words: a run moves `processed` by the tuples taken up of it, so a
+    /// popped run still counts what is left of it. A zero-cost worker
+    /// takes up a whole run at once, and its `q` can step down by up to
+    /// 256 at a time. The ring counts a push at its reservation, before
+    /// the worker can pop it, so `processed` never passes it; it is read
+    /// first all the same, and the difference saturates, so a relaxed
+    /// reading cannot wrap.
     ///
     /// While the worker is parked on an empty ring (the shard is under
     /// capacity), this also counts what the ring's bell-or-timeout
@@ -227,9 +226,9 @@ impl WorkerStats {
     /// λ the shard's survivor rate and `PARK` + slack ≈ 0.25 ms, each
     /// popped when the park times out. A worker with a backlog never
     /// parks, so under overload the count is exactly the backlog.
-    pub fn queue_len(&self) -> u64 {
+    pub fn queue_len(&self, ring: &SpscRing) -> u64 {
         let processed = self.processed.load(Ordering::Relaxed);
-        self.pushed.load(Ordering::Relaxed).saturating_sub(processed)
+        ring.pushed().saturating_sub(processed)
     }
 
     /// The shard's measured per-tuple work cost as the controller last
@@ -433,12 +432,14 @@ fn drain<const ZERO_COST: bool>(
 /// [`WorkerStats::worker_panics`], and the loop restarted against the
 /// same ring and the same pending batch — only the tuple being processed
 /// is lost. A clean return means the ring closed and drained: shutdown.
+/// The thread is named `name`; Linux keeps 15 bytes of it.
 pub fn spawn_supervised(
     stats: Arc<WorkerStats>,
     ring: Arc<SpscRing>,
     cfg: WorkerConfig,
+    name: String,
 ) -> JoinHandle<()> {
-    std::thread::spawn(move || {
+    let spawned = std::thread::Builder::new().name(name).spawn(move || {
         if let Some(core) = cfg.pin_core {
             let _ = crate::affinity::pin_current_thread(core);
         }
@@ -453,7 +454,8 @@ pub fn spawn_supervised(
                 }
             }
         }
-    })
+    });
+    spawned.expect("spawn shard worker")
 }
 
 #[cfg(test)]
@@ -473,21 +475,20 @@ mod tests {
         }
     }
 
-    fn feed(ring: &SpscRing, stats: &WorkerStats, n: usize) {
+    fn feed(ring: &SpscRing, n: usize) {
         assert_eq!(ring.push_repeat(ring.stamp_now(), n), Push::Pushed(n));
-        stats.pushed.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     #[test]
     fn drains_and_completes() {
         let stats = Arc::new(WorkerStats::new());
         let ring = Arc::new(SpscRing::new(64));
-        let handle = spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), cfg());
-        feed(&ring, &stats, 10);
+        let handle = spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), cfg(), "shard-0".into());
+        feed(&ring, 10);
         ring.close();
         handle.join().unwrap();
         assert_eq!(stats.completed.load(Ordering::Relaxed), 10);
-        assert_eq!(stats.queue_len(), 0);
+        assert_eq!(stats.queue_len(&ring), 0);
         // The worker only accumulates busy time; the cost slot belongs
         // to the controller, and there is none here.
         assert!(stats.busy_ns.load(Ordering::Relaxed) >= 10 * 100_000);
@@ -495,10 +496,11 @@ mod tests {
     }
 
     #[test]
-    fn worker_stats_fit_three_cache_lines() {
-        // `pushed` alone on its line, the worker's counters behind it:
-        // the zero-cost workloads are sensitive to this layout.
-        assert_eq!(std::mem::size_of::<WorkerStats>(), 192);
+    fn worker_stats_fit_two_cache_lines() {
+        // The worker's counters on lines of their own: the zero-cost
+        // workloads are sensitive to this layout.
+        assert_eq!(std::mem::size_of::<WorkerStats>(), 128);
+        assert_eq!(std::mem::align_of::<WorkerStats>(), 64);
     }
 
     #[test]
@@ -506,14 +508,14 @@ mod tests {
         let stats = Arc::new(WorkerStats::new());
         let ring = Arc::new(SpscRing::new(64));
         let t0 = Instant::now();
-        let handle = spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), cfg());
-        feed(&ring, &stats, 10);
+        let handle = spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), cfg(), "shard-0".into());
+        feed(&ring, 10);
         while stats.completed.load(Ordering::Relaxed) < 10 {
             std::thread::yield_now();
         }
         // The worker now sits on an empty ring for 50 ms.
         std::thread::sleep(Duration::from_millis(50));
-        feed(&ring, &stats, 10);
+        feed(&ring, 10);
         ring.close();
         handle.join().unwrap();
         let wall_ns = t0.elapsed().as_nanos() as u64;
@@ -530,13 +532,13 @@ mod tests {
     fn busy_covers_the_whole_saturated_drain() {
         let stats = Arc::new(WorkerStats::new());
         let ring = Arc::new(SpscRing::new(2048));
-        feed(&ring, &stats, 2_000);
+        feed(&ring, 2_000);
         ring.close();
         let mut c = cfg();
         c.cost_model = CostModel::Spin;
         c.cost = Duration::from_micros(50);
         let t0 = Instant::now();
-        spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), c)
+        spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), c, "shard-0".into())
             .join()
             .unwrap();
         let wall_ns = t0.elapsed().as_nanos() as u64;
@@ -558,11 +560,10 @@ mod tests {
         let ring = Arc::new(SpscRing::new(64));
         let mut c = cfg();
         c.spans = Some(reg.handle("0"));
-        let handle = spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), c);
+        let handle = spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), c, "shard-0".into());
         // 7 plain tuples + 1 sampled (bit 63 on the stamp).
         assert_eq!(ring.push_repeat(ring.stamp_now(), 7), Push::Pushed(7));
         assert_eq!(ring.push(ring.stamp_now() | SAMPLE_BIT), Push::Pushed(1));
-        stats.pushed.fetch_add(8, Ordering::Relaxed);
         ring.close();
         handle.join().unwrap();
         assert_eq!(stats.completed.load(Ordering::Relaxed), 8);
@@ -583,8 +584,8 @@ mod tests {
         let ring = Arc::new(SpscRing::new(64));
         let mut c = cfg();
         c.panic_on_tuple = Some(3);
-        let handle = spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), c);
-        feed(&ring, &stats, 8);
+        let handle = spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), c, "shard-0".into());
+        feed(&ring, 8);
         ring.close();
         handle.join().unwrap();
         assert_eq!(stats.worker_panics.load(Ordering::Relaxed), 1);
@@ -599,17 +600,17 @@ mod tests {
         let stats = Arc::new(WorkerStats::new());
         stats.shed_budget.store(2, Ordering::Relaxed);
         let ring = Arc::new(SpscRing::new(64));
-        feed(&ring, &stats, 10);
+        feed(&ring, 10);
         ring.close();
         let mut c = cfg();
         c.panic_on_tuple = Some(3);
         let t0 = Instant::now();
-        let handle = spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), c);
+        let handle = spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), c, "shard-0".into());
         handle.join().unwrap();
         let wall_ns = t0.elapsed().as_nanos() as u64;
         assert_eq!(stats.worker_panics.load(Ordering::Relaxed), 1);
         assert_eq!(stats.completed.load(Ordering::Relaxed), 7);
-        assert_eq!(stats.queue_len(), 0);
+        assert_eq!(stats.queue_len(&ring), 0);
         // All seven completions come after the restart (tuples 1 and 2
         // were shed, 3 panicked): busy time kept growing there, and the
         // unwind was counted at most once — in fact not at all, the
@@ -636,20 +637,20 @@ mod tests {
         let mut c = cfg();
         c.cost = Duration::ZERO;
         c.panic_on_tuple = Some(3);
-        let handle = spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), c);
+        let handle = spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), c, "shard-0".into());
         let drained = |stats: &WorkerStats| {
-            while stats.queue_len() != 0 {
+            while stats.queue_len(&ring) != 0 {
                 std::thread::yield_now();
             }
         };
-        feed(&ring, &stats, 8);
+        feed(&ring, 8);
         drained(&stats);
         assert_eq!(stats.worker_panics.load(Ordering::Relaxed), 1);
         // A batch that lands in the instant the worker is between two
         // parks finds no one waiting; the next one cannot miss it too.
         let mut fed = 8;
         for _ in 0..100 {
-            feed(&ring, &stats, WORKER_POP_BATCH);
+            feed(&ring, WORKER_POP_BATCH);
             fed += WORKER_POP_BATCH as u64;
             drained(&stats);
             if ring.doorbells() > 0 {
@@ -672,32 +673,33 @@ mod tests {
         let ring = SpscRing::new(4 * WORKER_POP_BATCH);
         let below = ring.bell() - 1;
         ring.park_here();
-        feed(&ring, &stats, below);
+        feed(&ring, below);
         assert_eq!(ring.doorbells(), 0);
-        assert_eq!(stats.queue_len(), below as u64);
-        feed(&ring, &stats, 1);
+        assert_eq!(stats.queue_len(&ring), below as u64);
+        feed(&ring, 1);
         assert_eq!(ring.doorbells(), 1, "the push at the bell rings");
-        assert_eq!(stats.queue_len(), ring.bell() as u64);
+        assert_eq!(stats.queue_len(&ring), ring.bell() as u64);
     }
 
     #[test]
     fn queue_len_saturates_when_worker_runs_ahead_of_pushed() {
-        // The front door counts a push only after the ring published it,
-        // so a descheduled offerer lets the worker retire tuples `pushed`
-        // does not yet include. Replayed deterministically: the worker
-        // drains 8 tuples while `pushed` still reads 0.
+        // The ring counts a push at its reservation, so a worker that
+        // drained everything reads an empty queue with no late bump to
+        // wait for; and a `processed` read newer than the ring's count
+        // (relaxed loads of two words) reads empty too, never wraps.
         let stats = Arc::new(WorkerStats::new());
         let ring = Arc::new(SpscRing::new(64));
         assert_eq!(ring.push_repeat(ring.stamp_now(), 8), Push::Pushed(8));
+        assert_eq!(stats.queue_len(&ring), 8);
         ring.close();
-        spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), cfg())
+        spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), cfg(), "shard-0".into())
             .join()
             .unwrap();
         assert_eq!(stats.processed.load(Ordering::Relaxed), 8);
-        assert_eq!(stats.queue_len(), 0, "must read empty, never wrap");
-        // The late front-door bump then settles the books.
-        stats.pushed.fetch_add(8, Ordering::Relaxed);
-        assert_eq!(stats.queue_len(), 0);
+        assert_eq!(ring.pushed(), 8);
+        assert_eq!(stats.queue_len(&ring), 0);
+        stats.processed.fetch_add(1, Ordering::Relaxed);
+        assert_eq!(stats.queue_len(&ring), 0, "must read empty, never wrap");
     }
 
     #[test]
@@ -705,8 +707,8 @@ mod tests {
         let stats = Arc::new(WorkerStats::new());
         stats.shed_budget.store(5, Ordering::Relaxed);
         let ring = Arc::new(SpscRing::new(64));
-        let handle = spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), cfg());
-        feed(&ring, &stats, 5);
+        let handle = spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), cfg(), "shard-0".into());
+        feed(&ring, 5);
         ring.close();
         handle.join().unwrap();
         assert_eq!(stats.dropped_shed.load(Ordering::Relaxed), 5);
@@ -716,22 +718,26 @@ mod tests {
 
     /// A zero-cost worker fed `runs` pushes of `n` tuples each (one run
     /// per push up to 256) with `budget` in-queue shed budget, until the
-    /// ring drains.
-    fn drain_zero_cost(runs: &[usize], budget: u64, panic_on_tuple: Option<u64>) -> WorkerStats {
+    /// ring drains; returns the worker's counters and its ring.
+    fn drain_zero_cost(
+        runs: &[usize],
+        budget: u64,
+        panic_on_tuple: Option<u64>,
+    ) -> (WorkerStats, SpscRing) {
         let stats = Arc::new(WorkerStats::new());
         stats.shed_budget.store(budget, Ordering::Relaxed);
         let ring = Arc::new(SpscRing::new(4096));
         for &n in runs {
-            feed(&ring, &stats, n);
+            feed(&ring, n);
         }
         ring.close();
         let mut c = cfg();
         c.cost = Duration::ZERO;
         c.panic_on_tuple = panic_on_tuple;
-        spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), c)
+        spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), c, "shard-0".into())
             .join()
             .unwrap();
-        Arc::into_inner(stats).unwrap()
+        (Arc::into_inner(stats).unwrap(), Arc::into_inner(ring).unwrap())
     }
 
     #[test]
@@ -739,15 +745,15 @@ mod tests {
         // One 256-tuple run, the 100th poisoned: 99 retired at once, the
         // 100th lost, and the restarted loop retires the other 156 from
         // the run's offset.
-        let stats = drain_zero_cost(&[256], 0, Some(100));
+        let (stats, ring) = drain_zero_cost(&[256], 0, Some(100));
         let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
         assert_eq!(read(&stats.worker_panics), 1);
         assert_eq!(read(&stats.completed), 255);
         assert_eq!(read(&stats.processed), 256);
-        assert_eq!(stats.queue_len(), 0);
+        assert_eq!(stats.queue_len(&ring), 0);
         // The first and the last tuple of a run are one tuple each too.
         for poisoned in [1, 256, 257] {
-            let stats = drain_zero_cost(&[256, 256], 0, Some(poisoned));
+            let (stats, _) = drain_zero_cost(&[256, 256], 0, Some(poisoned));
             assert_eq!(read(&stats.worker_panics), 1, "tuple {poisoned}");
             assert_eq!(read(&stats.completed), 511, "tuple {poisoned}");
         }
@@ -757,14 +763,14 @@ mod tests {
     fn shed_budget_is_consumed_tuple_by_tuple_mid_run() {
         let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
         // A budget that ends inside the second run.
-        let stats = drain_zero_cost(&[256, 256], 300, None);
+        let (stats, _) = drain_zero_cost(&[256, 256], 300, None);
         assert_eq!(read(&stats.dropped_shed), 300);
         assert_eq!(read(&stats.completed), 212);
         assert_eq!(read(&stats.shed_budget), 0);
         // With a panic inside the shed stretch: tuples 1–49 take budget,
         // 50 is lost before it could, 51–101 take the rest, and 102–256
         // complete — as if each tuple were taken up alone.
-        let stats = drain_zero_cost(&[256], 100, Some(50));
+        let (stats, _) = drain_zero_cost(&[256], 100, Some(50));
         assert_eq!(read(&stats.dropped_shed), 100);
         assert_eq!(read(&stats.worker_panics), 1);
         assert_eq!(read(&stats.completed), 155);
@@ -785,9 +791,8 @@ mod tests {
         let stamp = now.wrapping_sub(1_000_000_000) & STAMP_MASK;
         assert!(stamp > STAMP_MASK - 1_000_000_000);
         assert_eq!(ring.push_repeat(stamp, 10), Push::Pushed(10));
-        stats.pushed.fetch_add(10, Ordering::Relaxed);
         ring.close();
-        spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), c)
+        spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), c, "shard-0".into())
             .join()
             .unwrap();
         assert_eq!(stats.completed.load(Ordering::Relaxed), 10);
@@ -804,9 +809,9 @@ mod tests {
         let mut c = cfg();
         c.cost_model = CostModel::Spin;
         c.cost = Duration::from_micros(500);
-        let handle = spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), c);
+        let handle = spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), c, "shard-0".into());
         let t0 = Instant::now();
-        feed(&ring, &stats, 10);
+        feed(&ring, 10);
         ring.close();
         handle.join().unwrap();
         assert!(t0.elapsed() >= Duration::from_millis(5));
@@ -823,9 +828,8 @@ mod tests {
         let stamp = ring.stamp_now();
         std::thread::sleep(Duration::from_millis(5));
         assert_eq!(ring.push_repeat(stamp, 10), Push::Pushed(10));
-        stats.pushed.fetch_add(10, Ordering::Relaxed);
         ring.close();
-        let handle = spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), c);
+        let handle = spawn_supervised(Arc::clone(&stats), Arc::clone(&ring), c, "shard-0".into());
         handle.join().unwrap();
         assert_eq!(stats.completed.load(Ordering::Relaxed), 10);
         assert!(stats.delay_sum_us.load(Ordering::Relaxed) >= 10 * 4_000);

@@ -14,7 +14,13 @@
 # ladder. Every run is appended as one JSON line to BENCH_HISTORY.jsonl at
 # the root of this checkout; a run whose checks failed keeps perfbench's
 # `# CHECK FAILED: …` lines in its row's `check_failures` list, and they
-# are echoed to stderr. Exits 1 if any run reported `correct: false`.
+# are echoed to stderr. Each row also carries `threads`, the on-CPU time of
+# every thread of that perfbench process in ms per second, read from
+# /proc/<pid>/task/*/schedstat at two instants in the middle of the run
+# (from 3 s of warm-up + seconds/4 on, for seconds/4); threads that share a
+# name are told apart in tid order as `name`, `name#2`, … (the lowest tid
+# is the driver's main thread). Exits 1 if any run reported
+# `correct: false`.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
@@ -30,7 +36,8 @@ trace=${6:-0}
 root=$(cd "$(dirname "$0")/.." && pwd)
 history=$root/BENCH_HISTORY.jsonl
 runs=$(mktemp)
-trap 'rm -f "$runs"' EXIT
+out_file=$(mktemp)
+trap 'rm -f "$runs" "$out_file"' EXIT
 
 # The checkout's short rev; a dirty tree is `<rev>+<8 hex of sha1(git diff
 # HEAD)>`, so each dirty row names its diff. BENCH_HISTORY.jsonl is left
@@ -45,18 +52,59 @@ rev_of() {
     echo "$rev"
 }
 
+# Every thread of process <pid>, one per line: tid, name and on-CPU ns
+# (the first field of its schedstat), tab-separated.
+thread_times() {
+    local task
+    for task in /proc/"$1"/task/*; do
+        printf '%s\t%s\t%s\n' "${task##*/}" "$(cat "$task/comm" 2>/dev/null)" \
+            "$(cut -d' ' -f1 "$task/schedstat" 2>/dev/null)"
+    done
+}
+
 # run_side <side> <dir> <rev> <pair> <seed> <position>
 run_side() {
-    local out
-    out=$(cd "$2" && ./target/release/perfbench bench \
-        --workload "$workload" --seed "$5" --seconds "$seconds" --trace "$trace" 2>/dev/null) || true
+    local out pid before="" after=""
+    local from window
+    from=$(python3 -c "print(3 + $seconds / 4)")
+    window=$(python3 -c "print($seconds / 4)")
+    (cd "$2" && exec ./target/release/perfbench bench \
+        --workload "$workload" --seed "$5" --seconds "$seconds" --trace "$trace" \
+        >"$out_file" 2>/dev/null) &
+    pid=$!
+    sleep "$from"
+    before=$(thread_times "$pid")
+    sleep "$window"
+    after=$(thread_times "$pid")
+    wait "$pid" || true
+    out=$(cat "$out_file")
     HOST=$(grep -m1 '^# host:' <<<"$out" | cut -c3-) RESULT=$(tail -n1 <<<"$out") \
         CHECKS=$(sed -n 's/^# CHECK FAILED: //p' <<<"$out") \
+        BEFORE=$before AFTER=$after WINDOW=$window \
         python3 - "$1" "$3" "$4" "$5" "$6" "$workload" "$seconds" "$trace" >>"$runs" <<'PY'
 import json, os, sys, time
 side, rev, pair, seed, position, workload, seconds, trace = sys.argv[1:]
 result = json.loads(os.environ["RESULT"])
 checks = [line for line in os.environ["CHECKS"].splitlines() if line]
+
+
+def times(env):
+    rows = {}
+    for line in os.environ[env].splitlines():
+        fields = line.split("\t")
+        if len(fields) == 3 and fields[0].isdigit() and fields[2].isdigit():
+            rows[int(fields[0])] = (fields[1], int(fields[2]))
+    return rows
+
+
+before, after = times("BEFORE"), times("AFTER")
+threads, seen = {}, {}
+for tid in sorted(set(before) & set(after)):
+    name = after[tid][0]
+    seen[name] = seen.get(name, 0) + 1
+    key = name if seen[name] == 1 else f"{name}#{seen[name]}"
+    ms = (after[tid][1] - before[tid][1]) / 1e6
+    threads[key] = round(ms / float(os.environ["WINDOW"]), 3)
 row = {
     "schema": 1,
     "unix_time": int(time.time()),
@@ -74,6 +122,8 @@ row = {
     "failed": result["failed"],
     "metrics": {name: cell["value"] for name, cell in result["metrics"].items()},
 }
+if threads:
+    row["threads"] = threads
 if checks:
     row["check_failures"] = checks
 print(json.dumps(row, sort_keys=True))
@@ -82,6 +132,9 @@ for check in checks:
 print(f"pair {pair} {side} ({position}, seed {seed}): correct {result['correct']} failed {result['failed']}",
       " ".join(f"{k}={c['value']:.6g}" for k, c in result["metrics"].items() if "." not in k),
       file=sys.stderr)
+busy = sorted(threads.items(), key=lambda t: -t[1])[:6]
+if busy:
+    print(f"pair {pair} {side} threads ms/s:", " ".join(f"{k}={v:g}" for k, v in busy), file=sys.stderr)
 PY
     tail -n1 "$runs" >>"$history"
 }
