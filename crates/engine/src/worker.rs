@@ -132,10 +132,11 @@ impl PendingBatch {
 ///   worker consumes it, so it keeps its atomic RMWs.
 ///
 /// The invariant the stress tests assert is that every tuple the ring
-/// counts as pushed ends up in exactly one of `completed`, `dropped_shed`, or is
-/// the single tuple lost to one of `worker_panics`; at every instant on
-/// the worker thread `processed == completed + dropped_shed +
-/// worker_panics` (+ 1 while a tuple is being worked).
+/// counts as pushed ends up in exactly one of `completed`,
+/// `dropped_shed`, or is the single tuple lost to one of
+/// `worker_panics`; at every instant on the worker thread `processed ==
+/// completed + dropped_shed + worker_panics` (+ 1 while a tuple is being
+/// worked).
 ///
 /// Aligned to a cache line so no other allocation shares the lines the
 /// worker retires into.
