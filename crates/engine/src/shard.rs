@@ -1631,6 +1631,50 @@ mod tests {
     }
 
     #[test]
+    fn metrics_text_matches_golden() {
+        // Fixed counters on three shards, one of them never measured.
+        let g = Global::new(7);
+        g.alpha_bits.store(0.375f64.to_bits(), Ordering::Relaxed);
+        for (i, c) in [&g.offered, &g.dropped_entry, &g.rejected_capacity].iter().enumerate() {
+            c.store(1_000 >> i, Ordering::Relaxed);
+        }
+        g.rejected_closed.store(3, Ordering::Relaxed);
+        g.deadline_misses.store(2, Ordering::Relaxed);
+        g.periods.store(40, Ordering::Relaxed);
+        g.hook_ns_total.store(123_456, Ordering::Relaxed);
+        let stats: Vec<Arc<WorkerStats>> = (0..3u64)
+            .map(|i| {
+                let s = WorkerStats::new();
+                s.processed.store(90 + i, Ordering::Relaxed);
+                s.completed.store(80 + i, Ordering::Relaxed);
+                s.dropped_shed.store(5 * i, Ordering::Relaxed);
+                s.worker_panics.store(i / 2, Ordering::Relaxed);
+                s.delay_sum_us.store(1_250_000 * (i + 1), Ordering::Relaxed);
+                s.delay_max_us.store(40_500 * (i + 1), Ordering::Relaxed);
+                s.delayed.store(7 * i, Ordering::Relaxed);
+                s.violation_sum_us.store(3_300 * i, Ordering::Relaxed);
+                if i > 0 {
+                    s.cost_ewma_bits.store((480.5 * i as f64).to_bits(), Ordering::Relaxed);
+                }
+                Arc::new(s)
+            })
+            .collect();
+        let rings: Vec<Arc<SpscRing>> = (0..3u64)
+            .map(|i| {
+                let r = SpscRing::new(1024);
+                for _ in 0..(95 + 10 * i) {
+                    r.push(1);
+                }
+                Arc::new(r)
+            })
+            .collect();
+        let mut p = PromText::new("streamshed");
+        render_prometheus(&g, &stats, &rings, &mut p);
+        let want = include_str!("../tests/golden/shard.prom");
+        assert_eq!(p.finish(), want);
+    }
+
+    #[test]
     fn prometheus_text_has_shard_labels() {
         let engine = ShardedEngine::spawn(quick_cfg(2), NoShedding);
         for _ in 0..10 {

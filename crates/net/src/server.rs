@@ -950,6 +950,34 @@ fn header_value<'a>(head: &'a str, name: &str) -> Option<&'a str> {
 mod tests {
     use super::*;
 
+    #[test]
+    fn net_metrics_match_golden() {
+        let stats = NetStats::default();
+        let counters = [
+            &stats.connections_accepted,
+            &stats.connections_open,
+            &stats.connections_closed,
+            &stats.connections_rejected,
+            &stats.connections_idle_closed,
+            &stats.frames_received,
+            &stats.frames_bad,
+            &stats.replies_sent,
+            &stats.bytes_read,
+            &stats.bytes_written,
+            &stats.http_requests,
+            &stats.tuples_offered,
+            &stats.tuples_accepted,
+            &stats.tuples_shed,
+            &stats.tuples_rejected_capacity,
+            &stats.tuples_rejected_closed,
+        ];
+        for (i, c) in counters.iter().enumerate() {
+            c.store(1_000 + 37 * i as u64, Ordering::Relaxed);
+        }
+        let text = stats.render_prom("127.0.0.1:7171");
+        assert_eq!(text, include_str!("../../engine/tests/golden/net.prom"));
+    }
+
     /// The `streamshed_net_*` families survive a hostile listener
     /// label: backslash, double quote, and newline in the bound
     /// address are escaped per the exposition format, and the bucket
