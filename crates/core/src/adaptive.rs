@@ -498,7 +498,7 @@ impl ControlHook for ComparatorStrategy {
         if self.periods_in_probe >= PROBE_WINDOW {
             let s = self.health.snapshot();
             let nan0 = |v: f64| if v.is_finite() { v } else { 0.0 };
-            self.scores[self.probe_idx] = nan0(s.slo_burn_rate) + nan0(s.overshoot_ewma_frac);
+            self.scores[self.probe_idx] = nan0(s.slo_burn_rate) + nan0(s.overshoot.ewma);
             self.probe_idx += 1;
             if self.probe_idx >= self.plan.len() {
                 // Cycle complete: adopt the arg-min. The incumbent is

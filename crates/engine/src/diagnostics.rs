@@ -51,7 +51,9 @@
 //! [`SharedDiagnostics`] is the cloneable, thread-safe handle the
 //! observability plane ([`ObsPlane`](crate::obs::ObsPlane)) feeds.
 
-use crate::telemetry::{ControlTrace, LoopMode, PromText, Ring};
+use crate::telemetry::{
+    write_json_object, Cell, ControlTrace, LoopMode, MetricKind, PromText, Ring,
+};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -139,11 +141,12 @@ const ALPHA_PIN_EPS: f64 = 1e-3;
 /// Rolling window for the SLO burn rate, periods.
 const BURN_WINDOW: usize = 32;
 /// Fast SLO burn window, periods: the multi-window burn-rate pair's short
-/// arm, read from the most recent samples of the slow window's ring.
+/// arm.
 const BURN_FAST_WINDOW: usize = 5;
-/// Slow SLO burn window, periods. Both burn rates must reach
-/// [`BURN_DIVERGE_FRAC`] — with this window *full* — before burn evidence
-/// alone escalates to `Diverging`.
+/// Slow SLO burn window, periods, and the burn history kept: every burn
+/// rate reads the most recent periods of one history. Both rates of the
+/// pair must reach [`BURN_DIVERGE_FRAC`] — with this window *full* —
+/// before burn evidence alone escalates to `Diverging`.
 const BURN_SLOW_WINDOW: usize = 60;
 /// Burn-rate fraction at which the fast/slow pair escalates the loop to
 /// `Diverging`.
@@ -231,8 +234,9 @@ impl DiagnosticsConfig {
 
 /// A point-in-time copy of everything the diagnostics engine knows —
 /// what `/health` serializes and the flight recorder embeds in its
-/// bundle header.
-#[derive(Debug, Clone)]
+/// bundle header. (`Default` is all zeros; a fresh engine's snapshot
+/// reads `NaN` for what it has not measured yet.)
+#[derive(Debug, Clone, Default)]
 pub struct DiagnosticsSnapshot {
     /// Current classification.
     pub state: HealthState,
@@ -259,20 +263,12 @@ pub struct DiagnosticsSnapshot {
     pub flip_rate: f64,
     /// Settling-time samples seen (completed excursion episodes).
     pub settle_samples: u64,
-    /// Last settling time, periods (`NaN` before any episode).
-    pub settle_last_periods: f64,
-    /// EWMA settling time, periods (`NaN` before any episode).
-    pub settle_ewma_periods: f64,
-    /// Worst settling time, periods (`NaN` before any episode).
-    pub settle_max_periods: f64,
+    /// Settling time of the excursion episodes, periods.
+    pub settle: EpisodeEstimate,
     /// The design settling target, periods.
     pub settle_target_periods: u64,
-    /// Last episode's peak overshoot fraction (`NaN` before any).
-    pub overshoot_last_frac: f64,
-    /// EWMA overshoot fraction (`NaN` before any episode).
-    pub overshoot_ewma_frac: f64,
-    /// Worst overshoot fraction (`NaN` before any episode).
-    pub overshoot_max_frac: f64,
+    /// Peak overshoot of the excursion episodes, fraction of the target.
+    pub overshoot: EpisodeEstimate,
     /// Periods with `α` pinned at 1, total.
     pub pinned_high_periods: u64,
     /// Periods with `α` pinned at 0 while violating, total.
@@ -352,90 +348,66 @@ impl DiagnosticsSnapshot {
     /// The snapshot as one JSON object (strictly valid: `NaN` renders
     /// as `null`).
     pub fn to_json(&self) -> String {
-        let num = crate::telemetry::json_num;
-        let events = self
-            .recent_events
-            .iter()
-            .map(|e| {
-                format!(
-                    "{{\"k\":{},\"from\":\"{}\",\"to\":\"{}\"}}",
-                    e.k,
-                    e.from.as_str(),
-                    e.to.as_str()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let in_state = self
-            .periods_in_state
-            .iter()
-            .zip(HealthState::ALL.iter())
-            .map(|(n, s)| format!("\"{}\":{n}", s.as_str()))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"state\":\"{}\",\"ok\":{},\"k\":{},\"periods\":{},\
-             \"target_delay_s\":{},\"y_s\":{},\"error_s\":{},\"alpha\":{},\
-             \"violation_streak\":{},\"pinned_streak\":{},\
-             \"flips_in_window\":{},\"flip_rate\":{},\
-             \"settle_samples\":{},\"settle_last_periods\":{},\
-             \"settle_ewma_periods\":{},\"settle_max_periods\":{},\
-             \"settle_target_periods\":{},\
-             \"overshoot_last_frac\":{},\"overshoot_ewma_frac\":{},\
-             \"overshoot_max_frac\":{},\
-             \"pinned_high_periods\":{},\"pinned_low_periods\":{},\
-             \"slo_violation_periods\":{},\"slo_burn_rate\":{},\
-             \"slo_burn_fast\":{},\"slo_burn_slow\":{},\
-             \"slo_violation_seconds\":{},\
-             \"hold_periods\":{},\"fallback_periods\":{},\
-             \"mode_transitions\":{},\"faulted_periods\":{},\
-             \"transitions\":{},\"anomalies\":{},\"first_anomaly_k\":{},\
-             \"adapt_cost_est_us\":{},\"adapt_generation\":{},\
-             \"adapt_swaps\":{},\"adapt_arm\":{},\
-             \"periods_in_state\":{{{}}},\"recent_events\":[{}]}}",
-            self.state.as_str(),
-            self.ok(),
-            self.k,
-            self.periods,
-            num(self.target_delay_s),
-            num(self.y_s),
-            num(self.error_s),
-            num(self.alpha),
-            self.violation_streak,
-            self.pinned_streak,
-            self.flips_in_window,
-            num(self.flip_rate),
-            self.settle_samples,
-            num(self.settle_last_periods),
-            num(self.settle_ewma_periods),
-            num(self.settle_max_periods),
-            self.settle_target_periods,
-            num(self.overshoot_last_frac),
-            num(self.overshoot_ewma_frac),
-            num(self.overshoot_max_frac),
-            self.pinned_high_periods,
-            self.pinned_low_periods,
-            self.slo_violation_periods,
-            num(self.slo_burn_rate),
-            num(self.slo_burn_fast),
-            num(self.slo_burn_slow),
-            num(self.slo_violation_seconds),
-            self.hold_periods,
-            self.fallback_periods,
-            self.mode_transitions,
-            self.faulted_periods,
-            self.transitions,
-            self.anomalies,
-            self.first_anomaly_k
-                .map(|k| k.to_string())
-                .unwrap_or_else(|| "null".into()),
-            num(self.adapt_cost_est_us),
-            self.adapt_generation,
-            self.adapt_swaps,
-            self.adapt_arm,
-            in_state,
-            events,
-        )
+        use Cell::{F, U};
+        let mut in_state = String::new();
+        let counts = self.periods_in_state.iter().zip(HealthState::ALL);
+        write_json_object(&mut in_state, counts.map(|(&n, s)| (s.as_str(), U(n))));
+        let mut events = String::from("[");
+        for (i, e) in self.recent_events.iter().enumerate() {
+            if i > 0 {
+                events.push(',');
+            }
+            let (from, to) = (Cell::Str(e.from.as_str()), Cell::Str(e.to.as_str()));
+            write_json_object(&mut events, [("k", U(e.k)), ("from", from), ("to", to)]);
+        }
+        events.push(']');
+        let mut out = String::with_capacity(1536);
+        write_json_object(
+            &mut out,
+            [
+                ("state", Cell::Str(self.state.as_str())),
+                ("ok", Cell::Bool(self.ok())),
+                ("k", U(self.k)),
+                ("periods", U(self.periods)),
+                ("target_delay_s", F(self.target_delay_s)),
+                ("y_s", F(self.y_s)),
+                ("error_s", F(self.error_s)),
+                ("alpha", F(self.alpha)),
+                ("violation_streak", U(self.violation_streak)),
+                ("pinned_streak", U(self.pinned_streak)),
+                ("flips_in_window", U(self.flips_in_window.into())),
+                ("flip_rate", F(self.flip_rate)),
+                ("settle_samples", U(self.settle_samples)),
+                ("settle_last_periods", F(self.settle.last)),
+                ("settle_ewma_periods", F(self.settle.ewma)),
+                ("settle_max_periods", F(self.settle.max)),
+                ("settle_target_periods", U(self.settle_target_periods)),
+                ("overshoot_last_frac", F(self.overshoot.last)),
+                ("overshoot_ewma_frac", F(self.overshoot.ewma)),
+                ("overshoot_max_frac", F(self.overshoot.max)),
+                ("pinned_high_periods", U(self.pinned_high_periods)),
+                ("pinned_low_periods", U(self.pinned_low_periods)),
+                ("slo_violation_periods", U(self.slo_violation_periods)),
+                ("slo_burn_rate", F(self.slo_burn_rate)),
+                ("slo_burn_fast", F(self.slo_burn_fast)),
+                ("slo_burn_slow", F(self.slo_burn_slow)),
+                ("slo_violation_seconds", F(self.slo_violation_seconds)),
+                ("hold_periods", U(self.hold_periods)),
+                ("fallback_periods", U(self.fallback_periods)),
+                ("mode_transitions", U(self.mode_transitions)),
+                ("faulted_periods", U(self.faulted_periods)),
+                ("transitions", U(self.transitions)),
+                ("anomalies", U(self.anomalies)),
+                ("first_anomaly_k", self.first_anomaly_k.map_or(Cell::Raw("null"), U)),
+                ("adapt_cost_est_us", F(self.adapt_cost_est_us)),
+                ("adapt_generation", U(self.adapt_generation)),
+                ("adapt_swaps", U(self.adapt_swaps)),
+                ("adapt_arm", Cell::I(self.adapt_arm)),
+                ("periods_in_state", Cell::Raw(&in_state)),
+                ("recent_events", Cell::Raw(&events)),
+            ],
+        );
+        out
     }
 
     /// Appends the diagnostics metric families to a Prometheus builder
@@ -446,14 +418,13 @@ impl DiagnosticsSnapshot {
             "Controller health state ordinal (0 healthy, 1 settling, 2 oscillating, 3 saturated, 4 diverging)",
             self.state.ordinal() as f64,
         )
-        .gauge_labeled(
+        .family(
             "diag_state_info",
             "Controller health state as a label (value is always 1)",
-            "state",
-            self.state.as_str(),
-            1.0,
+            MetricKind::Gauge,
         )
-        .counter(
+        .sample(&[("state", self.state.as_str())], 1.0);
+        p.counter(
             "diag_periods_total",
             "Control periods observed by the diagnostics engine",
             self.periods as f64,
@@ -476,22 +447,22 @@ impl DiagnosticsSnapshot {
         .gauge(
             "diag_settle_ewma_periods",
             "EWMA settling time of delay excursions, periods (paper design target: 3)",
-            self.settle_ewma_periods,
+            self.settle.ewma,
         )
         .gauge(
             "diag_settle_max_periods",
             "Worst observed settling time, periods",
-            self.settle_max_periods,
+            self.settle.max,
         )
         .gauge(
             "diag_overshoot_ewma_frac",
             "EWMA peak overshoot per excursion, fraction of target (design target: 0)",
-            self.overshoot_ewma_frac,
+            self.overshoot.ewma,
         )
         .gauge(
             "diag_overshoot_max_frac",
             "Worst observed overshoot, fraction of target",
-            self.overshoot_max_frac,
+            self.overshoot.max,
         )
         .gauge(
             "diag_flip_rate",
@@ -585,6 +556,36 @@ impl DiagnosticsSnapshot {
     }
 }
 
+/// Last, EWMA and worst of a per-episode sample (each `NaN` before the
+/// first episode ends).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct EpisodeEstimate {
+    /// The last episode's sample.
+    pub last: f64,
+    /// EWMA of the samples (weight [`EST_EWMA`] on the newest).
+    pub ewma: f64,
+    /// The worst sample.
+    pub max: f64,
+}
+
+impl EpisodeEstimate {
+    const UNSEEN: Self = Self {
+        last: f64::NAN,
+        ewma: f64::NAN,
+        max: f64::NAN,
+    };
+
+    fn push(&mut self, x: f64) {
+        self.last = x;
+        self.max = if self.max.is_finite() { self.max.max(x) } else { x };
+        self.ewma = if self.ewma.is_finite() {
+            EST_EWMA * x + (1.0 - EST_EWMA) * self.ewma
+        } else {
+            x
+        };
+    }
+}
+
 /// The online controller-health engine. Feed it one [`ControlTrace`]
 /// per period via [`ControllerHealth::observe`]; read the verdict via
 /// [`ControllerHealth::snapshot`]. `Clone` so a strategy can embed a
@@ -592,62 +593,21 @@ impl DiagnosticsSnapshot {
 #[derive(Debug, Clone)]
 pub struct ControllerHealth {
     cfg: DiagnosticsConfig,
-    state: HealthState,
-    periods: u64,
-    last_k: u64,
-    // Last observed signals.
-    last_y: f64,
-    last_error: f64,
-    last_alpha: f64,
-    // Sliding windows (chronological via cursor arithmetic).
+    /// The verdict and every counter and estimator it reports; the rates
+    /// and the event list are filled in by [`Self::snapshot`].
+    report: DiagnosticsSnapshot,
+    // Oscillation window (chronological via cursor arithmetic).
     err_win: [f64; OSC_WINDOW],
     alpha_win: [f64; OSC_WINDOW],
     win_len: usize,
     win_next: usize,
-    burn_win: [bool; BURN_WINDOW],
+    /// Above-target flags of the most recent periods, newest in bit 0;
+    /// `burn_len` (≤ [`BURN_SLOW_WINDOW`]) of them are valid.
+    burn: u64,
     burn_len: usize,
-    burn_next: usize,
-    // The fast/slow burn pair shares one ring sized by the slow window;
-    // the fast rate reads its most recent samples.
-    burn2_win: [bool; BURN_SLOW_WINDOW],
-    burn2_len: usize,
-    burn2_next: usize,
-    // Streaks + episode tracking.
-    violation_streak: u64,
-    pinned_streak: u64,
+    /// Peak excursion of the episode in progress.
     episode_peak_frac: f64,
-    flips: u32,
-    // Settling estimator.
-    settle_samples: u64,
-    settle_last: f64,
-    settle_ewma: f64,
-    settle_max: f64,
-    // Overshoot estimator.
-    overshoot_last: f64,
-    overshoot_ewma: f64,
-    overshoot_max: f64,
-    // Saturation + SLO totals.
-    pinned_high_periods: u64,
-    pinned_low_periods: u64,
-    slo_violation_periods: u64,
-    slo_violation_seconds: f64,
-    // Mode + fault accounting.
     last_mode: Option<LoopMode>,
-    hold_periods: u64,
-    fallback_periods: u64,
-    mode_transitions: u64,
-    faulted_periods: u64,
-    // Self-tuning state mirrored from the traces.
-    adapt_seen: bool,
-    adapt_cost_us: f64,
-    adapt_generation: u64,
-    adapt_swaps: u64,
-    adapt_arm: i64,
-    // State machine bookkeeping.
-    transitions: u64,
-    anomalies: u64,
-    first_anomaly_k: Option<u64>,
-    periods_in_state: [u64; 5],
     events: Ring<DiagEvent>,
 }
 
@@ -660,60 +620,35 @@ impl ControllerHealth {
     /// Creates the engine (panics on an invalid configuration).
     pub fn new(cfg: DiagnosticsConfig) -> Self {
         cfg.validate();
+        let report = DiagnosticsSnapshot {
+            target_delay_s: cfg.target_delay_s,
+            y_s: f64::NAN,
+            error_s: f64::NAN,
+            settle: EpisodeEstimate::UNSEEN,
+            settle_target_periods: SETTLE_TARGET_PERIODS,
+            overshoot: EpisodeEstimate::UNSEEN,
+            adapt_cost_est_us: f64::NAN,
+            adapt_arm: -1,
+            ..DiagnosticsSnapshot::default()
+        };
         Self {
             cfg,
-            state: HealthState::Healthy,
-            periods: 0,
-            last_k: 0,
-            last_y: f64::NAN,
-            last_error: f64::NAN,
-            last_alpha: 0.0,
+            report,
             err_win: [f64::NAN; OSC_WINDOW],
             alpha_win: [0.0; OSC_WINDOW],
             win_len: 0,
             win_next: 0,
-            burn_win: [false; BURN_WINDOW],
+            burn: 0,
             burn_len: 0,
-            burn_next: 0,
-            burn2_win: [false; BURN_SLOW_WINDOW],
-            burn2_len: 0,
-            burn2_next: 0,
-            violation_streak: 0,
-            pinned_streak: 0,
             episode_peak_frac: 0.0,
-            flips: 0,
-            settle_samples: 0,
-            settle_last: f64::NAN,
-            settle_ewma: f64::NAN,
-            settle_max: f64::NAN,
-            overshoot_last: f64::NAN,
-            overshoot_ewma: f64::NAN,
-            overshoot_max: f64::NAN,
-            pinned_high_periods: 0,
-            pinned_low_periods: 0,
-            slo_violation_periods: 0,
-            slo_violation_seconds: 0.0,
             last_mode: None,
-            hold_periods: 0,
-            fallback_periods: 0,
-            mode_transitions: 0,
-            faulted_periods: 0,
-            adapt_seen: false,
-            adapt_cost_us: f64::NAN,
-            adapt_generation: 0,
-            adapt_swaps: 0,
-            adapt_arm: -1,
-            transitions: 0,
-            anomalies: 0,
-            first_anomaly_k: None,
-            periods_in_state: [0; 5],
             events: Ring::with_capacity(EVENT_RING),
         }
     }
 
     /// The current classification.
     pub fn state(&self) -> HealthState {
-        self.state
+        self.report.state
     }
 
     /// Consumes one period's trace; returns `Some((from, to))` when the
@@ -750,80 +685,74 @@ impl ControllerHealth {
         };
         let alpha = trace.alpha;
 
-        self.periods += 1;
-        self.last_k = trace.k;
-        self.last_y = y;
-        self.last_error = e;
-        self.last_alpha = alpha;
+        let r = &mut self.report;
+        r.periods += 1;
+        r.k = trace.k;
+        r.y_s = y;
+        r.error_s = e;
+        r.alpha = alpha;
 
         // --- Settling/overshoot episode tracking -----------------------
         if viol {
-            self.violation_streak += 1;
+            r.violation_streak += 1;
             if y.is_finite() {
                 self.episode_peak_frac = self.episode_peak_frac.max((y - t) / t);
             }
-        } else if self.violation_streak > 0 {
+        } else if r.violation_streak > 0 {
             // Episode ended: its length is a settling-time sample, its
             // peak excursion an overshoot sample.
-            let settle = self.violation_streak as f64;
-            self.settle_last = settle;
-            self.settle_max = if self.settle_max.is_finite() {
-                self.settle_max.max(settle)
-            } else {
-                settle
-            };
-            self.settle_ewma = if self.settle_ewma.is_finite() {
-                EST_EWMA * settle + (1.0 - EST_EWMA) * self.settle_ewma
-            } else {
-                settle
-            };
-            self.settle_samples += 1;
-            let os = self.episode_peak_frac;
-            self.overshoot_last = os;
-            self.overshoot_max = if self.overshoot_max.is_finite() {
-                self.overshoot_max.max(os)
-            } else {
-                os
-            };
-            self.overshoot_ewma = if self.overshoot_ewma.is_finite() {
-                EST_EWMA * os + (1.0 - EST_EWMA) * self.overshoot_ewma
-            } else {
-                os
-            };
-            self.violation_streak = 0;
+            r.settle.push(r.violation_streak as f64);
+            r.settle_samples += 1;
+            r.overshoot.push(self.episode_peak_frac);
+            r.violation_streak = 0;
             self.episode_peak_frac = 0.0;
         }
 
         // --- SLO burn ---------------------------------------------------
         let above_target = y.is_finite() && y > t;
         if above_target {
-            self.slo_violation_periods += 1;
-            self.slo_violation_seconds += (y - t) * trace.period_s.max(0.0);
+            r.slo_violation_periods += 1;
+            r.slo_violation_seconds += (y - t) * trace.period_s.max(0.0);
         }
-        if self.burn_len < BURN_WINDOW {
-            self.burn_len += 1;
-        }
-        self.burn_win[self.burn_next] = above_target;
-        self.burn_next = (self.burn_next + 1) % BURN_WINDOW;
-        if self.burn2_len < BURN_SLOW_WINDOW {
-            self.burn2_len += 1;
-        }
-        self.burn2_win[self.burn2_next] = above_target;
-        self.burn2_next = (self.burn2_next + 1) % BURN_SLOW_WINDOW;
+        self.burn = (self.burn << 1) | u64::from(above_target);
+        self.burn_len = (self.burn_len + 1).min(BURN_SLOW_WINDOW);
 
         // --- Actuator saturation ---------------------------------------
         let pinned_high = alpha >= 1.0 - ALPHA_PIN_EPS;
         let pinned_low = alpha <= ALPHA_PIN_EPS;
         if pinned_high {
-            self.pinned_high_periods += 1;
+            r.pinned_high_periods += 1;
         }
         if pinned_low && viol {
-            self.pinned_low_periods += 1;
+            r.pinned_low_periods += 1;
         }
         if (pinned_high || pinned_low) && viol {
-            self.pinned_streak += 1;
+            r.pinned_streak += 1;
         } else {
-            self.pinned_streak = 0;
+            r.pinned_streak = 0;
+        }
+
+        // --- Mode + fault accounting -----------------------------------
+        match trace.mode {
+            LoopMode::Hold => r.hold_periods += 1,
+            LoopMode::Fallback => r.fallback_periods += 1,
+            LoopMode::Direct | LoopMode::Engaged => {}
+        }
+        if self.last_mode.is_some_and(|prev| prev != trace.mode) {
+            r.mode_transitions += 1;
+        }
+        self.last_mode = Some(trace.mode);
+        if trace.fault_flags != 0 {
+            r.faulted_periods += 1;
+        }
+
+        // --- Self-tuning state -----------------------------------------
+        if trace.adapt_cost_us.is_finite() || trace.adapt_arm >= 0 {
+            r.adapt_seen = true;
+            r.adapt_cost_est_us = trace.adapt_cost_us;
+            r.adapt_generation = trace.adapt_generation;
+            r.adapt_swaps = trace.adapt_swaps;
+            r.adapt_arm = trace.adapt_arm;
         }
 
         // --- Oscillation window ----------------------------------------
@@ -833,96 +762,56 @@ impl ControllerHealth {
         self.err_win[self.win_next] = e;
         self.alpha_win[self.win_next] = alpha;
         self.win_next = (self.win_next + 1) % OSC_WINDOW;
-        self.flips = self.count_flips();
-
-        // --- Mode + fault accounting -----------------------------------
-        match trace.mode {
-            LoopMode::Hold => self.hold_periods += 1,
-            LoopMode::Fallback => self.fallback_periods += 1,
-            LoopMode::Direct | LoopMode::Engaged => {}
-        }
-        if let Some(prev) = self.last_mode {
-            if prev != trace.mode {
-                self.mode_transitions += 1;
-            }
-        }
-        self.last_mode = Some(trace.mode);
-        if trace.fault_flags != 0 {
-            self.faulted_periods += 1;
-        }
-
-        // --- Self-tuning state mirror ----------------------------------
-        if trace.adapt_cost_us.is_finite() || trace.adapt_arm >= 0 {
-            self.adapt_seen = true;
-            self.adapt_cost_us = trace.adapt_cost_us;
-            self.adapt_generation = trace.adapt_generation;
-            self.adapt_swaps = trace.adapt_swaps;
-            self.adapt_arm = trace.adapt_arm;
-        }
+        let flips = self.count_flips();
+        self.report.flips_in_window = flips;
 
         // --- Classification --------------------------------------------
         // Burn evidence escalates only once the slow window is full:
         // both arms of the fast/slow pair must burn at or above the
         // escalation fraction, so a short spike (fast-only) or a stale
         // historical burn (slow-only) never trips it alone.
-        let (burn_fast, burn_slow) = self.burn_pair();
-        let burn_alarm = self.burn2_len == BURN_SLOW_WINDOW
-            && burn_fast >= BURN_DIVERGE_FRAC
-            && burn_slow >= BURN_DIVERGE_FRAC;
-        let new_state = if self.violation_streak > self.cfg.grace_periods || burn_alarm {
+        let burn_alarm = self.burn_len == BURN_SLOW_WINDOW
+            && self.burn_rate(BURN_FAST_WINDOW) >= BURN_DIVERGE_FRAC
+            && self.burn_rate(BURN_SLOW_WINDOW) >= BURN_DIVERGE_FRAC;
+        let r = &mut self.report;
+        let new_state = if r.violation_streak > self.cfg.grace_periods || burn_alarm {
             HealthState::Diverging
-        } else if self.pinned_streak >= self.cfg.saturation_periods {
+        } else if r.pinned_streak >= self.cfg.saturation_periods {
             HealthState::Saturated
-        } else if self.flips >= self.cfg.osc_min_flips {
+        } else if flips >= self.cfg.osc_min_flips {
             HealthState::Oscillating
         } else if viol {
             HealthState::Settling
         } else {
             HealthState::Healthy
         };
-        self.periods_in_state[new_state.ordinal() as usize] += 1;
+        r.periods_in_state[new_state.ordinal() as usize] += 1;
 
-        if new_state != self.state {
-            let from = self.state;
-            self.state = new_state;
-            self.transitions += 1;
-            if new_state.is_anomalous() {
-                self.anomalies += 1;
-                if self.first_anomaly_k.is_none() {
-                    self.first_anomaly_k = Some(trace.k);
-                }
-            }
-            self.events.push(DiagEvent {
-                k: trace.k,
-                from,
-                to: new_state,
-            });
-            Some((from, new_state))
-        } else {
-            None
+        if new_state == r.state {
+            return None;
         }
+        let from = std::mem::replace(&mut r.state, new_state);
+        r.transitions += 1;
+        if new_state.is_anomalous() {
+            r.anomalies += 1;
+            r.first_anomaly_k.get_or_insert(trace.k);
+        }
+        self.events.push(DiagEvent {
+            k: trace.k,
+            from,
+            to: new_state,
+        });
+        Some((from, new_state))
     }
 
-    /// The (fast, slow) SLO burn rates: fractions of the most recent
-    /// [`BURN_FAST_WINDOW`] / [`BURN_SLOW_WINDOW`] periods with the delay
-    /// above target (0.0 before any period).
-    fn burn_pair(&self) -> (f64, f64) {
-        if self.burn2_len == 0 {
-            return (0.0, 0.0);
+    /// Fraction of the most recent `window` periods (all of them while
+    /// fewer were observed; 0.0 before any) with the delay above target.
+    fn burn_rate(&self, window: usize) -> f64 {
+        let n = window.min(self.burn_len);
+        if n == 0 {
+            return 0.0;
         }
-        let sw = BURN_SLOW_WINDOW;
-        let slow_hits = self.burn2_win[..self.burn2_len].iter().filter(|&&b| b).count();
-        let slow = slow_hits as f64 / self.burn2_len as f64;
-        let fw = BURN_FAST_WINDOW.min(self.burn2_len);
-        let mut fast_hits = 0usize;
-        for back in 1..=fw {
-            // Most recent sample is one slot behind the cursor.
-            let idx = (self.burn2_next + sw - (back % sw)) % sw;
-            if self.burn2_win[idx] {
-                fast_hits += 1;
-            }
-        }
-        (fast_hits as f64 / fw as f64, slow)
+        (self.burn & ((1u64 << n) - 1)).count_ones() as f64 / n as f64
     }
 
     /// Counts oscillation evidence over the window: gated sign flips of
@@ -976,56 +865,13 @@ impl ControllerHealth {
 
     /// A point-in-time copy of the verdict and every estimator.
     pub fn snapshot(&self) -> DiagnosticsSnapshot {
-        let (slo_burn_fast, slo_burn_slow) = self.burn_pair();
         DiagnosticsSnapshot {
-            state: self.state,
-            k: self.last_k,
-            periods: self.periods,
-            target_delay_s: self.cfg.target_delay_s,
-            y_s: self.last_y,
-            error_s: self.last_error,
-            alpha: self.last_alpha,
-            violation_streak: self.violation_streak,
-            pinned_streak: self.pinned_streak,
-            flips_in_window: self.flips,
-            flip_rate: self.flips as f64 / OSC_WINDOW as f64,
-            settle_samples: self.settle_samples,
-            settle_last_periods: self.settle_last,
-            settle_ewma_periods: self.settle_ewma,
-            settle_max_periods: self.settle_max,
-            settle_target_periods: SETTLE_TARGET_PERIODS,
-            overshoot_last_frac: self.overshoot_last,
-            overshoot_ewma_frac: self.overshoot_ewma,
-            overshoot_max_frac: self.overshoot_max,
-            pinned_high_periods: self.pinned_high_periods,
-            pinned_low_periods: self.pinned_low_periods,
-            slo_violation_periods: self.slo_violation_periods,
-            slo_burn_rate: if self.burn_len == 0 {
-                0.0
-            } else {
-                self.burn_win[..self.burn_len]
-                    .iter()
-                    .filter(|&&b| b)
-                    .count() as f64
-                    / self.burn_len as f64
-            },
-            slo_burn_fast,
-            slo_burn_slow,
-            slo_violation_seconds: self.slo_violation_seconds,
-            hold_periods: self.hold_periods,
-            fallback_periods: self.fallback_periods,
-            mode_transitions: self.mode_transitions,
-            faulted_periods: self.faulted_periods,
-            transitions: self.transitions,
-            anomalies: self.anomalies,
-            first_anomaly_k: self.first_anomaly_k,
-            periods_in_state: self.periods_in_state,
-            adapt_seen: self.adapt_seen,
-            adapt_cost_est_us: self.adapt_cost_us,
-            adapt_generation: self.adapt_generation,
-            adapt_swaps: self.adapt_swaps,
-            adapt_arm: self.adapt_arm,
+            flip_rate: self.report.flips_in_window as f64 / OSC_WINDOW as f64,
+            slo_burn_rate: self.burn_rate(BURN_WINDOW),
+            slo_burn_fast: self.burn_rate(BURN_FAST_WINDOW),
+            slo_burn_slow: self.burn_rate(BURN_SLOW_WINDOW),
             recent_events: self.events.to_vec(),
+            ..self.report.clone()
         }
     }
 }
@@ -1160,8 +1006,8 @@ mod tests {
         assert_eq!(h.state(), HealthState::Healthy);
         let s = h.snapshot();
         assert_eq!(s.settle_samples, 1);
-        assert_eq!(s.settle_last_periods, 3.0);
-        assert!((s.overshoot_last_frac - 1.0).abs() < 1e-9, "{}", s.overshoot_last_frac);
+        assert_eq!(s.settle.last, 3.0);
+        assert!((s.overshoot.last - 1.0).abs() < 1e-9, "{}", s.overshoot.last);
         assert!(s.slo_violation_periods >= 3);
         assert!(s.slo_violation_seconds > 0.0);
         assert_eq!(s.transitions, 2, "healthy→settling→healthy");

@@ -88,7 +88,9 @@ use crate::hook::{PeriodLedger, PeriodSnapshot};
 use crate::obs::{MetricsFn, ObsHandle, ObsOptions, ObsPlane, ObsServer};
 use crate::ring::{Push, SpscRing};
 use crate::rng::{mix64, AtomicShedder};
-use crate::telemetry::{control_step, EventSink, InstrumentedHook, PromText, SharedRecorder};
+use crate::telemetry::{
+    control_step, EventSink, InstrumentedHook, MetricKind, PromText, SharedRecorder,
+};
 use crate::time::{SimDuration, SimTime};
 use crate::worker::{spawn_supervised, CostModel, WorkerConfig, WorkerStats};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -906,6 +908,44 @@ fn metrics_fn(engine: &ShardedEngine, plane: Option<ObsPlane>) -> MetricsFn {
     })
 }
 
+/// The worker counters of every shard, summed (the delay maximum is the
+/// largest shard's): the one fold behind the final report, `/metrics`
+/// and the controller's ledger.
+#[derive(Debug, Clone, Copy, Default)]
+struct WorkerTotals {
+    completed: u64,
+    dropped_shed: u64,
+    worker_panics: u64,
+    delay_sum_us: u64,
+    delay_max_us: u64,
+    delayed: u64,
+    violation_sum_us: u64,
+}
+
+impl WorkerTotals {
+    fn of<'a>(stats: impl IntoIterator<Item = &'a WorkerStats>) -> Self {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        stats.into_iter().fold(Self::default(), |t, s| Self {
+            completed: t.completed + load(&s.completed),
+            dropped_shed: t.dropped_shed + load(&s.dropped_shed),
+            worker_panics: t.worker_panics + load(&s.worker_panics),
+            delay_sum_us: t.delay_sum_us + load(&s.delay_sum_us),
+            delay_max_us: t.delay_max_us.max(load(&s.delay_max_us)),
+            delayed: t.delayed + load(&s.delayed),
+            violation_sum_us: t.violation_sum_us + load(&s.violation_sum_us),
+        })
+    }
+
+    /// Mean delay of the completed tuples, ms (0 before any).
+    fn mean_delay_ms(&self) -> f64 {
+        if self.completed > 0 {
+            self.delay_sum_us as f64 / self.completed as f64 / 1e3
+        } else {
+            0.0
+        }
+    }
+}
+
 /// Renders the global counters plus the `{shard="i"}`-labelled families
 /// into `p`.
 fn render_prometheus(
@@ -914,26 +954,8 @@ fn render_prometheus(
     rings: &[Arc<SpscRing>],
     p: &mut PromText,
 ) {
-    let per = |f: &dyn Fn(&WorkerStats) -> f64| -> Vec<f64> {
-        shards.iter().map(|s| f(s)).collect()
-    };
-    let per_ring = |f: &dyn Fn(&SpscRing) -> f64| -> Vec<f64> {
-        rings.iter().map(|r| f(r)).collect()
-    };
     let queues: Vec<u64> = shards.iter().zip(rings).map(|(s, r)| s.queue_len(r)).collect();
-    let sum = |f: fn(&WorkerStats) -> &AtomicU64| -> u64 {
-        shards.iter().map(|s| f(s).load(Ordering::Relaxed)).sum()
-    };
-    let completed = sum(|w| &w.completed);
-    let delay_sum = sum(|w| &w.delay_sum_us);
-    let queue_len: u64 = queues.iter().sum();
-    let delayed = sum(|w| &w.delayed);
-    let violation_us = sum(|w| &w.violation_sum_us);
-    let delay_max_us = shards
-        .iter()
-        .map(|s| s.delay_max_us.load(Ordering::Relaxed))
-        .max()
-        .unwrap_or(0);
+    let totals = WorkerTotals::of(shards.iter().map(|s| &**s));
     p.counter(
             "offered_total",
             "Tuples offered at the front door",
@@ -954,7 +976,7 @@ fn render_prometheus(
             "Arrivals rejected because the engine was closed",
             g.rejected_closed.load(Ordering::Relaxed) as f64,
         )
-        .counter("completed_total", "Tuples fully processed", completed as f64)
+        .counter("completed_total", "Tuples fully processed", totals.completed as f64)
         .counter(
             "deadline_misses_total",
             "Control-period boundaries serviced more than T/2 late",
@@ -963,12 +985,12 @@ fn render_prometheus(
         .counter(
             "delayed_total",
             "Completed tuples whose delay exceeded the target",
-            delayed as f64,
+            totals.delayed as f64,
         )
         .counter(
             "violation_us_total",
             "Accumulated delay violation over completed tuples, microseconds",
-            violation_us as f64,
+            totals.violation_sum_us as f64,
         )
         .counter(
             "control_periods_total",
@@ -985,64 +1007,69 @@ fn render_prometheus(
         .gauge(
             "queue_len",
             "Global virtual queue q(k) = sum of shard queues",
-            queue_len as f64,
+            queues.iter().sum::<u64>() as f64,
         )
         .gauge(
             "delay_mean_ms",
             "Mean delay of completed tuples, milliseconds",
-            if completed > 0 {
-                delay_sum as f64 / completed as f64 / 1e3
-            } else {
-                0.0
-            },
+            totals.mean_delay_ms(),
         )
         .gauge(
             "delay_max_ms",
             "Maximum observed delay, milliseconds",
-            delay_max_us as f64 / 1e3,
-        )
-        .counter_vec(
+            totals.delay_max_us as f64 / 1e3,
+        );
+    let load = |c: &AtomicU64| c.load(Ordering::Relaxed) as f64;
+    let per_shard: [(&str, &str, MetricKind, Vec<f64>); 7] = [
+        (
             "shard_dispatched_total",
             "Tuples dispatched to each shard",
-            "shard",
-            &per_ring(&|r| r.pushed() as f64),
-        )
-        .counter_vec(
+            MetricKind::Counter,
+            rings.iter().map(|r| r.pushed() as f64).collect(),
+        ),
+        (
             "shard_completed_total",
             "Tuples each shard fully processed",
-            "shard",
-            &per(&|s| s.completed.load(Ordering::Relaxed) as f64),
-        )
-        .counter_vec(
+            MetricKind::Counter,
+            shards.iter().map(|s| load(&s.completed)).collect(),
+        ),
+        (
             "shard_dropped_shed_total",
             "Tuples each shard dropped by in-queue shedding",
-            "shard",
-            &per(&|s| s.dropped_shed.load(Ordering::Relaxed) as f64),
-        )
-        .counter_vec(
+            MetricKind::Counter,
+            shards.iter().map(|s| load(&s.dropped_shed)).collect(),
+        ),
+        (
             "shard_worker_panics_total",
             "Worker panics caught per shard",
-            "shard",
-            &per(&|s| s.worker_panics.load(Ordering::Relaxed) as f64),
-        )
-        .counter_vec(
+            MetricKind::Counter,
+            shards.iter().map(|s| load(&s.worker_panics)).collect(),
+        ),
+        (
             "shard_doorbells_total",
             "Times a push woke each shard's parked worker: its ring reached a quarter full",
-            "shard",
-            &per_ring(&|r| r.doorbells() as f64),
-        )
-        .gauge_vec(
+            MetricKind::Counter,
+            rings.iter().map(|r| r.doorbells() as f64).collect(),
+        ),
+        (
             "shard_queue_len",
             "Tuples queued per shard",
-            "shard",
-            &queues.iter().map(|&q| q as f64).collect::<Vec<_>>(),
-        )
-        .gauge_vec(
+            MetricKind::Gauge,
+            queues.iter().map(|&q| q as f64).collect(),
+        ),
+        (
             "shard_cost_ewma_us",
             "Per-tuple cost last measured per shard, unsmoothed, microseconds (NaN until measured)",
-            "shard",
-            &per(&|s| s.cost_ewma_us()),
-        );
+            MetricKind::Gauge,
+            shards.iter().map(|s| s.cost_ewma_us()).collect(),
+        ),
+    ];
+    for (name, help, kind, values) in per_shard {
+        let mut family = p.family(name, help, kind);
+        for (i, v) in values.into_iter().enumerate() {
+            family.sample(&[("shard", &i.to_string())], v);
+        }
+    }
 }
 
 impl ShardedEngine {
@@ -1068,52 +1095,37 @@ impl ShardedEngine {
     /// drained) and returns the final report.
     pub fn shutdown(mut self) -> ShardReport {
         self.stop_and_join();
-        let mut per_shard = Vec::with_capacity(self.cfg.shards);
-        let mut delay_sum = 0u64;
-        let mut delay_max = 0u64;
-        let mut delayed = 0u64;
-        let mut violation_sum = 0u64;
-        let mut completed = 0u64;
-        let mut dropped_shed = 0u64;
-        let mut panics = 0u64;
-        for shard in &self.shards {
-            let st = &shard.stats;
-            let c = st.completed.load(Ordering::Relaxed);
-            completed += c;
-            delay_sum += st.delay_sum_us.load(Ordering::Relaxed);
-            delay_max = delay_max.max(st.delay_max_us.load(Ordering::Relaxed));
-            delayed += st.delayed.load(Ordering::Relaxed);
-            violation_sum += st.violation_sum_us.load(Ordering::Relaxed);
-            dropped_shed += st.dropped_shed.load(Ordering::Relaxed);
-            panics += st.worker_panics.load(Ordering::Relaxed);
-            per_shard.push(ShardStat {
-                dispatched: shard.ring.pushed(),
-                completed: c,
-                dropped_shed: st.dropped_shed.load(Ordering::Relaxed),
-                worker_panics: st.worker_panics.load(Ordering::Relaxed),
-                mean_delay_ms: st.mean_delay_ms(),
-                cost_ewma_us: st.cost_ewma_us(),
-            });
-        }
+        let per_shard = self
+            .shards
+            .iter()
+            .map(|shard| {
+                let st = &shard.stats;
+                ShardStat {
+                    dispatched: shard.ring.pushed(),
+                    completed: st.completed.load(Ordering::Relaxed),
+                    dropped_shed: st.dropped_shed.load(Ordering::Relaxed),
+                    worker_panics: st.worker_panics.load(Ordering::Relaxed),
+                    mean_delay_ms: st.mean_delay_ms(),
+                    cost_ewma_us: st.cost_ewma_us(),
+                }
+            })
+            .collect();
+        let totals = WorkerTotals::of(self.shards.iter().map(|s| &*s.stats));
         let g = &self.global;
         ShardReport {
             offered: g.offered.load(Ordering::Relaxed),
             dropped_entry: g.dropped_entry.load(Ordering::Relaxed),
             rejected_at_capacity: g.rejected_capacity.load(Ordering::Relaxed),
             rejected_closed: g.rejected_closed.load(Ordering::Relaxed),
-            dropped_shed,
-            completed,
-            worker_panics: panics,
+            dropped_shed: totals.dropped_shed,
+            completed: totals.completed,
+            worker_panics: totals.worker_panics,
             deadline_misses: g.deadline_misses.load(Ordering::Relaxed),
             periods: g.periods.load(Ordering::Relaxed),
-            mean_delay_ms: if completed > 0 {
-                delay_sum as f64 / completed as f64 / 1e3
-            } else {
-                0.0
-            },
-            max_delay_ms: delay_max as f64 / 1e3,
-            delayed_tuples: delayed,
-            accumulated_violation_ms: violation_sum as f64 / 1e3,
+            mean_delay_ms: totals.mean_delay_ms(),
+            max_delay_ms: totals.delay_max_us as f64 / 1e3,
+            delayed_tuples: totals.delayed,
+            accumulated_violation_ms: totals.violation_sum_us as f64 / 1e3,
             per_shard,
         }
     }
@@ -1130,16 +1142,14 @@ impl Drop for ShardedEngine {
 /// come from the [`CostMeter`]'s reading instead, so `c(k)` and
 /// `completed` share one load of each shard's counters.
 fn ledger_reading(g: &Global, stats: &[Arc<WorkerStats>]) -> PeriodLedger {
-    let sum = |f: fn(&WorkerStats) -> &AtomicU64| -> u64 {
-        stats.iter().map(|s| f(s).load(Ordering::Relaxed)).sum()
-    };
+    let totals = WorkerTotals::of(stats.iter().map(|s| &**s));
     PeriodLedger {
         offered: g.offered.load(Ordering::Relaxed),
         dropped_entry: g.dropped_entry.load(Ordering::Relaxed),
         rejected_capacity: g.rejected_capacity.load(Ordering::Relaxed),
         rejected_closed: g.rejected_closed.load(Ordering::Relaxed),
-        dropped_network: sum(|s| &s.dropped_shed),
-        delay_sum_ms: sum(|s| &s.delay_sum_us) as f64 / 1e3,
+        dropped_network: totals.dropped_shed,
+        delay_sum_ms: totals.delay_sum_us as f64 / 1e3,
         ..PeriodLedger::default()
     }
 }
@@ -1798,30 +1808,30 @@ mod tests {
         }
         let cfg = ShardConfig {
             period: Duration::from_millis(10),
-            ..quick_cfg(1)
+            cost: Duration::from_micros(20),
+            sample_every: 1,
+            ..quick_cfg(2)
         };
         let options = ObsOptions::for_target(cfg.target_delay);
         let engine = ShardedEngine::spawn_observed(cfg, SelfTuning, &options).unwrap();
         let obs = engine.obs().unwrap();
-        while obs.plane.periods_observed() == 0 {
+        assert_eq!(engine.offer_batch(64).dispatched, 64);
+        let sojourns = || obs.plane.spans().snapshot().sojourn.count();
+        while obs.plane.periods_observed() == 0 || sojourns() < 64 {
             std::thread::sleep(Duration::from_millis(5));
         }
         let t = Duration::from_secs(2);
         let (status, body) = http_get(obs.addr().unwrap(), "/metrics", t).unwrap();
         assert_eq!(status, 200);
         assert!(body.contains("streamshed_adapt_cost_estimate_us 210.5"), "{body}");
-        // `# HELP <name> …` and `# TYPE <name> …`, each at most once.
-        let mut declared: Vec<&str> = body
-            .lines()
-            .filter(|l| l.starts_with("# HELP ") || l.starts_with("# TYPE "))
-            .map(|l| &l[..7 + l[7..].find(' ').unwrap_or(l.len() - 7)])
-            .collect();
-        let all = declared.len();
-        declared.sort_unstable();
-        declared.dedup();
-        assert_eq!(declared.len(), all, "a family is declared twice:\n{body}");
+        assert!(body.contains("streamshed_latency_seconds_bucket{"), "{body}");
+        if let Err(e) = check_exposition(&body) {
+            panic!("{e}\n{body}");
+        }
         engine.shutdown();
     }
+
+    include!("../tests/support/exposition.rs");
 
     #[test]
     fn an_idle_period_reports_zero_delay() {

@@ -40,7 +40,7 @@ use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
 
 use crate::histo::Histo;
-use crate::telemetry::PromText;
+use crate::telemetry::{MetricKind, PromText};
 
 /// Bit 63 of a ring run word marks every tuple of the run as sampled.
 /// The other bits are the ring's: a valid bit (62), `count − 1` (61–54)
@@ -420,10 +420,10 @@ impl ProfileSnapshot {
     /// `streamshed_profile_*` share/percentile gauges into a
     /// [`PromText`]. Empty series are skipped to bound the exposition.
     pub fn render_prom(&self, p: &mut PromText) {
-        let name = p.family(
+        let mut latency = p.family(
             "latency_seconds",
             "Sampled per-stage latency (log-linear histogram, seconds)",
-            "histogram",
+            MetricKind::Histogram,
         );
         for l in &self.labels {
             for stage in Stage::ALL {
@@ -431,44 +431,38 @@ impl ProfileSnapshot {
                 if h.count() == 0 {
                     continue;
                 }
-                let bucket = format!("{name}_bucket");
+                let labels = [("stage", stage.as_str()), ("shard", l.label.as_str())];
                 for &us in &LE_BOUNDS_US {
                     let le = format!("{}", us as f64 / 1e6);
-                    p.sample_with_labels(
-                        &bucket,
-                        &[("stage", stage.as_str()), ("shard", &l.label), ("le", &le)],
-                        h.cumulative_le(us * 1_000) as f64,
-                    );
+                    let bucket = [labels[0], labels[1], ("le", &le)];
+                    latency.sample_suffixed("_bucket", &bucket, h.cumulative_le(us * 1_000) as f64);
                 }
-                p.sample_with_labels(
-                    &bucket,
-                    &[("stage", stage.as_str()), ("shard", &l.label), ("le", "+Inf")],
-                    h.count() as f64,
-                );
-                let labels = [("stage", stage.as_str()), ("shard", l.label.as_str())];
-                p.sample_with_labels(&format!("{name}_sum"), &labels, h.sum() as f64 / 1e9);
-                p.sample_with_labels(&format!("{name}_count"), &labels, h.count() as f64);
+                let inf = [labels[0], labels[1], ("le", "+Inf")];
+                latency.sample_suffixed("_bucket", &inf, h.count() as f64);
+                latency.sample_suffixed("_sum", &labels, h.sum() as f64 / 1e9);
+                latency.sample_suffixed("_count", &labels, h.count() as f64);
             }
         }
 
-        let share = p.family(
-            "profile_share",
-            "Stage share of total recorded wall time",
-            "gauge",
-        );
-        let cpu = p.family(
-            "profile_cpu_share",
-            "Stage share of recorded CPU time (ring_wait excluded)",
-            "gauge",
-        );
-        for stage in Stage::ALL {
-            p.sample_with_labels(&share, &[("stage", stage.as_str())], self.wall_share(stage));
-            p.sample_with_labels(&cpu, &[("stage", stage.as_str())], self.cpu_share(stage));
+        type Share = fn(&ProfileSnapshot, Stage) -> f64;
+        let shares: [(&str, &str, Share); 2] = [
+            ("profile_share", "Stage share of total recorded wall time", Self::wall_share),
+            (
+                "profile_cpu_share",
+                "Stage share of recorded CPU time (ring_wait excluded)",
+                Self::cpu_share,
+            ),
+        ];
+        for (name, help, share) in shares {
+            let mut family = p.family(name, help, MetricKind::Gauge);
+            for stage in Stage::ALL {
+                family.sample(&[("stage", stage.as_str())], share(self, stage));
+            }
         }
-        let soj = p.family(
+        let mut soj = p.family(
             "profile_sojourn_seconds",
             "Sampled end-to-end tuple sojourn quantiles",
-            "gauge",
+            MetricKind::Gauge,
         );
         for (q, v) in [
             ("0.5", self.sojourn.quantile(0.50)),
@@ -476,7 +470,7 @@ impl ProfileSnapshot {
             ("0.99", self.sojourn.quantile(0.99)),
             ("0.999", self.sojourn.quantile(0.999)),
         ] {
-            p.sample_with_labels(&soj, &[("quantile", q)], v as f64 / 1e9);
+            soj.sample(&[("quantile", q)], v as f64 / 1e9);
         }
     }
 }

@@ -30,7 +30,7 @@
 
 use crate::hook::{ControlHook, Decision, NoShedding, PeriodSnapshot};
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -197,7 +197,7 @@ pub const MAX_TRACE_SHARDS: usize = 8;
 /// the actuator was told, and what faults interfered.
 ///
 /// `Copy` by construction so the ring buffer never allocates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct ControlTrace {
     /// Period index `k`.
     pub k: u64,
@@ -340,123 +340,145 @@ impl ControlTrace {
             || self.adapt_swaps > 0
     }
 
-    /// One JSON object on a single line (JSONL). Floats render through
-    /// `json_num`, so they round-trip and `NaN` becomes `null`.
+    /// The exported columns in export order, each field once: JSONL,
+    /// the CSV header and the CSV row all render from this list.
+    fn columns(&self) -> [(&'static str, Cell<'_>); 29] {
+        use Cell::{F, U};
+        let shown = (self.shards as usize).min(MAX_TRACE_SHARDS);
+        [
+            ("k", U(self.k)),
+            ("time_s", F(self.time_s)),
+            ("period_s", F(self.period_s)),
+            ("offered", U(self.offered)),
+            ("admitted", U(self.admitted)),
+            ("dropped_entry", U(self.dropped_entry)),
+            ("dropped_network", U(self.dropped_network)),
+            ("completed", U(self.completed)),
+            ("outstanding", U(self.outstanding)),
+            ("queued_tuples", U(self.queued_tuples)),
+            ("queued_load_us", F(self.queued_load_us)),
+            ("measured_cost_us", F(self.measured_cost_us)),
+            ("mean_delay_ms", F(self.mean_delay_ms)),
+            ("cpu_busy_us", U(self.cpu_busy_us)),
+            ("alpha", F(self.alpha)),
+            ("shed_load_us", F(self.shed_load_us)),
+            ("y_hat_s", F(self.y_hat_s)),
+            ("error_s", F(self.error_s)),
+            ("u_tps", F(self.u_tps)),
+            ("cost_est_us", F(self.cost_est_us)),
+            ("mode", Cell::Str(self.mode.as_str())),
+            ("fault_flags", U(self.fault_flags.into())),
+            ("hook_ns", U(self.hook_ns)),
+            ("adapt_cost_us", F(self.adapt_cost_us)),
+            ("adapt_generation", U(self.adapt_generation)),
+            ("adapt_swaps", U(self.adapt_swaps)),
+            ("adapt_arm", Cell::I(self.adapt_arm)),
+            ("shards", U(self.shards.into())),
+            ("shard_queues", Cell::Queues(&self.shard_queues, shown)),
+        ]
+    }
+
+    /// One JSON object on a single line (JSONL). Floats round-trip, and
+    /// `NaN` and ±inf become `null`.
     pub fn to_jsonl(&self) -> String {
-        let num = json_num;
-        let shard_queues = self.shard_queues[..(self.shards as usize).min(MAX_TRACE_SHARDS)]
-            .iter()
-            .map(|q| q.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"k\":{},\"time_s\":{},\"period_s\":{},\"offered\":{},\"admitted\":{},\
-             \"dropped_entry\":{},\"dropped_network\":{},\"completed\":{},\
-             \"outstanding\":{},\"queued_tuples\":{},\"queued_load_us\":{},\
-             \"measured_cost_us\":{},\"mean_delay_ms\":{},\"cpu_busy_us\":{},\
-             \"alpha\":{},\"shed_load_us\":{},\"y_hat_s\":{},\"error_s\":{},\
-             \"u_tps\":{},\"cost_est_us\":{},\"mode\":\"{}\",\"fault_flags\":{},\
-             \"hook_ns\":{},\"adapt_cost_us\":{},\"adapt_generation\":{},\
-             \"adapt_swaps\":{},\"adapt_arm\":{},\"shards\":{},\
-             \"shard_queues\":[{}]}}",
-            self.k,
-            num(self.time_s),
-            num(self.period_s),
-            self.offered,
-            self.admitted,
-            self.dropped_entry,
-            self.dropped_network,
-            self.completed,
-            self.outstanding,
-            self.queued_tuples,
-            num(self.queued_load_us),
-            num(self.measured_cost_us),
-            num(self.mean_delay_ms),
-            self.cpu_busy_us,
-            num(self.alpha),
-            num(self.shed_load_us),
-            num(self.y_hat_s),
-            num(self.error_s),
-            num(self.u_tps),
-            num(self.cost_est_us),
-            self.mode.as_str(),
-            self.fault_flags,
-            self.hook_ns,
-            num(self.adapt_cost_us),
-            self.adapt_generation,
-            self.adapt_swaps,
-            self.adapt_arm,
-            self.shards,
-            shard_queues,
-        )
+        let mut out = String::with_capacity(512);
+        write_json_object(&mut out, self.columns());
+        out
     }
 
     /// The CSV header matching [`Self::to_csv_row`]. Per-shard queues are
     /// flattened into `shard_q0..shard_q7` columns (0 when unused).
     pub fn csv_header() -> &'static str {
-        "k,time_s,period_s,offered,admitted,dropped_entry,dropped_network,\
-         completed,outstanding,queued_tuples,queued_load_us,measured_cost_us,\
-         mean_delay_ms,cpu_busy_us,alpha,shed_load_us,y_hat_s,error_s,u_tps,\
-         cost_est_us,mode,fault_flags,hook_ns,adapt_cost_us,adapt_generation,\
-         adapt_swaps,adapt_arm,shards,\
-         shard_q0,shard_q1,shard_q2,shard_q3,shard_q4,shard_q5,shard_q6,shard_q7"
+        static HEADER: OnceLock<String> = OnceLock::new();
+        HEADER.get_or_init(|| {
+            let names = ControlTrace::default().columns().map(|(name, cell)| match cell {
+                Cell::Queues(q, _) => {
+                    (0..q.len()).map(|i| format!("shard_q{i}")).collect::<Vec<_>>().join(",")
+                }
+                _ => name.to_string(),
+            });
+            names.join(",")
+        })
     }
 
-    /// One CSV row (no trailing newline).
+    /// One CSV row (no trailing newline); floats render through
+    /// `Display` (`NaN`, `inf`).
     pub fn to_csv_row(&self) -> String {
-        let q = &self.shard_queues;
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},\
-             {},{},{},{},{},{},{},{},{},{},{},{}",
-            self.k,
-            self.time_s,
-            self.period_s,
-            self.offered,
-            self.admitted,
-            self.dropped_entry,
-            self.dropped_network,
-            self.completed,
-            self.outstanding,
-            self.queued_tuples,
-            self.queued_load_us,
-            self.measured_cost_us,
-            self.mean_delay_ms,
-            self.cpu_busy_us,
-            self.alpha,
-            self.shed_load_us,
-            self.y_hat_s,
-            self.error_s,
-            self.u_tps,
-            self.cost_est_us,
-            self.mode.as_str(),
-            self.fault_flags,
-            self.hook_ns,
-            self.adapt_cost_us,
-            self.adapt_generation,
-            self.adapt_swaps,
-            self.adapt_arm,
-            self.shards,
-            q[0],
-            q[1],
-            q[2],
-            q[3],
-            q[4],
-            q[5],
-            q[6],
-            q[7],
-        )
+        let mut out = String::with_capacity(256);
+        for (i, (_, cell)) in self.columns().into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            cell.write(&mut out, false);
+        }
+        out
     }
 }
 
-/// A float as a JSON number: its `Display` form (the shortest string
-/// that parses back to the same `f64`, never an exponent) when finite,
-/// `null` otherwise, so the output stays strictly valid JSON.
-pub(crate) fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        v.to_string()
-    } else {
-        "null".into()
+/// One exported value, rendered as JSON or as a CSV cell.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Cell<'a> {
+    /// A count.
+    U(u64),
+    /// A signed integer.
+    I(i64),
+    /// A float: its `Display` form, the shortest that parses back to the
+    /// same bits (JSON writes a non-finite one as `null`).
+    F(f64),
+    /// A name: quoted in JSON, bare in CSV (never escaped, so only for
+    /// the static identifiers of an enum).
+    Str(&'a str),
+    /// A flag.
+    Bool(bool),
+    /// Text that is JSON already (`null`, an object, an array).
+    Raw(&'a str),
+    /// Per-shard queues: a JSON array of the first `n`, or every slot as
+    /// its own CSV cell.
+    Queues(&'a [u64; MAX_TRACE_SHARDS], usize),
+}
+
+impl Cell<'_> {
+    /// Appends the value as JSON (`json`) or as CSV.
+    pub(crate) fn write(self, out: &mut String, json: bool) {
+        use std::fmt::Write as _;
+        let _ = match self {
+            Cell::U(v) => write!(out, "{v}"),
+            Cell::I(v) => write!(out, "{v}"),
+            Cell::F(v) if json && !v.is_finite() => write!(out, "null"),
+            Cell::F(v) => write!(out, "{v}"),
+            Cell::Str(s) if json => write!(out, "\"{s}\""),
+            Cell::Str(s) => write!(out, "{s}"),
+            Cell::Bool(b) => write!(out, "{b}"),
+            Cell::Raw(s) => write!(out, "{s}"),
+            Cell::Queues(q, n) => {
+                let shown = if json { &q[..n] } else { &q[..] };
+                let cells = shown.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
+                if json {
+                    write!(out, "[{cells}]")
+                } else {
+                    write!(out, "{cells}")
+                }
+            }
+        };
     }
+}
+
+/// Appends the JSON object `{"key":value,…}` of `fields`, in order.
+pub(crate) fn write_json_object<'a>(
+    out: &mut String,
+    fields: impl IntoIterator<Item = (&'static str, Cell<'a>)>,
+) {
+    out.push('{');
+    for (i, (key, cell)) in fields.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        out.push_str(key);
+        out.push_str("\":");
+        cell.write(out, true);
+    }
+    out.push('}');
 }
 
 /// One control step, as both engines run it: times `hook`'s
@@ -650,17 +672,25 @@ impl EventSink for SharedRecorder {
 // Prometheus text exposition
 // ---------------------------------------------------------------------------
 
-/// Builder for the Prometheus text exposition format (`# HELP`/`# TYPE`
-/// plus one sample per metric).
+/// Builder for the Prometheus text exposition format, one family at a
+/// time.
+///
+/// A family is its `# HELP` line, its `# TYPE` line and its samples, in
+/// that order and contiguous. [`PromText::family`] writes the preamble
+/// and returns the [`Family`] that writes the samples; it borrows the
+/// builder, so the next family cannot start until this one is done.
+/// [`counter`](PromText::counter) and [`gauge`](PromText::gauge) write a
+/// family of one unlabelled sample.
 ///
 /// ```
-/// use streamshed_engine::telemetry::PromText;
+/// use streamshed_engine::telemetry::{MetricKind, PromText};
 /// let mut p = PromText::new("streamshed");
 /// p.counter("offered_total", "Tuples offered to the engine", 1234.0);
-/// p.gauge("queue_len", "Tuples currently queued", 17.0);
+/// let mut queues = p.family("shard_queue_len", "Tuples queued per shard", MetricKind::Gauge);
+/// queues.sample(&[("shard", "0")], 17.0).sample(&[("shard", "1")], 3.0);
 /// let text = p.finish();
 /// assert!(text.contains("# TYPE streamshed_offered_total counter"));
-/// assert!(text.contains("streamshed_queue_len 17"));
+/// assert!(text.contains("streamshed_shard_queue_len{shard=\"1\"} 3"));
 /// ```
 #[derive(Debug, Clone)]
 pub struct PromText {
@@ -668,26 +698,36 @@ pub struct PromText {
     out: String,
 }
 
-/// Escapes a `# HELP` text per the Prometheus exposition format:
-/// backslash and newline become `\\` and `\n`.
-fn escape_help(out: &mut String, text: &str) {
-    for ch in text.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
+/// The kind a family's `# TYPE` line declares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MetricKind {
+    /// A monotone count.
+    Counter,
+    /// A value that moves both ways.
+    Gauge,
+    /// Cumulative `_bucket` samples plus `_sum` and `_count`.
+    Histogram,
+}
+
+impl MetricKind {
+    fn as_str(self) -> &'static str {
+        match self {
+            MetricKind::Counter => "counter",
+            MetricKind::Gauge => "gauge",
+            MetricKind::Histogram => "histogram",
         }
     }
 }
 
-/// Escapes a label value per the Prometheus exposition format:
-/// backslash, newline, and double quote become `\\`, `\n`, and `\"`.
-fn escape_label_value(out: &mut String, value: &str) {
-    for ch in value.chars() {
+/// Escapes `text` per the Prometheus exposition format: backslash and
+/// newline become `\\` and `\n`, and in a label value (`quote`) a double
+/// quote becomes `\"`.
+fn escape(out: &mut String, text: &str, quote: bool) {
+    for ch in text.chars() {
         match ch {
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
-            '"' => out.push_str("\\\""),
+            '"' if quote => out.push_str("\\\""),
             c => out.push(c),
         }
     }
@@ -702,151 +742,80 @@ impl PromText {
         }
     }
 
-    fn write_value(&mut self, series: &str, value: f64) {
+    /// Starts family `name`: writes its `# HELP` and `# TYPE` lines and
+    /// returns the writer of its samples. Each name may start once.
+    pub fn family(&mut self, name: &str, help: &str, kind: MetricKind) -> Family<'_> {
         use std::fmt::Write as _;
-        if value.fract() == 0.0 && value.abs() < 9e15 {
-            let _ = writeln!(self.out, "{series} {}", value as i64);
-        } else {
-            let _ = writeln!(self.out, "{series} {value}");
+        let name = format!("{}_{name}", self.prefix);
+        debug_assert!(!self.out.contains(&format!("# TYPE {name} ")), "{name} started twice");
+        let _ = write!(self.out, "# HELP {name} ");
+        escape(&mut self.out, help, false);
+        let _ = writeln!(self.out, "\n# TYPE {name} {}", kind.as_str());
+        Family {
+            out: &mut self.out,
+            name,
         }
     }
 
-    fn preamble(&mut self, name: &str, help: &str, kind: &str) -> String {
-        use std::fmt::Write as _;
-        let full = format!("{}_{name}", self.prefix);
-        let _ = write!(self.out, "# HELP {full} ");
-        escape_help(&mut self.out, help);
-        self.out.push('\n');
-        let _ = writeln!(self.out, "# TYPE {full} {kind}");
-        full
-    }
-
-    fn sample(&mut self, name: &str, help: &str, kind: &str, value: f64) {
-        let full = self.preamble(name, help, kind);
-        self.write_value(&full, value);
-    }
-
-    fn sample_vec(&mut self, name: &str, help: &str, kind: &str, label: &str, values: &[f64]) {
-        let full = self.preamble(name, help, kind);
-        for (i, &value) in values.iter().enumerate() {
-            let series = format!("{full}{{{label}=\"{i}\"}}");
-            self.write_value(&series, value);
-        }
-    }
-
-    fn sample_labeled(
-        &mut self,
-        name: &str,
-        help: &str,
-        kind: &str,
-        label: &str,
-        label_value: &str,
-        value: f64,
-    ) {
-        let full = self.preamble(name, help, kind);
-        let mut series = format!("{full}{{{label}=\"");
-        escape_label_value(&mut series, label_value);
-        series.push_str("\"}");
-        self.write_value(&series, value);
-    }
-
-    /// Appends a monotone counter sample.
+    /// Appends a counter family of one unlabelled sample.
     pub fn counter(&mut self, name: &str, help: &str, value: f64) -> &mut Self {
-        self.sample(name, help, "counter", value);
+        self.family(name, help, MetricKind::Counter).sample(&[], value);
         self
     }
 
-    /// Appends a gauge sample.
+    /// Appends a gauge family of one unlabelled sample.
     pub fn gauge(&mut self, name: &str, help: &str, value: f64) -> &mut Self {
-        self.sample(name, help, "gauge", value);
-        self
-    }
-
-    /// Appends a labelled counter family: one `# HELP`/`# TYPE` preamble
-    /// and one `name{label="i"}` sample per element of `values` (the
-    /// label value is the element's index — e.g. the shard id).
-    pub fn counter_vec(&mut self, name: &str, help: &str, label: &str, values: &[f64]) -> &mut Self {
-        self.sample_vec(name, help, "counter", label, values);
-        self
-    }
-
-    /// Appends a labelled gauge family, one sample per element of
-    /// `values`, labelled by index.
-    pub fn gauge_vec(&mut self, name: &str, help: &str, label: &str, values: &[f64]) -> &mut Self {
-        self.sample_vec(name, help, "gauge", label, values);
-        self
-    }
-
-    /// Appends one counter sample carrying an arbitrary string label
-    /// value (escaped per the exposition format).
-    pub fn counter_labeled(
-        &mut self,
-        name: &str,
-        help: &str,
-        label: &str,
-        label_value: &str,
-        value: f64,
-    ) -> &mut Self {
-        self.sample_labeled(name, help, "counter", label, label_value, value);
-        self
-    }
-
-    /// Appends one gauge sample carrying an arbitrary string label value
-    /// (escaped per the exposition format) — e.g.
-    /// `streamshed_diag_state_info{state="oscillating"} 1`.
-    pub fn gauge_labeled(
-        &mut self,
-        name: &str,
-        help: &str,
-        label: &str,
-        label_value: &str,
-        value: f64,
-    ) -> &mut Self {
-        self.sample_labeled(name, help, "gauge", label, label_value, value);
-        self
-    }
-
-    /// Appends a `# HELP`/`# TYPE` preamble for a multi-sample family
-    /// (`kind` is `"counter"`, `"gauge"`, or `"histogram"`) and returns
-    /// the full prefixed name. Follow with
-    /// [`sample_with_labels`](Self::sample_with_labels) — one preamble,
-    /// many samples, per the exposition format.
-    pub fn family(&mut self, name: &str, help: &str, kind: &str) -> String {
-        self.preamble(name, help, kind)
-    }
-
-    /// Appends one sample line `full{k1="v1",k2="v2"} value` with every
-    /// label value escaped per the exposition format. `full` is a name
-    /// returned by [`family`](Self::family), optionally suffixed
-    /// (`_bucket`, `_sum`, `_count` for histograms).
-    pub fn sample_with_labels(
-        &mut self,
-        full: &str,
-        labels: &[(&str, &str)],
-        value: f64,
-    ) -> &mut Self {
-        let mut series = String::with_capacity(full.len() + 24 * labels.len());
-        series.push_str(full);
-        if !labels.is_empty() {
-            series.push('{');
-            for (i, (k, v)) in labels.iter().enumerate() {
-                if i > 0 {
-                    series.push(',');
-                }
-                series.push_str(k);
-                series.push_str("=\"");
-                escape_label_value(&mut series, v);
-                series.push('"');
-            }
-            series.push('}');
-        }
-        self.write_value(&series, value);
+        self.family(name, help, MetricKind::Gauge).sample(&[], value);
         self
     }
 
     /// The rendered exposition text.
     pub fn finish(self) -> String {
         self.out
+    }
+}
+
+/// The sample writer of one family, from [`PromText::family`].
+#[derive(Debug)]
+pub struct Family<'a> {
+    out: &'a mut String,
+    name: String,
+}
+
+impl Family<'_> {
+    /// Appends `name{k1="v1",…} value`, every label value escaped.
+    pub fn sample(&mut self, labels: &[(&str, &str)], value: f64) -> &mut Self {
+        self.sample_suffixed("", labels, value)
+    }
+
+    /// Appends a sample of the series `name<suffix>`: a histogram's
+    /// `_bucket`, `_sum` or `_count`.
+    pub fn sample_suffixed(
+        &mut self,
+        suffix: &str,
+        labels: &[(&str, &str)],
+        value: f64,
+    ) -> &mut Self {
+        use std::fmt::Write as _;
+        let out = &mut *self.out;
+        out.push_str(&self.name);
+        out.push_str(suffix);
+        for (i, (k, v)) in labels.iter().enumerate() {
+            out.push(if i == 0 { '{' } else { ',' });
+            out.push_str(k);
+            out.push_str("=\"");
+            escape(out, v, true);
+            out.push('"');
+        }
+        if !labels.is_empty() {
+            out.push('}');
+        }
+        let _ = if value.fract() == 0.0 && value.abs() < 9e15 {
+            writeln!(out, " {}", value as i64)
+        } else {
+            writeln!(out, " {value}")
+        };
+        self
     }
 }
 
@@ -1050,8 +1019,13 @@ mod tests {
     #[test]
     fn prom_text_vec_emits_one_preamble_many_samples() {
         let mut p = PromText::new("streamshed");
-        p.counter_vec("shard_completed_total", "Per-shard completions", "shard", &[5.0, 7.0])
-            .gauge_vec("shard_queue_len", "Per-shard queue length", "shard", &[2.0, 0.0, 9.0]);
+        let help = "Per-shard completions";
+        let mut completed = p.family("shard_completed_total", help, MetricKind::Counter);
+        completed.sample(&[("shard", "0")], 5.0).sample(&[("shard", "1")], 7.0);
+        let mut queues = p.family("shard_queue_len", "Per-shard queue length", MetricKind::Gauge);
+        for (i, q) in [2.0, 0.0, 9.0].into_iter().enumerate() {
+            queues.sample(&[("shard", &i.to_string())], q);
+        }
         let text = p.finish();
         assert_eq!(
             text.matches("# TYPE streamshed_shard_completed_total counter").count(),
@@ -1061,6 +1035,10 @@ mod tests {
         assert!(text.contains("streamshed_shard_completed_total{shard=\"1\"} 7"));
         assert!(text.contains("streamshed_shard_queue_len{shard=\"2\"} 9"));
         assert_eq!(text.matches("# HELP streamshed_shard_queue_len").count(), 1);
+        // Preamble first, then the family's samples, before the next family.
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines[0].starts_with("# HELP streamshed_shard_completed_total"));
+        assert!(lines[4].starts_with("# HELP streamshed_shard_queue_len"));
     }
 
     #[test]
@@ -1162,13 +1140,9 @@ mod tests {
     #[test]
     fn prom_text_escapes_hostile_labels_and_help() {
         let mut p = PromText::new("streamshed");
-        p.gauge_labeled(
-            "diag_state_info",
-            "Current state.\nSecond \\ line",
-            "state",
-            "evil\"name\\with\nnewline",
-            1.0,
-        );
+        let help = "Current state.\nSecond \\ line";
+        p.family("diag_state_info", help, MetricKind::Gauge)
+            .sample(&[("state", "evil\"name\\with\nnewline")], 1.0);
         let text = p.finish();
         // HELP: backslash and newline escaped (quotes stay literal).
         assert!(
@@ -1190,7 +1164,8 @@ mod tests {
     #[test]
     fn prom_text_labeled_counter_sample() {
         let mut p = PromText::new("s");
-        p.counter_labeled("anomalies_total", "Anomaly entries", "state", "saturated", 3.0);
+        p.family("anomalies_total", "Anomaly entries", MetricKind::Counter)
+            .sample(&[("state", "saturated")], 3.0);
         let text = p.finish();
         assert!(text.contains("# TYPE s_anomalies_total counter"));
         assert!(text.contains("s_anomalies_total{state=\"saturated\"} 3"));

@@ -72,7 +72,7 @@ use std::time::{Duration, Instant};
 use streamshed_engine::obs::{self, HttpResponse, MetricsFn, ObsPlane};
 use streamshed_engine::shard::{BatchResult, ShardedEngine};
 use streamshed_engine::spans::{SpanHandle, Stage};
-use streamshed_engine::telemetry::PromText;
+use streamshed_engine::telemetry::{MetricKind, PromText};
 
 /// An engine front door the server can feed. Object-safe so a caller
 /// can substitute an instrumented or fake door for the engine without a
@@ -218,18 +218,11 @@ impl NetStats {
     /// Renders the `streamshed_net_*` families. `listener` labels the
     /// info gauge with the bound address.
     pub fn render_prom(&self, listener: &str) -> String {
-        const BUCKET_HELP: &str =
-            "Tuples through the network front door, by admission bucket";
         let mut p = PromText::new("streamshed_net");
         let c = |v: &AtomicU64| v.load(Ordering::Relaxed) as f64;
-        p.gauge_labeled(
-            "listener_info",
-            "Bound listener address (as a label)",
-            "addr",
-            listener,
-            1.0,
-        )
-        .counter(
+        let info = "Bound listener address (as a label)";
+        p.family("listener_info", info, MetricKind::Gauge).sample(&[("addr", listener)], 1.0);
+        p.counter(
             "connections_accepted_total",
             "Connections accepted by the front door",
             c(&self.connections_accepted),
@@ -279,24 +272,21 @@ impl NetStats {
             "http_requests_total",
             "HTTP requests served (ingest + observability)",
             c(&self.http_requests),
-        )
-        .counter_labeled("tuples_total", BUCKET_HELP, "bucket", "offered", c(&self.tuples_offered))
-        .counter_labeled("tuples_total", BUCKET_HELP, "bucket", "accepted", c(&self.tuples_accepted))
-        .counter_labeled("tuples_total", BUCKET_HELP, "bucket", "shed", c(&self.tuples_shed))
-        .counter_labeled(
-            "tuples_total",
-            BUCKET_HELP,
-            "bucket",
-            "rejected_capacity",
-            c(&self.tuples_rejected_capacity),
-        )
-        .counter_labeled(
-            "tuples_total",
-            BUCKET_HELP,
-            "bucket",
-            "rejected_closed",
-            c(&self.tuples_rejected_closed),
         );
+        let mut tuples = p.family(
+            "tuples_total",
+            "Tuples through the network front door, by admission bucket",
+            MetricKind::Counter,
+        );
+        for (bucket, v) in [
+            ("offered", &self.tuples_offered),
+            ("accepted", &self.tuples_accepted),
+            ("shed", &self.tuples_shed),
+            ("rejected_capacity", &self.tuples_rejected_capacity),
+            ("rejected_closed", &self.tuples_rejected_closed),
+        ] {
+            tuples.sample(&[("bucket", bucket)], c(v));
+        }
         p.finish()
     }
 
