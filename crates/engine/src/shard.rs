@@ -1834,6 +1834,26 @@ mod tests {
     include!("../tests/support/exposition.rs");
 
     #[test]
+    fn exposition_check_rejects_repeated_and_split_families() {
+        let family = |n: &str, kind: &str| format!("# HELP {n} h\n# TYPE {n} {kind}\n");
+        let (a, b) = (family("a", "counter"), family("b", "gauge"));
+        let ok = format!("{a}a{{x=\"1\"}} 1\na{{x=\"2\"}} NaN\n{b}b 2\n");
+        assert_eq!(check_exposition(&ok), Ok(2));
+        let h = family("h", "histogram");
+        let hist = format!("{h}h_bucket{{le=\"+Inf\"}} 1\nh_sum 2\nh_count 1\n");
+        assert_eq!(check_exposition(&hist), Ok(1));
+        for bad in [
+            format!("{a}a 1\n{a}a 2\n"),
+            format!("{a}{b}a 1\nb 2\n"),
+            format!("{a}a 1\n{b}b 2\na 3\n"),
+            format!("a 1\n{a}"),
+            format!("{a}a x\n"),
+        ] {
+            assert!(check_exposition(&bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
     fn an_idle_period_reports_zero_delay() {
         // α = 1 from the first boundary on: every later offer is shed at
         // the door and the periods after them are idle.

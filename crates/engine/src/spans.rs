@@ -557,60 +557,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_json_is_well_formed() {
-        let reg = SpanRegistry::new();
-        let h = reg.handle("0");
-        for i in 0..100u64 {
-            h.record(Stage::Execute, i * 10_000);
-            h.record(Stage::RingWait, i * 1_000);
-            h.record_sojourn(i * 11_000);
-        }
-        let json = reg.snapshot().to_json();
-        assert!(json.contains("\"execute\""));
-        assert!(json.contains("\"wall_share\""));
-        assert!(json.contains("\"sojourn\""));
-        assert!(json.contains("\"p999_ms\""));
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        // Braces balance (cheap well-formedness check without a parser).
-        let depth = json.chars().fold(0i64, |d, c| match c {
-            '{' => d + 1,
-            '}' => d - 1,
-            _ => d,
-        });
-        assert_eq!(depth, 0);
-    }
-
-    #[test]
-    fn prom_families_have_help_type_and_le_ladder() {
-        let reg = SpanRegistry::new();
-        let h = reg.handle("0");
-        for i in 1..200u64 {
-            h.record(Stage::Execute, i * 100_000);
-        }
-        h.record_sojourn(5_000_000);
-        let mut p = PromText::new("streamshed");
-        reg.snapshot().render_prom(&mut p);
-        let text = p.finish();
-        assert!(text.contains("# TYPE streamshed_latency_seconds histogram"));
-        assert!(text.contains("# HELP streamshed_latency_seconds "));
-        assert!(text.contains("streamshed_latency_seconds_bucket{stage=\"execute\",shard=\"0\",le=\"+Inf\"} 199"));
-        assert!(text.contains("streamshed_latency_seconds_count{stage=\"execute\",shard=\"0\"} 199"));
-        assert!(text.contains("streamshed_latency_seconds_sum{stage=\"execute\",shard=\"0\"}"));
-        assert!(text.contains("# TYPE streamshed_profile_share gauge"));
-        assert!(text.contains("streamshed_profile_share{stage=\"ring_wait\"} 0"));
-        assert!(text.contains("# TYPE streamshed_profile_sojourn_seconds gauge"));
-        // Cumulative le ladder is monotone for the execute series.
-        let mut prev = 0.0f64;
-        for line in text.lines() {
-            if line.starts_with("streamshed_latency_seconds_bucket{stage=\"execute\"") {
-                let v: f64 = line.rsplit(' ').next().unwrap().parse().unwrap();
-                assert!(v >= prev, "le ladder not monotone: {line}");
-                prev = v;
-            }
-        }
-    }
-
-    #[test]
     fn hostile_labels_are_escaped_in_latency_families() {
         // The label-escaping satellite: a hostile slot label cannot
         // corrupt the exposition.

@@ -897,35 +897,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_is_valid_and_null_for_nan() {
-        let mut s = snap(2);
-        s.measured_cost_us = None;
-        s.mean_delay_ms = None;
-        let t = ControlTrace::capture(&s, &Decision::entry(0.123456789123), None, 42);
-        let line = t.to_jsonl();
-        assert!(line.starts_with('{') && line.ends_with('}'));
-        assert!(line.contains("\"measured_cost_us\":null"));
-        // Floats print in full, so they parse back to the same bits.
-        assert!(line.contains("\"alpha\":0.123456789123,"), "{line}");
-        assert!(line.contains("\"mode\":\"direct\""));
-        assert!(!line.contains("NaN"));
-        // Structural sanity: one object, balanced quotes, expected key.
-        assert_eq!(line.matches('{').count(), 1);
-        assert_eq!(line.matches('}').count(), 1);
-        assert_eq!(line.matches('"').count() % 2, 0);
-        assert!(line.contains("\"k\":2,"));
-    }
-
-    #[test]
-    fn csv_row_matches_header_arity() {
-        let t = ControlTrace::capture(&snap(0), &Decision::NONE, None, 1);
-        let cols = ControlTrace::csv_header().split(',').count();
-        assert_eq!(t.to_csv_row().split(',').count(), cols);
-        let exported = export_csv(&[t]);
-        assert_eq!(exported.lines().count(), 2);
-    }
-
-    #[test]
     fn mean_delay_reconstruction_weights_by_completed() {
         let d = Decision::NONE;
         let mut a = snap(0);
@@ -1039,31 +1010,6 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert!(lines[0].starts_with("# HELP streamshed_shard_completed_total"));
         assert!(lines[4].starts_with("# HELP streamshed_shard_queue_len"));
-    }
-
-    #[test]
-    fn shard_queues_flow_through_exporters() {
-        let t = ControlTrace::capture(&snap(1), &Decision::NONE, None, 3)
-            .with_shard_queues(&[4, 0, 11]);
-        assert_eq!(t.shards, 3);
-        let line = t.to_jsonl();
-        assert!(line.contains("\"shards\":3"), "{line}");
-        assert!(line.contains("\"shard_queues\":[4,0,11]"), "{line}");
-        let row = t.to_csv_row();
-        assert_eq!(row.split(',').count(), ControlTrace::csv_header().split(',').count());
-        assert!(row.ends_with(",3,4,0,11,0,0,0,0,0"), "{row}");
-
-        // Non-sharded runs keep the fields inert.
-        let plain = ControlTrace::capture(&snap(1), &Decision::NONE, None, 3);
-        assert_eq!(plain.shards, 0);
-        assert!(plain.to_jsonl().contains("\"shard_queues\":[]"));
-
-        // More shards than the trace retains: count is truthful, the
-        // array keeps the first MAX_TRACE_SHARDS.
-        let wide = ControlTrace::capture(&snap(1), &Decision::NONE, None, 3)
-            .with_shard_queues(&[1; MAX_TRACE_SHARDS + 4]);
-        assert_eq!(wide.shards as usize, MAX_TRACE_SHARDS + 4);
-        assert_eq!(wide.shard_queues, [1; MAX_TRACE_SHARDS]);
     }
 
     #[test]

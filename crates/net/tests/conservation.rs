@@ -22,10 +22,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use streamshed_engine::hook::Decision;
+use streamshed_engine::obs::ObsOptions;
 use streamshed_engine::shard::{ShardConfig, ShardedEngine};
 use streamshed_engine::worker::CostModel;
 use streamshed_net::loadgen::{self, Arrivals, LoadgenConfig, Mode};
-use streamshed_net::server::{NetConfig, NetServer};
+use streamshed_net::server::{NetConfig, NetObs, NetServer};
 use streamshed_net::wire::{self, Reply};
 
 /// A fast engine that sheds a fixed fraction at entry — overload
@@ -224,6 +225,45 @@ fn http_endpoints_live_during_binary_ingest() {
 
     server.shutdown();
     drop(engine);
+}
+
+include!("../../engine/tests/support/exposition.rs");
+
+/// The listener's combined `/metrics` (the observed engine's families,
+/// diagnostics and spans, then the `streamshed_net_*` families) is one
+/// well-formed exposition.
+#[test]
+fn combined_metrics_are_one_well_formed_exposition() {
+    let mut cfg = ShardConfig::demo(2);
+    (cfg.cost, cfg.cost_model, cfg.sample_every) = (Duration::ZERO, CostModel::Spin, 1);
+    cfg.period = Duration::from_millis(10);
+    let options = ObsOptions { http: None, ..ObsOptions::for_target(cfg.target_delay) };
+    let hook = |_s: &_| Decision::entry(0.25);
+    let engine = Arc::new(ShardedEngine::spawn_observed(cfg, hook, &options).unwrap());
+    let obs = NetObs {
+        metrics: engine.metrics_fn(),
+        plane: engine.obs().map(|o| o.plane.clone()),
+    };
+    let server = NetServer::start(quiet_net_cfg(), engine.clone(), Some(obs)).unwrap();
+    let fleet = LoadgenConfig {
+        addr: server.addr(),
+        connections: 2,
+        rate: 5_000.0,
+        batch: 32,
+        secs: 0.3,
+        ..LoadgenConfig::default()
+    };
+    assert!(loadgen::run(&fleet).unwrap().shed > 0);
+    let (status, body) = http_get(server.addr(), "/metrics");
+    assert_eq!(status, 200);
+    let wanted = ["streamshed_diag_state", "streamshed_latency_seconds_bucket", "bucket=\"shed\""];
+    for family in wanted {
+        assert!(body.contains(family), "no {family}:\n{body}");
+    }
+    if let Err(e) = check_exposition(&body) {
+        panic!("{e}\n{body}");
+    }
+    server.shutdown();
 }
 
 /// Idle connections are reaped after the timeout and counted; active
