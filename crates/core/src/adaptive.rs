@@ -56,7 +56,7 @@
 //! and flight-recorder bundles.
 
 use crate::controller::{ControllerParams, FeedbackController};
-use crate::loop_::{LoopConfig, ShedMode, SignalRow};
+use crate::loop_::{LoopConfig, ShedMode};
 use crate::strategy::{Eq10Law, SheddingStrategy};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -203,7 +203,6 @@ struct Retuner {
     prev_q: u64,
     scheduler: GainScheduler,
     swaps: u64,
-    retune_pending: bool,
 }
 
 impl Retuner {
@@ -216,7 +215,6 @@ impl Retuner {
             prev_q: 0,
             scheduler: GainScheduler::new(cfg.prior_cost_us, DEFAULT_HYSTERESIS_FRAC),
             swaps: 0,
-            retune_pending: false,
         }
     }
 
@@ -254,15 +252,10 @@ impl Retuner {
             let g_old = h / (old_c_us / 1e6 * period_s);
             let g_new = h / (new_c_us / 1e6 * period_s);
             controller.retune_bumpless(controller.params(), g_old, g_new);
-            self.note_swap();
+            self.swaps += 1;
         }
         let c_sched_s = self.scheduler.scheduled_cost_us() / 1e6;
         (c_sched_s, c_sched_s * 1e6)
-    }
-
-    fn note_swap(&mut self) {
-        self.swaps += 1;
-        self.retune_pending = true;
     }
 
     fn adapt_state(&self, arm: i64) -> AdaptState {
@@ -342,18 +335,6 @@ impl ControlHook for AdaptiveCtrlStrategy {
 }
 
 impl SheddingStrategy for AdaptiveCtrlStrategy {
-    fn name(&self) -> &'static str {
-        "CTRL-ADAPTIVE"
-    }
-
-    fn last_signal(&self) -> Option<&SignalRow> {
-        self.law.last_signal()
-    }
-
-    fn take_retune(&mut self) -> bool {
-        std::mem::take(&mut self.retuner.retune_pending)
-    }
-
     fn set_target_delay_s(&mut self, yd_s: f64) {
         self.law.set_target_delay_s(yd_s);
     }
@@ -457,17 +438,12 @@ impl ComparatorStrategy {
         self.law
             .controller
             .retune_bumpless(Self::params_for(arm), g, g);
-        self.retuner.note_swap();
+        self.retuner.swaps += 1;
     }
 
     /// The incumbent arm's index into [`COMPARATOR_ARMS`].
     pub fn current_arm(&self) -> usize {
         self.current
-    }
-
-    /// The incumbent arm's double pole.
-    pub fn current_pole(&self) -> f64 {
-        COMPARATOR_ARMS[self.current]
     }
 
     /// Bumpless parameter swaps performed so far.
@@ -523,18 +499,6 @@ impl ControlHook for ComparatorStrategy {
 }
 
 impl SheddingStrategy for ComparatorStrategy {
-    fn name(&self) -> &'static str {
-        "CTRL-COMPARATOR"
-    }
-
-    fn last_signal(&self) -> Option<&SignalRow> {
-        self.law.last_signal()
-    }
-
-    fn take_retune(&mut self) -> bool {
-        std::mem::take(&mut self.retuner.retune_pending)
-    }
-
     /// Also restarts the probe cycle on the incumbent: scores banked
     /// under the old target are dropped and a neighbour probe in flight
     /// is swapped back, so old-target burn does not bias the next arm
@@ -663,8 +627,7 @@ mod tests {
             (got - true_gain).abs() < true_gain * 0.25,
             "identified {got}, true {true_gain}"
         );
-        assert_eq!(s.name(), "CTRL-ADAPTIVE");
-        assert_eq!(s.last_signal().map(|r| r.k), Some(199));
+        assert!(s.control_state().is_some_and(|st| st.y_hat_s.is_finite()));
     }
 
     #[test]
@@ -700,7 +663,7 @@ mod tests {
         }
         assert!((last_y - 2.0).abs() < 0.35, "settled at {last_y}");
         // The wrong prior was corrected through at least one scheduled
-        // re-tune, and every swap was flagged for the supervisor.
+        // re-tune, and every swap was counted for the supervisor.
         assert!(s.scheduler().generation() >= 1, "no re-tune happened");
         assert!(s.swaps() >= 1);
     }
@@ -758,10 +721,6 @@ mod tests {
         assert_eq!(y1.to_bits(), y2.to_bits(), "comparator must be RNG-free");
         assert_eq!((arm1, swaps1), (arm2, swaps2));
         assert!((y1 - 2.0).abs() < 0.3, "settled at {y1}");
-        assert_eq!(
-            ComparatorStrategy::from_config(&cfg).name(),
-            "CTRL-COMPARATOR"
-        );
     }
 
     #[test]
@@ -782,9 +741,7 @@ mod tests {
         let st = s.adapt_state().unwrap();
         assert!(st.arm >= 0, "comparator reports its active arm");
         assert!(st.swaps >= 3, "each probe handover is a swap");
-        // The swaps were flagged for the supervisor ramp.
-        assert!(s.take_retune());
-        assert!(!s.take_retune(), "flag is consumed");
+        assert_eq!(st.swaps, s.swaps(), "the supervisor ramp reads this count");
     }
 
     #[test]
@@ -812,7 +769,7 @@ mod tests {
         assert_eq!(s.swaps(), swaps + 1, "the swap back is a bumpless swap");
 
         let _ = s.on_period(&snap(18, 400, q.round() as u64, 5105.0));
-        let row = s.last_signal().unwrap();
-        assert_eq!(row.error_s, 3.0 - row.y_hat_s, "error vs the new target");
+        let st = s.control_state().unwrap();
+        assert_eq!(st.error_s, 3.0 - st.y_hat_s, "error vs the new target");
     }
 }

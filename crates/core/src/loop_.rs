@@ -115,27 +115,6 @@ impl LoopConfig {
     }
 }
 
-/// One period of a strategy's internal signals — the quantities of
-/// Fig. 10 (`e`, `u`, `v`, `α`) plus the estimates feeding them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SignalRow {
-    /// Period index.
-    pub k: u64,
-    /// Estimated delay ŷ(k), seconds.
-    pub y_hat_s: f64,
-    /// Error `e = yd − ŷ`, seconds.
-    pub error_s: f64,
-    /// Raw controller output `u`, tuples/s (NaN for heuristics without
-    /// one).
-    pub u_tps: f64,
-    /// Desired admission rate `v`, tuples/s.
-    pub v_tps: f64,
-    /// Entry drop probability applied.
-    pub alpha: f64,
-    /// Cost estimate used, µs.
-    pub cost_us: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,50 +9,35 @@
 //!   Fig. 1 (`shed L − L0` whenever measured load exceeds capacity).
 //!
 //! All three implement the engine's [`ControlHook`] and keep their latest
-//! internal signals for telemetry; the per-period history is the
+//! period's [`ControlState`] for telemetry; the per-period history is the
 //! engine's `ControlTrace` log. CTRL and both self-tuners
 //! ([`crate::adaptive`]) run one copy of the Eq. 10 step, `Eq10Law`.
 
 use crate::controller::{ControllerParams, FeedbackController};
 use crate::estimator::{CostEstimator, DelayEstimator};
-use crate::loop_::{LoopConfig, ShedMode, SignalRow};
+use crate::loop_::{LoopConfig, ShedMode};
 use crate::shedder::{EntryShedder, NetworkShedder};
 use streamshed_engine::hook::{ControlHook, Decision, NoShedding, PeriodSnapshot};
 use streamshed_engine::telemetry::{ControlState, InstrumentedHook, LoopMode};
 
-/// Maps a strategy's most recent [`SignalRow`] to the engine's
-/// telemetry [`ControlState`] (strategies acting alone run `Direct`).
-fn state_from_signal(row: Option<&SignalRow>) -> Option<ControlState> {
-    row.map(|r| ControlState {
-        y_hat_s: r.y_hat_s,
-        error_s: r.error_s,
-        u_tps: r.u_tps,
-        cost_est_us: r.cost_us,
+/// The period's signals of a strategy acting alone (`Direct` mode; a
+/// supervisor overrides the mode).
+fn direct_state(y_hat_s: f64, error_s: f64, u_tps: f64, cost_est_us: f64) -> ControlState {
+    ControlState {
+        y_hat_s,
+        error_s,
+        u_tps,
+        cost_est_us,
         mode: LoopMode::Direct,
         fault_flags: 0,
-    })
+    }
 }
 
-/// A named load-shedding strategy.
+/// A load-shedding strategy: an instrumented hook whose delay target can
+/// move at runtime. Its latest period's signals are its
+/// [`InstrumentedHook::control_state`]; a self-tuner's re-tunes are the
+/// `swaps` counter of its [`InstrumentedHook::adapt_state`].
 pub trait SheddingStrategy: InstrumentedHook {
-    /// Display name for experiment output ("CTRL", "BASELINE", "AURORA").
-    fn name(&self) -> &'static str;
-
-    /// The most recent period's internal signals (`None` before the
-    /// first period). Only the last row is kept, so a long-running loop
-    /// holds constant memory; a caller that wants the history records
-    /// this once per period, or reads the engine's control traces.
-    fn last_signal(&self) -> Option<&SignalRow>;
-
-    /// Returns `true` (and clears the flag) when the strategy re-tuned
-    /// its controller since the last call. A supervisor uses this to
-    /// rate-limit the actuation for a couple of periods after a
-    /// parameter swap — defence in depth on top of the strategy's own
-    /// bumpless transfer. Non-adaptive strategies never re-tune.
-    fn take_retune(&mut self) -> bool {
-        false
-    }
-
     /// Changes the delay target at runtime (the Fig. 18 experiment).
     /// Open-loop strategies have no target, so the default ignores it.
     fn set_target_delay_s(&mut self, yd_s: f64) {
@@ -61,15 +46,7 @@ pub trait SheddingStrategy: InstrumentedHook {
 }
 
 /// Admitting everything is the strategy of identification runs.
-impl SheddingStrategy for NoShedding {
-    fn name(&self) -> &'static str {
-        "NONE"
-    }
-
-    fn last_signal(&self) -> Option<&SignalRow> {
-        None
-    }
-}
+impl SheddingStrategy for NoShedding {}
 
 // ---------------------------------------------------------------------------
 // The Eq. 10 law
@@ -86,7 +63,7 @@ pub(crate) struct Eq10Law {
     delay: DelayEstimator,
     pub(crate) controller: FeedbackController,
     target_s: f64,
-    last: Option<SignalRow>,
+    last: Option<ControlState>,
 }
 
 impl Eq10Law {
@@ -111,12 +88,8 @@ impl Eq10Law {
         self.target_s = yd_s;
     }
 
-    pub(crate) fn last_signal(&self) -> Option<&SignalRow> {
-        self.last.as_ref()
-    }
-
     pub(crate) fn control_state(&self) -> Option<ControlState> {
-        state_from_signal(self.last.as_ref())
+        self.last
     }
 
     /// Runs one period. `gain_cost` receives the controller (for a
@@ -159,15 +132,7 @@ impl Eq10Law {
                 period_s,
             )),
         };
-        self.last = Some(SignalRow {
-            k: snap.k,
-            y_hat_s: y_hat,
-            error_s: e,
-            u_tps: u,
-            v_tps: v,
-            alpha: decision.entry_drop_prob,
-            cost_us: logged_cost_us,
-        });
+        self.last = Some(direct_state(y_hat, e, u, logged_cost_us));
         (decision, applied_u)
     }
 }
@@ -232,14 +197,6 @@ impl ControlHook for CtrlStrategy {
 }
 
 impl SheddingStrategy for CtrlStrategy {
-    fn name(&self) -> &'static str {
-        "CTRL"
-    }
-
-    fn last_signal(&self) -> Option<&SignalRow> {
-        self.law.last_signal()
-    }
-
     fn set_target_delay_s(&mut self, yd_s: f64) {
         self.law.set_target_delay_s(yd_s);
     }
@@ -268,7 +225,7 @@ pub struct BaselineStrategy {
     headroom: f64,
     last_cost_us: f64,
     shed_mode: ShedMode,
-    last: Option<SignalRow>,
+    last: Option<ControlState>,
 }
 
 impl BaselineStrategy {
@@ -313,28 +270,18 @@ impl ControlHook for BaselineStrategy {
                 period_s,
             )),
         };
-        self.last = Some(SignalRow {
-            k: snap.k,
-            y_hat_s: (q + 1.0) * c_s / h,
-            error_s: self.target_s - (q + 1.0) * c_s / h,
-            u_tps: f64::NAN,
-            v_tps,
-            alpha: decision.entry_drop_prob,
-            cost_us: self.last_cost_us,
-        });
+        let y_hat = (q + 1.0) * c_s / h;
+        self.last = Some(direct_state(
+            y_hat,
+            self.target_s - y_hat,
+            f64::NAN,
+            self.last_cost_us,
+        ));
         decision
     }
 }
 
 impl SheddingStrategy for BaselineStrategy {
-    fn name(&self) -> &'static str {
-        "BASELINE"
-    }
-
-    fn last_signal(&self) -> Option<&SignalRow> {
-        self.last.as_ref()
-    }
-
     fn set_target_delay_s(&mut self, yd_s: f64) {
         assert!(yd_s > 0.0);
         self.target_s = yd_s;
@@ -343,7 +290,7 @@ impl SheddingStrategy for BaselineStrategy {
 
 impl InstrumentedHook for BaselineStrategy {
     fn control_state(&self) -> Option<ControlState> {
-        state_from_signal(self.last.as_ref())
+        self.last
     }
 }
 
@@ -360,7 +307,7 @@ impl InstrumentedHook for BaselineStrategy {
 pub struct AuroraStrategy {
     headroom_for_l0: f64,
     last_cost_us: f64,
-    last: Option<SignalRow>,
+    last: Option<ControlState>,
 }
 
 impl AuroraStrategy {
@@ -393,32 +340,16 @@ impl ControlHook for AuroraStrategy {
         let l0 = self.headroom_for_l0 / c_s; // tuples/s
         let l = snap.fin_rate();
         let alpha = if l > l0 { 1.0 - l0 / l } else { 0.0 };
-        self.last = Some(SignalRow {
-            k: snap.k,
-            y_hat_s: f64::NAN,
-            error_s: f64::NAN,
-            u_tps: f64::NAN,
-            v_tps: l0.min(l),
-            alpha,
-            cost_us: self.last_cost_us,
-        });
+        self.last = Some(direct_state(f64::NAN, f64::NAN, f64::NAN, self.last_cost_us));
         Decision::entry(alpha)
     }
 }
 
-impl SheddingStrategy for AuroraStrategy {
-    fn name(&self) -> &'static str {
-        "AURORA"
-    }
-
-    fn last_signal(&self) -> Option<&SignalRow> {
-        self.last.as_ref()
-    }
-}
+impl SheddingStrategy for AuroraStrategy {}
 
 impl InstrumentedHook for AuroraStrategy {
     fn control_state(&self) -> Option<ControlState> {
-        state_from_signal(self.last.as_ref())
+        self.last
     }
 }
 
@@ -449,13 +380,14 @@ mod tests {
     #[test]
     fn ctrl_sheds_nothing_when_under_target() {
         let mut s = CtrlStrategy::paper_default();
+        assert!(s.control_state().is_none(), "no state before first period");
         // q = 10 → ŷ ≈ 58 ms « 2 s target: no shedding.
         let d = s.on_period(&snap(0, 150, 10, Some(5105.0)));
         assert_eq!(d.entry_drop_prob, 0.0);
-        assert_eq!(s.name(), "CTRL");
-        let row = s.last_signal().expect("one period logged");
-        assert_eq!(row.k, 0);
-        assert!(row.error_s > 1.5);
+        let state = s.control_state().expect("one period logged");
+        assert!(state.error_s > 1.5);
+        assert_eq!(state.error_s, 2.0 - state.y_hat_s);
+        assert_eq!((state.mode, state.fault_flags), (LoopMode::Direct, 0));
     }
 
     #[test]
@@ -494,8 +426,8 @@ mod tests {
         for k in 0..20 {
             let _ = s.on_period(&snap(k, 200, 100, Some(10_000.0)));
         }
-        let last = s.last_signal().unwrap();
-        assert!((last.cost_us - 10_000.0).abs() < 200.0, "{}", last.cost_us);
+        let cost = s.control_state().unwrap().cost_est_us;
+        assert!((cost - 10_000.0).abs() < 200.0, "{cost}");
     }
 
     #[test]
@@ -510,7 +442,6 @@ mod tests {
         // With a huge queue, v goes negative → full shedding.
         let d2 = s.on_period(&snap(1, 400, 5000, Some(5105.0)));
         assert_eq!(d2.entry_drop_prob, 1.0);
-        assert_eq!(s.name(), "BASELINE");
     }
 
     #[test]
@@ -522,7 +453,6 @@ mod tests {
         assert!((d1.entry_drop_prob - d2.entry_drop_prob).abs() < 1e-12);
         // α = 1 − L0/L ≈ 1 − 190/400 (L0 from the measured cost).
         assert!((d1.entry_drop_prob - (1.0 - 190.0 / 400.0)).abs() < 1e-3);
-        assert_eq!(s.name(), "AURORA");
     }
 
     #[test]
@@ -540,21 +470,6 @@ mod tests {
         assert!(
             a96.on_period(&s0).entry_drop_prob > a97.on_period(&s0).entry_drop_prob
         );
-    }
-
-    #[test]
-    fn control_state_mirrors_last_signal_row() {
-        let mut s = CtrlStrategy::paper_default();
-        assert!(s.control_state().is_none(), "no state before first period");
-        let _ = s.on_period(&snap(0, 400, 2000, Some(5105.0)));
-        let state = s.control_state().expect("one period logged");
-        let row = s.last_signal().unwrap();
-        assert_eq!(state.y_hat_s, row.y_hat_s);
-        assert_eq!(state.error_s, row.error_s);
-        assert_eq!(state.u_tps, row.u_tps);
-        assert_eq!(state.cost_est_us, row.cost_us);
-        assert_eq!(state.mode, LoopMode::Direct);
-        assert_eq!(state.fault_flags, 0);
     }
 
     #[test]

@@ -33,11 +33,11 @@
 //! the entry-drop probability is finite and in `[0, 1]`, the in-network
 //! shed load finite and non-negative.
 
-use crate::loop_::{LoopConfig, SignalRow};
+use crate::loop_::LoopConfig;
 use crate::strategy::SheddingStrategy;
 use std::collections::VecDeque;
 use streamshed_engine::hook::{ControlHook, Decision, PeriodSnapshot};
-use streamshed_engine::telemetry::{ControlState, InstrumentedHook, LoopMode};
+use streamshed_engine::telemetry::{AdaptState, ControlState, InstrumentedHook, LoopMode};
 
 /// Periods to hold the last actuation on sensor dropout before falling
 /// back.
@@ -58,25 +58,13 @@ const RECOVERY_PERIODS: u64 = 10;
 /// ramping after a mode switch (bumpless transfer).
 const MAX_ALPHA_STEP: f64 = 0.1;
 
-/// The supervisor's operating mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SupervisorMode {
-    /// The inner strategy is in control.
-    Engaged,
-    /// Sensor dropout: the last actuation is being held.
-    Hold,
-    /// The inner loop is disengaged; the open-loop fallback is in
-    /// control.
-    Fallback,
-}
-
 /// One mode transition, for post-hoc inspection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorEvent {
     /// Period index at which the transition happened.
     pub k: u64,
-    /// The mode entered.
-    pub entered: SupervisorMode,
+    /// The mode entered: `Engaged`, `Hold` or `Fallback`.
+    pub entered: LoopMode,
 }
 
 /// Counters summarising the supervisor's interventions.
@@ -110,7 +98,13 @@ pub struct Supervisor<S> {
     target_s: f64,
     /// Headroom factor `H` (the open-loop fallback capacity).
     headroom: f64,
-    mode: SupervisorMode,
+    /// `Engaged` (the inner strategy acts), `Hold` (sensor dropout: the
+    /// last actuation is held) or `Fallback` (the open-loop fallback
+    /// acts); never `Direct`.
+    mode: LoopMode,
+    /// The inner strategy's swap count when last read: a change is a
+    /// re-tune, and rate-limits the next two periods.
+    seen_swaps: u64,
     stale_periods: u64,
     last_good_cost_us: f64,
     last_alpha: f64,
@@ -135,10 +129,11 @@ impl<S: SheddingStrategy + Clone> Supervisor<S> {
         Self {
             pristine: inner.clone(),
             last_good_cost_us: loop_cfg.prior_cost_us,
+            seen_swaps: swaps_of(&inner),
             inner,
             target_s,
             headroom: loop_cfg.headroom,
-            mode: SupervisorMode::Engaged,
+            mode: LoopMode::Engaged,
             stale_periods: 0,
             last_alpha: 0.0,
             last_applied: Decision::NONE,
@@ -151,8 +146,8 @@ impl<S: SheddingStrategy + Clone> Supervisor<S> {
         }
     }
 
-    /// The current operating mode.
-    pub fn mode(&self) -> SupervisorMode {
+    /// The current operating mode: `Engaged`, `Hold` or `Fallback`.
+    pub fn mode(&self) -> LoopMode {
         self.mode
     }
 
@@ -166,35 +161,17 @@ impl<S: SheddingStrategy + Clone> Supervisor<S> {
         &self.events
     }
 
-    /// Mode transitions translated to the telemetry-level [`LoopMode`] —
-    /// the form the observability plane's diagnostics consume, so
-    /// supervisor hold/fallback interventions surface as diagnostic
-    /// events without the consumer depending on supervisor internals.
-    pub fn diagnostic_events(&self) -> Vec<(u64, LoopMode)> {
-        self.events
-            .iter()
-            .map(|e| {
-                let mode = match e.entered {
-                    SupervisorMode::Engaged => LoopMode::Engaged,
-                    SupervisorMode::Hold => LoopMode::Hold,
-                    SupervisorMode::Fallback => LoopMode::Fallback,
-                };
-                (e.k, mode)
-            })
-            .collect()
-    }
-
     /// The wrapped strategy.
     pub fn inner(&self) -> &S {
         &self.inner
     }
 
-    fn transition(&mut self, k: u64, mode: SupervisorMode) {
+    fn transition(&mut self, k: u64, mode: LoopMode) {
         if self.mode != mode {
             self.mode = mode;
             self.events.push(SupervisorEvent { k, entered: mode });
             self.ramp = RECOVERY_PERIODS;
-            if mode == SupervisorMode::Fallback {
+            if mode == LoopMode::Fallback {
                 self.fallback_trim = 0.0;
                 self.log.divergence_trips += 1;
             }
@@ -315,41 +292,41 @@ impl<S: SheddingStrategy + Clone> ControlHook for Supervisor<S> {
             && snap.measured_cost_us.is_some()
             && delay_ms.is_none_or(|d_ms| d_ms / 1e3 - self.target_s <= 0.5 * DIVERGENCE_MARGIN_S);
 
-        match self.mode {
-            SupervisorMode::Engaged | SupervisorMode::Hold => {
-                if cost.is_none() {
-                    if self.stale_periods > MAX_STALE_PERIODS {
-                        self.transition(snap.k, SupervisorMode::Fallback);
-                    } else {
-                        // Hold the last actuation through the dropout.
-                        self.transition(snap.k, SupervisorMode::Hold);
-                        self.log.held_periods += 1;
-                        return self.sanitise(self.last_applied, false);
-                    }
-                } else if self.diverging() {
-                    self.transition(snap.k, SupervisorMode::Fallback);
+        if self.mode != LoopMode::Fallback {
+            if cost.is_none() {
+                if self.stale_periods > MAX_STALE_PERIODS {
+                    self.transition(snap.k, LoopMode::Fallback);
                 } else {
-                    if self.mode == SupervisorMode::Hold {
-                        // Dropout ended before the deadline: resume.
-                        self.transition(snap.k, SupervisorMode::Engaged);
-                    }
-                    let mut sanitised = *snap;
-                    sanitised.measured_cost_us = cost;
-                    sanitised.mean_delay_ms = delay_ms;
-                    let d = self.inner.on_period(&sanitised);
-                    // A self-tuning inner strategy just swapped its
-                    // controller parameters: rate-limit the next couple
-                    // of periods even though the swap itself was
-                    // bumpless.
-                    if self.inner.take_retune() {
-                        self.ramp = self.ramp.max(2);
-                    }
-                    let ramping = self.ramp > 0;
-                    self.ramp = self.ramp.saturating_sub(1);
-                    return self.sanitise(d, ramping);
+                    // Hold the last actuation through the dropout.
+                    self.transition(snap.k, LoopMode::Hold);
+                    self.log.held_periods += 1;
+                    return self.sanitise(self.last_applied, false);
                 }
+            } else if self.diverging() {
+                self.transition(snap.k, LoopMode::Fallback);
+            } else {
+                if self.mode == LoopMode::Hold {
+                    // Dropout ended before the deadline: resume.
+                    self.transition(snap.k, LoopMode::Engaged);
+                }
+                let mut sanitised = *snap;
+                sanitised.measured_cost_us = cost;
+                sanitised.mean_delay_ms = delay_ms;
+                let d = self.inner.on_period(&sanitised);
+                // A self-tuning inner strategy swapped its controller
+                // parameters since the last engaged period (in this
+                // one, or in a target change): rate-limit this period
+                // and the next even though the swap itself was
+                // bumpless.
+                let swaps = swaps_of(&self.inner);
+                if swaps != self.seen_swaps {
+                    self.seen_swaps = swaps;
+                    self.ramp = self.ramp.max(2);
+                }
+                let ramping = self.ramp > 0;
+                self.ramp = self.ramp.saturating_sub(1);
+                return self.sanitise(d, ramping);
             }
-            SupervisorMode::Fallback => {}
         }
 
         // Fallback path (either already in fallback, or just degraded).
@@ -361,8 +338,9 @@ impl<S: SheddingStrategy + Clone> ControlHook for Supervisor<S> {
                 // period already comes from the inner strategy again.
                 self.healthy_streak = 0;
                 self.inner = self.pristine.clone();
+                self.seen_swaps = swaps_of(&self.inner);
                 self.residuals.clear();
-                self.transition(snap.k, SupervisorMode::Engaged);
+                self.transition(snap.k, LoopMode::Engaged);
                 self.log.reengagements += 1;
                 let mut sanitised = *snap;
                 sanitised.measured_cost_us = cost;
@@ -381,17 +359,12 @@ impl<S: SheddingStrategy + Clone> ControlHook for Supervisor<S> {
 impl<S: SheddingStrategy + Clone> InstrumentedHook for Supervisor<S> {
     /// The supervised loop's state for telemetry.
     ///
-    /// The mode mirrors [`SupervisorMode`]. While engaged, the inner
-    /// strategy's signals are reported verbatim; in hold or fallback the
-    /// inner loop is not consulted, so `y_hat_s`/`error_s`/`u_tps` are
-    /// NaN and only the last good cost estimate is carried through.
+    /// The mode is the supervisor's. While engaged, the inner strategy's
+    /// signals are reported verbatim; in hold or fallback the inner loop
+    /// is not consulted, so `y_hat_s`/`error_s`/`u_tps` are NaN and only
+    /// the last good cost estimate is carried through.
     fn control_state(&self) -> Option<ControlState> {
-        let mode = match self.mode {
-            SupervisorMode::Engaged => LoopMode::Engaged,
-            SupervisorMode::Hold => LoopMode::Hold,
-            SupervisorMode::Fallback => LoopMode::Fallback,
-        };
-        let mut st = if self.mode == SupervisorMode::Engaged {
+        let mut st = if self.mode == LoopMode::Engaged {
             self.inner.control_state().unwrap_or_default()
         } else {
             ControlState {
@@ -399,29 +372,23 @@ impl<S: SheddingStrategy + Clone> InstrumentedHook for Supervisor<S> {
                 ..ControlState::default()
             }
         };
-        st.mode = mode;
+        st.mode = self.mode;
         Some(st)
     }
 
     /// Forwards the inner strategy's self-tuning state (if any) so the
     /// adaptive telemetry survives supervision.
-    fn adapt_state(&self) -> Option<streamshed_engine::telemetry::AdaptState> {
+    fn adapt_state(&self) -> Option<AdaptState> {
         self.inner.adapt_state()
     }
 }
 
+/// A strategy's re-tune count (0 for one that never self-tunes).
+fn swaps_of<S: SheddingStrategy>(strategy: &S) -> u64 {
+    strategy.adapt_state().map_or(0, |a| a.swaps)
+}
+
 impl<S: SheddingStrategy + Clone> SheddingStrategy for Supervisor<S> {
-    fn name(&self) -> &'static str {
-        "SUPERVISED"
-    }
-
-    /// The inner strategy's latest signals. Periods spent in hold or
-    /// fallback leave no row — the inner loop was not consulted — so
-    /// this is the last period the inner loop ran.
-    fn last_signal(&self) -> Option<&SignalRow> {
-        self.inner.last_signal()
-    }
-
     /// Moves the watchdog, the fallback trim and the inner strategy to
     /// the new target — the pristine copy too, so a re-engagement after
     /// fallback keeps it.
@@ -475,7 +442,7 @@ mod tests {
             let b = raw.on_period(&s);
             assert!((a.entry_drop_prob - b.entry_drop_prob).abs() < 1e-12);
         }
-        assert_eq!(sup.mode(), SupervisorMode::Engaged);
+        assert_eq!(sup.mode(), LoopMode::Engaged);
         assert_eq!(sup.log().rejected_cost_samples, 0);
     }
 
@@ -487,7 +454,7 @@ mod tests {
             assert!(d.entry_drop_prob.is_finite());
         }
         assert_eq!(sup.log().rejected_cost_samples, 5);
-        assert_eq!(sup.mode(), SupervisorMode::Engaged);
+        assert_eq!(sup.mode(), LoopMode::Engaged);
     }
 
     #[test]
@@ -498,8 +465,8 @@ mod tests {
         let _ = sup.on_period(&snap(1, 400, Some(51.0), Some(1900.0)));
         assert_eq!(sup.log().rejected_cost_samples, 1);
         // Cost tracker still near the real value, not the outlier.
-        let last = sup.inner().last_signal().unwrap();
-        assert!(last.cost_us > 4000.0, "cost {}", last.cost_us);
+        let cost = sup.control_state().unwrap().cost_est_us;
+        assert!(cost > 4000.0, "cost {cost}");
     }
 
     #[test]
@@ -514,9 +481,9 @@ mod tests {
             assert_eq!(d.entry_drop_prob, d0.entry_drop_prob, "held at k={k}");
             k += 1;
         }
-        assert_eq!(sup.mode(), SupervisorMode::Hold);
+        assert_eq!(sup.mode(), LoopMode::Hold);
         let _ = sup.on_period(&snap(k, 2000, None, None));
-        assert_eq!(sup.mode(), SupervisorMode::Fallback);
+        assert_eq!(sup.mode(), LoopMode::Fallback);
         assert_eq!(sup.log().held_periods, 5);
     }
 
@@ -525,9 +492,9 @@ mod tests {
         let mut sup = supervised();
         let _ = sup.on_period(&snap(0, 400, Some(5105.0), Some(1900.0)));
         let _ = sup.on_period(&snap(1, 400, None, None));
-        assert_eq!(sup.mode(), SupervisorMode::Hold);
+        assert_eq!(sup.mode(), LoopMode::Hold);
         let _ = sup.on_period(&snap(2, 400, Some(5105.0), Some(1900.0)));
-        assert_eq!(sup.mode(), SupervisorMode::Engaged);
+        assert_eq!(sup.mode(), LoopMode::Engaged);
     }
 
     #[test]
@@ -538,7 +505,7 @@ mod tests {
         for k in 0..10 {
             let _ = sup.on_period(&snap(k, 10, Some(5105.0), Some(8000.0 + 500.0 * k as f64)));
         }
-        assert_eq!(sup.mode(), SupervisorMode::Fallback);
+        assert_eq!(sup.mode(), LoopMode::Fallback);
         assert!(sup.log().divergence_trips >= 1);
         // The fallback sheds aggressively: fin 400 » capacity 190.
         let d = sup.on_period(&snap(10, 10, Some(5105.0), Some(9000.0)));
@@ -551,27 +518,17 @@ mod tests {
         for k in 0..10 {
             let _ = sup.on_period(&snap(k, 10, Some(5105.0), Some(9000.0)));
         }
-        assert_eq!(sup.mode(), SupervisorMode::Fallback);
+        assert_eq!(sup.mode(), LoopMode::Fallback);
         // Signals recover: delay back at target, cost valid.
         for k in 10..30 {
             let _ = sup.on_period(&snap(k, 300, Some(5105.0), Some(1800.0)));
         }
-        assert_eq!(sup.mode(), SupervisorMode::Engaged);
+        assert_eq!(sup.mode(), LoopMode::Engaged);
         assert_eq!(sup.log().reengagements, 1);
         // The transitions were recorded in order.
         let modes: Vec<_> = sup.events().iter().map(|e| e.entered).collect();
-        assert_eq!(
-            modes,
-            vec![SupervisorMode::Fallback, SupervisorMode::Engaged]
-        );
-        // And surface in telemetry terms for the observability plane,
-        // with the period indices preserved.
-        let diag = sup.diagnostic_events();
-        assert_eq!(diag.len(), 2);
-        assert_eq!(diag[0].1, LoopMode::Fallback);
-        assert_eq!(diag[1].1, LoopMode::Engaged);
-        assert_eq!(diag[0].0, sup.events()[0].k);
-        assert!(diag[0].0 < diag[1].0, "transition order preserved");
+        assert_eq!(modes, vec![LoopMode::Fallback, LoopMode::Engaged]);
+        assert!(sup.events()[0].k < sup.events()[1].k);
     }
 
     #[test]
@@ -591,7 +548,7 @@ mod tests {
         // First fallback period: the open-loop α would jump to ≈0.53
         // (1 − 190/400) + trim, but bumpless transfer caps the step.
         let d = sup.on_period(&snap(6, 10, Some(5105.0), Some(9000.0)));
-        assert_eq!(sup.mode(), SupervisorMode::Fallback);
+        assert_eq!(sup.mode(), LoopMode::Fallback);
         assert!(
             (d.entry_drop_prob - prev).abs() <= MAX_ALPHA_STEP + 1e-12,
             "first fallback step {} from {prev}",
@@ -661,24 +618,17 @@ mod tests {
         for k in 1..=6 {
             let _ = sup.on_period(&snap(k, 400, None, None));
         }
-        assert_eq!(sup.mode(), SupervisorMode::Fallback);
+        assert_eq!(sup.mode(), LoopMode::Fallback);
         // A 5.2 s true delay is healthy only against the new 5 s target
         // (0.2 s over it, inside half the 1 s margin; 3.2 s over 2 s).
         for k in 7..30 {
             let _ = sup.on_period(&snap(k, 900, Some(5105.0), Some(5200.0)));
         }
-        assert_eq!(sup.mode(), SupervisorMode::Engaged);
+        assert_eq!(sup.mode(), LoopMode::Engaged);
         assert_eq!(sup.log().reengagements, 1);
         // The re-engaged inner strategy came from the pristine copy, and
         // measures its error against the new target.
-        let row = sup.inner().last_signal().unwrap();
-        assert_eq!(row.error_s, 5.0 - row.y_hat_s);
-    }
-
-    #[test]
-    fn named_and_delegating() {
-        let sup = supervised();
-        assert_eq!(sup.name(), "SUPERVISED");
-        assert!(sup.last_signal().is_none());
+        let st = sup.control_state().unwrap();
+        assert_eq!(st.error_s, 5.0 - st.y_hat_s);
     }
 }

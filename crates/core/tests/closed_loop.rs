@@ -1,7 +1,7 @@
 //! End-to-end closed-loop tests: strategies driving the real simulator on
 //! the paper's identification network.
 
-use streamshed_control::loop_::{LoopConfig, ShedMode, SignalRow};
+use streamshed_control::loop_::{LoopConfig, ShedMode};
 use streamshed_control::strategy::{
     AuroraStrategy, BaselineStrategy, CtrlStrategy, SheddingStrategy,
 };
@@ -9,65 +9,61 @@ use streamshed_engine::hook::{ControlHook, Decision, PeriodSnapshot};
 use streamshed_engine::metrics::RunReport;
 use streamshed_engine::networks::identification_network;
 use streamshed_engine::sim::{SimConfig, Simulator};
-use streamshed_engine::telemetry::InstrumentedHook;
+use streamshed_engine::telemetry::{ControlState, ControlTrace, InstrumentedHook, SharedRecorder};
 use streamshed_engine::time::{secs, SimTime};
 use streamshed_workload::{to_micros, ArrivalTrace, ParetoTrace, StepTrace};
 
-/// A strategy and the signal row it kept at each period: strategies
-/// hold only their latest row, so the history is recorded here.
-struct Logged<S> {
-    inner: S,
-    rows: Vec<SignalRow>,
+/// Runs `hook` on the identification network; returns the report and the
+/// control trace the simulator recorded at every period.
+fn simulate(
+    hook: &mut dyn InstrumentedHook,
+    cfg: SimConfig,
+    times: &[f64],
+    dur_s: u64,
+) -> (RunReport, Vec<ControlTrace>) {
+    let recorder = SharedRecorder::with_capacity(dur_s as usize + 8);
+    let sim = Simulator::new(identification_network(), cfg).with_telemetry(recorder.clone());
+    let arrivals: Vec<SimTime> = to_micros(times).into_iter().map(SimTime).collect();
+    let report = sim.run(&arrivals, hook, secs(dur_s));
+    (report, recorder.snapshot())
 }
 
-impl<S: SheddingStrategy> Logged<S> {
-    fn new(inner: S) -> Self {
-        Self {
-            inner,
-            rows: Vec::new(),
-        }
-    }
-}
-
-impl<S: SheddingStrategy> ControlHook for Logged<S> {
-    fn on_period(&mut self, snap: &PeriodSnapshot) -> Decision {
-        let decision = self.inner.on_period(snap);
-        self.rows.extend(self.inner.last_signal().copied());
-        decision
-    }
-}
-
-impl<S: SheddingStrategy> InstrumentedHook for Logged<S> {}
-
-fn run<S: SheddingStrategy>(strategy: S, times: &[f64], dur_s: u64) -> (RunReport, Logged<S>) {
+fn run<S: SheddingStrategy>(
+    strategy: S,
+    times: &[f64],
+    dur_s: u64,
+) -> (RunReport, Vec<ControlTrace>) {
     run_seeded(strategy, times, dur_s, SimConfig::paper_default().seed)
 }
 
 fn run_seeded<S: SheddingStrategy>(
-    strategy: S,
+    mut strategy: S,
     times: &[f64],
     dur_s: u64,
     seed: u64,
-) -> (RunReport, Logged<S>) {
-    let net = identification_network();
-    let cfg = SimConfig::paper_default().with_seed(seed);
-    let sim = Simulator::new(net, cfg);
-    let arrivals: Vec<SimTime> = to_micros(times).into_iter().map(SimTime).collect();
-    let mut logged = Logged::new(strategy);
-    let report = sim.run(&arrivals, &mut logged, secs(dur_s));
-    (report, logged)
+) -> (RunReport, Vec<ControlTrace>) {
+    simulate(
+        &mut strategy,
+        SimConfig::paper_default().with_seed(seed),
+        times,
+        dur_s,
+    )
+}
+
+/// Mean estimated delay over `traces`.
+fn mean_y_hat(traces: &[ControlTrace]) -> f64 {
+    traces.iter().map(|t| t.y_hat_s).sum::<f64>() / traces.len() as f64
 }
 
 #[test]
 fn ctrl_holds_two_second_target_under_sustained_overload() {
     // 400 t/s against a 190 t/s capacity: heavy sustained overload.
     let times = StepTrace::constant(400.0).arrival_times(120.0);
-    let (report, ctrl) = run(CtrlStrategy::paper_default(), &times, 120);
+    let (report, traces) = run(CtrlStrategy::paper_default(), &times, 120);
 
     // The virtual queue must stabilise near q* ≈ 368 and the estimated
     // delay near 2 s.
-    let tail: Vec<_> = ctrl.rows.iter().skip(30).collect();
-    let mean_yhat: f64 = tail.iter().map(|s| s.y_hat_s).sum::<f64>() / tail.len() as f64;
+    let mean_yhat = mean_y_hat(&traces[30..]);
     assert!(
         (mean_yhat - 2.0).abs() < 0.3,
         "steady-state estimated delay {mean_yhat}"
@@ -228,25 +224,22 @@ fn adaptive_ctrl_survives_cost_jump_on_the_real_engine() {
 
     // Cost doubles at t = 60 s: capacity halves mid-run.
     let times = StepTrace::constant(300.0).arrival_times(150.0);
-    let arrivals: Vec<SimTime> = to_micros(&times).into_iter().map(SimTime).collect();
     let schedule = CostSchedule::from_points(vec![(SimTime(60_000_000), 2.0)]);
     let sim_cfg = SimConfig::paper_default().with_cost_schedule(schedule);
 
     let cfg = LoopConfig::paper_default();
-    let mut adaptive = Logged::new(AdaptiveCtrlStrategy::from_config(&cfg));
-    let sim = Simulator::new(identification_network(), sim_cfg);
-    let report = sim.run(&arrivals, &mut adaptive, secs(150));
+    let mut adaptive = AdaptiveCtrlStrategy::from_config(&cfg);
+    let (report, traces) = simulate(&mut adaptive, sim_cfg, &times, 150);
 
     // Settled on the post-jump regime: estimated delay back near target.
-    let tail: Vec<_> = adaptive.rows.iter().skip(110).collect();
-    let mean_yhat: f64 = tail.iter().map(|s| s.y_hat_s).sum::<f64>() / tail.len() as f64;
+    let mean_yhat = mean_y_hat(&traces[110..]);
     assert!(
         (mean_yhat - 2.0).abs() < 0.4,
         "adaptive steady state after jump: {mean_yhat}"
     );
     // The identified gain roughly doubled (c/H went from ~5.3 ms to
     // ~10.5 ms per tuple).
-    let g = adaptive.inner.identified_gain();
+    let g = adaptive.identified_gain();
     assert!(
         g > 1.4 * (5105.0 / 1e6 / 0.97),
         "identified gain {g} should reflect the doubled cost"
@@ -261,35 +254,41 @@ fn adaptive_ctrl_survives_cost_jump_on_the_real_engine() {
 fn ctrl_follows_runtime_target_changes() {
     // Fig. 18: yd = 1 s, then 3 s, then 5 s. Wrap CtrlStrategy to switch
     // targets at period boundaries.
-    struct Switching {
-        inner: Logged<CtrlStrategy>,
-    }
+    struct Switching(CtrlStrategy);
     impl ControlHook for Switching {
         fn on_period(&mut self, snap: &PeriodSnapshot) -> Decision {
             match snap.k {
-                50 => self.inner.inner.set_target_delay_s(3.0),
-                100 => self.inner.inner.set_target_delay_s(5.0),
+                50 => self.0.set_target_delay_s(3.0),
+                100 => self.0.set_target_delay_s(5.0),
                 _ => {}
             }
-            self.inner.on_period(snap)
+            self.0.on_period(snap)
         }
     }
-    impl InstrumentedHook for Switching {}
+    impl InstrumentedHook for Switching {
+        fn control_state(&self) -> Option<ControlState> {
+            self.0.control_state()
+        }
+    }
     let cfg = LoopConfig::paper_default().with_target_delay_ms(1000.0);
-    let mut hook = Switching {
-        inner: Logged::new(CtrlStrategy::from_config(&cfg)),
-    };
+    let mut hook = Switching(CtrlStrategy::from_config(&cfg));
     let times = StepTrace::constant(400.0).arrival_times(150.0);
-    let net = identification_network();
-    let sim = Simulator::new(net, SimConfig::paper_default());
-    let arrivals: Vec<SimTime> = to_micros(&times).into_iter().map(SimTime).collect();
-    let _ = sim.run(&arrivals, &mut hook, secs(150));
+    let (_, traces) = simulate(&mut hook, SimConfig::paper_default(), &times, 150);
 
-    let sig = &hook.inner.rows;
-    let mean_around = |lo: usize, hi: usize| {
-        sig[lo..hi].iter().map(|s| s.y_hat_s).sum::<f64>() / (hi - lo) as f64
-    };
-    assert!((mean_around(35, 50) - 1.0).abs() < 0.3, "phase 1: {}", mean_around(35, 50));
-    assert!((mean_around(85, 100) - 3.0).abs() < 0.5, "phase 2: {}", mean_around(85, 100));
-    assert!((mean_around(135, 149) - 5.0).abs() < 0.7, "phase 3: {}", mean_around(135, 149));
+    let mean_around = |lo: usize, hi: usize| mean_y_hat(&traces[lo..hi]);
+    assert!(
+        (mean_around(35, 50) - 1.0).abs() < 0.3,
+        "phase 1: {}",
+        mean_around(35, 50)
+    );
+    assert!(
+        (mean_around(85, 100) - 3.0).abs() < 0.5,
+        "phase 2: {}",
+        mean_around(85, 100)
+    );
+    assert!(
+        (mean_around(135, 149) - 5.0).abs() < 0.7,
+        "phase 3: {}",
+        mean_around(135, 149)
+    );
 }

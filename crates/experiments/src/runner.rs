@@ -231,7 +231,6 @@ pub fn run_with_strategy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streamshed_control::loop_::SignalRow;
     use streamshed_workload::{ArrivalTrace, StepTrace};
 
     #[test]
@@ -250,59 +249,6 @@ mod tests {
         assert_eq!(out.traces.len(), 30);
         assert!(out.traces.iter().all(|t| t.y_hat_s.is_finite()));
         assert!(out.metrics.loss_ratio > 0.1);
-    }
-
-    #[test]
-    fn runner_traces_mirror_the_signal_log() {
-        // The same run twice: through the runner, and on a hook that
-        // records the strategy's signal row at every period.
-        struct Recording {
-            strategy: CtrlStrategy,
-            rows: Vec<SignalRow>,
-        }
-        impl ControlHook for Recording {
-            fn on_period(&mut self, snap: &PeriodSnapshot) -> Decision {
-                let decision = self.strategy.on_period(snap);
-                self.rows.extend(self.strategy.last_signal().copied());
-                decision
-            }
-        }
-        impl InstrumentedHook for Recording {}
-
-        let times = StepTrace::constant(300.0).arrival_times(30.0);
-        let cfg = LoopConfig::paper_default();
-        let out = run_with_strategy(StrategyKind::Ctrl, &times, &cfg, 30, None, None, 1);
-        let mut hook = Recording {
-            strategy: CtrlStrategy::from_config(&cfg),
-            rows: Vec::new(),
-        };
-        let sim_cfg = SimConfig::paper_default()
-            .with_period(cfg.period())
-            .with_target_delay(cfg.target_delay())
-            .with_seed(1);
-        let arrivals: Vec<SimTime> = to_micros(&times).into_iter().map(SimTime).collect();
-        let sim = Simulator::new(identification_network(), sim_cfg);
-        let _ = sim.run(&arrivals, &mut hook, secs(30));
-
-        assert_eq!(out.traces.len(), hook.rows.len());
-        for (t, s) in out.traces.iter().zip(&hook.rows) {
-            assert_eq!(t.k, s.k);
-            let pairs = [
-                (t.y_hat_s, s.y_hat_s),
-                (t.error_s, s.error_s),
-                (t.u_tps, s.u_tps),
-                (t.alpha, s.alpha),
-                (t.cost_est_us, s.cost_us),
-            ];
-            for (trace, signal) in pairs {
-                assert_eq!(
-                    trace.to_bits(),
-                    signal.to_bits(),
-                    "period {}: {pairs:?}",
-                    t.k
-                );
-            }
-        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! Runtime: ~4 seconds of wall-clock time.
 
 use std::time::Duration;
-use streamshed::control::strategy::{CtrlStrategy, SheddingStrategy};
+use streamshed::control::strategy::CtrlStrategy;
 use streamshed::control::LoopConfig;
 use streamshed::engine::shard::{ShardConfig, ShardedEngine};
 
@@ -30,7 +30,7 @@ fn main() {
         .with_period_ms(50.0)
         .with_prior_cost_us(500.0);
     let strategy = CtrlStrategy::from_config(&loop_cfg);
-    println!("strategy: {}", strategy.name());
+    println!("strategy: CTRL");
 
     let engine = ShardedEngine::spawn(cfg, strategy);
     println!("phase 1: normal traffic (1000 pkt/s ≈ 52% load) for 1.5 s");

@@ -70,7 +70,7 @@ pub mod prelude {
         loop_::{LoopConfig, ShedMode},
         model::PlantModel,
         strategy::{AuroraStrategy, BaselineStrategy, CtrlStrategy, SheddingStrategy},
-        supervisor::{Supervisor, SupervisorMode},
+        supervisor::Supervisor,
     };
     pub use streamshed_engine::{
         faults::{FaultKind, FaultPlan, FaultWindow, FaultyHook},
