@@ -58,7 +58,6 @@
 use crate::controller::{ControllerParams, FeedbackController};
 use crate::loop_::{LoopConfig, ShedMode};
 use crate::strategy::{Eq10Law, SheddingStrategy};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 use streamshed_engine::diagnostics::{ControllerHealth, DiagnosticsConfig};
 use streamshed_engine::hook::{ControlHook, Decision, PeriodSnapshot};
@@ -66,7 +65,7 @@ use streamshed_engine::telemetry::{AdaptState, ControlState, ControlTrace, Instr
 
 /// Scalar recursive-least-squares estimator with exponential forgetting:
 /// fits `y = θ·x` online.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RlsEstimator {
     theta: f64,
     covariance: f64,
@@ -125,7 +124,7 @@ impl RlsEstimator {
 /// estimate only when it leaves the relative hysteresis band
 /// `|est − ĉ| > band · ĉ` — estimator noise inside the band never
 /// re-tunes the controller. Each snap bumps the gain generation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GainScheduler {
     scheduled_cost_us: f64,
     hysteresis_frac: f64,

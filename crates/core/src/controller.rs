@@ -16,7 +16,6 @@
 //! consistent with what was actually applied; without it, long idle
 //! stretches wind the state up and the first burst overshoots massively.
 
-use serde::{Deserialize, Serialize};
 
 /// The current-error weight every design uses. Appendix A leaves `b0`
 /// free (the static-gain condition, Eq. 19, holds for any value on the
@@ -28,7 +27,7 @@ const B0: f64 = 0.4;
 ///
 /// The runtime control law (Eq. 10) is
 /// `u(k) = (H/cT)·[b0·e(k) + b1·e(k−1)] − a·u(k−1)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerParams {
     /// Controller pole parameter (denominator `z + a`).
     pub a: f64,
@@ -81,7 +80,7 @@ impl ControllerParams {
 }
 
 /// The paper's first-order delay controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FeedbackController {
     params: ControllerParams,
     e_prev: f64,

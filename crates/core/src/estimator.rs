@@ -7,7 +7,6 @@
 //! engine's statistics (here: an EWMA over measured per-tuple costs).
 
 use crate::model::PlantModel;
-use serde::{Deserialize, Serialize};
 
 /// EWMA weight of a new `c(k)` sample in the cost tracker.
 const COST_SMOOTHING: f64 = 0.3;
@@ -19,7 +18,7 @@ const COST_SMOOTHING: f64 = 0.3;
 /// expectation of per-tuple cost "can be precisely estimated", but it
 /// drifts slowly; smoothing suppresses the per-period measurement noise
 /// the paper attributes to tuple heterogeneity (§4.5.3, issue 2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostEstimator {
     estimate_us: f64,
 }
@@ -52,7 +51,7 @@ impl CostEstimator {
 }
 
 /// The virtual-queue delay estimator of Eq. 11.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayEstimator {
     /// Headroom factor `H`.
     pub headroom: f64,

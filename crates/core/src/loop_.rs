@@ -1,11 +1,10 @@
 //! Loop configuration shared by all shedding strategies.
 
 use crate::controller::ControllerParams;
-use serde::{Deserialize, Serialize};
 use streamshed_engine::time::{millis_f64, SimDuration};
 
 /// Where the actuator sheds load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShedMode {
     /// Coin-flip shedding at the network entry (Eq. 13) — the "blackbox"
     /// shedder of §4.5.2.
@@ -17,7 +16,7 @@ pub enum ShedMode {
 }
 
 /// Configuration of a quality-driven load-shedding loop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopConfig {
     /// Target delay `yd` in milliseconds.
     pub target_delay_ms: f64,

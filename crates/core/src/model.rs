@@ -18,11 +18,10 @@
 //! `G(z) = cT / (H·(z − 1))` (Eq. 4) — an integrator whose state is the
 //! virtual queue length.
 
-use serde::{Deserialize, Serialize};
 use streamshed_engine::time::SimDuration;
 
 /// The first-order integrator model of the stream engine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlantModel {
     /// Expected per-tuple processing cost `c`, microseconds.
     pub cost_us: f64,

@@ -6,13 +6,12 @@
 //! every operator's base cost.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A piecewise-constant cost multiplier over simulated time.
 ///
 /// The multiplier at time `t` is the value of the last point at or before
 /// `t`; before the first point it is 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostSchedule {
     points: Vec<(SimTime, f64)>,
 }

@@ -6,7 +6,6 @@
 //! live behind this trait (implemented in `streamshed-control`).
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Everything the monitor can observe about the k-th control period.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// period — the paper's point (§4.5.1) is that the delay of *current*
 /// arrivals is unmeasurable in real time, so controllers should rely on
 /// the virtual queue length `outstanding` instead.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeriodSnapshot {
     /// Discrete period index `k` (the period that just ended).
     pub k: u64,
@@ -158,7 +157,7 @@ impl PeriodLedger {
 }
 
 /// The actuator command for the next control period.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Decision {
     /// Probability the entry shedder drops each arriving tuple
     /// (the paper's shedding factor `α`, Eq. 13). Engines apply

@@ -10,10 +10,9 @@
 //! ([`Simulator::with_spans`](crate::sim::Simulator::with_spans)).
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One row of the per-period series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeriodRecord {
     /// Period index `k`.
     pub k: u64,
@@ -42,7 +41,7 @@ pub struct PeriodRecord {
 }
 
 /// Per-operator counters over a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeStat {
     /// Operator name.
     pub name: String,
@@ -71,7 +70,7 @@ impl NodeStat {
 }
 
 /// Complete results of a simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// The delay target the violation metrics were evaluated against.
     pub target_delay_ms: f64,

@@ -29,7 +29,6 @@
 //! two agree to within 1%).
 
 use crate::hook::{ControlHook, Decision, NoShedding, PeriodSnapshot};
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
@@ -76,7 +75,7 @@ pub fn fault_flag_names(flags: u16) -> String {
 // ---------------------------------------------------------------------------
 
 /// Which layer produced the period's actuation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LoopMode {
     /// An unsupervised strategy (or a plain hook) was in control.
     #[default]
@@ -107,7 +106,7 @@ impl LoopMode {
 ///
 /// Quantities a hook does not produce stay `NaN` — the exporters render
 /// them as JSON `null` / CSV `NaN` rather than inventing zeros.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlState {
     /// Estimated delay `ŷ(k)` from the virtual queue, seconds.
     pub y_hat_s: f64,
@@ -142,7 +141,7 @@ impl Default for ControlState {
 ///
 /// Non-adaptive hooks never produce one; the exporters render the
 /// absent state as `NaN`/`null` cost, zero counters, and arm `−1`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptState {
     /// Current re-identified per-tuple cost estimate `ĉ`, µs.
     pub cost_est_us: f64,
@@ -197,7 +196,7 @@ pub const MAX_TRACE_SHARDS: usize = 8;
 /// the actuator was told, and what faults interfered.
 ///
 /// `Copy` by construction so the ring buffer never allocates.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ControlTrace {
     /// Period index `k`.
     pub k: u64,

@@ -1,7 +1,6 @@
 //! Stream tuples.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a *root* tuple — one admission into the query network.
 ///
@@ -11,9 +10,7 @@ use serde::{Deserialize, Serialize};
 /// the paper's definition ("time elapsed since it arrives ... till it
 /// leaves the query network", recording the departure of the longest
 /// path).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RootId(pub u64);
 
 /// A data tuple flowing through the query network.
@@ -22,7 +19,7 @@ pub struct RootId(pub u64);
 /// which is all the paper's workloads require (values drawn from uniform
 /// distributions to pin operator selectivities, §4.2). The processing-cost
 /// model lives on operators, not tuples.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tuple {
     /// The admission this tuple's work is attributed to.
     pub root: RootId,

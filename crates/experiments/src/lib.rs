@@ -75,12 +75,11 @@ pub use runner::{
     run_with_strategy, MetricsSummary, StrategyKind, StrategyOutcome,
 };
 
-use serde::{Deserialize, Serialize};
 use std::io::Write as _;
 use std::path::Path;
 
 /// A named data series (x = seconds or a sweep parameter).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Legend label.
     pub name: String,
@@ -111,7 +110,7 @@ impl Series {
 }
 
 /// The regenerated data of one paper figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FigureResult {
     /// Figure identifier, e.g. `"fig12"`.
     pub id: String,

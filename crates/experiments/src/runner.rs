@@ -2,7 +2,6 @@
 //! identification network, a cost schedule, and one of the three shedding
 //! strategies into a simulation run.
 
-use serde::{Deserialize, Serialize};
 use streamshed_control::adaptive::{AdaptiveCtrlStrategy, ComparatorStrategy};
 use streamshed_control::loop_::LoopConfig;
 use streamshed_control::strategy::{
@@ -60,7 +59,7 @@ impl StrategyKind {
 }
 
 /// The paper's four evaluation metrics (§3), extracted from a run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricsSummary {
     /// Σ (y − yd)⁺, milliseconds.
     pub accumulated_violation_ms: f64,

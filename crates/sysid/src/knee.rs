@@ -5,7 +5,6 @@
 //! excess. The knee is located by bisection on the sustained arrival
 //! rate, classifying each probe run by end-of-run queue growth.
 
-use serde::{Deserialize, Serialize};
 use streamshed_engine::hook::NoShedding;
 use streamshed_engine::network::QueryNetwork;
 use streamshed_engine::sim::{SimConfig, Simulator};
@@ -13,7 +12,7 @@ use streamshed_engine::time::{secs, SimTime};
 use streamshed_workload::{to_micros, ArrivalTrace, StepTrace};
 
 /// Result of a knee search.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KneeEstimate {
     /// Estimated capacity, tuples/s.
     pub capacity_tps: f64,

@@ -18,7 +18,6 @@
 pub mod knee;
 pub mod model;
 
-use serde::{Deserialize, Serialize};
 use streamshed_engine::hook::NoShedding;
 use streamshed_engine::network::QueryNetwork;
 use streamshed_engine::sim::{SimConfig, Simulator};
@@ -29,7 +28,7 @@ pub use knee::{find_capacity_knee, KneeEstimate};
 pub use model::{fit_headroom, model_error_s, predict_delays_s, rmse, ModelFit};
 
 /// One observed control period of an identification run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObservedPeriod {
     /// Period index.
     pub k: u64,
@@ -46,7 +45,7 @@ pub struct ObservedPeriod {
 }
 
 /// The collected series of an identification run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IdentificationRun {
     /// Observed periods covering the observation window.
     pub periods: Vec<ObservedPeriod>,

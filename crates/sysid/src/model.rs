@@ -6,7 +6,6 @@
 //! leads the paper to `H = 0.97`.
 
 use crate::IdentificationRun;
-use serde::{Deserialize, Serialize};
 
 /// Predicted delays (seconds) for an identification run under a candidate
 /// `(c, H)` pair — Eq. 2 with the run's recorded queue lengths.
@@ -43,7 +42,7 @@ pub fn rmse(errors: &[f64]) -> f64 {
 }
 
 /// Result of a headroom fit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelFit {
     /// The candidate headrooms evaluated.
     pub candidates: Vec<f64>,
