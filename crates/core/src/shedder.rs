@@ -34,7 +34,9 @@ impl NetworkShedder {
     /// `[0, Lq + Li]`. With `v ≥ 0` this distributes exactly the
     /// entry-shedder's cut; with `v < 0` (the controller wants the queue
     /// to shrink faster than processing alone can) the excess is culled
-    /// from the queues. Returns µs of CPU work.
+    /// from the queues. Returns µs of CPU work. §4.5.2 prints
+    /// `Ls = Lq + Li − v·T·c`, which also sheds the standing queue;
+    /// CONTROL.md §1 says why that over-sheds.
     pub fn load_to_shed_us(
         queued_load_us: f64,
         fin_estimate_tps: f64,
@@ -45,26 +47,6 @@ impl NetworkShedder {
         let li = fin_estimate_tps * period_s * cost_us;
         let ls = (fin_estimate_tps - desired_rate_tps) * period_s * cost_us;
         ls.clamp(0.0, queued_load_us + li)
-    }
-
-    /// The formula as printed in §4.5.2: `Ls = Lq + Li − La` with
-    /// `La = v·T·c`.
-    ///
-    /// Taken literally this sheds the *standing queue* down to `v·T`
-    /// tuples every period — over-shedding by `Lq` relative to the
-    /// controller's intent (the queue then settles near `fout·T·c ≈ 1 s`
-    /// of work instead of the target backlog). It is kept for ablation:
-    /// compare `ablations` benches and DESIGN.md §5.
-    pub fn load_to_shed_us_paper_literal(
-        queued_load_us: f64,
-        fin_estimate_tps: f64,
-        desired_rate_tps: f64,
-        cost_us: f64,
-        period_s: f64,
-    ) -> f64 {
-        let li = fin_estimate_tps * period_s * cost_us;
-        let la = desired_rate_tps.max(0.0) * period_s * cost_us;
-        (queued_load_us + li - la).max(0.0)
     }
 }
 
@@ -119,12 +101,5 @@ mod tests {
         // Cannot shed more than exists (queue + incoming).
         let ls = NetworkShedder::load_to_shed_us(1e5, 10.0, -10_000.0, 5000.0, 1.0);
         assert!((ls - (1e5 + 10.0 * 5000.0)).abs() < 1.0);
-    }
-
-    #[test]
-    fn paper_literal_formula_sheds_standing_queue_too() {
-        let lit = NetworkShedder::load_to_shed_us_paper_literal(1e6, 400.0, 190.0, 5000.0, 1.0);
-        let cons = NetworkShedder::load_to_shed_us(1e6, 400.0, 190.0, 5000.0, 1.0);
-        assert!((lit - cons - 1e6).abs() < 1.0, "literal over-sheds by Lq");
     }
 }

@@ -849,11 +849,6 @@ impl ShardedEngine {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.cfg.shards
-    }
-
     /// The global virtual-queue signal: Σᵢ qᵢ, each shard's
     /// `pushed − processed` ([`WorkerStats::queue_len`]). A shard whose
     /// worker is parked adds at most `min(bell − 1, λᵢ·(PARK + slack))`

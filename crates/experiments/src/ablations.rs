@@ -3,12 +3,12 @@
 //! Not figures from the paper, but controlled comparisons that justify
 //! (or interrogate) each design decision:
 //!
-//! 1. **Shed location** — entry coin-flip vs in-network queue shedding;
-//! 2. **Ls formula** — the paper-literal `Lq + Li − La` vs the
-//!    queue-conserving derivation;
-//! 3. **Anti-windup** — back-calculation on vs off;
-//! 4. **Pole placement** — closed-loop poles at 0.5 / 0.7 / 0.9;
-//! 5. **Feedback signal** — virtual-queue estimate ŷ vs the delayed
+//! 1. **Shed location** — entry coin-flip vs in-network queue shedding
+//!    (both with the queue-conserving `Ls = (fin − v)·T·c`);
+//! 2. **Anti-windup** — back-calculation on vs off;
+//! 3. **Pole placement** — closed-loop poles at 0.5 / 0.9 against the
+//!    default 0.7;
+//! 4. **Feedback signal** — virtual-queue estimate ŷ vs the delayed
 //!    true-delay measurement (§4.5.1's motivating problem).
 
 use crate::runner::{run_with_strategy, MetricsSummary, StrategyKind};

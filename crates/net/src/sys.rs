@@ -414,11 +414,6 @@ pub fn request_term() {
     TERM_FLAG.store(true, Ordering::Relaxed);
 }
 
-/// Clears the termination flag (test hygiene between cases).
-pub fn clear_term() {
-    TERM_FLAG.store(false, Ordering::Relaxed);
-}
-
 /// The soft open-files limit (`RLIMIT_NOFILE`), or `None` when unknown.
 #[cfg(target_os = "linux")]
 pub fn nofile_limit() -> Option<u64> {

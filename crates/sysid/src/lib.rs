@@ -59,11 +59,6 @@ impl IdentificationRun {
         self.periods.iter().map(|p| p.y_real_ms / 1e3).collect()
     }
 
-    /// The virtual-queue series.
-    pub fn q_series(&self) -> Vec<u64> {
-        self.periods.iter().map(|p| p.q).collect()
-    }
-
     /// The per-period delay increments `Δy(k) = y(k) − y(k−1)` in ms
     /// (Fig. 5C). `NaN` where either sample is missing.
     pub fn delta_y_ms(&self) -> Vec<f64> {
