@@ -416,7 +416,7 @@ impl ControlTrace {
 
 /// One exported value, rendered as JSON or as a CSV cell.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Cell<'a> {
+pub enum Cell<'a> {
     /// A count.
     U(u64),
     /// A signed integer.
@@ -424,6 +424,9 @@ pub(crate) enum Cell<'a> {
     /// A float: its `Display` form, the shortest that parses back to the
     /// same bits (JSON writes a non-finite one as `null`).
     F(f64),
+    /// A float to a fixed number of decimals (JSON writes a non-finite
+    /// one as `null`).
+    Fixed(f64, usize),
     /// A name: quoted in JSON, bare in CSV (never escaped, so only for
     /// the static identifiers of an enum).
     Str(&'a str),
@@ -445,6 +448,8 @@ impl Cell<'_> {
             Cell::I(v) => write!(out, "{v}"),
             Cell::F(v) if json && !v.is_finite() => write!(out, "null"),
             Cell::F(v) => write!(out, "{v}"),
+            Cell::Fixed(v, _) if json && !v.is_finite() => write!(out, "null"),
+            Cell::Fixed(v, places) => write!(out, "{v:.places$}"),
             Cell::Str(s) if json => write!(out, "\"{s}\""),
             Cell::Str(s) => write!(out, "{s}"),
             Cell::Bool(b) => write!(out, "{b}"),
@@ -463,7 +468,7 @@ impl Cell<'_> {
 }
 
 /// Appends the JSON object `{"key":value,…}` of `fields`, in order.
-pub(crate) fn write_json_object<'a>(
+pub fn write_json_object<'a>(
     out: &mut String,
     fields: impl IntoIterator<Item = (&'static str, Cell<'a>)>,
 ) {

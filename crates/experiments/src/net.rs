@@ -35,7 +35,7 @@ use streamshed_control::strategy::CtrlStrategy;
 use streamshed_engine::obs::ObsOptions;
 use streamshed_engine::shard::{Dispatch, ShardConfig, ShardedEngine};
 use streamshed_engine::worker::CostModel;
-use streamshed_net::loadgen::{self, Arrivals, LoadgenConfig, Mode};
+use streamshed_net::loadgen::{self, Arrivals, LoadgenConfig};
 use streamshed_net::server::{NetConfig, NetObs, NetServer};
 use streamshed_net::sys;
 
@@ -143,7 +143,6 @@ pub fn run_overload(seed: u64) -> NetRun {
         batch: 16,
         secs: RUN.as_secs_f64(),
         seed,
-        mode: Mode::Open,
         arrivals: Arrivals::Poisson,
         keyed: true,
         ..LoadgenConfig::default()

@@ -1,6 +1,6 @@
 //! `loadgen` — the client fleet as a process.
 //!
-//! Drives a seeded open/closed-loop fleet against a running `serve`
+//! Drives a seeded open-loop fleet against a running `serve`
 //! instance and prints the [`LoadgenReport`](streamshed_net::loadgen::LoadgenReport)
 //! as one JSON object on
 //! stdout. Exit status is the CI gate: non-zero when the cross-boundary
@@ -13,7 +13,7 @@
 //! ```
 
 use std::time::Duration;
-use streamshed_net::loadgen::{self, Arrivals, LoadgenConfig, Mode};
+use streamshed_net::loadgen::{self, Arrivals, LoadgenConfig};
 
 fn parse() -> Result<(LoadgenConfig, usize, bool), String> {
     let mut cfg = LoadgenConfig::default();
@@ -38,13 +38,6 @@ fn parse() -> Result<(LoadgenConfig, usize, bool), String> {
                     val("--drain-secs")?.parse().map_err(|e| format!("{e}"))?,
                 )
             }
-            "--mode" => {
-                cfg.mode = match val("--mode")?.as_str() {
-                    "open" => Mode::Open,
-                    "closed" => Mode::Closed,
-                    other => return Err(format!("unknown mode {other} (open|closed)")),
-                }
-            }
             "--arrivals" => {
                 cfg.arrivals = match val("--arrivals")?.as_str() {
                     "uniform" => Arrivals::Uniform,
@@ -63,7 +56,7 @@ fn parse() -> Result<(LoadgenConfig, usize, bool), String> {
             "--help" | "-h" => {
                 eprintln!(
                     "loadgen --addr A [--connections N] [--threads T] [--rate R] [--batch B] \
-                     [--secs S] [--seed K] [--mode open|closed] \
+                     [--secs S] [--seed K] \
                      [--arrivals uniform|poisson|web] [--keyed] [--drain-secs D] \
                      [--require-conns N] [--no-conservation-gate]"
                 );

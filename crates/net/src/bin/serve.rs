@@ -16,6 +16,7 @@ use streamshed_control::loop_::LoopConfig;
 use streamshed_control::strategy::CtrlStrategy;
 use streamshed_engine::obs::ObsOptions;
 use streamshed_engine::shard::{Dispatch, ShardConfig, ShardedEngine};
+use streamshed_engine::telemetry::{write_json_object, Cell::{Bool, Raw, Str, U}};
 use streamshed_engine::worker::CostModel;
 use streamshed_net::server::{NetConfig, NetObs, NetServer};
 use streamshed_net::sys;
@@ -191,28 +192,42 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let l = |v: &std::sync::atomic::AtomicU64| v.load(std::sync::atomic::Ordering::Relaxed);
-    println!(
-        "{{\"listener\":\"drained\",\"net\":{{\"connections_accepted\":{},\
-         \"frames_received\":{},\"frames_bad\":{},\"tuples_offered\":{},\
-         \"tuples_accepted\":{},\"tuples_shed\":{},\"tuples_rejected_capacity\":{},\
-         \"tuples_rejected_closed\":{},\"net_balance\":{}}},\
-         \"engine\":{{\"offered\":{},\"completed\":{},\"dropped_entry\":{},\
-         \"rejected_capacity\":{},\"rejected_closed\":{},\"counters_balance\":{}}}}}",
-        l(&stats.connections_accepted),
-        l(&stats.frames_received),
-        l(&stats.frames_bad),
-        l(&stats.tuples_offered),
-        l(&stats.tuples_accepted),
-        l(&stats.tuples_shed),
-        l(&stats.tuples_rejected_capacity),
-        l(&stats.tuples_rejected_closed),
-        stats.tuples_balance(),
-        report.offered,
-        report.completed,
-        report.dropped_entry,
-        report.rejected_at_capacity,
-        report.rejected_closed,
-        report.counters_balance(),
+    let l = |v: &std::sync::atomic::AtomicU64| U(v.load(std::sync::atomic::Ordering::Relaxed));
+    let mut net = String::new();
+    write_json_object(
+        &mut net,
+        [
+            ("connections_accepted", l(&stats.connections_accepted)),
+            ("frames_received", l(&stats.frames_received)),
+            ("frames_bad", l(&stats.frames_bad)),
+            ("tuples_offered", l(&stats.tuples_offered)),
+            ("tuples_accepted", l(&stats.tuples_accepted)),
+            ("tuples_shed", l(&stats.tuples_shed)),
+            ("tuples_rejected_capacity", l(&stats.tuples_rejected_capacity)),
+            ("tuples_rejected_closed", l(&stats.tuples_rejected_closed)),
+            ("net_balance", Bool(stats.tuples_balance())),
+        ],
     );
+    let mut engine = String::new();
+    write_json_object(
+        &mut engine,
+        [
+            ("offered", U(report.offered)),
+            ("completed", U(report.completed)),
+            ("dropped_entry", U(report.dropped_entry)),
+            ("rejected_capacity", U(report.rejected_at_capacity)),
+            ("rejected_closed", U(report.rejected_closed)),
+            ("counters_balance", Bool(report.counters_balance())),
+        ],
+    );
+    let mut out = String::new();
+    write_json_object(
+        &mut out,
+        [
+            ("listener", Str("drained")),
+            ("net", Raw(&net)),
+            ("engine", Raw(&engine)),
+        ],
+    );
+    println!("{out}");
 }

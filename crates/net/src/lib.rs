@@ -12,7 +12,7 @@
 //!   `/ingest` + passthrough to the obs-plane endpoints) on one port,
 //!   per-connection bounded buffers, explicit backpressure, idle
 //!   timeouts, graceful drain.
-//! * [`loadgen`] — a seeded open/closed-loop client fleet
+//! * [`loadgen`] — a seeded open-loop client fleet
 //!   ([`loadgen::run`]) reporting connections held, tuples/sec, and
 //!   shedding fairness, with the cross-boundary conservation law
 //!   checked from per-frame replies.
@@ -60,6 +60,6 @@ pub mod server;
 pub mod sys;
 pub mod wire;
 
-pub use loadgen::{Arrivals, LoadgenConfig, LoadgenReport, Mode};
+pub use loadgen::{Arrivals, LoadgenConfig, LoadgenReport};
 pub use server::{FrontDoor, NetConfig, NetObs, NetServer, NetStats};
 pub use wire::{FrameRef, Reply, WireError};

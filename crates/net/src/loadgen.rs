@@ -1,9 +1,12 @@
-//! An open/closed-loop client fleet for the network front door.
+//! An open-loop client fleet for the network front door.
 //!
 //! Every connection runs from a *precomputed, seeded* frame schedule
 //! (`workload::schedule` over Pareto ON/OFF or Poisson arrivals, or an
 //! analytic uniform ramp), so a run's offered load is deterministic for
-//! a given seed regardless of wall-clock jitter. The fleet is
+//! a given seed regardless of wall-clock jitter: frames go out at
+//! schedule time whatever the replies say, because an overloaded server
+//! does not slow the arrival process (the paper's overload regime). The
+//! fleet is
 //! thread-per-core: each worker thread owns a slice of the connections
 //! and drives them through one `poll(2)` loop — tens of thousands of
 //! concurrent sockets cost one thread each *per core*, not per
@@ -31,20 +34,8 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
+use streamshed_engine::telemetry::{write_json_object, Cell};
 use streamshed_workload::{frame_schedule, uniform_schedule, FrameAt, PoissonTrace, WebLikeTrace};
-
-/// Loop discipline of the fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Send frames at schedule time regardless of replies (the arrival
-    /// process does not slow down because the server is overloaded —
-    /// the paper's overload regime).
-    Open,
-    /// At most one frame in flight per connection: the next frame goes
-    /// out at `max(schedule time, previous reply)` — users who wait for
-    /// responses.
-    Closed,
-}
 
 /// Arrival process each connection draws its schedule from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,8 +66,6 @@ pub struct LoadgenConfig {
     pub secs: f64,
     /// Master seed; connection `c` derives its own stream from it.
     pub seed: u64,
-    /// Open or closed loop.
-    pub mode: Mode,
     /// Arrival process.
     pub arrivals: Arrivals,
     /// Send keyed frames (8 bytes/tuple) instead of header-only counts;
@@ -97,7 +86,6 @@ impl Default for LoadgenConfig {
             batch: 16,
             secs: 1.0,
             seed: 42,
-            mode: Mode::Open,
             arrivals: Arrivals::Uniform,
             keyed: false,
             drain: Duration::from_secs(2),
@@ -170,40 +158,37 @@ impl LoadgenReport {
 
     /// One-line JSON rendering (for the `loadgen` binary and CI lanes).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"connections_target\":{},\"connections_established\":{},\
-             \"connections_lost\":{},\"sent\":{},\"accepted\":{},\"shed\":{},\
-             \"rejected_capacity\":{},\"rejected_closed\":{},\"lost\":{},\
-             \"frames_sent\":{},\"replies\":{},\"error_replies\":{},\
-             \"elapsed_s\":{:.3},\"send_rate_tps\":{:.1},\"accepted_rate_tps\":{:.1},\
-             \"fairness_jain\":{:.4},\"shed_ratio_cv\":{:.4},\
-             \"rtt_mean_ms\":{:.3},\"rtt_max_ms\":{:.3},\
-             \"rtt_p50_ms\":{:.3},\"rtt_p99_ms\":{:.3},\"rtt_p999_ms\":{:.3},\
-             \"conserved\":{}}}",
-            self.connections_target,
-            self.connections_established,
-            self.connections_lost,
-            self.sent,
-            self.accepted,
-            self.shed,
-            self.rejected_capacity,
-            self.rejected_closed,
-            self.lost,
-            self.frames_sent,
-            self.replies,
-            self.error_replies,
-            self.elapsed_s,
-            self.send_rate_tps,
-            self.accepted_rate_tps,
-            self.fairness_jain,
-            self.shed_ratio_cv,
-            self.rtt_mean_ms,
-            self.rtt_max_ms,
-            self.rtt_p50_ms,
-            self.rtt_p99_ms,
-            self.rtt_p999_ms,
-            self.conserved(),
-        )
+        use Cell::{Bool, Fixed, U};
+        let mut out = String::with_capacity(640);
+        write_json_object(
+            &mut out,
+            [
+                ("connections_target", U(self.connections_target as u64)),
+                ("connections_established", U(self.connections_established as u64)),
+                ("connections_lost", U(self.connections_lost as u64)),
+                ("sent", U(self.sent)),
+                ("accepted", U(self.accepted)),
+                ("shed", U(self.shed)),
+                ("rejected_capacity", U(self.rejected_capacity)),
+                ("rejected_closed", U(self.rejected_closed)),
+                ("lost", U(self.lost)),
+                ("frames_sent", U(self.frames_sent)),
+                ("replies", U(self.replies)),
+                ("error_replies", U(self.error_replies)),
+                ("elapsed_s", Fixed(self.elapsed_s, 3)),
+                ("send_rate_tps", Fixed(self.send_rate_tps, 1)),
+                ("accepted_rate_tps", Fixed(self.accepted_rate_tps, 1)),
+                ("fairness_jain", Fixed(self.fairness_jain, 4)),
+                ("shed_ratio_cv", Fixed(self.shed_ratio_cv, 4)),
+                ("rtt_mean_ms", Fixed(self.rtt_mean_ms, 3)),
+                ("rtt_max_ms", Fixed(self.rtt_max_ms, 3)),
+                ("rtt_p50_ms", Fixed(self.rtt_p50_ms, 3)),
+                ("rtt_p99_ms", Fixed(self.rtt_p99_ms, 3)),
+                ("rtt_p999_ms", Fixed(self.rtt_p999_ms, 3)),
+                ("conserved", Bool(self.conserved())),
+            ],
+        );
+        out
     }
 }
 
@@ -443,9 +428,6 @@ fn fleet_thread(cfg: &LoadgenConfig, ids: &[usize], start: Instant) -> (Vec<Clie
                 if sending && f.at_us > elapsed_us {
                     break;
                 }
-                if cfg.mode == Mode::Closed && !conn.outstanding.is_empty() {
-                    break; // one frame in flight
-                }
                 if conn.wbuf.len() > 1 << 20 {
                     break; // pathological backlog; let it flush first
                 }
@@ -651,6 +633,59 @@ mod tests {
             ..LoadgenConfig::default()
         };
         assert!(schedule_for(&cfg, 0).is_empty());
+    }
+
+    #[test]
+    fn report_json_keeps_its_keys_and_precisions() {
+        let r = LoadgenReport {
+            sent: 12,
+            elapsed_s: 1.23456,
+            send_rate_tps: 9.75,
+            fairness_jain: 0.5,
+            rtt_p99_ms: 2.0,
+            ..LoadgenReport::default()
+        };
+        let json = r.to_json();
+        // No value is a string, so the keys are every other quoted run.
+        let keys: Vec<&str> = json.split('"').skip(1).step_by(2).collect();
+        assert_eq!(
+            keys,
+            [
+                "connections_target",
+                "connections_established",
+                "connections_lost",
+                "sent",
+                "accepted",
+                "shed",
+                "rejected_capacity",
+                "rejected_closed",
+                "lost",
+                "frames_sent",
+                "replies",
+                "error_replies",
+                "elapsed_s",
+                "send_rate_tps",
+                "accepted_rate_tps",
+                "fairness_jain",
+                "shed_ratio_cv",
+                "rtt_mean_ms",
+                "rtt_max_ms",
+                "rtt_p50_ms",
+                "rtt_p99_ms",
+                "rtt_p999_ms",
+                "conserved",
+            ]
+        );
+        for field in [
+            "\"sent\":12,",
+            "\"elapsed_s\":1.235,",
+            "\"send_rate_tps\":9.8,",
+            "\"fairness_jain\":0.5000,",
+            "\"rtt_p99_ms\":2.000,",
+            "\"conserved\":false}",
+        ] {
+            assert!(json.contains(field), "{field} in {json}");
+        }
     }
 
     #[test]

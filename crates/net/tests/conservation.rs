@@ -25,7 +25,7 @@ use streamshed_engine::hook::Decision;
 use streamshed_engine::obs::ObsOptions;
 use streamshed_engine::shard::{ShardConfig, ShardedEngine};
 use streamshed_engine::worker::CostModel;
-use streamshed_net::loadgen::{self, Arrivals, LoadgenConfig, Mode};
+use streamshed_net::loadgen::{self, Arrivals, LoadgenConfig};
 use streamshed_net::server::{NetConfig, NetObs, NetServer};
 use streamshed_net::wire::{self, Reply};
 
@@ -61,7 +61,6 @@ fn three_ledgers_agree_exactly() {
         batch: 64,
         secs: 0.6,
         seed: 7,
-        mode: Mode::Open,
         arrivals: Arrivals::Poisson,
         keyed: true,
         ..LoadgenConfig::default()
