@@ -16,7 +16,6 @@
 //! consistent with what was actually applied; without it, long idle
 //! stretches wind the state up and the first burst overshoots massively.
 
-
 /// The current-error weight every design uses. Appendix A leaves `b0`
 /// free (the static-gain condition, Eq. 19, holds for any value on the
 /// integrator plant); the paper fixes it at 0.4.

@@ -340,7 +340,11 @@ impl ControlHook for AuroraStrategy {
         let l0 = self.headroom_for_l0 / c_s; // tuples/s
         let l = snap.fin_rate();
         let alpha = if l > l0 { 1.0 - l0 / l } else { 0.0 };
-        self.last = Some(direct_state(f64::NAN, f64::NAN, f64::NAN, self.last_cost_us));
+        // Open loop: no estimate, error or controller output to report.
+        self.last = Some(ControlState {
+            cost_est_us: self.last_cost_us,
+            ..ControlState::default()
+        });
         Decision::entry(alpha)
     }
 }
