@@ -152,74 +152,6 @@ impl FeedbackController {
         self.e_prev = 0.0;
         self.u_prev = 0.0;
     }
-
-    /// Swaps in new parameters with **bumpless transfer**: the internal
-    /// state is re-initialised so the history contribution to the next
-    /// output is unchanged by the swap.
-    ///
-    /// The control law splits into a current-error term and a history term,
-    /// `u(k) = g·b0·e(k) + [g·b1·e(k−1) − a·u(k−1)]`, where `g = H/(cT)`
-    /// is the loop gain the caller applies through [`Self::compute`]. A
-    /// naive parameter swap (or a state-losing rebuild) discards the
-    /// history term and kicks the actuation α. Here the history of the old
-    /// tuning,
-    ///
-    /// `hist = g_old·b1_old·e(k−1) − a_old·u(k−1)`,
-    ///
-    /// is preserved exactly by keeping `u(k−1)` and re-solving for the
-    /// stored error sample under the new tuning:
-    ///
-    /// `e'(k−1) = (hist + a_new·u(k−1)) / (g_new·b1_new)`.
-    ///
-    /// The post-swap output then differs from the no-swap output by exactly
-    /// `(g_new·b0_new − g_old·b0_old)·e(k)` — the unavoidable change in how
-    /// the *current* error is weighted, which vanishes at `e(k) = 0` and is
-    /// the bound the bumpless-transfer property tests assert. When
-    /// `g_new·b1_new` is degenerate (≈ 0) the history cannot be carried and
-    /// the stored error is zeroed instead.
-    ///
-    /// `gain_old` and `gain_new` are the loop gains `H/(cT)` in effect
-    /// before and after the swap (they differ when a re-identified cost,
-    /// not just the pole set, triggered the retune).
-    ///
-    /// ```
-    /// use streamshed_control::controller::{ControllerParams, FeedbackController};
-    ///
-    /// let (c, t, h) = (5.0e-3, 1.0, 0.97);
-    /// let gain = h / (c * t);
-    /// let mut swapped = FeedbackController::paper();
-    /// let mut frozen = FeedbackController::paper();
-    /// // Build up identical history on both controllers.
-    /// for e in [0.8, 0.5, 0.3] {
-    ///     let u = swapped.compute(e, c, t, h);
-    ///     swapped.commit(e, u);
-    ///     let u = frozen.compute(e, c, t, h);
-    ///     frozen.commit(e, u);
-    /// }
-    /// // Retune to a faster pole; gain unchanged (same cost estimate).
-    /// let fast = ControllerParams::for_double_pole(0.5);
-    /// swapped.retune_bumpless(fast, gain, gain);
-    /// // At zero current error the swap is invisible: the history term
-    /// // carries over exactly.
-    /// let u_swap = swapped.compute(0.0, c, t, h);
-    /// let u_keep = frozen.compute(0.0, c, t, h);
-    /// assert!((u_swap - u_keep).abs() < 1e-9);
-    /// ```
-    pub fn retune_bumpless(
-        &mut self,
-        new_params: ControllerParams,
-        gain_old: f64,
-        gain_new: f64,
-    ) {
-        let hist = gain_old * self.params.b1 * self.e_prev - self.params.a * self.u_prev;
-        let denom = gain_new * new_params.b1;
-        self.e_prev = if denom.abs() > 1e-12 && denom.is_finite() {
-            (hist + new_params.a * self.u_prev) / denom
-        } else {
-            0.0
-        };
-        self.params = new_params;
-    }
 }
 
 #[cfg(test)]
@@ -234,13 +166,11 @@ mod tests {
 
     #[test]
     fn production_designs_keep_their_bits() {
-        // `(p, a, b1)` bits of the comparator arms and the ablation poles,
-        // as the sample paths were recorded; b0 is 0.4 throughout.
-        const PINNED: [(f64, u64, u64); 5] = [
+        // `(p, a, b1)` bits of the ablation poles and the paper's, as the
+        // sample paths were recorded; b0 is 0.4 throughout.
+        const PINNED: [(f64, u64, u64); 3] = [
             (0.5, 0xbfd9_9999_9999_999a, 0xbfc3_3333_3333_3334),
-            (0.6, 0xbfe3_3333_3333_3333, 0xbfce_b851_eb85_1eb8),
             (0.7, 0xbfe9_9999_9999_9999, 0xbfd3_d70a_3d70_a3d7),
-            (0.8, 0xbff0_0000_0000_0000, 0xbfd7_0a3d_70a3_d708),
             (0.9, 0xbff3_3333_3333_3334, 0xbfd8_f5c2_8f5c_28f8),
         ];
         for (p, a, b1) in PINNED {

@@ -17,11 +17,7 @@
 //! * [`loop_`] — the loop configuration every strategy shares;
 //! * [`supervisor`] — the safety layer around a strategy: signal
 //!   validation, hold on dropout, divergence watchdog and the open-loop
-//!   fallback;
-//! * [`adaptive`] — the self-tuning plane: online re-identification,
-//!   gain-scheduled pole placement with bumpless transfer, and the
-//!   model-free comparator (the conclusion's adaptive-control
-//!   follow-up).
+//!   fallback.
 //!
 //! ```
 //! use streamshed_control::loop_::LoopConfig;
@@ -46,7 +42,6 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod adaptive;
 pub mod controller;
 pub mod estimator;
 pub mod loop_;
@@ -64,11 +59,10 @@ mod design;
 #[cfg(test)]
 mod tf;
 
-pub use adaptive::{AdaptiveCtrlStrategy, ComparatorStrategy, GainScheduler, RlsEstimator};
 pub use controller::FeedbackController;
 pub use estimator::{CostEstimator, DelayEstimator};
 pub use loop_::{LoopConfig, ShedMode};
 pub use model::PlantModel;
 pub use shedder::{EntryShedder, NetworkShedder};
 pub use strategy::{AuroraStrategy, BaselineStrategy, CtrlStrategy, SheddingStrategy};
-pub use supervisor::{Supervisor, SupervisorLog};
+pub use supervisor::Supervisor;

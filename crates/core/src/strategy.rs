@@ -10,10 +10,9 @@
 //!
 //! All three implement the engine's [`ControlHook`] and keep their latest
 //! period's [`ControlState`] for telemetry; the per-period history is the
-//! engine's `ControlTrace` log. CTRL and both self-tuners
-//! ([`crate::adaptive`]) run one copy of the Eq. 10 step, `Eq10Law`.
+//! engine's `ControlTrace` log.
 
-use crate::controller::{ControllerParams, FeedbackController};
+use crate::controller::FeedbackController;
 use crate::estimator::{CostEstimator, DelayEstimator};
 use crate::loop_::{LoopConfig, ShedMode};
 use crate::shedder::{EntryShedder, NetworkShedder};
@@ -35,8 +34,7 @@ fn direct_state(y_hat_s: f64, error_s: f64, u_tps: f64, cost_est_us: f64) -> Con
 
 /// A load-shedding strategy: an instrumented hook whose delay target can
 /// move at runtime. Its latest period's signals are its
-/// [`InstrumentedHook::control_state`]; a self-tuner's re-tunes are the
-/// `swaps` counter of its [`InstrumentedHook::adapt_state`].
+/// [`InstrumentedHook::control_state`].
 pub trait SheddingStrategy: InstrumentedHook {
     /// Changes the delay target at runtime (the Fig. 18 experiment).
     /// Open-loop strategies have no target, so the default ignores it.
@@ -49,77 +47,65 @@ pub trait SheddingStrategy: InstrumentedHook {
 impl SheddingStrategy for NoShedding {}
 
 // ---------------------------------------------------------------------------
-// The Eq. 10 law
+// CTRL
 // ---------------------------------------------------------------------------
 
-/// The paper's per-period control step (Fig. 3, Eq. 10), shared by CTRL
-/// and the self-tuners: track `c(k)`, estimate `ŷ(k)` from the virtual
-/// queue, compute `u(k)`, turn `v = u + fout` into the actuation, and
-/// keep the period's signals.
+/// The control-theoretic strategy (the paper's CTRL system): each
+/// period (Fig. 3, Eq. 10) it tracks `c(k)`, estimates `ŷ(k)` from the
+/// virtual queue, computes `u(k)`, turns `v = u + fout` into the
+/// actuation, and keeps the period's signals.
 #[derive(Debug, Clone)]
-pub(crate) struct Eq10Law {
-    pub(crate) cfg: LoopConfig,
+pub struct CtrlStrategy {
+    cfg: LoopConfig,
     cost: CostEstimator,
     delay: DelayEstimator,
-    pub(crate) controller: FeedbackController,
+    controller: FeedbackController,
     target_s: f64,
     last: Option<ControlState>,
 }
 
-impl Eq10Law {
-    /// A law for `cfg` whose controller starts at `params`.
-    pub(crate) fn new(cfg: &LoopConfig, params: ControllerParams) -> Self {
+impl CtrlStrategy {
+    /// Builds the strategy from a loop configuration.
+    pub fn from_config(cfg: &LoopConfig) -> Self {
         Self {
             cost: CostEstimator::new(cfg.prior_cost_us),
             delay: DelayEstimator::new(cfg.headroom),
-            controller: FeedbackController::new(params),
+            controller: FeedbackController::new(cfg.controller),
             target_s: cfg.target_delay_s(),
             last: None,
             cfg: cfg.clone(),
         }
     }
 
-    pub(crate) fn target_s(&self) -> f64 {
+    /// Paper-default CTRL (yd = 2 s, T = 1 s, published tuning).
+    pub fn paper_default() -> Self {
+        Self::from_config(&LoopConfig::paper_default())
+    }
+
+    /// The active target, seconds.
+    pub fn target_delay_s(&self) -> f64 {
         self.target_s
     }
+}
 
-    pub(crate) fn set_target_delay_s(&mut self, yd_s: f64) {
-        assert!(yd_s > 0.0);
-        self.target_s = yd_s;
-    }
-
-    pub(crate) fn control_state(&self) -> Option<ControlState> {
-        self.last
-    }
-
-    /// Runs one period. `gain_cost` receives the controller (for a
-    /// re-tune), the tracked cost `c(k)` in µs and `ŷ(k)`, and returns
-    /// the cost the gain `H/(c·T)` uses, in seconds, plus the cost to log,
-    /// in µs. Returns the decision and the applied control effort
-    /// `v_applied − fout`.
-    pub(crate) fn step(
-        &mut self,
-        snap: &PeriodSnapshot,
-        gain_cost: impl FnOnce(&mut FeedbackController, f64, f64) -> (f64, f64),
-    ) -> (Decision, f64) {
+impl ControlHook for CtrlStrategy {
+    fn on_period(&mut self, snap: &PeriodSnapshot) -> Decision {
         let period_s = snap.period.as_secs_f64();
         let c_us = self.cost.update(snap.measured_cost_us);
         // ŷ from the virtual queue (Eq. 11) — never from true delays.
         let y_hat = self.delay.estimate_delay_s(snap.outstanding, c_us);
-        let (gain_c_s, logged_cost_us) = gain_cost(&mut self.controller, c_us, y_hat);
 
         let e = self.target_s - y_hat;
         let h = self.cfg.headroom;
-        let u = self.controller.compute(e, gain_c_s, period_s, h);
+        let u = self.controller.compute(e, c_us / 1e6, period_s, h);
         let fout = snap.fout_rate();
         let v = u + fout;
         let fin = snap.fin_rate();
         // Actuator saturation: can admit at most what arrives, at least 0.
         let v_applied = v.clamp(0.0, fin.max(0.0));
-        let applied_u = v_applied - fout;
         // Anti-windup: store the saturated control effort (the raw one
         // when the ablation disables back-calculation).
-        let committed = if self.cfg.anti_windup { applied_u } else { u };
+        let committed = if self.cfg.anti_windup { v_applied - fout } else { u };
         self.controller.commit(e, committed);
 
         let decision = match self.cfg.shed_mode {
@@ -132,79 +118,21 @@ impl Eq10Law {
                 period_s,
             )),
         };
-        self.last = Some(direct_state(y_hat, e, u, logged_cost_us));
-        (decision, applied_u)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// CTRL
-// ---------------------------------------------------------------------------
-
-/// The control-theoretic strategy (the paper's CTRL system).
-#[derive(Debug, Clone)]
-pub struct CtrlStrategy {
-    law: Eq10Law,
-    /// When set, the loop gain `H/(c·T)` is computed from this cost
-    /// forever — a design-time tuning that is never re-derived. The
-    /// delay estimate still follows the live cost tracker, so the loop
-    /// gain seen by the plant scales with `c_live/c_frozen`: the
-    /// textbook gain-mismatch instability the self-tuning plane exists
-    /// to prevent.
-    gain_cost_us: Option<f64>,
-}
-
-impl CtrlStrategy {
-    /// Builds the strategy from a loop configuration.
-    pub fn from_config(cfg: &LoopConfig) -> Self {
-        Self {
-            law: Eq10Law::new(cfg, cfg.controller),
-            gain_cost_us: None,
-        }
-    }
-
-    /// Freezes the controller's gain conversion at `cost_us` — the
-    /// "fixed tuning" arm of the self-tuning experiments. The delay
-    /// estimator keeps using the live cost tracker; only the
-    /// seconds-to-rate gain stays pinned at its design-time value, so a
-    /// per-tuple cost that doubles doubles the effective loop gain.
-    pub fn with_frozen_gain_at(mut self, cost_us: f64) -> Self {
-        assert!(cost_us > 0.0 && cost_us.is_finite());
-        self.gain_cost_us = Some(cost_us);
-        self
-    }
-
-    /// Paper-default CTRL (yd = 2 s, T = 1 s, published tuning).
-    pub fn paper_default() -> Self {
-        Self::from_config(&LoopConfig::paper_default())
-    }
-
-    /// The active target, seconds.
-    pub fn target_delay_s(&self) -> f64 {
-        self.law.target_s()
-    }
-}
-
-impl ControlHook for CtrlStrategy {
-    fn on_period(&mut self, snap: &PeriodSnapshot) -> Decision {
-        let (decision, _) = self.law.step(snap, |_, c_us, _| {
-            let c_s = c_us / 1e6;
-            // Frozen-gain arm: the rate conversion stays at the design cost.
-            (self.gain_cost_us.map_or(c_s, |c| c / 1e6), c_us)
-        });
+        self.last = Some(direct_state(y_hat, e, u, c_us));
         decision
     }
 }
 
 impl SheddingStrategy for CtrlStrategy {
     fn set_target_delay_s(&mut self, yd_s: f64) {
-        self.law.set_target_delay_s(yd_s);
+        assert!(yd_s > 0.0);
+        self.target_s = yd_s;
     }
 }
 
 impl InstrumentedHook for CtrlStrategy {
     fn control_state(&self) -> Option<ControlState> {
-        self.law.control_state()
+        self.last
     }
 }
 

@@ -37,7 +37,7 @@ use crate::loop_::LoopConfig;
 use crate::strategy::SheddingStrategy;
 use std::collections::VecDeque;
 use streamshed_engine::hook::{ControlHook, Decision, PeriodSnapshot};
-use streamshed_engine::telemetry::{AdaptState, ControlState, InstrumentedHook, LoopMode};
+use streamshed_engine::telemetry::{ControlState, InstrumentedHook, LoopMode};
 
 /// Periods to hold the last actuation on sensor dropout before falling
 /// back.
@@ -58,35 +58,6 @@ const RECOVERY_PERIODS: u64 = 10;
 /// ramping after a mode switch (bumpless transfer).
 const MAX_ALPHA_STEP: f64 = 0.1;
 
-/// One mode transition, for post-hoc inspection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SupervisorEvent {
-    /// Period index at which the transition happened.
-    pub k: u64,
-    /// The mode entered: `Engaged`, `Hold` or `Fallback`.
-    pub entered: LoopMode,
-}
-
-/// Counters summarising the supervisor's interventions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SupervisorLog {
-    /// Cost samples rejected (non-finite, non-positive, or outlier).
-    pub rejected_cost_samples: u64,
-    /// True-delay samples rejected (non-finite or negative).
-    pub rejected_delay_samples: u64,
-    /// Periods spent holding the last actuation on dropout.
-    pub held_periods: u64,
-    /// Periods spent in open-loop fallback.
-    pub fallback_periods: u64,
-    /// Times the watchdog declared divergence.
-    pub divergence_trips: u64,
-    /// Times the inner strategy was re-engaged after recovery.
-    pub reengagements: u64,
-    /// Decisions whose outputs had to be sanitised (non-finite or
-    /// out-of-range values clamped).
-    pub sanitised_outputs: u64,
-}
-
 /// Wraps a strategy with validation, fallback, and recovery. See the
 /// module docs.
 #[derive(Debug, Clone)]
@@ -102,9 +73,6 @@ pub struct Supervisor<S> {
     /// last actuation is held) or `Fallback` (the open-loop fallback
     /// acts); never `Direct`.
     mode: LoopMode,
-    /// The inner strategy's swap count when last read: a change is a
-    /// re-tune, and rate-limits the next two periods.
-    seen_swaps: u64,
     stale_periods: u64,
     last_good_cost_us: f64,
     last_alpha: f64,
@@ -114,8 +82,6 @@ pub struct Supervisor<S> {
     /// Remaining periods of post-transition rate limiting.
     ramp: u64,
     fallback_trim: f64,
-    log: SupervisorLog,
-    events: Vec<SupervisorEvent>,
 }
 
 impl<S: SheddingStrategy + Clone> Supervisor<S> {
@@ -129,7 +95,6 @@ impl<S: SheddingStrategy + Clone> Supervisor<S> {
         Self {
             pristine: inner.clone(),
             last_good_cost_us: loop_cfg.prior_cost_us,
-            seen_swaps: swaps_of(&inner),
             inner,
             target_s,
             headroom: loop_cfg.headroom,
@@ -141,8 +106,6 @@ impl<S: SheddingStrategy + Clone> Supervisor<S> {
             healthy_streak: 0,
             ramp: 0,
             fallback_trim: 0.0,
-            log: SupervisorLog::default(),
-            events: Vec::new(),
         }
     }
 
@@ -151,29 +114,12 @@ impl<S: SheddingStrategy + Clone> Supervisor<S> {
         self.mode
     }
 
-    /// Intervention counters.
-    pub fn log(&self) -> &SupervisorLog {
-        &self.log
-    }
-
-    /// Mode transitions, in order.
-    pub fn events(&self) -> &[SupervisorEvent] {
-        &self.events
-    }
-
-    /// The wrapped strategy.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    fn transition(&mut self, k: u64, mode: LoopMode) {
+    fn transition(&mut self, mode: LoopMode) {
         if self.mode != mode {
             self.mode = mode;
-            self.events.push(SupervisorEvent { k, entered: mode });
             self.ramp = RECOVERY_PERIODS;
             if mode == LoopMode::Fallback {
                 self.fallback_trim = 0.0;
-                self.log.divergence_trips += 1;
             }
         }
     }
@@ -191,7 +137,6 @@ impl<S: SheddingStrategy + Clone> Supervisor<S> {
                 let lo = self.last_good_cost_us / COST_OUTLIER_FACTOR;
                 let hi = self.last_good_cost_us * COST_OUTLIER_FACTOR;
                 if !c.is_finite() || c <= 0.0 || c < lo || c > hi {
-                    self.log.rejected_cost_samples += 1;
                     Some(self.last_good_cost_us)
                 } else {
                     self.last_good_cost_us = c;
@@ -202,15 +147,8 @@ impl<S: SheddingStrategy + Clone> Supervisor<S> {
     }
 
     /// Validates the true-delay sample (supervision signal only).
-    fn validate_delay(&mut self, raw: Option<f64>) -> Option<f64> {
-        match raw {
-            Some(d) if d.is_finite() && d >= 0.0 => Some(d),
-            Some(_) => {
-                self.log.rejected_delay_samples += 1;
-                None
-            }
-            None => None,
-        }
+    fn validate_delay(raw: Option<f64>) -> Option<f64> {
+        raw.filter(|d| d.is_finite() && *d >= 0.0)
     }
 
     /// True when the residual has exceeded the margin for the whole
@@ -245,13 +183,10 @@ impl<S: SheddingStrategy + Clone> Supervisor<S> {
     /// Clamps a decision into its valid domain, rate-limiting the shed
     /// factor when a mode transition is being ramped.
     fn sanitise(&mut self, mut d: Decision, rate_limit: bool) -> Decision {
-        let mut touched = false;
         if !d.entry_drop_prob.is_finite() {
             d.entry_drop_prob = self.last_alpha;
-            touched = true;
-        } else if !(0.0..=1.0).contains(&d.entry_drop_prob) {
+        } else {
             d.entry_drop_prob = d.entry_drop_prob.clamp(0.0, 1.0);
-            touched = true;
         }
         if rate_limit {
             let step = MAX_ALPHA_STEP;
@@ -261,10 +196,6 @@ impl<S: SheddingStrategy + Clone> Supervisor<S> {
         }
         if !(d.shed_load_us.is_finite() && d.shed_load_us >= 0.0) {
             d.shed_load_us = 0.0;
-            touched = true;
-        }
-        if touched {
-            self.log.sanitised_outputs += 1;
         }
         self.last_alpha = d.entry_drop_prob;
         self.last_applied = d;
@@ -275,7 +206,7 @@ impl<S: SheddingStrategy + Clone> Supervisor<S> {
 impl<S: SheddingStrategy + Clone> ControlHook for Supervisor<S> {
     fn on_period(&mut self, snap: &PeriodSnapshot) -> Decision {
         let cost = self.validate_cost(snap.measured_cost_us);
-        let delay_ms = self.validate_delay(snap.mean_delay_ms);
+        let delay_ms = Self::validate_delay(snap.mean_delay_ms);
 
         // Watchdog input: the delayed-but-real measurement.
         if let Some(d_ms) = delay_ms {
@@ -295,34 +226,23 @@ impl<S: SheddingStrategy + Clone> ControlHook for Supervisor<S> {
         if self.mode != LoopMode::Fallback {
             if cost.is_none() {
                 if self.stale_periods > MAX_STALE_PERIODS {
-                    self.transition(snap.k, LoopMode::Fallback);
+                    self.transition(LoopMode::Fallback);
                 } else {
                     // Hold the last actuation through the dropout.
-                    self.transition(snap.k, LoopMode::Hold);
-                    self.log.held_periods += 1;
+                    self.transition(LoopMode::Hold);
                     return self.sanitise(self.last_applied, false);
                 }
             } else if self.diverging() {
-                self.transition(snap.k, LoopMode::Fallback);
+                self.transition(LoopMode::Fallback);
             } else {
                 if self.mode == LoopMode::Hold {
                     // Dropout ended before the deadline: resume.
-                    self.transition(snap.k, LoopMode::Engaged);
+                    self.transition(LoopMode::Engaged);
                 }
                 let mut sanitised = *snap;
                 sanitised.measured_cost_us = cost;
                 sanitised.mean_delay_ms = delay_ms;
                 let d = self.inner.on_period(&sanitised);
-                // A self-tuning inner strategy swapped its controller
-                // parameters since the last engaged period (in this
-                // one, or in a target change): rate-limit this period
-                // and the next even though the swap itself was
-                // bumpless.
-                let swaps = swaps_of(&self.inner);
-                if swaps != self.seen_swaps {
-                    self.seen_swaps = swaps;
-                    self.ramp = self.ramp.max(2);
-                }
                 let ramping = self.ramp > 0;
                 self.ramp = self.ramp.saturating_sub(1);
                 return self.sanitise(d, ramping);
@@ -330,7 +250,6 @@ impl<S: SheddingStrategy + Clone> ControlHook for Supervisor<S> {
         }
 
         // Fallback path (either already in fallback, or just degraded).
-        self.log.fallback_periods += 1;
         if healthy {
             self.healthy_streak += 1;
             if self.healthy_streak >= RECOVERY_PERIODS {
@@ -338,10 +257,8 @@ impl<S: SheddingStrategy + Clone> ControlHook for Supervisor<S> {
                 // period already comes from the inner strategy again.
                 self.healthy_streak = 0;
                 self.inner = self.pristine.clone();
-                self.seen_swaps = swaps_of(&self.inner);
                 self.residuals.clear();
-                self.transition(snap.k, LoopMode::Engaged);
-                self.log.reengagements += 1;
+                self.transition(LoopMode::Engaged);
                 let mut sanitised = *snap;
                 sanitised.measured_cost_us = cost;
                 sanitised.mean_delay_ms = delay_ms;
@@ -375,17 +292,6 @@ impl<S: SheddingStrategy + Clone> InstrumentedHook for Supervisor<S> {
         st.mode = self.mode;
         Some(st)
     }
-
-    /// Forwards the inner strategy's self-tuning state (if any) so the
-    /// adaptive telemetry survives supervision.
-    fn adapt_state(&self) -> Option<AdaptState> {
-        self.inner.adapt_state()
-    }
-}
-
-/// A strategy's re-tune count (0 for one that never self-tunes).
-fn swaps_of<S: SheddingStrategy>(strategy: &S) -> u64 {
-    strategy.adapt_state().map_or(0, |a| a.swaps)
 }
 
 impl<S: SheddingStrategy + Clone> SheddingStrategy for Supervisor<S> {
@@ -443,7 +349,9 @@ mod tests {
             assert!((a.entry_drop_prob - b.entry_drop_prob).abs() < 1e-12);
         }
         assert_eq!(sup.mode(), LoopMode::Engaged);
-        assert_eq!(sup.log().rejected_cost_samples, 0);
+        let (a, b) = (sup.control_state().unwrap(), raw.control_state().unwrap());
+        assert_eq!(a.y_hat_s.to_bits(), b.y_hat_s.to_bits());
+        assert_eq!(a.cost_est_us.to_bits(), b.cost_est_us.to_bits());
     }
 
     #[test]
@@ -453,8 +361,11 @@ mod tests {
             let d = sup.on_period(&snap(k, 400, Some(f64::NAN), Some(1900.0)));
             assert!(d.entry_drop_prob.is_finite());
         }
-        assert_eq!(sup.log().rejected_cost_samples, 5);
         assert_eq!(sup.mode(), LoopMode::Engaged);
+        // The inner strategy saw the prior in place of every NaN.
+        let prior = crate::loop_::LoopConfig::paper_default().prior_cost_us;
+        let cost = sup.control_state().unwrap().cost_est_us;
+        assert!((cost - prior).abs() < 1e-9, "cost {cost} vs prior {prior}");
     }
 
     #[test]
@@ -463,7 +374,6 @@ mod tests {
         let _ = sup.on_period(&snap(0, 400, Some(5105.0), Some(1900.0)));
         // 100× collapse: rejected; last good (5105) substituted.
         let _ = sup.on_period(&snap(1, 400, Some(51.0), Some(1900.0)));
-        assert_eq!(sup.log().rejected_cost_samples, 1);
         // Cost tracker still near the real value, not the outlier.
         let cost = sup.control_state().unwrap().cost_est_us;
         assert!(cost > 4000.0, "cost {cost}");
@@ -484,7 +394,6 @@ mod tests {
         assert_eq!(sup.mode(), LoopMode::Hold);
         let _ = sup.on_period(&snap(k, 2000, None, None));
         assert_eq!(sup.mode(), LoopMode::Fallback);
-        assert_eq!(sup.log().held_periods, 5);
     }
 
     #[test]
@@ -506,7 +415,6 @@ mod tests {
             let _ = sup.on_period(&snap(k, 10, Some(5105.0), Some(8000.0 + 500.0 * k as f64)));
         }
         assert_eq!(sup.mode(), LoopMode::Fallback);
-        assert!(sup.log().divergence_trips >= 1);
         // The fallback sheds aggressively: fin 400 » capacity 190.
         let d = sup.on_period(&snap(10, 10, Some(5105.0), Some(9000.0)));
         assert!(d.entry_drop_prob > 0.3, "alpha {}", d.entry_drop_prob);
@@ -515,20 +423,28 @@ mod tests {
     #[test]
     fn recovers_and_reengages_after_healthy_window() {
         let mut sup = supervised();
-        for k in 0..10 {
-            let _ = sup.on_period(&snap(k, 10, Some(5105.0), Some(9000.0)));
+        let mut transitions = Vec::new();
+        let mut mode = sup.mode();
+        for k in 0..30 {
+            // The true delay sits far over target for ten periods, then
+            // the signals recover: delay back at target, cost valid.
+            let s = if k < 10 {
+                snap(k, 10, Some(5105.0), Some(9000.0))
+            } else {
+                snap(k, 300, Some(5105.0), Some(1800.0))
+            };
+            let _ = sup.on_period(&s);
+            if sup.mode() != mode {
+                mode = sup.mode();
+                transitions.push((k, mode));
+            }
         }
-        assert_eq!(sup.mode(), LoopMode::Fallback);
-        // Signals recover: delay back at target, cost valid.
-        for k in 10..30 {
-            let _ = sup.on_period(&snap(k, 300, Some(5105.0), Some(1800.0)));
-        }
-        assert_eq!(sup.mode(), LoopMode::Engaged);
-        assert_eq!(sup.log().reengagements, 1);
-        // The transitions were recorded in order.
-        let modes: Vec<_> = sup.events().iter().map(|e| e.entered).collect();
-        assert_eq!(modes, vec![LoopMode::Fallback, LoopMode::Engaged]);
-        assert!(sup.events()[0].k < sup.events()[1].k);
+        // The watchdog trips once the 5-period window is full, and the
+        // tenth healthy period after the recovery re-engages.
+        assert_eq!(
+            transitions,
+            vec![(4, LoopMode::Fallback), (19, LoopMode::Engaged)]
+        );
     }
 
     #[test]
@@ -580,9 +496,10 @@ mod tests {
             assert!(dec.entry_drop_prob.is_finite());
             assert!((0.0..=1.0).contains(&dec.entry_drop_prob));
             assert!(dec.shed_load_us.is_finite() && dec.shed_load_us >= 0.0);
+            // No garbage sample reaches the cost estimate.
+            let cost = sup.control_state().unwrap().cost_est_us;
+            assert!(cost.is_finite() && cost > 0.0, "k={k}: cost {cost}");
         }
-        assert!(sup.log().rejected_cost_samples > 0);
-        assert!(sup.log().rejected_delay_samples > 0);
     }
 
     #[test]
@@ -625,7 +542,6 @@ mod tests {
             let _ = sup.on_period(&snap(k, 900, Some(5105.0), Some(5200.0)));
         }
         assert_eq!(sup.mode(), LoopMode::Engaged);
-        assert_eq!(sup.log().reengagements, 1);
         // The re-engaged inner strategy came from the pristine copy, and
         // measures its error against the new target.
         let st = sup.control_state().unwrap();

@@ -2,7 +2,6 @@
 //! the actuators, the estimators, and the identification machinery.
 
 use proptest::prelude::*;
-use streamshed_control::adaptive::RlsEstimator;
 use streamshed_control::controller::{ControllerParams, FeedbackController};
 use streamshed_control::estimator::CostEstimator;
 use streamshed_control::shedder::{EntryShedder, NetworkShedder};
@@ -72,23 +71,6 @@ proptest! {
         let ls = NetworkShedder::load_to_shed_us(lq, fin, v, c, t);
         prop_assert!(ls >= 0.0);
         prop_assert!(ls <= lq + fin * t * c + 1e-6);
-    }
-
-    /// RLS recovers an arbitrary parameter from noise-free data.
-    #[test]
-    fn rls_recovers_parameter(theta in -50.0..50.0f64, seed in 0u64..500) {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut rls = RlsEstimator::new(0.0, 1000.0, 1.0);
-        for _ in 0..80 {
-            let x: f64 = rng.gen_range(0.5..5.0);
-            rls.update(x, theta * x);
-        }
-        prop_assert!(
-            (rls.estimate() - theta).abs() < 1e-3 + theta.abs() * 1e-4,
-            "estimate {} vs {theta}", rls.estimate()
-        );
     }
 
     /// The EWMA cost tracker stays within the convex hull of its inputs.

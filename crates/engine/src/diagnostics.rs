@@ -197,7 +197,7 @@ impl DiagnosticsConfig {
     }
 
     /// The detuned thresholds for classifying a recorded run after the
-    /// fact (the campaign and `reproduce adaptive`): a well-regulated
+    /// fact (the campaign): a well-regulated
     /// stochastic loop crosses its target every few periods, moves `α`
     /// with every burst and can sit above a tight band for tens of
     /// periods while it tracks a cost ramp, all with a bounded tail. These
@@ -301,18 +301,6 @@ pub struct DiagnosticsSnapshot {
     pub first_anomaly_k: Option<u64>,
     /// Periods spent in each state, ordinal order.
     pub periods_in_state: [u64; 5],
-    /// True once any observed trace carried self-tuning state (the
-    /// `streamshed_adapt_*` families render only then).
-    pub adapt_seen: bool,
-    /// Last re-identified per-tuple cost `ĉ`, µs (`NaN` when the loop
-    /// has no adaptive layer).
-    pub adapt_cost_est_us: f64,
-    /// Last gain generation of the adaptive layer.
-    pub adapt_generation: u64,
-    /// Total bumpless parameter swaps reported.
-    pub adapt_swaps: u64,
-    /// Active comparator arm (−1 = no comparator).
-    pub adapt_arm: i64,
     /// The most recent transitions (oldest first).
     pub recent_events: Vec<DiagEvent>,
 }
@@ -399,10 +387,6 @@ impl DiagnosticsSnapshot {
                 ("transitions", U(self.transitions)),
                 ("anomalies", U(self.anomalies)),
                 ("first_anomaly_k", self.first_anomaly_k.map_or(Cell::Raw("null"), U)),
-                ("adapt_cost_est_us", F(self.adapt_cost_est_us)),
-                ("adapt_generation", U(self.adapt_generation)),
-                ("adapt_swaps", U(self.adapt_swaps)),
-                ("adapt_arm", Cell::I(self.adapt_arm)),
                 ("periods_in_state", Cell::Raw(&in_state)),
                 ("recent_events", Cell::Raw(&events)),
             ],
@@ -529,30 +513,6 @@ impl DiagnosticsSnapshot {
             "Periods with any fault flag set",
             self.faulted_periods as f64,
         );
-        // Self-tuning families only render once an adaptive layer has
-        // reported state — non-adaptive loops keep the exposition clean.
-        if self.adapt_seen {
-            p.gauge(
-                "adapt_cost_estimate_us",
-                "Re-identified per-tuple cost estimate driving the gain scheduler, microseconds",
-                self.adapt_cost_est_us,
-            )
-            .gauge(
-                "adapt_gain_generation",
-                "Gain generation of the self-tuning controller (0 = initial design)",
-                self.adapt_generation as f64,
-            )
-            .counter(
-                "adapt_swaps_total",
-                "Bumpless controller parameter swaps performed",
-                self.adapt_swaps as f64,
-            )
-            .gauge(
-                "adapt_comparator_arm",
-                "Active model-free comparator arm index (-1 = no comparator)",
-                self.adapt_arm as f64,
-            );
-        }
     }
 }
 
@@ -588,8 +548,7 @@ impl EpisodeEstimate {
 
 /// The online controller-health engine. Feed it one [`ControlTrace`]
 /// per period via [`ControllerHealth::observe`]; read the verdict via
-/// [`ControllerHealth::snapshot`]. `Clone` so a strategy can embed a
-/// private scorer (the model-free comparator keeps one per probe arm).
+/// [`ControllerHealth::snapshot`].
 #[derive(Debug, Clone)]
 pub struct ControllerHealth {
     cfg: DiagnosticsConfig,
@@ -627,8 +586,6 @@ impl ControllerHealth {
             settle: EpisodeEstimate::UNSEEN,
             settle_target_periods: SETTLE_TARGET_PERIODS,
             overshoot: EpisodeEstimate::UNSEEN,
-            adapt_cost_est_us: f64::NAN,
-            adapt_arm: -1,
             ..DiagnosticsSnapshot::default()
         };
         Self {
@@ -744,15 +701,6 @@ impl ControllerHealth {
         self.last_mode = Some(trace.mode);
         if trace.fault_flags != 0 {
             r.faulted_periods += 1;
-        }
-
-        // --- Self-tuning state -----------------------------------------
-        if trace.adapt_cost_us.is_finite() || trace.adapt_arm >= 0 {
-            r.adapt_seen = true;
-            r.adapt_cost_est_us = trace.adapt_cost_us;
-            r.adapt_generation = trace.adapt_generation;
-            r.adapt_swaps = trace.adapt_swaps;
-            r.adapt_arm = trace.adapt_arm;
         }
 
         // --- Oscillation window ----------------------------------------
@@ -1136,44 +1084,6 @@ mod tests {
         assert!(text.contains("streamshed_diag_state_info{state=\"saturated\"} 1"));
         assert!(text.contains("# TYPE streamshed_diag_anomalies_total counter"));
         assert!(text.contains("streamshed_diag_periods_total 4"));
-    }
-
-    #[test]
-    fn adaptive_state_mirrors_into_snapshot_json_and_prom() {
-        let mut h = ControllerHealth::new(cfg());
-        // A plain trace leaves the adapt families dark.
-        h.observe(&trace(0, TARGET, 0.3));
-        let s = h.snapshot();
-        assert!(!s.adapt_seen);
-        assert!(s.adapt_cost_est_us.is_nan());
-        let mut p = PromText::new("streamshed");
-        s.render_prom(&mut p);
-        assert!(!p.finish().contains("streamshed_adapt_"));
-        assert!(s.to_json().contains("\"adapt_cost_est_us\":null"));
-
-        // An adaptive trace lights them up.
-        let mut t = trace(1, TARGET, 0.3);
-        t.adapt_cost_us = 10_210.5;
-        t.adapt_generation = 2;
-        t.adapt_swaps = 3;
-        t.adapt_arm = 1;
-        h.observe(&t);
-        let s = h.snapshot();
-        assert!(s.adapt_seen);
-        assert_eq!(s.adapt_cost_est_us, 10_210.5);
-        assert_eq!(s.adapt_generation, 2);
-        assert_eq!(s.adapt_swaps, 3);
-        assert_eq!(s.adapt_arm, 1);
-        let mut p = PromText::new("streamshed");
-        s.render_prom(&mut p);
-        let text = p.finish();
-        assert!(text.contains("# TYPE streamshed_adapt_cost_estimate_us gauge"), "{text}");
-        assert!(text.contains("streamshed_adapt_cost_estimate_us 10210.5"), "{text}");
-        assert!(text.contains("streamshed_adapt_gain_generation 2"), "{text}");
-        assert!(text.contains("# TYPE streamshed_adapt_swaps_total counter"), "{text}");
-        assert!(text.contains("streamshed_adapt_swaps_total 3"), "{text}");
-        assert!(text.contains("streamshed_adapt_comparator_arm 1"), "{text}");
-        assert!(s.to_json().contains("\"adapt_swaps\":3"));
     }
 
     #[test]

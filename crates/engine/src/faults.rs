@@ -358,10 +358,6 @@ impl<H: InstrumentedHook> InstrumentedHook for FaultyHook<H> {
         state.fault_flags |= self.last_flags;
         Some(state)
     }
-
-    fn adapt_state(&self) -> Option<crate::telemetry::AdaptState> {
-        self.inner.adapt_state()
-    }
 }
 
 /// Builds a [`CostSchedule`] that multiplies operator costs by `factor`

@@ -663,33 +663,6 @@ mod tests {
     }
 
     #[test]
-    fn adapt_families_appear_only_once_a_self_tuner_reports() {
-        let plane = ObsPlane::new(&options());
-        let mut sink = plane.clone();
-        let render = |plane: &ObsPlane| {
-            let mut p = PromText::new("streamshed");
-            plane.health().render_prom(&mut p);
-            p.finish()
-        };
-
-        // Plain traces leave the families absent entirely.
-        sink.record(&trace(0, TARGET, 0.3));
-        let body = render(&plane);
-        assert!(!body.contains("streamshed_adapt_"), "no adapt families yet: {body}");
-
-        // An adaptive trace declares each of the four exactly once (the
-        // values are checked by the diagnostics renderer's own test).
-        let mut t = trace(1, TARGET, 0.3);
-        (t.adapt_cost_us, t.adapt_generation, t.adapt_swaps, t.adapt_arm) = (10_210.5, 2, 3, 1);
-        sink.record(&t);
-        let body = render(&plane);
-        for family in ["cost_estimate_us", "gain_generation", "swaps_total", "comparator_arm"] {
-            let decl = format!("# TYPE streamshed_adapt_{family} ");
-            assert_eq!(body.matches(&decl).count(), 1, "{family} declared once: {body}");
-        }
-    }
-
-    #[test]
     fn health_turns_503_on_divergence() {
         let plane = ObsPlane::new(&options());
         let mut server = start_server(&plane);

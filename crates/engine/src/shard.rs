@@ -495,9 +495,8 @@ impl ShardedEngine {
     /// closure [`spawn_observed`](Self::spawn_observed) hands its HTTP
     /// server, exposed so an external front end (e.g. the network
     /// ingestion plane) can serve the engine's `streamshed_*` families
-    /// from its own listener. Includes the diagnostics families (the
-    /// self-tuner's `adapt_*` among them) when the engine was spawned
-    /// with an observability plane attached. The closure captures only
+    /// from its own listener. Includes the diagnostics families when the
+    /// engine was spawned with an observability plane attached. The closure captures only
     /// `Arc`s, so it stays valid for the engine's whole lifetime.
     pub fn metrics_fn(&self) -> MetricsFn {
         metrics_fn(self, self.obs.as_ref().map(|o| o.plane.clone()))
@@ -1784,23 +1783,6 @@ mod tests {
     #[test]
     fn observed_engine_declares_each_family_once() {
         use crate::obs::{http_get, ObsOptions};
-        use crate::telemetry::{AdaptState, InstrumentedHook};
-        struct SelfTuning;
-        impl crate::hook::ControlHook for SelfTuning {
-            fn on_period(&mut self, _s: &PeriodSnapshot) -> Decision {
-                Decision::NONE
-            }
-        }
-        impl InstrumentedHook for SelfTuning {
-            fn adapt_state(&self) -> Option<AdaptState> {
-                Some(AdaptState {
-                    cost_est_us: 210.5,
-                    generation: 2,
-                    swaps: 3,
-                    arm: -1,
-                })
-            }
-        }
         let cfg = ShardConfig {
             period: Duration::from_millis(10),
             cost: Duration::from_micros(20),
@@ -1808,7 +1790,8 @@ mod tests {
             ..quick_cfg(2)
         };
         let options = ObsOptions::for_target(cfg.target_delay);
-        let engine = ShardedEngine::spawn_observed(cfg, SelfTuning, &options).unwrap();
+        let hook = |_s: &PeriodSnapshot| Decision::NONE;
+        let engine = ShardedEngine::spawn_observed(cfg, hook, &options).unwrap();
         let obs = engine.obs().unwrap();
         assert_eq!(engine.offer_batch(64).dispatched, 64);
         let sojourns = || obs.plane.spans().snapshot().sojourn.count();
@@ -1818,7 +1801,7 @@ mod tests {
         let t = Duration::from_secs(2);
         let (status, body) = http_get(obs.addr().unwrap(), "/metrics", t).unwrap();
         assert_eq!(status, 200);
-        assert!(body.contains("streamshed_adapt_cost_estimate_us 210.5"), "{body}");
+        assert!(body.contains("# TYPE streamshed_diag_periods_total "), "{body}");
         assert!(body.contains("streamshed_latency_seconds_bucket{"), "{body}");
         if let Err(e) = check_exposition(&body) {
             panic!("{e}\n{body}");

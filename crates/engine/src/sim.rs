@@ -1291,9 +1291,7 @@ mod tests {
     fn telemetry_records_one_trace_and_hook_span_per_period() {
         use crate::faults::{FaultKind, FaultPlan, FaultWindow, FaultyHook};
         use crate::hook::ControlHook;
-        use crate::telemetry::{
-            AdaptState, ControlState, LoopMode, SharedRecorder, FLAG_STALE_QUEUE,
-        };
+        use crate::telemetry::{ControlState, LoopMode, SharedRecorder, FLAG_STALE_QUEUE};
         struct Instrumented;
         impl ControlHook for Instrumented {
             fn on_period(&mut self, _s: &PeriodSnapshot) -> Decision {
@@ -1309,14 +1307,6 @@ mod tests {
                     cost_est_us: 5000.0,
                     mode: LoopMode::Engaged,
                     fault_flags: 0,
-                })
-            }
-            fn adapt_state(&self) -> Option<AdaptState> {
-                Some(AdaptState {
-                    cost_est_us: 5100.0,
-                    generation: 1,
-                    swaps: 2,
-                    arm: 0,
                 })
             }
         }
@@ -1337,7 +1327,6 @@ mod tests {
             assert_eq!(t.alpha, 0.2);
             // …with the hook's internals and the faults that fired.
             assert_eq!((t.y_hat_s, t.mode), (1.5, LoopMode::Engaged));
-            assert_eq!((t.adapt_cost_us, t.adapt_swaps), (5100.0, 2));
             let flags = if (3..5).contains(&t.k) {
                 FLAG_STALE_QUEUE
             } else {

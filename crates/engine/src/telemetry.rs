@@ -135,12 +135,12 @@ impl Default for ControlState {
     }
 }
 
-/// Self-tuning (re-identification) state reported by an adaptive hook
-/// after each period — the quantities the `streamshed_adapt_*` metric
-/// families and the `adapt_*` trace columns carry.
+/// Self-tuning state a hook may report after each period.
 ///
-/// Non-adaptive hooks never produce one; the exporters render the
-/// absent state as `NaN`/`null` cost, zero counters, and arm `−1`.
+/// No hook in the workspace tunes itself, and no exporter reads this.
+/// It stays because perfbench's `TimedHook` forwards
+/// [`InstrumentedHook::adapt_state`] by name, and the benchmark crate
+/// changes only together with its benchmark definition.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptState {
     /// Current re-identified per-tuple cost estimate `ĉ`, µs.
@@ -148,10 +148,9 @@ pub struct AdaptState {
     /// Gain generation: how many tunings this loop has lived through
     /// (0 = still on the initial design).
     pub generation: u64,
-    /// Total bumpless parameter swaps performed (gain-schedule snaps
-    /// plus comparator arm changes).
+    /// Total controller parameter swaps performed.
     pub swaps: u64,
-    /// Active comparator arm index (−1 when no comparator is running).
+    /// Index of the active candidate tuning (−1 when there is none).
     pub arm: i64,
 }
 
@@ -169,7 +168,9 @@ pub trait InstrumentedHook: ControlHook {
     }
 
     /// The self-tuning state of the most recent period, if this hook
-    /// adapts its own tuning (default: it does not).
+    /// adapts its own tuning (default: it does not). Nothing reads it;
+    /// it stays so that perfbench's `TimedHook`, which forwards it,
+    /// still builds (see [`AdaptState`]).
     fn adapt_state(&self) -> Option<AdaptState> {
         None
     }
@@ -244,15 +245,6 @@ pub struct ControlTrace {
     pub fault_flags: u16,
     /// Wall-clock time spent inside the hook this period, nanoseconds.
     pub hook_ns: u64,
-    /// Re-identified per-tuple cost `ĉ`, µs (`NaN` = no adaptive layer).
-    pub adapt_cost_us: f64,
-    /// Gain generation of the adaptive layer (0 = initial design or no
-    /// adaptive layer).
-    pub adapt_generation: u64,
-    /// Total bumpless parameter swaps so far (0 when not adapting).
-    pub adapt_swaps: u64,
-    /// Active comparator arm (−1 = no comparator).
-    pub adapt_arm: i64,
     /// Number of data-plane shards behind this record (0 = a
     /// non-sharded runner).
     pub shards: u32,
@@ -296,10 +288,6 @@ impl ControlTrace {
             mode: s.mode,
             fault_flags: s.fault_flags,
             hook_ns,
-            adapt_cost_us: f64::NAN,
-            adapt_generation: 0,
-            adapt_swaps: 0,
-            adapt_arm: -1,
             shards: 0,
             shard_queues: [0; MAX_TRACE_SHARDS],
         }
@@ -316,32 +304,9 @@ impl ControlTrace {
         self
     }
 
-    /// Attaches the self-tuning state of an adaptive hook (no-op for
-    /// `None`, keeping the columns at their inert defaults).
-    pub fn with_adapt(mut self, state: Option<AdaptState>) -> Self {
-        if let Some(a) = state {
-            self.adapt_cost_us = a.cost_est_us;
-            self.adapt_generation = a.generation;
-            self.adapt_swaps = a.swaps;
-            self.adapt_arm = a.arm;
-        }
-        self
-    }
-
-    /// Whether the record carries self-tuning state (i.e. was produced
-    /// by a hook whose [`InstrumentedHook::adapt_state`] returned
-    /// `Some`). All four `adapt_*` columns sit at their inert defaults
-    /// otherwise.
-    pub fn has_adapt(&self) -> bool {
-        self.adapt_cost_us.is_finite()
-            || self.adapt_arm >= 0
-            || self.adapt_generation > 0
-            || self.adapt_swaps > 0
-    }
-
     /// The exported columns in export order, each field once: JSONL,
     /// the CSV header and the CSV row all render from this list.
-    fn columns(&self) -> [(&'static str, Cell<'_>); 29] {
+    fn columns(&self) -> [(&'static str, Cell<'_>); 25] {
         use Cell::{F, U};
         let shown = (self.shards as usize).min(MAX_TRACE_SHARDS);
         [
@@ -368,10 +333,6 @@ impl ControlTrace {
             ("mode", Cell::Str(self.mode.as_str())),
             ("fault_flags", U(self.fault_flags.into())),
             ("hook_ns", U(self.hook_ns)),
-            ("adapt_cost_us", F(self.adapt_cost_us)),
-            ("adapt_generation", U(self.adapt_generation)),
-            ("adapt_swaps", U(self.adapt_swaps)),
-            ("adapt_arm", Cell::I(self.adapt_arm)),
             ("shards", U(self.shards.into())),
             ("shard_queues", Cell::Queues(&self.shard_queues, shown)),
         ]
@@ -419,8 +380,6 @@ impl ControlTrace {
 pub enum Cell<'a> {
     /// A count.
     U(u64),
-    /// A signed integer.
-    I(i64),
     /// A float: its `Display` form, the shortest that parses back to the
     /// same bits (JSON writes a non-finite one as `null`).
     F(f64),
@@ -445,7 +404,6 @@ impl Cell<'_> {
         use std::fmt::Write as _;
         let _ = match self {
             Cell::U(v) => write!(out, "{v}"),
-            Cell::I(v) => write!(out, "{v}"),
             Cell::F(v) if json && !v.is_finite() => write!(out, "null"),
             Cell::F(v) => write!(out, "{v}"),
             Cell::Fixed(v, _) if json && !v.is_finite() => write!(out, "null"),
@@ -496,8 +454,7 @@ pub fn control_step<H: InstrumentedHook + ?Sized>(
     let t0 = Instant::now();
     let decision = hook.on_period(snap);
     let hook_ns = t0.elapsed().as_nanos() as u64;
-    let trace = ControlTrace::capture(snap, &decision, hook.control_state().as_ref(), hook_ns)
-        .with_adapt(hook.adapt_state());
+    let trace = ControlTrace::capture(snap, &decision, hook.control_state().as_ref(), hook_ns);
     (decision, trace)
 }
 
@@ -883,7 +840,6 @@ mod tests {
         assert!(t.y_hat_s.is_nan());
         assert_eq!(t.mode, LoopMode::Direct);
         assert_eq!(t.fault_flags, 0);
-        assert!(!t.has_adapt());
     }
 
     #[test]
@@ -1014,43 +970,6 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert!(lines[0].starts_with("# HELP streamshed_shard_completed_total"));
         assert!(lines[4].starts_with("# HELP streamshed_shard_queue_len"));
-    }
-
-    #[test]
-    fn adapt_state_flows_through_exporters() {
-        struct Adapting;
-        impl ControlHook for Adapting {
-            fn on_period(&mut self, _s: &PeriodSnapshot) -> Decision {
-                Decision::entry(0.1)
-            }
-        }
-        impl InstrumentedHook for Adapting {
-            fn adapt_state(&self) -> Option<AdaptState> {
-                Some(AdaptState {
-                    cost_est_us: 10_210.5,
-                    generation: 2,
-                    swaps: 3,
-                    arm: 1,
-                })
-            }
-        }
-        let (_, t) = control_step(&mut Adapting, &snap(0));
-        assert_eq!(t.adapt_cost_us, 10_210.5);
-        assert_eq!(t.adapt_generation, 2);
-        assert_eq!(t.adapt_swaps, 3);
-        assert_eq!(t.adapt_arm, 1);
-        let line = t.to_jsonl();
-        assert!(line.contains("\"adapt_cost_us\":10210.5"), "{line}");
-        assert!(line.contains("\"adapt_generation\":2"), "{line}");
-        assert!(line.contains("\"adapt_swaps\":3"), "{line}");
-        assert!(line.contains("\"adapt_arm\":1"), "{line}");
-
-        // Non-adaptive hooks keep the columns inert: null cost, arm −1.
-        let plain = ControlTrace::capture(&snap(0), &Decision::NONE, None, 1);
-        assert!(plain.adapt_cost_us.is_nan());
-        assert_eq!(plain.adapt_arm, -1);
-        assert!(plain.to_jsonl().contains("\"adapt_cost_us\":null"));
-        assert!(plain.to_jsonl().contains("\"adapt_arm\":-1"));
     }
 
     #[test]

@@ -77,10 +77,6 @@ fn csv_header_and_jsonl_cover_every_struct_field() {
         mode: LoopMode::Engaged,
         fault_flags: 0,
         hook_ns: 321,
-        adapt_cost_us: 10_210.5,
-        adapt_generation: 2,
-        adapt_swaps: 3,
-        adapt_arm: 1,
         shards: 0,
         shard_queues: [0; MAX_TRACE_SHARDS],
     }

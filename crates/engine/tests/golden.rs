@@ -2,14 +2,14 @@
 //! and must match its file under `tests/golden/` byte for byte.
 //!
 //! The inputs cover the cases the exporters special-case: NaN and ±inf
-//! floats, 3 and 10 shards (more than [`MAX_TRACE_SHARDS`]), adapt state
-//! set and unset, every health state, and span histograms on two slots.
+//! floats, 3 and 10 shards (more than [`MAX_TRACE_SHARDS`]), every health
+//! state, and span histograms on two slots.
 //! A deliberate change to an output format edits its golden file in the
 //! same commit, so the diff shows exactly which bytes moved.
 
 use std::time::Duration;
 use streamshed_engine::telemetry::{
-    export_csv, export_jsonl, AdaptState, ControlState, ControlTrace, LoopMode, PromText,
+    export_csv, export_jsonl, ControlState, ControlTrace, LoopMode, PromText,
     FLAG_COST_SPIKE, FLAG_SENSOR_DROPOUT, MAX_TRACE_SHARDS,
 };
 use streamshed_engine::{
@@ -54,7 +54,7 @@ fn snap(k: u64) -> PeriodSnapshot {
 }
 
 /// Four periods: a plain one with no sensor readings, a 3-shard one with
-/// adapt state and infinite signals, a 10-shard fallback period, and a
+/// infinite signals, a 10-shard fallback period, and a
 /// held period under two fault flags with every float non-finite.
 fn traces() -> Vec<ControlTrace> {
     let mut quiet = snap(0);
@@ -70,20 +70,13 @@ fn traces() -> Vec<ControlTrace> {
         mode: LoopMode::Engaged,
         fault_flags: 0,
     };
-    let adapt = AdaptState {
-        cost_est_us: 10_210.5,
-        generation: 2,
-        swaps: 3,
-        arm: 1,
-    };
     let three = ControlTrace::capture(
         &snap(1),
         &Decision::entry(0.123456789123),
         Some(&state),
         4_096,
     )
-    .with_shard_queues(&[4, 0, 11])
-    .with_adapt(Some(adapt));
+    .with_shard_queues(&[4, 0, 11]);
 
     let state = ControlState {
         y_hat_s: 0.3125,
@@ -108,13 +101,7 @@ fn traces() -> Vec<ControlTrace> {
         fault_flags: FLAG_SENSOR_DROPOUT | FLAG_COST_SPIKE,
     };
     let mut held = ControlTrace::capture(&snap(3), &Decision::entry(0.5), Some(&state), 77)
-        .with_shard_queues(&[1, 2, 3])
-        .with_adapt(Some(AdaptState {
-            cost_est_us: f64::NAN,
-            generation: 0,
-            swaps: 0,
-            arm: 0,
-        }));
+        .with_shard_queues(&[1, 2, 3]);
     held.time_s = f64::INFINITY;
     held.queued_load_us = f64::NEG_INFINITY;
     held.measured_cost_us = f64::NAN;
@@ -143,8 +130,8 @@ fn diag_trace(k: u64, y_s: f64, alpha: f64) -> ControlTrace {
 
 /// Drives a 2 s-target health engine through every state in ordinal
 /// order: healthy, a settling excursion, a bang-bang oscillation, a
-/// pinned saturation and a divergence, with supervisor modes, fault
-/// flags and adapt state along the way. Returns the JSON before the
+/// pinned saturation and a divergence, with supervisor modes and fault
+/// flags along the way. Returns the JSON before the
 /// first period and after every phase, and the final exposition.
 fn diagnostics_walk() -> (String, String) {
     let mut h = ControllerHealth::new(DiagnosticsConfig::for_target(Duration::from_secs(2)));
@@ -188,16 +175,9 @@ fn diagnostics_walk() -> (String, String) {
         k += 1;
     }
     phase(&mut h, &mut json);
-    // Settled and steady again, then an adaptive layer reports.
+    // Settled and steady again.
     for _ in 0..16 {
-        let mut t = diag_trace(k, 2.0, 0.4);
-        (
-            t.adapt_cost_us,
-            t.adapt_generation,
-            t.adapt_swaps,
-            t.adapt_arm,
-        ) = (812.5, 1, 2, -1);
-        step(&mut h, t);
+        step(&mut h, diag_trace(k, 2.0, 0.4));
         k += 1;
     }
     phase(&mut h, &mut json);

@@ -45,7 +45,6 @@ const FIGURES: &[(&str, bool, Generate)] = &[
     ("overhead", true, |_| exp::overhead::run()),
     ("ablations", true, exp::ablations::run),
     ("faults", true, exp::faults::run),
-    ("adaptive", true, exp::adaptive::run),
     // Wall-clock (not virtual-time): run explicitly, not in "all". --seed
     // drives the entry shedder; pacing stays wall-clock, so runs are
     // seedable but not byte-identical.
@@ -190,9 +189,6 @@ fn main() {
                      trace: replays campaign cell KEY (as `campaign --list` prints \
                      it) exactly as `campaign --filter KEY --seed N` runs it; \
                      writes DIR/trace_KEY.s<i>.jsonl and .csv for every shard i\n       \
-                     adaptive: self-tuning control — fixed paper tuning vs the \
-                     gain-scheduled re-identifier and the model-free comparator \
-                     under a doubling cost staircase (seeded, virtual-time)\n       \
                      sharded: wall-clock sharded-engine convergence (1 vs 4 shards); \
                      not part of 'all'\n       \
                      monitor: wall-clock observability-plane self-test (live /metrics, \

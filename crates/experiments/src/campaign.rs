@@ -33,13 +33,12 @@
 //! the `faults` figure reads its matrix out of them too.
 //!
 //! Two CI lanes ride on top: the fixed-seed **sanity** corpus (a
-//! curated ~90-cell subset, hard gate) and the rotating **stress** lane
+//! curated ~86-cell subset, hard gate) and the rotating **stress** lane
 //! (a seeded sample of the full grid, findings uploaded, non-blocking).
 
 use crate::parallel::{self, TaskOutcome};
 use serde_json::{json, ToJson, Value};
 use std::time::Duration;
-use streamshed_control::adaptive::{AdaptiveCtrlStrategy, ComparatorStrategy};
 use streamshed_control::loop_::{LoopConfig, ShedMode};
 use streamshed_control::strategy::CtrlStrategy;
 use streamshed_control::supervisor::Supervisor;
@@ -113,11 +112,9 @@ pub const TOPOLOGIES: &[&str] = &["ident", "chain8", "monitoring"];
 pub const SHARD_COUNTS: &[usize] = &[1, 2, 4];
 
 /// Controller axis: paper tuning with the supervisor (`paper`), bare
-/// CTRL without the supervisory layer (`nosup`), supervised CTRL
-/// actuating the in-network hybrid shedder (`netshed`), and the two
-/// supervised self-tuning flavours — the gain-scheduled re-identifier
-/// (`adaptive`) and the model-free hill-climber (`comparator`).
-pub const CONTROLS: &[&str] = &["paper", "nosup", "netshed", "adaptive", "comparator"];
+/// CTRL without the supervisory layer (`nosup`), and supervised CTRL
+/// actuating the in-network hybrid shedder (`netshed`).
+pub const CONTROLS: &[&str] = &["paper", "nosup", "netshed"];
 
 /// One cell of the campaign grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -230,9 +227,8 @@ pub fn sanity_corpus() -> Vec<CellSpec> {
         }
     }
     // Alternative controllers: bare CTRL (invariants relax bounded
-    // delay there), the supervised network shedder, and both
-    // self-tuning flavours.
-    for control in ["nosup", "netshed", "adaptive", "comparator"] {
+    // delay there) and the supervised network shedder.
+    for control in ["nosup", "netshed"] {
         for fault in ["clean", "stale_q"] {
             cells.push(CellSpec {
                 workload: WorkloadKind::Poisson,
@@ -767,20 +763,13 @@ fn simulate_shard(spec: &CellSpec, seed: u64, sabotage: bool) -> ShardRun {
     // regression drill): silently run the *bare* loop where the cell
     // says paper tuning — the bounded-delay invariant must catch it.
     let supervised = spec.supervised() && !(sabotage && spec.control == "paper");
-    let mut hook: Box<dyn InstrumentedHook> = match (supervised, spec.control) {
-        (true, "adaptive") => Box::new(FaultyHook::new(
-            Supervisor::from_loop(AdaptiveCtrlStrategy::from_config(&loop_cfg), &loop_cfg),
-            plan,
-        )),
-        (true, "comparator") => Box::new(FaultyHook::new(
-            Supervisor::from_loop(ComparatorStrategy::from_config(&loop_cfg), &loop_cfg),
-            plan,
-        )),
-        (true, _) => Box::new(FaultyHook::new(
+    let mut hook: Box<dyn InstrumentedHook> = if supervised {
+        Box::new(FaultyHook::new(
             Supervisor::from_loop(CtrlStrategy::from_config(&loop_cfg), &loop_cfg),
             plan,
-        )),
-        (false, _) => Box::new(FaultyHook::new(CtrlStrategy::from_config(&loop_cfg), plan)),
+        ))
+    } else {
+        Box::new(FaultyHook::new(CtrlStrategy::from_config(&loop_cfg), plan))
     };
     let report = sim.run(&arrivals, hook.as_mut(), secs(DURATION_S));
     ShardRun { report, traces: recorder.snapshot(), spans: spans.snapshot() }

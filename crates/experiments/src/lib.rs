@@ -36,17 +36,12 @@
 //! [`campaign`] is the deterministic scenario-campaign harness: seeded
 //! grid sweeps over workload × fault × topology × shards × controller
 //! with an invariant library and sanity/stress CI lanes
-//! (`reproduce campaign --lane sanity`). [`adaptive`] is the
-//! self-tuning control experiment: the fixed paper tuning against the
-//! gain-scheduled and model-free self-tuners under a doubling cost
-//! staircase, classified by the diagnostics plane
-//! (`reproduce adaptive`).
+//! (`reproduce campaign --lane sanity`).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod ablations;
-pub mod adaptive;
 pub mod campaign;
 pub mod faults;
 pub mod fig05;

@@ -2,7 +2,6 @@
 //! identification network, a cost schedule, and one of the three shedding
 //! strategies into a simulation run.
 
-use streamshed_control::adaptive::{AdaptiveCtrlStrategy, ComparatorStrategy};
 use streamshed_control::loop_::LoopConfig;
 use streamshed_control::strategy::{
     AuroraStrategy, BaselineStrategy, CtrlStrategy, SheddingStrategy,
@@ -12,9 +11,7 @@ use streamshed_engine::hook::{ControlHook, Decision, NoShedding, PeriodSnapshot}
 use streamshed_engine::metrics::RunReport;
 use streamshed_engine::networks::identification_network;
 use streamshed_engine::sim::{SimConfig, Simulator};
-use streamshed_engine::telemetry::{
-    AdaptState, ControlState, ControlTrace, InstrumentedHook, SharedRecorder,
-};
+use streamshed_engine::telemetry::{ControlState, ControlTrace, InstrumentedHook, SharedRecorder};
 use streamshed_engine::time::{secs, SimTime};
 use streamshed_workload::{to_micros, CostTrace};
 
@@ -30,15 +27,6 @@ pub enum StrategyKind {
     Aurora,
     /// Aurora with an explicitly retuned `L0` headroom (Fig. 16).
     AuroraWithHeadroom(f64),
-    /// The paper tuning with the loop gain frozen at the design-time
-    /// cost (the loop config's prior): the "fixed tuning" arm the
-    /// self-tuning experiments destabilise with cost growth.
-    CtrlFrozenGain,
-    /// The gain-scheduled self-tuning CTRL variant (online cost
-    /// re-identification + bumpless pole-placement re-derivation).
-    Adaptive,
-    /// The model-free comparator (hill-climb over pole-placement arms).
-    Comparator,
     /// No shedding at all (identification runs).
     NoShedding,
 }
@@ -50,9 +38,6 @@ impl StrategyKind {
             StrategyKind::Ctrl => "CTRL",
             StrategyKind::Baseline => "BASELINE",
             StrategyKind::Aurora | StrategyKind::AuroraWithHeadroom(_) => "AURORA",
-            StrategyKind::CtrlFrozenGain => "CTRL-FIXED",
-            StrategyKind::Adaptive => "CTRL-ADAPTIVE",
-            StrategyKind::Comparator => "CTRL-COMPARATOR",
             StrategyKind::NoShedding => "NONE",
         }
     }
@@ -152,10 +137,6 @@ impl InstrumentedHook for ScheduledHook {
     fn control_state(&self) -> Option<ControlState> {
         self.strategy.control_state()
     }
-
-    fn adapt_state(&self) -> Option<AdaptState> {
-        self.strategy.adapt_state()
-    }
 }
 
 /// Runs one strategy over one arrival trace on the calibrated
@@ -198,11 +179,6 @@ pub fn run_with_strategy(
         StrategyKind::AuroraWithHeadroom(h) => {
             Box::new(AuroraStrategy::new(h, loop_cfg.prior_cost_us))
         }
-        StrategyKind::CtrlFrozenGain => Box::new(
-            CtrlStrategy::from_config(loop_cfg).with_frozen_gain_at(loop_cfg.prior_cost_us),
-        ),
-        StrategyKind::Adaptive => Box::new(AdaptiveCtrlStrategy::from_config(loop_cfg)),
-        StrategyKind::Comparator => Box::new(ComparatorStrategy::from_config(loop_cfg)),
         StrategyKind::NoShedding => Box::new(NoShedding),
     };
     let mut hook = ScheduledHook {
@@ -267,34 +243,6 @@ mod tests {
         let early: f64 = out.traces[12..18].iter().map(|t| t.y_hat_s).sum::<f64>() / 6.0;
         let late: f64 = out.traces[34..40].iter().map(|t| t.y_hat_s).sum::<f64>() / 6.0;
         assert!(late > early + 1.0, "early {early}, late {late}");
-    }
-
-    #[test]
-    fn adaptive_kinds_run_and_trace_adapt_state() {
-        let times = StepTrace::constant(300.0).arrival_times(30.0);
-        for kind in [StrategyKind::Adaptive, StrategyKind::Comparator] {
-            let out = run_with_strategy(
-                kind,
-                &times,
-                &LoopConfig::paper_default(),
-                30,
-                None,
-                None,
-                1,
-            );
-            assert_eq!(out.traces.len(), 30, "{}", out.name);
-            assert!(out.metrics.loss_ratio > 0.1, "{}", out.name);
-            // The self-tuning state must reach the telemetry plane.
-            let last = out.traces.last().unwrap();
-            assert!(
-                last.adapt_cost_us.is_finite(),
-                "{}: adapt cost missing from traces",
-                out.name
-            );
-            if kind == StrategyKind::Comparator {
-                assert!(last.adapt_arm >= 0, "comparator arm missing");
-            }
-        }
     }
 
     #[test]

@@ -194,7 +194,7 @@ mod tests {
     /// report carries the campaign's counters and the digests agree.
     #[test]
     fn trace_replays_its_campaign_cell_bit_for_bit() {
-        let key = "mmpp+cost_collapse+monitoring+2shard+comparator";
+        let key = "mmpp+cost_collapse+monitoring+2shard+netshed";
         let tr = run(key, 7);
         let stats = campaign::run_cell(&campaign::cell(key).unwrap(), 7, false);
         assert_eq!(tr.shards.len(), 2);

@@ -25,8 +25,6 @@ const PINNED: &[(&str, u64)] = &[
     ("poisson+sensor_dropout+chain8+1shard+paper", 0x09de_744d_62a4_0371),
     ("poisson+clean+ident+1shard+nosup", 0xc589_4829_38e7_3a16),
     ("poisson+stale_q+ident+1shard+netshed", 0x23cf_6c41_c44b_f94f),
-    ("poisson+clean+ident+1shard+adaptive", 0x1340_4162_3ad7_b083),
-    ("poisson+clean+ident+1shard+comparator", 0xbd88_ea12_70a7_8f58),
 ];
 
 /// FNV-1a of Fig. 12's summary, `name=<value bits>;` per entry.

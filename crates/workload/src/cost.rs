@@ -103,45 +103,6 @@ impl CostTrace {
         }
     }
 
-    /// A deterministic doubling staircase for the self-tuning
-    /// experiments: the per-tuple cost steps *instantly* to ×2, ×4 and
-    /// ×8 of `base_ms` at `step_s`, `2·step_s` and `3·step_s`, and the
-    /// final level holds for the rest of the run. Noise is disabled
-    /// (factor exactly 1.0), so the plant-gain shift is the only
-    /// disturbance — the sharpest test of re-identification, since each
-    /// doubling halves the true plant gain that the fixed paper tuning
-    /// was derived for.
-    pub fn doubling_staircase(base_ms: f64, step_s: f64) -> Self {
-        assert!(base_ms > 0.0 && step_s > 0.0);
-        let steps = [2.0, 4.0, 8.0];
-        let circumstances = steps
-            .iter()
-            .enumerate()
-            .map(|(i, &mult)| {
-                let from_s = step_s * (i as f64 + 1.0);
-                let to_s = if i + 1 == steps.len() {
-                    f64::INFINITY
-                } else {
-                    step_s * (i as f64 + 2.0)
-                };
-                Circumstance::Terrace {
-                    // ramp_from_s == from_s: an empty ramp, i.e. a step.
-                    ramp_from_s: from_s,
-                    from_s,
-                    to_s,
-                    level_ms: base_ms * mult,
-                }
-            })
-            .collect();
-        Self {
-            base_ms,
-            noise_shape: f64::INFINITY,
-            noise_cap: 1.0,
-            circumstances,
-            seed: 0,
-        }
-    }
-
     fn circumstance_ms(&self, t: f64) -> f64 {
         let mut extra = 0.0f64;
         for c in &self.circumstances {
@@ -275,27 +236,6 @@ mod tests {
         let a = CostTrace::paper_fig14(4.5, 3).points_ms(100.0);
         let b = CostTrace::paper_fig14(4.5, 3).points_ms(100.0);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn doubling_staircase_steps_exactly() {
-        let trace = CostTrace::doubling_staircase(5.0, 60.0);
-        let pts = trace.points_ms(300.0);
-        let at = |s: usize| pts[s].1;
-        // Exact levels — no noise, instant steps, last level held.
-        assert_eq!(at(0), 5.0);
-        assert_eq!(at(59), 5.0);
-        assert_eq!(at(60), 10.0);
-        assert_eq!(at(119), 10.0);
-        assert_eq!(at(120), 20.0);
-        assert_eq!(at(180), 40.0);
-        assert_eq!(at(299), 40.0);
-        // Multipliers normalise to exact powers of two.
-        let mult = trace.multiplier_points(300.0);
-        assert_eq!(mult[0].1, 1.0);
-        assert_eq!(mult[200].1, 8.0);
-        // Deterministic regardless of seed field (no noise drawn).
-        assert_eq!(pts, CostTrace::doubling_staircase(5.0, 60.0).points_ms(300.0));
     }
 
     #[test]

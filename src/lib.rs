@@ -64,7 +64,6 @@ pub use streamshed_workload as workload;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use streamshed_control::{
-        adaptive::{AdaptiveCtrlStrategy, RlsEstimator},
         controller::{ControllerParams, FeedbackController},
         estimator::{CostEstimator, DelayEstimator},
         loop_::{LoopConfig, ShedMode},
