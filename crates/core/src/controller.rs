@@ -108,18 +108,16 @@ impl FeedbackController {
     ///
     /// // (z − 0.7)² = z² − 1.4z + 0.49, b0 = 0.4
     /// let derived = ControllerParams::for_double_pole(0.7);
-    /// let paper = FeedbackController::paper().params();
+    /// let paper = ControllerParams::PAPER;
+    /// // `paper()` runs exactly these parameters.
+    /// let (mut a, mut b) = (FeedbackController::paper(), FeedbackController::new(paper));
+    /// assert_eq!(a.compute(0.5, 0.005, 1.0, 0.97), b.compute(0.5, 0.005, 1.0, 0.97));
     /// assert!((derived.b0 - paper.b0).abs() < 1e-12 && (paper.b0 - 0.4).abs() < 1e-12);
     /// assert!((derived.b1 - paper.b1).abs() < 1e-12 && (paper.b1 + 0.31).abs() < 1e-12);
     /// assert!((derived.a - paper.a).abs() < 1e-12 && (paper.a + 0.8).abs() < 1e-12);
     /// ```
     pub fn paper() -> Self {
         Self::new(ControllerParams::PAPER)
-    }
-
-    /// The parameters in use.
-    pub fn params(&self) -> ControllerParams {
-        self.params
     }
 
     /// Computes the raw control output `u(k)` in tuples/second.
@@ -143,14 +141,6 @@ impl FeedbackController {
     pub fn commit(&mut self, error_s: f64, applied_u: f64) {
         self.e_prev = error_s;
         self.u_prev = applied_u;
-    }
-
-    /// Resets the dynamic state (e.g. after a set-point change if desired;
-    /// the paper's controller keeps state across set-point changes and so
-    /// does the default loop).
-    pub fn reset(&mut self) {
-        self.e_prev = 0.0;
-        self.u_prev = 0.0;
     }
 }
 
@@ -325,15 +315,5 @@ mod tests {
             let y = run_ideal_loop(&mut ctrl, &mut 0.0, 2.0, |_| C, 60)[59];
             assert!((y - 2.0).abs() < 0.2, "pole {pole}: settled {y}");
         }
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut ctrl = FeedbackController::paper();
-        let u = ctrl.compute(1.0, C, T, H);
-        ctrl.commit(1.0, u);
-        ctrl.reset();
-        let u_after = ctrl.compute(1.0, C, T, H);
-        assert_eq!(u, u_after);
     }
 }

@@ -16,8 +16,8 @@
 //!   `AURORA` (§5);
 //! * [`loop_`] — the loop configuration every strategy shares;
 //! * [`supervisor`] — the safety layer around a strategy: signal
-//!   validation, hold on dropout, divergence watchdog and the open-loop
-//!   fallback.
+//!   validation, hold on dropout, and the open-loop fallback it enters on
+//!   the loop's `Diverging` health verdict.
 //!
 //! ```
 //! use streamshed_control::loop_::LoopConfig;

@@ -2,13 +2,16 @@
 //!
 //! Re-engagement after the fallback restarts the inner strategy from its
 //! pristine copy, and the first engaged decision is rate-limited from the
-//! fallback's last shed factor.
+//! fallback's last shed factor. The loop runs as the simulator runs it:
+//! each period through `control_step`, judged by the loop's classifier.
 
+use std::time::Duration;
 use streamshed_control::loop_::LoopConfig;
 use streamshed_control::strategy::CtrlStrategy;
 use streamshed_control::supervisor::Supervisor;
+use streamshed_engine::diagnostics::{ControllerHealth, DiagnosticsConfig};
 use streamshed_engine::hook::{ControlHook, PeriodSnapshot};
-use streamshed_engine::telemetry::{InstrumentedHook, LoopMode};
+use streamshed_engine::telemetry::{control_step, InstrumentedHook, LoopMode};
 use streamshed_engine::time::{secs, SimTime};
 
 fn snap(k: u64, outstanding: u64, cost_us: Option<f64>, delay_ms: Option<f64>) -> PeriodSnapshot {
@@ -34,11 +37,16 @@ fn snap(k: u64, outstanding: u64, cost_us: Option<f64>, delay_ms: Option<f64>) -
 fn reengagement_restarts_the_inner_strategy_from_pristine() {
     let cfg = LoopConfig::paper_default();
     let mut sup = Supervisor::from_loop(CtrlStrategy::from_config(&cfg), &cfg);
+    let target = Duration::from_micros(cfg.target_delay().as_micros());
+    let mut health = ControllerHealth::new(DiagnosticsConfig::for_simulation(target));
+    let mut step = |sup: &mut Supervisor<CtrlStrategy>, s: &PeriodSnapshot| {
+        control_step(sup, s, &mut health).0.entry_drop_prob
+    };
     // Twenty engaged periods on a deep queue and a doubled cost leave
     // the controller with history and the cost tracker far from its
     // prior.
     for k in 0..20 {
-        let _ = sup.on_period(&snap(k, 2000, Some(10_210.0), Some(1500.0)));
+        let _ = step(&mut sup, &snap(k, 2000, Some(10_210.0), Some(1500.0)));
     }
     assert_eq!(sup.control_state().unwrap().mode, LoopMode::Engaged);
 
@@ -46,11 +54,11 @@ fn reengagement_restarts_the_inner_strategy_from_pristine() {
     let healthy = |k| snap(k, 300, Some(10_210.0), Some(1500.0));
     let mut alpha = 0.0;
     for k in 20..26 {
-        alpha = sup.on_period(&snap(k, 300, None, None)).entry_drop_prob;
+        alpha = step(&mut sup, &snap(k, 300, None, None));
     }
     assert_eq!(sup.control_state().unwrap().mode, LoopMode::Fallback);
-    for k in 26..35 {
-        alpha = sup.on_period(&healthy(k)).entry_drop_prob;
+    for k in 26..36 {
+        alpha = step(&mut sup, &healthy(k));
         assert_eq!(
             sup.control_state().unwrap().mode,
             LoopMode::Fallback,
@@ -58,11 +66,11 @@ fn reengagement_restarts_the_inner_strategy_from_pristine() {
         );
     }
 
-    // The tenth healthy period re-engages; its decision already comes
-    // from a strategy rebuilt from the pristine copy, rate-limited from
-    // the fallback's last shed factor.
-    let s = healthy(35);
-    let got = sup.on_period(&s).entry_drop_prob;
+    // The period after the tenth Healthy verdict re-engages; its decision
+    // already comes from a strategy rebuilt from the pristine copy,
+    // rate-limited from the fallback's last shed factor.
+    let s = healthy(36);
+    let got = step(&mut sup, &s);
     let mut fresh = CtrlStrategy::from_config(&cfg);
     let want = fresh.on_period(&s).entry_drop_prob;
     let expect = alpha + (want - alpha).clamp(-0.1, 0.1);

@@ -22,14 +22,6 @@ impl CostSchedule {
         Self { points: Vec::new() }
     }
 
-    /// A constant multiplier of `m`.
-    pub fn constant_multiplier(m: f64) -> Self {
-        assert!(m > 0.0 && m.is_finite());
-        Self {
-            points: vec![(SimTime::ZERO, m)],
-        }
-    }
-
     /// Builds a schedule from `(time, multiplier)` breakpoints. Points are
     /// sorted by time; multipliers must be positive and finite.
     pub fn from_points(mut points: Vec<(SimTime, f64)>) -> Self {

@@ -2,11 +2,13 @@
 //!
 //! The paper's pole placement at `(z − 0.7)²` is a *trajectory* promise:
 //! the closed loop settles in ~3 control periods with damping 1 (no
-//! overshoot). PR 2 made those properties checkable offline from
-//! exported traces; this module checks them **online**, one period at a
-//! time, at the same [`ControlTrace`] seam — so an oscillating or
-//! saturated controller is visible the period it happens, not in a
-//! post-mortem.
+//! overshoot). This module checks it **online**, one period at a time,
+//! at the [`ControlTrace`] seam — so an oscillating, saturated or blind
+//! controller is visible the period it happens, not in a post-mortem.
+//!
+//! Each loop owns exactly one [`ControllerHealth`], fed by
+//! [`control_step`](crate::telemetry::control_step), whose verdict is
+//! the trace's `health` column and what the supervisor acts on.
 //!
 //! [`ControllerHealth::observe`] consumes each period's trace and
 //! maintains:
@@ -25,6 +27,10 @@
 //!   signal crossing the flip threshold classifies the loop
 //!   `Oscillating` — a bang-bang actuation pattern is flagged even while
 //!   the delay signal itself is still slewing.
+//! * **Blindness** — the departures' measured delay beyond the band
+//!   around the target and every `ŷ` made while they queued: the loop
+//!   regulates an estimate the measurement contradicts (a frozen queue
+//!   sensor), so it is `Diverging` without a grace budget.
 //! * **Actuator-saturation tracking** — periods with `α` pinned at 0 or
 //!   1 while the delay violates its band. A pinned actuator during a
 //!   violation means the controller's command is not moving the plant:
@@ -49,7 +55,8 @@
 //! ([`flight`](crate::flight)) snapshots.
 //!
 //! [`SharedDiagnostics`] is the cloneable, thread-safe handle the
-//! observability plane ([`ObsPlane`](crate::obs::ObsPlane)) feeds.
+//! sharded engine's controller feeds and its observability plane
+//! ([`ObsPlane`](crate::obs::ObsPlane)) reads.
 
 use crate::telemetry::{
     write_json_object, Cell, ControlTrace, LoopMode, MetricKind, PromText, Ring,
@@ -72,8 +79,8 @@ pub enum HealthState {
     /// `α` pinned at 0/1 while the delay violates its band — the
     /// commanded actuation is not moving the plant.
     Saturated,
-    /// The delay has stayed outside the band beyond the grace budget:
-    /// the loop is not converging.
+    /// The delay has stayed outside the band beyond the grace budget,
+    /// or the loop is blind: it is not converging.
     Diverging,
 }
 
@@ -151,10 +158,13 @@ const BURN_SLOW_WINDOW: usize = 60;
 /// Burn-rate fraction at which the fast/slow pair escalates the loop to
 /// `Diverging`.
 const BURN_DIVERGE_FRAC: f64 = 0.9;
+/// Consecutive blind periods that classify the loop `Diverging` (two, so
+/// one stray period never decides alone).
+const BLIND_PERIODS: u64 = 2;
 
-/// Tuning of the diagnostics engine. Defaults encode the paper's design
-/// targets (3-period settling, zero overshoot) with bands sized for
-/// wall-clock noise.
+/// Tuning of the diagnostics engine: [`Self::for_target`] in the sharded
+/// engine, [`Self::for_simulation`] in the simulator (CONTROL.md, "Loop
+/// health", says why there are two).
 #[derive(Debug, Clone)]
 pub struct DiagnosticsConfig {
     /// The delay target `y_d`, seconds.
@@ -181,9 +191,10 @@ pub struct DiagnosticsConfig {
 }
 
 impl DiagnosticsConfig {
-    /// Defaults for a delay target: 3-period settle target, 30% error
-    /// band, 16-period oscillation window, 3-flip threshold, 12-period
-    /// grace.
+    /// The wall-clock engine's tuning: the paper's design targets
+    /// (3-period settling, zero overshoot) with a 30% error band,
+    /// 3 flips in the 16-period oscillation window, a 3-period pin and a
+    /// 12-period grace — a broken loop is flagged within 5 periods.
     pub fn for_target(target_delay: Duration) -> Self {
         Self {
             target_delay_s: target_delay.as_secs_f64(),
@@ -196,16 +207,15 @@ impl DiagnosticsConfig {
         }
     }
 
-    /// The detuned thresholds for classifying a recorded run after the
-    /// fact (the campaign): a well-regulated
-    /// stochastic loop crosses its target every few periods, moves `α`
-    /// with every burst and can sit above a tight band for tens of
-    /// periods while it tracks a cost ramp, all with a bounded tail. These
-    /// gates only trip on what a broken loop produces: 6+ large flips in
-    /// the window (|e| > 0.6·target on both sides, `α` reversals ≥ 0.6),
-    /// a 24-period out-of-band streak (band 75 %), or a 10-period
-    /// full-shed pin.
-    pub fn post_hoc(target_delay: Duration) -> Self {
+    /// The simulator's tuning, detuned for the campaign's loops: a
+    /// well-regulated stochastic loop at 1.6× overload crosses its target
+    /// every few periods, moves `α` with every burst and can sit above a
+    /// tight band for tens of periods while it tracks a cost ramp, all
+    /// with a bounded tail. These gates only trip on what a broken loop
+    /// produces: 6+ large flips in the window (|e| > 0.6·target on both
+    /// sides, `α` reversals ≥ 0.6), a 24-period out-of-band streak (band
+    /// 75 %), or a 10-period full-shed pin.
+    pub fn for_simulation(target_delay: Duration) -> Self {
         Self {
             error_band_frac: 0.75,
             osc_min_flips: 6,
@@ -255,6 +265,8 @@ pub struct DiagnosticsSnapshot {
     pub alpha: f64,
     /// Consecutive periods with the delay outside the band.
     pub violation_streak: u64,
+    /// Consecutive blind periods.
+    pub blind_streak: u64,
     /// Consecutive periods with `α` pinned while violating.
     pub pinned_streak: u64,
     /// Sign flips (error or actuation) in the current window.
@@ -362,6 +374,7 @@ impl DiagnosticsSnapshot {
                 ("error_s", F(self.error_s)),
                 ("alpha", F(self.alpha)),
                 ("violation_streak", U(self.violation_streak)),
+                ("blind_streak", U(self.blind_streak)),
                 ("pinned_streak", U(self.pinned_streak)),
                 ("flips_in_window", U(self.flips_in_window.into())),
                 ("flip_rate", F(self.flip_rate)),
@@ -558,6 +571,8 @@ pub struct ControllerHealth {
     // Oscillation window (chronological via cursor arithmetic).
     err_win: [f64; OSC_WINDOW],
     alpha_win: [f64; OSC_WINDOW],
+    /// The estimates ŷ, for the blindness test.
+    y_hat_win: [f64; OSC_WINDOW],
     win_len: usize,
     win_next: usize,
     /// Above-target flags of the most recent periods, newest in bit 0;
@@ -593,6 +608,7 @@ impl ControllerHealth {
             report,
             err_win: [f64::NAN; OSC_WINDOW],
             alpha_win: [0.0; OSC_WINDOW],
+            y_hat_win: [f64::NAN; OSC_WINDOW],
             win_len: 0,
             win_next: 0,
             burn: 0,
@@ -608,38 +624,20 @@ impl ControllerHealth {
         self.report.state
     }
 
-    /// Consumes one period's trace; returns `Some((from, to))` when the
-    /// classification changed.
-    pub fn observe(&mut self, trace: &ControlTrace) -> Option<(HealthState, HealthState)> {
+    /// Consumes one period's trace; returns the period's verdict.
+    pub fn observe(&mut self, trace: &ControlTrace) -> HealthState {
         let t = self.cfg.target_delay_s;
         let band = t * (1.0 + self.cfg.error_band_frac);
 
         // The delay signal: prefer the controller's own estimate ŷ(k)
         // (what the loop regulates), fall back to the measured mean
         // delay. The error likewise prefers the reported e(k).
-        let y = if trace.y_hat_s.is_finite() {
-            trace.y_hat_s
-        } else if trace.mean_delay_ms.is_finite() {
-            trace.mean_delay_ms / 1e3
-        } else {
-            f64::NAN
-        };
-        let e = if trace.error_s.is_finite() {
-            trace.error_s
-        } else if y.is_finite() {
-            t - y
-        } else {
-            f64::NAN
-        };
-        // Out-of-band: delay above the band. (e = y_d − y, so e < −band·y_d
-        // is the same condition when only the error is reported.)
-        let viol = if y.is_finite() {
-            y > band
-        } else if e.is_finite() {
-            e < t - band
-        } else {
-            false
-        };
+        let measured = trace.mean_delay_ms / 1e3;
+        let y = if trace.y_hat_s.is_finite() { trace.y_hat_s } else { measured };
+        let e = if trace.error_s.is_finite() { trace.error_s } else { t - y };
+        // Out-of-band: delay above the band (never when neither signal
+        // exists).
+        let viol = y > band;
         let alpha = trace.alpha;
 
         let r = &mut self.report;
@@ -709,9 +707,23 @@ impl ControllerHealth {
         }
         self.err_win[self.win_next] = e;
         self.alpha_win[self.win_next] = alpha;
+        self.y_hat_win[self.win_next] = trace.y_hat_s;
         self.win_next = (self.win_next + 1) % OSC_WINDOW;
         let flips = self.count_flips();
         self.report.flips_in_window = flips;
+
+        // --- Blindness ---------------------------------------------------
+        // This period's departures queued for about ⌈measured / T⌉
+        // periods; blind when their delay lies beyond the band around the
+        // target and every ŷ reported meanwhile.
+        let queued = ((measured / trace.period_s).ceil() as usize).saturating_add(1);
+        let believed = (0..queued.min(self.win_len))
+            .map(|i| self.y_hat_win[(self.win_next + OSC_WINDOW - 1 - i) % OSC_WINDOW])
+            .fold(t, f64::max);
+        let blind = trace.y_hat_s.is_finite()
+            && measured > believed * (1.0 + self.cfg.error_band_frac);
+        let streak = &mut self.report.blind_streak;
+        *streak = if blind { *streak + 1 } else { 0 };
 
         // --- Classification --------------------------------------------
         // Burn evidence escalates only once the slow window is full:
@@ -722,7 +734,10 @@ impl ControllerHealth {
             && self.burn_rate(BURN_FAST_WINDOW) >= BURN_DIVERGE_FRAC
             && self.burn_rate(BURN_SLOW_WINDOW) >= BURN_DIVERGE_FRAC;
         let r = &mut self.report;
-        let new_state = if r.violation_streak > self.cfg.grace_periods || burn_alarm {
+        let new_state = if r.violation_streak > self.cfg.grace_periods
+            || r.blind_streak >= BLIND_PERIODS
+            || burn_alarm
+        {
             HealthState::Diverging
         } else if r.pinned_streak >= self.cfg.saturation_periods {
             HealthState::Saturated
@@ -735,21 +750,20 @@ impl ControllerHealth {
         };
         r.periods_in_state[new_state.ordinal() as usize] += 1;
 
-        if new_state == r.state {
-            return None;
+        if new_state != r.state {
+            let from = std::mem::replace(&mut r.state, new_state);
+            r.transitions += 1;
+            if new_state.is_anomalous() {
+                r.anomalies += 1;
+                r.first_anomaly_k.get_or_insert(trace.k);
+            }
+            self.events.push(DiagEvent {
+                k: trace.k,
+                from,
+                to: new_state,
+            });
         }
-        let from = std::mem::replace(&mut r.state, new_state);
-        r.transitions += 1;
-        if new_state.is_anomalous() {
-            r.anomalies += 1;
-            r.first_anomaly_k.get_or_insert(trace.k);
-        }
-        self.events.push(DiagEvent {
-            k: trace.k,
-            from,
-            to: new_state,
-        });
-        Some((from, new_state))
+        new_state
     }
 
     /// Fraction of the most recent `window` periods (all of them while
@@ -831,25 +845,15 @@ impl ControllerHealth {
 pub struct SharedDiagnostics(Arc<Mutex<ControllerHealth>>);
 
 impl SharedDiagnostics {
-    /// Creates a shared diagnostics engine.
-    pub fn new(cfg: DiagnosticsConfig) -> Self {
-        Self(Arc::new(Mutex::new(ControllerHealth::new(cfg))))
+    /// Shares `health`.
+    pub fn new(health: ControllerHealth) -> Self {
+        Self(Arc::new(Mutex::new(health)))
     }
 
-    /// The estimators are plain numbers, valid after any interrupted
-    /// update.
-    fn lock(&self) -> MutexGuard<'_, ControllerHealth> {
+    /// The engine itself, for the loop that feeds it. The estimators are
+    /// plain numbers, valid after any interrupted update.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, ControllerHealth> {
         crate::lock_unpoisoned(&self.0)
-    }
-
-    /// Consumes one period's trace; returns the transition, if any.
-    pub fn observe(&self, trace: &ControlTrace) -> Option<(HealthState, HealthState)> {
-        self.lock().observe(trace)
-    }
-
-    /// The current classification.
-    pub fn state(&self) -> HealthState {
-        self.lock().state()
     }
 
     /// A point-in-time copy of the verdict and every estimator.
@@ -981,6 +985,38 @@ mod tests {
     }
 
     #[test]
+    fn a_blind_loop_diverges_without_waiting_out_the_grace() {
+        // ŷ sits on target while the departures' measured delay climbs:
+        // the queue sensor is frozen. Blind from the period the
+        // measurement passes the band around every recent estimate.
+        let mut h = ControllerHealth::new(cfg());
+        let mut column = Vec::new();
+        for k in 0..8 {
+            let mut t = trace(k, TARGET, 0.1);
+            t.mean_delay_ms = 1000.0 * (1.0 + 0.5 * k as f64);
+            column.push(h.observe(&t));
+        }
+        // 2.6 s (the 30 % band) is passed at k = 4 (3.0 s); the second
+        // blind period decides.
+        let first = column.iter().position(|s| *s == HealthState::Diverging);
+        assert_eq!(first, Some(5), "{column:?}");
+        assert_eq!(h.snapshot().blind_streak, 4);
+        assert_eq!(h.snapshot().violation_streak, 0, "ŷ itself stayed in band");
+
+        // The same measurement behind a burst the controller saw is not
+        // blind: its departures queued while ŷ was high.
+        let mut h = ControllerHealth::new(cfg());
+        for k in 0..8 {
+            let y_hat = if k < 4 { 3.0 * TARGET } else { TARGET };
+            let mut t = trace(k, y_hat, 0.5);
+            t.mean_delay_ms = 1000.0 * (1.0 + 0.5 * k as f64);
+            h.observe(&t);
+        }
+        assert_eq!(h.snapshot().blind_streak, 0);
+        assert_ne!(h.state(), HealthState::Diverging);
+    }
+
+    #[test]
     fn pinned_actuator_under_violation_is_saturated() {
         let mut h = ControllerHealth::new(cfg());
         h.observe(&trace(0, TARGET, 0.3));
@@ -1088,12 +1124,12 @@ mod tests {
 
     #[test]
     fn shared_handle_observes_through_clones() {
-        let diag = SharedDiagnostics::new(cfg());
+        let diag = SharedDiagnostics::new(ControllerHealth::new(cfg()));
         let writer = diag.clone();
         for k in 0..5 {
-            let _ = writer.observe(&trace(k, TARGET, 0.3));
+            writer.lock().observe(&trace(k, TARGET, 0.3));
         }
-        assert_eq!(diag.state(), HealthState::Healthy);
+        assert_eq!(diag.snapshot().state, HealthState::Healthy);
         assert_eq!(diag.snapshot().periods, 5);
     }
 }

@@ -26,6 +26,7 @@
 //! ([`inject_flash_flood`]). Everything is seeded and replayable.
 
 use crate::cost::CostSchedule;
+use crate::diagnostics::HealthState;
 use crate::hook::{ControlHook, Decision, PeriodSnapshot};
 use crate::telemetry::{
     ControlState, InstrumentedHook, FLAG_ACTUATOR_IGNORE, FLAG_ACTUATOR_PARTIAL, FLAG_COST_NAN,
@@ -239,12 +240,6 @@ impl<H: ControlHook> FaultyHook<H> {
         &self.log
     }
 
-    /// OR of the [`telemetry`](crate::telemetry) `FLAG_*` bits that
-    /// fired on the most recent period (0 when the period was clean).
-    pub fn last_fault_flags(&self) -> u16 {
-        self.last_flags
-    }
-
     /// The wrapped hook.
     pub fn inner(&self) -> &H {
         &self.inner
@@ -357,6 +352,11 @@ impl<H: InstrumentedHook> InstrumentedHook for FaultyHook<H> {
         let mut state = self.inner.control_state().unwrap_or_default();
         state.fault_flags |= self.last_flags;
         Some(state)
+    }
+
+    /// Forwarded unaltered: the verdict judges the engine's trace.
+    fn on_verdict(&mut self, verdict: HealthState) {
+        self.inner.on_verdict(verdict);
     }
 }
 
@@ -590,20 +590,17 @@ mod tests {
             .with(FaultWindow::new(FaultKind::StaleQueue, 1, 2))
             .with(FaultWindow::new(FaultKind::ActuatorPartial { applied: 0.5 }, 1, 2));
         let mut h = FaultyHook::new(Probe(Vec::new(), Decision::entry(0.4)), plan);
+        let flags = |h: &FaultyHook<Probe>| h.control_state().unwrap().fault_flags;
         let _ = h.on_period(&snap(0, 50, Some(5000.0)));
-        assert_eq!(h.last_fault_flags(), 0, "clean period");
+        assert_eq!(flags(&h), 0, "clean period");
         let _ = h.on_period(&snap(1, 50, Some(5000.0)));
-        assert_eq!(
-            h.last_fault_flags(),
-            FLAG_STALE_QUEUE | FLAG_ACTUATOR_PARTIAL
-        );
-        // The InstrumentedHook impl surfaces the same bits (the probe
-        // itself reports no state, so everything else defaults to NaN).
+        // The InstrumentedHook impl surfaces the bits (the probe itself
+        // reports no state, so everything else defaults to NaN).
         let state = h.control_state().expect("fault harness always reports");
         assert_eq!(state.fault_flags, FLAG_STALE_QUEUE | FLAG_ACTUATOR_PARTIAL);
         assert!(state.y_hat_s.is_nan());
         let _ = h.on_period(&snap(2, 50, Some(5000.0)));
-        assert_eq!(h.last_fault_flags(), 0, "flags reset after the window");
+        assert_eq!(flags(&h), 0, "flags reset after the window");
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Anomaly-triggered flight recorder.
 //!
-//! When the diagnostics state machine ([`diagnostics`](crate::diagnostics))
-//! transitions into an anomalous state (`Oscillating` / `Saturated` /
-//! `Diverging`), the observability plane snapshots the in-memory trace
-//! ring plus the full diagnostics state to a self-contained JSONL bundle
-//! on disk — every anomaly ships its own reproduction artifact.
+//! When a trace's `health` column — the verdict of the loop's classifier
+//! ([`diagnostics`](crate::diagnostics)) — enters an anomalous state
+//! (`Oscillating` / `Saturated` / `Diverging`), the observability plane
+//! snapshots the in-memory trace ring plus the loop's full diagnostics
+//! state to a self-contained JSONL bundle on disk — every anomaly ships
+//! its own reproduction artifact.
 //!
 //! Bundle format (one file per anomaly, `flight_<unix_ms>_k<k>_<state>.jsonl`):
 //!
@@ -74,23 +75,12 @@ impl FlightRecorder {
     }
 
     /// Records a transition into `state` at period `k`: writes one
-    /// bundle holding `snapshot` and `traces` unless debounced.
-    /// Returns the bundle path when one was written.
+    /// bundle holding `snapshot`, `traces` and, when given, the latency
+    /// truth plane's stage-timing profile (`"profile":{…}` in the header,
+    /// so a post-mortem shows *where* in the pipeline the anomaly's
+    /// latency lived), unless debounced. Returns the bundle path when one
+    /// was written.
     pub fn record_transition(
-        &mut self,
-        k: u64,
-        state: HealthState,
-        snapshot: &DiagnosticsSnapshot,
-        traces: &[ControlTrace],
-    ) -> Option<PathBuf> {
-        self.record_transition_profiled(k, state, snapshot, traces, None)
-    }
-
-    /// Like [`record_transition`](Self::record_transition), additionally
-    /// embedding the latency truth plane's stage-timing profile in the
-    /// bundle header (`"profile":{…}`), so a post-mortem shows *where*
-    /// in the pipeline the anomaly's latency lived.
-    pub fn record_transition_profiled(
         &mut self,
         k: u64,
         state: HealthState,
@@ -237,7 +227,7 @@ mod tests {
         let mut fr = FlightRecorder::new(&dir);
         let traces: Vec<_> = (0..5).map(trace).collect();
         let path = fr
-            .record_transition(42, HealthState::Saturated, &snapshot(), &traces)
+            .record_transition(42, HealthState::Saturated, &snapshot(), &traces, None)
             .expect("bundle written");
         assert!(path.exists());
         let body = fs::read_to_string(&path).unwrap();
@@ -262,16 +252,16 @@ mod tests {
         let mut fr = FlightRecorder::new(&dir);
         let traces = [trace(0)];
         assert!(fr
-            .record_transition(10, HealthState::Oscillating, &snapshot(), &traces)
+            .record_transition(10, HealthState::Oscillating, &snapshot(), &traces, None)
             .is_some());
         // Within the 20-period debounce window: skipped.
         assert!(fr
-            .record_transition(25, HealthState::Saturated, &snapshot(), &traces)
+            .record_transition(25, HealthState::Saturated, &snapshot(), &traces, None)
             .is_none());
         assert_eq!(fr.skipped_debounce(), 1);
         // Beyond it: recorded.
         assert!(fr
-            .record_transition(31, HealthState::Saturated, &snapshot(), &traces)
+            .record_transition(31, HealthState::Saturated, &snapshot(), &traces, None)
             .is_some());
         assert_eq!(fr.bundles_written(), 2);
         assert_eq!(list_bundles(&dir).len(), 2);
@@ -285,7 +275,7 @@ mod tests {
         let traces = [trace(0)];
         for k in 0..10 {
             assert!(fr
-                .record_transition(k * 100, HealthState::Diverging, &snapshot(), &traces)
+                .record_transition(k * 100, HealthState::Diverging, &snapshot(), &traces, None)
                 .is_some());
         }
         let mut left = list_bundles(&dir);
@@ -306,7 +296,7 @@ mod tests {
     #[test]
     fn unwritable_dir_records_error_not_panic() {
         let mut fr = FlightRecorder::new("/proc/definitely/not/writable/streamshed");
-        let out = fr.record_transition(5, HealthState::Diverging, &snapshot(), &[trace(0)]);
+        let out = fr.record_transition(5, HealthState::Diverging, &snapshot(), &[trace(0)], None);
         assert!(out.is_none());
         assert!(fr.last_error().is_some());
         assert_eq!(fr.bundles_written(), 0);

@@ -25,7 +25,9 @@
 //! engine in [`shard`] running the same loop against the wall clock (a
 //! single-worker pipeline is `shards: 1`).
 //! Both run each control period through one step,
-//! [`telemetry::control_step`], which emits one structured trace record.
+//! [`telemetry::control_step`], which emits one structured trace record
+//! carrying the loop's health verdict from its one
+//! [`diagnostics::ControllerHealth`].
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

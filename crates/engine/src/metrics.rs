@@ -58,17 +58,6 @@ pub struct NodeStat {
     pub cost_ewma_us: f64,
 }
 
-impl NodeStat {
-    /// Observed selectivity: emitted / processed (`NaN` if unused).
-    pub fn observed_selectivity(&self) -> f64 {
-        if self.processed == 0 {
-            f64::NAN
-        } else {
-            self.emitted as f64 / self.processed as f64
-        }
-    }
-}
-
 /// Complete results of a simulation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
@@ -139,15 +128,6 @@ impl RunReport {
     /// [`RunReport::conservation_residual`]).
     pub fn counters_balance(&self) -> bool {
         self.conservation_residual() == 0
-    }
-
-    /// The y(k) series (mean delay by arrival period, ms). Periods with no
-    /// samples carry `NaN`.
-    pub fn y_series_ms(&self) -> Vec<f64> {
-        self.periods
-            .iter()
-            .map(|p| p.arrival_mean_delay_ms)
-            .collect()
     }
 }
 

@@ -2,14 +2,15 @@
 //! the plane that feeds it.
 //!
 //! [`ObsPlane`] is an [`EventSink`] that fans each per-period
-//! [`ControlTrace`] into three consumers:
+//! [`ControlTrace`] into
 //!
-//! 1. a [`SharedRecorder`] trace ring (served by `/trace`),
-//! 2. a [`SharedDiagnostics`] controller-health engine (served by
-//!    `/health`, `/ready`, and the `streamshed_diag_*` metric families),
-//! 3. optionally a [`FlightRecorder`] — on a transition *into* an
-//!    anomalous state the plane snapshots the ring + diagnostics to a
-//!    JSONL bundle on disk.
+//! 1. a [`SharedRecorder`] trace ring (served by `/trace`), and
+//! 2. optionally a [`FlightRecorder`] — when the trace's `health` column
+//!    enters an anomalous state the plane snapshots the ring + the
+//!    loop's diagnostics to a JSONL bundle on disk.
+//!
+//! It classifies nothing: `/health` and the `streamshed_diag_*` families
+//! serve the loop's own [`SharedDiagnostics`], which the engine attaches.
 //!
 //! [`ObsServer`] is a deliberately small HTTP/1.0-style server on
 //! [`std::net::TcpListener`]: one supervised accept thread, connections
@@ -34,14 +35,14 @@
 //! behind an opt-in [`ObsOptions`] — see its `spawn_observed`
 //! constructor.
 
-use crate::diagnostics::{DiagnosticsConfig, DiagnosticsSnapshot, SharedDiagnostics};
+use crate::diagnostics::{DiagnosticsSnapshot, HealthState, SharedDiagnostics};
 use crate::flight::FlightRecorder;
 use crate::telemetry::{ControlTrace, EventSink, SharedRecorder};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::Duration;
 
@@ -62,10 +63,8 @@ const MAX_REQUEST_BYTES: usize = 8 * 1024;
 pub struct ObsOptions {
     /// Bind address of the HTTP endpoint (`127.0.0.1:0` picks a free
     /// loopback port: read the real one from [`ObsServer::addr`]); `None`
-    /// runs diagnostics + flight recording without a server.
+    /// runs the trace ring + flight recording without a server.
     pub http: Option<String>,
-    /// Controller-health diagnostics tuning.
-    pub diagnostics: DiagnosticsConfig,
     /// Capacity of the trace ring behind `/trace` and the flight
     /// recorder.
     pub trace_capacity: usize,
@@ -75,13 +74,11 @@ pub struct ObsOptions {
 }
 
 impl ObsOptions {
-    /// Defaults for a delay target: HTTP on loopback, diagnostics tuned
-    /// by [`DiagnosticsConfig::for_target`], a 1024-period ring, no
-    /// flight recorder.
-    pub fn for_target(target_delay: Duration) -> Self {
+    /// Defaults: HTTP on loopback, a 1024-period ring, no flight recorder
+    /// (the loop judges its health against its own target).
+    pub fn for_target(_target_delay: Duration) -> Self {
         Self {
             http: Some("127.0.0.1:0".to_string()),
-            diagnostics: DiagnosticsConfig::for_target(target_delay),
             trace_capacity: 1024,
             flight: None,
         }
@@ -109,7 +106,10 @@ impl ObsOptions {
 #[derive(Debug, Clone)]
 pub struct ObsPlane {
     recorder: SharedRecorder,
-    diagnostics: SharedDiagnostics,
+    /// The classifier of the loop this plane observes, once attached.
+    health: Arc<OnceLock<SharedDiagnostics>>,
+    /// The `health` column of the last trace this clone recorded.
+    last_health: HealthState,
     flight: Option<Arc<Mutex<FlightRecorder>>>,
     periods: Arc<AtomicU64>,
     spans: crate::spans::SpanRegistry,
@@ -121,7 +121,8 @@ impl ObsPlane {
     pub fn new(options: &ObsOptions) -> Self {
         Self {
             recorder: SharedRecorder::with_capacity(options.trace_capacity),
-            diagnostics: SharedDiagnostics::new(options.diagnostics.clone()),
+            health: Arc::new(OnceLock::new()),
+            last_health: HealthState::Healthy,
             flight: options
                 .flight
                 .clone()
@@ -129,6 +130,12 @@ impl ObsPlane {
             periods: Arc::new(AtomicU64::new(0)),
             spans: crate::spans::SpanRegistry::new(),
         }
+    }
+
+    /// Serves the classifier of the loop whose traces this plane records
+    /// (every clone sees it; a second call is ignored).
+    pub(crate) fn attach_health(&self, health: SharedDiagnostics) {
+        let _ = self.health.set(health);
     }
 
     /// The latency truth plane's span registry: engines register their
@@ -143,14 +150,10 @@ impl ObsPlane {
         &self.recorder
     }
 
-    /// The controller-health engine.
-    pub fn diagnostics(&self) -> &SharedDiagnostics {
-        &self.diagnostics
-    }
-
-    /// Current health verdict.
+    /// The loop's health verdict and estimators (all zero while no loop
+    /// is attached).
     pub fn health(&self) -> DiagnosticsSnapshot {
-        self.diagnostics.snapshot()
+        self.health.get().map(SharedDiagnostics::snapshot).unwrap_or_default()
     }
 
     /// Flight bundles written so far (0 when no recorder is attached).
@@ -166,35 +169,28 @@ impl ObsPlane {
         self.periods.load(Ordering::Relaxed)
     }
 
-    fn on_trace(&self, trace: &ControlTrace) {
-        let mut rec = self.recorder.clone();
-        rec.record(trace);
-        let transition = self.diagnostics.observe(trace);
-        self.periods.fetch_add(1, Ordering::Relaxed);
-        if let Some((_, to)) = transition {
-            if to.is_anomalous() {
-                if let Some(flight) = &self.flight {
-                    let snap = self.diagnostics.snapshot();
-                    let traces = self.recorder.snapshot();
-                    let profile = self.spans.snapshot();
-                    // The recorder's state is a few independent counters,
-                    // valid even if an earlier bundle write panicked.
-                    crate::lock_unpoisoned(flight).record_transition_profiled(
-                        trace.k,
-                        to,
-                        &snap,
-                        &traces,
-                        Some(&profile),
-                    );
-                }
-            }
-        }
-    }
 }
 
 impl EventSink for ObsPlane {
     fn record(&mut self, trace: &ControlTrace) {
-        self.on_trace(trace);
+        let mut rec = self.recorder.clone();
+        rec.record(trace);
+        self.periods.fetch_add(1, Ordering::Relaxed);
+        let entered = trace.health != std::mem::replace(&mut self.last_health, trace.health);
+        if let Some(flight) = self.flight.as_ref().filter(|_| entered && trace.health.is_anomalous()) {
+            let snap = self.health();
+            let traces = self.recorder.snapshot();
+            let profile = self.spans.snapshot();
+            // The recorder's state is a few independent counters, valid
+            // even if an earlier bundle write panicked.
+            crate::lock_unpoisoned(flight).record_transition(
+                trace.k,
+                trace.health,
+                &snap,
+                &traces,
+                Some(&profile),
+            );
+        }
     }
 }
 
@@ -501,7 +497,7 @@ impl ObsHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diagnostics::HealthState;
+    use crate::diagnostics::{ControllerHealth, DiagnosticsConfig};
     use crate::hook::{Decision, PeriodSnapshot};
     use crate::telemetry::PromText;
     use crate::time::{secs, SimTime};
@@ -535,6 +531,22 @@ mod tests {
         t
     }
 
+    /// Attaches a loop's classifier to `plane`, as the engine does, and
+    /// returns a sink that judges each trace with it before recording —
+    /// the engine's control step in small.
+    fn looped(plane: &ObsPlane) -> impl FnMut(ControlTrace) {
+        let health =
+            SharedDiagnostics::new(ControllerHealth::new(DiagnosticsConfig::for_target(
+                Duration::from_secs(2),
+            )));
+        plane.attach_health(health.clone());
+        let mut sink = plane.clone();
+        move |mut t| {
+            t.health = health.lock().observe(&t);
+            sink.record(&t);
+        }
+    }
+
     fn start_server(plane: &ObsPlane) -> ObsServer {
         let metrics_plane = plane.clone();
         let metrics: MetricsFn = Arc::new(move || {
@@ -558,9 +570,9 @@ mod tests {
         assert_eq!(status, 503);
         assert!(body.contains("\"ready\":false"), "{body}");
 
-        let mut sink = plane.clone();
+        let mut step = looped(&plane);
         for k in 0..10 {
-            sink.record(&trace(k, TARGET, 0.3));
+            step(trace(k, TARGET, 0.3));
         }
 
         let (status, body) = http_get(addr, "/ready", t).unwrap();
@@ -667,9 +679,9 @@ mod tests {
         let plane = ObsPlane::new(&options());
         let mut server = start_server(&plane);
         let addr = server.addr();
-        let mut sink = plane.clone();
+        let mut step = looped(&plane);
         for k in 0..20 {
-            sink.record(&trace(k, 3.0 * TARGET, 0.5));
+            step(trace(k, 3.0 * TARGET, 0.5));
         }
         let (status, body) = http_get(addr, "/health", Duration::from_secs(2)).unwrap();
         assert_eq!(status, 503);
@@ -716,10 +728,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("streamshed_obs_flight_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let plane = ObsPlane::new(&options().with_flight_dir(&dir));
-        let mut sink = plane.clone();
+        let mut step = looped(&plane);
         // Saturation scenario: pinned high while violating.
         for k in 0..6 {
-            sink.record(&trace(k, 2.0 * TARGET, 1.0));
+            step(trace(k, 2.0 * TARGET, 1.0));
         }
         assert_eq!(plane.health().state, HealthState::Saturated);
         assert_eq!(plane.flight_bundles_written(), 1);
@@ -732,7 +744,17 @@ mod tests {
         // when the pinned streak reaches 3): header + 3 traces.
         assert!(header.contains("\"traces\":3"), "{header}");
         assert_eq!(body.lines().count(), 4);
+        // The plane reads the column, not a classifier of its own: a
+        // recorded anomalous verdict writes a bundle even unattached.
+        let dir2 = dir.with_extension("column");
+        let mut sink = ObsPlane::new(&options().with_flight_dir(&dir2));
+        let mut t = trace(0, TARGET, 0.3);
+        t.health = HealthState::Oscillating;
+        sink.record(&t);
+        assert_eq!(sink.flight_bundles_written(), 1);
+        assert_eq!(sink.health().periods, 0, "no loop attached");
         let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir2);
     }
 
     #[test]

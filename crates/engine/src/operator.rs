@@ -125,13 +125,6 @@ impl Filter {
             t.value < threshold
         })
     }
-
-    /// Passes tuples whose key is congruent to `r (mod m)` — a
-    /// deterministic 1/m selectivity independent of values.
-    pub fn key_mod(m: u64, r: u64) -> Self {
-        assert!(m > 0);
-        Self::new(1.0 / m as f64, move |t: &Tuple| t.key % m == r)
-    }
 }
 
 impl OperatorLogic for Filter {
@@ -529,7 +522,8 @@ mod tests {
 
     #[test]
     fn filter_key_mod_selectivity() {
-        let mut f = Filter::key_mod(4, 1);
+        // Keys congruent to 1 (mod 4): a deterministic 1/4 selectivity.
+        let mut f = Filter::new(0.25, |t: &Tuple| t.key % 4 == 1);
         let passed: usize = (0..100)
             .map(|k| run(&mut f, 0, t(k, 0.0), SimTime::ZERO).len())
             .sum();

@@ -84,6 +84,7 @@
 //! ledger" — earlier revisions double-counted capacity rejections into
 //! `dropped_entry`.)
 
+use crate::diagnostics::{ControllerHealth, DiagnosticsConfig, SharedDiagnostics};
 use crate::hook::{PeriodLedger, PeriodSnapshot};
 use crate::obs::{MetricsFn, ObsHandle, ObsOptions, ObsPlane, ObsServer};
 use crate::ring::{Push, SpscRing};
@@ -465,10 +466,10 @@ impl ShardedEngine {
     /// Spawns the engine with the live observability plane attached: the
     /// per-period [`ControlTrace`](crate::telemetry::ControlTrace) stream
     /// (with per-shard queue lengths) feeds an [`ObsPlane`] — trace ring,
-    /// controller-health diagnostics, optional anomaly flight recorder —
-    /// and, when `options.http` is set, an HTTP server answers
-    /// `/metrics`, `/health`, `/ready` and `/trace` for this engine.
-    /// Fails only if the HTTP bind fails.
+    /// optional anomaly flight recorder — which also serves the
+    /// controller's own health classifier; when `options.http` is set, an
+    /// HTTP server answers `/metrics`, `/health`, `/ready` and `/trace`
+    /// for this engine. Fails only if the HTTP bind fails.
     pub fn spawn_observed<H>(
         cfg: ShardConfig,
         hook: H,
@@ -478,8 +479,7 @@ impl ShardedEngine {
         H: InstrumentedHook + Send + 'static,
     {
         let plane = ObsPlane::new(options);
-        let spans = plane.spans().clone();
-        let mut engine = Self::spawn_sink(cfg, hook, Some(plane.clone()), Some(&spans));
+        let mut engine = Self::spawn_sink(cfg, hook, Some(plane.clone()), Some(&plane));
         let server = match &options.http {
             Some(addr) => {
                 let metrics = metrics_fn(&engine, Some(plane.clone()));
@@ -510,11 +510,13 @@ impl ShardedEngine {
 
     /// The shared implementation: spawns workers plus the global
     /// controller, recording each period's trace into `sink` when given.
+    /// An observed engine's `plane` gets the workers' span slots and the
+    /// controller's health classifier.
     fn spawn_sink<H, S>(
         cfg: ShardConfig,
         mut hook: H,
         sink: Option<S>,
-        spans: Option<&crate::spans::SpanRegistry>,
+        plane: Option<&ObsPlane>,
     ) -> Self
     where
         H: InstrumentedHook + Send + 'static,
@@ -526,8 +528,16 @@ impl ShardedEngine {
         // Sampling marks are only closed by span-carrying workers, so a
         // plain (unobserved) engine disables them and pays nothing.
         let mut cfg = cfg;
-        if spans.is_none() {
+        if plane.is_none() {
             cfg.sample_every = 0;
+        }
+        let spans = plane.map(ObsPlane::spans);
+        // The loop's one classifier: the controller feeds it, the plane reads it.
+        let health = SharedDiagnostics::new(ControllerHealth::new(
+            DiagnosticsConfig::for_target(cfg.target_delay),
+        ));
+        if let Some(plane) = plane {
+            plane.attach_health(health.clone());
         }
         let global = Arc::new(Global::new(cfg.seed));
         let epoch = Instant::now();
@@ -627,7 +637,7 @@ impl ShardedEngine {
                         period_cost.measured.then_some(plant_cost_us),
                     );
 
-                    let (decision, trace) = control_step(&mut hook, &snapshot);
+                    let (decision, trace) = control_step(&mut hook, &snapshot, &mut health.lock());
                     global
                         .hook_ns_total
                         .fetch_add(trace.hook_ns, Ordering::Relaxed);

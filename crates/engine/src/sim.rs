@@ -11,12 +11,14 @@
 //!   query processing);
 //! * at every control-period boundary the [`InstrumentedHook`] is
 //!   consulted and its [`Decision`] applied (entry drop probability
-//!   and/or immediate in-network load shedding).
+//!   and/or immediate in-network load shedding), and the run's one
+//!   [`ControllerHealth`] judges the period.
 //!
 //! Virtual time makes the paper's 400-second experiments run in
 //! milliseconds and deterministically (seeded RNG).
 
 use crate::cost::CostSchedule;
+use crate::diagnostics::{ControllerHealth, DiagnosticsConfig};
 use crate::hook::{Decision, PeriodLedger, PeriodSnapshot};
 use crate::metrics::{MetricsAccumulator, PeriodRecord, RunReport};
 use crate::network::{NodeId, QueryNetwork};
@@ -33,7 +35,8 @@ use std::collections::VecDeque;
 pub struct SimConfig {
     /// Control period `T`.
     pub period: SimDuration,
-    /// Delay target `yd`, used for violation accounting in the report.
+    /// Delay target `yd`, used for violation accounting in the report and
+    /// by the run's health classifier.
     pub target_delay: SimDuration,
     /// Seed of the run's two random streams: the [`EngineRng`] (tuple
     /// payloads, shed-location selection) and the entry shedder's coins
@@ -417,6 +420,9 @@ impl Simulator {
         self.roots.reserve(arrival_times.len().min(1 << 16));
 
         let mut metrics = MetricsAccumulator::new(self.cfg.target_delay, period);
+        let mut health = ControllerHealth::new(DiagnosticsConfig::for_simulation(
+            std::time::Duration::from_micros(self.cfg.target_delay.as_micros()),
+        ));
         let mut decision = Decision::NONE;
         let mut next_arrival = 0usize;
         let mut next_boundary = SimTime::ZERO + period;
@@ -441,7 +447,7 @@ impl Simulator {
                     self.queued_load_us(),
                     (l.completed > 0).then(|| l.cpu_busy_us as f64 / l.completed as f64),
                 );
-                let (new_decision, trace) = control_step(hook, &snapshot);
+                let (new_decision, trace) = control_step(hook, &snapshot, &mut health);
                 if let Some(rec) = self.telemetry.as_mut() {
                     rec.record(&trace);
                 }
@@ -1036,9 +1042,8 @@ mod tests {
         // y(k) by arrival period should increase monotonically (roughly).
         // Use an early-middle period: later arrivals have not departed by
         // the end of the run (the backlog exceeds the remaining horizon).
-        let ys = report.y_series_ms();
-        let early: f64 = ys[1];
-        let late = ys[8];
+        let early = report.periods[1].arrival_mean_delay_ms;
+        let late = report.periods[8].arrival_mean_delay_ms;
         assert!(late > early * 3.0, "early {early}, late {late}");
         assert!(report.periods.last().unwrap().outstanding > 500);
     }
@@ -1219,7 +1224,7 @@ mod tests {
     fn cost_schedule_scales_delay() {
         // Doubling the cost halves capacity: same workload goes from
         // underload to overload.
-        let sched = CostSchedule::constant_multiplier(2.0);
+        let sched = CostSchedule::from_points(vec![(SimTime::ZERO, 2.0)]);
         let cfg = SimConfig::paper_default().with_cost_schedule(sched);
         let sim = Simulator::new(unit_network(millis(5)), cfg);
         let arrivals = uniform_arrivals(150.0, 10.0);
@@ -1260,7 +1265,7 @@ mod tests {
         let f_stat = &report.node_stats[0];
         assert_eq!(f_stat.name, "f");
         assert_eq!(f_stat.processed, 2000);
-        let sel = f_stat.observed_selectivity();
+        let sel = f_stat.emitted as f64 / f_stat.processed as f64;
         assert!((sel - 0.3).abs() < 0.05, "observed selectivity {sel}");
         // Map is 1:1.
         let m_stat = &report.node_stats[1];

@@ -17,7 +17,8 @@
 //!    [`control_step`], so they emit identical records. Controller
 //!    internals (`ŷ(k)`, `e(k)`, `u(k)`, supervisor mode, the fault
 //!    flags of a [`FaultyHook`](crate::faults::FaultyHook)) flow through
-//!    the [`InstrumentedHook`] trait.
+//!    the [`InstrumentedHook`] trait; the loop's health verdict flows
+//!    back through it, and is the record's `health` column.
 //! 3. **Offline-friendly export.** Traces serialise to JSONL
 //!    ([`export_jsonl`]) and CSV ([`export_csv`]); live counters render
 //!    to the Prometheus text exposition format via [`PromText`] (used by
@@ -28,6 +29,7 @@
 //! the per-period records (the `reproduce trace` experiment asserts the
 //! two agree to within 1%).
 
+use crate::diagnostics::{ControllerHealth, HealthState};
 use crate::hook::{ControlHook, Decision, NoShedding, PeriodSnapshot};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
@@ -167,6 +169,10 @@ pub trait InstrumentedHook: ControlHook {
         None
     }
 
+    /// The loop's verdict on the period just traced, from [`control_step`]
+    /// (default: ignored; a wrapper forwards it).
+    fn on_verdict(&mut self, _verdict: HealthState) {}
+
     /// The self-tuning state of the most recent period, if this hook
     /// adapts its own tuning (default: it does not). Nothing reads it;
     /// it stays so that perfbench's `TimedHook`, which forwards it,
@@ -241,6 +247,8 @@ pub struct ControlTrace {
     pub cost_est_us: f64,
     /// Which layer produced the actuation.
     pub mode: LoopMode,
+    /// The loop's health verdict on this period (see [`control_step`]).
+    pub health: HealthState,
     /// OR of the `FLAG_*` bits that fired this period.
     pub fault_flags: u16,
     /// Wall-clock time spent inside the hook this period, nanoseconds.
@@ -286,6 +294,7 @@ impl ControlTrace {
             u_tps: s.u_tps,
             cost_est_us: s.cost_est_us,
             mode: s.mode,
+            health: HealthState::Healthy,
             fault_flags: s.fault_flags,
             hook_ns,
             shards: 0,
@@ -306,7 +315,7 @@ impl ControlTrace {
 
     /// The exported columns in export order, each field once: JSONL,
     /// the CSV header and the CSV row all render from this list.
-    fn columns(&self) -> [(&'static str, Cell<'_>); 25] {
+    fn columns(&self) -> [(&'static str, Cell<'_>); 26] {
         use Cell::{F, U};
         let shown = (self.shards as usize).min(MAX_TRACE_SHARDS);
         [
@@ -331,6 +340,7 @@ impl ControlTrace {
             ("u_tps", F(self.u_tps)),
             ("cost_est_us", F(self.cost_est_us)),
             ("mode", Cell::Str(self.mode.as_str())),
+            ("health", Cell::Str(self.health.as_str())),
             ("fault_flags", U(self.fault_flags.into())),
             ("hook_ns", U(self.hook_ns)),
             ("shards", U(self.shards.into())),
@@ -444,17 +454,21 @@ pub fn write_json_object<'a>(
 }
 
 /// One control step, as both engines run it: times `hook`'s
-/// `on_period` on `snap` and captures the period's [`ControlTrace`] —
-/// the snapshot the engine built, the decision the hook returned, and
-/// the hook's reported internals.
+/// `on_period` on `snap`, captures the period's [`ControlTrace`] — the
+/// snapshot the engine built, the decision the hook returned, and the
+/// hook's reported internals — and has the loop's classifier judge it:
+/// the verdict is the `health` column and goes to the hook.
 pub fn control_step<H: InstrumentedHook + ?Sized>(
     hook: &mut H,
     snap: &PeriodSnapshot,
+    health: &mut ControllerHealth,
 ) -> (Decision, ControlTrace) {
     let t0 = Instant::now();
     let decision = hook.on_period(snap);
     let hook_ns = t0.elapsed().as_nanos() as u64;
-    let trace = ControlTrace::capture(snap, &decision, hook.control_state().as_ref(), hook_ns);
+    let mut trace = ControlTrace::capture(snap, &decision, hook.control_state().as_ref(), hook_ns);
+    trace.health = health.observe(&trace);
+    hook.on_verdict(trace.health);
     (decision, trace)
 }
 
@@ -806,8 +820,14 @@ pub fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diagnostics::DiagnosticsConfig;
     use crate::hook::Decision;
     use crate::time::{secs, SimTime};
+
+    /// A classifier for the 2 s target of [`snap`]'s loop.
+    fn judge() -> ControllerHealth {
+        ControllerHealth::new(DiagnosticsConfig::for_target(std::time::Duration::from_secs(2)))
+    }
 
     fn snap(k: u64) -> PeriodSnapshot {
         PeriodSnapshot {
@@ -831,7 +851,7 @@ mod tests {
     #[test]
     fn control_step_traces_the_snapshot_and_decision() {
         let mut hook = |_s: &PeriodSnapshot| Decision::entry(0.25);
-        let (d, t) = control_step(&mut hook, &snap(3));
+        let (d, t) = control_step(&mut hook, &snap(3), &mut judge());
         assert_eq!(d.entry_drop_prob, 0.25);
         assert_eq!(t.k, 3);
         assert_eq!(t.alpha, 0.25);
@@ -840,6 +860,41 @@ mod tests {
         assert!(t.y_hat_s.is_nan());
         assert_eq!(t.mode, LoopMode::Direct);
         assert_eq!(t.fault_flags, 0);
+        assert_eq!(t.health, HealthState::Healthy);
+        // The verdict sits in the padding beside the small fields.
+        assert_eq!(std::mem::size_of::<ControlTrace>(), 240);
+    }
+
+    #[test]
+    fn control_step_records_the_verdict_and_hands_it_to_the_hook() {
+        struct Heard(Vec<HealthState>);
+        impl ControlHook for Heard {
+            fn on_period(&mut self, _s: &PeriodSnapshot) -> Decision {
+                Decision::entry(0.5)
+            }
+        }
+        impl InstrumentedHook for Heard {
+            fn on_verdict(&mut self, verdict: HealthState) {
+                self.0.push(verdict);
+            }
+        }
+        // The measured delay sits at 3x the 2 s target: out of band from
+        // the first period, diverging once the grace budget runs out.
+        let (mut hook, mut health) = (Heard(Vec::new()), judge());
+        let mut column = Vec::new();
+        for k in 0..16 {
+            let mut s = snap(k);
+            s.mean_delay_ms = Some(6000.0);
+            column.push(control_step(&mut hook, &s, &mut health).1.health);
+        }
+        assert_eq!(hook.0, column, "the hook hears exactly the column");
+        assert_eq!(column[0], HealthState::Settling);
+        assert_eq!(column[15], HealthState::Diverging);
+        assert_eq!(health.state(), HealthState::Diverging);
+        let mut t = ControlTrace::capture(&snap(0), &Decision::NONE, None, 0);
+        t.health = HealthState::Diverging;
+        assert!(t.to_jsonl().contains("\"mode\":\"direct\",\"health\":\"diverging\""));
+        assert!(ControlTrace::csv_header().contains(",mode,health,fault_flags,"));
     }
 
     #[test]
@@ -882,8 +937,9 @@ mod tests {
     fn shared_recorder_collects_across_clones() {
         let rec = SharedRecorder::with_capacity(16);
         let mut sink = rec.clone();
+        let mut health = judge();
         for k in 0..5 {
-            let (_, trace) = control_step(&mut NoShedding, &snap(k));
+            let (_, trace) = control_step(&mut NoShedding, &snap(k), &mut health);
             sink.record(&trace);
         }
         assert_eq!(rec.len(), 5);
@@ -927,7 +983,7 @@ mod tests {
                 })
             }
         }
-        let (_, t) = control_step(&mut Fixed, &snap(0));
+        let (_, t) = control_step(&mut Fixed, &snap(0), &mut judge());
         assert_eq!(t.y_hat_s, 2.5);
         assert_eq!(t.mode, LoopMode::Fallback);
         assert_eq!(t.fault_flags, FLAG_STALE_QUEUE);

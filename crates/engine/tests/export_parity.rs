@@ -10,6 +10,7 @@
 use std::collections::BTreeSet;
 
 use serde_json::Value;
+use streamshed_engine::diagnostics::HealthState;
 use streamshed_engine::telemetry::{ControlTrace, LoopMode, MAX_TRACE_SHARDS};
 
 /// Extracts the top-level field names from a struct's derived `Debug`
@@ -75,6 +76,7 @@ fn csv_header_and_jsonl_cover_every_struct_field() {
         u_tps: 180.0,
         cost_est_us: 13.0,
         mode: LoopMode::Engaged,
+        health: HealthState::Settling,
         fault_flags: 0,
         hook_ns: 321,
         shards: 0,

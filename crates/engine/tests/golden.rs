@@ -54,7 +54,7 @@ fn snap(k: u64) -> PeriodSnapshot {
 }
 
 /// Four periods: a plain one with no sensor readings, a 3-shard one with
-/// infinite signals, a 10-shard fallback period, and a
+/// infinite signals, a 10-shard fallback period judged diverging, and a
 /// held period under two fault flags with every float non-finite.
 fn traces() -> Vec<ControlTrace> {
     let mut quiet = snap(0);
@@ -91,6 +91,7 @@ fn traces() -> Vec<ControlTrace> {
     let mut ten = ControlTrace::capture(&snap(2), &Decision::entry(1.0), Some(&state), 0)
         .with_shard_queues(&ten_queues);
     ten.shed_load_us = 1e-7;
+    ten.health = HealthState::Diverging;
 
     let state = ControlState {
         y_hat_s: f64::NAN,

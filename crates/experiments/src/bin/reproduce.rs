@@ -19,6 +19,11 @@
 
 use std::io::Write as _;
 use std::path::PathBuf;
+
+// `print!`/`println!` to a stdout that may close early (`reproduce … |
+// head`): a failed write is dropped, so the run exits with its own status.
+macro_rules! out { ($($a:tt)*) => { _ = write!(std::io::stdout(), $($a)*) } }
+macro_rules! outln { ($($a:tt)*) => { _ = writeln!(std::io::stdout(), $($a)*) } }
 use streamshed_engine::telemetry::{export_csv, export_jsonl};
 use streamshed_experiments as exp;
 
@@ -60,8 +65,8 @@ fn run_trace(key: &str, out_dir: &PathBuf, seed: u64) {
     }
     let start = std::time::Instant::now();
     let result = exp::trace::run(key, seed);
-    print!("{}", result.render_summary());
-    println!("  [trace regenerated in {:.1?}]\n", start.elapsed());
+    out!("{}", result.render_summary());
+    outln!("  [trace regenerated in {:.1?}]\n", start.elapsed());
     if let Err(e) = std::fs::create_dir_all(out_dir) {
         eprintln!("failed to create {}: {e}", out_dir.display());
         std::process::exit(1);
@@ -71,7 +76,7 @@ fn run_trace(key: &str, out_dir: &PathBuf, seed: u64) {
         for (ext, body) in bodies {
             let path = out_dir.join(format!("trace_{key}.s{i}.{ext}"));
             match std::fs::File::create(&path).and_then(|mut f| f.write_all(body.as_bytes())) {
-                Ok(()) => println!("trace written to {}", path.display()),
+                Ok(()) => outln!("trace written to {}", path.display()),
                 Err(e) => eprintln!("failed to write {}: {e}", path.display()),
             }
         }
@@ -95,7 +100,7 @@ fn run_campaign_cmd(
     let cells = exp::campaign::select_cells(lane, seed, filter);
     if list_only {
         for c in &cells {
-            println!("{}", c.key());
+            outln!("{}", c.key());
         }
         eprintln!("{} cell(s)", cells.len());
         return;
@@ -107,9 +112,9 @@ fn run_campaign_cmd(
     let label = if filter.is_some() { "filter" } else { lane };
     let start = std::time::Instant::now();
     let result = exp::campaign::run_campaign(label, cells, seed, jobs as usize, sabotage);
-    println!("{}", result.render_summary());
-    print!("{}", result.render_failures());
-    println!("  [{} cell(s) in {:.1?} across {} worker(s)]", result.cells, start.elapsed(), jobs);
+    outln!("{}", result.render_summary());
+    out!("{}", result.render_failures());
+    outln!("  [{} cell(s) in {:.1?} across {} worker(s)]", result.cells, start.elapsed(), jobs);
     if let Err(e) = std::fs::create_dir_all(out_dir) {
         eprintln!("failed to create {}: {e}", out_dir.display());
         std::process::exit(1);
@@ -117,7 +122,7 @@ fn run_campaign_cmd(
     let path = out_dir.join("CAMPAIGN.json");
     match std::fs::File::create(&path).and_then(|mut f| f.write_all(result.to_json().as_bytes()))
     {
-        Ok(()) => println!("campaign results written to {}", path.display()),
+        Ok(()) => outln!("campaign results written to {}", path.display()),
         Err(e) => {
             eprintln!("failed to write {}: {e}", path.display());
             std::process::exit(1);
@@ -254,8 +259,8 @@ fn main() {
 
     let mut gates_failed = false;
     for (&(name, ..), (fig, elapsed)) in figures.into_iter().zip(figs) {
-        println!("{}", fig.render());
-        println!("  [{name} regenerated in {elapsed:.1?}]\n");
+        outln!("{}", fig.render());
+        outln!("  [{name} regenerated in {elapsed:.1?}]\n");
         if let Err(e) = fig.write_into(&out_dir) {
             eprintln!("failed to write {name} into {}: {e}", out_dir.display());
         }
@@ -265,7 +270,7 @@ fn main() {
             gates_failed = true;
         }
     }
-    println!("results written to {}", out_dir.display());
+    outln!("results written to {}", out_dir.display());
     if gates_failed {
         std::process::exit(1);
     }

@@ -8,17 +8,19 @@
 //!
 //! * **conservation** — exact tuple-counter balance per shard:
 //!   `offered = shed(entry) + shed(network) + completed + outstanding`;
-//! * **fault_consistency** — the post-hoc diagnostics verdict agrees
-//!   with the injected fault class (hook faults stamp fault flags,
+//! * **fault_consistency** — the `health` column replays exactly, and
+//!   the fault flags agree with the injected fault class (hook faults
+//!   stamp them,
 //!   plant-side and clean cells stamp none);
 //! * **span_conservation** — the latency truth plane's sampled
 //!   decomposition is exact: every sampled sojourn equals its
 //!   `ring_wait + execute` stage times to the nanosecond;
 //! * **bounded_delay** — under a supervised controller the tail delay
 //!   recovers below a fixed bound after every fault window closes;
-//! * **no_spurious_anomalies** — nominal (clean, paper-tuned) cells
-//!   never enter an anomalous health state, which is exactly the
-//!   condition under which the flight recorder would write a bundle;
+//! * **no_spurious_anomalies** — on nominal (clean, paper-tuned) cells
+//!   the `health` column never enters an anomalous state, which is
+//!   exactly the condition under which the flight recorder would write
+//!   a bundle;
 //! * **replay** — a deterministic subset of cells is re-run in-process
 //!   and must reproduce a byte-identical counter digest.
 //!
@@ -322,7 +324,7 @@ pub fn cell(key: &str) -> Option<CellSpec> {
     full_grid().into_iter().find(|c| c.key() == key)
 }
 
-/// Counters and post-hoc diagnostics of one shard's run within a cell.
+/// Counters and health statistics of one shard's run within a cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardRunStats {
     /// Tuples offered to the shard.
@@ -342,7 +344,7 @@ pub struct ShardRunStats {
     pub tail_delay_s: f64,
     /// Accumulated delay violation Σ(y − y_d)⁺, tuple-seconds.
     pub violation_s: f64,
-    /// Control periods the diagnostics classifier observed.
+    /// Control periods in the trace.
     pub periods: u64,
     /// Periods with any fault flag stamped by the fault injector.
     pub faulted_periods: u64,
@@ -350,6 +352,9 @@ pub struct ShardRunStats {
     pub anomalies: u64,
     /// Fraction of periods classified `Healthy`.
     pub healthy_fraction: f64,
+    /// The first period whose recorded verdict a fresh classifier did
+    /// not reproduce (`None` when the column replays exactly).
+    pub verdict_mismatch_k: Option<u64>,
     /// Sampled sojourns closed by the latency truth plane.
     pub span_samples: u64,
     /// Σ sampled end-to-end sojourn, ns.
@@ -439,11 +444,17 @@ pub fn check_conservation(shards: &[ShardRunStats]) -> InvariantResult {
     InvariantResult::pass("conservation", format!("{} shard(s) balance exactly", shards.len()))
 }
 
-/// Invariant: the diagnostics verdict is consistent with the injected
-/// fault — hook faults stamp flags on every shard, plant-side faults
-/// and clean runs stamp none.
+/// Invariant: the trace's columns are consistent — the `health` column
+/// replays exactly, hook faults stamp flags on every shard, plant-side
+/// faults and clean runs stamp none.
 pub fn check_fault_consistency(fault: &str, shards: &[ShardRunStats]) -> InvariantResult {
     for (i, s) in shards.iter().enumerate() {
+        if let Some(k) = s.verdict_mismatch_k {
+            return InvariantResult::fail(
+                "fault_consistency",
+                format!("shard {i}: the health column does not replay from period {k} on"),
+            );
+        }
         if is_hook_fault(fault) && s.faulted_periods == 0 {
             return InvariantResult::fail(
                 "fault_consistency",
@@ -491,9 +502,10 @@ pub fn check_bounded_delay(shards: &[ShardRunStats], bound_s: f64) -> InvariantR
     )
 }
 
-/// Invariant: nominal paper-tuned cells never enter an anomalous health
-/// state. Anomaly entries are exactly what arms the flight recorder, so
-/// this is also the "no spurious flight bundles on nominal runs" check.
+/// Invariant: on nominal paper-tuned cells the `health` column never
+/// enters an anomalous state. Anomaly entries are exactly what arms the
+/// flight recorder, so this is also the "no spurious flight bundles on
+/// nominal runs" check.
 pub fn check_no_spurious_anomalies(shards: &[ShardRunStats]) -> InvariantResult {
     for (i, s) in shards.iter().enumerate() {
         if s.anomalies > 0 {
@@ -668,22 +680,21 @@ pub struct ShardRun {
 }
 
 impl ShardRun {
-    /// The shard's counters and post-hoc diagnostics.
+    /// The shard's counters, and the replay of its `health` column: a
+    /// fresh classifier, built as the simulator builds the loop's (every
+    /// controller shares the paper's target), must reproduce every
+    /// verdict, and its estimators fill the health statistics.
     pub fn stats(&self) -> ShardRunStats {
         let report = &self.report;
-        // Post-hoc diagnostics: feed the recorded trace through a fresh
-        // classifier. The campaign's breadth (every workload family at
-        // 1.6× overload, including heavy-tailed Pareto bursts and the 2×
-        // cost-trace peak) needs the detuned post-hoc gates, not the live
-        // monitor's. The sabotage drill stays caught regardless — a bare
-        // loop at 1.6× overload diverges for the whole run, far past them.
-        // Every controller shares the paper's target delay.
         let target = LoopConfig::paper_default().target_delay();
-        let mut health = ControllerHealth::new(DiagnosticsConfig::post_hoc(
+        let mut health = ControllerHealth::new(DiagnosticsConfig::for_simulation(
             Duration::from_micros(target.as_micros()),
         ));
+        let mut verdict_mismatch_k = None;
         for t in &self.traces {
-            let _ = health.observe(t);
+            if health.observe(t) != t.health {
+                verdict_mismatch_k.get_or_insert(t.k);
+            }
         }
         let snap = health.snapshot();
 
@@ -704,6 +715,7 @@ impl ShardRun {
             faulted_periods: snap.faulted_periods,
             anomalies: snap.anomalies,
             healthy_fraction: snap.healthy_fraction(),
+            verdict_mismatch_k,
             span_samples: prof.sojourn.count(),
             span_sojourn_ns: prof.sojourn.sum(),
             span_stage_ns: ring.sum() + exec.sum(),
@@ -1033,6 +1045,7 @@ pub fn run_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use streamshed_engine::diagnostics::HealthState;
 
     fn balanced_stats(hook_fault: bool) -> ShardRunStats {
         ShardRunStats {
@@ -1048,6 +1061,7 @@ mod tests {
             faulted_periods: if hook_fault { 40 } else { 0 },
             anomalies: 0,
             healthy_fraction: 0.8,
+            verdict_mismatch_k: None,
             span_samples: 10,
             span_sojourn_ns: 5_000_000,
             span_stage_ns: 5_000_000,
@@ -1174,6 +1188,24 @@ mod tests {
             clean.faulted_periods = s % 120 + 1;
             assert!(!check_fault_consistency("clean", &[clean]).passed);
         }
+    }
+
+    #[test]
+    fn a_health_column_that_does_not_replay_fails_fault_consistency() {
+        let spec = CellSpec {
+            workload: WorkloadKind::Poisson,
+            fault: "clean",
+            topo: "ident",
+            shards: 1,
+            control: "paper",
+        };
+        let mut run = simulate_cell(&spec, 7, false).remove(0);
+        assert_eq!(run.stats().verdict_mismatch_k, None, "the recorded column replays");
+        run.traces[40].health = HealthState::Oscillating;
+        let stats = run.stats();
+        assert_eq!(stats.verdict_mismatch_k, Some(40));
+        let verdict = check_fault_consistency("clean", &[stats]);
+        assert!(!verdict.passed && verdict.detail.contains("period 40"), "{verdict:?}");
     }
 
     #[test]

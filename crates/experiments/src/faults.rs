@@ -15,8 +15,9 @@
 //! The headline metric is the accumulated delay violation Σ(y − yd)⁺: for
 //! fault classes that blind the virtual-queue estimator (stale `q(k)`,
 //! sensor dropout, cost collapse) the bare loop admits far over capacity
-//! and the violation explodes, while the supervisor's watchdog falls back
-//! to open-loop capacity matching and keeps it bounded.
+//! and the violation explodes, while the supervisor, acting on the loop's
+//! `Diverging` verdict, falls back to open-loop capacity matching and
+//! keeps it bounded.
 
 use crate::campaign::{self, CellSpec, ShardRunStats};
 use crate::{FigureResult, Series};

@@ -2,7 +2,7 @@
 //!
 //! Three wall-clock phases on the sharded engine, each spawned through
 //! [`ShardedEngine::spawn_observed`] so the full plane is live: the
-//! per-period diagnostics classifier, the embedded HTTP endpoints, and
+//! controller's per-period health classifier, the embedded HTTP endpoints, and
 //! the anomaly flight recorder.
 //!
 //! 1. **nominal** — the paper's CTRL strategy under 2× overload. The
@@ -38,6 +38,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use streamshed_control::loop_::LoopConfig;
 use streamshed_control::strategy::CtrlStrategy;
+use streamshed_engine::diagnostics::DiagnosticsConfig;
 use streamshed_engine::hook::{Decision, NoShedding, PeriodSnapshot};
 use streamshed_engine::obs::{http_get, ObsOptions};
 use streamshed_engine::shard::{Dispatch, ShardConfig, ShardedEngine};
@@ -54,10 +55,11 @@ const TARGET_MS: f64 = 250.0;
 const SHARDS: usize = 2;
 /// Per-shard service capacity at `COST`, tuples/s.
 const CAPACITY_PER_SHARD: f64 = 500.0;
-/// Violation band used by the classifier in this experiment. Wider than
-/// the diagnostics default (30%) because these runs are wall-clock: the
-/// nominal phase must not flag scheduler noise as an SLO violation.
-const BAND_FRAC: f64 = 0.5;
+/// The violation band of the engine's health classifier, as a fraction
+/// of the target.
+fn band_frac() -> f64 {
+    DiagnosticsConfig::for_target(Duration::from_millis(TARGET_MS as u64)).error_band_frac
+}
 /// Anomaly-detection budget, control periods (the acceptance bound).
 pub const DETECT_BUDGET: u64 = 5;
 
@@ -144,9 +146,8 @@ where
         pin_cores: false,
         sample_every: streamshed_engine::spans::DEFAULT_SAMPLE_EVERY,
     };
-    let mut options = ObsOptions::for_target(Duration::from_millis(TARGET_MS as u64))
+    let options = ObsOptions::for_target(Duration::from_millis(TARGET_MS as u64))
         .with_flight_dir(flight_dir.clone());
-    options.diagnostics.error_band_frac = BAND_FRAC;
     let engine =
         ShardedEngine::spawn_observed(cfg, hook, &options).expect("observability plane starts");
     let addr = engine.obs().and_then(|o| o.addr()).expect("HTTP endpoint is live");
@@ -193,7 +194,7 @@ where
     // flagged it. The saturation fault only becomes observable once the
     // backlog pushes the delay through the violation band, so its
     // latency is measured from the first violating period.
-    let band_s = (TARGET_MS / 1e3) * (1.0 + BAND_FRAC);
+    let band_s = (TARGET_MS / 1e3) * (1.0 + band_frac());
     let first_violation_k = traces
         .iter()
         .find(|t| delay_signal_s(t) > band_s)
@@ -434,7 +435,7 @@ pub fn run(seed: u64) -> FigureResult {
         .collect();
     let mut summary = vec![
         ("target_delay_ms".to_string(), TARGET_MS),
-        ("violation_band_ms".to_string(), TARGET_MS * (1.0 + BAND_FRAC)),
+        ("violation_band_ms".to_string(), TARGET_MS * (1.0 + band_frac())),
         ("detect_budget_periods".to_string(), DETECT_BUDGET as f64),
     ];
     let mut notes = Vec::new();

@@ -7,6 +7,7 @@ use streamshed_control::strategy::{
     AuroraStrategy, BaselineStrategy, CtrlStrategy, SheddingStrategy,
 };
 use streamshed_engine::cost::CostSchedule;
+use streamshed_engine::diagnostics::HealthState;
 use streamshed_engine::hook::{ControlHook, Decision, NoShedding, PeriodSnapshot};
 use streamshed_engine::metrics::RunReport;
 use streamshed_engine::networks::identification_network;
@@ -136,6 +137,10 @@ impl ControlHook for ScheduledHook {
 impl InstrumentedHook for ScheduledHook {
     fn control_state(&self) -> Option<ControlState> {
         self.strategy.control_state()
+    }
+
+    fn on_verdict(&mut self, verdict: HealthState) {
+        self.strategy.on_verdict(verdict);
     }
 }
 
