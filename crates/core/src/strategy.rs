@@ -19,16 +19,17 @@ use crate::shedder::{EntryShedder, NetworkShedder};
 use streamshed_engine::hook::{ControlHook, Decision, NoShedding, PeriodSnapshot};
 use streamshed_engine::telemetry::{ControlState, InstrumentedHook, LoopMode};
 
-/// The period's signals of a strategy acting alone (`Direct` mode; a
-/// supervisor overrides the mode).
-fn direct_state(y_hat_s: f64, error_s: f64, u_tps: f64, cost_est_us: f64) -> ControlState {
+/// The period's signals of a strategy steering `ŷ` to `target_s` alone
+/// (`Direct` mode; a supervisor overrides the mode).
+fn direct_state(target_s: f64, y_hat_s: f64, u_tps: f64, cost_est_us: f64) -> ControlState {
     ControlState {
         y_hat_s,
-        error_s,
+        error_s: target_s - y_hat_s,
         u_tps,
         cost_est_us,
         mode: LoopMode::Direct,
         fault_flags: 0,
+        target_delay_s: target_s,
     }
 }
 
@@ -118,7 +119,7 @@ impl ControlHook for CtrlStrategy {
                 period_s,
             )),
         };
-        self.last = Some(direct_state(y_hat, e, u, c_us));
+        self.last = Some(direct_state(self.target_s, y_hat, u, c_us));
         decision
     }
 }
@@ -199,12 +200,7 @@ impl ControlHook for BaselineStrategy {
             )),
         };
         let y_hat = (q + 1.0) * c_s / h;
-        self.last = Some(direct_state(
-            y_hat,
-            self.target_s - y_hat,
-            f64::NAN,
-            self.last_cost_us,
-        ));
+        self.last = Some(direct_state(self.target_s, y_hat, f64::NAN, self.last_cost_us));
         decision
     }
 }

@@ -22,10 +22,16 @@
 //!   period later, so `/health`, the flight recorder and the campaign
 //!   see the verdict it acted on.
 //! * **safe fallback** — on a `Diverging` verdict or prolonged dropout
-//!   the supervisor switches to an open-loop shed factor
-//!   `α₀ = 1 − (H/c)/fin` (Aurora-style capacity matching) with a
-//!   bang-bang trim from the true delay, rate-limited for bumpless
-//!   transfer.
+//!   the supervisor switches to open-loop capacity matching
+//!   (Aurora-style): `α = 1 − (1 − trim)·(H/c)/fin`, where a bang-bang
+//!   trim from the true delay scales the capacity it admits between
+//!   150 % and 10 %. Scaling capacity, not `α`, keeps a trim earned at
+//!   low load from flooding the shard when a burst multiplies `fin`, and
+//!   never shedding everything keeps the delay it steers on measured.
+//!   In fallback, and for `RECOVERY_PERIODS` after a mode switch, the
+//!   shed factor rises at once but falls by at most `MAX_ALPHA_STEP` per
+//!   period: over-shedding costs a period's goodput, over-admission a
+//!   backlog that takes many periods to drain.
 //! * **supervised re-engagement** — after `RECOVERY_PERIODS` (10)
 //!   consecutive `Healthy` verdicts on periods whose cost sample was
 //!   valid, the inner strategy is rebuilt from its pristine state
@@ -52,8 +58,8 @@ const COST_OUTLIER_FACTOR: f64 = 8.0;
 /// before re-engaging the inner strategy; also the length of the
 /// rate-limited ramp after a mode switch.
 pub const RECOVERY_PERIODS: u64 = 10;
-/// Maximum change of the shed factor per period while in fallback or
-/// ramping after a mode switch (bumpless transfer).
+/// Maximum fall of the shed factor per period while in fallback or
+/// ramping after a mode switch; also the fallback trim's step.
 const MAX_ALPHA_STEP: f64 = 0.1;
 
 /// Wraps a strategy with validation, fallback, and recovery. See the
@@ -155,16 +161,9 @@ impl<S: SheddingStrategy + Clone> Supervisor<S> {
         raw.filter(|d| d.is_finite() && *d >= 0.0)
     }
 
-    /// The open-loop fallback decision: shed down to capacity, trimmed by
-    /// the true delay when one is available.
+    /// The open-loop fallback decision: admit the capacity, scaled by the
+    /// trim, which the true delay moves when one is available.
     fn fallback_decision(&mut self, snap: &PeriodSnapshot, delay_ms: Option<f64>) -> Decision {
-        let capacity_tps = self.headroom / (self.last_good_cost_us / 1e6);
-        let fin = snap.fin_rate();
-        let base = if fin <= f64::EPSILON || !fin.is_finite() {
-            0.0
-        } else {
-            (1.0 - capacity_tps / fin).clamp(0.0, 1.0)
-        };
         if let Some(d_ms) = delay_ms {
             let d_s = d_ms / 1e3;
             if d_s > self.target_s {
@@ -172,13 +171,19 @@ impl<S: SheddingStrategy + Clone> Supervisor<S> {
             } else if d_s < 0.5 * self.target_s {
                 self.fallback_trim -= MAX_ALPHA_STEP;
             }
-            self.fallback_trim = self.fallback_trim.clamp(-0.5, 0.5);
+            // Admit between 150 % and 10 % of capacity.
+            self.fallback_trim = self.fallback_trim.clamp(-0.5, 0.9);
         }
-        Decision::entry((base + self.fallback_trim).clamp(0.0, 1.0))
+        let fin = snap.fin_rate();
+        if fin <= f64::EPSILON || !fin.is_finite() {
+            return Decision::entry(0.0);
+        }
+        let admit_tps = (1.0 - self.fallback_trim) * self.headroom / (self.last_good_cost_us / 1e6);
+        Decision::entry((1.0 - admit_tps / fin).clamp(0.0, 1.0))
     }
 
-    /// Clamps a decision into its valid domain, rate-limiting the shed
-    /// factor when a mode transition is being ramped.
+    /// Clamps a decision into its valid domain; with `rate_limit` the
+    /// shed factor falls by at most `MAX_ALPHA_STEP` (it may rise at once).
     fn sanitise(&mut self, mut d: Decision, rate_limit: bool) -> Decision {
         if !d.entry_drop_prob.is_finite() {
             d.entry_drop_prob = self.last_alpha;
@@ -186,10 +191,7 @@ impl<S: SheddingStrategy + Clone> Supervisor<S> {
             d.entry_drop_prob = d.entry_drop_prob.clamp(0.0, 1.0);
         }
         if rate_limit {
-            let step = MAX_ALPHA_STEP;
-            let limited =
-                self.last_alpha + (d.entry_drop_prob - self.last_alpha).clamp(-step, step);
-            d.entry_drop_prob = limited;
+            d.entry_drop_prob = d.entry_drop_prob.max(self.last_alpha - MAX_ALPHA_STEP);
         }
         if !(d.shed_load_us.is_finite() && d.shed_load_us >= 0.0) {
             d.shed_load_us = 0.0;
@@ -252,10 +254,11 @@ impl<S: SheddingStrategy + Clone> ControlHook for Supervisor<S> {
 impl<S: SheddingStrategy + Clone> InstrumentedHook for Supervisor<S> {
     /// The supervised loop's state for telemetry.
     ///
-    /// The mode is the supervisor's. While engaged, the inner strategy's
-    /// signals are reported verbatim; in hold or fallback the inner loop
-    /// is not consulted, so `y_hat_s`/`error_s`/`u_tps` are NaN and only
-    /// the last good cost estimate is carried through.
+    /// The mode and the target are the supervisor's. While engaged, the
+    /// inner strategy's signals are reported verbatim; in hold or
+    /// fallback the inner loop is not consulted, so `y_hat_s`/`error_s`/
+    /// `u_tps` are NaN and only the last good cost estimate is carried
+    /// through.
     fn control_state(&self) -> Option<ControlState> {
         let mut st = if self.mode == LoopMode::Engaged {
             self.inner.control_state().unwrap_or_default()
@@ -266,6 +269,7 @@ impl<S: SheddingStrategy + Clone> InstrumentedHook for Supervisor<S> {
             }
         };
         st.mode = self.mode;
+        st.target_delay_s = self.target_s;
         Some(st)
     }
 
@@ -282,7 +286,8 @@ impl<S: SheddingStrategy + Clone> InstrumentedHook for Supervisor<S> {
 impl<S: SheddingStrategy + Clone> SheddingStrategy for Supervisor<S> {
     /// Moves the fallback trim and the inner strategy to the new target —
     /// the pristine copy too, so a re-engagement after fallback keeps it.
-    /// The verdicts keep judging against the engine's target.
+    /// The target is reported in every mode, so the loop's classifier
+    /// judges the next period against it too.
     fn set_target_delay_s(&mut self, yd_s: f64) {
         assert!(yd_s > 0.0 && yd_s.is_finite());
         self.target_s = yd_s;
@@ -340,7 +345,8 @@ mod tests {
         }
 
         fn step(&mut self, s: &PeriodSnapshot) -> Decision {
-            control_step(&mut self.sup, s, &mut self.health).0
+            let health = &mut self.health;
+            control_step(&mut self.sup, s, |t, yd| health.judge(t, yd)).0
         }
     }
 
@@ -500,10 +506,11 @@ mod tests {
 
     #[test]
     fn fallback_output_is_rate_limited() {
-        // A healthy period first, then a persistently huge true delay the
-        // frozen-queue controller cannot see.
+        // Only toward admitting: the fallback sheds at once and admits
+        // gradually. A healthy period first, then a persistently huge
+        // true delay the frozen-queue controller cannot see.
         let mut judged = Judged::new(2);
-        let mut prev = judged.step(&snap(0, 10, Some(5105.0), Some(100.0))).entry_drop_prob;
+        let prev = judged.step(&snap(0, 10, Some(5105.0), Some(100.0))).entry_drop_prob;
         let mut k = 1;
         let first = loop {
             let d = judged.step(&snap(k, 10, Some(5105.0), Some(9000.0))).entry_drop_prob;
@@ -511,23 +518,25 @@ mod tests {
             if judged.sup.mode() == LoopMode::Fallback {
                 break d;
             }
-            prev = d;
         };
         assert_eq!(k, 4, "blind at 1 and 2, fallback at 3");
-        // First fallback period: the open-loop α would jump to ≈0.53
-        // (1 − 190/400) + trim, but bumpless transfer caps the step.
-        assert!(
-            (first - prev).abs() <= MAX_ALPHA_STEP + 1e-12,
-            "first fallback step {first} from {prev}"
-        );
-        // Subsequent periods keep climbing monotonically toward the
-        // open-loop factor.
-        let mut prev = first;
-        for k in 4..10 {
-            let d = judged.step(&snap(k, 10, Some(5105.0), Some(9000.0)));
-            assert!(d.entry_drop_prob >= prev);
-            assert!(d.entry_drop_prob - prev <= MAX_ALPHA_STEP + 1e-12);
-            prev = d.entry_drop_prob;
+        // First fallback period: the delay is over target, so the trim
+        // admits 90 % of the 190 tuples/s capacity out of fin = 400 —
+        // at once, however far that is from the engaged loop's α.
+        let open_loop = 1.0 - 0.9 * 190.0 / 400.0;
+        assert!((first - open_loop).abs() < 0.01, "first fallback α {first}");
+        assert!(first - prev > MAX_ALPHA_STEP, "{prev} → {first} in one step");
+        // A tenfold burst: the fallback sheds it at once.
+        let mut burst = snap(4, 10, Some(5105.0), Some(9000.0));
+        burst.offered = 4000;
+        let peak = judged.step(&burst).entry_drop_prob;
+        assert!(peak > 0.95, "burst α {peak}");
+        // The burst passes: α falls back towards ≈ 0.7 one step per period.
+        let mut prev = peak;
+        for k in 5..7 {
+            let d = judged.step(&snap(k, 10, Some(5105.0), Some(9000.0))).entry_drop_prob;
+            assert!((prev - d - MAX_ALPHA_STEP).abs() < 1e-12, "k={k}: {prev} → {d}");
+            prev = d;
         }
     }
 
@@ -578,21 +587,23 @@ mod tests {
 
     #[test]
     fn target_change_survives_fallback_and_reengagement() {
-        // The loop runs at a 5 s target: the engine judges against it,
-        // and the supervised strategy is moved to it.
-        let mut judged = Judged::new(5);
-        judged.sup.set_target_delay_s(5.0);
+        // The engine judges the loop against its 2 s target until the
+        // target moves to 5 s at runtime, in the middle of a fallback.
+        let mut judged = Judged::new(2);
         // A sensor dropout forces the fallback whatever the target.
-        let _ = judged.step(&snap(0, 400, Some(5105.0), Some(4800.0)));
+        let _ = judged.step(&snap(0, 400, Some(5105.0), Some(1900.0)));
         for k in 1..=6 {
             let _ = judged.step(&snap(k, 400, None, None));
         }
         assert_eq!(judged.sup.mode(), LoopMode::Fallback);
-        // A 5.2 s true delay is healthy against the 5 s target.
+        judged.sup.set_target_delay_s(5.0);
+        // A 5.2 s true delay is healthy only against the new 5 s target
+        // (the 2 s target's band ends at 3.5 s): the fallback re-engages.
         for k in 7..30 {
             let _ = judged.step(&snap(k, 900, Some(5105.0), Some(5200.0)));
         }
         assert_eq!(judged.sup.mode(), LoopMode::Engaged);
+        assert_eq!(judged.health.snapshot().target_delay_s, 5.0);
         // The re-engaged inner strategy came from the pristine copy, and
         // measures its error against the new target.
         let st = judged.sup.control_state().unwrap();

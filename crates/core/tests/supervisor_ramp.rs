@@ -1,9 +1,10 @@
 //! The supervisor's re-engagement ramp, seen from outside.
 //!
 //! Re-engagement after the fallback restarts the inner strategy from its
-//! pristine copy, and the first engaged decision is rate-limited from the
-//! fallback's last shed factor. The loop runs as the simulator runs it:
-//! each period through `control_step`, judged by the loop's classifier.
+//! pristine copy, and the first engaged decision falls at most one step
+//! below the fallback's last shed factor. The loop runs as the simulator
+//! runs it: each period through `control_step`, judged by the loop's
+//! classifier.
 
 use std::time::Duration;
 use streamshed_control::loop_::LoopConfig;
@@ -40,7 +41,7 @@ fn reengagement_restarts_the_inner_strategy_from_pristine() {
     let target = Duration::from_micros(cfg.target_delay().as_micros());
     let mut health = ControllerHealth::new(DiagnosticsConfig::for_simulation(target));
     let mut step = |sup: &mut Supervisor<CtrlStrategy>, s: &PeriodSnapshot| {
-        control_step(sup, s, &mut health).0.entry_drop_prob
+        control_step(sup, s, |t, yd| health.judge(t, yd)).0.entry_drop_prob
     };
     // Twenty engaged periods on a deep queue and a doubled cost leave
     // the controller with history and the cost tracker far from its
@@ -67,13 +68,14 @@ fn reengagement_restarts_the_inner_strategy_from_pristine() {
     }
 
     // The period after the tenth Healthy verdict re-engages; its decision
-    // already comes from a strategy rebuilt from the pristine copy,
-    // rate-limited from the fallback's last shed factor.
+    // already comes from a strategy rebuilt from the pristine copy, and
+    // falls at most one step below the fallback's last shed factor.
     let s = healthy(36);
     let got = step(&mut sup, &s);
     let mut fresh = CtrlStrategy::from_config(&cfg);
     let want = fresh.on_period(&s).entry_drop_prob;
-    let expect = alpha + (want - alpha).clamp(-0.1, 0.1);
+    assert!(want < alpha - 0.1, "the ramp binds: {want} vs {alpha}");
+    let expect = want.max(alpha - 0.1);
     assert!((got - expect).abs() < 1e-12, "{got} vs {expect}");
 
     let (st, fresh_st) = (sup.control_state().unwrap(), fresh.control_state().unwrap());

@@ -5,10 +5,9 @@
 //! overshoot). This module checks it **online**, one period at a time,
 //! at the [`ControlTrace`] seam — so an oscillating, saturated or blind
 //! controller is visible the period it happens, not in a post-mortem.
-//!
-//! Each loop owns exactly one [`ControllerHealth`], fed by
-//! [`control_step`](crate::telemetry::control_step), whose verdict is
-//! the trace's `health` column and what the supervisor acts on.
+//! Each loop owns one [`ControllerHealth`], fed by
+//! [`control_step`](crate::telemetry::control_step): its verdict is the
+//! trace's `health` column, and the supervisor acts on it.
 //!
 //! [`ControllerHealth::observe`] consumes each period's trace and
 //! maintains:
@@ -158,9 +157,10 @@ const BURN_SLOW_WINDOW: usize = 60;
 /// Burn-rate fraction at which the fast/slow pair escalates the loop to
 /// `Diverging`.
 const BURN_DIVERGE_FRAC: f64 = 0.9;
-/// Consecutive blind periods that classify the loop `Diverging` (two, so
-/// one stray period never decides alone).
+/// Consecutive blind periods that classify the loop `Diverging`.
 const BLIND_PERIODS: u64 = 2;
+/// [`DiagnosticsConfig::for_target`]'s error band, a fraction of the target.
+pub const WALL_CLOCK_BAND_FRAC: f64 = 0.3;
 
 /// Tuning of the diagnostics engine: [`Self::for_target`] in the sharded
 /// engine, [`Self::for_simulation`] in the simulator (CONTROL.md, "Loop
@@ -191,14 +191,13 @@ pub struct DiagnosticsConfig {
 }
 
 impl DiagnosticsConfig {
-    /// The wall-clock engine's tuning: the paper's design targets
-    /// (3-period settling, zero overshoot) with a 30% error band,
-    /// 3 flips in the 16-period oscillation window, a 3-period pin and a
+    /// The wall-clock engine's tuning: the paper's 3-period settling with
+    /// a 30% band, 3 flips in the 16-period window, a 3-period pin and a
     /// 12-period grace — a broken loop is flagged within 5 periods.
     pub fn for_target(target_delay: Duration) -> Self {
         Self {
             target_delay_s: target_delay.as_secs_f64(),
-            error_band_frac: 0.3,
+            error_band_frac: WALL_CLOCK_BAND_FRAC,
             osc_min_flips: 3,
             osc_min_error_frac: 0.10,
             alpha_swing: 0.25,
@@ -622,6 +621,16 @@ impl ControllerHealth {
     /// The current classification.
     pub fn state(&self) -> HealthState {
         self.report.state
+    }
+
+    /// Observes one period of a loop now steering to `target_s` (`NaN`
+    /// keeps the target in force); returns the period's verdict.
+    pub fn judge(&mut self, trace: &ControlTrace, target_s: f64) -> HealthState {
+        if target_s.is_finite() && target_s > 0.0 {
+            self.cfg.target_delay_s = target_s;
+            self.report.target_delay_s = target_s;
+        }
+        self.observe(trace)
     }
 
     /// Consumes one period's trace; returns the period's verdict.

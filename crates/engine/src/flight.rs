@@ -41,6 +41,8 @@ pub struct FlightRecorder {
     /// Directory bundles are written into (created on demand).
     dir: PathBuf,
     last_recorded_k: Option<u64>,
+    /// The verdict of the last period seen by [`Self::enters_anomaly`].
+    last_state: HealthState,
     bundles_written: u64,
     skipped_debounce: u64,
     last_error: Option<String>,
@@ -52,6 +54,7 @@ impl FlightRecorder {
         Self {
             dir: dir.into(),
             last_recorded_k: None,
+            last_state: HealthState::Healthy,
             bundles_written: 0,
             skipped_debounce: 0,
             last_error: None,
@@ -72,6 +75,12 @@ impl FlightRecorder {
     /// unwritable disk must not take down the control loop).
     pub fn last_error(&self) -> Option<&str> {
         self.last_error.as_deref()
+    }
+
+    /// Whether a period judged `state` enters an anomalous state: the
+    /// previous period's verdict was a different one.
+    pub(crate) fn enters_anomaly(&mut self, state: HealthState) -> bool {
+        state != std::mem::replace(&mut self.last_state, state) && state.is_anomalous()
     }
 
     /// Records a transition into `state` at period `k`: writes one

@@ -35,14 +35,14 @@
 //! behind an opt-in [`ObsOptions`] — see its `spawn_observed`
 //! constructor.
 
-use crate::diagnostics::{DiagnosticsSnapshot, HealthState, SharedDiagnostics};
+use crate::diagnostics::{DiagnosticsSnapshot, SharedDiagnostics};
 use crate::flight::FlightRecorder;
 use crate::telemetry::{ControlTrace, EventSink, SharedRecorder};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -106,10 +106,9 @@ impl ObsOptions {
 #[derive(Debug, Clone)]
 pub struct ObsPlane {
     recorder: SharedRecorder,
-    /// The classifier of the loop this plane observes, once attached.
-    health: Arc<OnceLock<SharedDiagnostics>>,
-    /// The `health` column of the last trace this clone recorded.
-    last_health: HealthState,
+    /// The classifier of the loop this plane observes, which the engine
+    /// sets when it builds the plane (`None`: all-zero diagnostics).
+    pub(crate) health: Option<SharedDiagnostics>,
     flight: Option<Arc<Mutex<FlightRecorder>>>,
     periods: Arc<AtomicU64>,
     spans: crate::spans::SpanRegistry,
@@ -121,8 +120,7 @@ impl ObsPlane {
     pub fn new(options: &ObsOptions) -> Self {
         Self {
             recorder: SharedRecorder::with_capacity(options.trace_capacity),
-            health: Arc::new(OnceLock::new()),
-            last_health: HealthState::Healthy,
+            health: None,
             flight: options
                 .flight
                 .clone()
@@ -130,12 +128,6 @@ impl ObsPlane {
             periods: Arc::new(AtomicU64::new(0)),
             spans: crate::spans::SpanRegistry::new(),
         }
-    }
-
-    /// Serves the classifier of the loop whose traces this plane records
-    /// (every clone sees it; a second call is ignored).
-    pub(crate) fn attach_health(&self, health: SharedDiagnostics) {
-        let _ = self.health.set(health);
     }
 
     /// The latency truth plane's span registry: engines register their
@@ -150,10 +142,10 @@ impl ObsPlane {
         &self.recorder
     }
 
-    /// The loop's health verdict and estimators (all zero while no loop
-    /// is attached).
+    /// The loop's health verdict and estimators (all zero on a plane
+    /// built without a loop).
     pub fn health(&self) -> DiagnosticsSnapshot {
-        self.health.get().map(SharedDiagnostics::snapshot).unwrap_or_default()
+        self.health.as_ref().map(SharedDiagnostics::snapshot).unwrap_or_default()
     }
 
     /// Flight bundles written so far (0 when no recorder is attached).
@@ -176,20 +168,16 @@ impl EventSink for ObsPlane {
         let mut rec = self.recorder.clone();
         rec.record(trace);
         self.periods.fetch_add(1, Ordering::Relaxed);
-        let entered = trace.health != std::mem::replace(&mut self.last_health, trace.health);
-        if let Some(flight) = self.flight.as_ref().filter(|_| entered && trace.health.is_anomalous()) {
-            let snap = self.health();
-            let traces = self.recorder.snapshot();
-            let profile = self.spans.snapshot();
+        if let Some(flight) = &self.flight {
             // The recorder's state is a few independent counters, valid
             // even if an earlier bundle write panicked.
-            crate::lock_unpoisoned(flight).record_transition(
-                trace.k,
-                trace.health,
-                &snap,
-                &traces,
-                Some(&profile),
-            );
+            let mut flight = crate::lock_unpoisoned(flight);
+            if flight.enters_anomaly(trace.health) {
+                let snap = self.health();
+                let traces = self.recorder.snapshot();
+                let profile = self.spans.snapshot();
+                flight.record_transition(trace.k, trace.health, &snap, &traces, Some(&profile));
+            }
         }
     }
 }
@@ -497,7 +485,7 @@ impl ObsHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diagnostics::{ControllerHealth, DiagnosticsConfig};
+    use crate::diagnostics::{ControllerHealth, DiagnosticsConfig, HealthState};
     use crate::hook::{Decision, PeriodSnapshot};
     use crate::telemetry::PromText;
     use crate::time::{secs, SimTime};
@@ -531,20 +519,21 @@ mod tests {
         t
     }
 
-    /// Attaches a loop's classifier to `plane`, as the engine does, and
-    /// returns a sink that judges each trace with it before recording —
-    /// the engine's control step in small.
-    fn looped(plane: &ObsPlane) -> impl FnMut(ControlTrace) {
-        let health =
-            SharedDiagnostics::new(ControllerHealth::new(DiagnosticsConfig::for_target(
-                Duration::from_secs(2),
-            )));
-        plane.attach_health(health.clone());
+    /// A plane built with its loop's classifier, as the engine builds it,
+    /// and a sink that judges each trace with that classifier before
+    /// recording it — the engine's control step in small.
+    fn looped(options: &ObsOptions) -> (ObsPlane, impl FnMut(ControlTrace)) {
+        let health = SharedDiagnostics::new(ControllerHealth::new(DiagnosticsConfig::for_target(
+            Duration::from_secs(2),
+        )));
+        let mut plane = ObsPlane::new(options);
+        plane.health = Some(health.clone());
         let mut sink = plane.clone();
-        move |mut t| {
+        let step = move |mut t: ControlTrace| {
             t.health = health.lock().observe(&t);
             sink.record(&t);
-        }
+        };
+        (plane, step)
     }
 
     fn start_server(plane: &ObsPlane) -> ObsServer {
@@ -560,7 +549,7 @@ mod tests {
 
     #[test]
     fn endpoints_serve_metrics_health_ready_trace() {
-        let plane = ObsPlane::new(&options());
+        let (plane, mut step) = looped(&options());
         let mut server = start_server(&plane);
         let addr = server.addr();
         let t = Duration::from_secs(2);
@@ -570,7 +559,6 @@ mod tests {
         assert_eq!(status, 503);
         assert!(body.contains("\"ready\":false"), "{body}");
 
-        let mut step = looped(&plane);
         for k in 0..10 {
             step(trace(k, TARGET, 0.3));
         }
@@ -676,10 +664,9 @@ mod tests {
 
     #[test]
     fn health_turns_503_on_divergence() {
-        let plane = ObsPlane::new(&options());
+        let (plane, mut step) = looped(&options());
         let mut server = start_server(&plane);
         let addr = server.addr();
-        let mut step = looped(&plane);
         for k in 0..20 {
             step(trace(k, 3.0 * TARGET, 0.5));
         }
@@ -727,8 +714,7 @@ mod tests {
     fn plane_writes_flight_bundle_on_anomalous_transition() {
         let dir = std::env::temp_dir().join(format!("streamshed_obs_flight_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let plane = ObsPlane::new(&options().with_flight_dir(&dir));
-        let mut step = looped(&plane);
+        let (plane, mut step) = looped(&options().with_flight_dir(&dir));
         // Saturation scenario: pinned high while violating.
         for k in 0..6 {
             step(trace(k, 2.0 * TARGET, 1.0));
@@ -745,7 +731,8 @@ mod tests {
         assert!(header.contains("\"traces\":3"), "{header}");
         assert_eq!(body.lines().count(), 4);
         // The plane reads the column, not a classifier of its own: a
-        // recorded anomalous verdict writes a bundle even unattached.
+        // recorded anomalous verdict writes a bundle even on a plane built
+        // without a loop.
         let dir2 = dir.with_extension("column");
         let mut sink = ObsPlane::new(&options().with_flight_dir(&dir2));
         let mut t = trace(0, TARGET, 0.3);

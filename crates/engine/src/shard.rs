@@ -466,10 +466,10 @@ impl ShardedEngine {
     /// Spawns the engine with the live observability plane attached: the
     /// per-period [`ControlTrace`](crate::telemetry::ControlTrace) stream
     /// (with per-shard queue lengths) feeds an [`ObsPlane`] — trace ring,
-    /// optional anomaly flight recorder — which also serves the
-    /// controller's own health classifier; when `options.http` is set, an
-    /// HTTP server answers `/metrics`, `/health`, `/ready` and `/trace`
-    /// for this engine. Fails only if the HTTP bind fails.
+    /// optional anomaly flight recorder — which also serves the loop's
+    /// health classifier; when `options.http` is set, an HTTP server
+    /// answers `/metrics`, `/health`, `/ready` and `/trace` for this
+    /// engine. Fails only if the HTTP bind fails.
     pub fn spawn_observed<H>(
         cfg: ShardConfig,
         hook: H,
@@ -478,7 +478,12 @@ impl ShardedEngine {
     where
         H: InstrumentedHook + Send + 'static,
     {
-        let plane = ObsPlane::new(options);
+        // The loop's one classifier: the controller feeds it, the plane serves it.
+        let health = SharedDiagnostics::new(ControllerHealth::new(DiagnosticsConfig::for_target(
+            cfg.target_delay,
+        )));
+        let mut plane = ObsPlane::new(options);
+        plane.health = Some(health);
         let mut engine = Self::spawn_sink(cfg, hook, Some(plane.clone()), Some(&plane));
         let server = match &options.http {
             Some(addr) => {
@@ -510,8 +515,7 @@ impl ShardedEngine {
 
     /// The shared implementation: spawns workers plus the global
     /// controller, recording each period's trace into `sink` when given.
-    /// An observed engine's `plane` gets the workers' span slots and the
-    /// controller's health classifier.
+    /// An observed engine's `plane` holds span slots and the classifier.
     fn spawn_sink<H, S>(
         cfg: ShardConfig,
         mut hook: H,
@@ -532,13 +536,13 @@ impl ShardedEngine {
             cfg.sample_every = 0;
         }
         let spans = plane.map(ObsPlane::spans);
-        // The loop's one classifier: the controller feeds it, the plane reads it.
-        let health = SharedDiagnostics::new(ControllerHealth::new(
-            DiagnosticsConfig::for_target(cfg.target_delay),
-        ));
-        if let Some(plane) = plane {
-            plane.attach_health(health.clone());
-        }
+        // The loop's one classifier (an observed engine's plane serves
+        // it), locked only for each verdict, never while the hook runs.
+        let health = plane.and_then(|p| p.health.clone()).unwrap_or_else(|| {
+            SharedDiagnostics::new(ControllerHealth::new(DiagnosticsConfig::for_target(
+                cfg.target_delay,
+            )))
+        });
         let global = Arc::new(Global::new(cfg.seed));
         let epoch = Instant::now();
         let cores = crate::affinity::host_cores();
@@ -637,7 +641,8 @@ impl ShardedEngine {
                         period_cost.measured.then_some(plant_cost_us),
                     );
 
-                    let (decision, trace) = control_step(&mut hook, &snapshot, &mut health.lock());
+                    let (decision, trace) =
+                        control_step(&mut hook, &snapshot, |t, yd| health.lock().judge(t, yd));
                     global
                         .hook_ns_total
                         .fetch_add(trace.hook_ns, Ordering::Relaxed);

@@ -35,8 +35,7 @@ use std::collections::VecDeque;
 pub struct SimConfig {
     /// Control period `T`.
     pub period: SimDuration,
-    /// Delay target `yd`, used for violation accounting in the report and
-    /// by the run's health classifier.
+    /// Delay target `yd`, for violation accounting and health verdicts.
     pub target_delay: SimDuration,
     /// Seed of the run's two random streams: the [`EngineRng`] (tuple
     /// payloads, shed-location selection) and the entry shedder's coins
@@ -447,7 +446,8 @@ impl Simulator {
                     self.queued_load_us(),
                     (l.completed > 0).then(|| l.cpu_busy_us as f64 / l.completed as f64),
                 );
-                let (new_decision, trace) = control_step(hook, &snapshot, &mut health);
+                let (new_decision, trace) =
+                    control_step(hook, &snapshot, |t, yd| health.judge(t, yd));
                 if let Some(rec) = self.telemetry.as_mut() {
                     rec.record(&trace);
                 }
@@ -1312,6 +1312,7 @@ mod tests {
                     cost_est_us: 5000.0,
                     mode: LoopMode::Engaged,
                     fault_flags: 0,
+                    target_delay_s: 2.0,
                 })
             }
         }

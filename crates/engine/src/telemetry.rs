@@ -29,7 +29,7 @@
 //! the per-period records (the `reproduce trace` experiment asserts the
 //! two agree to within 1%).
 
-use crate::diagnostics::{ControllerHealth, HealthState};
+use crate::diagnostics::HealthState;
 use crate::hook::{ControlHook, Decision, NoShedding, PeriodSnapshot};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
@@ -122,6 +122,9 @@ pub struct ControlState {
     pub mode: LoopMode,
     /// OR of the `FLAG_*` bits that fired this period.
     pub fault_flags: u16,
+    /// The delay target `yd` the loop steers to, seconds; its health
+    /// verdict is judged against it.
+    pub target_delay_s: f64,
 }
 
 impl Default for ControlState {
@@ -133,6 +136,7 @@ impl Default for ControlState {
             cost_est_us: f64::NAN,
             mode: LoopMode::Direct,
             fault_flags: 0,
+            target_delay_s: f64::NAN,
         }
     }
 }
@@ -169,8 +173,7 @@ pub trait InstrumentedHook: ControlHook {
         None
     }
 
-    /// The loop's verdict on the period just traced, from [`control_step`]
-    /// (default: ignored; a wrapper forwards it).
+    /// The loop's verdict on the period just traced (default: ignored).
     fn on_verdict(&mut self, _verdict: HealthState) {}
 
     /// The self-tuning state of the most recent period, if this hook
@@ -456,18 +459,20 @@ pub fn write_json_object<'a>(
 /// One control step, as both engines run it: times `hook`'s
 /// `on_period` on `snap`, captures the period's [`ControlTrace`] — the
 /// snapshot the engine built, the decision the hook returned, and the
-/// hook's reported internals — and has the loop's classifier judge it:
-/// the verdict is the `health` column and goes to the hook.
+/// hook's reported internals — and has `judge`, the loop's classifier,
+/// judge it against the target the hook reports (`NaN`: none). The
+/// verdict is the `health` column and goes back to the hook.
 pub fn control_step<H: InstrumentedHook + ?Sized>(
     hook: &mut H,
     snap: &PeriodSnapshot,
-    health: &mut ControllerHealth,
+    judge: impl FnOnce(&ControlTrace, f64) -> HealthState,
 ) -> (Decision, ControlTrace) {
     let t0 = Instant::now();
     let decision = hook.on_period(snap);
     let hook_ns = t0.elapsed().as_nanos() as u64;
-    let mut trace = ControlTrace::capture(snap, &decision, hook.control_state().as_ref(), hook_ns);
-    trace.health = health.observe(&trace);
+    let state = hook.control_state();
+    let mut trace = ControlTrace::capture(snap, &decision, state.as_ref(), hook_ns);
+    trace.health = judge(&trace, state.map_or(f64::NAN, |s| s.target_delay_s));
     hook.on_verdict(trace.health);
     (decision, trace)
 }
@@ -820,12 +825,12 @@ pub fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diagnostics::DiagnosticsConfig;
+    use crate::diagnostics::{ControllerHealth, DiagnosticsConfig};
     use crate::hook::Decision;
     use crate::time::{secs, SimTime};
 
     /// A classifier for the 2 s target of [`snap`]'s loop.
-    fn judge() -> ControllerHealth {
+    fn classifier() -> ControllerHealth {
         ControllerHealth::new(DiagnosticsConfig::for_target(std::time::Duration::from_secs(2)))
     }
 
@@ -851,7 +856,8 @@ mod tests {
     #[test]
     fn control_step_traces_the_snapshot_and_decision() {
         let mut hook = |_s: &PeriodSnapshot| Decision::entry(0.25);
-        let (d, t) = control_step(&mut hook, &snap(3), &mut judge());
+        let mut health = classifier();
+        let (d, t) = control_step(&mut hook, &snap(3), |t, yd| health.judge(t, yd));
         assert_eq!(d.entry_drop_prob, 0.25);
         assert_eq!(t.k, 3);
         assert_eq!(t.alpha, 0.25);
@@ -880,12 +886,12 @@ mod tests {
         }
         // The measured delay sits at 3x the 2 s target: out of band from
         // the first period, diverging once the grace budget runs out.
-        let (mut hook, mut health) = (Heard(Vec::new()), judge());
+        let (mut hook, mut health) = (Heard(Vec::new()), classifier());
         let mut column = Vec::new();
         for k in 0..16 {
             let mut s = snap(k);
             s.mean_delay_ms = Some(6000.0);
-            column.push(control_step(&mut hook, &s, &mut health).1.health);
+            column.push(control_step(&mut hook, &s, |t, yd| health.judge(t, yd)).1.health);
         }
         assert_eq!(hook.0, column, "the hook hears exactly the column");
         assert_eq!(column[0], HealthState::Settling);
@@ -937,9 +943,9 @@ mod tests {
     fn shared_recorder_collects_across_clones() {
         let rec = SharedRecorder::with_capacity(16);
         let mut sink = rec.clone();
-        let mut health = judge();
+        let mut health = classifier();
         for k in 0..5 {
-            let (_, trace) = control_step(&mut NoShedding, &snap(k), &mut health);
+            let (_, trace) = control_step(&mut NoShedding, &snap(k), |t, yd| health.judge(t, yd));
             sink.record(&trace);
         }
         assert_eq!(rec.len(), 5);
@@ -980,10 +986,16 @@ mod tests {
                     cost_est_us: 5105.0,
                     mode: LoopMode::Fallback,
                     fault_flags: FLAG_STALE_QUEUE,
+                    target_delay_s: 3.0,
                 })
             }
         }
-        let (_, t) = control_step(&mut Fixed, &snap(0), &mut judge());
+        let mut target = f64::NAN;
+        let (_, t) = control_step(&mut Fixed, &snap(0), |_, yd| {
+            target = yd;
+            HealthState::Healthy
+        });
+        assert_eq!(target, 3.0, "the judge hears the hook's target");
         assert_eq!(t.y_hat_s, 2.5);
         assert_eq!(t.mode, LoopMode::Fallback);
         assert_eq!(t.fault_flags, FLAG_STALE_QUEUE);

@@ -69,6 +69,7 @@ fn traces() -> Vec<ControlTrace> {
         cost_est_us: 512.125,
         mode: LoopMode::Engaged,
         fault_flags: 0,
+        target_delay_s: f64::NAN,
     };
     let three = ControlTrace::capture(
         &snap(1),
@@ -85,6 +86,7 @@ fn traces() -> Vec<ControlTrace> {
         cost_est_us: 499.9,
         mode: LoopMode::Fallback,
         fault_flags: 0,
+        target_delay_s: f64::NAN,
     };
     let ten_queues: Vec<u64> = (0..10).map(|i| 100 * i + 7).collect();
     assert!(ten_queues.len() > MAX_TRACE_SHARDS);
@@ -100,6 +102,7 @@ fn traces() -> Vec<ControlTrace> {
         cost_est_us: f64::NEG_INFINITY,
         mode: LoopMode::Hold,
         fault_flags: FLAG_SENSOR_DROPOUT | FLAG_COST_SPIKE,
+        target_delay_s: f64::NAN,
     };
     let mut held = ControlTrace::capture(&snap(3), &Decision::entry(0.5), Some(&state), 77)
         .with_shard_queues(&[1, 2, 3]);

@@ -8,9 +8,8 @@
 //!
 //! * **conservation** — exact tuple-counter balance per shard:
 //!   `offered = shed(entry) + shed(network) + completed + outstanding`;
-//! * **fault_consistency** — the `health` column replays exactly, and
-//!   the fault flags agree with the injected fault class (hook faults
-//!   stamp them,
+//! * **fault_consistency** — the `health` column replays exactly, and the
+//!   fault flags agree with the fault class (hook faults stamp them,
 //!   plant-side and clean cells stamp none);
 //! * **span_conservation** — the latency truth plane's sampled
 //!   decomposition is exact: every sampled sojourn equals its
@@ -680,10 +679,9 @@ pub struct ShardRun {
 }
 
 impl ShardRun {
-    /// The shard's counters, and the replay of its `health` column: a
-    /// fresh classifier, built as the simulator builds the loop's (every
-    /// controller shares the paper's target), must reproduce every
-    /// verdict, and its estimators fill the health statistics.
+    /// The shard's counters, and the replay of its `health` column: a fresh
+    /// classifier built as the simulator's (every cell keeps the paper's
+    /// target) must reproduce every verdict; it fills the health stats.
     pub fn stats(&self) -> ShardRunStats {
         let report = &self.report;
         let target = LoopConfig::paper_default().target_delay();

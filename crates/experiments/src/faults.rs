@@ -70,8 +70,9 @@ pub fn run(seed: u64) -> FigureResult {
     notes.push(
         "sensor faults that blind the virtual queue (stale_q, \
          sensor_dropout, cost_collapse) make bare CTRL admit far over \
-         capacity; the supervisor detects divergence from the true-delay \
-         residual and falls back to open-loop capacity matching"
+         capacity; the supervisor rejects collapsed cost samples and falls \
+         back to open-loop capacity matching after a dropout outlasts its \
+         hold or on the loop's verdict that a frozen queue blinds ŷ"
             .into(),
     );
     notes.push(

@@ -38,7 +38,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use streamshed_control::loop_::LoopConfig;
 use streamshed_control::strategy::CtrlStrategy;
-use streamshed_engine::diagnostics::DiagnosticsConfig;
+use streamshed_engine::diagnostics::WALL_CLOCK_BAND_FRAC;
 use streamshed_engine::hook::{Decision, NoShedding, PeriodSnapshot};
 use streamshed_engine::obs::{http_get, ObsOptions};
 use streamshed_engine::shard::{Dispatch, ShardConfig, ShardedEngine};
@@ -55,11 +55,6 @@ const TARGET_MS: f64 = 250.0;
 const SHARDS: usize = 2;
 /// Per-shard service capacity at `COST`, tuples/s.
 const CAPACITY_PER_SHARD: f64 = 500.0;
-/// The violation band of the engine's health classifier, as a fraction
-/// of the target.
-fn band_frac() -> f64 {
-    DiagnosticsConfig::for_target(Duration::from_millis(TARGET_MS as u64)).error_band_frac
-}
 /// Anomaly-detection budget, control periods (the acceptance bound).
 pub const DETECT_BUDGET: u64 = 5;
 
@@ -194,7 +189,7 @@ where
     // flagged it. The saturation fault only becomes observable once the
     // backlog pushes the delay through the violation band, so its
     // latency is measured from the first violating period.
-    let band_s = (TARGET_MS / 1e3) * (1.0 + band_frac());
+    let band_s = (TARGET_MS / 1e3) * (1.0 + WALL_CLOCK_BAND_FRAC);
     let first_violation_k = traces
         .iter()
         .find(|t| delay_signal_s(t) > band_s)
@@ -435,7 +430,7 @@ pub fn run(seed: u64) -> FigureResult {
         .collect();
     let mut summary = vec![
         ("target_delay_ms".to_string(), TARGET_MS),
-        ("violation_band_ms".to_string(), TARGET_MS * (1.0 + band_frac())),
+        ("violation_band_ms".to_string(), TARGET_MS * (1.0 + WALL_CLOCK_BAND_FRAC)),
         ("detect_budget_periods".to_string(), DETECT_BUDGET as f64),
     ];
     let mut notes = Vec::new();

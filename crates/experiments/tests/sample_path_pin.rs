@@ -19,12 +19,12 @@ const SEED: u64 = 7;
 /// hold its last actuation.
 const PINNED: &[(&str, u64)] = &[
     ("poisson+clean+ident+1shard+paper", 0x6e87_f4c5_2f3f_6ebd),
-    ("poisson+stale_q+ident+1shard+paper", 0xac9d_8ba3_cd30_f93d),
-    ("poisson+actuator_partial+ident+1shard+paper", 0x0031_734e_96b6_5458),
+    ("poisson+stale_q+ident+1shard+paper", 0x103f_5d7a_32c9_f79f),
+    ("poisson+actuator_partial+ident+1shard+paper", 0x372e_17a9_c7a2_aa1c),
     ("poisson+actuator_hold+chain8+1shard+paper", 0xf8e1_7e44_d7f2_54a4),
-    ("poisson+sensor_dropout+chain8+1shard+paper", 0x09de_744d_62a4_0371),
+    ("poisson+sensor_dropout+chain8+1shard+paper", 0x01fc_8b7c_8912_e3eb),
     ("poisson+clean+ident+1shard+nosup", 0xc589_4829_38e7_3a16),
-    ("poisson+stale_q+ident+1shard+netshed", 0x0c86_3b75_b331_a7f5),
+    ("poisson+stale_q+ident+1shard+netshed", 0x57c5_2a30_fde7_6459),
 ];
 
 /// FNV-1a of Fig. 12's summary, `name=<value bits>;` per entry.

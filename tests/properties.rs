@@ -2,6 +2,8 @@
 //! hold for any workload, seed, and shedding policy.
 
 use proptest::prelude::*;
+use streamshed::engine::diagnostics::{ControllerHealth, DiagnosticsConfig, HealthState};
+use streamshed::engine::telemetry::control_step;
 use streamshed::prelude::*;
 
 /// Arbitrary small workloads: (rate regimes, seed, alpha).
@@ -128,7 +130,12 @@ proptest! {
 
     /// The supervised strategy emits a valid actuator command no matter
     /// how broken the feedback signals are — NaN/∞/negative costs and
-    /// delays, including long runs of missing measurements.
+    /// delays, including long runs of missing measurements — and whatever
+    /// verdicts the loop's classifier hands it, so the fallback path is
+    /// driven by hostile inputs too. Each period runs as the engines run
+    /// it, through `control_step`, and the loop's classifier judges the
+    /// garbage as well; the verdict the supervisor hears is the generated
+    /// one.
     #[test]
     fn supervisor_output_always_valid(
         costs in prop::collection::vec(
@@ -153,11 +160,27 @@ proptest! {
             5..40,
         ),
         queues in prop::collection::vec(0u64..50_000, 5..40),
+        verdicts in prop::collection::vec(
+            // Healthy most often, so re-engagement gets its runs too.
+            prop_oneof![
+                Just(HealthState::Healthy),
+                Just(HealthState::Healthy),
+                Just(HealthState::Healthy),
+                Just(HealthState::Settling),
+                Just(HealthState::Oscillating),
+                Just(HealthState::Saturated),
+                Just(HealthState::Diverging),
+            ],
+            5..40,
+        ),
     ) {
         let loop_cfg = LoopConfig::paper_default();
         let mut sup =
             Supervisor::from_loop(CtrlStrategy::from_config(&loop_cfg), &loop_cfg);
-        let n = costs.len().min(delays.len()).min(queues.len());
+        let mut health = ControllerHealth::new(DiagnosticsConfig::for_simulation(
+            std::time::Duration::from_secs(2),
+        ));
+        let n = costs.len().min(delays.len()).min(queues.len()).min(verdicts.len());
         for k in 0..n {
             let q = queues[k];
             let snap = PeriodSnapshot {
@@ -176,7 +199,10 @@ proptest! {
                 mean_delay_ms: delays[k],
                 cpu_busy_us: 0,
             };
-            let d = sup.on_period(&snap);
+            let (d, _) = control_step(&mut sup, &snap, |t, yd| {
+                health.judge(t, yd);
+                verdicts[k]
+            });
             prop_assert!(
                 d.entry_drop_prob.is_finite()
                     && (0.0..=1.0).contains(&d.entry_drop_prob),
