@@ -538,6 +538,12 @@ mod tests {
             assert!((prev - d - MAX_ALPHA_STEP).abs() < 1e-12, "k={k}: {prev} → {d}");
             prev = d;
         }
+        // However long the delay stays high, the trim stops at admitting
+        // 10 % of capacity: the fallback never sheds every tuple.
+        for k in 7..40 {
+            prev = judged.step(&snap(k, 10, Some(5105.0), Some(9000.0))).entry_drop_prob;
+        }
+        assert!((prev - (1.0 - 0.1 * 190.0 / 400.0)).abs() < 0.01, "floor α {prev}");
     }
 
     #[test]
